@@ -13,6 +13,7 @@ LOCKSTEP_SEED environment variable.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -299,6 +300,9 @@ def _get_num(obj, key, path, errors, default=None, minimum=None, maximum=None):
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         errors.append(f"{path}.{key}: expected a number, got {v!r}")
+        return None
+    if isinstance(v, float) and not math.isfinite(v):
+        errors.append(f"{path}.{key}: must be finite, got {v}")
         return None
     if minimum is not None and v < minimum:
         errors.append(f"{path}.{key}: must be >= {minimum}, got {v}")
@@ -706,6 +710,8 @@ def config_from_dict(obj: dict, seed_override=None, env=None) -> ExperimentConfi
             errors.append(f"config.seed: {SEED_ENV_VAR}={env[SEED_ENV_VAR]!r} is not an integer")
     else:
         errors.append(f"config.seed: required (set it, pass --seed, or export {SEED_ENV_VAR})")
+    if seed is not None and seed < 0:
+        errors.append(f"config.seed: must be >= 0, got {seed}")
 
     if "topology" not in obj:
         errors.append("config.topology: required field missing")

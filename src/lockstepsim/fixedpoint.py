@@ -9,12 +9,18 @@ Digest: FNV-1a 64-bit over the little-endian encoding of the shape
 (rank, then each dimension, as unsigned 32-bit words) followed by the
 data (each element as a signed 16-bit word). A tensor with the empty
 shape holds no data; its digest covers the shape encoding alone.
+
+A tensor is immutable, so its digest is computed on first use and then
+memoized on the instance. Weights are hashed once per run, and a bit flip
+builds a new tensor that hashes afresh. The encoding and the digest
+values are unchanged by the memo.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DimensionError
 from .rng import fnv1a64
@@ -52,13 +58,19 @@ class FixedPointTensor:
             raise DimensionError(f"shape dimensions must be positive: {shape}")
         if len(data) != element_count(shape):
             raise DimensionError(f"data length {len(data)} does not match shape {shape}")
-        for v in data:
-            if not (RAW_MIN <= v <= RAW_MAX):
-                raise DimensionError(f"element {v} outside signed 16-bit range")
+        if data and (min(data) < RAW_MIN or max(data) > RAW_MAX):
+            bad = next(v for v in data if not (RAW_MIN <= v <= RAW_MAX))
+            raise DimensionError(f"element {bad} outside signed 16-bit range")
 
     @property
     def element_count(self) -> int:
         return len(self.data)
+
+    @cached_property
+    def _digest(self) -> int:
+        # Stored in the instance __dict__, outside the dataclass fields, so
+        # == and hash never see it.
+        return fnv1a64(encode_tensor(self))
 
     def to_real(self) -> list:
         return [v / SCALE for v in self.data]
@@ -73,17 +85,13 @@ class FixedPointTensor:
 
 
 def encode_tensor(t: FixedPointTensor) -> bytes:
-    buf = bytearray(struct.pack("<I", len(t.shape)))
-    for d in t.shape:
-        buf += struct.pack("<I", d)
-    for v in t.data:
-        buf += struct.pack("<h", v)
-    return bytes(buf)
+    rank = len(t.shape)
+    return struct.pack(f"<{rank + 1}I{len(t.data)}h", rank, *t.shape, *t.data)
 
 
 def tensor_digest(t: FixedPointTensor) -> int:
-    """64-bit digest; pure function of shape and data."""
-    return fnv1a64(encode_tensor(t))
+    """64-bit digest; pure function of shape and data, memoized on `t`."""
+    return t._digest
 
 
 def combine_digests(*digests: int) -> int:

@@ -17,6 +17,7 @@ layer widths up to 1024):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +59,13 @@ MAX_LAYER_WIDTH = 1024
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One dense layer: weights (out x in), bias (out), activation."""
+    """One dense layer: weights (out x in), bias (out), activation.
+
+    `weight_matrix` (int64, out x in) and `shifted_bias` (int64,
+    bias << FRAC_BITS) are built on first use and cached on the layer.
+    Both are read-only. A weight flip builds a new layer, which builds
+    its own arrays.
+    """
 
     weights: FixedPointTensor
     bias: FixedPointTensor
@@ -83,6 +90,18 @@ class LayerSpec:
     @property
     def in_width(self) -> int:
         return self.weights.shape[1]
+
+    @cached_property
+    def weight_matrix(self) -> np.ndarray:
+        w = np.array(self.weights.data, dtype=np.int64).reshape(self.out_width, self.in_width)
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def shifted_bias(self) -> np.ndarray:
+        b = np.array(self.bias.data, dtype=np.int64) << FRAC_BITS
+        b.flags.writeable = False
+        return b
 
 
 @dataclass(frozen=True)
@@ -249,9 +268,7 @@ def infer(weights: WeightSet, input_tensor: FixedPointTensor, engine: EngineConf
     trace = []
     for layer in weights.layers:
         x = np.asarray(current.data, dtype=np.int64)
-        w = np.asarray(layer.weights.data, dtype=np.int64).reshape(layer.out_width, layer.in_width)
-        b = np.asarray(layer.bias.data, dtype=np.int64)
-        acc = w @ x + (b << FRAC_BITS)
+        acc = layer.weight_matrix @ x + layer.shifted_bias
         y = _round_shift_half_even(acc)
         np.clip(y, RAW_MIN, RAW_MAX, out=y)
         if layer.activation == RELU:

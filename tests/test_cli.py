@@ -85,6 +85,26 @@ class TestRunCommand:
         assert blob["config"]["seed"] == 77
 
 
+    def test_negative_seed_flag_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = cli_main(["run", "--config", str(CONFIG_DIR / "tight-baseline.json"),
+                         "--out", str(out), "--seed", "-1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config.seed: must be >= 0, got -1" in captured.err
+        assert not out.exists()
+
+    def test_negative_env_seed_exit_one(self, tmp_path, capsys, monkeypatch):
+        raw = zero_jitter_duplex(frames=3)
+        del raw["seed"]
+        cfg = write_config(tmp_path, raw)
+        monkeypatch.setenv(SEED_ENV_VAR, "-5")
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 1
+        assert "config.seed: must be >= 0, got -5" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+
 class TestCompareCommand:
     def test_compare_self_and_written_json(self, tmp_path, capsys):
         cfg = write_config(tmp_path, zero_jitter_duplex(frames=6, reps=2))

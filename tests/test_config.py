@@ -162,6 +162,39 @@ class TestSeedResolution:
         errs = errors_of({"topology": "fpga-duplex-tight"}, env={SEED_ENV_VAR: "abc"})
         assert any(SEED_ENV_VAR in e for e in errs)
 
+    def test_negative_seed_rejected_from_every_source(self):
+        raw = {"seed": 3, "topology": "fpga-duplex-tight"}
+        assert errors_of(raw, seed_override=-1, env={}) == ["config.seed: must be >= 0, got -1"]
+        assert errors_of(dict(raw, seed=-1), env={}) == ["config.seed: must be >= 0, got -1"]
+        del raw["seed"]
+        assert errors_of(raw, env={SEED_ENV_VAR: "-5"}) == ["config.seed: must be >= 0, got -5"]
+
+
+def _with_field(raw, path, value):
+    *parents, key = path.split(".")[1:]
+    obj = raw
+    for name in parents:
+        obj = obj.setdefault(name, {})
+    obj[key] = value
+    return raw
+
+
+class TestNonFiniteNumbers:
+    FIELDS = (
+        "config.topology.voter.comparator.eps",
+        "config.profiler.alpha",
+        "config.profiler.outlier_threshold",
+        "config.topology.feed_jitter.spike_prob",
+    )
+
+    @pytest.mark.parametrize("token, shown", [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")])
+    @pytest.mark.parametrize("path", FIELDS)
+    def test_rejected_with_field_path(self, path, token, shown):
+        raw = zero_jitter_duplex()
+        raw["topology"]["voter"]["comparator"] = {"kind": "tolerance", "eps": 0.5}
+        text = json.dumps(_with_field(raw, path, "PLACEHOLDER")).replace('"PLACEHOLDER"', token)
+        assert errors_of(json.loads(text)) == [f"{path}: must be finite, got {shown}"]
+
 
 class TestShippedConfigs:
     def test_paper_protocol_shape(self):

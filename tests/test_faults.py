@@ -17,8 +17,8 @@ from lockstepsim.faults import (
     trigger_fires,
     validate_fault,
 )
-from lockstepsim.fixedpoint import FixedPointTensor
-from lockstepsim.replica import gen_weights
+from lockstepsim.fixedpoint import FixedPointTensor, flip_bit
+from lockstepsim.replica import EngineConfig, LayerSpec, WeightSet, gen_frame, gen_weights, infer
 from lockstepsim.rng import Rng
 
 
@@ -109,3 +109,32 @@ def test_probabilistic_trigger_rate_roughly_matches():
     rng = Rng(99)
     fired = sum(trigger_fires(trig, f, rng) for f in range(20000))
     assert abs(fired / 20000 - 0.25) < 0.02
+
+
+def test_weight_flip_rebuilds_only_the_flipped_layer():
+    ws = gen_weights(5, [6, 5, 4])
+    engine = EngineConfig()
+    frame = gen_frame(5, 0, (6,))
+    before = infer(ws, frame, engine)  # fills every cache of the original
+    element, bit = 14, 13  # changes output 2 from 32767 to 25018
+
+    flipped = flip_weight_bits(ws, [(1, element, bit)])
+    assert flipped.layers[0] is ws.layers[0]
+
+    old = ws.layers[1]
+    scratch = WeightSet((
+        LayerSpec(
+            FixedPointTensor(ws.layers[0].weights.shape, ws.layers[0].weights.data),
+            FixedPointTensor(ws.layers[0].bias.shape, ws.layers[0].bias.data),
+            ws.layers[0].activation,
+        ),
+        LayerSpec(
+            FixedPointTensor(old.weights.shape, flip_bit(old.weights, element, bit).data),
+            FixedPointTensor(old.bias.shape, old.bias.data),
+            old.activation,
+        ),
+    ))
+    result = infer(flipped, frame, engine)
+    assert result == infer(scratch, frame, engine)
+    assert result[0] != before[0]
+    assert infer(ws, frame, engine) == before

@@ -2,18 +2,24 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lockstepsim.errors import DimensionError
 from lockstepsim.fixedpoint import (
+    RAW_MAX,
+    RAW_MIN,
     FixedPointTensor,
     argmax_index,
     combine_digests,
     element_count,
+    encode_tensor,
     flip_bit,
     tensor_digest,
     tensor_from_json,
     tensor_to_json,
 )
+from lockstepsim.rng import fnv1a64
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -115,3 +121,48 @@ def test_weight_set_golden_serialization():
     golden_path = GOLDEN_DIR / "weights_seed7_arch_4_3_2.json"
     golden = json.loads(golden_path.read_text())
     assert obj == golden
+
+
+def test_encode_rank1_with_negative_element():
+    t = FixedPointTensor((2,), (1, -1))
+    assert encode_tensor(t) == bytes.fromhex("01000000" "02000000" "0100" "ffff")
+
+
+def test_encode_rank2():
+    t = FixedPointTensor((2, 3), (0, 256, -256, RAW_MIN, RAW_MAX, -2))
+    assert encode_tensor(t) == bytes.fromhex(
+        "02000000" "02000000" "03000000" "0000" "0001" "00ff" "0080" "ff7f" "feff"
+    )
+
+
+def test_out_of_range_error_names_first_bad_element():
+    with pytest.raises(DimensionError, match="element 40000 outside"):
+        FixedPointTensor((3,), (1, 40000, -40000))
+    with pytest.raises(DimensionError, match="element -40000 outside"):
+        FixedPointTensor((3,), (1, -40000, 40000))
+
+
+@st.composite
+def tensors(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    data = draw(st.lists(st.integers(RAW_MIN, RAW_MAX), min_size=element_count(shape),
+                         max_size=element_count(shape)))
+    return FixedPointTensor(shape, tuple(data))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tensors())
+def test_memoized_digest_equals_fresh_fnv(t):
+    expected = fnv1a64(encode_tensor(t))
+    assert tensor_digest(t) == expected
+    assert tensor_digest(t) == expected
+
+
+def test_equality_and_hash_ignore_the_memo():
+    a = FixedPointTensor((2, 2), (1, -2, 3, -4))
+    b = FixedPointTensor((2, 2), (1, -2, 3, -4))
+    hash_before = hash(a)
+    tensor_digest(a)
+    assert a == b and b == a
+    assert hash(a) == hash_before == hash(b)
+    assert len({a, b}) == 1

@@ -1,0 +1,152 @@
+"""Golden digest pins: SHA-256 of the trace.jsonl and report.json that
+run_to_directory writes, per config.
+
+A refactor or optimisation must keep every pin. A pin changes only when an
+output format changes on purpose, and that change is recorded in
+CHANGES.md. If a pin fails otherwise, the code is wrong, not the pin.
+
+To print the digests of the current code (for a deliberate format change):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import copy
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from lockstepsim.config import config_from_dict
+from lockstepsim.experiment import REPORT_FILENAME, TRACE_FILENAME, run_to_directory
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _shipped(name):
+    return json.loads((CONFIG_DIR / name).read_text())
+
+
+def _tight_2oo3_all_faults():
+    # Replica 2 takes the value faults so 2oo3 masks them; replica 1 carries
+    # one weight flip so two replicas infer on flipped copies of layer 1
+    # while layer 0 stays shared with the healthy replica.
+    faults = [
+        (2, {"type": "weight_bit_flip", "layer": 0, "element_index": 37, "bit": 13}, {"type": "with_probability", "p": 0.2}),
+        (2, {"type": "weight_bit_flip", "layer": 1, "element_index": 300, "bit": 11}, {"type": "on_frame", "frame_id": 5}),
+        (1, {"type": "weight_bit_flip", "layer": 1, "element_index": 9, "bit": 14}, {"type": "on_frame", "frame_id": 12}),
+        (2, {"type": "output_bit_flip", "element_index": 3, "bit": 9}, {"type": "with_probability", "p": 0.1}),
+        (2, {"type": "stuck_output"}, {"type": "on_frame", "frame_id": 40}),
+        (2, {"type": "drop_output"}, {"type": "with_probability", "p": 0.05}),
+        (0, {"type": "extra_delay", "ns": 50_000}, {"type": "with_probability", "p": 0.05}),
+        (1, {"type": "extra_delay", "ns": 1}, {"type": "always"}),
+    ]
+    return {
+        "seed": 2024,
+        "topology": {
+            "replicas": 3,
+            "coupling": {"mode": "tight", "skew_tolerance_cycles": 2},
+            "voter": {"policy": "2oo3", "comparator": {"kind": "exact"}, "debounce_threshold": 3},
+            "clock": {"freq_hz": 210_000_000, "drift_ppm": 0},
+            "shared_clock": True,
+            "bus_trace_compare": True,
+        },
+        "workload": {"frame_count": 60, "repetitions_per_frame": 2, "input_shape": [32], "arch": [32, 32, 16]},
+        "faults": [{"replica_id": r, "kind": k, "trigger": t} for r, k, t in faults],
+    }
+
+
+def _loose_duplex_ptp_tolerance():
+    return {
+        "seed": 99,
+        "topology": {
+            "replicas": 2,
+            "coupling": {"mode": "loose", "rendezvous_window_ns": 300_000},
+            "voter": {"policy": "1oo2", "comparator": {"kind": "tolerance", "eps": 0.05}, "debounce_threshold": 2},
+            "clocks": [{"freq_hz": 998_000_000, "drift_ppm": 40}, {"freq_hz": 1_001_000_000, "drift_ppm": -25}],
+            "clock_offsets_ns": [0, 12_345],
+            "feed_jitter": {"base_overhead_ns": 5_000, "spike_prob": 0.02, "spike_scale_ns": 150_000},
+            "host_jitter": [
+                {"base_overhead_ns": 20_000, "spike_prob": 0.03, "spike_scale_ns": 200_000, "mode2_offset_ns": 60_000, "mode2_prob": 0.2},
+                {"base_overhead_ns": 26_000, "spike_prob": 0.05, "spike_scale_ns": 250_000},
+            ],
+            "ptp": {"enabled": True, "link_delay_ns": 800, "asymmetry_ns": 150, "slave_turnaround_ns": 40},
+        },
+        "workload": {"frame_count": 30, "repetitions_per_frame": 20, "input_shape": [16], "arch": [16, 16, 8]},
+        "faults": [
+            {"replica_id": 1, "kind": {"type": "output_bit_flip", "element_index": 2, "bit": 3}, "trigger": {"type": "with_probability", "p": 0.1}},
+            {"replica_id": 0, "kind": {"type": "output_bit_flip", "element_index": 5, "bit": 14}, "trigger": {"type": "on_frame", "frame_id": 7}},
+        ],
+    }
+
+
+def _loose_three_with_failed():
+    cfg = copy.deepcopy(_loose_duplex_ptp_tolerance())
+    topo = cfg["topology"]
+    topo["replicas"] = 3
+    topo["voter"]["policy"] = "2oo3"
+    topo["clocks"].append({"freq_hz": 1_000_000_000, "drift_ppm": 10})
+    topo["clock_offsets_ns"].append(-4_000)
+    topo["host_jitter"].append({"base_overhead_ns": 22_000})
+    topo["health"] = ["healthy", "failed", "healthy"]
+    return cfg
+
+
+CASES = {
+    "tight-baseline": lambda: _shipped("tight-baseline.json"),
+    "two-profiles": lambda: _shipped("two-profiles.json"),
+    "tight-2oo3-all-faults": _tight_2oo3_all_faults,
+    "loose-duplex-ptp-tolerance": _loose_duplex_ptp_tolerance,
+    "loose-3-one-failed": _loose_three_with_failed,
+}
+
+# name -> (sha256 of trace.jsonl, sha256 of report.json)
+PINS = {
+    "tight-baseline": (
+        "d40a319e50045359a5c1b806bdfd6e13d965cb149aac891ac162721cae46928b",
+        "376abf23f41357caf279f76d0c200039fda67d157c089334c74e47168616a0a9",
+    ),
+    "two-profiles": (
+        "c3fa98935a54a3a5d124f7ef3a7cade3e98218f770f13f78ec41944ebfaa4216",
+        "0ea5fc111b375bd31f8c0b6093f505e50e71ce968abde6881cce405adc2fc8f2",
+    ),
+    "tight-2oo3-all-faults": (
+        "83518c72e72d3c56badccce2eac36aef544447e844151826dd4951432e12c9c2",
+        "557d5c645e0355ee3df47971cecad6ecfa14d451ba9071ce7f3e035bbb2f0951",
+    ),
+    "loose-duplex-ptp-tolerance": (
+        "80aadc052cab9a69ee3c65fd0d762e2b01fac5612aad2717bbbfe5b1449f6549",
+        "85ab5f18d8a64d9ceaa8c93fe7dd7773b604eaa40eba11e4c69a0a5f1c08de83",
+    ),
+    "loose-3-one-failed": (
+        "97b0eecc1a18d91d9c9e8670edc9ed7c859688e6ea5d4fe1cf370550d6b631a1",
+        "ccc61807924be0e8148a145a64342e0ba5b66d561efbe0c8e8d5333ffa526c94",
+    ),
+}
+
+
+def _digests(name, out_dir):
+    run_to_directory(config_from_dict(CASES[name](), env={}), out_dir)
+    out = Path(out_dir)
+    return tuple(
+        hashlib.sha256((out / fn).read_bytes()).hexdigest() for fn in (TRACE_FILENAME, REPORT_FILENAME)
+    )
+
+
+def test_every_case_is_pinned():
+    assert set(PINS) == set(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_pin(name, tmp_path):
+    assert _digests(name, tmp_path) == PINS[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    for case in CASES:
+        with tempfile.TemporaryDirectory() as d:
+            trace_sha, report_sha = _digests(case, d)
+        sys.stdout.write(f'    "{case}": (\n        "{trace_sha}",\n        "{report_sha}",\n    ),\n')
