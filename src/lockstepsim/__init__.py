@@ -27,18 +27,7 @@ from .errors import (
     ProtocolError,
     SimulationError,
 )
-from .eventsim import (
-    ClockDomain,
-    Device,
-    Event,
-    EventQueue,
-    Host,
-    JitterModel,
-    KernelTask,
-    cycles_to_time,
-    sample_turnaround_overhead,
-    submit_kernel,
-)
+from .eventsim import ClockDomain, JitterModel, cycles_to_time, sample_turnaround_overhead
 from .experiment import (
     ExperimentReport,
     ExperimentRunner,

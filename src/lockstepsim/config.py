@@ -304,13 +304,18 @@ def _get_num(obj, key, path, errors, default=None, minimum=None, maximum=None):
     if isinstance(v, float) and not math.isfinite(v):
         errors.append(f"{path}.{key}: must be finite, got {v}")
         return None
+    try:
+        f = float(v)
+    except OverflowError:
+        errors.append(f"{path}.{key}: must be finite, got an integer too large for a float")
+        return None
     if minimum is not None and v < minimum:
         errors.append(f"{path}.{key}: must be >= {minimum}, got {v}")
         return None
     if maximum is not None and v > maximum:
         errors.append(f"{path}.{key}: must be <= {maximum}, got {v}")
         return None
-    return float(v)
+    return f
 
 
 def _get_bool(obj, key, path, errors, default):

@@ -1,25 +1,21 @@
-"""Deterministic discrete-event core.
+"""Simulated time: clocks and latency jitter.
 
-Simulated clocks, latency jitter models and a host-to-device kernel
-submission model. Events are totally ordered by (time, insertion
-sequence); handlers may schedule at or after the current time, never
-before. One queue is one experiment; nothing here is shared between
-experiments.
+A clock domain turns compute cycles into nanoseconds with exact integer
+arithmetic; a jitter model draws the host and feed overheads around each
+inference from a named random stream. The simulator keeps no event
+queue: the experiment runner computes each round's event times directly
+from these (see `experiment`).
 
 Time is integer nanoseconds since simulation start.
 """
 
 from __future__ import annotations
 
-import heapq
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, SimulationError
 from .rng import Rng
-
-SimTime = int
 
 _NS_PER_S = 10**9
 _PPM = 10**6
@@ -74,8 +70,6 @@ class JitterModel:
             raise ConfigError("mode2_prob must be within [0, 1]")
 
 
-ZERO_JITTER = JitterModel()
-
 
 def _sample_geometric(mean_ns: int, rng: Rng) -> int:
     """Geometric variate on {1, 2, ...} with the given mean, by inversion."""
@@ -96,123 +90,3 @@ def sample_turnaround_overhead(model: JitterModel, rng: Rng) -> int:
     if rng.uniform() < model.spike_prob:
         total += _sample_geometric(model.spike_scale_ns, rng)
     return total
-
-
-@dataclass
-class Event:
-    time_ns: int
-    seq: int
-    kind: str
-    payload: dict
-    handler: object = None
-
-
-class EventQueue:
-    """Single-threaded event queue with a strict (time, seq) total order."""
-
-    def __init__(self):
-        self.now: int = 0
-        self._seq = 0
-        self._heap = []
-        self.on_process = None  # optional callback(Event) after each event
-
-    def next_seq(self) -> int:
-        s = self._seq
-        self._seq += 1
-        return s
-
-    def schedule(self, time_ns: int, kind: str, payload=None, handler=None) -> Event:
-        if time_ns < self.now:
-            raise SimulationError(
-                f"event {kind!r} scheduled at {time_ns} ns, before current time {self.now} ns"
-            )
-        ev = Event(int(time_ns), self.next_seq(), kind, dict(payload or {}), handler)
-        heapq.heappush(self._heap, (ev.time_ns, ev.seq, ev))
-        return ev
-
-    def _process_next(self) -> Event:
-        _, _, ev = heapq.heappop(self._heap)
-        self.now = ev.time_ns
-        if ev.handler is not None:
-            ev.handler(ev)
-        if self.on_process is not None:
-            self.on_process(ev)
-        return ev
-
-    def run_until(self, t: int) -> list:
-        """Process every event with time <= t in (time, seq) order, then
-        advance the clock to t. Returns the processed events."""
-        if t < self.now:
-            raise SimulationError(f"run_until({t}) would move time backwards from {self.now}")
-        processed = []
-        while self._heap and self._heap[0][0] <= t:
-            processed.append(self._process_next())
-        self.now = t
-        return processed
-
-    def run_all(self) -> list:
-        """Process until the queue drains; the clock stays at the last event."""
-        processed = []
-        while self._heap:
-            processed.append(self._process_next())
-        return processed
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-def write_event_log(events, fp) -> None:
-    """Export processed events as JSON Lines."""
-    for ev in events:
-        rec = {"time_ns": ev.time_ns, "seq": ev.seq, "kind": ev.kind}
-        for key in ("replica_id", "frame_id"):
-            if key in ev.payload:
-                rec[key] = ev.payload[key]
-        fp.write(json.dumps(rec, separators=(",", ":")) + "\n")
-
-
-@dataclass
-class Host:
-    """The feeder in front of a device; one jitter sample per submission."""
-
-    jitter: JitterModel
-    rng: Rng
-
-
-@dataclass
-class Device:
-    """A compute device. In-order submissions queue FIFO behind free_at;
-    out-of-order submissions start on arrival (parallel elements)."""
-
-    id: int
-    clock: ClockDomain
-    free_at: int = 0
-
-
-@dataclass
-class KernelTask:
-    cycles: int
-    extra_delay_ns: int = 0
-    tag: dict = field(default_factory=dict)
-
-
-def submit_kernel(queue: EventQueue, host: Host, device: Device, task: KernelTask,
-                  in_order: bool = True, handler=None) -> Event:
-    """Submit one kernel at the current time; returns the completion event.
-
-    The submission consumes one host jitter sample before the task reaches
-    the device. With in_order the device starts the task only after all
-    previously submitted tasks complete; otherwise it starts on arrival and
-    completion order follows per-task durations.
-    """
-    if device is None:
-        raise ConfigError("submit_kernel: unknown device")
-    overhead = sample_turnaround_overhead(host.jitter, host.rng)
-    arrival = queue.now + overhead
-    start = max(arrival, device.free_at) if in_order else arrival
-    completion = start + cycles_to_time(task.cycles, device.clock) + task.extra_delay_ns
-    if in_order:
-        device.free_at = completion
-    payload = dict(task.tag)
-    payload.update({"arrival_ns": arrival, "start_ns": start, "cycles": task.cycles})
-    return queue.schedule(completion, "kernel_complete", payload, handler)

@@ -6,12 +6,25 @@ the completion times the checker observes, compare bus traces under tight
 coupling, vote, step the safety switch, and record latency samples plus a
 JSON Lines trace of every event. Everything derives from the config seed;
 two runs of the same config produce byte-identical traces and reports.
+
+Each round is computed directly, in order. Every round ends before the
+next input is released, so a device is always idle when its kernel
+arrives: a completion is the delivery time plus one host jitter draw, the
+compute time on the replica's clock and any injected delay. Trace records
+are totally ordered by (t_ns, seq). The runner hands out seq in one
+counter, in this order per round: the input release; one delivery per
+healthy replica in replica order; one completion per delivery, in
+(time, seq) order of the deliveries (a dropped output takes its seq but
+writes no record); then, at the record time, the rendezvous, any bus
+divergence, the verdict and the safety action. Records are written from
+per-kind templates that give exactly the bytes of
+`json.dumps(record, separators=(",", ":"))`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .config import ExperimentConfig
@@ -24,8 +37,8 @@ from .coupling import (
     rendezvous,
     simulate_ptp_exchange,
 )
-from .errors import ConfigError, NoHealthyReplicas
-from .eventsim import Device, EventQueue, Host, KernelTask, cycles_to_time, submit_kernel
+from .errors import ConfigError, NoHealthyReplicas, SimulationError
+from .eventsim import cycles_to_time, sample_turnaround_overhead
 from .faults import FaultEffects, apply_fault, flip_output_bits, flip_weight_bits
 from .fixedpoint import argmax_index, tensor_digest
 from .profiling import detect_outliers, histogram, ks_statistic, stats, write_histogram_csv
@@ -37,17 +50,9 @@ TRACE_FILENAME = "trace.jsonl"
 REPORT_FILENAME = "report.json"
 
 
-@dataclass
-class _RoundState:
-    frame_id: int
-    repetition: int
-    release_time: int
-    input_tensor: object
-    clean: tuple                      # (output, cycles, trace, digest, classification)
-    arrivals: list = field(default_factory=list)
-    outputs: dict = field(default_factory=dict)
-    pending: dict = field(default_factory=dict)
-    any_applied: bool = False
+def _ids(ids) -> str:
+    """JSON text of a list of ints, as json.dumps writes it compactly."""
+    return "[" + ",".join(map(str, ids)) + "]"
 
 
 @dataclass
@@ -96,7 +101,11 @@ class ExperimentReport:
 
 
 class ExperimentRunner:
-    """One deterministic run of one experiment config."""
+    """One deterministic run of one experiment config.
+
+    `trace_writer`, if given, is called with each trace record as one JSON
+    text line, newline included.
+    """
 
     def __init__(self, config: ExperimentConfig, trace_writer=None):
         self.cfg = config
@@ -104,16 +113,15 @@ class ExperimentRunner:
         self.topology = topo
         self.coupling = topo.coupling
         self.engine = topo.engine
-        self.queue = EventQueue()
-        self.queue.on_process = self._emit_record
-        self._writer = trace_writer
+        self._write = trace_writer
+        self.now = 0
+        self.seq = 0
 
         root = Rng(config.seed)
         self.weights = gen_weights(derive_seed(config.seed, "weights"), config.workload.arch)
         n = topo.replica_count
         self.replicas = []
-        self.devices = []
-        self.hosts = []
+        self.host_pairs = []
         self.feed_pairs = []
         for rid in range(n):
             self.replicas.append(
@@ -126,8 +134,7 @@ class ExperimentRunner:
                     health=topo.health[rid],
                 )
             )
-            self.devices.append(Device(rid, topo.clocks[rid]))
-            self.hosts.append(Host(topo.host_jitter[rid], root.child(f"host.{rid}")))
+            self.host_pairs.append((topo.host_jitter[rid], root.child(f"host.{rid}")))
             self.feed_pairs.append((topo.feed_jitter[rid], root.child(f"feed.{rid}")))
         self.replica_faults = {rid: [] for rid in range(n)}
         for i, (rid, spec) in enumerate(config.faults):
@@ -157,50 +164,27 @@ class ExperimentRunner:
         self.bus_comparisons = 0
         self.bus_divergences = 0
         self.ptp_info = []
-        self._round = None
 
     # -- trace records ------------------------------------------------
 
-    _INTERNAL_PAYLOAD_KEYS = frozenset({"emitted", "arrival_ns", "start_ns", "cycles"})
-
-    def _emit_record(self, ev):
-        if self._writer is None:
-            return
-        if ev.kind == "kernel_complete":
-            if not ev.payload.get("emitted", True):
-                return
-            rec = {
-                "t_ns": ev.time_ns,
-                "seq": ev.seq,
-                "kind": "completion",
-                "frame_id": ev.payload["frame_id"],
-                "repetition": ev.payload["repetition"],
-                "replica_id": ev.payload["replica_id"],
-                "turnaround_ns": ev.payload["turnaround_ns"],
-                "compute_cycles": ev.payload["cycles"],
-                "digest": ev.payload["digest"],
-                "classification": ev.payload["classification"],
-            }
-        else:
-            rec = {"t_ns": ev.time_ns, "seq": ev.seq, "kind": ev.kind}
-            for key, value in ev.payload.items():
-                if key not in self._INTERNAL_PAYLOAD_KEYS:
-                    rec[key] = value
-        self._writer(rec)
+    def _write_records(self, records):
+        """Write (t_ns, seq, body) records in (t_ns, seq) order; `body` is
+        the JSON text of every field after seq."""
+        write = self._write
+        for t, seq, body in sorted(records):
+            write(f'{{"t_ns":{t},"seq":{seq},{body}}}\n')
 
     # -- per-replica computation ---------------------------------------
 
-    def _compute(self, rid, rs: _RoundState):
+    def _compute(self, rid, frame_id, input_tensor, clean):
         effects = FaultEffects()
         applied = False
         for spec, frng in self.replica_faults[rid]:
-            applied |= apply_fault(spec, effects, rs.frame_id, frng)
-        if applied:
-            rs.any_applied = True
-        out, cycles, trace, digest, classification = rs.clean
+            applied |= apply_fault(spec, effects, frame_id, frng)
+        out, cycles, trace, digest, classification = clean
         if effects.weight_flips:
             mutated = flip_weight_bits(self.weights, effects.weight_flips)
-            out, cycles, trace = infer(mutated, rs.input_tensor, self.engine)
+            out, cycles, trace = infer(mutated, input_tensor, self.engine)
             digest = tensor_digest(out)
             classification = argmax_index(out)
         if effects.output_flips:
@@ -211,153 +195,159 @@ class ExperimentRunner:
             out = self.prev_output[rid]
             digest = tensor_digest(out)
             classification = argmax_index(out)
-        return out, cycles, trace, digest, classification, effects
-
-    def _on_delivery(self, ev):
-        rs = self._round
-        rid = ev.payload["replica_id"]
-        out, cycles, trace, digest, classification, effects = self._compute(rid, rs)
-        rs.pending[rid] = (out, cycles, trace, digest, classification, effects)
-        task = KernelTask(
-            cycles=cycles,
-            extra_delay_ns=effects.extra_delay_ns,
-            tag={
-                "frame_id": rs.frame_id,
-                "repetition": rs.repetition,
-                "replica_id": rid,
-                "emitted": not effects.drop,
-                "digest": digest,
-                "classification": classification,
-            },
-        )
-        submit_kernel(self.queue, self.hosts[rid], self.devices[rid], task,
-                      in_order=True, handler=self._on_completion)
-
-    def _on_completion(self, ev):
-        rs = self._round
-        rid = ev.payload["replica_id"]
-        out, cycles, trace, digest, classification, effects = rs.pending.pop(rid)
-        if effects.drop:
-            return
-        t = ev.time_ns
-        turnaround = t - rs.release_time
-        ev.payload["turnaround_ns"] = turnaround
-        observed = t + self.clock_offsets[rid] - self.ptp_corrections[rid]
-        rs.arrivals.append((rid, observed))
-        rs.outputs[rid] = ReplicaOutput(rid, rs.frame_id, out, classification, digest, cycles, t, trace)
-        self.samples[rid].append(turnaround)
-        self.prev_output[rid] = out
+        return out, cycles, trace, digest, classification, effects, applied
 
     # -- round orchestration --------------------------------------------
 
     def _run_round(self, frame_id, rep, input_tensor, clean):
-        q = self.queue
-        rs = _RoundState(frame_id, rep, q.now, input_tensor, clean)
-        self._round = rs
-        q.schedule(rs.release_time, "input_release", {"frame_id": frame_id, "repetition": rep})
+        release = self.now
+        tracing = self._write is not None
+        if tracing:
+            # the fields that follow "kind" in every record of this round
+            fr = f'"frame_id":{frame_id},"repetition":{rep}'
+            records = [(release, self.seq, f'"kind":"input_release",{fr}')]
+        self.seq += 1
         try:
             barrier = distribute_input(
                 frame_id,
-                rs.release_time,
+                release,
                 self.healthy_ids,
                 self.coupling,
                 [self.feed_pairs[rid] for rid in self.healthy_ids],
             )
         except NoHealthyReplicas:
-            q.run_all()
-            self._finish_round(rs, None, Verdict.degraded("no healthy replicas"),
-                               divergence=None, deadline=rs.release_time)
+            if tracing:
+                self._write_records(records)
+            self._finish_round(frame_id, rep, None, Verdict.degraded("no healthy replicas"),
+                               divergence=None, deadline=release)
             return
-        for rid, t_deliver in barrier.deliveries:
-            q.schedule(
-                t_deliver,
-                "delivery",
-                {"frame_id": frame_id, "repetition": rep, "replica_id": rid,
-                 "skew_ns": t_deliver - rs.release_time},
-                handler=self._on_delivery,
-            )
-        q.run_all()
 
-        outcome = rendezvous(self.healthy_ids, rs.arrivals, self._window_ns)
+        deliveries = barrier.deliveries
+        seq = self.seq
+        if tracing:
+            for i, (rid, t) in enumerate(deliveries):
+                records.append((t, seq + i, f'"kind":"delivery",{fr},"replica_id":{rid},"skew_ns":{t - release}'))
+        completion_seq = seq + len(deliveries)
+        self.seq = completion_seq + len(deliveries)
+
+        now = release
+        arrivals = []
+        outputs = {}
+        any_applied = False
+        # a stable sort by time keeps replica order on ties: (time, seq) order
+        for rid, t_deliver in sorted(deliveries, key=lambda d: d[1]):
+            out, cycles, trace, digest, classification, effects, applied = self._compute(
+                rid, frame_id, input_tensor, clean)
+            any_applied |= applied
+            jitter, host_rng = self.host_pairs[rid]
+            t = (t_deliver + sample_turnaround_overhead(jitter, host_rng)
+                 + cycles_to_time(cycles, self.topology.clocks[rid]) + effects.extra_delay_ns)
+            if not release <= t_deliver <= t:
+                raise SimulationError(
+                    f"replica {rid}, frame {frame_id}: delivery at {t_deliver} ns and completion "
+                    f"at {t} ns must not precede the release at {release} ns or each other"
+                )
+            now = max(now, t)
+            if not effects.drop:
+                turnaround = t - release
+                arrivals.append((rid, t + self.clock_offsets[rid] - self.ptp_corrections[rid]))
+                outputs[rid] = ReplicaOutput(rid, frame_id, out, classification, digest, cycles, t, trace)
+                self.samples[rid].append(turnaround)
+                self.prev_output[rid] = out
+                if tracing:
+                    records.append((t, completion_seq, (
+                        f'"kind":"completion",{fr},"replica_id":{rid},"turnaround_ns":{turnaround},'
+                        f'"compute_cycles":{cycles},"digest":{digest},"classification":{classification}'
+                    )))
+            completion_seq += 1
+        self.now = now
+        if tracing:
+            self._write_records(records)
+
+        outcome = rendezvous(self.healthy_ids, arrivals, self._window_ns)
         if isinstance(outcome, Complete):
             deadline = outcome.present[-1][1]
-        elif rs.arrivals:
-            deadline = min(t for _, t in rs.arrivals) + self._window_ns
+        elif arrivals:
+            deadline = min(t for _, t in arrivals) + self._window_ns
         else:
-            deadline = rs.release_time + self._window_ns
+            deadline = release + self._window_ns
 
         divergence = None
         if self.topology.bus_trace_compare and isinstance(self.coupling, Tight):
-            ids = sorted(rs.outputs)
+            ids = sorted(outputs)
             if len(ids) >= 2:
                 self.bus_comparisons += 1
-                ref = rs.outputs[ids[0]]
+                ref = outputs[ids[0]]
                 for rid in ids[1:]:
                     div = compare_bus_traces(
-                        ref.trace, rs.outputs[rid].trace, self.coupling.skew_tolerance_cycles
+                        ref.trace, outputs[rid].trace, self.coupling.skew_tolerance_cycles
                     )
                     if div is not None:
                         divergence = (ids[0], rid, div)
                         break
 
-        present_outputs = [rs.outputs[rid] for rid in sorted(rs.outputs)]
+        present_outputs = [outputs[rid] for rid in sorted(outputs)]
         verdict = vote(present_outputs, self.topology.policy, self.topology.comparator, outcome)
-        self._finish_round(rs, outcome, verdict, divergence, deadline)
+        self._finish_round(frame_id, rep, outcome, verdict, divergence, deadline)
 
-    def _finish_round(self, rs, outcome, verdict, divergence, deadline):
-        q = self.queue
-        t_record = max(deadline, q.now)
-        base = {"frame_id": rs.frame_id, "repetition": rs.repetition}
-        if outcome is not None:
-            if isinstance(outcome, Complete):
-                q.schedule(t_record, "rendezvous",
-                           {**base, "outcome": "complete", "skew_ns": outcome.skew_ns})
-                self.skews.append(outcome.skew_ns)
-            else:
-                q.schedule(t_record, "rendezvous",
-                           {**base, "outcome": "timeout",
-                            "present_ids": list(outcome.present_ids),
-                            "missing_ids": list(outcome.missing_ids)})
-        if divergence is not None:
-            rid_a, rid_b, div = divergence
-            q.schedule(t_record, "bus_divergence",
-                       {**base, "replica_a": rid_a, "replica_b": rid_b,
-                        "event_index": div.event_index, "reason": div.reason})
-            self.bus_divergences += 1
-
-        vp = {**base, "variant": verdict.variant}
-        if verdict.variant == "pass":
-            vp["agreeing_ids"] = list(verdict.agreeing_ids)
-            vp["agreed_digest"] = verdict.agreed.digest
-        elif verdict.variant == "mismatch":
-            vp["groups"] = [list(g) for g in verdict.groups]
-        elif verdict.variant == "timeout":
-            vp["missing_ids"] = list(verdict.missing_ids)
-        else:
-            vp["reason"] = verdict.reason
-        q.schedule(t_record, "verdict", vp)
-        self.verdict_counts[verdict.variant] += 1
-
-        new_state, action = step_safety(self.safety, verdict)
-        q.schedule(t_record, "safety_action",
-                   {**base, "state": new_state.state, "action": action,
-                    "consecutive_faults": new_state.consecutive_fault_count})
-        if new_state.state != self.safety.state:
-            self.safety_timeline.append(
-                {"t_ns": t_record, "frame_id": rs.frame_id, "repetition": rs.repetition,
-                 "from": self.safety.state, "to": new_state.state}
-            )
-        self.safety = new_state
-        q.run_all()
-
-        if rs.any_applied:
+        if any_applied:
             self.fault_injected += 1
             if verdict.variant != PASS:
                 self.fault_detected += 1
-            elif verdict.agreed.digest == rs.clean[3]:
+            elif verdict.agreed.digest == clean[3]:
                 self.fault_masked_pass += 1
             else:
                 self.fault_corrupted_pass += 1
+
+    def _finish_round(self, frame_id, rep, outcome, verdict, divergence, deadline):
+        t_record = max(deadline, self.now)
+        self.now = t_record
+        if isinstance(outcome, Complete):
+            self.skews.append(outcome.skew_ns)
+        if divergence is not None:
+            self.bus_divergences += 1
+        self.verdict_counts[verdict.variant] += 1
+        new_state, action = step_safety(self.safety, verdict)
+
+        if self._write is not None:
+            fr = f'"frame_id":{frame_id},"repetition":{rep}'
+            bodies = []
+            if isinstance(outcome, Complete):
+                bodies.append(f'"kind":"rendezvous",{fr},"outcome":"complete","skew_ns":{outcome.skew_ns}')
+            elif outcome is not None:
+                bodies.append(
+                    f'"kind":"rendezvous",{fr},"outcome":"timeout","present_ids":{_ids(outcome.present_ids)},'
+                    f'"missing_ids":{_ids(outcome.missing_ids)}'
+                )
+            if divergence is not None:
+                rid_a, rid_b, div = divergence
+                bodies.append(
+                    f'"kind":"bus_divergence",{fr},"replica_a":{rid_a},"replica_b":{rid_b},'
+                    f'"event_index":{div.event_index},"reason":{json.dumps(div.reason)}'
+                )
+            v = f'"kind":"verdict",{fr},"variant":"{verdict.variant}"'
+            if verdict.variant == PASS:
+                v += f',"agreeing_ids":{_ids(verdict.agreeing_ids)},"agreed_digest":{verdict.agreed.digest}'
+            elif verdict.variant == "mismatch":
+                v += ',"groups":[' + ",".join(_ids(g) for g in verdict.groups) + "]"
+            elif verdict.variant == "timeout":
+                v += f',"missing_ids":{_ids(verdict.missing_ids)}'
+            else:
+                v += f',"reason":{json.dumps(verdict.reason)}'
+            bodies.append(v)
+            bodies.append(
+                f'"kind":"safety_action",{fr},"state":"{new_state.state}","action":"{action}",'
+                f'"consecutive_faults":{new_state.consecutive_fault_count}'
+            )
+            self._write_records([(t_record, self.seq + i, body) for i, body in enumerate(bodies)])
+        self.seq += 2 + (outcome is not None) + (divergence is not None)
+
+        if new_state.state != self.safety.state:
+            self.safety_timeline.append(
+                {"t_ns": t_record, "frame_id": frame_id, "repetition": rep,
+                 "from": self.safety.state, "to": new_state.state}
+            )
+        self.safety = new_state
 
     # -- clock sync ------------------------------------------------------
 
@@ -366,16 +356,19 @@ class ExperimentRunner:
         for rid in range(self.topology.replica_count):
             forward = s.link_delay_ns + s.asymmetry_ns
             exchange = simulate_ptp_exchange(
-                self.queue.now, self.clock_offsets[rid], forward, s.link_delay_ns,
+                self.now, self.clock_offsets[rid], forward, s.link_delay_ns,
                 s.slave_turnaround_ns,
             )
             est = estimate_ptp_offset(exchange)
             self.ptp_corrections[rid] = est.offset_ns
-            info = {"replica_id": rid, "offset_ns": est.offset_ns,
-                    "path_delay_ns": est.path_delay_ns}
-            self.ptp_info.append(info)
-            self.queue.schedule(self.queue.now, "ptp", info)
-        self.queue.run_all()
+            self.ptp_info.append({"replica_id": rid, "offset_ns": est.offset_ns,
+                                  "path_delay_ns": est.path_delay_ns})
+            if self._write is not None:
+                self._write_records([(self.now, self.seq, (
+                    f'"kind":"ptp","replica_id":{rid},"offset_ns":{est.offset_ns},'
+                    f'"path_delay_ns":{est.path_delay_ns}'
+                ))])
+            self.seq += 1
 
     # -- top level --------------------------------------------------------
 
@@ -431,8 +424,11 @@ class ExperimentRunner:
 
 
 def run_experiment(config: ExperimentConfig, trace_writer=None) -> ExperimentReport:
-    """Run one experiment; optionally stream trace records to a callable."""
-    return ExperimentRunner(config, trace_writer).run()
+    """Run one experiment; optionally stream trace records, each as a dict,
+    to a callable."""
+    if trace_writer is None:
+        return ExperimentRunner(config).run()
+    return ExperimentRunner(config, lambda line: trace_writer(json.loads(line))).run()
 
 
 def run_to_directory(config: ExperimentConfig, out_dir) -> ExperimentReport:
@@ -441,8 +437,7 @@ def run_to_directory(config: ExperimentConfig, out_dir) -> ExperimentReport:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / TRACE_FILENAME, "w") as tf:
-        writer = lambda rec: tf.write(json.dumps(rec, separators=(",", ":")) + "\n")
-        report = ExperimentRunner(config, writer).run()
+        report = ExperimentRunner(config, tf.write).run()
     with open(out / REPORT_FILENAME, "w") as rf:
         json.dump(report.to_json_dict(), rf, indent=2)
         rf.write("\n")

@@ -195,6 +195,14 @@ class TestNonFiniteNumbers:
         text = json.dumps(_with_field(raw, path, "PLACEHOLDER")).replace('"PLACEHOLDER"', token)
         assert errors_of(json.loads(text)) == [f"{path}: must be finite, got {shown}"]
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize("path", FIELDS)
+    def test_integer_beyond_float_range_rejected_with_field_path(self, path, sign):
+        raw = zero_jitter_duplex()
+        raw["topology"]["voter"]["comparator"] = {"kind": "tolerance", "eps": 0.5}
+        text = json.dumps(_with_field(raw, path, "PLACEHOLDER")).replace('"PLACEHOLDER"', sign + "9" * 400)
+        assert errors_of(json.loads(text)) == [f"{path}: must be finite, got an integer too large for a float"]
+
 
 class TestShippedConfigs:
     def test_paper_protocol_shape(self):

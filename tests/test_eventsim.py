@@ -1,5 +1,3 @@
-import io
-import json
 import math
 from fractions import Fraction
 
@@ -7,20 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lockstepsim.errors import ConfigError, SimulationError
-from lockstepsim.eventsim import (
-    ClockDomain,
-    Device,
-    EventQueue,
-    Host,
-    JitterModel,
-    KernelTask,
-    ZERO_JITTER,
-    cycles_to_time,
-    sample_turnaround_overhead,
-    submit_kernel,
-    write_event_log,
-)
+from lockstepsim.errors import ConfigError
+from lockstepsim.eventsim import ClockDomain, JitterModel, cycles_to_time, sample_turnaround_overhead
 from lockstepsim.profiling import stats
 from lockstepsim.rng import Rng
 
@@ -109,144 +95,3 @@ class TestJitter:
 # frozen from the first run of this exact stream; any change to the
 # sampling path must be deliberate
 GOLDEN_MC_KURTOSIS = 618.9104004246044
-
-
-class TestEventQueue:
-    def test_empty_run_until_advances_time(self):
-        q = EventQueue()
-        assert q.run_until(500) == []
-        assert q.now == 500
-
-    def test_equal_time_events_process_in_insertion_order(self):
-        q = EventQueue()
-        seen = []
-        q.schedule(10, "b", handler=lambda ev: seen.append("b"))
-        q.schedule(10, "a", handler=lambda ev: seen.append("a"))
-        q.run_until(10)
-        assert seen == ["b", "a"]
-
-    def test_schedule_into_past_raises(self):
-        q = EventQueue()
-        q.run_until(100)
-        with pytest.raises(SimulationError):
-            q.schedule(99, "late")
-
-    def test_handler_scheduling_into_past_raises(self):
-        q = EventQueue()
-
-        def bad(ev):
-            q.schedule(ev.time_ns - 1, "nope")
-
-        q.schedule(50, "x", handler=bad)
-        with pytest.raises(SimulationError):
-            q.run_all()
-
-    def test_run_until_backwards_raises(self):
-        q = EventQueue()
-        q.run_until(10)
-        with pytest.raises(SimulationError):
-            q.run_until(5)
-
-    def test_interleaved_insertions_deterministic(self):
-        def build_and_run(seed):
-            q = EventQueue()
-            rng = Rng(seed)
-            log = []
-
-            def spawn(ev):
-                log.append((ev.time_ns, ev.seq, ev.kind))
-                if ev.payload["depth"] < 3:
-                    for _ in range(2):
-                        q.schedule(
-                            ev.time_ns + rng.randrange(5),
-                            f"spawn{rng.randrange(100)}",
-                            {"depth": ev.payload["depth"] + 1},
-                            handler=spawn,
-                        )
-
-            q.schedule(0, "root", {"depth": 0}, handler=spawn)
-            q.run_all()
-            return log
-
-        assert build_and_run(9) == build_and_run(9)
-
-    def test_handler_scheduling_at_or_before_horizon_still_processed(self):
-        q = EventQueue()
-        seen = []
-
-        def chain(ev):
-            seen.append(ev.kind)
-            if ev.kind == "first":
-                q.schedule(ev.time_ns, "second", handler=chain)
-
-        q.schedule(5, "first", handler=chain)
-        q.run_until(5)
-        assert seen == ["first", "second"]
-
-    def test_event_log_export(self):
-        q = EventQueue()
-        q.schedule(5, "delivery", {"replica_id": 1, "frame_id": 2, "junk": "x"})
-        q.schedule(9, "tick")
-        events = q.run_all()
-        buf = io.StringIO()
-        write_event_log(events, buf)
-        lines = [json.loads(l) for l in buf.getvalue().splitlines()]
-        assert lines[0] == {"time_ns": 5, "seq": 0, "kind": "delivery", "replica_id": 1, "frame_id": 2}
-        assert lines[1] == {"time_ns": 9, "seq": 1, "kind": "tick"}
-
-
-class TestSubmitKernel:
-    def _fixture(self, seed=1, jitter=ZERO_JITTER):
-        q = EventQueue()
-        host = Host(jitter, Rng(seed).child("host"))
-        dev = Device(0, ClockDomain("c", 1_000_000_000))
-        return q, host, dev
-
-    def test_unknown_device_rejected(self):
-        q, host, _ = self._fixture()
-        with pytest.raises(ConfigError):
-            submit_kernel(q, host, None, KernelTask(cycles=10))
-
-    def test_in_order_completions_follow_submission_order(self):
-        q, host, dev = self._fixture()
-        e1 = submit_kernel(q, host, dev, KernelTask(cycles=100, tag={"k": 1}))
-        e2 = submit_kernel(q, host, dev, KernelTask(cycles=100, tag={"k": 2}))
-        done = [ev.payload["k"] for ev in q.run_all() ]
-        assert done == [1, 2]
-        assert e2.time_ns == e1.time_ns + 100
-
-    def test_out_of_order_short_task_finishes_first(self):
-        q, host, dev = self._fixture()
-        submit_kernel(q, host, dev, KernelTask(cycles=1000, tag={"k": "long"}), in_order=False)
-        submit_kernel(q, host, dev, KernelTask(cycles=10, tag={"k": "short"}), in_order=False)
-        done = [ev.payload["k"] for ev in q.run_all()]
-        assert done == ["short", "long"]
-
-    def test_extra_delay_pushes_completion(self):
-        q, host, dev = self._fixture()
-        ev = submit_kernel(q, host, dev, KernelTask(cycles=100, extra_delay_ns=500))
-        assert ev.time_ns == 100 + 500
-
-    def test_both_modes_same_seed_same_service_durations(self):
-        # scheduling mode changes completion order, never per-task durations
-        def run(in_order):
-            q, host, dev = self._fixture(seed=5, jitter=JitterModel(base_overhead_ns=3, spike_prob=0.3, spike_scale_ns=40))
-            work = Rng(11)
-            for k in range(100):
-                submit_kernel(q, host, dev, KernelTask(cycles=work.randrange(500) + 1, tag={"k": k}),
-                              in_order=in_order)
-            events = q.run_all()
-            durations = sorted(ev.time_ns - ev.payload["start_ns"] for ev in events)
-            order = [ev.payload["k"] for ev in events]
-            return durations, order
-
-        d_fifo, order_fifo = run(True)
-        d_ooo, order_ooo = run(False)
-        assert d_fifo == d_ooo
-        assert order_fifo != order_ooo
-
-    def test_host_jitter_consumed_per_submission(self):
-        q, host, dev = self._fixture(jitter=JitterModel(base_overhead_ns=7))
-        ev = submit_kernel(q, host, dev, KernelTask(cycles=10))
-        assert ev.payload["arrival_ns"] == 7
-        assert ev.time_ns == 17

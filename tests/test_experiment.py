@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from lockstepsim.config import config_from_dict, load_config
-from lockstepsim.errors import ConfigError
+from lockstepsim.errors import ConfigError, SimulationError
 from lockstepsim.eventsim import ClockDomain, cycles_to_time
 from lockstepsim.experiment import (
     compare_runs,
@@ -12,6 +12,7 @@ from lockstepsim.experiment import (
     run_experiment,
     run_to_directory,
 )
+from lockstepsim.faults import ExtraDelay, FaultSpec
 from helpers import zero_jitter_duplex
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -165,6 +166,14 @@ class TestFaultScenarios:
         report = run_experiment(config_from_dict(raw))
         assert report.verdict_counts["pass"] == 4
         assert report.skew["max"] == delay
+
+    def test_completion_before_its_delivery_raises(self):
+        # config validation rejects a negative delay; a hand-built config
+        # that carries one must still not move simulated time backwards
+        cfg = config_from_dict(zero_jitter_duplex(frames=2))
+        cfg.faults = [(1, FaultSpec(ExtraDelay(-10**9)))]
+        with pytest.raises(SimulationError, match="replica 1, frame 0"):
+            run_experiment(cfg)
 
     def test_weight_fault_diverges_bus_trace(self):
         raw = {

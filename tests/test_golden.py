@@ -93,13 +93,44 @@ def _loose_three_with_failed():
     return cfg
 
 
+def _no_healthy_replicas():
+    # Every round raises NoHealthyReplicas at the input barrier: a release,
+    # then a degraded verdict with no rendezvous; debounce 3 shows the
+    # suppress, enter-safe-off and absorbing-suppress actions.
+    cfg = copy.deepcopy(_loose_three_with_failed())
+    cfg["topology"]["health"] = ["failed", "switched_off", "switched_off"]
+    cfg["topology"]["voter"]["debounce_threshold"] = 3
+    cfg["workload"].update(frame_count=3, repetitions_per_frame=2)
+    cfg["faults"] = []
+    return cfg
+
+
+def _one_short_of_agreement():
+    # One healthy channel under 2oo3: its lone output completes the
+    # rendezvous but can never reach 2-way agreement. Its drops turn some
+    # rounds into timeouts instead.
+    cfg = copy.deepcopy(_loose_three_with_failed())
+    cfg["topology"]["health"] = ["healthy", "switched_off", "switched_off"]
+    cfg["topology"]["voter"]["debounce_threshold"] = 4
+    cfg["workload"].update(frame_count=8, repetitions_per_frame=3)
+    cfg["faults"] = [
+        {"replica_id": 0, "kind": {"type": "drop_output"}, "trigger": {"type": "with_probability", "p": 0.2}},
+    ]
+    return cfg
+
+
 CASES = {
     "tight-baseline": lambda: _shipped("tight-baseline.json"),
     "two-profiles": lambda: _shipped("two-profiles.json"),
     "tight-2oo3-all-faults": _tight_2oo3_all_faults,
     "loose-duplex-ptp-tolerance": _loose_duplex_ptp_tolerance,
     "loose-3-one-failed": _loose_three_with_failed,
+    "degraded-no-healthy": _no_healthy_replicas,
+    "degraded-one-short": _one_short_of_agreement,
+    "paper-protocol": lambda: _shipped("paper-protocol.json"),
 }
+
+SLOW_CASES = {"paper-protocol"}
 
 # name -> (sha256 of trace.jsonl, sha256 of report.json)
 PINS = {
@@ -123,6 +154,38 @@ PINS = {
         "97b0eecc1a18d91d9c9e8670edc9ed7c859688e6ea5d4fe1cf370550d6b631a1",
         "ccc61807924be0e8148a145a64342e0ba5b66d561efbe0c8e8d5333ffa526c94",
     ),
+    "degraded-no-healthy": (
+        "3a64aabd385a8bf718073dcc6d3bac6330637b3e3168a7b2245470b6b4913008",
+        "da533bbda510c7cc00bd7278ce4eb576fd140287d5ccdfd42a18d9fe58404252",
+    ),
+    "degraded-one-short": (
+        "068525e53181f6caff20461232b8aaa5855f1289f882cbbe5addeb6037102316",
+        "85a537011e632c4bdbeb07193b08649587e89e5435bcf704a1da9c3dabee0814",
+    ),
+    "paper-protocol": (
+        "850b395b8930a0ae87a7a54235eb28d555935f4d4aef4d27dd5ad564b848edfa",
+        "d11c0939eb0ac5784259bf831af78ce8fd6ed66c0cd0cf4c6dc82812e1ef0bc8",
+    ),
+}
+
+# Every record shape the trace can hold: the kind, refined by the field
+# that selects its body, and the reason of a degraded verdict.
+RECORD_SHAPES = {
+    ("ptp",),
+    ("input_release",),
+    ("delivery",),
+    ("completion",),
+    ("rendezvous", "complete"),
+    ("rendezvous", "timeout"),
+    ("bus_divergence",),
+    ("verdict", "pass"),
+    ("verdict", "mismatch"),
+    ("verdict", "timeout"),
+    ("verdict", "degraded", "no healthy replicas"),
+    ("verdict", "degraded", "1 output(s) cannot reach 2-way agreement"),
+    ("safety_action", "deliver_output"),
+    ("safety_action", "suppress_output"),
+    ("safety_action", "enter_safe_off"),
 }
 
 
@@ -134,13 +197,58 @@ def _digests(name, out_dir):
     )
 
 
+def _shape(rec):
+    kind = rec["kind"]
+    if kind == "rendezvous":
+        return (kind, rec["outcome"])
+    if kind == "verdict":
+        return (kind, rec["variant"], rec["reason"]) if "reason" in rec else (kind, rec["variant"])
+    if kind == "safety_action":
+        return (kind, rec["action"])
+    return (kind,)
+
+
+@pytest.fixture(scope="module")
+def case_output(tmp_path_factory):
+    """name -> (trace/report digests, trace lines); each case runs once per module."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            out = tmp_path_factory.mktemp(name)
+            digests = _digests(name, out)
+            cache[name] = (digests, (out / TRACE_FILENAME).read_text().splitlines())
+        return cache[name]
+
+    return get
+
+
+CASE_PARAMS = [
+    pytest.param(name, marks=pytest.mark.slow) if name in SLOW_CASES else name for name in sorted(CASES)
+]
+
+
 def test_every_case_is_pinned():
     assert set(PINS) == set(CASES)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_outputs_match_pin(name, tmp_path):
-    assert _digests(name, tmp_path) == PINS[name]
+@pytest.mark.parametrize("name", CASE_PARAMS)
+def test_outputs_match_pin(name, case_output):
+    assert case_output(name)[0] == PINS[name]
+
+
+@pytest.mark.parametrize("name", CASE_PARAMS)
+def test_trace_lines_are_canonical_json(name, case_output):
+    # A hand-built record line must be exactly what json.dumps would write.
+    for line in case_output(name)[1]:
+        assert line == json.dumps(json.loads(line), separators=(",", ":"))
+
+
+def test_cases_cover_every_record_shape(case_output):
+    seen = set()
+    for name in sorted(set(CASES) - SLOW_CASES):
+        seen.update(_shape(json.loads(line)) for line in case_output(name)[1])
+    assert seen == RECORD_SHAPES
 
 
 if __name__ == "__main__":
