@@ -1,33 +1,12 @@
 """Deterministic simulator and analysis harness for redundant (lockstep)
 inference channels: duplex/MooN voting, fail-safe switching, fault
-injection, and turnaround-time profiling."""
+injection, and turnaround-time profiling.
 
-from .config import ExperimentConfig, Topology, Workload, config_from_dict, load_config
-from .coupling import (
-    Complete,
-    Divergence,
-    InputBarrier,
-    Loose,
-    PtpExchange,
-    PtpEstimate,
-    Tight,
-    Timeout,
-    align_timestamps,
-    compare_bus_traces,
-    distribute_input,
-    estimate_ptp_offset,
-    rendezvous,
-    simulate_ptp_exchange,
-)
-from .errors import (
-    ConfigError,
-    DimensionError,
-    HarnessError,
-    NoHealthyReplicas,
-    ProtocolError,
-    SimulationError,
-)
-from .eventsim import ClockDomain, JitterModel, cycles_to_time, sample_turnaround_overhead
+The package exports the entry points below; everything else lives in its
+module (`lockstepsim.voting`, `lockstepsim.faults`, ...)."""
+
+from .config import ExperimentConfig, config_from_dict, load_config
+from .errors import ConfigError, HarnessError
 from .experiment import (
     ExperimentReport,
     ExperimentRunner,
@@ -35,49 +14,23 @@ from .experiment import (
     run_experiment,
     run_to_directory,
 )
-from .faults import (
-    Always,
-    DropOutput,
-    ExtraDelay,
-    FaultSpec,
-    OnFrame,
-    OutputBitFlip,
-    StuckOutput,
-    WeightBitFlip,
-    WithProbability,
-    apply_fault,
-)
-from .fixedpoint import FixedPointTensor, tensor_digest
-from .profiling import (
-    ComparisonReport,
-    LatencySample,
-    OutlierReport,
-    ProfileStats,
-    detect_outliers,
-    histogram,
-    ks_statistic,
-    stats,
-)
-from .replica import (
-    BusEvent,
-    EngineConfig,
-    Replica,
-    ReplicaOutput,
-    WeightSet,
-    gen_frame,
-    gen_weights,
-    infer,
-)
-from .rng import Rng, derive_seed
-from .voting import (
-    Exact,
-    SafetySwitchState,
-    Tolerance,
-    Verdict,
-    VotingPolicy,
-    group_agreements,
-    step_safety,
-    vote,
-)
+from .replica import gen_frame, gen_weights, infer
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "load_config",
+    "config_from_dict",
+    "ExperimentConfig",
+    "ExperimentRunner",
+    "ExperimentReport",
+    "run_experiment",
+    "run_to_directory",
+    "compare_runs",
+    "gen_weights",
+    "gen_frame",
+    "infer",
+    "ConfigError",
+    "HarnessError",
+    "__version__",
+]

@@ -1,10 +1,31 @@
-"""Experiment configuration: validation, defaults and topology presets.
+"""Experiment configuration: one field table drives validation, defaults
+and the expanded dump.
 
 Configs are plain JSON. Validation is total: every problem is collected
-with its field path and reported at once, unknown fields are rejected, and
-fault indices are range-checked against the workload here, never at run
-time. `load_config` / `config_from_dict` return a fully-expanded
-ExperimentConfig with presets resolved and defaults filled.
+with its field path and reported at once in one ConfigError, and unknown
+fields are rejected. `load_config` / `config_from_dict` return a fully
+expanded ExperimentConfig (presets resolved, defaults filled), and its
+`to_json_dict` writes that expansion back.
+
+`_FIELDS` describes every flat config class, one row per field in JSON key
+order: `(field, type, minimum, maximum)`. A type is `int`, `float` (any
+finite JSON number, kept as a float), `bool`, `list` (a non-empty JSON list
+of integers, kept as a tuple; the bounds apply to each element) or a tagged
+object. Bounds are inclusive; `None` is unbounded. A field's default is its
+dataclass default, and a field without one is required. The one exception,
+in `_DEFAULT_OVERRIDES`: a config's engine starts its pipeline at 64
+cycles, a bare `EngineConfig()` at 0. `_parse(cls, obj, path, errors)`
+builds any class of the table and `_dump(obj)` writes it back.
+
+A tagged object is a `(tag key, {tag value: class})` pair: the tag's value
+picks the class, and the dump writes the tag first. There are four: the
+coupling (`mode`), the comparator (`kind`), a fault's kind (`type`) and
+its trigger (`type`).
+
+Checks across fields stay hand-written: the replica count against the
+policy and per-replica lists, tight coupling against the shared clock and
+bus compare, `clock` against `clocks`, health, clock offsets, the PTP
+forward delay, and the input shape and fault indices against the workload.
 
 Seed priority: explicit override (CLI flag) > config file > the
 LOCKSTEP_SEED environment variable.
@@ -15,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import faults as flt
@@ -27,92 +48,22 @@ from .voting import Exact, Tolerance, VotingPolicy
 
 SEED_ENV_VAR = "LOCKSTEP_SEED"
 
-PRESET_NAMES = ("gpu-duplex-loose", "fpga-duplex-tight")
-
-_DEFAULT_ENGINE = {
-    "cycles_per_mac": 1,
-    "cycles_per_load": 1,
-    "cycles_per_store": 1,
-    "pipeline_startup_cycles": 64,
-}
-
-_DEFAULT_JITTER = {
-    "base_overhead_ns": 0,
-    "spike_prob": 0.0,
-    "spike_scale_ns": 1,
-    "mode2_offset_ns": 0,
-    "mode2_prob": 0.0,
-}
-
-_DEFAULT_WORKLOAD = {
-    "frame_count": 500,
-    "repetitions_per_frame": 100,
-    "input_shape": [16],
-    "arch": [16, 16, 8],
-}
-
-_DEFAULT_PROFILER = {
-    "bin_count": 50,
-    "outlier_threshold": 3.5,
-    "alpha": 0.01,
-}
-
-_DEFAULT_PTP = {
-    "enabled": False,
-    "link_delay_ns": 500,
-    "asymmetry_ns": 0,
-    "slave_turnaround_ns": 50,
-}
-
-
-def _preset_gpu_duplex_loose() -> dict:
-    return {
-        "replicas": 2,
-        # generous default: the preset's own jitter tail must not trip the checker
-        "coupling": {"mode": "loose", "rendezvous_window_ns": 20_000_000},
-        "voter": {
-            "policy": "1oo2",
-            "comparator": {"kind": "exact"},
-            "debounce_threshold": 1,
-        },
-        "clock": {"freq_hz": 998_000_000, "drift_ppm": 0},
-        "engine": dict(_DEFAULT_ENGINE),
-        "feed_jitter": {
-            "base_overhead_ns": 5_000,
-            "spike_prob": 0.01,
-            "spike_scale_ns": 150_000,
-            "mode2_offset_ns": 0,
-            "mode2_prob": 0.0,
-        },
-        "host_jitter": {
-            "base_overhead_ns": 20_000,
-            "spike_prob": 0.02,
-            "spike_scale_ns": 400_000,
-            "mode2_offset_ns": 60_000,
-            "mode2_prob": 0.15,
-        },
-    }
-
-
-def _preset_fpga_duplex_tight() -> dict:
-    return {
-        "replicas": 2,
-        "coupling": {"mode": "tight", "skew_tolerance_cycles": 2},
-        "voter": {
-            "policy": "1oo2",
-            "comparator": {"kind": "exact"},
-            "debounce_threshold": 1,
-        },
-        "clock": {"freq_hz": 210_000_000, "drift_ppm": 0},
-        "shared_clock": True,
-        "engine": dict(_DEFAULT_ENGINE),
-        "bus_trace_compare": True,
-    }
-
-
+# Presets list only what differs from the defaults.
 _PRESETS = {
-    "gpu-duplex-loose": _preset_gpu_duplex_loose,
-    "fpga-duplex-tight": _preset_fpga_duplex_tight,
+    "gpu-duplex-loose": {
+        "replicas": 2,
+        # generous window: the preset's own jitter tail must not trip the checker
+        "coupling": {"mode": "loose", "rendezvous_window_ns": 20_000_000},
+        "clock": {"freq_hz": 998_000_000},
+        "feed_jitter": {"base_overhead_ns": 5_000, "spike_prob": 0.01, "spike_scale_ns": 150_000},
+        "host_jitter": {"base_overhead_ns": 20_000, "spike_prob": 0.02, "spike_scale_ns": 400_000,
+                        "mode2_offset_ns": 60_000, "mode2_prob": 0.15},
+    },
+    "fpga-duplex-tight": {
+        "replicas": 2,
+        "coupling": {"mode": "tight"},
+        "clock": {"freq_hz": 210_000_000},
+    },
 }
 
 
@@ -144,10 +95,10 @@ class Topology:
 
 @dataclass
 class Workload:
-    frame_count: int
-    repetitions_per_frame: int
-    input_shape: tuple
-    arch: tuple
+    frame_count: int = 500
+    repetitions_per_frame: int = 100
+    input_shape: tuple = (16,)
+    arch: tuple = (16, 16, 8)
 
 
 @dataclass
@@ -155,6 +106,82 @@ class ProfilerSettings:
     bin_count: int = 50
     outlier_threshold: float = 3.5
     alpha: float = 0.01
+
+
+# (field, type, minimum, maximum) per flat config class, in JSON key order.
+_FIELDS = {
+    Tight: (("skew_tolerance_cycles", int, 0, None),),
+    Loose: (("rendezvous_window_ns", int, 1, None),),
+    Exact: (),
+    Tolerance: (("eps", float, 0.0, None),),
+    VotingPolicy: (("m", int, 1, 8), ("n", int, 1, 8)),
+    ClockDomain: (("freq_hz", int, 1, None), ("drift_ppm", int, -(10**6) + 1, None)),
+    EngineConfig: (
+        ("cycles_per_mac", int, 1, None),
+        ("cycles_per_load", int, 1, None),
+        ("cycles_per_store", int, 1, None),
+        ("pipeline_startup_cycles", int, 0, None),
+    ),
+    JitterModel: (
+        ("base_overhead_ns", int, 0, None),
+        ("spike_prob", float, 0.0, 1.0),
+        ("spike_scale_ns", int, 1, None),
+        ("mode2_offset_ns", int, 0, None),
+        ("mode2_prob", float, 0.0, 1.0),
+    ),
+    PtpSettings: (
+        ("enabled", bool, None, None),
+        ("link_delay_ns", int, 0, None),
+        ("asymmetry_ns", int, None, None),
+        ("slave_turnaround_ns", int, 0, None),
+    ),
+    Workload: (
+        ("frame_count", int, 1, None),
+        ("repetitions_per_frame", int, 1, None),
+        ("input_shape", list, 1, None),
+        ("arch", list, 1, MAX_LAYER_WIDTH),
+    ),
+    ProfilerSettings: (
+        ("bin_count", int, 1, None),
+        ("outlier_threshold", float, 0.0, None),
+        ("alpha", float, 1e-9, 0.5),
+    ),
+    flt.WeightBitFlip: (("layer", int, 0, None), ("element_index", int, 0, None), ("bit", int, 0, 15)),
+    flt.OutputBitFlip: (("element_index", int, 0, None), ("bit", int, 0, 15)),
+    flt.ExtraDelay: (("ns", int, 0, None),),
+    flt.DropOutput: (), flt.StuckOutput: (), flt.Always: (),
+    flt.OnFrame: (("frame_id", int, 0, None),),
+    flt.WithProbability: (("p", float, 0.0, 1.0),),
+}
+
+_DEFAULT_OVERRIDES = {(EngineConfig, "pipeline_startup_cycles"): 64}
+
+_DEFAULTS = {
+    cls: {f.name: _DEFAULT_OVERRIDES.get((cls, f.name), f.default)
+          for f in fields(cls) if f.default is not MISSING}
+    for cls in _FIELDS
+}
+
+_COUPLING = ("mode", {"tight": Tight, "loose": Loose})
+_COMPARATOR = ("kind", {"exact": Exact, "tolerance": Tolerance})
+_FAULT_KIND = ("type", {
+    "weight_bit_flip": flt.WeightBitFlip, "output_bit_flip": flt.OutputBitFlip,
+    "extra_delay": flt.ExtraDelay, "drop_output": flt.DropOutput, "stuck_output": flt.StuckOutput,
+})
+_TRIGGER = ("type", {"always": flt.Always, "on_frame": flt.OnFrame, "with_probability": flt.WithProbability})
+
+_TAG_OF = {cls: (tag, name) for tag, classes in (_COUPLING, _COMPARATOR, _FAULT_KIND, _TRIGGER)
+           for name, cls in classes.items()}
+
+
+def _dump(obj) -> dict:
+    """JSON object of one config object of the table, its tag (if any) first."""
+    tag = _TAG_OF.get(type(obj))
+    out = {tag[0]: tag[1]} if tag else {}
+    for name, typ, _, _ in _FIELDS[type(obj)]:
+        v = getattr(obj, name)
+        out[name] = list(v) if typ is list else v
+    return out
 
 
 @dataclass
@@ -173,93 +200,33 @@ class ExperimentConfig:
             "seed": self.seed,
             "topology": {
                 "replicas": topo.replica_count,
-                "coupling": (
-                    {"mode": "tight", "skew_tolerance_cycles": topo.coupling.skew_tolerance_cycles}
-                    if isinstance(topo.coupling, Tight)
-                    else {"mode": "loose", "rendezvous_window_ns": topo.coupling.rendezvous_window_ns}
-                ),
+                "coupling": _dump(topo.coupling),
                 "voter": {
                     "policy": str(topo.policy),
-                    "comparator": (
-                        {"kind": "exact"}
-                        if isinstance(topo.comparator, Exact)
-                        else {"kind": "tolerance", "eps": topo.comparator.eps}
-                    ),
+                    "comparator": _dump(topo.comparator),
                     "debounce_threshold": topo.debounce_threshold,
                 },
                 "shared_clock": topo.shared_clock,
-                "clocks": [
-                    {"freq_hz": c.freq_hz, "drift_ppm": c.drift_ppm} for c in topo.clocks
-                ],
-                "engine": {
-                    "cycles_per_mac": topo.engine.cycles_per_mac,
-                    "cycles_per_load": topo.engine.cycles_per_load,
-                    "cycles_per_store": topo.engine.cycles_per_store,
-                    "pipeline_startup_cycles": topo.engine.pipeline_startup_cycles,
-                },
-                "feed_jitter": [_jitter_dict(j) for j in topo.feed_jitter],
-                "host_jitter": [_jitter_dict(j) for j in topo.host_jitter],
+                "clocks": [_dump(c) for c in topo.clocks],
+                "engine": _dump(topo.engine),
+                "feed_jitter": [_dump(j) for j in topo.feed_jitter],
+                "host_jitter": [_dump(j) for j in topo.host_jitter],
                 "clock_offsets_ns": list(topo.clock_offsets_ns),
                 "health": list(topo.health),
-                "ptp": {
-                    "enabled": topo.ptp.enabled,
-                    "link_delay_ns": topo.ptp.link_delay_ns,
-                    "asymmetry_ns": topo.ptp.asymmetry_ns,
-                    "slave_turnaround_ns": topo.ptp.slave_turnaround_ns,
-                },
+                "ptp": _dump(topo.ptp),
                 "bus_trace_compare": topo.bus_trace_compare,
             },
-            "workload": {
-                "frame_count": self.workload.frame_count,
-                "repetitions_per_frame": self.workload.repetitions_per_frame,
-                "input_shape": list(self.workload.input_shape),
-                "arch": list(self.workload.arch),
-            },
-            "faults": [_fault_dict(rid, spec) for rid, spec in self.faults],
-            "profiler": {
-                "bin_count": self.profiler.bin_count,
-                "outlier_threshold": self.profiler.outlier_threshold,
-                "alpha": self.profiler.alpha,
-            },
+            "workload": _dump(self.workload),
+            "faults": [
+                {"replica_id": rid, "kind": _dump(spec.kind), "trigger": _dump(spec.trigger)}
+                for rid, spec in self.faults
+            ],
+            "profiler": _dump(self.profiler),
             "metadata": dict(self.metadata),
         }
 
 
-def _jitter_dict(j: JitterModel) -> dict:
-    return {
-        "base_overhead_ns": j.base_overhead_ns,
-        "spike_prob": j.spike_prob,
-        "spike_scale_ns": j.spike_scale_ns,
-        "mode2_offset_ns": j.mode2_offset_ns,
-        "mode2_prob": j.mode2_prob,
-    }
-
-
-def _fault_dict(rid: int, spec: flt.FaultSpec) -> dict:
-    kind = spec.kind
-    if isinstance(kind, flt.WeightBitFlip):
-        k = {"type": "weight_bit_flip", "layer": kind.layer, "element_index": kind.element_index, "bit": kind.bit}
-    elif isinstance(kind, flt.OutputBitFlip):
-        k = {"type": "output_bit_flip", "element_index": kind.element_index, "bit": kind.bit}
-    elif isinstance(kind, flt.ExtraDelay):
-        k = {"type": "extra_delay", "ns": kind.ns}
-    elif isinstance(kind, flt.DropOutput):
-        k = {"type": "drop_output"}
-    else:
-        k = {"type": "stuck_output"}
-    trig = spec.trigger
-    if isinstance(trig, flt.OnFrame):
-        t = {"type": "on_frame", "frame_id": trig.frame_id}
-    elif isinstance(trig, flt.WithProbability):
-        t = {"type": "with_probability", "p": trig.p}
-    else:
-        t = {"type": "always"}
-    return {"replica_id": rid, "kind": k, "trigger": t}
-
-
-# ---------------------------------------------------------------------------
-# validation helpers
-# ---------------------------------------------------------------------------
+_REQUIRED = object()
 
 
 def _check_keys(obj, allowed, path, errors) -> bool:
@@ -272,112 +239,80 @@ def _check_keys(obj, allowed, path, errors) -> bool:
     return True
 
 
-def _get_int(obj, key, path, errors, default=None, minimum=None, maximum=None):
-    if key not in obj:
-        if default is None:
-            errors.append(f"{path}.{key}: required field missing")
+def _check(v, typ, minimum, maximum, path, errors):
+    """`v` as a value of one table row, or None after recording why not."""
+    if isinstance(typ, tuple):  # a tagged object: (tag key, {tag value: class})
+        tag, classes = typ
+        if not isinstance(v, dict):
+            errors.append(f"{path}: expected an object")
             return None
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        errors.append(f"{path}.{key}: expected an integer, got {v!r}")
+        name = v.get(tag)
+        if not isinstance(name, str) or name not in classes:
+            errors.append(f"{path}.{tag}: expected one of {', '.join(map(repr, classes))}, got {name!r}")
+            return None
+        return _parse(classes[name], {k: x for k, x in v.items() if k != tag}, path, errors)
+    if typ is bool:
+        if isinstance(v, bool):
+            return v
+        errors.append(f"{path}: expected true/false, got {v!r}")
         return None
+    if typ is list:
+        if not isinstance(v, list) or not v:
+            errors.append(f"{path}: expected a non-empty list of integers, got {v!r}")
+            return None
+        items = [_check(x, int, minimum, maximum, f"{path}[{i}]", errors) for i, x in enumerate(v)]
+        return None if None in items else tuple(items)
+    if isinstance(v, bool) or not isinstance(v, int if typ is int else (int, float)):
+        errors.append(f"{path}: expected {'an integer' if typ is int else 'a number'}, got {v!r}")
+        return None
+    if typ is float:
+        if isinstance(v, float) and not math.isfinite(v):
+            errors.append(f"{path}: must be finite, got {v}")
+            return None
+        try:
+            f = float(v)
+        except OverflowError:
+            errors.append(f"{path}: must be finite, got an integer too large for a float")
+            return None
     if minimum is not None and v < minimum:
-        errors.append(f"{path}.{key}: must be >= {minimum}, got {v}")
+        errors.append(f"{path}: must be >= {minimum}, got {v}")
         return None
     if maximum is not None and v > maximum:
-        errors.append(f"{path}.{key}: must be <= {maximum}, got {v}")
+        errors.append(f"{path}: must be <= {maximum}, got {v}")
         return None
-    return v
+    return f if typ is float else v
 
 
-def _get_num(obj, key, path, errors, default=None, minimum=None, maximum=None):
-    if key not in obj:
-        if default is None:
-            errors.append(f"{path}.{key}: required field missing")
-            return None
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        errors.append(f"{path}.{key}: expected a number, got {v!r}")
+def _get(obj, key, typ, path, errors, default=_REQUIRED, minimum=None, maximum=None):
+    """`obj[key]` checked by `_check`; `default` if absent, else an error."""
+    if key in obj:
+        return _check(obj[key], typ, minimum, maximum, f"{path}.{key}", errors)
+    if default is _REQUIRED:
+        errors.append(f"{path}.{key}: required field missing")
         return None
-    if isinstance(v, float) and not math.isfinite(v):
-        errors.append(f"{path}.{key}: must be finite, got {v}")
+    return default
+
+
+def _parse(cls, obj, path, errors, **fixed):
+    """A `cls` built from the JSON object `obj` by its table rows (plus
+    `fixed` fields that are not in the JSON), or None after recording
+    every problem."""
+    rows = _FIELDS[cls]
+    if not _check_keys(obj, [row[0] for row in rows], path, errors):
+        return None
+    count = len(errors)
+    defaults = _DEFAULTS[cls]
+    vals = {
+        name: _get(obj, name, typ, path, errors, defaults.get(name, _REQUIRED), lo, hi)
+        for name, typ, lo, hi in rows
+    }
+    if len(errors) > count:
         return None
     try:
-        f = float(v)
-    except OverflowError:
-        errors.append(f"{path}.{key}: must be finite, got an integer too large for a float")
+        return cls(**vals, **fixed)
+    except ConfigError as e:
+        errors.append(f"{path}: {e}")
         return None
-    if minimum is not None and v < minimum:
-        errors.append(f"{path}.{key}: must be >= {minimum}, got {v}")
-        return None
-    if maximum is not None and v > maximum:
-        errors.append(f"{path}.{key}: must be <= {maximum}, got {v}")
-        return None
-    return f
-
-
-def _get_bool(obj, key, path, errors, default):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if not isinstance(v, bool):
-        errors.append(f"{path}.{key}: expected true/false, got {v!r}")
-        return None
-    return v
-
-
-def _parse_jitter(obj, path, errors) -> JitterModel:
-    merged = dict(_DEFAULT_JITTER)
-    if not _check_keys(obj, set(_DEFAULT_JITTER), path, errors):
-        return JitterModel()
-    base = _get_int(obj, "base_overhead_ns", path, errors, default=merged["base_overhead_ns"], minimum=0)
-    sp = _get_num(obj, "spike_prob", path, errors, default=merged["spike_prob"], minimum=0.0, maximum=1.0)
-    ss = _get_int(obj, "spike_scale_ns", path, errors, default=merged["spike_scale_ns"], minimum=1)
-    mo = _get_int(obj, "mode2_offset_ns", path, errors, default=merged["mode2_offset_ns"], minimum=0)
-    mp = _get_num(obj, "mode2_prob", path, errors, default=merged["mode2_prob"], minimum=0.0, maximum=1.0)
-    if None in (base, sp, ss, mo, mp):
-        return JitterModel()
-    return JitterModel(base, sp, ss, mo, mp)
-
-
-def _parse_jitter_list(obj, key, path, errors, count) -> list:
-    raw = obj.get(key)
-    if raw is None:
-        return [JitterModel()] * count
-    if isinstance(raw, dict):
-        model = _parse_jitter(raw, f"{path}.{key}", errors)
-        return [model] * count
-    if isinstance(raw, list):
-        if len(raw) != count:
-            errors.append(f"{path}.{key}: expected {count} entries (one per replica), got {len(raw)}")
-            return [JitterModel()] * count
-        return [
-            _parse_jitter(item, f"{path}.{key}[{i}]", errors) if isinstance(item, dict)
-            else (errors.append(f"{path}.{key}[{i}]: expected an object"), JitterModel())[1]
-            for i, item in enumerate(raw)
-        ]
-    errors.append(f"{path}.{key}: expected an object or a per-replica list")
-    return [JitterModel()] * count
-
-
-def _parse_coupling(obj, path, errors):
-    if not _check_keys(obj, {"mode", "skew_tolerance_cycles", "rendezvous_window_ns"}, path, errors):
-        return None
-    mode = obj.get("mode")
-    if mode == "tight":
-        if "rendezvous_window_ns" in obj:
-            errors.append(f"{path}.rendezvous_window_ns: not a tight-coupling field")
-        tol = _get_int(obj, "skew_tolerance_cycles", path, errors, default=2, minimum=0)
-        return Tight(tol) if tol is not None else None
-    if mode == "loose":
-        if "skew_tolerance_cycles" in obj:
-            errors.append(f"{path}.skew_tolerance_cycles: not a loose-coupling field")
-        win = _get_int(obj, "rendezvous_window_ns", path, errors, minimum=1)
-        return Loose(win) if win is not None else None
-    errors.append(f"{path}.mode: expected 'tight' or 'loose', got {mode!r}")
-    return None
 
 
 def _parse_policy(raw, path, errors):
@@ -388,56 +323,20 @@ def _parse_policy(raw, path, errors):
             errors.append(f"{path}: {e}")
             return None
     if isinstance(raw, dict):
-        if not _check_keys(raw, {"m", "n"}, path, errors):
-            return None
-        m = _get_int(raw, "m", path, errors, minimum=1, maximum=8)
-        n = _get_int(raw, "n", path, errors, minimum=1, maximum=8)
-        if m is None or n is None:
-            return None
-        if m > n:
-            errors.append(f"{path}: m must not exceed n, got {m}oo{n}")
-            return None
-        return VotingPolicy(m, n)
+        return _parse(VotingPolicy, raw, path, errors)
     errors.append(f"{path}: expected a policy name like '2oo3' or an object with m and n")
     return None
 
 
-def _parse_comparator(obj, path, errors):
-    if not _check_keys(obj, {"kind", "eps"}, path, errors):
+def _parse_jitter(raw, key, path, errors, count) -> list:
+    """One JitterModel per replica, from one object or a per-replica list."""
+    value = raw.get(key, {})
+    if not isinstance(value, list):
+        return [_parse(JitterModel, value, f"{path}.{key}", errors)] * count
+    if len(value) != count:
+        errors.append(f"{path}.{key}: expected {count} entries (one per replica), got {len(value)}")
         return None
-    kind = obj.get("kind")
-    if kind == "exact":
-        if "eps" in obj:
-            errors.append(f"{path}.eps: not an exact-comparator field")
-        return Exact()
-    if kind == "tolerance":
-        eps = _get_num(obj, "eps", path, errors, minimum=0.0)
-        return Tolerance(eps) if eps is not None else None
-    errors.append(f"{path}.kind: expected 'exact' or 'tolerance', got {kind!r}")
-    return None
-
-
-def _parse_engine(obj, path, errors) -> EngineConfig:
-    if not _check_keys(obj, set(_DEFAULT_ENGINE), path, errors):
-        return EngineConfig(**_DEFAULT_ENGINE)
-    vals = {}
-    vals["cycles_per_mac"] = _get_int(obj, "cycles_per_mac", path, errors, default=_DEFAULT_ENGINE["cycles_per_mac"], minimum=1)
-    vals["cycles_per_load"] = _get_int(obj, "cycles_per_load", path, errors, default=_DEFAULT_ENGINE["cycles_per_load"], minimum=1)
-    vals["cycles_per_store"] = _get_int(obj, "cycles_per_store", path, errors, default=_DEFAULT_ENGINE["cycles_per_store"], minimum=1)
-    vals["pipeline_startup_cycles"] = _get_int(obj, "pipeline_startup_cycles", path, errors, default=_DEFAULT_ENGINE["pipeline_startup_cycles"], minimum=0)
-    if None in vals.values():
-        return EngineConfig(**_DEFAULT_ENGINE)
-    return EngineConfig(**vals)
-
-
-def _parse_clock(obj, path, errors, clock_id):
-    if not _check_keys(obj, {"freq_hz", "drift_ppm"}, path, errors):
-        return None
-    freq = _get_int(obj, "freq_hz", path, errors, minimum=1)
-    drift = _get_int(obj, "drift_ppm", path, errors, default=0, minimum=-(10**6) + 1)
-    if freq is None or drift is None:
-        return None
-    return ClockDomain(clock_id, freq, drift)
+    return [_parse(JitterModel, item, f"{path}.{key}[{i}]", errors) for i, item in enumerate(value)]
 
 
 _TOPOLOGY_KEYS = {
@@ -448,40 +347,33 @@ _TOPOLOGY_KEYS = {
 
 def _parse_topology(raw, path, errors) -> Topology:
     if isinstance(raw, str):
-        maker = _PRESETS.get(raw)
-        if maker is None:
-            errors.append(
-                f"{path}: unknown preset {raw!r}; known presets: {', '.join(PRESET_NAMES)}"
-            )
+        if raw not in _PRESETS:
+            errors.append(f"{path}: unknown preset {raw!r}; known presets: {', '.join(_PRESETS)}")
             return None
-        raw = maker()
+        raw = _PRESETS[raw]
     if not _check_keys(raw, _TOPOLOGY_KEYS, path, errors):
         return None
 
-    count = _get_int(raw, "replicas", path, errors, minimum=1, maximum=8)
+    count = _get(raw, "replicas", int, path, errors, minimum=1, maximum=8)
     if count is None:
         return None
 
-    coupling = None
-    if "coupling" in raw:
-        coupling = _parse_coupling(raw["coupling"], f"{path}.coupling", errors)
-    else:
-        errors.append(f"{path}.coupling: required field missing")
+    coupling = _get(raw, "coupling", _COUPLING, path, errors)
+    tight = isinstance(coupling, Tight)
 
-    voter_raw = raw.get("voter", {})
+    voter = raw.get("voter", {})
     policy = comparator = None
     debounce = 1
-    if _check_keys(voter_raw, {"policy", "comparator", "debounce_threshold"}, f"{path}.voter", errors):
-        policy = _parse_policy(voter_raw.get("policy", "1oo2"), f"{path}.voter.policy", errors)
-        comparator = _parse_comparator(voter_raw.get("comparator", {"kind": "exact"}), f"{path}.voter.comparator", errors)
-        debounce = _get_int(voter_raw, "debounce_threshold", f"{path}.voter", errors, default=1, minimum=1)
+    if _check_keys(voter, {"policy", "comparator", "debounce_threshold"}, f"{path}.voter", errors):
+        policy = _parse_policy(voter.get("policy", "1oo2"), f"{path}.voter.policy", errors)
+        comparator = _get(voter, "comparator", _COMPARATOR, f"{path}.voter", errors, Exact())
+        debounce = _get(voter, "debounce_threshold", int, f"{path}.voter", errors, 1, minimum=1)
 
     if policy is not None and policy.n != count:
         errors.append(f"{path}.voter.policy: policy {policy} does not match {count} replica(s)")
 
-    shared_default = isinstance(coupling, Tight)
-    shared = _get_bool(raw, "shared_clock", path, errors, default=shared_default)
-    if isinstance(coupling, Tight) and shared is False:
+    shared = _get(raw, "shared_clock", bool, path, errors, tight)
+    if tight and shared is False:
         errors.append(f"{path}.shared_clock: tight coupling requires a shared clock")
 
     clocks = None
@@ -493,200 +385,97 @@ def _parse_topology(raw, path, errors) -> Topology:
             errors.append(f"{path}.clocks: expected a list of {count} clock objects")
         else:
             clocks = [
-                _parse_clock(c, f"{path}.clocks[{i}]", errors, f"replica{i}")
+                _parse(ClockDomain, c, f"{path}.clocks[{i}]", errors, id=f"replica{i}")
                 for i, c in enumerate(raw_clocks)
             ]
             if shared and len({(c.freq_hz, c.drift_ppm) for c in clocks if c}) > 1:
                 errors.append(f"{path}.clocks: shared_clock requires identical clock parameters")
     else:
-        clock_raw = raw.get("clock", {"freq_hz": 1_000_000_000, "drift_ppm": 0})
-        one = _parse_clock(clock_raw, f"{path}.clock", errors, "shared" if shared else "replica")
+        clock_raw = raw.get("clock", {"freq_hz": 1_000_000_000})
+        one = _parse(ClockDomain, clock_raw, f"{path}.clock", errors, id="shared" if shared else "replica")
         if one is not None:
-            if shared:
-                clocks = [one] * count
-            else:
-                clocks = [ClockDomain(f"replica{i}", one.freq_hz, one.drift_ppm) for i in range(count)]
+            clocks = [one] * count if shared else [replace(one, id=f"replica{i}") for i in range(count)]
 
-    engine = _parse_engine(raw.get("engine", {}), f"{path}.engine", errors)
-    feed = _parse_jitter_list(raw, "feed_jitter", path, errors, count)
-    host = _parse_jitter_list(raw, "host_jitter", path, errors, count)
+    engine = _parse(EngineConfig, raw.get("engine", {}), f"{path}.engine", errors)
+    feed = _parse_jitter(raw, "feed_jitter", path, errors, count)
+    host = _parse_jitter(raw, "host_jitter", path, errors, count)
 
     offsets = raw.get("clock_offsets_ns", [0] * count)
     if not isinstance(offsets, list) or len(offsets) != count or any(
         isinstance(v, bool) or not isinstance(v, int) for v in offsets
     ):
         errors.append(f"{path}.clock_offsets_ns: expected a list of {count} integers")
-        offsets = [0] * count
 
     health = raw.get("health", [HEALTHY] * count)
     if not isinstance(health, list) or len(health) != count:
         errors.append(f"{path}.health: expected a list of {count} states")
-        health = [HEALTHY] * count
     else:
         for i, h in enumerate(health):
             if h not in HEALTH_STATES:
                 errors.append(f"{path}.health[{i}]: unknown state {h!r}; one of {', '.join(HEALTH_STATES)}")
 
-    ptp_raw = raw.get("ptp", {})
-    ptp = PtpSettings(**_DEFAULT_PTP)
-    if _check_keys(ptp_raw, set(_DEFAULT_PTP), f"{path}.ptp", errors):
-        enabled = _get_bool(ptp_raw, "enabled", f"{path}.ptp", errors, default=False)
-        link = _get_int(ptp_raw, "link_delay_ns", f"{path}.ptp", errors, default=_DEFAULT_PTP["link_delay_ns"], minimum=0)
-        asym = _get_int(ptp_raw, "asymmetry_ns", f"{path}.ptp", errors, default=0)
-        turn = _get_int(ptp_raw, "slave_turnaround_ns", f"{path}.ptp", errors, default=_DEFAULT_PTP["slave_turnaround_ns"], minimum=0)
-        if None not in (enabled, link, asym, turn):
-            ptp = PtpSettings(enabled, link, asym, turn)
+    ptp = _parse(PtpSettings, raw.get("ptp", {}), f"{path}.ptp", errors)
+    if ptp is not None and ptp.enabled and ptp.link_delay_ns + ptp.asymmetry_ns < 0:
+        # the master-to-slave delay is link_delay_ns + asymmetry_ns
+        errors.append(
+            f"{path}.ptp.asymmetry_ns: must be >= -link_delay_ns = {-ptp.link_delay_ns} "
+            f"when ptp is enabled, got {ptp.asymmetry_ns}"
+        )
 
-    bus_default = isinstance(coupling, Tight)
-    bus = _get_bool(raw, "bus_trace_compare", path, errors, default=bus_default)
+    bus = _get(raw, "bus_trace_compare", bool, path, errors, tight)
     if bus and isinstance(coupling, Loose):
         errors.append(f"{path}.bus_trace_compare: bus traces are only visible under tight coupling")
 
-    if errors or coupling is None or policy is None or comparator is None or clocks is None or None in clocks:
+    if errors:
         return None
     return Topology(
-        replica_count=count,
-        clocks=clocks,
-        shared_clock=bool(shared),
-        coupling=coupling,
-        policy=policy,
-        comparator=comparator,
-        debounce_threshold=debounce,
-        engine=engine,
-        feed_jitter=feed,
-        host_jitter=host,
-        clock_offsets_ns=list(offsets),
-        health=list(health),
-        ptp=ptp,
-        bus_trace_compare=bool(bus),
+        replica_count=count, clocks=clocks, shared_clock=shared, coupling=coupling,
+        policy=policy, comparator=comparator, debounce_threshold=debounce, engine=engine,
+        feed_jitter=feed, host_jitter=host, clock_offsets_ns=list(offsets), health=list(health),
+        ptp=ptp, bus_trace_compare=bus,
     )
 
 
 def _parse_workload(raw, path, errors) -> Workload:
-    merged = dict(_DEFAULT_WORKLOAD)
-    if not _check_keys(raw, set(merged), path, errors):
-        raw = {}
-    frames = _get_int(raw, "frame_count", path, errors, default=merged["frame_count"], minimum=1)
-    reps = _get_int(raw, "repetitions_per_frame", path, errors, default=merged["repetitions_per_frame"], minimum=1)
-    shape = raw.get("input_shape", merged["input_shape"])
-    arch = raw.get("arch", merged["arch"])
-    ok = True
-    if not isinstance(shape, list) or not shape or any(isinstance(d, bool) or not isinstance(d, int) or d < 1 for d in shape):
-        errors.append(f"{path}.input_shape: expected a list of positive integers")
-        ok = False
-    if (
-        not isinstance(arch, list)
-        or len(arch) < 2
-        or any(isinstance(w, bool) or not isinstance(w, int) or w < 1 or w > MAX_LAYER_WIDTH for w in arch)
-    ):
-        errors.append(
-            f"{path}.arch: expected at least 2 layer widths in [1, {MAX_LAYER_WIDTH}]"
-        )
-        ok = False
-    if ok:
-        n_in = 1
-        for d in shape:
-            n_in *= d
-        if n_in != arch[0]:
-            errors.append(f"{path}.input_shape: {n_in} element(s) but arch expects {arch[0]}")
-            ok = False
-    if frames is None or reps is None or not ok:
+    wl = _parse(Workload, raw, path, errors)
+    if wl is None:
         return None
-    return Workload(frames, reps, tuple(shape), tuple(arch))
-
-
-_FAULT_KIND_FIELDS = {
-    "weight_bit_flip": {"layer", "element_index", "bit"},
-    "output_bit_flip": {"element_index", "bit"},
-    "extra_delay": {"ns"},
-    "drop_output": set(),
-    "stuck_output": set(),
-}
-
-_TRIGGER_FIELDS = {
-    "always": set(),
-    "on_frame": {"frame_id"},
-    "with_probability": {"p"},
-}
+    if len(wl.arch) < 2:
+        errors.append(f"{path}.arch: expected at least 2 layer widths, got {len(wl.arch)}")
+    elif (n_in := math.prod(wl.input_shape)) != wl.arch[0]:
+        errors.append(f"{path}.input_shape: {n_in} element(s) but arch expects {wl.arch[0]}")
+    else:
+        return wl
+    return None
 
 
 def _parse_fault(raw, path, errors, replica_count, workload):
+    """A (replica_id, FaultSpec) pair; its indices are checked against the
+    replica count and the workload's network and frame count."""
     if not _check_keys(raw, {"replica_id", "kind", "trigger"}, path, errors):
         return None
-    rid = _get_int(raw, "replica_id", path, errors, minimum=0)
+    rid = _get(raw, "replica_id", int, path, errors, minimum=0)
     if rid is not None and rid >= replica_count:
         errors.append(f"{path}.replica_id: {rid} out of range for {replica_count} replica(s)")
         rid = None
-
-    kind_raw = raw.get("kind")
-    kind = None
-    if not isinstance(kind_raw, dict) or "type" not in kind_raw:
-        errors.append(f"{path}.kind: expected an object with a 'type' field")
-    else:
-        ktype = kind_raw["type"]
-        fields = _FAULT_KIND_FIELDS.get(ktype)
-        if fields is None:
-            errors.append(f"{path}.kind.type: unknown fault kind {ktype!r}")
-        elif _check_keys(kind_raw, fields | {"type"}, f"{path}.kind", errors):
-            if ktype == "weight_bit_flip":
-                layer = _get_int(kind_raw, "layer", f"{path}.kind", errors, minimum=0)
-                ei = _get_int(kind_raw, "element_index", f"{path}.kind", errors, minimum=0)
-                bit = _get_int(kind_raw, "bit", f"{path}.kind", errors, minimum=0, maximum=15)
-                if None not in (layer, ei, bit):
-                    kind = flt.WeightBitFlip(layer, ei, bit)
-            elif ktype == "output_bit_flip":
-                ei = _get_int(kind_raw, "element_index", f"{path}.kind", errors, minimum=0)
-                bit = _get_int(kind_raw, "bit", f"{path}.kind", errors, minimum=0, maximum=15)
-                if None not in (ei, bit):
-                    kind = flt.OutputBitFlip(ei, bit)
-            elif ktype == "extra_delay":
-                ns = _get_int(kind_raw, "ns", f"{path}.kind", errors, minimum=0)
-                if ns is not None:
-                    kind = flt.ExtraDelay(ns)
-            elif ktype == "drop_output":
-                kind = flt.DropOutput()
-            else:
-                kind = flt.StuckOutput()
-
-    trig_raw = raw.get("trigger", {"type": "always"})
-    trigger = None
-    if not isinstance(trig_raw, dict) or "type" not in trig_raw:
-        errors.append(f"{path}.trigger: expected an object with a 'type' field")
-    else:
-        ttype = trig_raw["type"]
-        fields = _TRIGGER_FIELDS.get(ttype)
-        if fields is None:
-            errors.append(f"{path}.trigger.type: unknown trigger {ttype!r}")
-        elif _check_keys(trig_raw, fields | {"type"}, f"{path}.trigger", errors):
-            if ttype == "always":
-                trigger = flt.Always()
-            elif ttype == "on_frame":
-                fid = _get_int(trig_raw, "frame_id", f"{path}.trigger", errors, minimum=0)
-                if fid is not None:
-                    trigger = flt.OnFrame(fid)
-            else:
-                p = _get_num(trig_raw, "p", f"{path}.trigger", errors, minimum=0.0, maximum=1.0)
-                if p is not None:
-                    trigger = flt.WithProbability(p)
-
+    kind = _get(raw, "kind", _FAULT_KIND, path, errors)
+    trigger = _get(raw, "trigger", _TRIGGER, path, errors, flt.Always())
     if rid is None or kind is None or trigger is None:
         return None
-    spec = flt.FaultSpec(kind, trigger)
-    if workload is not None:
-        errors.extend(flt.validate_fault(spec, list(workload.arch), workload.frame_count, path))
-    return (rid, spec)
 
-
-def _parse_profiler(raw, path, errors) -> ProfilerSettings:
-    merged = dict(_DEFAULT_PROFILER)
-    if not _check_keys(raw, set(merged), path, errors):
-        raw = {}
-    bins = _get_int(raw, "bin_count", path, errors, default=merged["bin_count"], minimum=1)
-    thr = _get_num(raw, "outlier_threshold", path, errors, default=merged["outlier_threshold"], minimum=0.0)
-    alpha = _get_num(raw, "alpha", path, errors, default=merged["alpha"], minimum=1e-9, maximum=0.5)
-    if None in (bins, thr, alpha):
-        return ProfilerSettings()
-    return ProfilerSettings(bins, thr, alpha)
+    arch, frames = workload.arch, workload.frame_count
+    if isinstance(kind, flt.WeightBitFlip):
+        if kind.layer >= len(arch) - 1:
+            errors.append(f"{path}.kind.layer: {kind.layer} out of range for {len(arch) - 1} layer(s)")
+        elif kind.element_index >= (size := arch[kind.layer] * arch[kind.layer + 1]):
+            errors.append(
+                f"{path}.kind.element_index: {kind.element_index} out of range for layer of {size} weights")
+    elif isinstance(kind, flt.OutputBitFlip) and kind.element_index >= arch[-1]:
+        errors.append(
+            f"{path}.kind.element_index: {kind.element_index} out of range for output width {arch[-1]}")
+    if isinstance(trigger, flt.OnFrame) and trigger.frame_id >= frames:
+        errors.append(f"{path}.trigger.frame_id: {trigger.frame_id} outside workload of {frames} frame(s)")
+    return (rid, flt.FaultSpec(kind, trigger))
 
 
 _TOP_LEVEL_KEYS = {"seed", "topology", "workload", "faults", "profiler", "metadata"}
@@ -707,7 +496,7 @@ def config_from_dict(obj: dict, seed_override=None, env=None) -> ExperimentConfi
     if seed_override is not None:
         seed = int(seed_override)
     elif "seed" in obj:
-        seed = _get_int(obj, "seed", "config", errors, minimum=0)
+        seed = _get(obj, "seed", int, "config", errors, minimum=0)
     elif env.get(SEED_ENV_VAR):
         try:
             seed = int(env[SEED_ENV_VAR])
@@ -736,23 +525,15 @@ def config_from_dict(obj: dict, seed_override=None, env=None) -> ExperimentConfi
             if parsed is not None:
                 faults.append(parsed)
 
-    profiler = _parse_profiler(obj.get("profiler", {}), "config.profiler", errors)
+    profiler = _parse(ProfilerSettings, obj.get("profiler", {}), "config.profiler", errors)
 
     metadata = obj.get("metadata", {})
     if not isinstance(metadata, dict):
         errors.append("config.metadata: expected an object")
-        metadata = {}
 
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(
-        seed=seed,
-        topology=topology,
-        workload=workload,
-        faults=faults,
-        profiler=profiler,
-        metadata=metadata,
-    )
+    return ExperimentConfig(seed, topology, workload, faults, profiler, metadata)
 
 
 def load_config(path, seed_override=None, env=None) -> ExperimentConfig:

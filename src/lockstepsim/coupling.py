@@ -42,9 +42,6 @@ class InputBarrier:
     release_time: int
     deliveries: tuple  # (replica_id, delivery_time_ns), in replica order
 
-    def delivery_skews(self) -> dict:
-        return {rid: t - self.release_time for rid, t in self.deliveries}
-
 
 def distribute_input(frame_id: int, release_time: int, replica_ids, mode, feeds=None) -> InputBarrier:
     """Plan the delivery of one frame to every healthy replica.
@@ -179,19 +176,3 @@ def simulate_ptp_exchange(t1: int, true_offset_ns: int, forward_delay_ns: int,
     t3 = t2 + slave_turnaround_ns
     t4 = (t3 - true_offset_ns) + return_delay_ns
     return PtpExchange(t1, t2, t3, t4)
-
-
-def align_timestamps(timestamps, offset_ns: int):
-    """Shift slave-side timestamps by -offset, clamping below zero.
-
-    Returns (corrected tuple, clamped_count). Order-preserving.
-    """
-    corrected = []
-    clamped = 0
-    for t in timestamps:
-        c = t - offset_ns
-        if c < 0:
-            c = 0
-            clamped += 1
-        corrected.append(c)
-    return tuple(corrected), clamped

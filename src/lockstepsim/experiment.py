@@ -42,7 +42,7 @@ from .eventsim import cycles_to_time, sample_turnaround_overhead
 from .faults import FaultEffects, apply_fault, flip_output_bits, flip_weight_bits
 from .fixedpoint import argmax_index, tensor_digest
 from .profiling import detect_outliers, histogram, ks_statistic, stats, write_histogram_csv
-from .replica import HEALTHY, Replica, ReplicaOutput, gen_frame, gen_weights, infer
+from .replica import HEALTHY, ReplicaOutput, gen_frame, gen_weights, infer
 from .rng import Rng, derive_seed
 from .voting import PASS, SafetySwitchState, Verdict, step_safety, vote
 
@@ -120,27 +120,16 @@ class ExperimentRunner:
         root = Rng(config.seed)
         self.weights = gen_weights(derive_seed(config.seed, "weights"), config.workload.arch)
         n = topo.replica_count
-        self.replicas = []
         self.host_pairs = []
         self.feed_pairs = []
         for rid in range(n):
-            self.replicas.append(
-                Replica(
-                    id=rid,
-                    engine=topo.engine,
-                    clock=topo.clocks[rid],
-                    weights=self.weights,
-                    faults=[spec for fr, spec in config.faults if fr == rid],
-                    health=topo.health[rid],
-                )
-            )
             self.host_pairs.append((topo.host_jitter[rid], root.child(f"host.{rid}")))
             self.feed_pairs.append((topo.feed_jitter[rid], root.child(f"feed.{rid}")))
         self.replica_faults = {rid: [] for rid in range(n)}
         for i, (rid, spec) in enumerate(config.faults):
             self.replica_faults[rid].append((spec, root.child(f"fault.{i}")))
 
-        self.healthy_ids = [r.id for r in self.replicas if r.health == HEALTHY]
+        self.healthy_ids = [rid for rid in range(n) if topo.health[rid] == HEALTHY]
         self.clock_offsets = list(topo.clock_offsets_ns)
         self.ptp_corrections = [0] * n
         self.prev_output = [None] * n

@@ -75,47 +75,6 @@ def trigger_fires(trigger, frame_id: int, rng: Rng) -> bool:
     raise TypeError(f"unknown trigger {trigger!r}")
 
 
-def validate_fault(spec: FaultSpec, arch, frame_count: int, path: str = "fault") -> list:
-    """Load-time validation; returns a list of error strings (empty if valid)."""
-    errors = []
-    kind = spec.kind
-    if isinstance(kind, WeightBitFlip):
-        n_layers = len(arch) - 1
-        if not (0 <= kind.layer < n_layers):
-            errors.append(f"{path}.kind.layer: {kind.layer} out of range for {n_layers} layer(s)")
-        else:
-            n_elems = arch[kind.layer] * arch[kind.layer + 1]
-            if not (0 <= kind.element_index < n_elems):
-                errors.append(
-                    f"{path}.kind.element_index: {kind.element_index} out of range for layer of {n_elems} weights"
-                )
-        if not (0 <= kind.bit <= 15):
-            errors.append(f"{path}.kind.bit: {kind.bit} outside [0, 15]")
-    elif isinstance(kind, OutputBitFlip):
-        if not (0 <= kind.element_index < arch[-1]):
-            errors.append(
-                f"{path}.kind.element_index: {kind.element_index} out of range for output width {arch[-1]}"
-            )
-        if not (0 <= kind.bit <= 15):
-            errors.append(f"{path}.kind.bit: {kind.bit} outside [0, 15]")
-    elif isinstance(kind, ExtraDelay):
-        if kind.ns < 0:
-            errors.append(f"{path}.kind.ns: delay must be non-negative")
-    elif not isinstance(kind, (DropOutput, StuckOutput)):
-        errors.append(f"{path}.kind: unknown fault kind {kind!r}")
-
-    trig = spec.trigger
-    if isinstance(trig, OnFrame):
-        if not (0 <= trig.frame_id < frame_count):
-            errors.append(f"{path}.trigger.frame_id: {trig.frame_id} outside workload of {frame_count} frame(s)")
-    elif isinstance(trig, WithProbability):
-        if not (0.0 <= trig.p <= 1.0):
-            errors.append(f"{path}.trigger.p: {trig.p} outside [0, 1]")
-    elif not isinstance(trig, Always):
-        errors.append(f"{path}.trigger: unknown trigger {trig!r}")
-    return errors
-
-
 @dataclass
 class FaultEffects:
     """Accumulated effect of every fault fired for one inference."""

@@ -17,23 +17,9 @@ None (an explicit undefined marker), never NaN.
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 from dataclasses import dataclass
-
-BIMODAL_HINT_THRESHOLD = 5.0 / 9.0
-
-
-@dataclass(frozen=True)
-class LatencySample:
-    """One turnaround measurement: input release to output completion."""
-
-    replica_id: int
-    frame_id: int
-    repetition: int
-    turnaround_ns: int
-
 
 @dataclass(frozen=True)
 class ProfileStats:
@@ -251,8 +237,3 @@ def write_histogram_csv(bins, fp) -> None:
     fp.write("lower_edge_ns,count\n")
     for hb in bins:
         fp.write(f"{hb.lower_edge},{hb.count}\n")
-
-
-def stats_to_json(profile: ProfileStats) -> str:
-    """ProfileStats as JSON; undefined statistics serialize as null."""
-    return json.dumps(profile.to_json_dict(), indent=2)

@@ -16,7 +16,7 @@ layer widths up to 1024):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -153,22 +153,6 @@ class EngineConfig:
                 raise ConfigError(f"{name} must be a positive integer")
         if self.pipeline_startup_cycles < 0:
             raise ConfigError("pipeline_startup_cycles must be non-negative")
-
-
-@dataclass
-class Replica:
-    """One redundant inference channel."""
-
-    id: int
-    engine: EngineConfig
-    clock: object
-    weights: WeightSet
-    faults: list = field(default_factory=list)
-    health: str = HEALTHY
-
-    def __post_init__(self):
-        if self.health not in HEALTH_STATES:
-            raise ConfigError(f"unknown replica health {self.health!r}")
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,6 @@ from dataclasses import dataclass, replace
 from .coupling import Timeout as RendezvousTimeout
 from .errors import ConfigError, ProtocolError
 
-PRESET_POLICIES = ("1oo2", "2oo2", "2oo3")
-
 _POLICY_RE = re.compile(r"^(\d+)oo(\d+)$")
 
 

@@ -51,6 +51,18 @@ class TestRunCommand:
         assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "replicas" in capsys.readouterr().err
 
+    def test_negative_ptp_forward_delay_exit_one_before_any_output(self, tmp_path, capsys):
+        raw = zero_jitter_duplex(extra_topology={
+            "ptp": {"enabled": True, "link_delay_ns": 500, "asymmetry_ns": -600},
+        })
+        cfg = write_config(tmp_path, raw)
+        out_dir = tmp_path / "o"
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert "config.topology.ptp.asymmetry_ns: " in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     def test_fail_on_safeoff_exit_two(self, tmp_path, capsys):
         raw = zero_jitter_duplex(frames=3, faults=[{
             "replica_id": 0,

@@ -218,3 +218,173 @@ class TestShippedConfigs:
     def test_tight_baseline_loads(self):
         cfg = load_config(CONFIG_DIR / "tight-baseline.json")
         assert isinstance(cfg.topology.coupling, Tight)
+
+
+# Every bounded field, as (path, minimum, maximum). A `[i]` in a path is a
+# per-replica list entry; `clocks[1]` replaces the single `clock`.
+BOUNDED_FIELDS = (
+    ("config.seed", 0, None),
+    ("config.topology.replicas", 1, 8),
+    ("config.topology.coupling.skew_tolerance_cycles", 0, None),
+    ("config.topology.coupling.rendezvous_window_ns", 1, None),
+    ("config.topology.voter.policy.m", 1, 8),
+    ("config.topology.voter.policy.n", 1, 8),
+    ("config.topology.voter.comparator.eps", 0.0, None),
+    ("config.topology.voter.debounce_threshold", 1, None),
+    ("config.topology.clock.freq_hz", 1, None),
+    ("config.topology.clock.drift_ppm", -(10**6) + 1, None),
+    ("config.topology.clocks[1].freq_hz", 1, None),
+    ("config.topology.clocks[1].drift_ppm", -(10**6) + 1, None),
+    ("config.topology.engine.cycles_per_mac", 1, None),
+    ("config.topology.engine.cycles_per_load", 1, None),
+    ("config.topology.engine.cycles_per_store", 1, None),
+    ("config.topology.engine.pipeline_startup_cycles", 0, None),
+    *(
+        (f"config.topology.{key}.{name}", lo, hi)
+        for key in ("feed_jitter", "host_jitter", "feed_jitter[0]", "host_jitter[1]")
+        for name, lo, hi in (
+            ("base_overhead_ns", 0, None),
+            ("spike_prob", 0.0, 1.0),
+            ("spike_scale_ns", 1, None),
+            ("mode2_offset_ns", 0, None),
+            ("mode2_prob", 0.0, 1.0),
+        )
+    ),
+    ("config.topology.ptp.link_delay_ns", 0, None),
+    ("config.topology.ptp.slave_turnaround_ns", 0, None),
+    ("config.workload.frame_count", 1, None),
+    ("config.workload.repetitions_per_frame", 1, None),
+    ("config.faults[0].replica_id", 0, None),
+    ("config.faults[0].kind.layer", 0, None),
+    ("config.faults[0].kind.element_index", 0, None),
+    ("config.faults[0].kind.bit", 0, 15),
+    ("config.faults[1].kind.element_index", 0, None),
+    ("config.faults[1].kind.bit", 0, 15),
+    ("config.faults[2].kind.ns", 0, None),
+    ("config.faults[1].trigger.frame_id", 0, None),
+    ("config.faults[2].trigger.p", 0.0, 1.0),
+    ("config.profiler.bin_count", 1, None),
+    ("config.profiler.outlier_threshold", 0.0, None),
+    ("config.profiler.alpha", 1e-9, 0.5),
+)
+
+
+def _bounded_config(path, value):
+    """A valid config with the field at `path` set to `value`."""
+    raw = zero_jitter_duplex(faults=[
+        {"replica_id": 0, "kind": {"type": "weight_bit_flip", "layer": 0, "element_index": 0, "bit": 0}},
+        {"replica_id": 1, "kind": {"type": "output_bit_flip", "element_index": 0, "bit": 0},
+         "trigger": {"type": "on_frame", "frame_id": 0}},
+        {"replica_id": 1, "kind": {"type": "extra_delay", "ns": 0},
+         "trigger": {"type": "with_probability", "p": 0.5}},
+    ])
+    topo = raw["topology"]
+    if ".coupling.skew" in path:
+        topo["coupling"] = {"mode": "tight"}
+    if ".comparator." in path:
+        topo["voter"]["comparator"] = {"kind": "tolerance", "eps": 0.5}
+    if ".policy." in path:
+        topo["voter"]["policy"] = {"m": 1, "n": 2}
+    if ".clocks[" in path:
+        topo["clocks"] = [topo.pop("clock"), {"freq_hz": 1_000_000_000}]
+    *parents, key = path.replace("[", ".[").split(".")[1:]
+    obj = raw
+    for name in parents:
+        if name.startswith("["):
+            index = int(name[1:-1])
+            if not isinstance(obj, list):  # make the per-replica (or clocks) list
+                obj = parent[last] = [{}, {}]
+            obj = obj[index]
+        else:
+            parent, last = obj, name
+            obj = obj.setdefault(name, {})
+    obj[key] = value
+    return raw
+
+
+BOUND_VIOLATIONS = [
+    *((path, minimum - 1, f"must be >= {minimum}") for path, minimum, _ in BOUNDED_FIELDS),
+    *((path, maximum + 1, f"must be <= {maximum}") for path, _, maximum in BOUNDED_FIELDS if maximum is not None),
+]
+
+
+@pytest.mark.parametrize("path, value, bound", BOUND_VIOLATIONS,
+                         ids=[f"{p}{b[8:10]}" for p, _, b in BOUND_VIOLATIONS])
+def test_bound_violation_message(path, value, bound):
+    assert errors_of(_bounded_config(path, value), env={}) == [f"{path}: {bound}, got {value}"]
+
+
+def _round_trip_cases():
+    from test_golden import CASES  # the shipped configs and the pinned run configs
+
+    cases = dict(CASES)
+    for preset in ("gpu-duplex-loose", "fpga-duplex-tight"):
+        cases[preset] = lambda p=preset: {"seed": 1, "topology": p}
+    return cases
+
+
+ROUND_TRIP_CASES = _round_trip_cases()
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_CASES))
+def test_expanded_config_round_trips(name):
+    d = config_from_dict(ROUND_TRIP_CASES[name](), env={}).to_json_dict()
+    assert json.loads(json.dumps(d)) == d
+    assert config_from_dict(d, env={}).to_json_dict() == d
+
+
+# Fault indices are checked against the workload: arch [4, 3, 2], 10 frames.
+@pytest.mark.parametrize("kind, trigger, path", [
+    ({"type": "weight_bit_flip", "layer": 1, "element_index": 5, "bit": 15}, {"type": "always"}, None),
+    ({"type": "weight_bit_flip", "layer": 2, "element_index": 0, "bit": 0}, {"type": "always"}, "kind.layer"),
+    ({"type": "weight_bit_flip", "layer": 0, "element_index": 12, "bit": 0}, {"type": "always"}, "kind.element_index"),
+    ({"type": "output_bit_flip", "element_index": 2, "bit": 0}, {"type": "always"}, "kind.element_index"),
+    ({"type": "output_bit_flip", "element_index": 0, "bit": 16}, {"type": "always"}, "kind.bit"),
+    ({"type": "output_bit_flip", "element_index": 0, "bit": 0}, {"type": "on_frame", "frame_id": 10}, "trigger.frame_id"),
+    ({"type": "output_bit_flip", "element_index": 0, "bit": 0}, {"type": "with_probability", "p": 1.5}, "trigger.p"),
+], ids=["valid", "weight-layer", "weight-element", "output-element", "output-bit", "on-frame", "probability"])
+def test_fault_checked_at_load(kind, trigger, path):
+    raw = zero_jitter_duplex(frames=10, arch=(4, 3, 2), input_shape=(4,),
+                             faults=[{"replica_id": 0, "kind": kind, "trigger": trigger}])
+    if path is None:
+        assert config_from_dict(raw).faults[0][0] == 0
+    else:
+        errs = errors_of(raw)
+        assert len(errs) == 1 and errs[0].startswith(f"config.faults[0].{path}: ")
+
+
+@pytest.mark.parametrize("key", ["feed_jitter", "host_jitter"])
+def test_null_jitter_rejected(key):
+    raw = zero_jitter_duplex(extra_topology={key: None})
+    assert errors_of(raw) == [f"config.topology.{key}: expected an object"]
+
+
+class TestPtpAsymmetry:
+    def _raw(self, asymmetry_ns, enabled=True):
+        return zero_jitter_duplex(extra_topology={
+            "ptp": {"enabled": enabled, "link_delay_ns": 500, "asymmetry_ns": asymmetry_ns},
+        })
+
+    def test_negative_forward_delay_rejected_at_load(self):
+        assert errors_of(self._raw(-600)) == [
+            "config.topology.ptp.asymmetry_ns: must be >= -link_delay_ns = -500 when ptp is enabled, got -600"
+        ]
+
+    def test_zero_forward_delay_accepted(self):
+        assert config_from_dict(self._raw(-500)).topology.ptp.asymmetry_ns == -500
+
+    def test_ignored_while_disabled(self):
+        assert config_from_dict(self._raw(-600, enabled=False)).topology.ptp.asymmetry_ns == -600
+
+
+@pytest.mark.parametrize("path, value, expected", [
+    ("config.topology.coupling.mode", "medium", "'tight', 'loose'"),
+    ("config.topology.voter.comparator.kind", "fuzzy", "'exact', 'tolerance'"),
+    ("config.faults[0].kind.type", "bit_rot",
+     "'weight_bit_flip', 'output_bit_flip', 'extra_delay', 'drop_output', 'stuck_output'"),
+    ("config.faults[1].trigger.type", "sometimes", "'always', 'on_frame', 'with_probability'"),
+])
+def test_bad_tag_names_the_choices(path, value, expected):
+    assert errors_of(_bounded_config(path, value), env={}) == [
+        f"{path}: expected one of {expected}, got {value!r}"
+    ]

@@ -7,7 +7,6 @@ from lockstepsim.coupling import (
     PtpExchange,
     Tight,
     Timeout,
-    align_timestamps,
     compare_bus_traces,
     distribute_input,
     estimate_ptp_offset,
@@ -20,16 +19,21 @@ from lockstepsim.replica import BusEvent, EXECUTE, FETCH, LOAD, STORE
 from lockstepsim.rng import Rng
 
 
+def skews(barrier):
+    """Delivery delay after the release, per replica."""
+    return {rid: t - barrier.release_time for rid, t in barrier.deliveries}
+
+
 class TestDistributeInput:
     def test_tight_all_deliveries_at_release(self):
         barrier = distribute_input(0, 1000, [0, 1], Tight())
         assert barrier.deliveries == ((0, 1000), (1, 1000))
-        assert set(barrier.delivery_skews().values()) == {0}
+        assert set(skews(barrier).values()) == {0}
 
     def test_loose_zero_jitter_zero_skew(self):
         feeds = [(JitterModel(), Rng(1).child("f0")), (JitterModel(), Rng(1).child("f1"))]
         barrier = distribute_input(0, 1000, [0, 1], Loose(100), feeds)
-        assert set(barrier.delivery_skews().values()) == {0}
+        assert set(skews(barrier).values()) == {0}
 
     def test_loose_bounded_jitter_bounded_skew(self):
         # delays take values {0, J}: the skew can never exceed J
@@ -39,9 +43,9 @@ class TestDistributeInput:
         worst = 0
         for frame in range(10_000):
             barrier = distribute_input(frame, frame * 1000, [0, 1], Loose(10_000), feeds)
-            skews = barrier.delivery_skews()
-            assert all(0 <= s <= J for s in skews.values())
-            worst = max(worst, max(skews.values()) - min(skews.values()))
+            delays = skews(barrier)
+            assert all(0 <= s <= J for s in delays.values())
+            worst = max(worst, max(delays.values()) - min(delays.values()))
         assert worst == J  # both branches actually exercised
 
     def test_no_healthy_replicas(self):
@@ -193,21 +197,3 @@ class TestPtp:
             x = simulate_ptp_exchange(0, 500, 800 + asym, 800, slave_turnaround_ns=10)
             est = estimate_ptp_offset(x)
             assert est.offset_ns - 500 == asym // 2
-
-
-class TestAlignTimestamps:
-    def test_zero_offset_identity(self):
-        assert align_timestamps((10, 12), 0) == ((10, 12), 0)
-
-    def test_positive_offset_shifts_down(self):
-        assert align_timestamps((10, 12), 2) == ((8, 10), 0)
-
-    def test_clamp_counts_underflow(self):
-        corrected, clamped = align_timestamps((1, 5, 9), 6)
-        assert corrected == (0, 0, 3)
-        assert clamped == 2
-
-    def test_order_preserving(self):
-        ts = tuple(range(0, 100, 7))
-        corrected, _ = align_timestamps(ts, 31)
-        assert list(corrected) == sorted(corrected)

@@ -15,7 +15,6 @@ from lockstepsim.faults import (
     flip_output_bits,
     flip_weight_bits,
     trigger_fires,
-    validate_fault,
 )
 from lockstepsim.fixedpoint import FixedPointTensor, flip_bit
 from lockstepsim.replica import EngineConfig, LayerSpec, WeightSet, gen_frame, gen_weights, infer
@@ -83,25 +82,6 @@ def test_weight_flip_changes_one_bit():
     assert (diffs[0][1] & 0xFFFF) == 1 << 4
     # bias untouched
     assert flipped.layers[0].bias == ws.layers[0].bias
-
-
-def test_validate_fault_load_time_errors():
-    arch = [4, 3, 2]
-    ok = FaultSpec(WeightBitFlip(layer=1, element_index=5, bit=15), Always())
-    assert validate_fault(ok, arch, 10) == []
-
-    errs = validate_fault(FaultSpec(WeightBitFlip(2, 0, 0)), arch, 10, "f")
-    assert any("f.kind.layer" in e for e in errs)
-    errs = validate_fault(FaultSpec(WeightBitFlip(0, 12, 0)), arch, 10, "f")
-    assert any("f.kind.element_index" in e for e in errs)
-    errs = validate_fault(FaultSpec(OutputBitFlip(2, 0)), arch, 10, "f")
-    assert any("f.kind.element_index" in e for e in errs)
-    errs = validate_fault(FaultSpec(OutputBitFlip(0, 16)), arch, 10, "f")
-    assert any("f.kind.bit" in e for e in errs)
-    errs = validate_fault(FaultSpec(OutputBitFlip(0, 0), OnFrame(10)), arch, 10, "f")
-    assert any("f.trigger.frame_id" in e for e in errs)
-    errs = validate_fault(FaultSpec(OutputBitFlip(0, 0), WithProbability(1.5)), arch, 10, "f")
-    assert any("f.trigger.p" in e for e in errs)
 
 
 def test_probabilistic_trigger_rate_roughly_matches():

@@ -1,0 +1,31 @@
+"""The package's top-level surface: the names its callers import."""
+
+import lockstepsim
+
+# The benchmark's child process calls load_config, ExperimentRunner,
+# run_experiment, run_to_directory, infer, gen_weights and gen_frame.
+PUBLIC = {
+    "load_config",
+    "config_from_dict",
+    "ExperimentConfig",
+    "ExperimentRunner",
+    "ExperimentReport",
+    "run_experiment",
+    "run_to_directory",
+    "compare_runs",
+    "gen_weights",
+    "gen_frame",
+    "infer",
+    "ConfigError",
+    "HarnessError",
+    "__version__",
+}
+
+
+def test_all_is_the_public_surface():
+    assert sorted(lockstepsim.__all__) == sorted(PUBLIC)
+
+
+def test_every_public_name_resolves():
+    for name in lockstepsim.__all__:
+        assert getattr(lockstepsim, name) is not None, name

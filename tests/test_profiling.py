@@ -11,7 +11,6 @@ from lockstepsim.profiling import (
     histogram,
     ks_statistic,
     stats,
-    stats_to_json,
     write_histogram_csv,
 )
 from lockstepsim.rng import Rng
@@ -120,7 +119,7 @@ class TestStats:
     def test_json_serialization_uses_null_markers(self):
         import json
 
-        blob = json.loads(stats_to_json(stats([5, 5, 5, 5])))
+        blob = json.loads(json.dumps(stats([5, 5, 5, 5]).to_json_dict()))
         assert blob["excess_kurtosis"] is None
         assert blob["n"] == 4
 
