@@ -78,8 +78,8 @@ def _cmd_run(args) -> int:
     report = run_to_directory(config, args.out)
     total = sum(report.verdict_counts.values())
     print(f"run complete: {total} verdicts {report.verdict_counts}, "
-          f"safety={report.safety_final}, out={args.out}", file=sys.stderr)
-    if args.fail_on_safeoff and report.safety_final == "safe_off":
+          f"safety={report.safety['final_state']}, out={args.out}", file=sys.stderr)
+    if args.fail_on_safeoff and report.safety["final_state"] == "safe_off":
         print("safety switch tripped during the run", file=sys.stderr)
         return 2
     return 0
@@ -91,7 +91,10 @@ def _load_report(path_str: str) -> dict:
         p = p / REPORT_FILENAME
     if not p.is_file():
         raise ConfigError([f"no report found at {p}"])
-    return json.loads(p.read_text())
+    try:
+        return json.loads(p.read_text())
+    except json.JSONDecodeError as e:
+        raise ConfigError([f"{p}: not valid JSON ({e})"]) from e
 
 
 def _cmd_compare(args) -> int:
@@ -162,16 +165,18 @@ def _cmd_stats(args) -> int:
         return 1
     samples = {}
     with open(p) as fp:
-        for line in fp:
-            rec = json.loads(line)
+        for lineno, line in enumerate(fp, 1):
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                print(f"{p}:{lineno}: not valid JSON ({e})", file=sys.stderr)
+                return 1
             if rec.get("kind") == "completion":
                 samples.setdefault(rec["replica_id"], []).append(rec["turnaround_ns"])
     if not samples:
         print("trace contains no completion records", file=sys.stderr)
         return 1
-    out = {
-        str(rid): stats(xs).to_json_dict() for rid, xs in sorted(samples.items())
-    }
+    out = {str(rid): stats(xs) for rid, xs in sorted(samples.items())}
     print(json.dumps(out, indent=2))
     return 0
 

@@ -346,6 +346,9 @@ _TOPOLOGY_KEYS = {
 
 
 def _parse_topology(raw, path, errors) -> Topology:
+    """A Topology, or None when the topology itself has an error; errors
+    recorded before the call do not count."""
+    errors_at_entry = len(errors)
     if isinstance(raw, str):
         if raw not in _PRESETS:
             errors.append(f"{path}: unknown preset {raw!r}; known presets: {', '.join(_PRESETS)}")
@@ -426,7 +429,7 @@ def _parse_topology(raw, path, errors) -> Topology:
     if bus and isinstance(coupling, Loose):
         errors.append(f"{path}.bus_trace_compare: bus traces are only visible under tight coupling")
 
-    if errors:
+    if len(errors) > errors_at_entry:
         return None
     return Topology(
         replica_count=count, clocks=clocks, shared_clock=shared, coupling=coupling,

@@ -7,6 +7,9 @@ coupling, vote, step the safety switch, and record latency samples plus a
 JSON Lines trace of every event. Everything derives from the config seed;
 two runs of the same config produce byte-identical traces and reports.
 
+The report is built once, in the shape report.json holds: the counters
+are the report's dicts, and `ExperimentReport`'s fields are the file's keys.
+
 Each round is computed directly, in order. Every round ends before the
 next input is released, so a device is always idle when its kernel
 arrives: a completion is the delivery time plus one host jitter draw, the
@@ -57,47 +60,42 @@ def _ids(ids) -> str:
 
 @dataclass
 class ExperimentReport:
-    config: ExperimentConfig
-    samples: dict
-    replica_stats: dict
-    outliers: dict
-    histograms: dict
+    """The contents of report.json: the fields are its keys after
+    `"schema_version": 1`, in file order, and every value is already JSON.
+
+    config          the expanded config, `ExperimentConfig.to_json_dict()`
+    replicas        one row per replica, in replica order: replica_id;
+                    samples, the turnaround of each delivered output in
+                    round order (ns); stats, `profiling.stats` of the samples
+                    (ns), null with no samples; outliers,
+                    `profiling.detect_outliers` (indices into samples), null
+                    below 3 samples; histogram, `profiling.histogram` (lower
+                    edges in ns), empty with no samples
+    verdict_counts  rounds per verdict: pass, mismatch, timeout, degraded
+    safety          final_state, and timeline: one entry per state change
+                    with t_ns, frame_id, repetition, from and to
+    faults          counts of rounds in which a fault fired: injected, and of
+                    those detected (not a pass), masked_pass (the clean
+                    output won) and corrupted_pass (another output won)
+    skew_ns         n, min, mean and max of the rendezvous skew over the
+                    complete rendezvous (ns); null when none completed
+    bus             counts: comparisons (rounds with two or more outputs
+                    under tight bus compare) and divergences
+    ptp             one entry per replica with offset_ns and path_delay_ns
+                    (ns); empty when PTP is off
+    """
+
+    config: dict
+    replicas: list
     verdict_counts: dict
-    safety_final: str
-    safety_timeline: list
-    fault_summary: dict
-    skew: object
+    safety: dict
+    faults: dict
+    skew_ns: object
     bus: dict
     ptp: list
 
     def to_json_dict(self) -> dict:
-        replicas = []
-        for rid in sorted(self.samples):
-            st = self.replica_stats[rid]
-            out = self.outliers[rid]
-            replicas.append(
-                {
-                    "replica_id": rid,
-                    "samples": list(self.samples[rid]),
-                    "stats": st.to_json_dict() if st is not None else None,
-                    "outliers": out.to_json_dict() if out is not None else None,
-                    "histogram": [
-                        {"lower_edge_ns": hb.lower_edge, "count": hb.count}
-                        for hb in self.histograms[rid]
-                    ],
-                }
-            )
-        return {
-            "schema_version": 1,
-            "config": self.config.to_json_dict(),
-            "replicas": replicas,
-            "verdict_counts": dict(self.verdict_counts),
-            "safety": {"final_state": self.safety_final, "timeline": list(self.safety_timeline)},
-            "faults": dict(self.fault_summary),
-            "skew_ns": self.skew,
-            "bus": dict(self.bus),
-            "ptp": list(self.ptp),
-        }
+        return {"schema_version": 1, **vars(self)}
 
 
 class ExperimentRunner:
@@ -141,17 +139,13 @@ class ExperimentRunner:
         else:
             self._window_ns = self.coupling.rendezvous_window_ns
 
-        self.samples = {rid: [] for rid in range(n)}
+        self.samples = [[] for _ in range(n)]
         self.skews = []
         self.verdict_counts = {"pass": 0, "mismatch": 0, "timeout": 0, "degraded": 0}
         self.safety = SafetySwitchState(debounce_threshold=topo.debounce_threshold)
         self.safety_timeline = []
-        self.fault_injected = 0
-        self.fault_detected = 0
-        self.fault_masked_pass = 0
-        self.fault_corrupted_pass = 0
-        self.bus_comparisons = 0
-        self.bus_divergences = 0
+        self.faults = {"injected": 0, "detected": 0, "masked_pass": 0, "corrupted_pass": 0}
+        self.bus = {"comparisons": 0, "divergences": 0}
         self.ptp_info = []
 
     # -- trace records ------------------------------------------------
@@ -265,7 +259,7 @@ class ExperimentRunner:
         if self.topology.bus_trace_compare and isinstance(self.coupling, Tight):
             ids = sorted(outputs)
             if len(ids) >= 2:
-                self.bus_comparisons += 1
+                self.bus["comparisons"] += 1
                 ref = outputs[ids[0]]
                 for rid in ids[1:]:
                     div = compare_bus_traces(
@@ -280,13 +274,13 @@ class ExperimentRunner:
         self._finish_round(frame_id, rep, outcome, verdict, divergence, deadline)
 
         if any_applied:
-            self.fault_injected += 1
+            self.faults["injected"] += 1
             if verdict.variant != PASS:
-                self.fault_detected += 1
+                self.faults["detected"] += 1
             elif verdict.agreed.digest == clean[3]:
-                self.fault_masked_pass += 1
+                self.faults["masked_pass"] += 1
             else:
-                self.fault_corrupted_pass += 1
+                self.faults["corrupted_pass"] += 1
 
     def _finish_round(self, frame_id, rep, outcome, verdict, divergence, deadline):
         t_record = max(deadline, self.now)
@@ -294,7 +288,7 @@ class ExperimentRunner:
         if isinstance(outcome, Complete):
             self.skews.append(outcome.skew_ns)
         if divergence is not None:
-            self.bus_divergences += 1
+            self.bus["divergences"] += 1
         self.verdict_counts[verdict.variant] += 1
         new_state, action = step_safety(self.safety, verdict)
 
@@ -374,15 +368,17 @@ class ExperimentRunner:
         return self._build_report()
 
     def _build_report(self) -> ExperimentReport:
-        replica_stats = {}
-        outliers = {}
-        histograms = {}
-        for rid, xs in self.samples.items():
-            replica_stats[rid] = stats(xs) if xs else None
-            outliers[rid] = (
-                detect_outliers(xs, self.cfg.profiler.outlier_threshold) if len(xs) >= 3 else None
-            )
-            histograms[rid] = histogram(xs, self.cfg.profiler.bin_count)
+        prof = self.cfg.profiler
+        replicas = [
+            {
+                "replica_id": rid,
+                "samples": xs,
+                "stats": stats(xs) if xs else None,
+                "outliers": detect_outliers(xs, prof.outlier_threshold) if len(xs) >= 3 else None,
+                "histogram": histogram(xs, prof.bin_count),
+            }
+            for rid, xs in enumerate(self.samples)
+        ]
         skew = None
         if self.skews:
             skew = {
@@ -392,22 +388,13 @@ class ExperimentRunner:
                 "max": max(self.skews),
             }
         return ExperimentReport(
-            config=self.cfg,
-            samples=self.samples,
-            replica_stats=replica_stats,
-            outliers=outliers,
-            histograms=histograms,
+            config=self.cfg.to_json_dict(),
+            replicas=replicas,
             verdict_counts=self.verdict_counts,
-            safety_final=self.safety.state,
-            safety_timeline=self.safety_timeline,
-            fault_summary={
-                "injected": self.fault_injected,
-                "detected": self.fault_detected,
-                "masked_pass": self.fault_masked_pass,
-                "corrupted_pass": self.fault_corrupted_pass,
-            },
-            skew=skew,
-            bus={"comparisons": self.bus_comparisons, "divergences": self.bus_divergences},
+            safety={"final_state": self.safety.state, "timeline": self.safety_timeline},
+            faults=self.faults,
+            skew_ns=skew,
+            bus=self.bus,
             ptp=self.ptp_info,
         )
 
@@ -430,25 +417,21 @@ def run_to_directory(config: ExperimentConfig, out_dir) -> ExperimentReport:
     with open(out / REPORT_FILENAME, "w") as rf:
         json.dump(report.to_json_dict(), rf, indent=2)
         rf.write("\n")
-    for rid, bins in report.histograms.items():
-        with open(out / f"hist_replica{rid}.csv", "w") as hf:
-            write_histogram_csv(bins, hf)
+    for row in report.replicas:
+        with open(out / f"hist_replica{row['replica_id']}.csv", "w") as hf:
+            write_histogram_csv(row["histogram"], hf)
     return report
 
 
-def _as_report_dict(report) -> dict:
-    return report.to_json_dict() if hasattr(report, "to_json_dict") else report
-
-
-def compare_runs(report_a, report_b, alpha: float = 0.01) -> dict:
-    """Kolmogorov-Smirnov comparison of two runs, per replica pairing.
+def compare_runs(report_a: dict, report_b: dict, alpha: float = 0.01) -> dict:
+    """Kolmogorov-Smirnov comparison of two runs, per replica pairing, from
+    two report.json dicts (`ExperimentReport.to_json_dict()` gives one).
 
     Refuses (ConfigError) when a paired replica has fewer than 4 samples
     on either side.
     """
-    da, db = _as_report_dict(report_a), _as_report_dict(report_b)
-    reps_a = {r["replica_id"]: r for r in da.get("replicas", [])}
-    reps_b = {r["replica_id"]: r for r in db.get("replicas", [])}
+    reps_a = {r["replica_id"]: r for r in report_a.get("replicas", [])}
+    reps_b = {r["replica_id"]: r for r in report_b.get("replicas", [])}
     common = sorted(set(reps_a) & set(reps_b))
     pairs = [rid for rid in common if reps_a[rid]["samples"] or reps_b[rid]["samples"]]
     if not pairs:
@@ -462,11 +445,10 @@ def compare_runs(report_a, report_b, alpha: float = 0.01) -> dict:
                 f"comparison refused: replica {rid} has {len(xa)} vs {len(xb)} samples; "
                 "need at least 4 on each side"
             ])
-        ks = ks_statistic(xa, xb, alpha)
         rows.append(
             {
                 "replica_id": rid,
-                "ks": ks.to_json_dict(),
+                "ks": ks_statistic(xa, xb, alpha),
                 "a": _stats_summary(reps_a[rid]),
                 "b": _stats_summary(reps_b[rid]),
             }

@@ -85,10 +85,6 @@ class FaultEffects:
     drop: bool = False
     stuck: bool = False
 
-    @property
-    def any_applied(self) -> bool:
-        return bool(self.weight_flips or self.output_flips or self.extra_delay_ns or self.drop or self.stuck)
-
 
 def apply_fault(spec: FaultSpec, effects: FaultEffects, frame_id: int, rng: Rng) -> bool:
     """Evaluate the trigger and fold the fault into `effects`.

@@ -45,15 +45,12 @@ def element_count(shape) -> int:
 class FixedPointTensor:
     shape: tuple
     data: tuple
-    frac_bits: int = FRAC_BITS
 
     def __post_init__(self):
         shape = tuple(int(d) for d in self.shape)
         data = tuple(int(v) for v in self.data)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "data", data)
-        if self.frac_bits != FRAC_BITS:
-            raise DimensionError(f"frac_bits is fixed at {FRAC_BITS}, got {self.frac_bits}")
         if any(d <= 0 for d in shape):
             raise DimensionError(f"shape dimensions must be positive: {shape}")
         if len(data) != element_count(shape):
@@ -71,17 +68,6 @@ class FixedPointTensor:
         # Stored in the instance __dict__, outside the dataclass fields, so
         # == and hash never see it.
         return fnv1a64(encode_tensor(self))
-
-    def to_real(self) -> list:
-        return [v / SCALE for v in self.data]
-
-    @classmethod
-    def from_real(cls, shape, values) -> "FixedPointTensor":
-        raw = []
-        for v in values:
-            q = int(round(v * SCALE))
-            raw.append(min(max(q, RAW_MIN), RAW_MAX))
-        return cls(tuple(shape), tuple(raw))
 
 
 def encode_tensor(t: FixedPointTensor) -> bytes:
@@ -125,7 +111,7 @@ def tensor_to_json(t: FixedPointTensor) -> dict:
     return {
         "version": 1,
         "shape": list(t.shape),
-        "frac_bits": t.frac_bits,
+        "frac_bits": FRAC_BITS,
         "data": list(t.data),
     }
 
@@ -133,4 +119,6 @@ def tensor_to_json(t: FixedPointTensor) -> dict:
 def tensor_from_json(obj: dict) -> FixedPointTensor:
     if obj.get("version") != 1:
         raise DimensionError(f"unsupported tensor serialization version: {obj.get('version')!r}")
-    return FixedPointTensor(tuple(obj["shape"]), tuple(obj["data"]), obj.get("frac_bits", FRAC_BITS))
+    if obj.get("frac_bits", FRAC_BITS) != FRAC_BITS:
+        raise DimensionError(f"frac_bits is fixed at {FRAC_BITS}, got {obj['frac_bits']!r}")
+    return FixedPointTensor(tuple(obj["shape"]), tuple(obj["data"]))

@@ -1,5 +1,9 @@
 """Turnaround-time statistics.
 
+Every function returns the JSON value that report.json stores: `stats`,
+`detect_outliers` and `ks_statistic` return dicts with a fixed key order,
+and `histogram` returns a list of `{"lower_edge_ns", "count"}` dicts.
+
 Moment statistics come from exact integer power sums, so repeated runs are
 bit-identical and agree with a high-precision reference to float rounding.
 Definitions used throughout:
@@ -19,36 +23,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
-
-@dataclass(frozen=True)
-class ProfileStats:
-    n: int
-    mean: float
-    sample_std: float
-    min_value: int
-    max_value: int
-    p50: int
-    p95: int
-    p99: int
-    skewness: object        # float | None
-    excess_kurtosis: object
-    bimodality: object
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "sample_std": self.sample_std,
-            "min": self.min_value,
-            "max": self.max_value,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
-            "skewness": self.skewness,
-            "excess_kurtosis": self.excess_kurtosis,
-            "bimodality": self.bimodality,
-        }
 
 
 def _nearest_rank(sorted_xs, num: int, den: int):
@@ -57,8 +31,9 @@ def _nearest_rank(sorted_xs, num: int, den: int):
     return sorted_xs[max(rank, 1) - 1]
 
 
-def stats(samples) -> ProfileStats:
-    """Aggregate statistics over integer samples."""
+def stats(samples) -> dict:
+    """Aggregate statistics over integer samples: n, mean, sample_std, min,
+    max, p50, p95, p99, skewness, excess_kurtosis and bimodality."""
     xs = sorted(samples)
     n = len(xs)
     if n == 0:
@@ -90,43 +65,25 @@ def stats(samples) -> ProfileStats:
         correction = 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3))
         bimodality = (skewness * skewness + 1.0) / (excess_kurtosis + correction)
 
-    return ProfileStats(
-        n=n,
-        mean=mean,
-        sample_std=sample_std,
-        min_value=xs[0],
-        max_value=xs[-1],
-        p50=_nearest_rank(xs, 1, 2),
-        p95=_nearest_rank(xs, 19, 20),
-        p99=_nearest_rank(xs, 99, 100),
-        skewness=skewness,
-        excess_kurtosis=excess_kurtosis,
-        bimodality=bimodality,
-    )
+    return {
+        "n": n,
+        "mean": mean,
+        "sample_std": sample_std,
+        "min": xs[0],
+        "max": xs[-1],
+        "p50": _nearest_rank(xs, 1, 2),
+        "p95": _nearest_rank(xs, 19, 20),
+        "p99": _nearest_rank(xs, 99, 100),
+        "skewness": skewness,
+        "excess_kurtosis": excess_kurtosis,
+        "bimodality": bimodality,
+    }
 
 
-@dataclass(frozen=True)
-class OutlierReport:
-    method: str
-    threshold: float
-    indices: tuple
-    scores: tuple
-
-    @property
-    def count(self) -> int:
-        return len(self.indices)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "threshold": self.threshold,
-            "indices": list(self.indices),
-            "scores": list(self.scores),
-        }
-
-
-def detect_outliers(samples, threshold: float = 3.5) -> OutlierReport:
+def detect_outliers(samples, threshold: float = 3.5) -> dict:
     """MAD modified z-score outliers: score = 0.6745 |x - median| / MAD.
+    Returns the method name, the threshold, and the indices and scores of
+    the flagged samples in sample order.
 
     A zero MAD falls back to the mean absolute deviation; if that is also
     zero (constant data) there are no outliers. Robust by construction:
@@ -140,43 +97,19 @@ def detect_outliers(samples, threshold: float = 3.5) -> OutlierReport:
     denom = statistics.median(devs)
     if denom == 0:
         denom = sum(devs) / n
-    if denom == 0:
-        return OutlierReport("mad_modified_z", threshold, (), ())
-    flagged = []
-    for i, d in enumerate(devs):
-        score = 0.6745 * d / denom
-        if score > threshold:
-            flagged.append((i, score))
-    return OutlierReport(
-        "mad_modified_z",
-        threshold,
-        tuple(i for i, _ in flagged),
-        tuple(s for _, s in flagged),
-    )
+    indices, scores = [], []
+    if denom != 0:
+        for i, d in enumerate(devs):
+            score = 0.6745 * d / denom
+            if score > threshold:
+                indices.append(i)
+                scores.append(score)
+    return {"method": "mad_modified_z", "threshold": threshold, "indices": indices, "scores": scores}
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    d: float
-    critical_value: float
-    alpha: float
-    distinguishable: bool
-    n_a: int
-    n_b: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "critical_value": self.critical_value,
-            "alpha": self.alpha,
-            "distinguishable": self.distinguishable,
-            "n_a": self.n_a,
-            "n_b": self.n_b,
-        }
-
-
-def ks_statistic(a, b, alpha: float = 0.01) -> ComparisonReport:
-    """Two-sample Kolmogorov-Smirnov comparison.
+def ks_statistic(a, b, alpha: float = 0.01) -> dict:
+    """Two-sample Kolmogorov-Smirnov comparison: d, critical_value, alpha,
+    distinguishable (d > critical_value), n_a and n_b.
 
     D is the exact supremum ECDF gap (computed with integer cross products,
     no float accumulation); the critical value at `alpha` is
@@ -204,13 +137,8 @@ def ks_statistic(a, b, alpha: float = 0.01) -> ComparisonReport:
     d = best_num / (na * nb)
     c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
     critical = c * math.sqrt((na + nb) / (na * nb))
-    return ComparisonReport(d, critical, alpha, d > critical, na, nb)
-
-
-@dataclass(frozen=True)
-class HistBin:
-    lower_edge: float
-    count: int
+    return {"d": d, "critical_value": critical, "alpha": alpha,
+            "distinguishable": d > critical, "n_a": na, "n_b": nb}
 
 
 def histogram(samples, bin_count: int) -> list:
@@ -230,10 +158,10 @@ def histogram(samples, bin_count: int) -> list:
         else:
             idx = min(int((x - lo) / width), bin_count - 1)
         counts[idx] += 1
-    return [HistBin(lo + i * width, counts[i]) for i in range(bin_count)]
+    return [{"lower_edge_ns": lo + i * width, "count": counts[i]} for i in range(bin_count)]
 
 
 def write_histogram_csv(bins, fp) -> None:
     fp.write("lower_edge_ns,count\n")
     for hb in bins:
-        fp.write(f"{hb.lower_edge},{hb.count}\n")
+        fp.write(f"{hb['lower_edge_ns']},{hb['count']}\n")

@@ -125,10 +125,6 @@ class WeightSet:
     def input_width(self) -> int:
         return self.layers[0].in_width
 
-    @property
-    def output_width(self) -> int:
-        return self.layers[-1].out_width
-
     def digest(self) -> int:
         parts = []
         for layer in self.layers:

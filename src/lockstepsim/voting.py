@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 from .coupling import Timeout as RendezvousTimeout
 from .errors import ConfigError, ProtocolError
+from .fixedpoint import FRAC_BITS
 
 _POLICY_RE = re.compile(r"^(\d+)oo(\d+)$")
 
@@ -70,7 +71,7 @@ def outputs_agree(comparator, a, b) -> bool:
         )
     if isinstance(comparator, Exact):
         return a.digest == b.digest
-    raw_eps = comparator.eps * (1 << a.output.frac_bits)
+    raw_eps = comparator.eps * (1 << FRAC_BITS)
     return all(abs(x - y) <= raw_eps for x, y in zip(a.output.data, b.output.data))
 
 

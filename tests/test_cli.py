@@ -139,6 +139,17 @@ class TestCompareCommand:
         assert cli_main(["compare", str(tmp_path / "t"), str(tmp_path / "t")]) == 1
         assert "refused" in capsys.readouterr().err
 
+    def test_compare_report_not_json_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, zero_jitter_duplex(frames=6, reps=2))
+        cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")])
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"replicas": [')
+        capsys.readouterr()
+        assert cli_main(["compare", str(tmp_path / "a"), str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{bad}: not valid JSON" in captured.err
+
 
 class TestVoteTableCommand:
     def test_patterns_canonical(self):
@@ -179,3 +190,15 @@ class TestStatsCommand:
 
     def test_stats_missing_file(self, tmp_path, capsys):
         assert cli_main(["stats", "--trace", str(tmp_path / "none.jsonl")]) == 1
+
+    def test_stats_trace_line_not_json_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, zero_jitter_duplex(frames=2, reps=1))
+        cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")])
+        trace = tmp_path / "a" / "trace.jsonl"
+        lines = trace.read_text().splitlines(keepends=True)
+        trace.write_text("".join(lines[:3]) + "{not json\n" + "".join(lines[3:]))
+        capsys.readouterr()
+        assert cli_main(["stats", "--trace", str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{trace}:4: not valid JSON" in captured.err

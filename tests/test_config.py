@@ -169,6 +169,17 @@ class TestSeedResolution:
         del raw["seed"]
         assert errors_of(raw, env={SEED_ENV_VAR: "-5"}) == ["config.seed: must be >= 0, got -5"]
 
+    def test_seed_error_does_not_hide_fault_errors(self):
+        raw = zero_jitter_duplex(faults=[{
+            "replica_id": 0,
+            "kind": {"type": "output_bit_flip", "element_index": 0, "bit": 16},
+        }])
+        raw["seed"] = -1
+        assert errors_of(raw, env={}) == [
+            "config.seed: must be >= 0, got -1",
+            "config.faults[0].kind.bit: must be <= 15, got 16",
+        ]
+
 
 def _with_field(raw, path, value):
     *parents, key = path.split(".")[1:]

@@ -87,7 +87,7 @@ class TestJitter:
         model = JitterModel(base_overhead_ns=1000, spike_prob=0.01, spike_scale_ns=20_000)
         rng = Rng(2024).child("jitter-mc")
         samples = [sample_turnaround_overhead(model, rng) for _ in range(50_000)]
-        g2 = stats(samples).excess_kurtosis
+        g2 = stats(samples)["excess_kurtosis"]
         assert g2 > 3
         assert g2 == GOLDEN_MC_KURTOSIS
 

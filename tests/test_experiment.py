@@ -30,9 +30,9 @@ class TestHealthyBaseline:
         cfg, report, _ = run_with_records(zero_jitter_duplex(frames=10, reps=3))
         total = 10 * 3
         assert report.verdict_counts == {"pass": total, "mismatch": 0, "timeout": 0, "degraded": 0}
-        assert report.skew == {"n": total, "min": 0, "mean": 0.0, "max": 0}
-        assert report.safety_final == "operational"
-        assert report.fault_summary["injected"] == 0
+        assert report.skew_ns == {"n": total, "min": 0, "mean": 0.0, "max": 0}
+        assert report.safety["final_state"] == "operational"
+        assert report.faults["injected"] == 0
 
     def test_zero_jitter_turnaround_equals_pure_compute_time(self):
         # with every jitter parameter zero the measured turnaround is exactly
@@ -46,7 +46,7 @@ class TestHealthyBaseline:
     def test_sample_conservation(self):
         cfg, report, _ = run_with_records(zero_jitter_duplex(frames=7, reps=4))
         for rid in (0, 1):
-            assert len(report.samples[rid]) == 7 * 4
+            assert len(report.replicas[rid]["samples"]) == 7 * 4
         assert sum(report.verdict_counts.values()) == 7 * 4
 
     def test_tight_preset_baseline(self):
@@ -59,7 +59,7 @@ class TestHealthyBaseline:
         cfg = config_from_dict(raw)
         report = run_experiment(cfg)
         assert report.verdict_counts["pass"] == 12
-        assert report.skew["max"] == 0
+        assert report.skew_ns["max"] == 0
         assert report.bus == {"comparisons": 12, "divergences": 0}
 
 
@@ -73,8 +73,8 @@ class TestFaultScenarios:
         cfg, report, records = run_with_records(raw)
         assert report.verdict_counts["mismatch"] == 1
         assert report.verdict_counts["pass"] == 9
-        assert report.safety_final == "safe_off"
-        assert report.fault_summary == {
+        assert report.safety["final_state"] == "safe_off"
+        assert report.faults == {
             "injected": 1, "detected": 1, "masked_pass": 0, "corrupted_pass": 0,
         }
         verdicts = [(r["frame_id"], r["variant"]) for r in records if r["kind"] == "verdict"]
@@ -83,8 +83,8 @@ class TestFaultScenarios:
         assert actions[:7] == ["deliver_output"] * 7
         assert actions[7] == "enter_safe_off"
         assert actions[8:] == ["suppress_output"] * 2
-        assert report.safety_timeline == [{
-            "t_ns": report.safety_timeline[0]["t_ns"],
+        assert report.safety["timeline"] == [{
+            "t_ns": report.safety["timeline"][0]["t_ns"],
             "frame_id": 7, "repetition": 0,
             "from": "operational", "to": "safe_off",
         }]
@@ -100,8 +100,8 @@ class TestFaultScenarios:
         timeouts = [r for r in records if r["kind"] == "verdict" and r["variant"] == "timeout"]
         assert timeouts[0]["missing_ids"] == [0]
         # the dropped output produces no completion record and no sample
-        assert len(report.samples[0]) == 4
-        assert len(report.samples[1]) == 5
+        assert len(report.replicas[0]["samples"]) == 4
+        assert len(report.replicas[1]["samples"]) == 5
 
     def test_stuck_output_replays_previous_frame(self):
         # seed chosen so frames 0 and 1 have different healthy outputs
@@ -165,7 +165,7 @@ class TestFaultScenarios:
         }
         report = run_experiment(config_from_dict(raw))
         assert report.verdict_counts["pass"] == 4
-        assert report.skew["max"] == delay
+        assert report.skew_ns["max"] == delay
 
     def test_completion_before_its_delivery_raises(self):
         # config validation rejects a negative delay; a hand-built config
@@ -199,7 +199,7 @@ class TestFaultScenarios:
             "trigger": {"type": "with_probability", "p": 0.3},
         }])
         cfg, report, _ = run_with_records(raw)
-        fs = report.fault_summary
+        fs = report.faults
         assert fs["injected"] == report.verdict_counts["mismatch"]
         assert fs["detected"] == fs["injected"]
         assert fs["corrupted_pass"] == 0
@@ -212,15 +212,15 @@ class TestDegradedTopologies:
                                  extra_topology={"health": ["healthy", "failed"]})
         cfg, report, _ = run_with_records(raw)
         assert report.verdict_counts["degraded"] == 3
-        assert report.safety_final == "safe_off"
-        assert len(report.samples[1]) == 0
+        assert report.safety["final_state"] == "safe_off"
+        assert len(report.replicas[1]["samples"]) == 0
 
     def test_no_healthy_replicas_degrades_immediately(self):
         raw = zero_jitter_duplex(frames=2, reps=1,
                                  extra_topology={"health": ["failed", "failed"]})
         cfg, report, _ = run_with_records(raw)
         assert report.verdict_counts["degraded"] == 2
-        assert all(len(s) == 0 for s in report.samples.values())
+        assert all(row["samples"] == [] for row in report.replicas)
 
     def test_2oo3_with_one_failed_channel_still_passes(self):
         raw = zero_jitter_duplex(frames=3, reps=1, replicas=3, policy="2oo3",
@@ -234,8 +234,8 @@ class TestClockOffsetsAndPtp:
         raw = zero_jitter_duplex(frames=4, reps=1,
                                  extra_topology={"clock_offsets_ns": [0, 500]})
         cfg, report, _ = run_with_records(raw)
-        assert report.skew["max"] == 500
-        assert report.skew["min"] == 500
+        assert report.skew_ns["max"] == 500
+        assert report.skew_ns["min"] == 500
 
     def test_ptp_alignment_removes_injected_offset(self):
         raw = zero_jitter_duplex(frames=4, reps=1, extra_topology={
@@ -243,7 +243,7 @@ class TestClockOffsetsAndPtp:
             "ptp": {"enabled": True, "link_delay_ns": 800},
         })
         cfg, report, records = run_with_records(raw)
-        assert report.skew["max"] == 0
+        assert report.skew_ns["max"] == 0
         ptp = [r for r in records if r["kind"] == "ptp"]
         assert [p["offset_ns"] for p in ptp] == [0, 500]
         assert report.ptp[1]["path_delay_ns"] == 800
@@ -256,7 +256,7 @@ class TestClockOffsetsAndPtp:
         cfg, report, _ = run_with_records(raw)
         # both replicas over-corrected by a/2 = 50 equally, except replica 0
         # had no offset: skew is the residual difference
-        assert report.skew["max"] == 0  # same correction error on both sides cancels
+        assert report.skew_ns["max"] == 0  # same correction error on both sides cancels
 
 
 class TestDeterminismAndFiles:
@@ -311,7 +311,7 @@ class TestCompareRuns:
     def _report(self, seed=1, frames=8, host_jitter=None):
         extra = {"host_jitter": host_jitter} if host_jitter else None
         raw = zero_jitter_duplex(seed=seed, frames=frames, reps=2, extra_topology=extra)
-        return run_experiment(config_from_dict(raw))
+        return run_experiment(config_from_dict(raw)).to_json_dict()
 
     def test_self_comparison_not_distinguishable(self):
         rep = self._report()
@@ -326,7 +326,7 @@ class TestCompareRuns:
         assert cmp["any_distinguishable"]
 
     def test_refusal_below_four_samples(self):
-        tiny = run_experiment(config_from_dict(zero_jitter_duplex(frames=1, reps=2)))
+        tiny = run_experiment(config_from_dict(zero_jitter_duplex(frames=1, reps=2))).to_json_dict()
         ok = self._report()
         with pytest.raises(ConfigError) as exc:
             compare_runs(tiny, ok)

@@ -41,7 +41,6 @@ def test_drop_and_stuck_flags():
     apply_fault(FaultSpec(DropOutput()), effects, 0, Rng(0))
     apply_fault(FaultSpec(StuckOutput()), effects, 0, Rng(0))
     assert effects.drop and effects.stuck
-    assert effects.any_applied
 
 
 def test_probability_zero_never_fires():
@@ -67,7 +66,7 @@ def test_untriggered_fault_not_applied():
     effects = FaultEffects()
     spec = FaultSpec(OutputBitFlip(0, 0), OnFrame(3))
     assert apply_fault(spec, effects, frame_id=2, rng=Rng(0)) is False
-    assert not effects.any_applied
+    assert effects.output_flips == []
 
 
 def test_weight_flip_changes_one_bit():

@@ -37,8 +37,6 @@ def test_construction_validates_shape_and_data():
         FixedPointTensor((2,), (1,))
     with pytest.raises(DimensionError):
         FixedPointTensor((1,), (40000,))
-    with pytest.raises(DimensionError):
-        FixedPointTensor((1,), (1,), frac_bits=4)
 
 
 def test_equal_tensors_equal_digests():
@@ -87,11 +85,6 @@ def test_combine_digests_order_sensitive():
     assert combine_digests(1, 2) != combine_digests(2, 1)
 
 
-def test_real_conversion_roundtrip():
-    t = FixedPointTensor.from_real((2,), [1.0, -0.5])
-    assert t.data == (256, -128)
-    assert t.to_real() == [1.0, -0.5]
-
 
 def test_serialization_roundtrip():
     t = FixedPointTensor((2, 3), (1, -2, 3, -4, 5, -6))
@@ -100,6 +93,12 @@ def test_serialization_roundtrip():
     assert tensor_from_json(json.loads(json.dumps(obj))) == t
     with pytest.raises(DimensionError):
         tensor_from_json({"version": 99, "shape": [1], "data": [0]})
+
+
+def test_from_json_rejects_other_frac_bits():
+    assert tensor_to_json(FixedPointTensor((1,), (1,)))["frac_bits"] == 8
+    with pytest.raises(DimensionError, match="frac_bits is fixed at 8, got 4"):
+        tensor_from_json({"version": 1, "shape": [1], "frac_bits": 4, "data": [1]})
 
 
 def test_weight_set_golden_serialization():

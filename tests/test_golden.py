@@ -11,6 +11,7 @@ To print the digests of the current code (for a deliberate format change):
 """
 
 import copy
+import dataclasses
 import hashlib
 import json
 import sys
@@ -19,7 +20,13 @@ from pathlib import Path
 import pytest
 
 from lockstepsim.config import config_from_dict
-from lockstepsim.experiment import REPORT_FILENAME, TRACE_FILENAME, run_to_directory
+from lockstepsim.experiment import (
+    REPORT_FILENAME,
+    TRACE_FILENAME,
+    ExperimentReport,
+    run_experiment,
+    run_to_directory,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -249,6 +256,19 @@ def test_cases_cover_every_record_shape(case_output):
     for name in sorted(set(CASES) - SLOW_CASES):
         seen.update(_shape(json.loads(line)) for line in case_output(name)[1])
     assert seen == RECORD_SHAPES
+
+
+@pytest.mark.parametrize("name", ["tight-2oo3-all-faults", "loose-duplex-ptp-tolerance"])
+def test_in_memory_report_is_the_file(name, tmp_path):
+    # run_experiment's report, dumped as run_to_directory dumps it, is the file
+    cfg = config_from_dict(CASES[name](), env={})
+    run_to_directory(cfg, tmp_path)
+    written = (tmp_path / REPORT_FILENAME).read_bytes()
+    in_memory = run_experiment(cfg).to_json_dict()
+    assert (json.dumps(in_memory, indent=2) + "\n").encode() == written
+    keys = list(json.loads(written))
+    assert keys[0] == "schema_version"
+    assert [f.name for f in dataclasses.fields(ExperimentReport)] == keys[1:]
 
 
 if __name__ == "__main__":

@@ -31,24 +31,24 @@ def assert_close(a, b, rel=1e-9):
 
 class TestStats:
     def test_nearest_rank_p50(self):
-        assert stats([10, 20, 30, 40]).p50 == 20
+        assert stats([10, 20, 30, 40])["p50"] == 20
 
     def test_constant_samples(self):
         s = stats([5, 5, 5, 5])
-        assert s.mean == 5
-        assert s.sample_std == 0
-        assert s.skewness is None
-        assert s.excess_kurtosis is None
-        assert s.bimodality is None
+        assert s["mean"] == 5
+        assert s["sample_std"] == 0
+        assert s["skewness"] is None
+        assert s["excess_kurtosis"] is None
+        assert s["bimodality"] is None
 
     def test_hand_computed_kurtosis_anchor(self):
         # m2 = 1600, m4 = 8,320,000 -> excess kurtosis exactly 0.25
         s = stats([0, 0, 0, 0, 100])
-        assert s.excess_kurtosis == pytest.approx(0.25, abs=1e-12)
+        assert s["excess_kurtosis"] == pytest.approx(0.25, abs=1e-12)
 
     def test_small_n_statistics_absent(self):
         s = stats([1, 2, 3])
-        assert s.skewness is None and s.excess_kurtosis is None and s.bimodality is None
+        assert s["skewness"] is None and s["excess_kurtosis"] is None and s["bimodality"] is None
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -56,37 +56,34 @@ class TestStats:
 
     def test_single_sample(self):
         s = stats([42])
-        assert (s.mean, s.sample_std, s.min_value, s.max_value) == (42.0, 0.0, 42, 42)
-        assert s.p50 == s.p95 == s.p99 == 42
+        assert (s["mean"], s["sample_std"], s["min"], s["max"]) == (42.0, 0.0, 42, 42)
+        assert s["p50"] == s["p95"] == s["p99"] == 42
 
     def test_percentile_ranks_exact_on_100(self):
         xs = list(range(1, 101))
         s = stats(xs)
-        assert (s.p50, s.p95, s.p99) == (50, 95, 99)
+        assert (s["p50"], s["p95"], s["p99"]) == (50, 95, 99)
 
     @given(samples_strategy)
     @settings(max_examples=150, deadline=None)
     def test_matches_high_precision_reference(self, xs):
         got = stats(xs)
         want = stats_reference(xs)
-        assert got.n == want["n"]
-        assert_close(got.mean, want["mean"])
-        assert_close(got.sample_std, want["sample_std"])
-        assert got.min_value == want["min"] and got.max_value == want["max"]
-        assert (got.p50, got.p95, got.p99) == (want["p50"], want["p95"], want["p99"])
-        assert_close(got.skewness, want["skewness"])
-        assert_close(got.excess_kurtosis, want["excess_kurtosis"])
-        assert_close(got.bimodality, want["bimodality"])
+        assert list(got) == list(want)
+        for key in ("n", "min", "max", "p50", "p95", "p99"):
+            assert got[key] == want[key]
+        for key in ("mean", "sample_std", "skewness", "excess_kurtosis", "bimodality"):
+            assert_close(got[key], want[key])
 
     @given(st.lists(st.integers(0, 10**6), min_size=4, max_size=200))
     @settings(max_examples=100, deadline=None)
     def test_scipy_cross_check(self, xs):
         s = stats(xs)
-        if s.excess_kurtosis is None:
+        if s["excess_kurtosis"] is None:
             return
-        assert_close(s.skewness, float(scipy.stats.skew(xs, bias=True)), rel=1e-8)
+        assert_close(s["skewness"], float(scipy.stats.skew(xs, bias=True)), rel=1e-8)
         assert_close(
-            s.excess_kurtosis,
+            s["excess_kurtosis"],
             float(scipy.stats.kurtosis(xs, fisher=True, bias=True)),
             rel=1e-8,
         )
@@ -103,39 +100,40 @@ class TestStats:
     def test_translation_behavior(self, xs, c):
         base = stats(xs)
         moved = stats([x + c for x in xs])
-        assert moved.mean == pytest.approx(base.mean + c, rel=1e-12)
-        assert (moved.p50, moved.p95, moved.p99) == (base.p50 + c, base.p95 + c, base.p99 + c)
-        assert_close(moved.sample_std, base.sample_std, rel=1e-7)
-        assert_close(moved.skewness, base.skewness, rel=1e-6)
-        assert_close(moved.excess_kurtosis, base.excess_kurtosis, rel=1e-6)
+        assert moved["mean"] == pytest.approx(base["mean"] + c, rel=1e-12)
+        for key in ("p50", "p95", "p99"):
+            assert moved[key] == base[key] + c
+        assert_close(moved["sample_std"], base["sample_std"], rel=1e-7)
+        assert_close(moved["skewness"], base["skewness"], rel=1e-6)
+        assert_close(moved["excess_kurtosis"], base["excess_kurtosis"], rel=1e-6)
 
     @given(st.lists(st.integers(0, 10**6), min_size=4, max_size=300))
     @settings(max_examples=150, deadline=None)
     def test_bimodality_in_unit_interval(self, xs):
-        b = stats(xs).bimodality
+        b = stats(xs)["bimodality"]
         if b is not None:
             assert 0.0 < b <= 1.0
 
     def test_json_serialization_uses_null_markers(self):
         import json
 
-        blob = json.loads(json.dumps(stats([5, 5, 5, 5]).to_json_dict()))
+        blob = json.loads(json.dumps(stats([5, 5, 5, 5])))
         assert blob["excess_kurtosis"] is None
         assert blob["n"] == 4
 
 
 class TestOutliers:
     def test_constant_samples_no_outliers(self):
-        assert detect_outliers([7, 7, 7, 7]).count == 0
+        assert detect_outliers([7, 7, 7, 7])["indices"] == []
 
     def test_hand_traced_example(self):
         xs = [8, 9, 10, 11, 12, 13, 14, 100]
         rep = detect_outliers(xs)
-        assert rep.indices == (7,)
-        assert rep.scores[0] == pytest.approx(29.846625, abs=1e-9)
+        assert rep["indices"] == [7]
+        assert rep["scores"][0] == pytest.approx(29.846625, abs=1e-9)
 
     def test_all_within_threshold_empty(self):
-        assert detect_outliers([10, 11, 12, 13, 14]).count == 0
+        assert detect_outliers([10, 11, 12, 13, 14])["indices"] == []
 
     def test_needs_three_samples(self):
         with pytest.raises(ValueError):
@@ -145,34 +143,34 @@ class TestOutliers:
         rng = Rng(4)
         xs = [1000 + rng.randrange(50) for _ in range(200)] + [10_000, 25_000]
         rep = detect_outliers(xs)
-        assert rep.count >= 2
-        assert all(s > rep.threshold for s in rep.scores)
+        assert len(rep["indices"]) >= 2
+        assert all(s > rep["threshold"] for s in rep["scores"])
 
     def test_mad_zero_falls_back_to_mean_deviation(self):
         # majority at one value: MAD is 0 but the mean deviation is not
         xs = [5] * 20 + [500]
         rep = detect_outliers(xs)
-        assert rep.indices == (20,)
+        assert rep["indices"] == [20]
 
 
 class TestKs:
     def test_identical_samples_zero(self):
         rep = ks_statistic([1, 2, 3, 4], [1, 2, 3, 4])
-        assert rep.d == 0.0
-        assert not rep.distinguishable
+        assert rep["d"] == 0.0
+        assert not rep["distinguishable"]
 
     def test_disjoint_supports_one(self):
         rep = ks_statistic([1, 2, 3], [10, 11, 12])
-        assert rep.d == 1.0
+        assert rep["d"] == 1.0
 
     def test_quarter_gap_example(self):
         rep = ks_statistic([1, 2, 3, 4], [1, 2, 3, 10])
-        assert rep.d == 0.25
+        assert rep["d"] == 0.25
 
     def test_critical_value_formula(self):
         rep = ks_statistic([1] * 50, [2] * 100, alpha=0.01)
         c = math.sqrt(-math.log(0.005) / 2)
-        assert rep.critical_value == pytest.approx(c * math.sqrt(150 / 5000), rel=1e-12)
+        assert rep["critical_value"] == pytest.approx(c * math.sqrt(150 / 5000), rel=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -184,7 +182,7 @@ class TestKs:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_force_reference(self, a, b):
-        assert ks_statistic(a, b).d == pytest.approx(ks_reference(a, b), abs=1e-12)
+        assert ks_statistic(a, b)["d"] == pytest.approx(ks_reference(a, b), abs=1e-12)
 
     @given(
         st.lists(st.integers(0, 50), min_size=1, max_size=60),
@@ -192,7 +190,7 @@ class TestKs:
     )
     @settings(max_examples=100, deadline=None)
     def test_symmetry(self, a, b):
-        assert ks_statistic(a, b).d == ks_statistic(b, a).d
+        assert ks_statistic(a, b)["d"] == ks_statistic(b, a)["d"]
 
     @given(
         st.lists(st.integers(0, 1000), min_size=5, max_size=100),
@@ -201,24 +199,23 @@ class TestKs:
     @settings(max_examples=60, deadline=None)
     def test_scipy_cross_check(self, a, b):
         want = scipy.stats.ks_2samp(a, b, method="asymp").statistic
-        assert ks_statistic(a, b).d == pytest.approx(float(want), abs=1e-9)
+        assert ks_statistic(a, b)["d"] == pytest.approx(float(want), abs=1e-9)
 
 
 class TestHistogram:
     def test_even_split(self):
         bins = histogram([0, 1, 2, 3], 2)
-        assert [b.count for b in bins] == [2, 2]
-        assert bins[0].lower_edge == 0
+        assert bins == [{"lower_edge_ns": 0, "count": 2}, {"lower_edge_ns": 1.5, "count": 2}]
 
     def test_single_sample_lands_in_one_bin(self):
         bins = histogram([42], 4)
-        counts = [b.count for b in bins]
+        counts = [b["count"] for b in bins]
         assert sum(counts) == 1
         assert counts.count(0) == 3
 
     def test_max_value_in_last_bin(self):
         bins = histogram([0, 10], 5)
-        assert bins[-1].count == 1
+        assert bins[-1]["count"] == 1
 
     def test_empty_histogram(self):
         assert histogram([], 5) == []
@@ -230,7 +227,7 @@ class TestHistogram:
     @given(st.lists(st.integers(0, 10**6), min_size=0, max_size=500), st.integers(1, 64))
     @settings(max_examples=150, deadline=None)
     def test_counts_always_sum_to_n(self, xs, bins):
-        assert sum(b.count for b in histogram(xs, bins)) == len(xs)
+        assert sum(b["count"] for b in histogram(xs, bins)) == len(xs)
 
     def test_csv_format(self):
         buf = io.StringIO()
