@@ -3,23 +3,32 @@
 These deliberately avoid the library's own code paths: plain-int loops
 instead of numpy, Fraction arithmetic instead of scaled integer sums,
 subset enumeration instead of greedy grouping.
+
+`run_reference` is the scalar experiment runner, frozen as a reference:
+one frame, one inference and one bus trace of (cycle, kind, digest)
+events at a time, in plain Python ints. It imports only the random
+streams, simulated time, coupling, voting and profiling; never the
+experiment runner, the tensors or the replica.
 """
 
+import json
 import math
+import struct
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
-from lockstepsim.replica import RELU
+RELU = "relu"
 
 
 def infer_reference(weights, input_tensor):
     """Arbitrary-precision integer evaluation of the network, mirroring the
     stated arithmetic rules with plain Python loops."""
-    x = list(input_tensor.data)
+    x = [int(v) for v in input_tensor.data]
     for layer in weights.layers:
         out_w, in_w = layer.out_width, layer.in_width
-        w = layer.weights.data
-        b = layer.bias.data
+        w = [int(v) for v in layer.weights.data]
+        b = [int(v) for v in layer.bias.data]
         y = []
         for j in range(out_w):
             acc = sum(w[j * in_w + i] * x[i] for i in range(in_w)) + (b[j] << 8)
@@ -125,3 +134,431 @@ def tolerance_cliques(values, raw_eps):
                 if not any(set(subset) <= set(c) for c in cliques):
                     cliques.append(subset)
     return cliques
+
+
+# -- the scalar experiment runner, frozen --------------------------------------
+#
+# A copy of the per-round runner as it stood before frames were processed in
+# blocks, with its own copies of the leaf code that the block path rewrote:
+# frame and weight synthesis, layer-by-layer inference with its bus trace,
+# the event-by-event bus compare, bit flips, fault folding and the tensor
+# digest over tuple data. Change it only to follow an on-purpose change of the
+# trace or report format.
+
+from lockstepsim.coupling import (  # noqa: E402
+    Complete,
+    Tight,
+    distribute_input,
+    estimate_ptp_offset,
+    rendezvous,
+    simulate_ptp_exchange,
+)
+from lockstepsim.errors import NoHealthyReplicas, SimulationError  # noqa: E402
+from lockstepsim.eventsim import cycles_to_time, sample_turnaround_overhead  # noqa: E402
+from lockstepsim.profiling import detect_outliers, histogram, stats  # noqa: E402
+from lockstepsim.rng import Rng, derive_seed, fnv1a64  # noqa: E402
+from lockstepsim.voting import PASS, SafetySwitchState, Verdict, step_safety, vote  # noqa: E402
+
+_Tensor = namedtuple("_Tensor", "shape data")
+_Layer = namedtuple("_Layer", "weights bias activation out_width in_width")
+_Weights = namedtuple("_Weights", "layers")
+_Output = namedtuple(
+    "_Output", "replica_id frame_id output classification digest compute_cycles completion_time trace")
+_BusEvent = namedtuple("_BusEvent", "cycle kind payload_digest")
+_Divergence = namedtuple("_Divergence", "event_index reason")
+
+_WEIGHT_CLAMP = 1 << 12
+_INPUT_CLAMP = 1 << 8
+
+
+def _digest(t):
+    rank = len(t.shape)
+    return fnv1a64(struct.pack(f"<{rank + 1}I{len(t.data)}h", rank, *t.shape, *t.data))
+
+
+def _combine(*digests):
+    return fnv1a64(b"".join(struct.pack("<Q", d) for d in digests))
+
+
+def _gen_weights(seed, arch):
+    rng = Rng(seed)
+    span = 2 * _WEIGHT_CLAMP + 1
+    layers = []
+    for li, (in_w, out_w) in enumerate(zip(arch, arch[1:])):
+        w = tuple(rng.randrange(span) - _WEIGHT_CLAMP for _ in range(out_w * in_w))
+        b = tuple(rng.randrange(span) - _WEIGHT_CLAMP for _ in range(out_w))
+        activation = "none" if li == len(arch) - 2 else RELU
+        layers.append(_Layer(_Tensor((out_w, in_w), w), _Tensor((out_w,), b), activation, out_w, in_w))
+    return _Weights(tuple(layers))
+
+
+def _gen_frame(seed, frame_id, shape):
+    rng = Rng(derive_seed(seed, f"frame.{frame_id}"))
+    span = 2 * _INPUT_CLAMP + 1
+    return _Tensor(tuple(shape), tuple(rng.randrange(span) - _INPUT_CLAMP for _ in range(math.prod(shape))))
+
+
+def _infer(weights, input_tensor, engine):
+    current = input_tensor
+    cycle = engine.pipeline_startup_cycles
+    trace = []
+    for layer in weights.layers:
+        out = _Tensor((layer.out_width,), tuple(infer_reference(_Weights((layer,)), current)))
+        macs = layer.out_width * layer.in_width
+        loads = layer.in_width + macs + layer.out_width
+        stores = layer.out_width
+        params_digest = _combine(_digest(layer.weights), _digest(layer.bias))
+        out_digest = _digest(out)
+        load_done = cycle + loads * engine.cycles_per_load
+        exec_done = load_done + macs * engine.cycles_per_mac
+        trace.append(_BusEvent(cycle, "fetch", params_digest))
+        trace.append(_BusEvent(cycle, "load", _digest(current)))
+        trace.append(_BusEvent(load_done, "execute", out_digest))
+        trace.append(_BusEvent(exec_done, "store", out_digest))
+        cycle = exec_done + stores * engine.cycles_per_store
+        current = out
+    return current, cycle, tuple(trace)
+
+
+def _compare_bus_traces(a, b, skew_tolerance_cycles):
+    for i, (ea, eb) in enumerate(zip(a, b)):
+        if ea.kind != eb.kind:
+            return _Divergence(i, f"kind mismatch ({ea.kind} vs {eb.kind})")
+        if ea.payload_digest != eb.payload_digest:
+            return _Divergence(i, "payload digest mismatch")
+        gap = abs(ea.cycle - eb.cycle)
+        if gap > skew_tolerance_cycles:
+            return _Divergence(i, f"cycle skew {gap} exceeds tolerance {skew_tolerance_cycles}")
+    if len(a) != len(b):
+        return _Divergence(min(len(a), len(b)), "trace length mismatch")
+    return None
+
+
+def _flip_bit(t, element_index, bit):
+    raw = (t.data[element_index] & 0xFFFF) ^ (1 << bit)
+    if raw >= 1 << 15:
+        raw -= 1 << 16
+    data = list(t.data)
+    data[element_index] = raw
+    return _Tensor(t.shape, tuple(data))
+
+
+def _flip_weight_bits(weights, flips):
+    layers = list(weights.layers)
+    for layer_idx, element_index, bit in flips:
+        layers[layer_idx] = layers[layer_idx]._replace(
+            weights=_flip_bit(layers[layer_idx].weights, element_index, bit))
+    return _Weights(tuple(layers))
+
+
+def _argmax(t):
+    return t.data.index(max(t.data))
+
+
+def _apply_fault(spec, effects, frame_id, rng):
+    """Fold one fault into `effects` (a dict); whether its trigger fired."""
+    trigger = type(spec.trigger).__name__
+    if trigger == "OnFrame":
+        fired = frame_id == spec.trigger.frame_id
+    elif trigger == "WithProbability":
+        fired = rng.uniform() < spec.trigger.p
+    else:
+        fired = True
+    if not fired:
+        return False
+    kind, name = spec.kind, type(spec.kind).__name__
+    if name == "WeightBitFlip":
+        effects["weight_flips"].append((kind.layer, kind.element_index, kind.bit))
+    elif name == "OutputBitFlip":
+        effects["output_flips"].append((kind.element_index, kind.bit))
+    elif name == "ExtraDelay":
+        effects["extra_delay_ns"] += kind.ns
+    elif name == "DropOutput":
+        effects["drop"] = True
+    else:
+        effects["stuck"] = True
+    return True
+
+
+def _ids(ids):
+    return "[" + ",".join(map(str, ids)) + "]"
+
+
+class _ReferenceRunner:
+    def __init__(self, config):
+        self.cfg = config
+        topo = config.topology
+        self.topology = topo
+        self.coupling = topo.coupling
+        self.engine = topo.engine
+        self.lines = []
+        self.now = 0
+        self.seq = 0
+
+        root = Rng(config.seed)
+        self.weights = _gen_weights(derive_seed(config.seed, "weights"), config.workload.arch)
+        n = topo.replica_count
+        self.host_pairs = []
+        self.feed_pairs = []
+        for rid in range(n):
+            self.host_pairs.append((topo.host_jitter[rid], root.child(f"host.{rid}")))
+            self.feed_pairs.append((topo.feed_jitter[rid], root.child(f"feed.{rid}")))
+        self.replica_faults = {rid: [] for rid in range(n)}
+        for i, (rid, spec) in enumerate(config.faults):
+            self.replica_faults[rid].append((spec, root.child(f"fault.{i}")))
+
+        self.healthy_ids = [rid for rid in range(n) if topo.health[rid] == "healthy"]
+        self.clock_offsets = list(topo.clock_offsets_ns)
+        self.ptp_corrections = [0] * n
+        self.prev_output = [None] * n
+
+        if isinstance(self.coupling, Tight):
+            self._window_ns = max(
+                cycles_to_time(self.coupling.skew_tolerance_cycles, topo.clocks[0]), 1
+            )
+        else:
+            self._window_ns = self.coupling.rendezvous_window_ns
+
+        self.samples = [[] for _ in range(n)]
+        self.skews = []
+        self.verdict_counts = {"pass": 0, "mismatch": 0, "timeout": 0, "degraded": 0}
+        self.safety = SafetySwitchState(debounce_threshold=topo.debounce_threshold)
+        self.safety_timeline = []
+        self.faults = {"injected": 0, "detected": 0, "masked_pass": 0, "corrupted_pass": 0}
+        self.bus = {"comparisons": 0, "divergences": 0}
+        self.ptp_info = []
+
+    def _write_records(self, records):
+        for t, seq, body in sorted(records):
+            self.lines.append(f'{{"t_ns":{t},"seq":{seq},{body}}}\n')
+
+    def _compute(self, rid, frame_id, input_tensor, clean):
+        effects = {"weight_flips": [], "output_flips": [], "extra_delay_ns": 0,
+                   "drop": False, "stuck": False}
+        applied = False
+        for spec, frng in self.replica_faults[rid]:
+            applied |= _apply_fault(spec, effects, frame_id, frng)
+        out, cycles, trace, digest, classification = clean
+        if effects["weight_flips"]:
+            mutated = _flip_weight_bits(self.weights, effects["weight_flips"])
+            out, cycles, trace = _infer(mutated, input_tensor, self.engine)
+            digest = _digest(out)
+            classification = _argmax(out)
+        if effects["output_flips"]:
+            for element_index, bit in effects["output_flips"]:
+                out = _flip_bit(out, element_index, bit)
+            digest = _digest(out)
+            classification = _argmax(out)
+        if effects["stuck"] and self.prev_output[rid] is not None:
+            out = self.prev_output[rid]
+            digest = _digest(out)
+            classification = _argmax(out)
+        return out, cycles, trace, digest, classification, effects, applied
+
+    def _run_round(self, frame_id, rep, input_tensor, clean):
+        release = self.now
+        fr = f'"frame_id":{frame_id},"repetition":{rep}'
+        records = [(release, self.seq, f'"kind":"input_release",{fr}')]
+        self.seq += 1
+        try:
+            barrier = distribute_input(
+                frame_id,
+                release,
+                self.healthy_ids,
+                self.coupling,
+                [self.feed_pairs[rid] for rid in self.healthy_ids],
+            )
+        except NoHealthyReplicas:
+            self._write_records(records)
+            self._finish_round(frame_id, rep, None, Verdict.degraded("no healthy replicas"),
+                               divergence=None, deadline=release)
+            return
+
+        deliveries = barrier.deliveries
+        seq = self.seq
+        for i, (rid, t) in enumerate(deliveries):
+            records.append((t, seq + i, f'"kind":"delivery",{fr},"replica_id":{rid},"skew_ns":{t - release}'))
+        completion_seq = seq + len(deliveries)
+        self.seq = completion_seq + len(deliveries)
+
+        now = release
+        arrivals = []
+        outputs = {}
+        any_applied = False
+        for rid, t_deliver in sorted(deliveries, key=lambda d: d[1]):
+            out, cycles, trace, digest, classification, effects, applied = self._compute(
+                rid, frame_id, input_tensor, clean)
+            any_applied |= applied
+            jitter, host_rng = self.host_pairs[rid]
+            t = (t_deliver + sample_turnaround_overhead(jitter, host_rng)
+                 + cycles_to_time(cycles, self.topology.clocks[rid]) + effects["extra_delay_ns"])
+            if not release <= t_deliver <= t:
+                raise SimulationError(f"replica {rid}, frame {frame_id}: time runs backwards")
+            now = max(now, t)
+            if not effects["drop"]:
+                turnaround = t - release
+                arrivals.append((rid, t + self.clock_offsets[rid] - self.ptp_corrections[rid]))
+                outputs[rid] = _Output(rid, frame_id, out, classification, digest, cycles, t, trace)
+                self.samples[rid].append(turnaround)
+                self.prev_output[rid] = out
+                records.append((t, completion_seq, (
+                    f'"kind":"completion",{fr},"replica_id":{rid},"turnaround_ns":{turnaround},'
+                    f'"compute_cycles":{cycles},"digest":{digest},"classification":{classification}'
+                )))
+            completion_seq += 1
+        self.now = now
+        self._write_records(records)
+
+        outcome = rendezvous(self.healthy_ids, arrivals, self._window_ns)
+        if isinstance(outcome, Complete):
+            deadline = outcome.present[-1][1]
+        elif arrivals:
+            deadline = min(t for _, t in arrivals) + self._window_ns
+        else:
+            deadline = release + self._window_ns
+
+        divergence = None
+        if self.topology.bus_trace_compare and isinstance(self.coupling, Tight):
+            ids = sorted(outputs)
+            if len(ids) >= 2:
+                self.bus["comparisons"] += 1
+                ref = outputs[ids[0]]
+                for rid in ids[1:]:
+                    div = _compare_bus_traces(
+                        ref.trace, outputs[rid].trace, self.coupling.skew_tolerance_cycles
+                    )
+                    if div is not None:
+                        divergence = (ids[0], rid, div)
+                        break
+
+        present_outputs = [outputs[rid] for rid in sorted(outputs)]
+        verdict = vote(present_outputs, self.topology.policy, self.topology.comparator, outcome)
+        self._finish_round(frame_id, rep, outcome, verdict, divergence, deadline)
+
+        if any_applied:
+            self.faults["injected"] += 1
+            if verdict.variant != PASS:
+                self.faults["detected"] += 1
+            elif verdict.agreed.digest == clean[3]:
+                self.faults["masked_pass"] += 1
+            else:
+                self.faults["corrupted_pass"] += 1
+
+    def _finish_round(self, frame_id, rep, outcome, verdict, divergence, deadline):
+        t_record = max(deadline, self.now)
+        self.now = t_record
+        if isinstance(outcome, Complete):
+            self.skews.append(outcome.skew_ns)
+        if divergence is not None:
+            self.bus["divergences"] += 1
+        self.verdict_counts[verdict.variant] += 1
+        new_state, action = step_safety(self.safety, verdict)
+
+        fr = f'"frame_id":{frame_id},"repetition":{rep}'
+        bodies = []
+        if isinstance(outcome, Complete):
+            bodies.append(f'"kind":"rendezvous",{fr},"outcome":"complete","skew_ns":{outcome.skew_ns}')
+        elif outcome is not None:
+            bodies.append(
+                f'"kind":"rendezvous",{fr},"outcome":"timeout","present_ids":{_ids(outcome.present_ids)},'
+                f'"missing_ids":{_ids(outcome.missing_ids)}'
+            )
+        if divergence is not None:
+            rid_a, rid_b, div = divergence
+            bodies.append(
+                f'"kind":"bus_divergence",{fr},"replica_a":{rid_a},"replica_b":{rid_b},'
+                f'"event_index":{div.event_index},"reason":{json.dumps(div.reason)}'
+            )
+        v = f'"kind":"verdict",{fr},"variant":"{verdict.variant}"'
+        if verdict.variant == PASS:
+            v += f',"agreeing_ids":{_ids(verdict.agreeing_ids)},"agreed_digest":{verdict.agreed.digest}'
+        elif verdict.variant == "mismatch":
+            v += ',"groups":[' + ",".join(_ids(g) for g in verdict.groups) + "]"
+        elif verdict.variant == "timeout":
+            v += f',"missing_ids":{_ids(verdict.missing_ids)}'
+        else:
+            v += f',"reason":{json.dumps(verdict.reason)}'
+        bodies.append(v)
+        bodies.append(
+            f'"kind":"safety_action",{fr},"state":"{new_state.state}","action":"{action}",'
+            f'"consecutive_faults":{new_state.consecutive_fault_count}'
+        )
+        self._write_records([(t_record, self.seq + i, body) for i, body in enumerate(bodies)])
+        self.seq += 2 + (outcome is not None) + (divergence is not None)
+
+        if new_state.state != self.safety.state:
+            self.safety_timeline.append(
+                {"t_ns": t_record, "frame_id": frame_id, "repetition": rep,
+                 "from": self.safety.state, "to": new_state.state}
+            )
+        self.safety = new_state
+
+    def _sync_clocks(self):
+        s = self.topology.ptp
+        for rid in range(self.topology.replica_count):
+            forward = s.link_delay_ns + s.asymmetry_ns
+            exchange = simulate_ptp_exchange(
+                self.now, self.clock_offsets[rid], forward, s.link_delay_ns,
+                s.slave_turnaround_ns,
+            )
+            est = estimate_ptp_offset(exchange)
+            self.ptp_corrections[rid] = est.offset_ns
+            self.ptp_info.append({"replica_id": rid, "offset_ns": est.offset_ns,
+                                  "path_delay_ns": est.path_delay_ns})
+            self._write_records([(self.now, self.seq, (
+                f'"kind":"ptp","replica_id":{rid},"offset_ns":{est.offset_ns},'
+                f'"path_delay_ns":{est.path_delay_ns}'
+            ))])
+            self.seq += 1
+
+    def run(self):
+        wl = self.cfg.workload
+        if self.topology.ptp.enabled:
+            self._sync_clocks()
+        for frame_id in range(wl.frame_count):
+            input_tensor = _gen_frame(self.cfg.seed, frame_id, wl.input_shape)
+            out, cycles, trace = _infer(self.weights, input_tensor, self.engine)
+            clean = (out, cycles, trace, _digest(out), _argmax(out))
+            for rep in range(wl.repetitions_per_frame):
+                self._run_round(frame_id, rep, input_tensor, clean)
+        return self._build_report()
+
+    def _build_report(self):
+        prof = self.cfg.profiler
+        replicas = [
+            {
+                "replica_id": rid,
+                "samples": xs,
+                "stats": stats(xs) if xs else None,
+                "outliers": detect_outliers(xs, prof.outlier_threshold) if len(xs) >= 3 else None,
+                "histogram": histogram(xs, prof.bin_count),
+            }
+            for rid, xs in enumerate(self.samples)
+        ]
+        skew = None
+        if self.skews:
+            skew = {
+                "n": len(self.skews),
+                "min": min(self.skews),
+                "mean": sum(self.skews) / len(self.skews),
+                "max": max(self.skews),
+            }
+        return {
+            "schema_version": 1,
+            "config": self.cfg.to_json_dict(),
+            "replicas": replicas,
+            "verdict_counts": self.verdict_counts,
+            "safety": {"final_state": self.safety.state, "timeline": self.safety_timeline},
+            "faults": self.faults,
+            "skew_ns": skew,
+            "bus": self.bus,
+            "ptp": self.ptp_info,
+        }
+
+
+def run_reference(cfg):
+    """(trace.jsonl text, report.json dict) of one experiment config, from
+    the frozen scalar runner."""
+    runner = _ReferenceRunner(cfg)
+    report = runner.run()
+    return "".join(runner.lines), report

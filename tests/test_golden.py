@@ -126,6 +126,34 @@ def _one_short_of_agreement():
     return cfg
 
 
+def _tight_3oo4_rank2_blocks():
+    # 515 = 2 * 256 + 3 frames: two full blocks of the runner's frame
+    # blocks and a partial third. A rank-2 input makes the first load digest
+    # encode a [4, 8] shape. Replica 3 infers on a flipped last layer every
+    # round (a bus divergence that 3oo4 masks); replica 1 joins it at frame
+    # 256, the first frame of a block.
+    return {
+        "seed": 515,
+        "topology": {
+            "replicas": 4,
+            "coupling": {"mode": "tight", "skew_tolerance_cycles": 2},
+            "voter": {"policy": "3oo4", "comparator": {"kind": "exact"}, "debounce_threshold": 1},
+            "clock": {"freq_hz": 250_000_000, "drift_ppm": 0},
+            "shared_clock": True,
+            "bus_trace_compare": True,
+        },
+        "workload": {"frame_count": 515, "repetitions_per_frame": 1, "input_shape": [4, 8], "arch": [32, 12, 6]},
+        "faults": [
+            {"replica_id": 3, "kind": {"type": "weight_bit_flip", "layer": 1, "element_index": 29, "bit": 12},
+             "trigger": {"type": "always"}},
+            {"replica_id": 1, "kind": {"type": "weight_bit_flip", "layer": 1, "element_index": 3, "bit": 15},
+             "trigger": {"type": "on_frame", "frame_id": 256}},
+            {"replica_id": 2, "kind": {"type": "output_bit_flip", "element_index": 4, "bit": 10},
+             "trigger": {"type": "with_probability", "p": 0.1}},
+        ],
+    }
+
+
 CASES = {
     "tight-baseline": lambda: _shipped("tight-baseline.json"),
     "two-profiles": lambda: _shipped("two-profiles.json"),
@@ -135,6 +163,7 @@ CASES = {
     "degraded-no-healthy": _no_healthy_replicas,
     "degraded-one-short": _one_short_of_agreement,
     "paper-protocol": lambda: _shipped("paper-protocol.json"),
+    "tight-3oo4-rank2-blocks": _tight_3oo4_rank2_blocks,
 }
 
 SLOW_CASES = {"paper-protocol"}
@@ -172,6 +201,10 @@ PINS = {
     "paper-protocol": (
         "850b395b8930a0ae87a7a54235eb28d555935f4d4aef4d27dd5ad564b848edfa",
         "d11c0939eb0ac5784259bf831af78ce8fd6ed66c0cd0cf4c6dc82812e1ef0bc8",
+    ),
+    "tight-3oo4-rank2-blocks": (
+        "cb155208d84550fe8e7416cc9473b6c8e91ca37034ad31c08520967d23870f0d",
+        "a0d963bae21ea8c2d4e568e63cdcf0129dd0e0319174e1dfbaac549bd587c45a",
     ),
 }
 
