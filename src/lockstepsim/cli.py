@@ -92,9 +92,19 @@ def _load_report(path_str: str) -> dict:
     if not p.is_file():
         raise ConfigError([f"no report found at {p}"])
     try:
-        return json.loads(p.read_text())
+        report = json.loads(p.read_text())
     except json.JSONDecodeError as e:
         raise ConfigError([f"{p}: not valid JSON ({e})"]) from e
+    # the parts compare_runs reads
+    replicas = report.get("replicas") if isinstance(report, dict) else None
+    if not isinstance(replicas, list) or not all(
+        isinstance(r, dict) and isinstance(r.get("replica_id"), int) and isinstance(r.get("samples"), list)
+        and all(isinstance(r.get(k), (dict, type(None))) for k in ("stats", "outliers"))
+        for r in replicas
+    ):
+        raise ConfigError([f"{p}: not a report: expected an object whose replicas each have "
+                           "an integer replica_id and a list of samples"])
+    return report
 
 
 def _cmd_compare(args) -> int:
@@ -171,8 +181,16 @@ def _cmd_stats(args) -> int:
             except json.JSONDecodeError as e:
                 print(f"{p}:{lineno}: not valid JSON ({e})", file=sys.stderr)
                 return 1
+            if not isinstance(rec, dict):
+                print(f"{p}:{lineno}: not a trace record (expected a JSON object)", file=sys.stderr)
+                return 1
             if rec.get("kind") == "completion":
-                samples.setdefault(rec["replica_id"], []).append(rec["turnaround_ns"])
+                rid, turnaround = rec.get("replica_id"), rec.get("turnaround_ns")
+                if not isinstance(rid, int) or not isinstance(turnaround, int):
+                    print(f"{p}:{lineno}: completion record needs integer replica_id and turnaround_ns",
+                          file=sys.stderr)
+                    return 1
+                samples.setdefault(rid, []).append(turnaround)
     if not samples:
         print("trace contains no completion records", file=sys.stderr)
         return 1

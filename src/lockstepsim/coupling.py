@@ -113,23 +113,26 @@ class Divergence:
     reason: str
 
 
-def compare_bus_traces(a, b, skew_tolerance_cycles: int = 2):
-    """Compare two bus traces event-by-event in order.
+def compare_bus_traces(a, b):
+    """Compare two bus traces of one network on one engine.
 
-    Returns None on match, else the first Divergence: differing kinds,
-    differing payload digests, a cycle gap beyond the tolerance, or a
-    length mismatch (reported at the first missing index).
+    Returns None on match, else the first Divergence. Both traces run the
+    same cycle schedule (see `replica`), so their event kinds, cycles and
+    lengths agree, and the first divergence is the first event whose
+    payload digest differs: the fetch of layer L's parameters (event 4L),
+    its load of the input (4L+1) or its execute (4L+2). A store repeats its
+    execute's digest, so it is never first.
     """
-    for i, (ea, eb) in enumerate(zip(a, b)):
-        if ea.kind != eb.kind:
-            return Divergence(i, f"kind mismatch ({ea.kind} vs {eb.kind})")
-        if ea.payload_digest != eb.payload_digest:
-            return Divergence(i, "payload digest mismatch")
-        gap = abs(ea.cycle - eb.cycle)
-        if gap > skew_tolerance_cycles:
-            return Divergence(i, f"cycle skew {gap} exceeds tolerance {skew_tolerance_cycles}")
-    if len(a) != len(b):
-        return Divergence(min(len(a), len(b)), "trace length mismatch")
+    if a == b:
+        return None
+    (params_a, row_a), (params_b, row_b) = a, b
+    for layer, (pa, pb) in enumerate(zip(params_a, params_b)):
+        if pa != pb:
+            return Divergence(4 * layer, "payload digest mismatch")
+        if row_a[layer] != row_b[layer]:
+            return Divergence(4 * layer + 1, "payload digest mismatch")
+        if row_a[layer + 1] != row_b[layer + 1]:
+            return Divergence(4 * layer + 2, "payload digest mismatch")
     return None
 
 

@@ -10,6 +10,13 @@ two runs of the same config produce byte-identical traces and reports.
 The report is built once, in the shape report.json holds: the counters
 are the report's dicts, and `ExperimentReport`'s fields are the file's keys.
 
+Frames are processed in blocks of `BLOCK_FRAMES`: per block, every frame
+is drawn, inferred and digested at once (see `replica.infer`), and a
+weight-flip set that fires in the block re-infers the whole block on its
+flipped weights, which are built once per run. Memory therefore does not
+grow with the frame count. The rounds of a block still run one by one, in
+order, exactly as if each frame were inferred when its round starts.
+
 Each round is computed directly, in order. Every round ends before the
 next input is released, so a device is always idle when its kernel
 arrives: a completion is the delivery time plus one host jitter draw, the
@@ -43,14 +50,16 @@ from .coupling import (
 from .errors import ConfigError, NoHealthyReplicas, SimulationError
 from .eventsim import cycles_to_time, sample_turnaround_overhead
 from .faults import FaultEffects, apply_fault, flip_output_bits, flip_weight_bits
-from .fixedpoint import argmax_index, tensor_digest
+from .fixedpoint import FixedPointTensor, argmax_index, tensor_digest
 from .profiling import detect_outliers, histogram, ks_statistic, stats, write_histogram_csv
-from .replica import HEALTHY, ReplicaOutput, gen_frame, gen_weights, infer
+from .replica import HEALTHY, ReplicaOutput, gen_frames, gen_weights, infer
 from .rng import Rng, derive_seed
 from .voting import PASS, SafetySwitchState, Verdict, step_safety, vote
 
 TRACE_FILENAME = "trace.jsonl"
 REPORT_FILENAME = "report.json"
+
+BLOCK_FRAMES = 256
 
 
 def _ids(ids) -> str:
@@ -131,6 +140,9 @@ class ExperimentRunner:
         self.clock_offsets = list(topo.clock_offsets_ns)
         self.ptp_corrections = [0] * n
         self.prev_output = [None] * n
+        self._weights = {(): self.weights}  # weight-bit flips -> WeightSet
+        self._frames = None                   # the current block of frames
+        self._block = {}                      # weight-bit flips -> results on it
 
         if isinstance(self.coupling, Tight):
             self._window_ns = max(
@@ -159,17 +171,30 @@ class ExperimentRunner:
 
     # -- per-replica computation ---------------------------------------
 
-    def _compute(self, rid, frame_id, input_tensor, clean):
+    def _result(self, flips, row):
+        """(output, cycles, bus trace, digest, classification) of frame `row`
+        of the block on the weights with the weight-bit `flips` applied."""
+        key = tuple(flips)
+        block = self._block.get(key)
+        if block is None:
+            weights = self._weights.get(key)
+            if weights is None:
+                weights = self._weights[key] = flip_weight_bits(self.weights, flips)
+            outs, cycles, rows = infer(weights, self._frames, self.engine)
+            block = self._block[key] = (outs, cycles, weights.params_digests, rows.tolist())
+        outs, cycles, params, rows = block
+        out = FixedPointTensor((outs.shape[1],), outs[row])
+        digests = tuple(rows[row])
+        return out, cycles, (params, digests), digests[-1], argmax_index(out)
+
+    def _compute(self, rid, frame_id, row, clean):
         effects = FaultEffects()
         applied = False
         for spec, frng in self.replica_faults[rid]:
             applied |= apply_fault(spec, effects, frame_id, frng)
         out, cycles, trace, digest, classification = clean
         if effects.weight_flips:
-            mutated = flip_weight_bits(self.weights, effects.weight_flips)
-            out, cycles, trace = infer(mutated, input_tensor, self.engine)
-            digest = tensor_digest(out)
-            classification = argmax_index(out)
+            out, cycles, trace, digest, classification = self._result(effects.weight_flips, row)
         if effects.output_flips:
             out = flip_output_bits(out, effects.output_flips)
             digest = tensor_digest(out)
@@ -182,7 +207,7 @@ class ExperimentRunner:
 
     # -- round orchestration --------------------------------------------
 
-    def _run_round(self, frame_id, rep, input_tensor, clean):
+    def _run_round(self, frame_id, rep, row, clean):
         release = self.now
         tracing = self._write is not None
         if tracing:
@@ -220,7 +245,7 @@ class ExperimentRunner:
         # a stable sort by time keeps replica order on ties: (time, seq) order
         for rid, t_deliver in sorted(deliveries, key=lambda d: d[1]):
             out, cycles, trace, digest, classification, effects, applied = self._compute(
-                rid, frame_id, input_tensor, clean)
+                rid, frame_id, row, clean)
             any_applied |= applied
             jitter, host_rng = self.host_pairs[rid]
             t = (t_deliver + sample_turnaround_overhead(jitter, host_rng)
@@ -262,9 +287,7 @@ class ExperimentRunner:
                 self.bus["comparisons"] += 1
                 ref = outputs[ids[0]]
                 for rid in ids[1:]:
-                    div = compare_bus_traces(
-                        ref.trace, outputs[rid].trace, self.coupling.skew_tolerance_cycles
-                    )
+                    div = compare_bus_traces(ref.trace, outputs[rid].trace)
                     if div is not None:
                         divergence = (ids[0], rid, div)
                         break
@@ -359,12 +382,14 @@ class ExperimentRunner:
         wl = self.cfg.workload
         if self.topology.ptp.enabled:
             self._sync_clocks()
-        for frame_id in range(wl.frame_count):
-            input_tensor = gen_frame(self.cfg.seed, frame_id, wl.input_shape)
-            out, cycles, trace = infer(self.weights, input_tensor, self.engine)
-            clean = (out, cycles, trace, tensor_digest(out), argmax_index(out))
-            for rep in range(wl.repetitions_per_frame):
-                self._run_round(frame_id, rep, input_tensor, clean)
+        for first in range(0, wl.frame_count, BLOCK_FRAMES):
+            frame_ids = range(first, min(first + BLOCK_FRAMES, wl.frame_count))
+            self._frames = gen_frames(self.cfg.seed, frame_ids, wl.input_shape)
+            self._block = {}
+            for row, frame_id in enumerate(frame_ids):
+                clean = self._result((), row)
+                for rep in range(wl.repetitions_per_frame):
+                    self._run_round(frame_id, rep, row, clean)
         return self._build_report()
 
     def _build_report(self) -> ExperimentReport:

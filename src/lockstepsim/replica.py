@@ -12,10 +12,24 @@ layer widths up to 1024):
     acc[j]  = sum_i W[j,i] * x[i] + (bias[j] << 8)
     y[j]    = saturate_int16(round_half_to_even(acc[j] / 256))
     out[j]  = max(y[j], 0) for ReLU layers, else y[j]
+
+`infer` runs one frame or a block of frames; a block takes one int64
+matmul per layer for all of its frames, and its digests are computed for
+the whole block at once.
+
+Bus trace: per layer L the channel fetches the parameters (event 4L),
+loads the layer input (4L+1), executes (4L+2) and stores the result
+(4L+3). The cycle of each event depends only on the layer shapes and the
+engine, so every inference of one network on one engine shares one cycle
+schedule, which ends at the compute cycles `infer` returns. A trace
+therefore carries only the payload digests, as a pair: the per-layer
+parameter digests, computed once per `WeightSet`, and the frame's digest
+row, the digests of the network input and of each layer's output.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,20 +42,16 @@ from .fixedpoint import (
     RAW_MIN,
     SCALE,
     FixedPointTensor,
-    argmax_index,
     combine_digests,
+    element_count,
     tensor_digest,
+    tensor_digests,
 )
-from .rng import Rng, derive_seed
+from .rng import derive_seed, draws
 
 RELU = "relu"
 LINEAR = "none"
 ACTIVATIONS = (RELU, LINEAR)
-
-FETCH = "fetch"
-LOAD = "load"
-EXECUTE = "execute"
-STORE = "store"
 
 HEALTHY = "healthy"
 FAILED = "failed"
@@ -59,13 +69,7 @@ MAX_LAYER_WIDTH = 1024
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One dense layer: weights (out x in), bias (out), activation.
-
-    `weight_matrix` (int64, out x in) and `shifted_bias` (int64,
-    bias << FRAC_BITS) are built on first use and cached on the layer.
-    Both are read-only. A weight flip builds a new layer, which builds
-    its own arrays.
-    """
+    """One dense layer: weights (out x in), bias (out), activation."""
 
     weights: FixedPointTensor
     bias: FixedPointTensor
@@ -91,18 +95,6 @@ class LayerSpec:
     def in_width(self) -> int:
         return self.weights.shape[1]
 
-    @cached_property
-    def weight_matrix(self) -> np.ndarray:
-        w = np.array(self.weights.data, dtype=np.int64).reshape(self.out_width, self.in_width)
-        w.flags.writeable = False
-        return w
-
-    @cached_property
-    def shifted_bias(self) -> np.ndarray:
-        b = np.array(self.bias.data, dtype=np.int64) << FRAC_BITS
-        b.flags.writeable = False
-        return b
-
 
 @dataclass(frozen=True)
 class WeightSet:
@@ -125,12 +117,11 @@ class WeightSet:
     def input_width(self) -> int:
         return self.layers[0].in_width
 
-    def digest(self) -> int:
-        parts = []
-        for layer in self.layers:
-            parts.append(tensor_digest(layer.weights))
-            parts.append(tensor_digest(layer.bias))
-        return combine_digests(*parts)
+    @cached_property
+    def params_digests(self) -> tuple:
+        """Per layer, the digest of the parameters its fetch reads."""
+        return tuple(combine_digests(tensor_digest(layer.weights), tensor_digest(layer.bias))
+                     for layer in self.layers)
 
 
 @dataclass(frozen=True)
@@ -152,13 +143,6 @@ class EngineConfig:
 
 
 @dataclass(frozen=True)
-class BusEvent:
-    cycle: int
-    kind: str
-    payload_digest: int
-
-
-@dataclass(frozen=True)
 class ReplicaOutput:
     """What the voter sees from one replica for one frame."""
 
@@ -169,7 +153,7 @@ class ReplicaOutput:
     digest: int
     compute_cycles: int
     completion_time: int
-    trace: tuple
+    trace: tuple        # (parameter digests, digest row); see the module docstring
 
 
 def gen_weights(seed: int, arch) -> WeightSet:
@@ -185,32 +169,33 @@ def gen_weights(seed: int, arch) -> WeightSet:
         raise ConfigError(f"arch widths must be positive: {arch}")
     if any(int(w) > MAX_LAYER_WIDTH for w in arch):
         raise ConfigError(f"arch widths must not exceed {MAX_LAYER_WIDTH}: {arch}")
-    rng = Rng(seed)
-    span = 2 * WEIGHT_CLAMP + 1
+    # one stream: each layer's weights, then its bias
+    total = sum((in_w + 1) * out_w for in_w, out_w in zip(arch, arch[1:]))
+    values = (draws([seed], total)[0] % np.uint64(2 * WEIGHT_CLAMP + 1)).astype(np.int16) - WEIGHT_CLAMP
     layers = []
     for li, (in_w, out_w) in enumerate(zip(arch, arch[1:])):
-        w = tuple(rng.randrange(span) - WEIGHT_CLAMP for _ in range(out_w * in_w))
-        b = tuple(rng.randrange(span) - WEIGHT_CLAMP for _ in range(out_w))
-        activation = LINEAR if li == len(arch) - 2 else RELU
+        w, b, values = np.split(values, [out_w * in_w, (in_w + 1) * out_w])
         layers.append(
             LayerSpec(
                 weights=FixedPointTensor((out_w, in_w), w),
                 bias=FixedPointTensor((out_w,), b),
-                activation=activation,
+                activation=LINEAR if li == len(arch) - 2 else RELU,
             )
         )
     return WeightSet(tuple(layers))
 
 
+def gen_frames(seed: int, frame_ids, shape) -> np.ndarray:
+    """The frames `gen_frame` gives for each of `frame_ids`, as one int16
+    array of shape (len(frame_ids), *shape)."""
+    seeds = [derive_seed(seed, f"frame.{frame_id}") for frame_id in frame_ids]
+    values = draws(seeds, math.prod(shape)) % np.uint64(2 * INPUT_CLAMP + 1)
+    return (values.astype(np.int16) - INPUT_CLAMP).reshape(len(seeds), *shape)
+
+
 def gen_frame(seed: int, frame_id: int, shape) -> FixedPointTensor:
     """Synthetic input frame, deterministic in (seed, frame_id, shape)."""
-    rng = Rng(derive_seed(seed, f"frame.{frame_id}"))
-    count = 1
-    for d in shape:
-        count *= d
-    span = 2 * INPUT_CLAMP + 1
-    data = tuple(rng.randrange(span) - INPUT_CLAMP for _ in range(count))
-    return FixedPointTensor(tuple(shape), data)
+    return FixedPointTensor(tuple(shape), gen_frames(seed, [frame_id], shape)[0])
 
 
 def _round_shift_half_even(acc: np.ndarray) -> np.ndarray:
@@ -231,39 +216,42 @@ def layer_costs(layer: LayerSpec) -> tuple:
     return macs, loads, stores
 
 
-def infer(weights: WeightSet, input_tensor: FixedPointTensor, engine: EngineConfig):
-    """Run the network. Returns (output tensor, compute_cycles, bus trace).
+def infer(weights: WeightSet, frames, engine: EngineConfig):
+    """Run the network on one frame or on a block of frames.
+
+    For one FixedPointTensor, returns (output tensor, compute_cycles, bus
+    trace). For a block, an int16 array holding one frame per index of
+    axis 0, returns (int16 outputs, compute_cycles, uint64 digest rows),
+    with one output row and one digest row per frame.
 
     compute_cycles = pipeline_startup + sum over layers of
-    macs*cycles_per_mac + loads*cycles_per_load + stores*cycles_per_store.
-    The trace carries one fetch/load/execute/store group per layer with
-    digests of the parameters read, activations read and results written.
+    macs*cycles_per_mac + loads*cycles_per_load + stores*cycles_per_store,
+    the same for every frame.
     """
-    if input_tensor.element_count != weights.input_width:
+    one = isinstance(frames, FixedPointTensor)
+    shape = frames.shape if one else frames.shape[1:]
+    if element_count(shape) != weights.input_width:
         raise DimensionError(
-            f"input has {input_tensor.element_count} elements, network expects {weights.input_width}"
+            f"input has {element_count(shape)} elements, network expects {weights.input_width}"
         )
-    current = input_tensor
-    cycle = engine.pipeline_startup_cycles
-    trace = []
+    if one:
+        outs, cycles, rows = infer(weights, frames.data.reshape(1, *shape), engine)
+        out = FixedPointTensor((weights.layers[-1].out_width,), outs[0])
+        return out, cycles, (weights.params_digests, tuple(rows[0].tolist()))
+    x = frames.reshape(len(frames), -1)
+    rows = [tensor_digests(shape, x)]
+    cycles = engine.pipeline_startup_cycles
     for layer in weights.layers:
-        x = np.asarray(current.data, dtype=np.int64)
-        acc = layer.weight_matrix @ x + layer.shifted_bias
+        w = layer.weights.data.reshape(layer.out_width, layer.in_width)
+        acc = np.matmul(x, w.T, dtype=np.int64)
+        acc += layer.bias.data.astype(np.int64) << FRAC_BITS
         y = _round_shift_half_even(acc)
         np.clip(y, RAW_MIN, RAW_MAX, out=y)
         if layer.activation == RELU:
             np.maximum(y, 0, out=y)
-        out_tensor = FixedPointTensor((layer.out_width,), tuple(int(v) for v in y))
-
+        x = y.astype(np.int16)
+        rows.append(tensor_digests((layer.out_width,), x))
         macs, loads, stores = layer_costs(layer)
-        params_digest = combine_digests(tensor_digest(layer.weights), tensor_digest(layer.bias))
-        out_digest = tensor_digest(out_tensor)
-        load_done = cycle + loads * engine.cycles_per_load
-        exec_done = load_done + macs * engine.cycles_per_mac
-        trace.append(BusEvent(cycle, FETCH, params_digest))
-        trace.append(BusEvent(cycle, LOAD, tensor_digest(current)))
-        trace.append(BusEvent(load_done, EXECUTE, out_digest))
-        trace.append(BusEvent(exec_done, STORE, out_digest))
-        cycle = exec_done + stores * engine.cycles_per_store
-        current = out_tensor
-    return current, cycle, tuple(trace)
+        cycles += (macs * engine.cycles_per_mac + loads * engine.cycles_per_load
+                   + stores * engine.cycles_per_store)
+    return x, cycles, np.stack(rows, axis=1)

@@ -5,9 +5,16 @@ triggers, weight/frame synthesis) takes its own child stream, so the number
 of draws one consumer makes can never shift the values another one sees.
 Child streams are derived from the parent's base seed, not from its current
 state: creating or using siblings in any order yields the same streams.
+
+SplitMix64 is counter-addressed: draw k (from 1) of the stream with base
+seed s is mix64(s + k * gamma), so `draws` computes any number of draws of
+many streams at once as uint64 arrays (Steele, Lea & Flood, "Fast
+Splittable Pseudorandom Number Generators", OOPSLA 2014).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 
@@ -27,12 +34,33 @@ def mix64(z: int) -> int:
     return (z ^ (z >> 31)) & MASK64
 
 
-def fnv1a64(data: bytes) -> int:
-    """FNV-1a 64-bit hash over a byte string."""
-    h = _FNV_OFFSET
+def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
+    """FNV-1a 64-bit hash over a byte string; `h` continues an earlier hash."""
     for byte in data:
         h = ((h ^ byte) * _FNV_PRIME) & MASK64
     return h
+
+
+def draws(seeds, count: int) -> np.ndarray:
+    """The first `count` `next_u64()` draws of `Rng(seed)` for every seed in
+    `seeds`, as a uint64 array of shape (len(seeds), count)."""
+    base = np.array([s & MASK64 for s in seeds], dtype=np.uint64)
+    z = base[:, None] + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def fnv1a64_rows(h: int, rows: np.ndarray) -> np.ndarray:
+    """FNV-1a 64-bit, continued from the hash `h`, over the bytes of each row
+    of the uint8 array `rows`: a uint64 array with one hash per row. The loop
+    runs over the byte columns and each step over every row at once."""
+    out = np.full(len(rows), h, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for column in rows.T.astype(np.uint64):
+        out ^= column
+        out *= prime
+    return out
 
 
 def derive_seed(seed: int, name: str) -> int:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .coupling import Timeout as RendezvousTimeout
 from .errors import ConfigError, ProtocolError
 from .fixedpoint import FRAC_BITS
@@ -71,8 +73,9 @@ def outputs_agree(comparator, a, b) -> bool:
         )
     if isinstance(comparator, Exact):
         return a.digest == b.digest
-    raw_eps = comparator.eps * (1 << FRAC_BITS)
-    return all(abs(x - y) <= raw_eps for x, y in zip(a.output.data, b.output.data))
+    # widened: the difference of two int16 values can overflow int16
+    diff = np.subtract(a.output.data, b.output.data, dtype=np.int64)
+    return bool((np.abs(diff) <= comparator.eps * (1 << FRAC_BITS)).all())
 
 
 @dataclass(frozen=True)

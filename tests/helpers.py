@@ -1,6 +1,6 @@
 """Small constructors shared across test modules."""
 
-from lockstepsim.fixedpoint import FixedPointTensor, tensor_digest
+from lockstepsim.fixedpoint import FixedPointTensor, argmax_index, tensor_digest
 from lockstepsim.replica import ReplicaOutput
 
 
@@ -12,7 +12,7 @@ def make_output(replica_id, values, frame_id=0, completion_time=0, cycles=0):
         replica_id=replica_id,
         frame_id=frame_id,
         output=tensor,
-        classification=tensor.data.index(max(tensor.data)),
+        classification=argmax_index(tensor),
         digest=tensor_digest(tensor),
         compute_cycles=cycles,
         completion_time=completion_time,

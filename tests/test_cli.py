@@ -150,6 +150,14 @@ class TestCompareCommand:
         assert captured.out == ""
         assert f"{bad}: not valid JSON" in captured.err
 
+    def test_compare_report_of_wrong_shape_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[]")
+        assert cli_main(["compare", str(bad), str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{bad}: not a report")
+
 
 class TestVoteTableCommand:
     def test_patterns_canonical(self):
@@ -202,3 +210,19 @@ class TestStatsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{trace}:4: not valid JSON" in captured.err
+
+    @pytest.mark.parametrize("line, message", [
+        ("5", "not a trace record (expected a JSON object)"),
+        ('{"kind":"completion","replica_id":0}', "completion record needs integer replica_id and turnaround_ns"),
+    ])
+    def test_stats_record_of_wrong_shape_exit_one(self, tmp_path, capsys, line, message):
+        cfg = write_config(tmp_path, zero_jitter_duplex(frames=2, reps=1))
+        cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")])
+        trace = tmp_path / "a" / "trace.jsonl"
+        lines = trace.read_text().splitlines(keepends=True)
+        trace.write_text("".join(lines[:3]) + line + "\n" + "".join(lines[3:]))
+        capsys.readouterr()
+        assert cli_main(["stats", "--trace", str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{trace}:4: {message}\n"

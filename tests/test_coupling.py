@@ -15,8 +15,8 @@ from lockstepsim.coupling import (
 )
 from lockstepsim.errors import ConfigError, NoHealthyReplicas, ProtocolError
 from lockstepsim.eventsim import JitterModel
-from lockstepsim.replica import BusEvent, EXECUTE, FETCH, LOAD, STORE
 from lockstepsim.rng import Rng
+from oracles import _BusEvent, _compare_bus_traces
 
 
 def skews(barrier):
@@ -96,67 +96,49 @@ class TestRendezvous:
             assert isinstance(out, (Complete, Timeout))
 
 
-def _trace(cycles_and_digests):
-    kinds = [FETCH, LOAD, EXECUTE, STORE]
-    return tuple(
-        BusEvent(c, kinds[i % 4], d) for i, (c, d) in enumerate(cycles_and_digests)
-    )
+# Two layers: parameter digests, then the digest row (input, layer 0
+# output, layer 1 output).
+TRACE = ((11, 22), (33, 44, 55))
+
+
+def _events(trace):
+    """The trace as the fetch/load/execute/store events of the shared
+    schedule; every event at cycle 0."""
+    params, row = trace
+    events = []
+    for layer, p in enumerate(params):
+        events += [_BusEvent(0, "fetch", p), _BusEvent(0, "load", row[layer]),
+                   _BusEvent(0, "execute", row[layer + 1]), _BusEvent(0, "store", row[layer + 1])]
+    return tuple(events)
 
 
 class TestCompareBusTraces:
     def test_identical_traces_match(self):
-        t = _trace([(0, 11), (0, 22), (5, 33), (9, 44)])
-        assert compare_bus_traces(t, t, 2) is None
+        assert compare_bus_traces(TRACE, TRACE) is None
+        assert compare_bus_traces(TRACE, ((11, 22), (33, 44, 55))) is None
 
-    def test_uniform_two_cycle_shift_within_tolerance(self):
-        a = _trace([(0, 11), (0, 22), (5, 33), (9, 44)])
-        b = _trace([(2, 11), (2, 22), (7, 33), (11, 44)])
-        assert compare_bus_traces(a, b, 2) is None
-
-    def test_three_cycle_shift_diverges(self):
-        a = _trace([(0, 11), (0, 22), (5, 33), (9, 44)])
-        b = _trace([(3, 11), (3, 22), (8, 33), (12, 44)])
-        div = compare_bus_traces(a, b, 2)
-        assert div == Divergence(0, "cycle skew 3 exceeds tolerance 2")
-
-    def test_digest_mismatch_at_event_three(self):
-        a = _trace([(0, 11), (0, 22), (5, 33), (9, 44)])
-        b = _trace([(0, 11), (0, 22), (5, 33), (9, 999)])
-        div = compare_bus_traces(a, b, 2)
-        assert div.event_index == 3
-        assert "digest" in div.reason
-
-    def test_kind_mismatch(self):
-        a = (BusEvent(0, FETCH, 1),)
-        b = (BusEvent(0, LOAD, 1),)
-        div = compare_bus_traces(a, b, 2)
-        assert div.event_index == 0
-        assert "kind" in div.reason
-
-    def test_length_mismatch_reported_at_first_missing(self):
-        a = _trace([(0, 11), (0, 22), (5, 33), (9, 44)])
-        b = a[:2]
-        div = compare_bus_traces(a, b, 2)
-        assert div == Divergence(2, "trace length mismatch")
+    def test_each_payload_diverges_at_its_event(self):
+        assert compare_bus_traces(TRACE, ((11, 99), (33, 44, 55))) == Divergence(4, "payload digest mismatch")
+        assert compare_bus_traces(TRACE, ((11, 22), (99, 44, 55))).event_index == 1
+        assert compare_bus_traces(TRACE, ((11, 22), (33, 99, 55))).event_index == 2
+        assert compare_bus_traces(TRACE, ((11, 22), (33, 44, 99))).event_index == 6
 
     def test_first_divergence_wins(self):
-        a = _trace([(0, 11), (0, 22), (5, 33), (9, 44)])
-        b = _trace([(0, 99), (0, 22), (5, 88), (9, 44)])
-        assert compare_bus_traces(a, b, 2).event_index == 0
+        assert compare_bus_traces(TRACE, ((99, 22), (33, 44, 88))).event_index == 0
 
-    def test_symmetry_up_to_reason_wording(self):
+    def test_matches_the_event_by_event_compare(self):
+        # The event-by-event compare of the frozen reference runner, over the
+        # events of one shared schedule, gives the same divergence.
         rng = Rng(23)
-        for _ in range(200):
-            a = _trace([(rng.randrange(10), rng.randrange(4)) for _ in range(4)])
-            b = _trace([(rng.randrange(10), rng.randrange(4)) for _ in range(4)])
-            fwd = compare_bus_traces(a, b, 1)
-            rev = compare_bus_traces(b, a, 1)
-            if fwd is None:
-                assert rev is None
-            else:
-                assert rev is not None
-                assert fwd.event_index == rev.event_index
-                assert fwd.reason.split(" ")[0] == rev.reason.split(" ")[0]
+        for _ in range(500):
+            a = (tuple(rng.randrange(2) for _ in range(3)), tuple(rng.randrange(2) for _ in range(4)))
+            b = (tuple(rng.randrange(2) for _ in range(3)), tuple(rng.randrange(2) for _ in range(4)))
+            ref = _compare_bus_traces(_events(a), _events(b), 2)
+            div = compare_bus_traces(a, b)
+            assert (div is None) == (ref is None)
+            if div is not None:
+                assert (div.event_index, div.reason) == tuple(ref)
+                assert compare_bus_traces(b, a) == div
 
 
 class TestPtp:

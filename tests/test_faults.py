@@ -26,7 +26,7 @@ def test_output_bit_flip_xor_semantics():
     spec = FaultSpec(OutputBitFlip(element_index=0, bit=0))
     assert apply_fault(spec, effects, frame_id=0, rng=Rng(0)) is True
     out = flip_output_bits(FixedPointTensor((2,), (256, -128)), effects.output_flips)
-    assert out.data == (257, -128)
+    assert out.data.tolist() == [257, -128]
 
 
 def test_extra_delay_accumulates():
@@ -72,9 +72,9 @@ def test_untriggered_fault_not_applied():
 def test_weight_flip_changes_one_bit():
     ws = gen_weights(5, [3, 2])
     flipped = flip_weight_bits(ws, [(0, 1, 4)])
-    assert flipped.digest() != ws.digest()
-    orig = ws.layers[0].weights.data
-    new = flipped.layers[0].weights.data
+    assert flipped.params_digests[0] != ws.params_digests[0]
+    orig = ws.layers[0].weights.data.tolist()
+    new = flipped.layers[0].weights.data.tolist()
     diffs = [(i, a ^ b) for i, (a, b) in enumerate(zip(orig, new)) if a != b]
     assert len(diffs) == 1
     assert diffs[0][0] == 1

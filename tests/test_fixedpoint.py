@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from lockstepsim.fixedpoint import (
     encode_tensor,
     flip_bit,
     tensor_digest,
+    tensor_digests,
     tensor_from_json,
     tensor_to_json,
 )
@@ -67,9 +69,9 @@ def test_empty_shape_digest_is_stable():
 
 def test_flip_bit_examples():
     t = FixedPointTensor((2,), (256, -128))
-    assert flip_bit(t, 0, 0).data == (257, -128)
+    assert flip_bit(t, 0, 0).data.tolist() == [257, -128]
     # flipping twice restores the original
-    assert flip_bit(flip_bit(t, 1, 15), 1, 15).data == t.data
+    assert flip_bit(flip_bit(t, 1, 15), 1, 15) == t
     with pytest.raises(DimensionError):
         flip_bit(t, 5, 0)
     with pytest.raises(DimensionError):
@@ -165,3 +167,24 @@ def test_equality_and_hash_ignore_the_memo():
     assert a == b and b == a
     assert hash(a) == hash_before == hash(b)
     assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+def test_block_digests_equal_one_tensor_digests(shape):
+    # both rails, zero and a sign change in every block
+    n = element_count(shape)
+    values = [RAW_MIN, RAW_MAX, 0, -1, 1, 256, -256]
+    rows = np.array([[values[(r + k) % 7] for k in range(n)] for r in range(7)], dtype=np.int16)
+    block = rows.reshape(7, *shape)
+    expected = [fnv1a64(encode_tensor(FixedPointTensor(shape, row))) for row in rows]
+    assert tensor_digests(shape, block).tolist() == expected
+    assert tensor_digests(shape, rows).tolist() == expected
+
+
+def test_data_is_a_read_only_int16_copy():
+    src = np.array([1, 2], dtype=np.int16)
+    t = FixedPointTensor((2,), src)
+    src[0] = 9
+    assert t.data.dtype == np.int16 and t.data.tolist() == [1, 2]
+    with pytest.raises(ValueError):
+        t.data[0] = 5

@@ -1,26 +1,24 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lockstepsim.errors import ConfigError, DimensionError
-from lockstepsim.fixedpoint import FixedPointTensor
+from lockstepsim.fixedpoint import FixedPointTensor, combine_digests, tensor_digest
 from lockstepsim.replica import (
-    EXECUTE,
-    FETCH,
     LINEAR,
-    LOAD,
     RELU,
-    STORE,
     WEIGHT_CLAMP,
     EngineConfig,
     LayerSpec,
     WeightSet,
     gen_frame,
+    gen_frames,
     gen_weights,
     infer,
     layer_costs,
 )
-from oracles import infer_reference
+from oracles import _gen_frame, _gen_weights, infer_reference
 
 ENGINE = EngineConfig()
 
@@ -44,11 +42,11 @@ def test_gen_weights_deterministic():
     a = gen_weights(11, [3, 5, 2])
     b = gen_weights(11, [3, 5, 2])
     assert a == b
-    assert a.digest() == b.digest()
+    assert a.params_digests == b.params_digests
 
 
 def test_gen_weights_seeds_differ():
-    assert gen_weights(1, [2, 2]).digest() != gen_weights(2, [2, 2]).digest()
+    assert gen_weights(1, [2, 2]).params_digests != gen_weights(2, [2, 2]).params_digests
 
 
 def test_gen_weights_validates_arch():
@@ -65,7 +63,7 @@ def test_gen_weights_validates_arch():
 def test_gen_weights_range_and_activations():
     ws = gen_weights(3, [4, 6, 5, 2])
     for layer in ws.layers:
-        for v in layer.weights.data + layer.bias.data:
+        for v in layer.weights.data.tolist() + layer.bias.data.tolist():
             assert -WEIGHT_CLAMP <= v <= WEIGHT_CLAMP
     assert [l.activation for l in ws.layers] == [RELU, RELU, LINEAR]
 
@@ -81,46 +79,46 @@ def test_gen_frame_deterministic_and_bounded():
 def test_infer_identity():
     ws = single_layer([[256, 0], [0, 256]], [0, 0])
     out, _, _ = infer(ws, FixedPointTensor((2,), (256, -128)), ENGINE)
-    assert out.data == (256, -128)
+    assert out.data.tolist() == [256, -128]
 
 
 def test_infer_half_sum_relu():
     # 0.5*1.0 + 0.5*1.0 == 1.0 exactly after the rounding shift
     ws = single_layer([[128, 128]], [0], activation=RELU)
     out, _, _ = infer(ws, FixedPointTensor((2,), (256, 256)), ENGINE)
-    assert out.data == (256,)
+    assert out.data.tolist() == [256,]
 
 
 def test_round_half_to_even():
     # acc = 128 -> 0.5 rounds to even 0; acc = 384 -> 1.5 rounds to even 2
     ws = single_layer([[1]], [0])
     out, _, _ = infer(ws, FixedPointTensor((1,), (128,)), ENGINE)
-    assert out.data == (0,)
+    assert out.data.tolist() == [0,]
     ws = single_layer([[3]], [0])
     out, _, _ = infer(ws, FixedPointTensor((1,), (128,)), ENGINE)
-    assert out.data == (2,)
+    assert out.data.tolist() == [2,]
     # negative side: acc = -128 -> -0.5 rounds to 0; acc = -384 -> -1.5 to -2
     ws = single_layer([[-1]], [0])
     out, _, _ = infer(ws, FixedPointTensor((1,), (128,)), ENGINE)
-    assert out.data == (0,)
+    assert out.data.tolist() == [0,]
     ws = single_layer([[-3]], [0])
     out, _, _ = infer(ws, FixedPointTensor((1,), (128,)), ENGINE)
-    assert out.data == (-2,)
+    assert out.data.tolist() == [-2,]
 
 
 def test_relu_clamps_negatives():
     ws = single_layer([[-256]], [0], activation=RELU)
     out, _, _ = infer(ws, FixedPointTensor((1,), (256,)), ENGINE)
-    assert out.data == (0,)
+    assert out.data.tolist() == [0,]
 
 
 def test_saturation_no_wrap():
     ws = single_layer([[32767, 32767]], [32767])
     out, _, _ = infer(ws, FixedPointTensor((2,), (32767, 32767)), ENGINE)
-    assert out.data == (32767,)
+    assert out.data.tolist() == [32767,]
     ws = single_layer([[-32768, -32768]], [-32768])
     out, _, _ = infer(ws, FixedPointTensor((2,), (32767, 32767)), ENGINE)
-    assert out.data == (-32768,)
+    assert out.data.tolist() == [-32768,]
 
 
 def test_accumulator_bound_for_supported_sizes():
@@ -148,23 +146,21 @@ def test_cycle_accounting_and_trace_layout():
     ws = single_layer([[256, 0]], [0])
     macs, loads, stores = layer_costs(ws.layers[0])
     assert (macs, loads, stores) == (2, 2 + 2 + 1, 1)
-    out, cycles, trace = infer(ws, FixedPointTensor((2,), (10, 20)), engine)
+    x = FixedPointTensor((2,), (10, 20))
+    out, cycles, (params, row) = infer(ws, x, engine)
     assert cycles == 7 + macs * 2 + loads * 3 + stores * 5
-    assert [e.kind for e in trace] == [FETCH, LOAD, EXECUTE, STORE]
-    assert trace[0].cycle == 7
-    assert trace[1].cycle == 7
-    assert trace[2].cycle == 7 + loads * 3
-    assert trace[3].cycle == 7 + loads * 3 + macs * 2
-    # execute and store carry the produced tensor's digest
-    assert trace[2].payload_digest == trace[3].payload_digest
+    # fetch reads the parameters, load the input, execute and store the output
+    assert params == (combine_digests(tensor_digest(ws.layers[0].weights), tensor_digest(ws.layers[0].bias)),)
+    assert row == (tensor_digest(x), tensor_digest(out))
 
 
-def test_trace_cycles_non_decreasing_multi_layer():
+def test_trace_row_has_every_layer_output():
     ws = gen_weights(4, [3, 4, 2])
-    out, cycles, trace = infer(ws, gen_frame(4, 0, (3,)), ENGINE)
-    assert [e.kind for e in trace] == [FETCH, LOAD, EXECUTE, STORE] * 2
-    assert all(a.cycle <= b.cycle for a, b in zip(trace, trace[1:]))
-    assert trace[-1].cycle <= cycles
+    x = gen_frame(4, 0, (3,))
+    out, _, (params, row) = infer(ws, x, ENGINE)
+    hidden, _, _ = infer(WeightSet(ws.layers[:1]), x, ENGINE)
+    assert params == ws.params_digests and len(params) == 2
+    assert row == (tensor_digest(x), tensor_digest(hidden), tensor_digest(out))
 
 
 def test_weight_set_validation():
@@ -198,3 +194,37 @@ def test_infer_matches_bigint_reference(data):
     tensor = FixedPointTensor((in_w,), tuple(x))
     out, _, _ = infer(ws, tensor, ENGINE)
     assert list(out.data) == infer_reference(ws, tensor)
+
+
+def test_block_infer_equals_reference_on_saturating_and_relu_cases():
+    # Rails in the weights, bias and inputs: sums beyond 16 bits saturate
+    # both ways, and the ReLU layer zeroes its negative results.
+    elems = [32767, -32768, 256, -256, 3, -3, 0, 128]
+    w0 = [[elems[(i * 3 + j) % 8] for j in range(4)] for i in range(5)]
+    w1 = [[elems[(i + 5 * j) % 8] for j in range(5)] for i in range(3)]
+    ws = WeightSet((
+        single_layer(w0, [32767, -32768, 0, 5, -5], activation=RELU).layers[0],
+        single_layer(w1, [-32768, 32767, 1]).layers[0],
+    ))
+    frames = np.array([[elems[(f + k) % 8] for k in range(4)] for f in range(8)]
+                      + [[32767] * 4, [-32768] * 4], dtype=np.int16).reshape(10, 2, 2)
+    outs, cycles, rows = infer(ws, frames, ENGINE)
+    assert outs.dtype == np.int16 and outs.shape == (10, 3)
+    for f in range(10):
+        x = FixedPointTensor((2, 2), frames[f])
+        assert outs[f].tolist() == infer_reference(ws, x)
+        out, one_cycles, (_, row) = infer(ws, x, ENGINE)
+        assert (one_cycles, row) == (cycles, tuple(rows[f].tolist()))
+    assert {32767, -32768} <= set(outs.ravel().tolist())
+
+
+def test_frame_and_weight_synthesis_match_the_scalar_draws():
+    frames = gen_frames(9, range(3, 7), (2, 3))
+    assert frames.dtype == np.int16 and frames.shape == (4, 2, 3)
+    for k, f in enumerate(range(3, 7)):
+        assert frames[k].ravel().tolist() == list(_gen_frame(9, f, (2, 3)).data)
+        assert gen_frame(9, f, (2, 3)) == FixedPointTensor((2, 3), frames[k])
+    seed = 2**64 - 5  # the stream's counter wraps past 2**64
+    for layer, ref in zip(gen_weights(seed, [4, 3, 2]).layers, _gen_weights(seed, [4, 3, 2]).layers):
+        assert layer.weights.data.tolist() == list(ref.weights.data)
+        assert layer.bias.data.tolist() == list(ref.bias.data)

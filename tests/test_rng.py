@@ -1,4 +1,6 @@
-from lockstepsim.rng import MASK64, Rng, derive_seed, fnv1a64, mix64
+import numpy as np
+
+from lockstepsim.rng import MASK64, Rng, derive_seed, draws, fnv1a64, fnv1a64_rows, mix64
 
 # Published SplitMix64 output for seed 0 (used as cross-implementation
 # reference vectors in several independent codebases).
@@ -68,3 +70,20 @@ def test_mix64_and_fnv_are_64bit():
     assert 0 <= fnv1a64(b"abc") <= MASK64
     # FNV-1a published anchor for the empty string
     assert fnv1a64(b"") == 0xCBF29CE484222325
+
+
+def test_array_draws_are_randrange_draw_for_draw():
+    # seeds near 2**64: the counter seed + k * gamma wraps within the stream
+    seeds = [0, 12345, MASK64, MASK64 - 2, 2**63 + 1]
+    for span in (513, 8193):
+        values = (draws(seeds, 40) % span).tolist()
+        for seed, row in zip(seeds, values):
+            rng = Rng(seed)
+            assert row == [rng.randrange(span) for _ in range(40)]
+
+
+def test_row_hashes_continue_fnv1a64():
+    rows = [bytes(range(k, k + 9)) for k in (0, 100, 247)]
+    h = fnv1a64(b"prefix")
+    out = fnv1a64_rows(h, np.frombuffer(b"".join(rows), dtype="uint8").reshape(3, 9))
+    assert out.tolist() == [fnv1a64(r, h) for r in rows] == [fnv1a64(b"prefix" + r) for r in rows]

@@ -73,6 +73,13 @@ class TestGroupAgreements:
         cliques = tolerance_cliques([0, 1, 2], raw_eps=1)
         assert (0, 1) in cliques and (1, 2) in cliques
 
+    def test_tolerance_compares_widened_values(self):
+        # -32768 - 32767 wraps to 1 in int16 arithmetic; the rails are
+        # 65535 raw units (~256.0) apart
+        rails = [make_output(0, -32768), make_output(1, 32767)]
+        assert len(group_agreements(rails, Tolerance(0.01))) == 2
+        assert len(group_agreements(rails, Tolerance(65535 / 256))) == 1
+
     def test_mismatched_shapes_protocol_error(self):
         with pytest.raises(ProtocolError):
             group_agreements([make_output(0, [1, 2]), make_output(1, [1])], Exact())
@@ -112,7 +119,7 @@ class TestVote:
         v = vote(outs, VotingPolicy.named("2oo3"), Exact())
         assert v.variant == PASS
         assert v.agreeing_ids == (0, 1)
-        assert v.agreed.output.data == (7,)
+        assert v.agreed.output.data.tolist() == [7]
 
     def test_3oo4_split_pairs_mismatch(self):
         outs = [make_output(0, 1), make_output(1, 1), make_output(2, 2), make_output(3, 2)]
