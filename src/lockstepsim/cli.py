@@ -98,12 +98,15 @@ def _load_report(path_str: str) -> dict:
     # the parts compare_runs reads
     replicas = report.get("replicas") if isinstance(report, dict) else None
     if not isinstance(replicas, list) or not all(
-        isinstance(r, dict) and isinstance(r.get("replica_id"), int) and isinstance(r.get("samples"), list)
-        and all(isinstance(r.get(k), (dict, type(None))) for k in ("stats", "outliers"))
+        isinstance(r, dict) and isinstance(r.get("replica_id"), int)
+        and isinstance(r.get("samples"), list) and all(isinstance(x, (int, float)) for x in r["samples"])
+        and isinstance(r.get("stats"), (dict, type(None)))
+        and (r.get("outliers") is None
+             or isinstance(r["outliers"], dict) and isinstance(r["outliers"].get("indices", []), list))
         for r in replicas
     ):
         raise ConfigError([f"{p}: not a report: expected an object whose replicas each have "
-                           "an integer replica_id and a list of samples"])
+                           "an integer replica_id and a list of numeric samples"])
     return report
 
 

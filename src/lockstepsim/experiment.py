@@ -10,12 +10,10 @@ two runs of the same config produce byte-identical traces and reports.
 The report is built once, in the shape report.json holds: the counters
 are the report's dicts, and `ExperimentReport`'s fields are the file's keys.
 
-Frames are processed in blocks of `BLOCK_FRAMES`: per block, every frame
-is drawn, inferred and digested at once (see `replica.infer`), and a
-weight-flip set that fires in the block re-infers the whole block on its
-flipped weights, which are built once per run. Memory therefore does not
-grow with the frame count. The rounds of a block still run one by one, in
-order, exactly as if each frame were inferred when its round starts.
+Frames are processed in blocks of `BLOCK_FRAMES`: each block is drawn,
+inferred and digested at once (`replica.infer`), and a weight-flip set
+re-infers the block when it first fires in it, on weights flipped once per
+run. Memory does not grow with the frame count.
 
 Each round is computed directly, in order. Every round ends before the
 next input is released, so a device is always idle when its kernel
@@ -141,8 +139,8 @@ class ExperimentRunner:
         self.ptp_corrections = [0] * n
         self.prev_output = [None] * n
         self._weights = {(): self.weights}  # weight-bit flips -> WeightSet
-        self._frames = None                   # the current block of frames
-        self._block = {}                      # weight-bit flips -> results on it
+        self._frames = None                 # the current block of frames
+        self._block = {}                    # weight-bit flips -> results on it
 
         if isinstance(self.coupling, Tight):
             self._window_ns = max(

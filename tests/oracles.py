@@ -7,8 +7,8 @@ subset enumeration instead of greedy grouping.
 `run_reference` is the scalar experiment runner, frozen as a reference:
 one frame, one inference and one bus trace of (cycle, kind, digest)
 events at a time, in plain Python ints. It imports only the random
-streams, simulated time, coupling, voting and profiling; never the
-experiment runner, the tensors or the replica.
+streams, simulated time, coupling, voting, profiling and the error types;
+never the experiment runner, the tensors, the replica or the faults.
 """
 
 import json

@@ -150,9 +150,14 @@ class TestCompareCommand:
         assert captured.out == ""
         assert f"{bad}: not valid JSON" in captured.err
 
-    def test_compare_report_of_wrong_shape_exit_one(self, tmp_path, capsys):
-        bad = tmp_path / "list.json"
-        bad.write_text("[]")
+    @pytest.mark.parametrize("text", [
+        "[]",
+        '{"replicas": [{"replica_id": 0, "samples": [1, "a", 2, 3]}]}',
+        '{"replicas": [{"replica_id": 0, "samples": [1, 2, 3, 4], "outliers": {"indices": 5}}]}',
+    ])
+    def test_compare_report_of_wrong_shape_exit_one(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
         assert cli_main(["compare", str(bad), str(bad)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

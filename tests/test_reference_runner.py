@@ -6,7 +6,9 @@ output is one sample, injected = detected + masked + corrupted, records are
 strictly ordered by (t_ns, seq), and the trace and the report agree.
 """
 
+import hashlib
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -64,10 +66,7 @@ def configs(draw):
     debounce 1-4 and 0-4 faults of any kind and trigger."""
     n = draw(st.integers(1, 4))
     in_shape = draw(st.sampled_from([[3], [4], [2, 3], [2, 2]]))
-    n_in = 1
-    for d in in_shape:
-        n_in *= d
-    arch = [n_in] + draw(st.lists(st.integers(1, 5), min_size=1, max_size=2))
+    arch = [math.prod(in_shape)] + draw(st.lists(st.integers(1, 5), min_size=1, max_size=2))
     frames = draw(st.integers(1, 5))
     tight = draw(st.booleans())
     topology = {
@@ -179,8 +178,6 @@ def test_generated_configs_match_the_reference(tmp_path_factory, raw):
 @pytest.mark.parametrize("name", sorted(set(CASES) - SLOW_CASES - {"two-profiles"}))
 def test_reference_reproduces_the_pins(name):
     # the frozen runner is the runner the golden pins were taken from
-    import hashlib
-
     trace_text, report = run_reference(config_from_dict(CASES[name](), env={}))
     digests = (hashlib.sha256(trace_text.encode()).hexdigest(),
                hashlib.sha256((json.dumps(report, indent=2) + "\n").encode()).hexdigest())

@@ -18,7 +18,7 @@ from lockstepsim.replica import (
     infer,
     layer_costs,
 )
-from oracles import _gen_frame, _gen_weights, infer_reference
+from oracles import _gen_frame, _gen_weights, _infer, infer_reference
 
 ENGINE = EngineConfig()
 
@@ -210,12 +210,21 @@ def test_block_infer_equals_reference_on_saturating_and_relu_cases():
                       + [[32767] * 4, [-32768] * 4], dtype=np.int16).reshape(10, 2, 2)
     outs, cycles, rows = infer(ws, frames, ENGINE)
     assert outs.dtype == np.int16 and outs.shape == (10, 3)
+    relu = WeightSet(ws.layers[:1])
+    hidden, _, _ = infer(relu, frames, ENGINE)
     for f in range(10):
         x = FixedPointTensor((2, 2), frames[f])
         assert outs[f].tolist() == infer_reference(ws, x)
-        out, one_cycles, (_, row) = infer(ws, x, ENGINE)
+        assert hidden[f].tolist() == infer_reference(relu, x)
+        out, one_cycles, (params, row) = infer(ws, x, ENGINE)
         assert (one_cycles, row) == (cycles, tuple(rows[f].tolist()))
+        # the frozen event-by-event trace: fetch, load, execute per layer
+        _, ref_cycles, events = _infer(ws, x, ENGINE)
+        assert ref_cycles == cycles
+        assert params == (events[0].payload_digest, events[4].payload_digest)
+        assert row == tuple(events[i].payload_digest for i in (1, 2, 6))
     assert {32767, -32768} <= set(outs.ravel().tolist())
+    assert {0, 32767} <= set(hidden.ravel().tolist())
 
 
 def test_frame_and_weight_synthesis_match_the_scalar_draws():
