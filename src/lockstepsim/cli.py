@@ -11,7 +11,10 @@ finding when --fail-on-safeoff is set.
 Streams: stdout carries only machine output. `run` writes nothing to
 stdout (its artifacts are the files in --out); its summary and
 diagnostics go to stderr. `stats` writes JSON to stdout. `compare` and
-`vote-table` write their table to stdout. Every error goes to stderr.
+`vote-table` write their table to stdout. Every error goes to stderr: no
+command ends in a traceback on bad input or an unwritable path; it prints
+the reason, naming the file or config field at fault, and exits 1 with
+nothing on stdout.
 """
 
 from __future__ import annotations
@@ -69,12 +72,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = load_config(args.config, seed_override=args.seed)
-    except ConfigError as e:
-        for msg in e.errors:
-            print(msg, file=sys.stderr)
-        return 1
+    config = load_config(args.config, seed_override=args.seed)
     report = run_to_directory(config, args.out)
     total = sum(report.verdict_counts.values())
     print(f"run complete: {total} verdicts {report.verdict_counts}, "
@@ -111,17 +109,10 @@ def _load_report(path_str: str) -> dict:
 
 
 def _cmd_compare(args) -> int:
-    try:
-        a = _load_report(args.run_a)
-        b = _load_report(args.run_b)
-        comparison = compare_runs(a, b, alpha=args.alpha)
-    except ConfigError as e:
-        for msg in e.errors:
-            print(msg, file=sys.stderr)
-        return 1
-    print(render_comparison_table(comparison))
+    comparison = compare_runs(_load_report(args.run_a), _load_report(args.run_b), alpha=args.alpha)
     if args.out:
         Path(args.out).write_text(json.dumps(comparison, indent=2) + "\n")
+    print(render_comparison_table(comparison))
     return 0
 
 
@@ -139,22 +130,12 @@ def agreement_patterns(n: int):
 
 
 def _pattern_outputs(pattern):
-    outputs = []
-    for rid, label in enumerate(pattern):
-        tensor = FixedPointTensor((1,), (label,))
-        outputs.append(
-            ReplicaOutput(rid, 0, tensor, 0, tensor_digest(tensor), 0, 0, ())
-        )
-    return outputs
+    tensors = [FixedPointTensor((1,), (label,)) for label in pattern]
+    return [ReplicaOutput(rid, t, tensor_digest(t)) for rid, t in enumerate(tensors)]
 
 
 def _cmd_vote_table(args) -> int:
-    try:
-        policy = VotingPolicy.named(args.policy)
-    except ConfigError as e:
-        for msg in e.errors:
-            print(msg, file=sys.stderr)
-        return 1
+    policy = VotingPolicy.named(args.policy)
     comparator = Exact()
     print(f"policy {policy} (required agreement: {policy.required_agreement})")
     print(f"{'pattern':>8}  {'verdict':>8}  detail")
@@ -217,8 +198,14 @@ def cli_main(argv=None) -> int:
             return _cmd_vote_table(args)
         if args.command == "stats":
             return _cmd_stats(args)
+    except ConfigError as e:
+        print("\n".join(e.errors), file=sys.stderr)
+        return 1
     except HarnessError as e:
         print(str(e), file=sys.stderr)
+        return 1
+    except OSError as e:  # a path that cannot be read, created or written
+        print(f"{e.filename}: {e.strerror}", file=sys.stderr)
         return 1
     return 1
 

@@ -108,6 +108,9 @@ class ProfilerSettings:
     alpha: float = 0.01
 
 
+# The KS significance level accepted from a config or by `compare_runs`.
+ALPHA_BOUNDS = (1e-9, 0.5)
+
 # (field, type, minimum, maximum) per flat config class, in JSON key order.
 _FIELDS = {
     Tight: (("skew_tolerance_cycles", int, 0, None),),
@@ -144,7 +147,7 @@ _FIELDS = {
     ProfilerSettings: (
         ("bin_count", int, 1, None),
         ("outlier_threshold", float, 0.0, None),
-        ("alpha", float, 1e-9, 0.5),
+        ("alpha", float, *ALPHA_BOUNDS),
     ),
     flt.WeightBitFlip: (("layer", int, 0, None), ("element_index", int, 0, None), ("bit", int, 0, 15)),
     flt.OutputBitFlip: (("element_index", int, 0, None), ("bit", int, 0, 15)),
@@ -497,18 +500,16 @@ def config_from_dict(obj: dict, seed_override=None, env=None) -> ExperimentConfi
 
     seed = None
     if seed_override is not None:
-        seed = int(seed_override)
+        seed = _check(seed_override, int, 0, None, "config.seed", errors)
     elif "seed" in obj:
         seed = _get(obj, "seed", int, "config", errors, minimum=0)
     elif env.get(SEED_ENV_VAR):
         try:
-            seed = int(env[SEED_ENV_VAR])
+            seed = _check(int(env[SEED_ENV_VAR]), int, 0, None, "config.seed", errors)
         except ValueError:
             errors.append(f"config.seed: {SEED_ENV_VAR}={env[SEED_ENV_VAR]!r} is not an integer")
     else:
         errors.append(f"config.seed: required (set it, pass --seed, or export {SEED_ENV_VAR})")
-    if seed is not None and seed < 0:
-        errors.append(f"config.seed: must be >= 0, got {seed}")
 
     if "topology" not in obj:
         errors.append("config.topology: required field missing")

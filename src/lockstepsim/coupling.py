@@ -107,32 +107,26 @@ def rendezvous(expected_ids, arrivals, window_ns: int):
     )
 
 
-@dataclass(frozen=True)
-class Divergence:
-    event_index: int
-    reason: str
-
-
 def compare_bus_traces(a, b):
     """Compare two bus traces of one network on one engine.
 
-    Returns None on match, else the first Divergence. Both traces run the
-    same cycle schedule (see `replica`), so their event kinds, cycles and
-    lengths agree, and the first divergence is the first event whose
-    payload digest differs: the fetch of layer L's parameters (event 4L),
-    its load of the input (4L+1) or its execute (4L+2). A store repeats its
-    execute's digest, so it is never first.
+    Returns None on match, else the index of the first diverging event.
+    Both traces run the same cycle schedule (see `replica`), so their event
+    kinds, cycles and lengths agree, and the first divergence is the first
+    event whose payload digest differs: the fetch of layer L's parameters
+    (event 4L), its load of the input (4L+1) or its execute (4L+2). A store
+    repeats its execute's digest, so it is never first.
     """
     if a == b:
         return None
     (params_a, row_a), (params_b, row_b) = a, b
     for layer, (pa, pb) in enumerate(zip(params_a, params_b)):
         if pa != pb:
-            return Divergence(4 * layer, "payload digest mismatch")
+            return 4 * layer
         if row_a[layer] != row_b[layer]:
-            return Divergence(4 * layer + 1, "payload digest mismatch")
+            return 4 * layer + 1
         if row_a[layer + 1] != row_b[layer + 1]:
-            return Divergence(4 * layer + 2, "payload digest mismatch")
+            return 4 * layer + 2
     return None
 
 

@@ -3,9 +3,10 @@
 Per frame, per repetition: release one synthetic input through the input
 barrier, run every healthy replica with its faults applied, rendezvous on
 the completion times the checker observes, compare bus traces under tight
-coupling, vote, step the safety switch, and record latency samples plus a
-JSON Lines trace of every event. Everything derives from the config seed;
-two runs of the same config produce byte-identical traces and reports.
+coupling, vote, step the safety switch, and record latency samples. With a
+trace writer, every event is also handed to it as one JSON text line (the
+lines of trace.jsonl). Everything derives from the config seed; two runs of
+the same config produce byte-identical traces and reports.
 
 The report is built once, in the shape report.json holds: the counters
 are the report's dicts, and `ExperimentReport`'s fields are the file's keys.
@@ -35,7 +36,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import ExperimentConfig
+from .config import ALPHA_BOUNDS, ExperimentConfig
 from .coupling import (
     Complete,
     Tight,
@@ -109,7 +110,7 @@ class ExperimentRunner:
     """One deterministic run of one experiment config.
 
     `trace_writer`, if given, is called with each trace record as one JSON
-    text line, newline included.
+    text line, newline included; `run_to_directory` passes a file's `write`.
     """
 
     def __init__(self, config: ExperimentConfig, trace_writer=None):
@@ -170,8 +171,8 @@ class ExperimentRunner:
     # -- per-replica computation ---------------------------------------
 
     def _result(self, flips, row):
-        """(output, cycles, bus trace, digest, classification) of frame `row`
-        of the block on the weights with the weight-bit `flips` applied."""
+        """(output, cycles, bus trace, digest) of frame `row` of the block on
+        the weights with the weight-bit `flips` applied."""
         key = tuple(flips)
         block = self._block.get(key)
         if block is None:
@@ -181,27 +182,24 @@ class ExperimentRunner:
             outs, cycles, rows = infer(weights, self._frames, self.engine)
             block = self._block[key] = (outs, cycles, weights.params_digests, rows.tolist())
         outs, cycles, params, rows = block
-        out = FixedPointTensor((outs.shape[1],), outs[row])
         digests = tuple(rows[row])
-        return out, cycles, (params, digests), digests[-1], argmax_index(out)
+        return FixedPointTensor((outs.shape[1],), outs[row]), cycles, (params, digests), digests[-1]
 
     def _compute(self, rid, frame_id, row, clean):
         effects = FaultEffects()
         applied = False
         for spec, frng in self.replica_faults[rid]:
             applied |= apply_fault(spec, effects, frame_id, frng)
-        out, cycles, trace, digest, classification = clean
+        out, cycles, trace, digest = clean
         if effects.weight_flips:
-            out, cycles, trace, digest, classification = self._result(effects.weight_flips, row)
+            out, cycles, trace, digest = self._result(effects.weight_flips, row)
         if effects.output_flips:
             out = flip_output_bits(out, effects.output_flips)
             digest = tensor_digest(out)
-            classification = argmax_index(out)
         if effects.stuck and self.prev_output[rid] is not None:
             out = self.prev_output[rid]
             digest = tensor_digest(out)
-            classification = argmax_index(out)
-        return out, cycles, trace, digest, classification, effects, applied
+        return out, cycles, trace, digest, effects, applied
 
     # -- round orchestration --------------------------------------------
 
@@ -239,11 +237,11 @@ class ExperimentRunner:
         now = release
         arrivals = []
         outputs = {}
+        traces = {}
         any_applied = False
         # a stable sort by time keeps replica order on ties: (time, seq) order
         for rid, t_deliver in sorted(deliveries, key=lambda d: d[1]):
-            out, cycles, trace, digest, classification, effects, applied = self._compute(
-                rid, frame_id, row, clean)
+            out, cycles, trace, digest, effects, applied = self._compute(rid, frame_id, row, clean)
             any_applied |= applied
             jitter, host_rng = self.host_pairs[rid]
             t = (t_deliver + sample_turnaround_overhead(jitter, host_rng)
@@ -257,13 +255,14 @@ class ExperimentRunner:
             if not effects.drop:
                 turnaround = t - release
                 arrivals.append((rid, t + self.clock_offsets[rid] - self.ptp_corrections[rid]))
-                outputs[rid] = ReplicaOutput(rid, frame_id, out, classification, digest, cycles, t, trace)
+                outputs[rid] = ReplicaOutput(rid, out, digest)
+                traces[rid] = trace
                 self.samples[rid].append(turnaround)
                 self.prev_output[rid] = out
                 if tracing:
                     records.append((t, completion_seq, (
                         f'"kind":"completion",{fr},"replica_id":{rid},"turnaround_ns":{turnaround},'
-                        f'"compute_cycles":{cycles},"digest":{digest},"classification":{classification}'
+                        f'"compute_cycles":{cycles},"digest":{digest},"classification":{argmax_index(out)}'
                     )))
             completion_seq += 1
         self.now = now
@@ -280,18 +279,16 @@ class ExperimentRunner:
 
         divergence = None
         if self.topology.bus_trace_compare and isinstance(self.coupling, Tight):
-            ids = sorted(outputs)
+            ids = sorted(traces)
             if len(ids) >= 2:
                 self.bus["comparisons"] += 1
-                ref = outputs[ids[0]]
                 for rid in ids[1:]:
-                    div = compare_bus_traces(ref.trace, outputs[rid].trace)
-                    if div is not None:
-                        divergence = (ids[0], rid, div)
+                    index = compare_bus_traces(traces[ids[0]], traces[rid])
+                    if index is not None:
+                        divergence = (ids[0], rid, index)
                         break
 
-        present_outputs = [outputs[rid] for rid in sorted(outputs)]
-        verdict = vote(present_outputs, self.topology.policy, self.topology.comparator, outcome)
+        verdict = vote(list(outputs.values()), self.topology.policy, self.topology.comparator, outcome)
         self._finish_round(frame_id, rep, outcome, verdict, divergence, deadline)
 
         if any_applied:
@@ -324,10 +321,10 @@ class ExperimentRunner:
                     f'"missing_ids":{_ids(outcome.missing_ids)}'
                 )
             if divergence is not None:
-                rid_a, rid_b, div = divergence
+                rid_a, rid_b, index = divergence
                 bodies.append(
                     f'"kind":"bus_divergence",{fr},"replica_a":{rid_a},"replica_b":{rid_b},'
-                    f'"event_index":{div.event_index},"reason":{json.dumps(div.reason)}'
+                    f'"event_index":{index},"reason":"payload digest mismatch"'
                 )
             v = f'"kind":"verdict",{fr},"variant":"{verdict.variant}"'
             if verdict.variant == PASS:
@@ -422,12 +419,10 @@ class ExperimentRunner:
         )
 
 
-def run_experiment(config: ExperimentConfig, trace_writer=None) -> ExperimentReport:
-    """Run one experiment; optionally stream trace records, each as a dict,
-    to a callable."""
-    if trace_writer is None:
-        return ExperimentRunner(config).run()
-    return ExperimentRunner(config, lambda line: trace_writer(json.loads(line))).run()
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Run one experiment without a trace; `ExperimentRunner` takes a trace
+    writer."""
+    return ExperimentRunner(config).run()
 
 
 def run_to_directory(config: ExperimentConfig, out_dir) -> ExperimentReport:
@@ -450,9 +445,12 @@ def compare_runs(report_a: dict, report_b: dict, alpha: float = 0.01) -> dict:
     """Kolmogorov-Smirnov comparison of two runs, per replica pairing, from
     two report.json dicts (`ExperimentReport.to_json_dict()` gives one).
 
-    Refuses (ConfigError) when a paired replica has fewer than 4 samples
-    on either side.
+    Refuses (ConfigError) an alpha outside `ALPHA_BOUNDS`, and a paired
+    replica with fewer than 4 samples on either side.
     """
+    lo, hi = ALPHA_BOUNDS
+    if not lo <= alpha <= hi:  # NaN fails both comparisons
+        raise ConfigError([f"alpha: must be within [{lo}, {hi}], got {alpha}"])
     reps_a = {r["replica_id"]: r for r in report_a.get("replicas", [])}
     reps_b = {r["replica_id"]: r for r in report_b.get("replicas", [])}
     common = sorted(set(reps_a) & set(reps_b))

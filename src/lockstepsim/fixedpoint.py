@@ -130,19 +130,3 @@ def argmax_index(t: FixedPointTensor) -> int:
         raise DimensionError("argmax of an empty tensor")
     return int(t.data.argmax())
 
-
-def tensor_to_json(t: FixedPointTensor) -> dict:
-    return {
-        "version": 1,
-        "shape": list(t.shape),
-        "frac_bits": FRAC_BITS,
-        "data": t.data.tolist(),
-    }
-
-
-def tensor_from_json(obj: dict) -> FixedPointTensor:
-    if obj.get("version") != 1:
-        raise DimensionError(f"unsupported tensor serialization version: {obj.get('version')!r}")
-    if obj.get("frac_bits", FRAC_BITS) != FRAC_BITS:
-        raise DimensionError(f"frac_bits is fixed at {FRAC_BITS}, got {obj['frac_bits']!r}")
-    return FixedPointTensor(tuple(obj["shape"]), tuple(obj["data"]))

@@ -144,16 +144,12 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class ReplicaOutput:
-    """What the voter sees from one replica for one frame."""
+    """What the voter reads from one replica for one frame: the replica's
+    id, its output and the output's `tensor_digest`."""
 
     replica_id: int
-    frame_id: int
     output: FixedPointTensor
-    classification: int
     digest: int
-    compute_cycles: int
-    completion_time: int
-    trace: tuple        # (parameter digests, digest row); see the module docstring
 
 
 def gen_weights(seed: int, arch) -> WeightSet:

@@ -1,23 +1,27 @@
 """Small constructors shared across test modules."""
 
-from lockstepsim.fixedpoint import FixedPointTensor, argmax_index, tensor_digest
+import json
+
+from lockstepsim.config import config_from_dict
+from lockstepsim.experiment import ExperimentRunner
+from lockstepsim.fixedpoint import FixedPointTensor, tensor_digest
 from lockstepsim.replica import ReplicaOutput
 
 
-def make_output(replica_id, values, frame_id=0, completion_time=0, cycles=0):
+def make_output(replica_id, values):
     if isinstance(values, int):
         values = [values]
     tensor = FixedPointTensor((len(values),), tuple(values))
-    return ReplicaOutput(
-        replica_id=replica_id,
-        frame_id=frame_id,
-        output=tensor,
-        classification=argmax_index(tensor),
-        digest=tensor_digest(tensor),
-        compute_cycles=cycles,
-        completion_time=completion_time,
-        trace=(),
-    )
+    return ReplicaOutput(replica_id=replica_id, output=tensor, digest=tensor_digest(tensor))
+
+
+def run_with_records(raw):
+    """(config, report, trace records) of one run of the raw config; each
+    record is a line the runner wrote, parsed."""
+    cfg = config_from_dict(raw)
+    lines = []
+    report = ExperimentRunner(cfg, lines.append).run()
+    return cfg, report, [json.loads(line) for line in lines]
 
 
 def zero_jitter_duplex(seed=1, frames=5, reps=1, window_ns=10_000_000, policy="1oo2",

@@ -116,6 +116,25 @@ class TestRunCommand:
         assert "config.seed: must be >= 0, got -5" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
+    def test_out_is_an_existing_file_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, zero_jitter_duplex(frames=2))
+        taken = tmp_path / "taken"
+        taken.write_text("keep me")
+        assert cli_main(["run", "--config", str(cfg), "--out", str(taken)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{taken}: ")
+        assert taken.read_text() == "keep me"
+
+    def test_out_under_a_file_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, zero_jitter_duplex(frames=2))
+        out = tmp_path / "taken" / "run"
+        (tmp_path / "taken").write_text("")
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{out}: ")
+
 
 class TestCompareCommand:
     def test_compare_self_and_written_json(self, tmp_path, capsys):
@@ -128,6 +147,26 @@ class TestCompareCommand:
         assert "replica" in capsys.readouterr().out
         blob = json.loads(out_json.read_text())
         assert not blob["any_distinguishable"]
+
+    def test_compare_out_in_missing_directory_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, zero_jitter_duplex(frames=6, reps=2))
+        cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")])
+        out_json = tmp_path / "missing" / "cmp.json"
+        capsys.readouterr()
+        assert cli_main(["compare", str(tmp_path / "a"), str(tmp_path / "a"), "--out", str(out_json)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{out_json}: ")
+
+    @pytest.mark.parametrize("alpha", ["0", "-1", "inf", "2", "nan"])
+    def test_compare_alpha_out_of_bounds_exit_one(self, tmp_path, capsys, alpha):
+        cfg = write_config(tmp_path, zero_jitter_duplex(frames=6, reps=2))
+        cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")])
+        capsys.readouterr()
+        assert cli_main(["compare", str(tmp_path / "a"), str(tmp_path / "a"), "--alpha", alpha]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("alpha: must be within [1e-09, 0.5], got ")
 
     def test_compare_missing_report_exit_one(self, tmp_path, capsys):
         assert cli_main(["compare", str(tmp_path / "nope"), str(tmp_path / "nada")]) == 1

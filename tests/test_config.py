@@ -169,6 +169,15 @@ class TestSeedResolution:
         del raw["seed"]
         assert errors_of(raw, env={SEED_ENV_VAR: "-5"}) == ["config.seed: must be >= 0, got -5"]
 
+    @pytest.mark.parametrize("override, shown", [
+        (float("nan"), "nan"), (float("inf"), "inf"), ("abc", "'abc'"), (1.7, "1.7"), (True, "True"),
+    ])
+    def test_seed_override_must_be_an_integer(self, override, shown):
+        raw = {"seed": 3, "topology": "fpga-duplex-tight"}
+        assert errors_of(raw, seed_override=override, env={}) == [
+            f"config.seed: expected an integer, got {shown}"
+        ]
+
     def test_seed_error_does_not_hide_fault_errors(self):
         raw = zero_jitter_duplex(faults=[{
             "replica_id": 0,

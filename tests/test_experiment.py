@@ -13,16 +13,9 @@ from lockstepsim.experiment import (
     run_to_directory,
 )
 from lockstepsim.faults import ExtraDelay, FaultSpec
-from helpers import zero_jitter_duplex
+from helpers import run_with_records, zero_jitter_duplex
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
-
-
-def run_with_records(raw):
-    cfg = config_from_dict(raw)
-    records = []
-    report = run_experiment(cfg, records.append)
-    return cfg, report, records
 
 
 class TestHealthyBaseline:
@@ -144,9 +137,7 @@ class TestFaultScenarios:
                          "input_shape": [4], "arch": [4, 4, 3]},
             "faults": faults,
         }
-        cfg = config_from_dict(raw)
-        records = []
-        report = run_experiment(cfg, records.append)
+        cfg, report, records = run_with_records(raw)
         flagged = sorted(r["frame_id"] for r in records
                          if r["kind"] == "verdict" and r["variant"] == "timeout")
         assert flagged == [3, 7]
@@ -186,8 +177,7 @@ class TestFaultScenarios:
                                  "element_index": 2, "bit": 11},
                         "trigger": {"type": "on_frame", "frame_id": 1}}],
         }
-        records = []
-        report = run_experiment(config_from_dict(raw), records.append)
+        _, report, records = run_with_records(raw)
         assert report.bus["divergences"] == 1
         div = [r for r in records if r["kind"] == "bus_divergence"]
         assert len(div) == 1 and div[0]["frame_id"] == 1
@@ -269,8 +259,7 @@ class TestDeterminismAndFiles:
         }
         outs = []
         for _ in range(2):
-            records = []
-            report = run_experiment(config_from_dict(raw), records.append)
+            _, report, records = run_with_records(raw)
             outs.append((records, report.to_json_dict()))
         assert outs[0][0] == outs[1][0]
         assert outs[0][1] == outs[1][1]
@@ -282,9 +271,7 @@ class TestDeterminismAndFiles:
             "workload": {"frame_count": 8, "repetitions_per_frame": 2,
                          "input_shape": [4], "arch": [4, 4, 3]},
         }
-        cfg = config_from_dict(raw)
-        records = []
-        run_experiment(cfg, records.append)
+        _, _, records = run_with_records(raw)
         keys = [(r["t_ns"], r["seq"]) for r in records]
         assert keys == sorted(keys)
         assert len({r["seq"] for r in records}) == len(records)

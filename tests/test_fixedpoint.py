@@ -18,8 +18,6 @@ from lockstepsim.fixedpoint import (
     flip_bit,
     tensor_digest,
     tensor_digests,
-    tensor_from_json,
-    tensor_to_json,
 )
 from lockstepsim.rng import fnv1a64
 
@@ -87,35 +85,18 @@ def test_combine_digests_order_sensitive():
     assert combine_digests(1, 2) != combine_digests(2, 1)
 
 
-
-def test_serialization_roundtrip():
-    t = FixedPointTensor((2, 3), (1, -2, 3, -4, 5, -6))
-    obj = tensor_to_json(t)
-    assert obj["version"] == 1
-    assert tensor_from_json(json.loads(json.dumps(obj))) == t
-    with pytest.raises(DimensionError):
-        tensor_from_json({"version": 99, "shape": [1], "data": [0]})
-
-
-def test_from_json_rejects_other_frac_bits():
-    assert tensor_to_json(FixedPointTensor((1,), (1,)))["frac_bits"] == 8
-    with pytest.raises(DimensionError, match="frac_bits is fixed at 8, got 4"):
-        tensor_from_json({"version": 1, "shape": [1], "frac_bits": 4, "data": [1]})
-
-
 def test_weight_set_golden_serialization():
     # frozen-on-first-run golden file guards the serialized byte layout
     from lockstepsim.replica import gen_weights
+
+    def tensor(t):
+        return {"version": 1, "shape": list(t.shape), "frac_bits": 8, "data": t.data.tolist()}
 
     ws = gen_weights(7, [4, 3, 2])
     obj = {
         "version": 1,
         "layers": [
-            {
-                "weights": tensor_to_json(l.weights),
-                "bias": tensor_to_json(l.bias),
-                "activation": l.activation,
-            }
+            {"weights": tensor(l.weights), "bias": tensor(l.bias), "activation": l.activation}
             for l in ws.layers
         ],
     }

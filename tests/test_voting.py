@@ -154,7 +154,7 @@ class TestVote:
 
     def test_value_voting_ignores_timing(self):
         # permuting completion times inside the window never changes the verdict
-        outs = [make_output(0, 7, completion_time=100), make_output(1, 7, completion_time=105)]
+        outs = [make_output(0, 7), make_output(1, 7)]
         base = vote(outs, VotingPolicy.named("1oo2"), Exact(),
                     Complete(((0, 100), (1, 105)), 5))
         swapped = vote(outs, VotingPolicy.named("1oo2"), Exact(),
