@@ -154,6 +154,46 @@ def _tight_3oo4_rank2_blocks():
     }
 
 
+def _loose_3_chunks_safe_off():
+    # 300 frames x 30 repetitions: two frame blocks (256 + 44) and many
+    # round chunks, so chunk edges fall mid-frame. Feed and host spikes (the
+    # third replica's scale of 1 never takes a third draw) and random faults
+    # on replicas 1 and 2 mix pass and non-pass rounds; a long delay on every
+    # repetition of frame 170 times out a run of rounds, and debounce 5
+    # enters SafeOff there, mid-run.
+    return {
+        "seed": 9030,
+        "topology": {
+            "replicas": 3,
+            "coupling": {"mode": "loose", "rendezvous_window_ns": 250_000},
+            "voter": {"policy": "2oo3", "comparator": {"kind": "exact"}, "debounce_threshold": 5},
+            "clocks": [{"freq_hz": 998_000_000, "drift_ppm": 40}, {"freq_hz": 1_001_000_000, "drift_ppm": -25},
+                       {"freq_hz": 1_000_000_000, "drift_ppm": 0}],
+            "clock_offsets_ns": [0, 12_345, -4_000],
+            "feed_jitter": {"base_overhead_ns": 5_000, "spike_prob": 0.02, "spike_scale_ns": 150_000,
+                            "mode2_offset_ns": 7_000, "mode2_prob": 0.3},
+            "host_jitter": [
+                {"base_overhead_ns": 20_000, "spike_prob": 0.03, "spike_scale_ns": 200_000,
+                 "mode2_offset_ns": 60_000, "mode2_prob": 0.2},
+                {"base_overhead_ns": 26_000, "spike_prob": 0.05, "spike_scale_ns": 90_000},
+                {"base_overhead_ns": 22_000, "spike_prob": 0.1, "spike_scale_ns": 1},
+            ],
+            "ptp": {"enabled": True, "link_delay_ns": 800, "asymmetry_ns": 150, "slave_turnaround_ns": 40},
+        },
+        "workload": {"frame_count": 300, "repetitions_per_frame": 30, "input_shape": [16], "arch": [16, 16, 8]},
+        "faults": [
+            {"replica_id": 1, "kind": {"type": "drop_output"}, "trigger": {"type": "with_probability", "p": 0.01}},
+            {"replica_id": 1, "kind": {"type": "stuck_output"}, "trigger": {"type": "with_probability", "p": 0.02}},
+            {"replica_id": 2, "kind": {"type": "extra_delay", "ns": 30_000},
+             "trigger": {"type": "with_probability", "p": 0.05}},
+            {"replica_id": 2, "kind": {"type": "output_bit_flip", "element_index": 3, "bit": 9},
+             "trigger": {"type": "with_probability", "p": 0.03}},
+            {"replica_id": 1, "kind": {"type": "extra_delay", "ns": 5_000_000},
+             "trigger": {"type": "on_frame", "frame_id": 170}},
+        ],
+    }
+
+
 CASES = {
     "tight-baseline": lambda: _shipped("tight-baseline.json"),
     "two-profiles": lambda: _shipped("two-profiles.json"),
@@ -164,6 +204,7 @@ CASES = {
     "degraded-one-short": _one_short_of_agreement,
     "paper-protocol": lambda: _shipped("paper-protocol.json"),
     "tight-3oo4-rank2-blocks": _tight_3oo4_rank2_blocks,
+    "loose-3-chunks-safe-off": _loose_3_chunks_safe_off,
 }
 
 SLOW_CASES = {"paper-protocol"}
@@ -205,6 +246,10 @@ PINS = {
     "tight-3oo4-rank2-blocks": (
         "cb155208d84550fe8e7416cc9473b6c8e91ca37034ad31c08520967d23870f0d",
         "a0d963bae21ea8c2d4e568e63cdcf0129dd0e0319174e1dfbaac549bd587c45a",
+    ),
+    "loose-3-chunks-safe-off": (
+        "f4a3977efafd5aa6dda50e764cd149c4449137cb827da773e60cf9ca5684f5ee",
+        "457146fef349539c82f97df5d35f55a1625214710ff65255903e6ff1704ec3d5",
     ),
 }
 
