@@ -7,13 +7,8 @@ module (`lockstepsim.voting`, `lockstepsim.faults`, ...)."""
 
 from .config import ExperimentConfig, config_from_dict, load_config
 from .errors import ConfigError, HarnessError
-from .experiment import (
-    ExperimentReport,
-    ExperimentRunner,
-    compare_runs,
-    run_experiment,
-    run_to_directory,
-)
+from .experiment import ExperimentReport, ExperimentRunner, run_experiment, run_to_directory
+from .profiling import compare_runs
 from .replica import gen_frame, gen_weights, infer
 
 __version__ = "0.1.0"

@@ -27,14 +27,9 @@ from pathlib import Path
 
 from .config import load_config
 from .errors import ConfigError, HarnessError
-from .experiment import (
-    REPORT_FILENAME,
-    compare_runs,
-    render_comparison_table,
-    run_to_directory,
-)
+from .experiment import REPORT_FILENAME, run_to_directory
 from .fixedpoint import FixedPointTensor, tensor_digest
-from .profiling import stats
+from .profiling import compare_runs, render_comparison_table, stats
 from .replica import ReplicaOutput
 from .voting import Exact, VotingPolicy, vote
 

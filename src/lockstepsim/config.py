@@ -44,6 +44,7 @@ from .coupling import Loose, Tight
 from .errors import ConfigError
 from .eventsim import ClockDomain, JitterModel
 from .replica import HEALTH_STATES, HEALTHY, MAX_LAYER_WIDTH, EngineConfig
+from .rng import MASK64
 from .voting import Exact, Tolerance, VotingPolicy
 
 SEED_ENV_VAR = "LOCKSTEP_SEED"
@@ -498,14 +499,15 @@ def config_from_dict(obj: dict, seed_override=None, env=None) -> ExperimentConfi
         raise ConfigError(["config root must be a JSON object"])
     _check_keys(obj, _TOP_LEVEL_KEYS, "config", errors)
 
+    # seeds are 64-bit: a larger one would run as its value modulo 2**64
     seed = None
     if seed_override is not None:
-        seed = _check(seed_override, int, 0, None, "config.seed", errors)
+        seed = _check(seed_override, int, 0, MASK64, "config.seed", errors)
     elif "seed" in obj:
-        seed = _get(obj, "seed", int, "config", errors, minimum=0)
+        seed = _get(obj, "seed", int, "config", errors, minimum=0, maximum=MASK64)
     elif env.get(SEED_ENV_VAR):
         try:
-            seed = _check(int(env[SEED_ENV_VAR]), int, 0, None, "config.seed", errors)
+            seed = _check(int(env[SEED_ENV_VAR]), int, 0, MASK64, "config.seed", errors)
         except ValueError:
             errors.append(f"config.seed: {SEED_ENV_VAR}={env[SEED_ENV_VAR]!r} is not an integer")
     else:

@@ -2,9 +2,11 @@
 
 A clock domain turns compute cycles into nanoseconds with exact integer
 arithmetic; a jitter model draws the host and feed overheads around each
-inference from a named random stream. The simulator keeps no event
-queue: the experiment runner computes each round's event times directly
-from these (see `experiment`).
+inference from a named random stream, one sample at a time
+(`sample_turnaround_overhead`) or a chunk of rounds at once
+(`sample_turnaround_overheads`, the same values). The simulator keeps no
+event queue: the experiment runner computes the event times of a chunk of
+rounds as arrays, relative to each round's release (see `experiment`).
 
 Time is integer nanoseconds since simulation start.
 """
@@ -14,8 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, SimulationError
-from .rng import Rng
+from .rng import Rng, uniforms
 
 _NS_PER_S = 10**9
 _PPM = 10**6
@@ -69,24 +73,74 @@ class JitterModel:
         if not (0.0 <= self.mode2_prob <= 1.0):
             raise ConfigError("mode2_prob must be within [0, 1]")
 
+    @property
+    def bound_ns(self) -> int:
+        """An upper bound on one sample: a geometric spike of mean M > 1
+        stays below 37 M + 1, since -log of a uniform stays below 53 ln 2."""
+        return self.base_overhead_ns + self.mode2_offset_ns + 37 * self.spike_scale_ns + 1
 
 
-def _sample_geometric(mean_ns: int, rng: Rng) -> int:
-    """Geometric variate on {1, 2, ...} with the given mean, by inversion."""
-    if mean_ns <= 1:
-        return 1
-    p = 1.0 / mean_ns
-    u = rng.uniform()
-    k = math.ceil(math.log1p(-u) / math.log1p(-p))
+
+def _geometric(u: float, mean_ns: int) -> int:
+    """Geometric variate on {1, 2, ...} with the given mean (> 1), by
+    inversion of the uniform `u`."""
+    k = math.ceil(math.log1p(-u) / math.log1p(-1.0 / mean_ns))
     return max(1, k)
 
 
 def sample_turnaround_overhead(model: JitterModel, rng: Rng) -> int:
-    """One overhead sample. Draw order is fixed (mode, then spike) so a
-    stream replays identically regardless of which branches fire."""
+    """One overhead sample. Draw order is fixed (mode, then spike, then the
+    spike's size when its mean exceeds 1) so a stream replays identically
+    regardless of which branches fire."""
     total = model.base_overhead_ns
     if rng.uniform() < model.mode2_prob:
         total += model.mode2_offset_ns
     if rng.uniform() < model.spike_prob:
-        total += _sample_geometric(model.spike_scale_ns, rng)
+        total += _geometric(rng.uniform(), model.spike_scale_ns) if model.spike_scale_ns > 1 else 1
     return total
+
+
+def _sample_starts(spikes: np.ndarray, count: int) -> np.ndarray:
+    """The first draw of each of `count` samples. `spikes[j]` says whether a
+    sample that starts at draw j spikes; a sample takes 3 draws if it spikes
+    (and its mean exceeds 1), else 2. Runs of plain samples are stepped as
+    arrays; the loop runs once per spike."""
+    n = len(spikes)
+    # next_spike[j]: the first spiking draw at or after j of the parity of j
+    next_spike = np.where(spikes, np.arange(n), n)
+    for parity in (0, 1):
+        column = next_spike[parity::2]
+        column[:] = np.minimum.accumulate(column[::-1])[::-1]
+    pieces = []
+    j, left = 0, count
+    while left:
+        q = int(next_spike[j])
+        run = min((q - j) // 2 + 1, left)  # the plain samples from j, then the spike at q
+        pieces.append(np.arange(j, j + 2 * run, 2))
+        left -= run
+        j = q + 3
+    return np.concatenate(pieces)
+
+
+def sample_turnaround_overheads(model: JitterModel, seed: int, start: int, count: int):
+    """`count` samples of `sample_turnaround_overhead` from the stream
+    `Rng(seed)` after its first `start` draws, as an int64 array, and the
+    stream position after them. The mode and spike uniforms are drawn as
+    arrays; `math.log1p` runs on the spike samples only, since `np.log1p`
+    can differ from it in the last bit."""
+    stride = 3 if model.spike_scale_ns > 1 else 2
+    u = uniforms(seed, stride * count, start)
+    if stride == 2:
+        firsts = np.arange(0, 2 * count, 2)
+        spike = u[1::2] < model.spike_prob
+        tail = spike.astype(np.int64)
+    else:
+        spikes = np.append(u[1:] < model.spike_prob, False)
+        firsts = _sample_starts(spikes, count) if count else np.arange(0)
+        spike = spikes[firsts]
+        tail = np.zeros(count, np.int64)
+        at = np.flatnonzero(spike)
+        tail[at] = [_geometric(x, model.spike_scale_ns) for x in u[firsts[at] + 2].tolist()]
+    total = model.base_overhead_ns + np.where(u[firsts] < model.mode2_prob, model.mode2_offset_ns, 0) + tail
+    used = int(firsts[-1]) + 2 + int(stride == 3 and spike[-1]) if count else 0
+    return total.astype(np.int64), start + used

@@ -1,12 +1,12 @@
 """Experiment runner: the measurement protocol over a redundant topology.
 
-Per frame, per repetition: release one synthetic input through the input
-barrier, run every healthy replica with its faults applied, rendezvous on
-the completion times the checker observes, compare bus traces under tight
-coupling, vote, step the safety switch, and record latency samples. With a
-trace writer, every event is also handed to it as one JSON text line (the
-lines of trace.jsonl). Everything derives from the config seed; two runs of
-the same config produce byte-identical traces and reports.
+Per frame, per repetition (a round): release one synthetic input through
+the input barrier, run every healthy replica with its faults applied,
+rendezvous on the completion times the checker observes, compare bus traces
+under tight coupling, vote, step the safety switch, and record latency
+samples. With a trace writer, every event is also written as one JSON text
+line (the lines of trace.jsonl). Everything derives from the config seed;
+two runs of the same config produce byte-identical traces and reports.
 
 The report is built once, in the shape report.json holds: the counters
 are the report's dicts, and `ExperimentReport`'s fields are the file's keys.
@@ -14,20 +14,36 @@ are the report's dicts, and `ExperimentReport`'s fields are the file's keys.
 Frames are processed in blocks of `BLOCK_FRAMES`: each block is drawn,
 inferred and digested at once (`replica.infer`), and a weight-flip set
 re-infers the block when it first fires in it, on weights flipped once per
-run. Memory does not grow with the frame count.
+run. The rounds of a block run in chunks of at most `ROUND_CHUNK`, so
+memory does not grow with the frame count.
 
-Each round is computed directly, in order. Every round ends before the
-next input is released, so a device is always idle when its kernel
-arrives: a completion is the delivery time plus one host jitter draw, the
-compute time on the replica's clock and any injected delay. Trace records
-are totally ordered by (t_ns, seq). The runner hands out seq in one
-counter, in this order per round: the input release; one delivery per
-healthy replica in replica order; one completion per delivery, in
-(time, seq) order of the deliveries (a dropped output takes its seq but
-writes no record); then, at the record time, the rendezvous, any bus
-divergence, the verdict and the safety action. Records are written from
-per-kind templates that give exactly the bytes of
-`json.dumps(record, separators=(",", ":"))`.
+A chunk's draws and times are arrays. Every random stream is
+counter-addressed (`rng.draws`), so the feed and host jitter of each healthy
+replica and the draws of each probabilistic fault trigger come out for the
+whole chunk at once. Every round ends before the next input is released, so
+a device is always idle when its kernel arrives: relative to the release, a
+completion is the delivery time plus one host jitter draw, the compute time
+on the replica's clock and the delays that fired. A drop fault masks the
+output.
+
+A round passes when no fault fired, at least `required_agreement` replicas
+are healthy and the arrival times the checker sees lie within the
+rendezvous window: every healthy replica then emits the clean output, the
+rendezvous completes and the vote passes. Pass rounds are counted and
+written from the arrays. Every other round is a scalar round: it runs on
+the drawn times through `rendezvous`, the bus compare, `vote` and
+`step_safety`, in round order, so those rules have one definition. A round
+lasts from its release to its record time, and the next release is its
+record time: releases are a running sum of durations.
+
+Trace records are totally ordered by (t_ns, seq). Each round takes seq in
+this order: the input release; one delivery per healthy replica in replica
+order; one completion per delivery, in (time, seq) order of the deliveries
+(a dropped output takes its seq but writes no record); then, at the record
+time, the rendezvous, any bus divergence, the verdict and the safety action.
+Each kind of record has one template that gives exactly the bytes of
+`json.dumps(record, separators=(",", ":"))`; the records of a chunk are
+sorted by (t_ns, seq) and written in one call.
 """
 
 from __future__ import annotations
@@ -36,22 +52,33 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import ALPHA_BOUNDS, ExperimentConfig
+import numpy as np
+
+from .config import ExperimentConfig
 from .coupling import (
     Complete,
     Tight,
     compare_bus_traces,
-    distribute_input,
     estimate_ptp_offset,
     rendezvous,
     simulate_ptp_exchange,
 )
-from .errors import ConfigError, NoHealthyReplicas, SimulationError
-from .eventsim import cycles_to_time, sample_turnaround_overhead
-from .faults import FaultEffects, apply_fault, flip_output_bits, flip_weight_bits
+from .errors import SimulationError
+from .eventsim import cycles_to_time, sample_turnaround_overheads
+from .faults import (
+    VALUE_FAULTS,
+    DropOutput,
+    ExtraDelay,
+    FaultEffects,
+    apply_fault,
+    flip_output_bits,
+    flip_weight_bits,
+    trigger_fires,
+)
 from .fixedpoint import FixedPointTensor, argmax_index, tensor_digest
-from .profiling import detect_outliers, histogram, ks_statistic, stats, write_histogram_csv
+from .profiling import detect_outliers, histogram, stats, write_histogram_csv
 from .replica import HEALTHY, ReplicaOutput, gen_frames, gen_weights, infer
+from . import trace
 from .rng import Rng, derive_seed
 from .voting import PASS, SafetySwitchState, Verdict, step_safety, vote
 
@@ -59,11 +86,15 @@ TRACE_FILENAME = "trace.jsonl"
 REPORT_FILENAME = "report.json"
 
 BLOCK_FRAMES = 256
+ROUND_CHUNK = 512
+# A run of pass rounds is stepped and written in pieces of at most this many
+# rounds, which caps the trace text held at once.
+WRITE_ROUNDS = 64
 
+# Simulated time stays below 2**62 ns (146 years), so int64 holds every time.
+TIME_LIMIT_NS = 1 << 62
 
-def _ids(ids) -> str:
-    """JSON text of a list of ints, as json.dumps writes it compactly."""
-    return "[" + ",".join(map(str, ids)) + "]"
+_PASSED = Verdict(PASS)
 
 
 @dataclass
@@ -109,8 +140,8 @@ class ExperimentReport:
 class ExperimentRunner:
     """One deterministic run of one experiment config.
 
-    `trace_writer`, if given, is called with each trace record as one JSON
-    text line, newline included; `run_to_directory` passes a file's `write`.
+    `trace_writer`, if given, is called with the trace text of each chunk
+    of rounds, whole lines only; `run_to_directory` passes a file's `write`.
     """
 
     def __init__(self, config: ExperimentConfig, trace_writer=None):
@@ -126,16 +157,25 @@ class ExperimentRunner:
         root = Rng(config.seed)
         self.weights = gen_weights(derive_seed(config.seed, "weights"), config.workload.arch)
         n = topo.replica_count
-        self.host_pairs = []
-        self.feed_pairs = []
-        for rid in range(n):
-            self.host_pairs.append((topo.host_jitter[rid], root.child(f"host.{rid}")))
-            self.feed_pairs.append((topo.feed_jitter[rid], root.child(f"feed.{rid}")))
-        self.replica_faults = {rid: [] for rid in range(n)}
-        for i, (rid, spec) in enumerate(config.faults):
-            self.replica_faults[rid].append((spec, root.child(f"fault.{i}")))
-
         self.healthy_ids = [rid for rid in range(n) if topo.health[rid] == HEALTHY]
+        # Per healthy replica (a column of the chunk arrays): its jitter
+        # models and stream seeds; feed jitter only under loose coupling.
+        self._host = [(topo.host_jitter[rid], root.child(f"host.{rid}").seed) for rid in self.healthy_ids]
+        self._feed = [] if isinstance(self.coupling, Tight) else [
+            (topo.feed_jitter[rid], root.child(f"feed.{rid}").seed) for rid in self.healthy_ids]
+        # (column, spec, stream seed) of each fault of a healthy replica; a
+        # fault of another replica is never evaluated
+        column = {rid: i for i, rid in enumerate(self.healthy_ids)}
+        self._faults = [(column[rid], spec, root.child(f"fault.{i}").seed)
+                        for i, (rid, spec) in enumerate(config.faults) if rid in column]
+        self._value_faults = [[(s, spec) for s, (c, spec, _) in enumerate(self._faults)
+                               if c == i and isinstance(spec.kind, VALUE_FAULTS)]
+                              for i in range(len(self.healthy_ids))]
+        # draws taken so far from each stream
+        self._host_pos = [0] * len(self._host)
+        self._feed_pos = [0] * len(self._feed)
+        self._fault_pos = [0] * len(self._faults)
+
         self.clock_offsets = list(topo.clock_offsets_ns)
         self.ptp_corrections = [0] * n
         self.prev_output = [None] * n
@@ -159,115 +199,179 @@ class ExperimentRunner:
         self.bus = {"comparisons": 0, "divergences": 0}
         self.ptp_info = []
 
-    # -- trace records ------------------------------------------------
-
-    def _write_records(self, records):
-        """Write (t_ns, seq, body) records in (t_ns, seq) order; `body` is
-        the JSON text of every field after seq."""
-        write = self._write
-        for t, seq, body in sorted(records):
-            write(f'{{"t_ns":{t},"seq":{seq},{body}}}\n')
-
     # -- per-replica computation ---------------------------------------
 
     def _result(self, flips, row):
-        """(output, cycles, bus trace, digest) of frame `row` of the block on
-        the weights with the weight-bit `flips` applied."""
+        """(output, bus trace, digest) of frame `row` of the block on the
+        weights with the weight-bit `flips` applied."""
         key = tuple(flips)
         block = self._block.get(key)
         if block is None:
             weights = self._weights.get(key)
             if weights is None:
                 weights = self._weights[key] = flip_weight_bits(self.weights, flips)
-            outs, cycles, rows = infer(weights, self._frames, self.engine)
-            block = self._block[key] = (outs, cycles, weights.params_digests, rows.tolist())
-        outs, cycles, params, rows = block
+            outs, self._cycles, rows = infer(weights, self._frames, self.engine)
+            block = self._block[key] = (outs, weights.params_digests, rows.tolist())
+        outs, params, rows = block
         digests = tuple(rows[row])
-        return FixedPointTensor((outs.shape[1],), outs[row]), cycles, (params, digests), digests[-1]
+        return FixedPointTensor((outs.shape[1],), outs[row]), (params, digests), digests[-1]
 
-    def _compute(self, rid, frame_id, row, clean):
+    def _compute(self, i, row, clean, fired):
+        """(output, bus trace, digest) of healthy replica `i` with the value
+        faults that `fired` (one flag per fault) applied."""
         effects = FaultEffects()
-        applied = False
-        for spec, frng in self.replica_faults[rid]:
-            applied |= apply_fault(spec, effects, frame_id, frng)
-        out, cycles, trace, digest = clean
+        for s, spec in self._value_faults[i]:
+            if fired[s]:
+                apply_fault(spec, effects)
+        out, bus_trace, digest = clean
         if effects.weight_flips:
-            out, cycles, trace, digest = self._result(effects.weight_flips, row)
+            out, bus_trace, digest = self._result(effects.weight_flips, row)
         if effects.output_flips:
             out = flip_output_bits(out, effects.output_flips)
             digest = tensor_digest(out)
+        rid = self.healthy_ids[i]
         if effects.stuck and self.prev_output[rid] is not None:
             out = self.prev_output[rid]
             digest = tensor_digest(out)
-        return out, cycles, trace, digest, effects, applied
+        return out, bus_trace, digest
 
-    # -- round orchestration --------------------------------------------
+    # -- a chunk of rounds -----------------------------------------------
 
-    def _run_round(self, frame_id, rep, row, clean):
+    def _jitter(self, streams, positions, n):
+        """(n, columns) int64 array: n samples of each (model, seed) stream."""
+        out = np.zeros((n, len(self.healthy_ids)), dtype=np.int64)
+        for i, (model, seed) in enumerate(streams):
+            out[:, i], positions[i] = sample_turnaround_overheads(model, seed, positions[i], n)
+        return out
+
+    def _run_chunk(self, first, lo, hi):
+        """Rounds lo .. hi-1 of the block whose first frame is `first`."""
+        reps = self.cfg.workload.repetitions_per_frame
+        n = hi - lo
+        rows = np.arange(lo, hi) // reps
+        k = len(self.healthy_ids)
+
+        # times relative to each round's release
+        feed = self._jitter(self._feed, self._feed_pos, n)
+        comp = feed + self._jitter(self._host, self._host_pos, n) + self._compute_ns
+        emit = np.ones((n, k), dtype=bool)
+        fired = np.zeros((n, len(self._faults)), dtype=bool)
+        for s, (i, spec, seed) in enumerate(self._faults):
+            fired[:, s], used = trigger_fires(spec.trigger, first + rows, seed, self._fault_pos[s])
+            self._fault_pos[s] += used
+            if isinstance(spec.kind, ExtraDelay):
+                comp[:, i] += spec.kind.ns * fired[:, s]
+            elif isinstance(spec.kind, DropOutput):
+                emit[:, i] &= ~fired[:, s]
+        bad = (feed < 0) | (comp < feed)
+        if bad.any():
+            j, i = np.argwhere(bad)[0].tolist()
+            raise SimulationError(
+                f"replica {self.healthy_ids[i]}, frame {first + rows[j]}: delivery at {feed[j, i]} ns "
+                f"and completion at {comp[j, i]} ns after the release must not precede it or each other"
+            )
+        for i, rid in enumerate(self.healthy_ids):
+            self.samples[rid].extend(comp[emit[:, i], i].tolist())
+        arrival = comp + self._corr
+        applied = fired.any(axis=1)
+        passes = np.zeros(n, dtype=bool)
+        if k >= self.topology.policy.required_agreement:
+            spread = arrival.max(axis=1) - arrival.min(axis=1)
+            passes = ~applied & (spread <= self._window_ns)
+            n_pass = int(passes.sum())
+            self.verdict_counts[PASS] += n_pass
+            self.skews.extend(spread[passes].tolist())
+            if self.topology.bus_trace_compare and isinstance(self.coupling, Tight) and k >= 2:
+                self.bus["comparisons"] += n_pass
+            pass_rounds = (rows, (lo + np.arange(n)) % reps, feed, comp, spread,
+                           np.maximum(comp.max(axis=1), arrival.max(axis=1)))
+
+        # the scalar rounds in order, each after the run of pass rounds before it
+        done = 0
+        for j in np.flatnonzero(~passes).tolist() + [n]:
+            for a in range(done, j, WRITE_ROUNDS):
+                self._pass_rounds(first, slice(a, min(a + WRITE_ROUNDS, j)), *pass_rounds)
+            if j < n:
+                self._run_round(first + int(rows[j]), (lo + j) % reps, int(rows[j]), feed[j].tolist(),
+                                comp[j].tolist(), emit[j].tolist(), fired[j].tolist(), bool(applied[j]))
+            done = j + 1
+
+    def _pass_rounds(self, first, span, rows, reps, feed, comp, spread, durations):
+        """Step time, seq, the safety switch and the replicas' last outputs
+        over the pass rounds `span` of the chunk, and write their records.
+        The arguments after `span` hold a column per chunk round."""
+        k = len(self.healthy_ids)
+        rows, durations = rows[span], durations[span]
+        starts = self.now + np.cumsum(durations) - durations
+        seqs = self.seq + (4 + 2 * k) * np.arange(len(rows))
+        self.now = int(starts[-1] + durations[-1])
+        self.seq += (4 + 2 * k) * len(rows)
+        self.safety, action = step_safety(self.safety, _PASSED)
+        clean = self._result((), int(rows[-1]))[0]
+        for rid in self.healthy_ids:
+            self.prev_output[rid] = clean
+        if self._write is None:
+            return
+
+        self._write(trace.pass_rounds(
+            list(map(trace.frame, (first + rows).tolist(), reps[span].tolist())), self.healthy_ids,
+            starts, seqs, feed[span], comp[span], spread[span], durations,
+            (self._cycles, [self._clean_digests[r] for r in rows.tolist()],
+             [self._clean_classes[r] for r in rows.tolist()]),
+            (self.safety.state, action, self.safety.consecutive_fault_count),
+        ))
+
+    # -- a scalar round -------------------------------------------------------
+
+    def _run_round(self, frame_id, rep, row, feed, comp, emit, fired, applied):
+        """One round through rendezvous, bus compare, vote and safety step.
+        Per healthy replica: `feed` and `comp` are its delivery and
+        completion times after the release, `emit` whether its output is
+        emitted; `fired` flags each fault, `applied` is any(fired)."""
         release = self.now
         tracing = self._write is not None
         if tracing:
-            # the fields that follow "kind" in every record of this round
-            fr = f'"frame_id":{frame_id},"repetition":{rep}'
-            records = [(release, self.seq, f'"kind":"input_release",{fr}')]
+            fr = trace.frame(frame_id, rep)
+            records = [(release, self.seq, trace.RELEASE.format(release, self.seq, fr))]
         self.seq += 1
-        try:
-            barrier = distribute_input(
-                frame_id,
-                release,
-                self.healthy_ids,
-                self.coupling,
-                [self.feed_pairs[rid] for rid in self.healthy_ids],
-            )
-        except NoHealthyReplicas:
+        if not self.healthy_ids:
             if tracing:
-                self._write_records(records)
+                self._write(trace.in_order(records))
             self._finish_round(frame_id, rep, None, Verdict.degraded("no healthy replicas"),
                                divergence=None, deadline=release)
             return
 
-        deliveries = barrier.deliveries
+        k = len(self.healthy_ids)
         seq = self.seq
         if tracing:
-            for i, (rid, t) in enumerate(deliveries):
-                records.append((t, seq + i, f'"kind":"delivery",{fr},"replica_id":{rid},"skew_ns":{t - release}'))
-        completion_seq = seq + len(deliveries)
-        self.seq = completion_seq + len(deliveries)
+            for i, rid in enumerate(self.healthy_ids):
+                t = release + feed[i]
+                records.append((t, seq + i, trace.DELIVERY.format(t, seq + i, fr, rid, feed[i])))
+        completion_seq = seq + k
+        self.seq = completion_seq + k
 
-        now = release
+        clean = self._result((), row)
         arrivals = []
         outputs = {}
         traces = {}
-        any_applied = False
-        # a stable sort by time keeps replica order on ties: (time, seq) order
-        for rid, t_deliver in sorted(deliveries, key=lambda d: d[1]):
-            out, cycles, trace, digest, effects, applied = self._compute(rid, frame_id, row, clean)
-            any_applied |= applied
-            jitter, host_rng = self.host_pairs[rid]
-            t = (t_deliver + sample_turnaround_overhead(jitter, host_rng)
-                 + cycles_to_time(cycles, self.topology.clocks[rid]) + effects.extra_delay_ns)
-            if not release <= t_deliver <= t:
-                raise SimulationError(
-                    f"replica {rid}, frame {frame_id}: delivery at {t_deliver} ns and completion "
-                    f"at {t} ns must not precede the release at {release} ns or each other"
-                )
-            now = max(now, t)
-            if not effects.drop:
-                turnaround = t - release
-                arrivals.append((rid, t + self.clock_offsets[rid] - self.ptp_corrections[rid]))
+        # a stable sort by delivery time keeps replica order on ties: (time, seq) order
+        for i in sorted(range(k), key=feed.__getitem__):
+            if emit[i]:
+                rid = self.healthy_ids[i]
+                out, bus_trace, digest = self._compute(i, row, clean, fired)
+                t = release + comp[i]
+                arrivals.append((rid, t + self._corr[i]))
                 outputs[rid] = ReplicaOutput(rid, out, digest)
-                traces[rid] = trace
-                self.samples[rid].append(turnaround)
+                traces[rid] = bus_trace
                 self.prev_output[rid] = out
                 if tracing:
-                    records.append((t, completion_seq, (
-                        f'"kind":"completion",{fr},"replica_id":{rid},"turnaround_ns":{turnaround},'
-                        f'"compute_cycles":{cycles},"digest":{digest},"classification":{argmax_index(out)}'
-                    )))
+                    records.append((t, completion_seq, trace.COMPLETION.format(
+                        t, completion_seq, fr, rid, comp[i], self._cycles, digest,
+                        argmax_index(out))))
             completion_seq += 1
-        self.now = now
+        self.now = release + max(comp)
         if tracing:
-            self._write_records(records)
+            self._write(trace.in_order(records))
 
         outcome = rendezvous(self.healthy_ids, arrivals, self._window_ns)
         if isinstance(outcome, Complete):
@@ -291,11 +395,11 @@ class ExperimentRunner:
         verdict = vote(list(outputs.values()), self.topology.policy, self.topology.comparator, outcome)
         self._finish_round(frame_id, rep, outcome, verdict, divergence, deadline)
 
-        if any_applied:
+        if applied:
             self.faults["injected"] += 1
             if verdict.variant != PASS:
                 self.faults["detected"] += 1
-            elif verdict.agreed.digest == clean[3]:
+            elif verdict.agreed.digest == clean[2]:
                 self.faults["masked_pass"] += 1
             else:
                 self.faults["corrupted_pass"] += 1
@@ -311,36 +415,19 @@ class ExperimentRunner:
         new_state, action = step_safety(self.safety, verdict)
 
         if self._write is not None:
-            fr = f'"frame_id":{frame_id},"repetition":{rep}'
-            bodies = []
+            # (template, fields) of each record, all at t_record in seq order
+            fields = []
             if isinstance(outcome, Complete):
-                bodies.append(f'"kind":"rendezvous",{fr},"outcome":"complete","skew_ns":{outcome.skew_ns}')
+                fields.append((trace.COMPLETE, outcome.skew_ns))
             elif outcome is not None:
-                bodies.append(
-                    f'"kind":"rendezvous",{fr},"outcome":"timeout","present_ids":{_ids(outcome.present_ids)},'
-                    f'"missing_ids":{_ids(outcome.missing_ids)}'
-                )
+                fields.append((trace.TIMEOUT, trace.ids(outcome.present_ids), trace.ids(outcome.missing_ids)))
             if divergence is not None:
-                rid_a, rid_b, index = divergence
-                bodies.append(
-                    f'"kind":"bus_divergence",{fr},"replica_a":{rid_a},"replica_b":{rid_b},'
-                    f'"event_index":{index},"reason":"payload digest mismatch"'
-                )
-            v = f'"kind":"verdict",{fr},"variant":"{verdict.variant}"'
-            if verdict.variant == PASS:
-                v += f',"agreeing_ids":{_ids(verdict.agreeing_ids)},"agreed_digest":{verdict.agreed.digest}'
-            elif verdict.variant == "mismatch":
-                v += ',"groups":[' + ",".join(_ids(g) for g in verdict.groups) + "]"
-            elif verdict.variant == "timeout":
-                v += f',"missing_ids":{_ids(verdict.missing_ids)}'
-            else:
-                v += f',"reason":{json.dumps(verdict.reason)}'
-            bodies.append(v)
-            bodies.append(
-                f'"kind":"safety_action",{fr},"state":"{new_state.state}","action":"{action}",'
-                f'"consecutive_faults":{new_state.consecutive_fault_count}'
-            )
-            self._write_records([(t_record, self.seq + i, body) for i, body in enumerate(bodies)])
+                fields.append((trace.DIVERGENCE, *divergence))
+            fields.append((trace.VERDICT, verdict.variant, trace.verdict_fields(verdict)))
+            fields.append((trace.SAFETY, new_state.state, action, new_state.consecutive_fault_count))
+            fr = trace.frame(frame_id, rep)
+            self._write("".join([template.format(t_record, self.seq + i, fr, *rest)
+                                 for i, (template, *rest) in enumerate(fields)]))
         self.seq += 2 + (outcome is not None) + (divergence is not None)
 
         if new_state.state != self.safety.state:
@@ -365,10 +452,7 @@ class ExperimentRunner:
             self.ptp_info.append({"replica_id": rid, "offset_ns": est.offset_ns,
                                   "path_delay_ns": est.path_delay_ns})
             if self._write is not None:
-                self._write_records([(self.now, self.seq, (
-                    f'"kind":"ptp","replica_id":{rid},"offset_ns":{est.offset_ns},'
-                    f'"path_delay_ns":{est.path_delay_ns}'
-                ))])
+                self._write(trace.PTP.format(self.now, self.seq, rid, est.offset_ns, est.path_delay_ns))
             self.seq += 1
 
     # -- top level --------------------------------------------------------
@@ -377,15 +461,42 @@ class ExperimentRunner:
         wl = self.cfg.workload
         if self.topology.ptp.enabled:
             self._sync_clocks()
+        # what the checker adds to a completion time to get its arrival time
+        self._corr = [self.clock_offsets[rid] - self.ptp_corrections[rid] for rid in self.healthy_ids]
+        reps = wl.repetitions_per_frame
         for first in range(0, wl.frame_count, BLOCK_FRAMES):
-            frame_ids = range(first, min(first + BLOCK_FRAMES, wl.frame_count))
-            self._frames = gen_frames(self.cfg.seed, frame_ids, wl.input_shape)
+            count = min(BLOCK_FRAMES, wl.frame_count - first)
+            self._frames = gen_frames(self.cfg.seed, range(first, first + count), wl.input_shape)
             self._block = {}
-            for row, frame_id in enumerate(frame_ids):
-                clean = self._result((), row)
-                for rep in range(wl.repetitions_per_frame):
-                    self._run_round(frame_id, rep, row, clean)
+            self._result((), 0)
+            outs, _, rows = self._block[()]
+            self._clean_digests = [r[-1] for r in rows]
+            self._clean_classes = outs.argmax(axis=1).tolist()
+            if first == 0:
+                self._check_time_limit()
+            for lo in range(0, count * reps, ROUND_CHUNK):
+                self._run_chunk(first, lo, min(lo + ROUND_CHUNK, count * reps))
         return self._build_report()
+
+    def _check_time_limit(self):
+        """Set the compute time of each healthy replica, and refuse a run
+        whose simulated time could reach `TIME_LIMIT_NS`."""
+        compute = [cycles_to_time(self._cycles, self.topology.clocks[rid]) for rid in self.healthy_ids]
+        delays = [0] * len(compute)
+        for i, spec, _ in self._faults:
+            if isinstance(spec.kind, ExtraDelay):
+                delays[i] += abs(spec.kind.ns)
+        per_round = self._window_ns + sum(
+            host.bound_ns + (self._feed[i][0].bound_ns if self._feed else 0)
+            + compute[i] + delays[i] + abs(self._corr[i])
+            for i, (host, _) in enumerate(self._host)
+        )
+        wl = self.cfg.workload
+        rounds = wl.frame_count * wl.repetitions_per_frame
+        if rounds * per_round >= TIME_LIMIT_NS:
+            raise SimulationError(
+                f"simulated time could reach 2**62 ns: up to {per_round} ns per round over {rounds} rounds")
+        self._compute_ns = np.array(compute, dtype=np.int64)
 
     def _build_report(self) -> ExperimentReport:
         prof = self.cfg.profiler
@@ -439,81 +550,3 @@ def run_to_directory(config: ExperimentConfig, out_dir) -> ExperimentReport:
         with open(out / f"hist_replica{row['replica_id']}.csv", "w") as hf:
             write_histogram_csv(row["histogram"], hf)
     return report
-
-
-def compare_runs(report_a: dict, report_b: dict, alpha: float = 0.01) -> dict:
-    """Kolmogorov-Smirnov comparison of two runs, per replica pairing, from
-    two report.json dicts (`ExperimentReport.to_json_dict()` gives one).
-
-    Refuses (ConfigError) an alpha outside `ALPHA_BOUNDS`, and a paired
-    replica with fewer than 4 samples on either side.
-    """
-    lo, hi = ALPHA_BOUNDS
-    if not lo <= alpha <= hi:  # NaN fails both comparisons
-        raise ConfigError([f"alpha: must be within [{lo}, {hi}], got {alpha}"])
-    reps_a = {r["replica_id"]: r for r in report_a.get("replicas", [])}
-    reps_b = {r["replica_id"]: r for r in report_b.get("replicas", [])}
-    common = sorted(set(reps_a) & set(reps_b))
-    pairs = [rid for rid in common if reps_a[rid]["samples"] or reps_b[rid]["samples"]]
-    if not pairs:
-        raise ConfigError(["comparison refused: no replica with latency samples in both runs"])
-    rows = []
-    for rid in pairs:
-        xa = reps_a[rid]["samples"]
-        xb = reps_b[rid]["samples"]
-        if len(xa) < 4 or len(xb) < 4:
-            raise ConfigError([
-                f"comparison refused: replica {rid} has {len(xa)} vs {len(xb)} samples; "
-                "need at least 4 on each side"
-            ])
-        rows.append(
-            {
-                "replica_id": rid,
-                "ks": ks_statistic(xa, xb, alpha),
-                "a": _stats_summary(reps_a[rid]),
-                "b": _stats_summary(reps_b[rid]),
-            }
-        )
-    return {
-        "alpha": alpha,
-        "replicas": rows,
-        "any_distinguishable": any(r["ks"]["distinguishable"] for r in rows),
-    }
-
-
-def _stats_summary(rep_entry) -> dict:
-    st = rep_entry.get("stats") or {}
-    out = rep_entry.get("outliers") or {}
-    return {
-        "n": st.get("n", 0),
-        "mean": st.get("mean"),
-        "p99": st.get("p99"),
-        "excess_kurtosis": st.get("excess_kurtosis"),
-        "outlier_count": len(out.get("indices", [])),
-    }
-
-
-def render_comparison_table(comparison: dict) -> str:
-    """Side-by-side text table for a compare_runs result."""
-    header = (
-        f"{'replica':>7} {'D':>10} {'critical':>10} {'distinct':>8} "
-        f"{'mean_a':>12} {'mean_b':>12} {'p99_a':>10} {'p99_b':>10} "
-        f"{'kurt_a':>10} {'kurt_b':>10} {'outl_a':>6} {'outl_b':>6}"
-    )
-    lines = [header, "-" * len(header)]
-    for row in comparison["replicas"]:
-        ks = row["ks"]
-        a, b = row["a"], row["b"]
-
-        def fmt(v, spec):
-            return format(v, spec) if isinstance(v, (int, float)) else "-"
-
-        lines.append(
-            f"{row['replica_id']:>7} {ks['d']:>10.6f} {ks['critical_value']:>10.6f} "
-            f"{str(ks['distinguishable']):>8} "
-            f"{fmt(a['mean'], '12.1f')} {fmt(b['mean'], '12.1f')} "
-            f"{fmt(a['p99'], '10')} {fmt(b['p99'], '10')} "
-            f"{fmt(a['excess_kurtosis'], '10.3f')} {fmt(b['excess_kurtosis'], '10.3f')} "
-            f"{a['outlier_count']:>6} {b['outlier_count']:>6}"
-        )
-    return "\n".join(lines)

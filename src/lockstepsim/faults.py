@@ -4,16 +4,21 @@ Weight flips hit the parameters before inference, output flips hit the
 produced tensor, delay faults push the completion timestamp, drop and
 stuck faults act at output emission. Indices are validated when the
 experiment is loaded, never at run time. Each fault owns its trigger RNG
-stream, so evaluation order cannot perturb any other stream.
+stream, so evaluation order cannot perturb any other stream. Triggers are
+evaluated for a chunk of rounds at once (`trigger_fires`); the runner adds
+delays to its completion times and masks drops, and `apply_fault` folds the
+value faults (weight flips, output flips, stuck) of one inference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .fixedpoint import FixedPointTensor, flip_bit
 from .replica import LayerSpec, WeightSet
-from .rng import Rng
+from .rng import uniforms
 
 
 @dataclass(frozen=True)
@@ -65,48 +70,43 @@ class FaultSpec:
     trigger: object = Always()
 
 
-def trigger_fires(trigger, frame_id: int, rng: Rng) -> bool:
+def trigger_fires(trigger, frame_ids: np.ndarray, seed: int, start: int):
+    """Whether `trigger` fires in each round of a chunk, whose frames are
+    `frame_ids`, as a bool array, and the number of draws it took. A
+    probabilistic trigger takes one draw per round from the stream
+    `Rng(seed)`, after its first `start` draws."""
     if isinstance(trigger, Always):
-        return True
+        return np.ones(len(frame_ids), dtype=bool), 0
     if isinstance(trigger, OnFrame):
-        return frame_id == trigger.frame_id
+        return frame_ids == trigger.frame_id, 0
     if isinstance(trigger, WithProbability):
-        return rng.uniform() < trigger.p
+        return uniforms(seed, len(frame_ids), start) < trigger.p, len(frame_ids)
     raise TypeError(f"unknown trigger {trigger!r}")
+
+
+VALUE_FAULTS = (WeightBitFlip, OutputBitFlip, StuckOutput)
 
 
 @dataclass
 class FaultEffects:
-    """Accumulated effect of every fault fired for one inference."""
+    """Accumulated effect of every value fault fired for one inference."""
 
     weight_flips: list = field(default_factory=list)
     output_flips: list = field(default_factory=list)
-    extra_delay_ns: int = 0
-    drop: bool = False
     stuck: bool = False
 
 
-def apply_fault(spec: FaultSpec, effects: FaultEffects, frame_id: int, rng: Rng) -> bool:
-    """Evaluate the trigger and fold the fault into `effects`.
-
-    Returns whether the fault applied for this inference.
-    """
-    if not trigger_fires(spec.trigger, frame_id, rng):
-        return False
+def apply_fault(spec: FaultSpec, effects: FaultEffects) -> None:
+    """Fold a value fault (one of `VALUE_FAULTS`) that fired into `effects`."""
     kind = spec.kind
     if isinstance(kind, WeightBitFlip):
         effects.weight_flips.append((kind.layer, kind.element_index, kind.bit))
     elif isinstance(kind, OutputBitFlip):
         effects.output_flips.append((kind.element_index, kind.bit))
-    elif isinstance(kind, ExtraDelay):
-        effects.extra_delay_ns += kind.ns
-    elif isinstance(kind, DropOutput):
-        effects.drop = True
     elif isinstance(kind, StuckOutput):
         effects.stuck = True
     else:
-        raise TypeError(f"unknown fault kind {kind!r}")
-    return True
+        raise TypeError(f"not a value fault: {kind!r}")
 
 
 def flip_weight_bits(weights: WeightSet, flips) -> WeightSet:

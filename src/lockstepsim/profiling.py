@@ -3,9 +3,14 @@
 Every function returns the JSON value that report.json stores: `stats`,
 `detect_outliers` and `ks_statistic` return dicts with a fixed key order,
 and `histogram` returns a list of `{"lower_edge_ns", "count"}` dicts.
+`compare_runs` compares the turnaround samples of two report.json dicts.
 
 Moment statistics come from exact integer power sums, so repeated runs are
 bit-identical and agree with a high-precision reference to float rounding.
+The sums run over the distinct sample values with their counts, in Python
+ints (the fourth power of a 10^6 ns turnaround does not fit in int64). The
+histogram and the outlier scores are NumPy array operations that give the
+same bits as the scalar formulas below for integer samples.
 Definitions used throughout:
 
     mean             arithmetic mean
@@ -22,7 +27,12 @@ None (an explicit undefined marker), never NaN.
 from __future__ import annotations
 
 import math
-import statistics
+from itertools import groupby
+
+import numpy as np
+
+from .config import ALPHA_BOUNDS
+from .errors import ConfigError
 
 
 def _nearest_rank(sorted_xs, num: int, den: int):
@@ -39,13 +49,14 @@ def stats(samples) -> dict:
     if n == 0:
         raise ValueError("stats needs at least one sample")
     s1 = s2 = s3 = s4 = 0
-    for x in samples:
+    for x, run in groupby(xs):
+        c = sum(1 for _ in run)
         x = int(x)
         x2 = x * x
-        s1 += x
-        s2 += x2
-        s3 += x2 * x
-        s4 += x2 * x2
+        s1 += c * x
+        s2 += c * x2
+        s3 += c * x2 * x
+        s4 += c * x2 * x2
     # Central power sums scaled to stay in exact integers:
     #   A = n^2 * m2,  B = n^3 * m3,  C = n^4 * m4
     a = n * s2 - s1 * s1
@@ -80,6 +91,14 @@ def stats(samples) -> dict:
     }
 
 
+def _median(sorted_xs: np.ndarray):
+    """`statistics.median` of a sorted array, as a Python number."""
+    n = len(sorted_xs)
+    if n % 2:
+        return sorted_xs[n // 2].item()
+    return (sorted_xs[n // 2 - 1].item() + sorted_xs[n // 2].item()) / 2
+
+
 def detect_outliers(samples, threshold: float = 3.5) -> dict:
     """MAD modified z-score outliers: score = 0.6745 |x - median| / MAD.
     Returns the method name, the threshold, and the indices and scores of
@@ -92,18 +111,19 @@ def detect_outliers(samples, threshold: float = 3.5) -> dict:
     n = len(samples)
     if n < 3:
         raise ValueError("outlier detection needs at least 3 samples")
-    med = statistics.median(samples)
-    devs = [abs(x - med) for x in samples]
-    denom = statistics.median(devs)
+    devs = np.asarray(samples)
+    devs = devs - _median(np.sort(devs))
+    np.abs(devs, out=devs)
+    denom = _median(np.sort(devs))
     if denom == 0:
-        denom = sum(devs) / n
+        denom = sum(devs.tolist()) / n
     indices, scores = [], []
     if denom != 0:
-        for i, d in enumerate(devs):
-            score = 0.6745 * d / denom
-            if score > threshold:
-                indices.append(i)
-                scores.append(score)
+        score = devs * 0.6745  # the bits of 0.6745 * d / denom
+        score /= denom
+        flagged = score > threshold
+        indices = np.flatnonzero(flagged).tolist()
+        scores = score[flagged].tolist()
     return {"method": "mad_modified_z", "threshold": threshold, "indices": indices, "scores": scores}
 
 
@@ -143,25 +163,104 @@ def ks_statistic(a, b, alpha: float = 0.01) -> dict:
 
 def histogram(samples, bin_count: int) -> list:
     """Equal-width bins over [min, max]; the max value lands in the last
-    bin. Counts always sum to n. Empty input yields an empty histogram."""
+    bin. Counts always sum to n. Empty input yields an empty histogram.
+    Sample x lands in bin min(int((x - min) / width), bin_count - 1), and
+    bin i's lower edge is min + i * width."""
     if bin_count < 1:
         raise ValueError("bin_count must be at least 1")
-    if not samples:
+    if not len(samples):
         return []
     lo = min(samples)
-    hi = max(samples)
-    width = (hi - lo) / bin_count
-    counts = [0] * bin_count
-    for x in samples:
-        if width == 0:
-            idx = bin_count - 1
-        else:
-            idx = min(int((x - lo) / width), bin_count - 1)
-        counts[idx] += 1
-    return [{"lower_edge_ns": lo + i * width, "count": counts[i]} for i in range(bin_count)]
+    width = (max(samples) - lo) / bin_count
+    if width == 0:
+        index = np.full(len(samples), bin_count - 1)
+    else:
+        index = (np.subtract(samples, lo) / width).astype(np.int64)
+        np.minimum(index, bin_count - 1, out=index)
+    counts = np.bincount(index, minlength=bin_count).tolist()
+    edges = (lo + np.arange(bin_count) * width).tolist()
+    return [{"lower_edge_ns": e, "count": c} for e, c in zip(edges, counts)]
 
 
 def write_histogram_csv(bins, fp) -> None:
     fp.write("lower_edge_ns,count\n")
     for hb in bins:
         fp.write(f"{hb['lower_edge_ns']},{hb['count']}\n")
+
+
+def compare_runs(report_a: dict, report_b: dict, alpha: float = 0.01) -> dict:
+    """Kolmogorov-Smirnov comparison of two runs, per replica pairing, from
+    two report.json dicts (`experiment.ExperimentReport.to_json_dict()` gives one).
+
+    Refuses (ConfigError) an alpha outside `ALPHA_BOUNDS`, and a paired
+    replica with fewer than 4 samples on either side.
+    """
+    lo, hi = ALPHA_BOUNDS
+    if not lo <= alpha <= hi:  # NaN fails both comparisons
+        raise ConfigError([f"alpha: must be within [{lo}, {hi}], got {alpha}"])
+    reps_a = {r["replica_id"]: r for r in report_a.get("replicas", [])}
+    reps_b = {r["replica_id"]: r for r in report_b.get("replicas", [])}
+    common = sorted(set(reps_a) & set(reps_b))
+    pairs = [rid for rid in common if reps_a[rid]["samples"] or reps_b[rid]["samples"]]
+    if not pairs:
+        raise ConfigError(["comparison refused: no replica with latency samples in both runs"])
+    rows = []
+    for rid in pairs:
+        xa = reps_a[rid]["samples"]
+        xb = reps_b[rid]["samples"]
+        if len(xa) < 4 or len(xb) < 4:
+            raise ConfigError([
+                f"comparison refused: replica {rid} has {len(xa)} vs {len(xb)} samples; "
+                "need at least 4 on each side"
+            ])
+        rows.append(
+            {
+                "replica_id": rid,
+                "ks": ks_statistic(xa, xb, alpha),
+                "a": _stats_summary(reps_a[rid]),
+                "b": _stats_summary(reps_b[rid]),
+            }
+        )
+    return {
+        "alpha": alpha,
+        "replicas": rows,
+        "any_distinguishable": any(r["ks"]["distinguishable"] for r in rows),
+    }
+
+
+def _stats_summary(rep_entry) -> dict:
+    st = rep_entry.get("stats") or {}
+    out = rep_entry.get("outliers") or {}
+    return {
+        "n": st.get("n", 0),
+        "mean": st.get("mean"),
+        "p99": st.get("p99"),
+        "excess_kurtosis": st.get("excess_kurtosis"),
+        "outlier_count": len(out.get("indices", [])),
+    }
+
+
+def render_comparison_table(comparison: dict) -> str:
+    """Side-by-side text table for a compare_runs result."""
+    header = (
+        f"{'replica':>7} {'D':>10} {'critical':>10} {'distinct':>8} "
+        f"{'mean_a':>12} {'mean_b':>12} {'p99_a':>10} {'p99_b':>10} "
+        f"{'kurt_a':>10} {'kurt_b':>10} {'outl_a':>6} {'outl_b':>6}"
+    )
+    lines = [header, "-" * len(header)]
+    for row in comparison["replicas"]:
+        ks = row["ks"]
+        a, b = row["a"], row["b"]
+
+        def fmt(v, spec):
+            return format(v, spec) if isinstance(v, (int, float)) else "-"
+
+        lines.append(
+            f"{row['replica_id']:>7} {ks['d']:>10.6f} {ks['critical_value']:>10.6f} "
+            f"{str(ks['distinguishable']):>8} "
+            f"{fmt(a['mean'], '12.1f')} {fmt(b['mean'], '12.1f')} "
+            f"{fmt(a['p99'], '10')} {fmt(b['p99'], '10')} "
+            f"{fmt(a['excess_kurtosis'], '10.3f')} {fmt(b['excess_kurtosis'], '10.3f')} "
+            f"{a['outlier_count']:>6} {b['outlier_count']:>6}"
+        )
+    return "\n".join(lines)

@@ -41,14 +41,21 @@ def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
     return h
 
 
-def draws(seeds, count: int) -> np.ndarray:
-    """The first `count` `next_u64()` draws of `Rng(seed)` for every seed in
-    `seeds`, as a uint64 array of shape (len(seeds), count)."""
+def draws(seeds, count: int, start: int = 0) -> np.ndarray:
+    """The `count` `next_u64()` draws of `Rng(seed)` that follow its first
+    `start` draws, for every seed in `seeds`, as a uint64 array of shape
+    (len(seeds), count)."""
     base = np.array([s & MASK64 for s in seeds], dtype=np.uint64)
-    z = base[:, None] + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z = base[:, None] + np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
+
+
+def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """The `Rng(seed).uniform()` values of draws start+1 .. start+count, as
+    a float64 array: the same bits as the scalar method gives."""
+    return (draws([seed], count, start)[0] >> np.uint64(11)) * (1.0 / (1 << 53))
 
 
 def fnv1a64_rows(h: int, rows: np.ndarray) -> np.ndarray:

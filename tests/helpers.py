@@ -19,9 +19,9 @@ def run_with_records(raw):
     """(config, report, trace records) of one run of the raw config; each
     record is a line the runner wrote, parsed."""
     cfg = config_from_dict(raw)
-    lines = []
-    report = ExperimentRunner(cfg, lines.append).run()
-    return cfg, report, [json.loads(line) for line in lines]
+    chunks = []
+    report = ExperimentRunner(cfg, chunks.append).run()
+    return cfg, report, [json.loads(line) for line in "".join(chunks).splitlines()]
 
 
 def zero_jitter_duplex(seed=1, frames=5, reps=1, window_ns=10_000_000, policy="1oo2",

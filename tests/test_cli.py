@@ -107,6 +107,14 @@ class TestRunCommand:
         assert "config.seed: must be >= 0, got -1" in captured.err
         assert not out.exists()
 
+    def test_seed_flag_past_64_bits_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = cli_main(["run", "--config", str(CONFIG_DIR / "tight-baseline.json"),
+                         "--out", str(out), "--seed", str(2**64)])
+        assert code == 1
+        assert f"config.seed: must be <= {2**64 - 1}, got {2**64}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_env_seed_exit_one(self, tmp_path, capsys, monkeypatch):
         raw = zero_jitter_duplex(frames=3)
         del raw["seed"]

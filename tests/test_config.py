@@ -169,6 +169,18 @@ class TestSeedResolution:
         del raw["seed"]
         assert errors_of(raw, env={SEED_ENV_VAR: "-5"}) == ["config.seed: must be >= 0, got -5"]
 
+    def test_seed_is_64_bit_from_every_source(self):
+        # 2**64 would run as seed 0; the largest seed is accepted
+        raw = {"seed": 3, "topology": "fpga-duplex-tight"}
+        no_seed = {"topology": "fpga-duplex-tight"}
+        too_big = [f"config.seed: must be <= {2**64 - 1}, got {2**64}"]
+        assert errors_of(raw, seed_override=2**64, env={}) == too_big
+        assert errors_of(dict(raw, seed=2**64), env={}) == too_big
+        assert errors_of(no_seed, env={SEED_ENV_VAR: str(2**64)}) == too_big
+        assert config_from_dict(raw, seed_override=2**64 - 1, env={}).seed == 2**64 - 1
+        assert config_from_dict(dict(raw, seed=2**64 - 1), env={}).seed == 2**64 - 1
+        assert config_from_dict(no_seed, env={SEED_ENV_VAR: str(2**64 - 1)}).seed == 2**64 - 1
+
     @pytest.mark.parametrize("override, shown", [
         (float("nan"), "nan"), (float("inf"), "inf"), ("abc", "'abc'"), (1.7, "1.7"), (True, "True"),
     ])
@@ -243,7 +255,7 @@ class TestShippedConfigs:
 # Every bounded field, as (path, minimum, maximum). A `[i]` in a path is a
 # per-replica list entry; `clocks[1]` replaces the single `clock`.
 BOUNDED_FIELDS = (
-    ("config.seed", 0, None),
+    ("config.seed", 0, 2**64 - 1),
     ("config.topology.replicas", 1, 8),
     ("config.topology.coupling.skew_tolerance_cycles", 0, None),
     ("config.topology.coupling.rendezvous_window_ns", 1, None),

@@ -1,14 +1,21 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lockstepsim.errors import ConfigError
-from lockstepsim.eventsim import ClockDomain, JitterModel, cycles_to_time, sample_turnaround_overhead
+from lockstepsim.eventsim import (
+    ClockDomain,
+    JitterModel,
+    cycles_to_time,
+    sample_turnaround_overhead,
+    sample_turnaround_overheads,
+)
 from lockstepsim.profiling import stats
-from lockstepsim.rng import Rng
+from lockstepsim.rng import Rng, draws
 
 MHZ210 = ClockDomain("dpu", 210_000_000)
 
@@ -95,3 +102,38 @@ class TestJitter:
 # frozen from the first run of this exact stream; any change to the
 # sampling path must be deliberate
 GOLDEN_MC_KURTOSIS = 618.9104004246044
+
+
+class TestArrayJitter:
+    """`sample_turnaround_overheads` against n calls of the scalar sampler."""
+
+    @pytest.mark.parametrize("scale", [1, 2, 5000])
+    @pytest.mark.parametrize("spike_prob", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("mode2", [(0, 0.0), (700, 0.5)])
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 60])
+    def test_chunks_replay_the_scalar_stream(self, scale, spike_prob, mode2, chunk):
+        model = JitterModel(base_overhead_ns=100, spike_prob=spike_prob, spike_scale_ns=scale,
+                            mode2_offset_ns=mode2[0], mode2_prob=mode2[1])
+        n, seed = 60, 4242
+        rng = Rng(seed)
+        expected = [sample_turnaround_overhead(model, rng) for _ in range(n)]
+        got, pos = [], 0
+        for first in range(0, n, chunk):
+            values, pos = sample_turnaround_overheads(model, seed, pos, min(chunk, n - first))
+            assert values.dtype == np.int64
+            got += values.tolist()
+        assert got == expected
+        # both streams stand at the same position afterwards
+        assert int(draws([seed], 1, start=pos)[0, 0]) == rng.next_u64()
+
+    def test_empty_chunk_draws_nothing(self):
+        values, pos = sample_turnaround_overheads(JitterModel(spike_prob=0.5, spike_scale_ns=9), 1, 17, 0)
+        assert values.tolist() == [] and pos == 17
+
+    def test_bound_holds_for_the_largest_uniform(self):
+        # the spike's size grows as its uniform nears 1
+        model = JitterModel(base_overhead_ns=10, spike_prob=1.0, spike_scale_ns=400_000,
+                            mode2_offset_ns=5, mode2_prob=1.0)
+        largest = 1.0 - 2.0 ** -53
+        spike = math.ceil(math.log1p(-largest) / math.log1p(-1.0 / model.spike_scale_ns))
+        assert 10 + 5 + spike < model.bound_ns

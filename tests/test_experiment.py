@@ -6,13 +6,9 @@ import pytest
 from lockstepsim.config import config_from_dict, load_config
 from lockstepsim.errors import ConfigError, SimulationError
 from lockstepsim.eventsim import ClockDomain, cycles_to_time
-from lockstepsim.experiment import (
-    compare_runs,
-    render_comparison_table,
-    run_experiment,
-    run_to_directory,
-)
-from lockstepsim.faults import ExtraDelay, FaultSpec
+from lockstepsim.experiment import run_experiment, run_to_directory
+from lockstepsim.faults import ExtraDelay, FaultSpec, OnFrame
+from lockstepsim.profiling import compare_runs, render_comparison_table
 from helpers import run_with_records, zero_jitter_duplex
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -165,6 +161,24 @@ class TestFaultScenarios:
         cfg.faults = [(1, FaultSpec(ExtraDelay(-10**9)))]
         with pytest.raises(SimulationError, match="replica 1, frame 0"):
             run_experiment(cfg)
+
+    def test_negative_delay_names_its_replica_and_frame(self):
+        # the check runs on a chunk's arrays; the first bad round is named
+        cfg = config_from_dict(zero_jitter_duplex(frames=6, reps=3))
+        cfg.faults = [(0, FaultSpec(ExtraDelay(-10**9), OnFrame(4)))]
+        with pytest.raises(SimulationError, match="replica 0, frame 4: delivery at 0 ns"):
+            run_experiment(cfg)
+
+    def test_time_past_2_62_ns_is_refused(self):
+        # int64 holds every simulated time, or the run does not start
+        raw = zero_jitter_duplex(frames=4, faults=[
+            {"replica_id": 1, "kind": {"type": "extra_delay", "ns": 2**60}, "trigger": {"type": "always"}}])
+        with pytest.raises(SimulationError, match="2\\*\\*62 ns"):
+            run_experiment(config_from_dict(raw))
+        raw["workload"]["frame_count"] = 3
+        report = run_experiment(config_from_dict(raw))
+        assert report.verdict_counts["timeout"] == 3
+        assert min(report.replicas[1]["samples"]) > 2**60
 
     def test_weight_fault_diverges_bus_trace(self):
         raw = {

@@ -1,5 +1,9 @@
+import numpy as np
 import pytest
 
+from helpers import zero_jitter_duplex
+from lockstepsim.config import config_from_dict
+from lockstepsim.experiment import run_experiment
 from lockstepsim.faults import (
     Always,
     DropOutput,
@@ -23,50 +27,59 @@ from lockstepsim.rng import Rng
 
 def test_output_bit_flip_xor_semantics():
     effects = FaultEffects()
-    spec = FaultSpec(OutputBitFlip(element_index=0, bit=0))
-    assert apply_fault(spec, effects, frame_id=0, rng=Rng(0)) is True
+    apply_fault(FaultSpec(OutputBitFlip(element_index=0, bit=0)), effects)
     out = flip_output_bits(FixedPointTensor((2,), (256, -128)), effects.output_flips)
     assert out.data.tolist() == [257, -128]
 
 
 def test_extra_delay_accumulates():
-    effects = FaultEffects()
-    apply_fault(FaultSpec(ExtraDelay(500)), effects, 0, Rng(0))
-    apply_fault(FaultSpec(ExtraDelay(250)), effects, 0, Rng(0))
-    assert effects.extra_delay_ns == 750
+    # two delays of one replica add up in its completion time
+    faults = [{"replica_id": 1, "kind": {"type": "extra_delay", "ns": ns}, "trigger": {"type": "always"}}
+              for ns in (500, 250)]
+    report = run_experiment(config_from_dict(zero_jitter_duplex(frames=2, faults=faults)))
+    assert report.skew_ns["min"] == report.skew_ns["max"] == 750
 
 
 def test_drop_and_stuck_flags():
     effects = FaultEffects()
-    apply_fault(FaultSpec(DropOutput()), effects, 0, Rng(0))
-    apply_fault(FaultSpec(StuckOutput()), effects, 0, Rng(0))
-    assert effects.drop and effects.stuck
+    apply_fault(FaultSpec(StuckOutput()), effects)
+    assert effects.stuck
+    # drop and delay act on the runner's emission mask and times, not on a value
+    for kind in (DropOutput(), ExtraDelay(5)):
+        with pytest.raises(TypeError):
+            apply_fault(FaultSpec(kind), effects)
+
+
+FRAMES = np.arange(1000)
 
 
 def test_probability_zero_never_fires():
-    trig = WithProbability(0.0)
-    rng = Rng(3)
-    assert not any(trigger_fires(trig, f, rng) for f in range(1000))
+    fired, used = trigger_fires(WithProbability(0.0), FRAMES, 3, 0)
+    assert not fired.any() and used == 1000
 
 
 def test_probability_one_always_fires():
-    trig = WithProbability(1.0)
-    rng = Rng(3)
-    assert all(trigger_fires(trig, f, rng) for f in range(1000))
+    fired, _ = trigger_fires(WithProbability(1.0), FRAMES, 3, 0)
+    assert fired.all()
 
 
 def test_on_frame_trigger():
-    trig = OnFrame(7)
-    rng = Rng(0)
-    assert trigger_fires(trig, 7, rng)
-    assert not trigger_fires(trig, 8, rng)
+    fired, used = trigger_fires(OnFrame(7), FRAMES, 0, 0)
+    assert np.flatnonzero(fired).tolist() == [7] and used == 0
+    assert trigger_fires(Always(), FRAMES, 0, 0)[0].all()
 
 
 def test_untriggered_fault_not_applied():
-    effects = FaultEffects()
-    spec = FaultSpec(OutputBitFlip(0, 0), OnFrame(3))
-    assert apply_fault(spec, effects, frame_id=2, rng=Rng(0)) is False
-    assert effects.output_flips == []
+    fired, _ = trigger_fires(OnFrame(3), np.array([2]), 0, 0)
+    assert not fired.any()
+
+
+def test_probabilistic_trigger_is_the_scalar_stream():
+    # round i of a chunk that starts after `start` draws reads draw start+i+1
+    rng = Rng(99)
+    scalar = [rng.uniform() < 0.25 for _ in range(300)]
+    fired, used = trigger_fires(WithProbability(0.25), np.arange(100), 99, 200)
+    assert fired.tolist() == scalar[200:] and used == 100
 
 
 def test_weight_flip_changes_one_bit():
@@ -84,10 +97,8 @@ def test_weight_flip_changes_one_bit():
 
 
 def test_probabilistic_trigger_rate_roughly_matches():
-    trig = WithProbability(0.25)
-    rng = Rng(99)
-    fired = sum(trigger_fires(trig, f, rng) for f in range(20000))
-    assert abs(fired / 20000 - 0.25) < 0.02
+    fired, _ = trigger_fires(WithProbability(0.25), np.arange(20000), 99, 0)
+    assert abs(fired.mean() - 0.25) < 0.02
 
 
 def test_weight_flip_rebuilds_only_the_flipped_layer():

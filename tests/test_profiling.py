@@ -1,5 +1,6 @@
 import io
 import math
+import statistics
 
 import pytest
 import scipy.stats
@@ -235,3 +236,91 @@ class TestHistogram:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "lower_edge_ns,count"
         assert lines[1].endswith(",2")
+
+
+# -- the vectorized report functions against frozen copies of the scalar code --
+
+
+def scalar_histogram(samples, bin_count):
+    """`profiling.histogram` as it was before it was vectorized."""
+    if bin_count < 1:
+        raise ValueError("bin_count must be at least 1")
+    if not samples:
+        return []
+    lo = min(samples)
+    hi = max(samples)
+    width = (hi - lo) / bin_count
+    counts = [0] * bin_count
+    for x in samples:
+        if width == 0:
+            idx = bin_count - 1
+        else:
+            idx = min(int((x - lo) / width), bin_count - 1)
+        counts[idx] += 1
+    return [{"lower_edge_ns": lo + i * width, "count": counts[i]} for i in range(bin_count)]
+
+
+def scalar_detect_outliers(samples, threshold=3.5):
+    """`profiling.detect_outliers` as it was before it was vectorized."""
+    n = len(samples)
+    if n < 3:
+        raise ValueError("outlier detection needs at least 3 samples")
+    med = statistics.median(samples)
+    devs = [abs(x - med) for x in samples]
+    denom = statistics.median(devs)
+    if denom == 0:
+        denom = sum(devs) / n
+    indices, scores = [], []
+    if denom != 0:
+        for i, d in enumerate(devs):
+            score = 0.6745 * d / denom
+            if score > threshold:
+                indices.append(i)
+                scores.append(score)
+    return {"method": "mad_modified_z", "threshold": threshold, "indices": indices, "scores": scores}
+
+
+def bits(value):
+    """`value` with every float replaced by its exact bits and every number
+    tagged with its type, so that equal results are equal to the bit."""
+    if isinstance(value, dict):
+        return {k: bits(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [bits(v) for v in value]
+    if isinstance(value, float):
+        return ("float", value.hex())
+    return (type(value).__name__, value)
+
+
+# near 10^9 ns, spread wide, constant (zero width), and mostly one value
+# (zero MAD, so the mean deviation is the denominator)
+report_samples = st.one_of(
+    st.lists(st.integers(10**9 - 2_000, 10**9 + 2_000), min_size=3, max_size=300),
+    st.lists(st.integers(0, 2 * 10**9), min_size=3, max_size=300),
+    st.builds(lambda v, n: [v] * n, st.integers(0, 10**9), st.integers(3, 50)),
+    st.builds(lambda v, n, rest: [v] * n + rest, st.integers(0, 10**6), st.integers(20, 60),
+              st.lists(st.integers(0, 10**6), min_size=1, max_size=10)),
+)
+
+
+class TestVectorizedMatchesScalar:
+    @given(report_samples, st.integers(1, 64))
+    @settings(max_examples=300, deadline=None)
+    def test_histogram(self, xs, bin_count):
+        assert bits(histogram(xs, bin_count)) == bits(scalar_histogram(xs, bin_count))
+
+    @given(report_samples, st.sampled_from([0.0, 1.0, 3.5, 10.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_outliers(self, xs, threshold):
+        assert bits(detect_outliers(xs, threshold)) == bits(scalar_detect_outliers(xs, threshold))
+
+    def test_zero_mad_takes_the_mean_deviation(self):
+        xs = [5] * 20 + [500, 6]
+        assert statistics.median([abs(x - 5) for x in xs]) == 0
+        assert bits(detect_outliers(xs)) == bits(scalar_detect_outliers(xs))
+        assert detect_outliers(xs)["indices"] == [20]
+
+    def test_even_count_medians_are_floats(self):
+        xs = [1, 2, 3, 10**9, 7, 8]
+        assert bits(detect_outliers(xs, 0.5)) == bits(scalar_detect_outliers(xs, 0.5))
+        assert bits(histogram(xs, 7)) == bits(scalar_histogram(xs, 7))

@@ -9,11 +9,13 @@ strictly ordered by (t_ns, seq), and the trace and the report agree.
 import hashlib
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lockstepsim import experiment
 from lockstepsim.config import config_from_dict
 from lockstepsim.experiment import REPORT_FILENAME, TRACE_FILENAME, run_to_directory
 from oracles import run_reference
@@ -173,6 +175,18 @@ def assert_matches_reference(raw, out_dir):
 @given(configs())
 def test_generated_configs_match_the_reference(tmp_path_factory, raw):
     assert_matches_reference(raw, tmp_path_factory.mktemp("run"))
+
+
+@settings(settings.get_profile("oracle-fuzz"))
+@given(configs())
+def test_tiny_chunks_and_blocks_match_the_reference(tmp_path_factory, raw):
+    # Chunks of 3 rounds, blocks of 2 frames and pass runs written 2 rounds
+    # at a time: their edges fall mid-frame, right after a slow round, inside
+    # a jitter stream's 3-draw samples and after SafeOff.
+    with mock.patch.object(experiment, "ROUND_CHUNK", 3), \
+            mock.patch.object(experiment, "BLOCK_FRAMES", 2), \
+            mock.patch.object(experiment, "WRITE_ROUNDS", 2):
+        assert_matches_reference(raw, tmp_path_factory.mktemp("run"))
 
 
 @pytest.mark.parametrize("name", sorted(set(CASES) - SLOW_CASES - {"two-profiles"}))

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from lockstepsim.rng import MASK64, Rng, derive_seed, draws, fnv1a64, fnv1a64_rows, mix64
+from lockstepsim.rng import MASK64, Rng, derive_seed, draws, fnv1a64, fnv1a64_rows, mix64, uniforms
 
 # Published SplitMix64 output for seed 0 (used as cross-implementation
 # reference vectors in several independent codebases).
@@ -87,3 +88,18 @@ def test_row_hashes_continue_fnv1a64():
     h = fnv1a64(b"prefix")
     out = fnv1a64_rows(h, np.frombuffer(b"".join(rows), dtype="uint8").reshape(3, 9))
     assert out.tolist() == [fnv1a64(r, h) for r in rows] == [fnv1a64(b"prefix" + r) for r in rows]
+
+
+@pytest.mark.parametrize("start", [0, 1, 7, 1000])
+def test_draws_from_start_continue_a_stepped_stream(start):
+    seeds = [0, 5, MASK64]
+    got = draws(seeds, 6, start=start)
+    for row, seed in zip(got.tolist(), seeds):
+        r = Rng(seed)
+        for _ in range(start):
+            r.next_u64()
+        assert row == [r.next_u64() for _ in range(6)]
+        r = Rng(seed)
+        for _ in range(start):
+            r.next_u64()
+        assert uniforms(seed, 6, start).tolist() == [r.uniform() for _ in range(6)]
