@@ -80,7 +80,6 @@ class JitterModel:
         return self.base_overhead_ns + self.mode2_offset_ns + 37 * self.spike_scale_ns + 1
 
 
-
 def _geometric(u: float, mean_ns: int) -> int:
     """Geometric variate on {1, 2, ...} with the given mean (> 1), by
     inversion of the uniform `u`."""
@@ -128,6 +127,8 @@ def sample_turnaround_overheads(model: JitterModel, seed: int, start: int, count
     stream position after them. The mode and spike uniforms are drawn as
     arrays; `math.log1p` runs on the spike samples only, since `np.log1p`
     can differ from it in the last bit."""
+    if not count:
+        return np.zeros(0, dtype=np.int64), start
     stride = 3 if model.spike_scale_ns > 1 else 2
     u = uniforms(seed, stride * count, start)
     if stride == 2:
@@ -136,11 +137,11 @@ def sample_turnaround_overheads(model: JitterModel, seed: int, start: int, count
         tail = spike.astype(np.int64)
     else:
         spikes = np.append(u[1:] < model.spike_prob, False)
-        firsts = _sample_starts(spikes, count) if count else np.arange(0)
+        firsts = _sample_starts(spikes, count)
         spike = spikes[firsts]
         tail = np.zeros(count, np.int64)
         at = np.flatnonzero(spike)
         tail[at] = [_geometric(x, model.spike_scale_ns) for x in u[firsts[at] + 2].tolist()]
     total = model.base_overhead_ns + np.where(u[firsts] < model.mode2_prob, model.mode2_offset_ns, 0) + tail
-    used = int(firsts[-1]) + 2 + int(stride == 3 and spike[-1]) if count else 0
+    used = int(firsts[-1]) + 2 + int(stride == 3 and spike[-1])
     return total.astype(np.int64), start + used

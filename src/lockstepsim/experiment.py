@@ -32,18 +32,22 @@ rendezvous window: every healthy replica then emits the clean output, the
 rendezvous completes and the vote passes. Pass rounds are counted and
 written from the arrays. Every other round is a scalar round: it runs on
 the drawn times through `rendezvous`, the bus compare, `vote` and
-`step_safety`, in round order, so those rules have one definition. A round
-lasts from its release to its record time, and the next release is its
-record time: releases are a running sum of durations.
+`step_safety`, in round order, so those rules have one definition. Between
+two scalar rounds, the run of pass rounds only resets the safety switch's
+fault count (`step_safety` once) and leaves the clean output as each
+replica's last one, for a later stuck fault. A round lasts from its release
+to its record time, and the next release is its record time: releases are
+a running sum of durations.
 
 Trace records are totally ordered by (t_ns, seq). Each round takes seq in
 this order: the input release; one delivery per healthy replica in replica
 order; one completion per delivery, in (time, seq) order of the deliveries
 (a dropped output takes its seq but writes no record); then, at the record
 time, the rendezvous, any bus divergence, the verdict and the safety action.
-Each kind of record has one template that gives exactly the bytes of
-`json.dumps(record, separators=(",", ":"))`; the records of a chunk are
-sorted by (t_ns, seq) and written in one call.
+Each kind of record has one template (`trace`). A run of pass rounds is
+written `WRITE_ROUNDS` rounds at a time, built a kind at a time from
+columns and ordered by one `lexsort` on (t_ns, seq); a scalar round writes
+its own records.
 """
 
 from __future__ import annotations
@@ -140,8 +144,8 @@ class ExperimentReport:
 class ExperimentRunner:
     """One deterministic run of one experiment config.
 
-    `trace_writer`, if given, is called with the trace text of each chunk
-    of rounds, whole lines only; `run_to_directory` passes a file's `write`.
+    `trace_writer`, if given, is called with the trace text in order, a
+    run of whole lines per call; `run_to_directory` passes a file's `write`.
     """
 
     def __init__(self, config: ExperimentConfig, trace_writer=None):

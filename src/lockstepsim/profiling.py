@@ -168,7 +168,7 @@ def histogram(samples, bin_count: int) -> list:
     bin i's lower edge is min + i * width."""
     if bin_count < 1:
         raise ValueError("bin_count must be at least 1")
-    if not len(samples):
+    if not samples:
         return []
     lo = min(samples)
     width = (max(samples) - lo) / bin_count
