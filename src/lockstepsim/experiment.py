@@ -58,6 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import trace
 from .config import ExperimentConfig
 from .coupling import (
     Complete,
@@ -82,7 +83,6 @@ from .faults import (
 from .fixedpoint import FixedPointTensor, argmax_index, tensor_digest
 from .profiling import detect_outliers, histogram, stats, write_histogram_csv
 from .replica import HEALTHY, ReplicaOutput, gen_frames, gen_weights, infer
-from . import trace
 from .rng import Rng, derive_seed
 from .voting import PASS, SafetySwitchState, Verdict, step_safety, vote
 
@@ -90,6 +90,8 @@ TRACE_FILENAME = "trace.jsonl"
 REPORT_FILENAME = "report.json"
 
 BLOCK_FRAMES = 256
+# The rounds whose draws and times are one set of arrays: enough to amortize
+# NumPy's per-call cost, few enough that the arrays stay small.
 ROUND_CHUNK = 512
 # A run of pass rounds is stepped and written in pieces of at most this many
 # rounds, which caps the trace text held at once.
@@ -287,14 +289,14 @@ class ExperimentRunner:
             self.skews.extend(spread[passes].tolist())
             if self.topology.bus_trace_compare and isinstance(self.coupling, Tight) and k >= 2:
                 self.bus["comparisons"] += n_pass
-            pass_rounds = (rows, (lo + np.arange(n)) % reps, feed, comp, spread,
+            columns = (rows, (lo + np.arange(n)) % reps, feed, comp, spread,
                            np.maximum(comp.max(axis=1), arrival.max(axis=1)))
 
         # the scalar rounds in order, each after the run of pass rounds before it
         done = 0
         for j in np.flatnonzero(~passes).tolist() + [n]:
             for a in range(done, j, WRITE_ROUNDS):
-                self._pass_rounds(first, slice(a, min(a + WRITE_ROUNDS, j)), *pass_rounds)
+                self._pass_rounds(first, slice(a, min(a + WRITE_ROUNDS, j)), *columns)
             if j < n:
                 self._run_round(first + int(rows[j]), (lo + j) % reps, int(rows[j]), feed[j].tolist(),
                                 comp[j].tolist(), emit[j].tolist(), fired[j].tolist(), bool(applied[j]))

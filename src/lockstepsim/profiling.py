@@ -190,7 +190,7 @@ def write_histogram_csv(bins, fp) -> None:
 
 def compare_runs(report_a: dict, report_b: dict, alpha: float = 0.01) -> dict:
     """Kolmogorov-Smirnov comparison of two runs, per replica pairing, from
-    two report.json dicts (`experiment.ExperimentReport.to_json_dict()` gives one).
+    two report.json dicts (`ExperimentReport.to_json_dict()` gives one).
 
     Refuses (ConfigError) an alpha outside `ALPHA_BOUNDS`, and a paired
     replica with fewer than 4 samples on either side.

@@ -3,8 +3,9 @@
 A template's `format` takes t_ns, seq, the round's frame fields (`frame`,
 formatted once per round) and the record's remaining fields in order, and
 gives exactly the bytes of `json.dumps(record, separators=(",", ":"))` and
-a newline. `pass_rounds` builds the records of many pass rounds a kind at
-a time, from arrays, and gives their text in (t_ns, seq) order.
+a newline. `in_order` writes a few records in (t_ns, seq) order;
+`pass_rounds` builds the records of many pass rounds a kind at a time, from
+arrays, and gives their text in (t_ns, seq) order.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ def pass_rounds(frames, replica_ids, starts, seqs, feed, comp, spread, durations
     k = len(replica_ids)
     keys, lines = [], []
 
-    def add(ts, seqs, template, *columns):
-        keys.append((ts, seqs))
-        lines.extend(map(template.format, ts.tolist(), seqs.tolist(), frames, *columns))
+    def add(t, seq, template, *columns):
+        keys.append((t, seq))
+        lines.extend(map(template.format, t.tolist(), seq.tolist(), frames, *columns))
 
     add(starts, seqs, RELEASE)
     # a completion's seq follows the (time, replica) order of the deliveries
