@@ -165,8 +165,12 @@ def _cmd_stats(args) -> int:
                 return 1
             if rec.get("kind") == "completion":
                 rid, turnaround = rec.get("replica_id"), rec.get("turnaround_ns")
-                if not isinstance(rid, int) or not isinstance(turnaround, int):
+                if type(rid) is not int or type(turnaround) is not int:  # a bool is an int subclass
                     print(f"{p}:{lineno}: completion record needs integer replica_id and turnaround_ns",
+                          file=sys.stderr)
+                    return 1
+                if not -(1 << 63) <= turnaround < 1 << 63:  # what profiling.stats takes
+                    print(f"{p}:{lineno}: turnaround_ns {turnaround} is outside the int64 range",
                           file=sys.stderr)
                     return 1
                 samples.setdefault(rid, []).append(turnaround)

@@ -44,16 +44,19 @@ this order: the input release; one delivery per healthy replica in replica
 order; one completion per delivery, in (time, seq) order of the deliveries
 (a dropped output takes its seq but writes no record); then, at the record
 time, the rendezvous, any bus divergence, the verdict and the safety action.
-Each kind of record has one template (`trace`). A run of pass rounds is
-written `WRITE_ROUNDS` rounds at a time, built a kind at a time from
+Each kind of record has one record function (`trace`). A run of pass rounds
+is written `WRITE_ROUNDS` rounds at a time, built a kind at a time from
 columns and ordered by one `lexsort` on (t_ns, seq); a scalar round writes
-its own records.
+its own records. The tails that pass rounds share are formatted once: the
+clean completion's and the pass verdict's once per frame of the block, the
+safety action's once per piece.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -319,12 +322,12 @@ class ExperimentRunner:
         if self._write is None:
             return
 
+        rows = rows.tolist()
         self._write(trace.pass_rounds(
-            list(map(trace.frame, (first + rows).tolist(), reps[span].tolist())), self.healthy_ids,
+            list(map(trace.frame, [first + r for r in rows], reps[span].tolist())), self.healthy_ids,
             starts, seqs, feed[span], comp[span], spread[span], durations,
-            (self._cycles, [self._clean_digests[r] for r in rows.tolist()],
-             [self._clean_classes[r] for r in rows.tolist()]),
-            (self.safety.state, action, self.safety.consecutive_fault_count),
+            list(map(self._completion_tails.__getitem__, rows)), list(map(self._agreed_tails.__getitem__, rows)),
+            trace.safety_fields(self.safety.state, action, self.safety.consecutive_fault_count),
         ))
 
     # -- a scalar round -------------------------------------------------------
@@ -338,7 +341,7 @@ class ExperimentRunner:
         tracing = self._write is not None
         if tracing:
             fr = trace.frame(frame_id, rep)
-            records = [(release, self.seq, trace.RELEASE.format(release, self.seq, fr))]
+            records = [(release, self.seq, trace.release(release, self.seq, fr))]
         self.seq += 1
         if not self.healthy_ids:
             if tracing:
@@ -352,7 +355,7 @@ class ExperimentRunner:
         if tracing:
             for i, rid in enumerate(self.healthy_ids):
                 t = release + feed[i]
-                records.append((t, seq + i, trace.DELIVERY.format(t, seq + i, fr, rid, feed[i])))
+                records.append((t, seq + i, trace.delivery(t, seq + i, fr, rid, feed[i])))
         completion_seq = seq + k
         self.seq = completion_seq + k
 
@@ -371,9 +374,9 @@ class ExperimentRunner:
                 traces[rid] = bus_trace
                 self.prev_output[rid] = out
                 if tracing:
-                    records.append((t, completion_seq, trace.COMPLETION.format(
-                        t, completion_seq, fr, rid, comp[i], self._cycles, digest,
-                        argmax_index(out))))
+                    records.append((t, completion_seq, trace.completion(
+                        t, completion_seq, fr, rid, comp[i],
+                        trace.completion_fields(self._cycles, digest, argmax_index(out)))))
             completion_seq += 1
         self.now = release + max(comp)
         if tracing:
@@ -421,19 +424,21 @@ class ExperimentRunner:
         new_state, action = step_safety(self.safety, verdict)
 
         if self._write is not None:
-            # (template, fields) of each record, all at t_record in seq order
-            fields = []
-            if isinstance(outcome, Complete):
-                fields.append((trace.COMPLETE, outcome.skew_ns))
-            elif outcome is not None:
-                fields.append((trace.TIMEOUT, trace.ids(outcome.present_ids), trace.ids(outcome.missing_ids)))
-            if divergence is not None:
-                fields.append((trace.DIVERGENCE, *divergence))
-            fields.append((trace.VERDICT, verdict.variant, trace.verdict_fields(verdict)))
-            fields.append((trace.SAFETY, new_state.state, action, new_state.consecutive_fault_count))
+            # every record at t_record, in seq order
             fr = trace.frame(frame_id, rep)
-            self._write("".join([template.format(t_record, self.seq + i, fr, *rest)
-                                 for i, (template, *rest) in enumerate(fields)]))
+            lines = []
+            if isinstance(outcome, Complete):
+                lines.append(trace.complete(t_record, self.seq, fr, outcome.skew_ns))
+            elif outcome is not None:
+                lines.append(trace.timeout(t_record, self.seq, fr, trace.ids(outcome.present_ids),
+                                           trace.ids(outcome.missing_ids)))
+            if divergence is not None:
+                lines.append(trace.divergence(t_record, self.seq + len(lines), fr, *divergence))
+            seq = self.seq + len(lines)
+            lines.append(trace.verdict(t_record, seq, fr, verdict.variant, trace.verdict_fields(verdict)))
+            lines.append(trace.safety(t_record, seq + 1, fr, trace.safety_fields(
+                new_state.state, action, new_state.consecutive_fault_count)))
+            self._write("".join(lines))
         self.seq += 2 + (outcome is not None) + (divergence is not None)
 
         if new_state.state != self.safety.state:
@@ -458,7 +463,7 @@ class ExperimentRunner:
             self.ptp_info.append({"replica_id": rid, "offset_ns": est.offset_ns,
                                   "path_delay_ns": est.path_delay_ns})
             if self._write is not None:
-                self._write(trace.PTP.format(self.now, self.seq, rid, est.offset_ns, est.path_delay_ns))
+                self._write(trace.ptp(self.now, self.seq, rid, est.offset_ns, est.path_delay_ns))
             self.seq += 1
 
     # -- top level --------------------------------------------------------
@@ -476,8 +481,11 @@ class ExperimentRunner:
             self._block = {}
             self._result((), 0)
             outs, _, rows = self._block[()]
-            self._clean_digests = [r[-1] for r in rows]
-            self._clean_classes = outs.argmax(axis=1).tolist()
+            # the trace tails of each frame's clean output, for its pass rounds
+            digests = [r[-1] for r in rows]
+            self._completion_tails = list(map(trace.completion_fields, repeat(self._cycles), digests,
+                                              outs.argmax(axis=1).tolist()))
+            self._agreed_tails = list(map(trace.agreed, repeat(trace.ids(self.healthy_ids)), digests))
             if first == 0:
                 self._check_time_limit()
             for lo in range(0, count * reps, ROUND_CHUNK):
@@ -506,16 +514,16 @@ class ExperimentRunner:
 
     def _build_report(self) -> ExperimentReport:
         prof = self.cfg.profiler
-        replicas = [
-            {
+        replicas = []
+        for rid, xs in enumerate(self.samples):
+            array = np.array(xs, dtype=np.int64)
+            replicas.append({
                 "replica_id": rid,
                 "samples": xs,
-                "stats": stats(xs) if xs else None,
-                "outliers": detect_outliers(xs, prof.outlier_threshold) if len(xs) >= 3 else None,
-                "histogram": histogram(xs, prof.bin_count),
-            }
-            for rid, xs in enumerate(self.samples)
-        ]
+                "stats": stats(array) if xs else None,
+                "outliers": detect_outliers(array, prof.outlier_threshold) if len(xs) >= 3 else None,
+                "histogram": histogram(array, prof.bin_count),
+            })
         skew = None
         if self.skews:
             skew = {

@@ -1,16 +1,20 @@
 """Turnaround-time statistics.
 
-Every function returns the JSON value that report.json stores: `stats`,
-`detect_outliers` and `ks_statistic` return dicts with a fixed key order,
-and `histogram` returns a list of `{"lower_edge_ns", "count"}` dicts.
-`compare_runs` compares the turnaround samples of two report.json dicts.
+Every function returns the JSON value that report.json stores, in plain
+Python ints and floats: `stats`, `detect_outliers` and `ks_statistic`
+return dicts with a fixed key order, and `histogram` returns a list of
+`{"lower_edge_ns", "count"}` dicts. `stats`, `detect_outliers` and
+`histogram` take a list of ints or an int64 array and give the same value
+for both. `compare_runs` compares the turnaround samples of two
+report.json dicts.
 
 Moment statistics come from exact integer power sums, so repeated runs are
 bit-identical and agree with a high-precision reference to float rounding.
-The sums run over the distinct sample values with their counts, in Python
-ints (the fourth power of a 10^6 ns turnaround does not fit in int64). The
-histogram and the outlier scores are NumPy array operations that give the
-same bits as the scalar formulas below for integer samples.
+The sums run over the distinct sample values and their counts from
+`np.unique`, in Python ints (the fourth power of a 10^6 ns turnaround does
+not fit in int64). The histogram and the outlier scores are NumPy array
+operations that give the same bits as the scalar formulas below for
+integer samples.
 Definitions used throughout:
 
     mean             arithmetic mean
@@ -27,7 +31,8 @@ None (an explicit undefined marker), never NaN.
 from __future__ import annotations
 
 import math
-from itertools import groupby
+from bisect import bisect_left
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,23 +40,27 @@ from .config import ALPHA_BOUNDS
 from .errors import ConfigError
 
 
-def _nearest_rank(sorted_xs, num: int, den: int):
-    # ceil(p*n) with p = num/den, all-integer
-    rank = -(-num * len(sorted_xs) // den)
-    return sorted_xs[max(rank, 1) - 1]
-
-
 def stats(samples) -> dict:
     """Aggregate statistics over integer samples: n, mean, sample_std, min,
-    max, p50, p95, p99, skewness, excess_kurtosis and bimodality."""
-    xs = sorted(samples)
+    max, p50, p95, p99, skewness, excess_kurtosis and bimodality. Samples
+    that NumPy does not hold as signed integers (floats, bools alone, an
+    int outside the int64 range) raise ValueError."""
+    xs = np.asarray(samples)
     n = len(xs)
     if n == 0:
         raise ValueError("stats needs at least one sample")
+    if xs.dtype.kind != "i":
+        raise ValueError(f"stats needs integer samples within the int64 range, got {xs.dtype} values")
+    values, counts = (a.tolist() for a in np.unique(xs, return_counts=True))
+    ends = list(accumulate(counts))  # samples up to and including each value
+
+    def nearest_rank(num: int, den: int):
+        # ceil(p*n) with p = num/den, all-integer
+        rank = max(-(-num * n // den), 1)
+        return values[bisect_left(ends, rank)]
+
     s1 = s2 = s3 = s4 = 0
-    for x, run in groupby(xs):
-        c = sum(1 for _ in run)
-        x = int(x)
+    for x, c in zip(values, counts):
         x2 = x * x
         s1 += c * x
         s2 += c * x2
@@ -80,11 +89,11 @@ def stats(samples) -> dict:
         "n": n,
         "mean": mean,
         "sample_std": sample_std,
-        "min": xs[0],
-        "max": xs[-1],
-        "p50": _nearest_rank(xs, 1, 2),
-        "p95": _nearest_rank(xs, 19, 20),
-        "p99": _nearest_rank(xs, 99, 100),
+        "min": values[0],
+        "max": values[-1],
+        "p50": nearest_rank(1, 2),
+        "p95": nearest_rank(19, 20),
+        "p99": nearest_rank(99, 100),
         "skewness": skewness,
         "excess_kurtosis": excess_kurtosis,
         "bimodality": bimodality,
@@ -168,14 +177,15 @@ def histogram(samples, bin_count: int) -> list:
     bin i's lower edge is min + i * width."""
     if bin_count < 1:
         raise ValueError("bin_count must be at least 1")
-    if not samples:
+    xs = np.asarray(samples)
+    if len(xs) == 0:
         return []
-    lo = min(samples)
-    width = (max(samples) - lo) / bin_count
+    lo = xs.min().item()
+    width = (xs.max().item() - lo) / bin_count
     if width == 0:
-        index = np.full(len(samples), bin_count - 1)
+        index = np.full(len(xs), bin_count - 1)
     else:
-        index = (np.subtract(samples, lo) / width).astype(np.int64)
+        index = (np.subtract(xs, lo) / width).astype(np.int64)
         np.minimum(index, bin_count - 1, out=index)
     counts = np.bincount(index, minlength=bin_count).tolist()
     edges = (lo + np.arange(bin_count) * width).tolist()

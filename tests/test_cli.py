@@ -266,6 +266,14 @@ class TestStatsCommand:
     @pytest.mark.parametrize("line, message", [
         ("5", "not a trace record (expected a JSON object)"),
         ('{"kind":"completion","replica_id":0}', "completion record needs integer replica_id and turnaround_ns"),
+        ('{"kind":"completion","replica_id":0,"turnaround_ns":true}',
+         "completion record needs integer replica_id and turnaround_ns"),
+        ('{"kind":"completion","replica_id":false,"turnaround_ns":5}',
+         "completion record needs integer replica_id and turnaround_ns"),
+        ('{"kind":"completion","replica_id":0,"turnaround_ns":9223372036854775808}',
+         "turnaround_ns 9223372036854775808 is outside the int64 range"),
+        ('{"kind":"completion","replica_id":0,"turnaround_ns":-9223372036854775809}',
+         "turnaround_ns -9223372036854775809 is outside the int64 range"),
     ])
     def test_stats_record_of_wrong_shape_exit_one(self, tmp_path, capsys, line, message):
         cfg = write_config(tmp_path, zero_jitter_duplex(frames=2, reps=1))
@@ -278,3 +286,12 @@ class TestStatsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"{trace}:4: {message}\n"
+
+    def test_stats_takes_turnarounds_at_the_int64_limits(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("".join(
+            f'{{"kind":"completion","replica_id":3,"turnaround_ns":{t}}}\n'
+            for t in (-(1 << 63), 0, (1 << 63) - 1)))
+        assert cli_main(["stats", "--trace", str(trace)]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert (blob["3"]["n"], blob["3"]["min"], blob["3"]["max"]) == (3, -(1 << 63), (1 << 63) - 1)

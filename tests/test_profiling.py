@@ -1,7 +1,9 @@
 import io
+import json
 import math
 import statistics
 
+import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
@@ -116,8 +118,6 @@ class TestStats:
             assert 0.0 < b <= 1.0
 
     def test_json_serialization_uses_null_markers(self):
-        import json
-
         blob = json.loads(json.dumps(stats([5, 5, 5, 5])))
         assert blob["excess_kurtosis"] is None
         assert blob["n"] == 4
@@ -324,3 +324,76 @@ class TestVectorizedMatchesScalar:
         xs = [1, 2, 3, 10**9, 7, 8]
         assert bits(detect_outliers(xs, 0.5)) == bits(scalar_detect_outliers(xs, 0.5))
         assert bits(histogram(xs, 7)) == bits(scalar_histogram(xs, 7))
+
+
+# -- a list and its int64 array give the same plain-Python report values --
+
+# heavy duplication (a few distinct values among many samples) and a single
+# distinct value
+duplicated_samples = st.one_of(
+    st.builds(lambda pool, picks: [pool[i % len(pool)] for i in picks],
+              st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=5),
+              st.lists(st.integers(0, 4), min_size=3, max_size=400)),
+    st.builds(lambda v, n: [v] * n, st.integers(-10**12, 10**12), st.integers(3, 100)),
+    report_samples,
+)
+
+
+def plain(value):
+    """`value` unchanged, after checking that it holds only JSON types."""
+    if isinstance(value, dict):
+        assert all(type(k) is str for k in value)
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [plain(v) for v in value]
+    assert value is None or type(value) in (int, float, str, bool), type(value)
+    return value
+
+
+class TestListAndArrayAgree:
+    @given(duplicated_samples, st.integers(1, 64), st.sampled_from([0.0, 3.5]))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_values_of_plain_types(self, xs, bin_count, threshold):
+        array = np.array(xs, dtype=np.int64)
+        for fn, args in ((stats, ()), (detect_outliers, (threshold,)), (histogram, (bin_count,))):
+            from_list = plain(fn(xs, *args))
+            assert bits(fn(array, *args)) == bits(from_list)
+            json.dumps(from_list)
+        assert list(array) == xs  # the functions leave their input alone
+
+    @given(duplicated_samples)
+    @settings(max_examples=150, deadline=None)
+    def test_stats_of_an_array_matches_the_reference(self, xs):
+        got, want = stats(np.array(xs, dtype=np.int64)), stats_reference(xs)
+        assert list(got) == list(want)
+        for key in ("n", "min", "max", "p50", "p95", "p99"):
+            assert got[key] == want[key]
+        for key in ("mean", "sample_std", "skewness", "excess_kurtosis", "bimodality"):
+            assert_close(got[key], want[key])
+
+    def test_single_distinct_value(self):
+        xs = [7_000] * 40
+        got = stats(np.array(xs, dtype=np.int64))
+        assert bits(got) == bits(stats(xs))
+        assert (got["min"], got["p99"], got["skewness"]) == (7_000, 7_000, None)
+        assert histogram(np.array(xs), 3)[-1] == {"lower_edge_ns": 7_000.0, "count": 40}
+        assert detect_outliers(np.array(xs))["indices"] == []
+
+    def test_empty_array(self):
+        assert histogram(np.zeros(0, dtype=np.int64), 4) == []
+        with pytest.raises(ValueError):
+            stats(np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("samples", [
+        [1 << 63], [-(1 << 63) - 1], [5, 1 << 64], [True, False, True], [1.5, 2.0],
+        np.array([True, False]), np.array([1.0, 2.0]), np.array([1 << 63], dtype=np.uint64),
+    ])
+    def test_stats_refuses_samples_outside_int64(self, samples):
+        with pytest.raises(ValueError, match="int64"):
+            stats(samples)
+
+    def test_stats_takes_the_int64_limits(self):
+        xs = [-(1 << 63), 0, (1 << 63) - 1, 5]
+        assert bits(stats(xs)) == bits(stats(np.array(xs, dtype=np.int64)))
+        assert stats(xs)["min"] == -(1 << 63)
+        assert stats(xs)["p99"] == (1 << 63) - 1
