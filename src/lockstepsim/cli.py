@@ -25,13 +25,13 @@ import string
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import load_config
 from .errors import ConfigError, HarnessError
 from .experiment import REPORT_FILENAME, run_to_directory
-from .fixedpoint import FixedPointTensor, tensor_digest
 from .profiling import compare_runs, render_comparison_table, stats
-from .replica import ReplicaOutput
-from .voting import Exact, VotingPolicy, vote
+from .voting import PASS, VERDICTS, Exact, VotingPolicy, agreement_labels, vote_rounds
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,26 +124,22 @@ def agreement_patterns(n: int):
     yield from extend([], 0)
 
 
-def _pattern_outputs(pattern):
-    tensors = [FixedPointTensor((1,), (label,)) for label in pattern]
-    return [ReplicaOutput(rid, t, tensor_digest(t)) for rid, t in enumerate(tensors)]
-
-
 def _cmd_vote_table(args) -> int:
     policy = VotingPolicy.named(args.policy)
-    comparator = Exact()
+    patterns = list(agreement_patterns(policy.n))
+    # one vote per pattern, each output's label standing in for its digest
+    labels = agreement_labels(Exact(), np.array(patterns, dtype=np.uint64))
+    verdicts, best = vote_rounds(np.ones(len(patterns), dtype=bool), labels, policy.required_agreement)
     print(f"policy {policy} (required agreement: {policy.required_agreement})")
     print(f"{'pattern':>8}  {'verdict':>8}  detail")
-    for pattern in agreement_patterns(policy.n):
-        verdict = vote(_pattern_outputs(pattern), policy, comparator)
+    for pattern, row, verdict, group in zip(patterns, labels.tolist(), verdicts.tolist(), best.tolist()):
         name = "".join(string.ascii_uppercase[v] for v in pattern)
-        if verdict.variant == "pass":
-            detail = f"agreeing_ids={list(verdict.agreeing_ids)}"
-        elif verdict.variant == "mismatch":
-            detail = f"groups={[list(g) for g in verdict.groups]}"
+        groups = [[rid for rid, label in enumerate(row) if label == g] for g in range(max(row) + 1)]
+        if VERDICTS[verdict] == PASS:
+            detail = f"agreeing_ids={groups[group]}"
         else:
-            detail = verdict.reason or ""
-        print(f"{name:>8}  {verdict.variant:>8}  {detail}")
+            detail = f"groups={groups}"
+        print(f"{name:>8}  {VERDICTS[verdict]:>8}  {detail}")
     return 0
 
 

@@ -1,17 +1,21 @@
 """The coupling layer between redundant channels.
 
-Synchronized input distribution, output rendezvous with a timeout window,
-bus-trace comparison for tight coupling, and a two-step offset/path-delay
-estimate for loosely-coupled modules on separate clocks.
+Tight and loose coupling, the output rendezvous with its timeout window and
+the bus-trace comparison for tight coupling, each over a batch of rounds as
+arrays, and a two-step offset/path-delay estimate for loosely-coupled
+modules on separate clocks. Input distribution has no function of its own:
+tight coupling delivers every input at its release, and loose coupling
+delays each delivery by a draw of the replica's feed jitter
+(`eventsim.sample_turnaround_overheads`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, NoHealthyReplicas, ProtocolError
-from .eventsim import JitterModel, sample_turnaround_overhead
-from .rng import Rng
+import numpy as np
+
+from .errors import ConfigError, ProtocolError
 
 
 @dataclass(frozen=True)
@@ -36,98 +40,53 @@ class Loose:
             raise ConfigError("rendezvous_window_ns must be positive")
 
 
-@dataclass(frozen=True)
-class InputBarrier:
-    frame_id: int
-    release_time: int
-    deliveries: tuple  # (replica_id, delivery_time_ns), in replica order
+def rendezvous_rounds(arrival, emitted, window_ns: int):
+    """Rendezvous outcomes of a batch of rounds: one row per round, one
+    column per expected replica. `arrival` holds the arrival time of each
+    output as the checker sees it and `emitted` whether it was emitted.
 
-
-def distribute_input(frame_id: int, release_time: int, replica_ids, mode, feeds=None) -> InputBarrier:
-    """Plan the delivery of one frame to every healthy replica.
-
-    Tight coupling delivers to all replicas at the release time exactly.
-    Loose coupling delays each delivery by an independent draw from that
-    replica's feed jitter stream; `feeds` is a list of (JitterModel, Rng)
-    aligned with `replica_ids`.
+    The window opens at the first arrival; an output arriving within
+    [first, first + window] is present, the rest (late or never) are
+    missing. A rendezvous is complete when every expected replica is
+    present. Returns (present, complete, deadline): per round, the time at
+    which the checker decides, which is the last arrival of a complete
+    rendezvous, else the close of the window; a round with no output at all
+    opens the window at 0.
     """
-    replica_ids = list(replica_ids)
-    if not replica_ids:
-        raise NoHealthyReplicas("no healthy replicas to feed")
-    if isinstance(mode, Tight) or feeds is None:
-        deliveries = tuple((rid, release_time) for rid in replica_ids)
-    else:
-        deliveries = []
-        for rid, (model, rng) in zip(replica_ids, feeds):
-            deliveries.append((rid, release_time + sample_turnaround_overhead(model, rng)))
-        deliveries = tuple(deliveries)
-    return InputBarrier(frame_id, release_time, deliveries)
+    never = np.iinfo(np.int64).max
+    first = np.where(emitted, arrival, never).min(axis=1)
+    first[first == never] = 0
+    present = emitted & (arrival <= (first + window_ns)[:, None])
+    complete = present.all(axis=1)
+    return present, complete, np.where(complete, arrival.max(axis=1), first + window_ns)
 
 
-@dataclass(frozen=True)
-class Complete:
-    present: tuple  # (replica_id, completion_time_ns), time-sorted
-    skew_ns: int
-
-
-@dataclass(frozen=True)
-class Timeout:
-    present_ids: tuple
-    missing_ids: tuple
-
-
-def rendezvous(expected_ids, arrivals, window_ns: int):
-    """Collect outputs for one frame.
-
-    The window opens at the first arrival; every expected id arriving
-    within [first, first + window] is present, the rest (late or never)
-    are missing. Complete reports the max pairwise completion gap.
-    """
-    if window_ns <= 0:
-        raise ConfigError("rendezvous window must be positive")
-    expected = set(expected_ids)
-    seen = set()
-    for rid, _ in arrivals:
-        if rid in seen:
-            raise ProtocolError(f"duplicate output from replica {rid} within one frame")
-        if rid not in expected:
-            raise ProtocolError(f"output from unexpected replica {rid}")
-        seen.add(rid)
-    arr = sorted(arrivals, key=lambda it: (it[1], it[0]))
-    if not arr:
-        return Timeout((), tuple(sorted(expected)))
-    cutoff = arr[0][1] + window_ns
-    present = [(rid, t) for rid, t in arr if t <= cutoff]
-    present_ids = {rid for rid, _ in present}
-    if present_ids == expected:
-        return Complete(tuple(present), present[-1][1] - present[0][1])
-    return Timeout(
-        tuple(sorted(present_ids)),
-        tuple(sorted(expected - present_ids)),
-    )
+def bus_traces(params, rows):
+    """The bus traces of a block of inferences on one weight set, as one
+    uint64 row per frame: per layer L, the payload digests of its fetch,
+    load and execute events (4L, 4L+1, 4L+2). `params` holds the layer
+    parameter digests and `rows` the frames' digest rows (see `replica`)."""
+    layers = len(params)
+    out = np.empty((len(rows), layers, 3), dtype=np.uint64)
+    out[:, :, 0] = params
+    out[:, :, 1] = rows[:, :-1]
+    out[:, :, 2] = rows[:, 1:]
+    return out.reshape(len(rows), 3 * layers)
 
 
 def compare_bus_traces(a, b):
-    """Compare two bus traces of one network on one engine.
+    """Compare two batches of `bus_traces` row by row.
 
-    Returns None on match, else the index of the first diverging event.
-    Both traces run the same cycle schedule (see `replica`), so their event
-    kinds, cycles and lengths agree, and the first divergence is the first
-    event whose payload digest differs: the fetch of layer L's parameters
-    (event 4L), its load of the input (4L+1) or its execute (4L+2). A store
-    repeats its execute's digest, so it is never first.
+    Returns per row the index of the first diverging event, or -1 on a
+    match. Every trace of one network on one engine runs the same cycle
+    schedule (see `replica`), so their event kinds, cycles and lengths
+    agree, and the first divergence is the first event whose payload digest
+    differs. A store (event 4L+3) repeats its execute's digest, so it is
+    never first.
     """
-    if a == b:
-        return None
-    (params_a, row_a), (params_b, row_b) = a, b
-    for layer, (pa, pb) in enumerate(zip(params_a, params_b)):
-        if pa != pb:
-            return 4 * layer
-        if row_a[layer] != row_b[layer]:
-            return 4 * layer + 1
-        if row_a[layer + 1] != row_b[layer + 1]:
-            return 4 * layer + 2
-    return None
+    differ = a != b
+    column = differ.argmax(axis=1)
+    return np.where(differ.any(axis=1), 4 * (column // 3) + column % 3, -1)
 
 
 @dataclass(frozen=True)

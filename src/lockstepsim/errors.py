@@ -26,6 +26,3 @@ class ProtocolError(HarnessError):
 class SimulationError(HarnessError):
     """Fatal event-loop violation, e.g. scheduling into the past."""
 
-
-class NoHealthyReplicas(HarnessError):
-    """Input distribution found nothing to feed; the system must go safe."""

@@ -2,11 +2,12 @@
 
 A clock domain turns compute cycles into nanoseconds with exact integer
 arithmetic; a jitter model draws the host and feed overheads around each
-inference from a named random stream, one sample at a time
-(`sample_turnaround_overhead`) or a chunk of rounds at once
-(`sample_turnaround_overheads`, the same values). The simulator keeps no
-event queue: the experiment runner computes the event times of a chunk of
-rounds as arrays, relative to each round's release (see `experiment`).
+inference from a named random stream, a chunk of rounds at once
+(`sample_turnaround_overheads`). One sample takes its draws in a fixed
+order (mode, then spike, then the spike's size when its mean exceeds 1), so
+a stream replays identically whichever branches fire. The simulator keeps
+no event queue: the experiment runner computes the event times of a chunk
+of rounds as arrays, relative to each round's release (see `experiment`).
 
 Time is integer nanoseconds since simulation start.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SimulationError
-from .rng import Rng, uniforms
+from .rng import uniforms
 
 _NS_PER_S = 10**9
 _PPM = 10**6
@@ -87,18 +88,6 @@ def _geometric(u: float, mean_ns: int) -> int:
     return max(1, k)
 
 
-def sample_turnaround_overhead(model: JitterModel, rng: Rng) -> int:
-    """One overhead sample. Draw order is fixed (mode, then spike, then the
-    spike's size when its mean exceeds 1) so a stream replays identically
-    regardless of which branches fire."""
-    total = model.base_overhead_ns
-    if rng.uniform() < model.mode2_prob:
-        total += model.mode2_offset_ns
-    if rng.uniform() < model.spike_prob:
-        total += _geometric(rng.uniform(), model.spike_scale_ns) if model.spike_scale_ns > 1 else 1
-    return total
-
-
 def _sample_starts(spikes: np.ndarray, count: int) -> np.ndarray:
     """The first draw of each of `count` samples. `spikes[j]` says whether a
     sample that starts at draw j spikes; a sample takes 3 draws if it spikes
@@ -122,11 +111,15 @@ def _sample_starts(spikes: np.ndarray, count: int) -> np.ndarray:
 
 
 def sample_turnaround_overheads(model: JitterModel, seed: int, start: int, count: int):
-    """`count` samples of `sample_turnaround_overhead` from the stream
-    `Rng(seed)` after its first `start` draws, as an int64 array, and the
-    stream position after them. The mode and spike uniforms are drawn as
-    arrays; `math.log1p` runs on the spike samples only, since `np.log1p`
-    can differ from it in the last bit."""
+    """`count` overhead samples from the stream `Rng(seed)` after its first
+    `start` draws, as an int64 array, and the stream position after them.
+
+    A sample is the base overhead, plus the second mode's offset if its
+    first uniform falls below `mode2_prob`, plus a spike if its second
+    falls below `spike_prob`: 1 ns when the spike's mean is 1, else a
+    geometric variate of that mean drawn from a third uniform. The mode and
+    spike uniforms are drawn as arrays; `math.log1p` runs on the spike
+    samples only, since `np.log1p` can differ from it in the last bit."""
     if not count:
         return np.zeros(0, dtype=np.int64), start
     stride = 3 if model.spike_scale_ns > 1 else 2

@@ -1,12 +1,12 @@
 """Experiment runner: the measurement protocol over a redundant topology.
 
-Per frame, per repetition (a round): release one synthetic input through
-the input barrier, run every healthy replica with its faults applied,
-rendezvous on the completion times the checker observes, compare bus traces
-under tight coupling, vote, step the safety switch, and record latency
-samples. With a trace writer, every event is also written as one JSON text
-line (the lines of trace.jsonl). Everything derives from the config seed;
-two runs of the same config produce byte-identical traces and reports.
+Per frame, per repetition (a round): release one synthetic input to every
+healthy replica, run each replica with its faults applied, rendezvous on
+the completion times the checker observes, compare bus traces under tight
+coupling, vote, step the safety switch, and record latency samples. With a
+trace writer, every event is also written as one JSON text line (the lines
+of trace.jsonl). Everything derives from the config seed; two runs of the
+same config produce byte-identical traces and reports.
 
 The report is built once, in the shape report.json holds: the counters
 are the report's dicts, and `ExperimentReport`'s fields are the file's keys.
@@ -17,45 +17,46 @@ re-infers the block when it first fires in it, on weights flipped once per
 run. The rounds of a block run in chunks of at most `ROUND_CHUNK`, so
 memory does not grow with the frame count.
 
-A chunk's draws and times are arrays. Every random stream is
-counter-addressed (`rng.draws`), so the feed and host jitter of each healthy
-replica and the draws of each probabilistic fault trigger come out for the
-whole chunk at once. Every round ends before the next input is released, so
-a device is always idle when its kernel arrives: relative to the release, a
-completion is the delivery time plus one host jitter draw, the compute time
-on the replica's clock and the delays that fired. A drop fault masks the
-output.
+Every round of a chunk is decided from arrays with one row per round and
+one column per healthy replica. Every random stream is counter-addressed
+(`rng.draws`), so the feed and host jitter of each replica and the draws of
+each probabilistic fault trigger come out for the whole chunk at once.
+Every round ends before the next input is released, so a device is always
+idle when its kernel arrives: relative to the release, a completion is the
+delivery time plus one host jitter draw, the compute time on the replica's
+clock and the delays that fired. A drop fault masks the output. Then:
 
-A round passes when no fault fired, at least `required_agreement` replicas
-are healthy and the arrival times the checker sees lie within the
-rendezvous window: every healthy replica then emits the clean output, the
-rendezvous completes and the vote passes. Pass rounds are counted and
-written from the arrays. Every other round is a scalar round: it runs on
-the drawn times through `rendezvous`, the bus compare, `vote` and
-`step_safety`, in round order, so those rules have one definition. Between
-two scalar rounds, the run of pass rounds only resets the safety switch's
-fault count (`step_safety` once) and leaves the clean output as each
-replica's last one, for a later stuck fault. A round lasts from its release
-to its record time, and the next release is its record time: releases are
-a running sum of durations.
+- outcomes: the rendezvous (`coupling.rendezvous_rounds`) and each round's
+  record time, the later of the checker's deadline and the last completion,
+  dropped outputs included. A round lasts from its release to its record
+  time, and the next release is its record time: releases are a running
+  sum of durations.
+- values: each output's digest, from the block results of the weight flips
+  that fired, then the output flips, then a stuck fault's forward fill of
+  the replica's last emitted output, carried across chunks. Only the rounds
+  in which a value fault fired are grouped (`voting.agreement_labels`); in
+  the others every output is the clean one. Bus traces follow the weight
+  flips alone, so only rounds in which one fired are compared.
+- state: the verdicts (`voting.vote_rounds`), the safety switch
+  (`voting.safety_scan`, its state carried across chunks) and the report's
+  counts.
 
 Trace records are totally ordered by (t_ns, seq). Each round takes seq in
 this order: the input release; one delivery per healthy replica in replica
 order; one completion per delivery, in (time, seq) order of the deliveries
 (a dropped output takes its seq but writes no record); then, at the record
 time, the rendezvous, any bus divergence, the verdict and the safety action.
-Each kind of record has one record function (`trace`). A run of pass rounds
-is written `WRITE_ROUNDS` rounds at a time, built a kind at a time from
-columns and ordered by one `lexsort` on (t_ns, seq); a scalar round writes
-its own records. The tails that pass rounds share are formatted once: the
-clean completion's and the pass verdict's once per frame of the block, the
-safety action's once per piece.
+Rounds are written `WRITE_ROUNDS` at a time, each kind of record built from
+columns by its record function (`trace`) and ordered by one `lexsort` on
+(t_ns, seq). The tails that clean outputs share, the completion's and the
+pass verdict's, are formatted once per frame of the block.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
 from pathlib import Path
 
@@ -64,30 +65,42 @@ import numpy as np
 from . import trace
 from .config import ExperimentConfig
 from .coupling import (
-    Complete,
     Tight,
+    bus_traces,
     compare_bus_traces,
     estimate_ptp_offset,
-    rendezvous,
+    rendezvous_rounds,
     simulate_ptp_exchange,
 )
 from .errors import SimulationError
 from .eventsim import cycles_to_time, sample_turnaround_overheads
 from .faults import (
-    VALUE_FAULTS,
     DropOutput,
     ExtraDelay,
-    FaultEffects,
-    apply_fault,
+    OutputBitFlip,
+    StuckOutput,
+    WeightBitFlip,
     flip_output_bits,
     flip_weight_bits,
     trigger_fires,
 )
-from .fixedpoint import FixedPointTensor, argmax_index, tensor_digest
+from .fixedpoint import tensor_digests
 from .profiling import detect_outliers, histogram, stats, write_histogram_csv
-from .replica import HEALTHY, ReplicaOutput, gen_frames, gen_weights, infer
+from .replica import HEALTHY, gen_frames, gen_weights, infer
 from .rng import Rng, derive_seed
-from .voting import PASS, SafetySwitchState, Verdict, step_safety, vote
+from .voting import (
+    ACTIONS,
+    DEGRADED,
+    MISMATCH,
+    OPERATIONAL,
+    PASS,
+    SAFE_OFF,
+    TIMEOUT,
+    VERDICTS,
+    agreement_labels,
+    safety_scan,
+    vote_rounds,
+)
 
 TRACE_FILENAME = "trace.jsonl"
 REPORT_FILENAME = "report.json"
@@ -96,14 +109,19 @@ BLOCK_FRAMES = 256
 # The rounds whose draws and times are one set of arrays: enough to amortize
 # NumPy's per-call cost, few enough that the arrays stay small.
 ROUND_CHUNK = 512
-# A run of pass rounds is stepped and written in pieces of at most this many
-# rounds, which caps the trace text held at once.
+# Rounds are written in pieces of at most this many rounds, which caps the
+# trace text held at once.
 WRITE_ROUNDS = 64
 
 # Simulated time stays below 2**62 ns (146 years), so int64 holds every time.
 TIME_LIMIT_NS = 1 << 62
 
-_PASSED = Verdict(PASS)
+_PASS, _MISMATCH, _TIMEOUT, _DEGRADED = map(VERDICTS.index, (PASS, MISMATCH, TIMEOUT, DEGRADED))
+
+
+@cache
+def _safety_tail(safe_off, action, count):
+    return trace.safety_fields(SAFE_OFF if safe_off else OPERATIONAL, ACTIONS[action], count)
 
 
 @dataclass
@@ -167,6 +185,7 @@ class ExperimentRunner:
         self.weights = gen_weights(derive_seed(config.seed, "weights"), config.workload.arch)
         n = topo.replica_count
         self.healthy_ids = [rid for rid in range(n) if topo.health[rid] == HEALTHY]
+        k = len(self.healthy_ids)
         # Per healthy replica (a column of the chunk arrays): its jitter
         # models and stream seeds; feed jitter only under loose coupling.
         self._host = [(topo.host_jitter[rid], root.child(f"host.{rid}").seed) for rid in self.healthy_ids]
@@ -177,9 +196,20 @@ class ExperimentRunner:
         column = {rid: i for i, rid in enumerate(self.healthy_ids)}
         self._faults = [(column[rid], spec, root.child(f"fault.{i}").seed)
                         for i, (rid, spec) in enumerate(config.faults) if rid in column]
-        self._value_faults = [[(s, spec) for s, (c, spec, _) in enumerate(self._faults)
-                               if c == i and isinstance(spec.kind, VALUE_FAULTS)]
-                              for i in range(len(self.healthy_ids))]
+        # per column, its value faults by kind: (fault index, flip) pairs and
+        # the indices of its stuck faults
+        self._weight_flips = [[] for _ in range(k)]
+        self._output_flips = [[] for _ in range(k)]
+        self._stuck = [[] for _ in range(k)]
+        for s, (i, spec, _) in enumerate(self._faults):
+            kind = spec.kind
+            if isinstance(kind, WeightBitFlip):
+                self._weight_flips[i].append((s, (kind.layer, kind.element_index, kind.bit)))
+            elif isinstance(kind, OutputBitFlip):
+                self._output_flips[i].append((s, (kind.element_index, kind.bit)))
+            elif isinstance(kind, StuckOutput):
+                self._stuck[i].append(s)
+        self._valued = any(self._weight_flips + self._output_flips + self._stuck)
         # draws taken so far from each stream
         self._host_pos = [0] * len(self._host)
         self._feed_pos = [0] * len(self._feed)
@@ -187,10 +217,13 @@ class ExperimentRunner:
 
         self.clock_offsets = list(topo.clock_offsets_ns)
         self.ptp_corrections = [0] * n
-        self.prev_output = [None] * n
+        self._last = [None] * k              # a stuck column's last emitted (output, digest)
         self._weights = {(): self.weights}  # weight-bit flips -> WeightSet
         self._frames = None                 # the current block of frames
         self._block = {}                    # weight-bit flips -> results on it
+        self._bus = topo.bus_trace_compare and isinstance(self.coupling, Tight)
+        self._groups = {}                   # agreement labels -> trace texts
+        self._timeouts = {}                 # present columns -> trace texts
 
         if isinstance(self.coupling, Tight):
             self._window_ns = max(
@@ -201,48 +234,125 @@ class ExperimentRunner:
 
         self.samples = [[] for _ in range(n)]
         self.skews = []
-        self.verdict_counts = {"pass": 0, "mismatch": 0, "timeout": 0, "degraded": 0}
-        self.safety = SafetySwitchState(debounce_threshold=topo.debounce_threshold)
+        self.verdict_counts = dict.fromkeys(VERDICTS, 0)
+        self.safety_state = OPERATIONAL
+        self.fault_count = 0                # consecutive non-pass verdicts
         self.safety_timeline = []
         self.faults = {"injected": 0, "detected": 0, "masked_pass": 0, "corrupted_pass": 0}
         self.bus = {"comparisons": 0, "divergences": 0}
         self.ptp_info = []
 
-    # -- per-replica computation ---------------------------------------
+    # -- per-replica values ----------------------------------------------
 
-    def _result(self, flips, row):
-        """(output, bus trace, digest) of frame `row` of the block on the
-        weights with the weight-bit `flips` applied."""
-        key = tuple(flips)
-        block = self._block.get(key)
+    def _result(self, flips):
+        """(index, outputs, digest rows, parameter digests) of the block's
+        frames on the weights with the weight-bit `flips` applied; `index`
+        numbers the flip sets of the block in order of first use, from 0 for
+        the clean weights."""
+        block = self._block.get(flips)
         if block is None:
-            weights = self._weights.get(key)
+            weights = self._weights.get(flips)
             if weights is None:
-                weights = self._weights[key] = flip_weight_bits(self.weights, flips)
+                weights = self._weights[flips] = flip_weight_bits(self.weights, flips)
             outs, self._cycles, rows = infer(weights, self._frames, self.engine)
-            block = self._block[key] = (outs, weights.params_digests, rows.tolist())
-        outs, params, rows = block
-        digests = tuple(rows[row])
-        return FixedPointTensor((outs.shape[1],), outs[row]), (params, digests), digests[-1]
+            block = self._block[flips] = (len(self._block), outs, rows, weights.params_digests)
+        return block
 
-    def _compute(self, i, row, clean, fired):
-        """(output, bus trace, digest) of healthy replica `i` with the value
-        faults that `fired` (one flag per fault) applied."""
-        effects = FaultEffects()
-        for s, spec in self._value_faults[i]:
-            if fired[s]:
-                apply_fault(spec, effects)
-        out, bus_trace, digest = clean
-        if effects.weight_flips:
-            out, bus_trace, digest = self._result(effects.weight_flips, row)
-        if effects.output_flips:
-            out = flip_output_bits(out, effects.output_flips)
-            digest = tensor_digest(out)
-        rid = self.healthy_ids[i]
-        if effects.stuck and self.prev_output[rid] is not None:
-            out = self.prev_output[rid]
-            digest = tensor_digest(out)
-        return out, bus_trace, digest
+    def _values(self, rows, emit, fired):
+        """(digests, outputs, flip sets, changed) of a chunk's outputs, one
+        row per round and one column per healthy replica: each digest, each
+        output (one more axis), the index of the weight-flip set it ran on
+        (`_result`) and whether a value fault fired for it."""
+        _, outs, digest_rows, _ = self._result(())
+        n, k = emit.shape
+        digests = np.repeat(digest_rows[rows, -1][:, None], k, axis=1)
+        outputs = np.repeat(outs[rows][:, None], k, axis=1)
+        keys = np.zeros((n, k), dtype=np.int64)
+        changed = np.zeros((n, k), dtype=bool)
+        for i in range(k):
+            flips, out_flips, stuck = self._weight_flips[i], self._output_flips[i], self._stuck[i]
+            emitted = emit[:, i]
+            if flips:
+                # the weight flips that fired, as a bit set per round
+                code = np.zeros(n, dtype=np.int64)
+                for bit, (s, _) in enumerate(flips):
+                    code |= fired[:, s].astype(np.int64) << bit
+                code[~emitted] = 0
+                for c in np.unique(code[code > 0]).tolist():
+                    at = code == c
+                    key, outs, digest_rows, _ = self._result(
+                        tuple(flip for bit, (_, flip) in enumerate(flips) if c >> bit & 1))
+                    keys[at, i] = key
+                    outputs[at, i] = outs[rows[at]]
+                    digests[at, i] = digest_rows[rows[at], -1]
+            if out_flips:
+                slots = [s for s, _ in out_flips]
+                at = fired[:, slots].any(axis=1) & emitted
+                if at.any():
+                    flipped = outputs[at, i]
+                    flip_output_bits(flipped, [flip for _, flip in out_flips], fired[at][:, slots])
+                    outputs[at, i] = flipped
+                    digests[at, i] = tensor_digests(flipped.shape[1:], flipped)
+            if stuck:
+                self._hold(i, emitted, fired[:, stuck].any(axis=1) & emitted, outputs[:, i], digests[:, i])
+            slots = [s for s, _ in flips + out_flips] + stuck
+            if slots:
+                changed[:, i] = fired[:, slots].any(axis=1) & emitted
+        return digests, outputs, keys, changed
+
+    def _hold(self, i, emitted, stuck, outputs, digests):
+        """Apply column i's stuck faults to its `outputs` and `digests` over
+        a chunk, in place: a stuck output repeats the replica's last emitted
+        output, when it has one. Keep the last emitted output for the next
+        chunk."""
+        n = len(emitted)
+        at = np.arange(n)
+        own = emitted & ~stuck
+        if self._last[i] is None and emitted.any():
+            own[emitted.argmax()] = True  # nothing to repeat yet
+        source = np.maximum.accumulate(np.where(own, at, -1))
+        held = stuck & ~own
+        inside = held & (source >= 0)
+        outputs[inside] = outputs[source[inside]]
+        digests[inside] = digests[source[inside]]
+        before = held & (source < 0)
+        if before.any():
+            outputs[before], digests[before] = self._last[i]
+        if emitted.any():
+            j = n - 1 - int(emitted[::-1].argmax())
+            self._last[i] = (outputs[j].copy(), digests[j])
+
+    def _bus_compare(self, rows, emit, keys):
+        """(other, index): per round of a chunk, the column of the first
+        replica whose bus trace differs from that of the first replica that
+        emitted, and the event index where it diverges; -1 where none
+        does."""
+        n, k = emit.shape
+        other = np.full(n, -1)
+        index = np.full(n, -1)
+        at = np.flatnonzero((emit.sum(axis=1) >= 2) & (keys != 0).any(axis=1))
+        if not at.size:
+            return other, index
+        keys = keys[at]
+        blocks = list(self._block.values())
+        traces = np.empty((len(at), k, 3 * len(self.weights.layers)), dtype=np.uint64)
+        for key in np.unique(keys).tolist():
+            _, _, digest_rows, params = blocks[key]
+            hit = keys == key
+            traces[hit] = bus_traces(np.array(params, dtype=np.uint64), digest_rows[rows[at][hit.nonzero()[0]]])
+        emitted = emit[at]
+        first = emitted.argmax(axis=1)
+        base = traces[np.arange(len(at)), first]
+        found = np.full(len(at), -1)
+        where = np.full(len(at), -1)
+        for c in range(1, k):
+            event = compare_bus_traces(base, traces[:, c])
+            hit = (found < 0) & emitted[:, c] & (c > first) & (event >= 0)
+            found[hit] = c
+            where[hit] = event[hit]
+        other[at] = found
+        index[at] = where
+        return other, index
 
     # -- a chunk of rounds -----------------------------------------------
 
@@ -281,172 +391,187 @@ class ExperimentRunner:
             )
         for i, rid in enumerate(self.healthy_ids):
             self.samples[rid].extend(comp[emit[:, i], i].tolist())
-        arrival = comp + self._corr
         applied = fired.any(axis=1)
-        passes = np.zeros(n, dtype=bool)
-        if k >= self.topology.policy.required_agreement:
-            spread = arrival.max(axis=1) - arrival.min(axis=1)
-            passes = ~applied & (spread <= self._window_ns)
-            n_pass = int(passes.sum())
-            self.verdict_counts[PASS] += n_pass
-            self.skews.extend(spread[passes].tolist())
-            if self.topology.bus_trace_compare and isinstance(self.coupling, Tight) and k >= 2:
-                self.bus["comparisons"] += n_pass
-            columns = (rows, (lo + np.arange(n)) % reps, feed, comp, spread,
-                           np.maximum(comp.max(axis=1), arrival.max(axis=1)))
 
-        # the scalar rounds in order, each after the run of pass rounds before it
-        done = 0
-        for j in np.flatnonzero(~passes).tolist() + [n]:
-            for a in range(done, j, WRITE_ROUNDS):
-                self._pass_rounds(first, slice(a, min(a + WRITE_ROUNDS, j)), *columns)
-            if j < n:
-                self._run_round(first + int(rows[j]), (lo + j) % reps, int(rows[j]), feed[j].tolist(),
-                                comp[j].tolist(), emit[j].tolist(), fired[j].tolist(), bool(applied[j]))
-            done = j + 1
+        # outcomes
+        if k:
+            arrival = comp + self._corr
+            present, complete, deadline = rendezvous_rounds(arrival, emit, self._window_ns)
+            durations = np.maximum(deadline, comp.max(axis=1))
+            skew = arrival.max(axis=1) - arrival.min(axis=1)
+            self.skews.extend(skew[complete].tolist())
+        else:
+            present, complete = emit, np.zeros(n, dtype=bool)
+            durations = skew = np.zeros(n, dtype=np.int64)
 
-    def _pass_rounds(self, first, span, rows, reps, feed, comp, spread, durations):
-        """Step time, seq, the safety switch and the replicas' last outputs
-        over the pass rounds `span` of the chunk, and write their records.
-        The arguments after `span` hold a column per chunk round."""
-        k = len(self.healthy_ids)
-        rows, durations = rows[span], durations[span]
+        # values
+        clean = self._result(())[2][rows, -1]
+        labels = np.zeros((n, k), dtype=np.int64)
+        digests = outputs = changed = None
+        voted = diverged = np.zeros(n, dtype=bool)
+        other = index = None
+        if self._valued:
+            digests, outputs, keys, changed = self._values(rows, emit, fired)
+            voted = complete & changed.any(axis=1)
+            if voted.any():
+                labels[voted] = agreement_labels(self.topology.comparator, digests[voted], outputs[voted])
+            if self._bus and k >= 2:
+                other, index = self._bus_compare(rows, emit, keys)
+                diverged = other >= 0
+        verdict, best = vote_rounds(complete, labels, self.topology.policy.required_agreement)
+        if not k:
+            verdict[:] = _DEGRADED
+        agreed = clean
+        if digests is not None:
+            agreed = digests[np.arange(n), (labels == best[:, None]).argmax(axis=1)]
+
+        # state and counts
+        passed = verdict == _PASS
+        for code, count in enumerate(np.bincount(verdict, minlength=len(VERDICTS)).tolist()):
+            self.verdict_counts[VERDICTS[code]] += count
+        if applied.any():
+            masked = applied & passed & (agreed == clean)
+            self.faults["injected"] += int(applied.sum())
+            self.faults["detected"] += int((applied & ~passed).sum())
+            self.faults["masked_pass"] += int(masked.sum())
+            self.faults["corrupted_pass"] += int((applied & passed).sum()) - int(masked.sum())
+        if self._bus:
+            self.bus["comparisons"] += int((emit.sum(axis=1) >= 2).sum())
+            self.bus["divergences"] += int(diverged.sum())
+        action, counts, entered = safety_scan(~passed, self.topology.debounce_threshold,
+                                              self.safety_state, self.fault_count)
+        safe = np.full(n, self.safety_state == SAFE_OFF)
+        steps = 4 + 2 * k + diverged if k else np.full(n, 3)
         starts = self.now + np.cumsum(durations) - durations
-        seqs = self.seq + (4 + 2 * k) * np.arange(len(rows))
+        seqs = self.seq + np.cumsum(steps) - steps
         self.now = int(starts[-1] + durations[-1])
-        self.seq += (4 + 2 * k) * len(rows)
-        self.safety, action = step_safety(self.safety, _PASSED)
-        clean = self._result((), int(rows[-1]))[0]
-        for rid in self.healthy_ids:
-            self.prev_output[rid] = clean
+        self.seq = int(seqs[-1] + steps[-1])
+        if entered is not None:
+            safe[entered:] = True
+            self.safety_timeline.append(
+                {"t_ns": int(starts[entered] + durations[entered]), "frame_id": first + int(rows[entered]),
+                 "repetition": (lo + entered) % reps, "from": OPERATIONAL, "to": SAFE_OFF})
+            self.safety_state = SAFE_OFF
+        self.fault_count = int(counts[-1])
         if self._write is None:
             return
 
-        rows = rows.tolist()
-        self._write(trace.pass_rounds(
-            list(map(trace.frame, [first + r for r in rows], reps[span].tolist())), self.healthy_ids,
-            starts, seqs, feed[span], comp[span], spread[span], durations,
-            list(map(self._completion_tails.__getitem__, rows)), list(map(self._agreed_tails.__getitem__, rows)),
-            trace.safety_fields(self.safety.state, action, self.safety.consecutive_fault_count),
-        ))
+        chunk = dict(
+            rows=rows, reps=(lo + np.arange(n)) % reps, starts=starts, seqs=seqs, durations=durations,
+            feed=feed, comp=comp, emit=emit, present=present, complete=complete, skew=skew,
+            verdict=verdict, labels=labels, best=best, agreed=agreed, voted=voted,
+            digests=digests, outputs=outputs, changed=changed, other=other, index=index, diverged=diverged,
+            action=action, counts=counts, safe=safe,
+        )
+        for a in range(0, n, WRITE_ROUNDS):
+            c = {name: None if v is None else v[a:a + WRITE_ROUNDS] for name, v in chunk.items()}
+            self._write(self._text(first, c))
 
-    # -- a scalar round -------------------------------------------------------
-
-    def _run_round(self, frame_id, rep, row, feed, comp, emit, fired, applied):
-        """One round through rendezvous, bus compare, vote and safety step.
-        Per healthy replica: `feed` and `comp` are its delivery and
-        completion times after the release, `emit` whether its output is
-        emitted; `fired` flags each fault, `applied` is any(fired)."""
-        release = self.now
-        tracing = self._write is not None
-        if tracing:
-            fr = trace.frame(frame_id, rep)
-            records = [(release, self.seq, trace.release(release, self.seq, fr))]
-        self.seq += 1
-        if not self.healthy_ids:
-            if tracing:
-                self._write(trace.in_order(records))
-            self._finish_round(frame_id, rep, None, Verdict.degraded("no healthy replicas"),
-                               divergence=None, deadline=release)
-            return
-
+    def _text(self, first, c):
+        """Trace text of a piece of a chunk's rounds; `c` holds the piece's
+        column of each of the chunk's arrays."""
         k = len(self.healthy_ids)
-        seq = self.seq
-        if tracing:
+        rows = c["rows"].tolist()
+        frames = list(map(trace.frame, [first + r for r in rows], c["reps"].tolist()))
+        columns = []
+
+        def add(at, t, seq, record, *fields):
+            """The records of the rounds `at` of the piece (all when None),
+            each from its time, seq, frame fields and `fields`: a list with
+            one entry per round of the piece, or an iterator."""
+            fr = frames
+            if at is not None:
+                at = at.tolist()
+                t, seq = t[at], seq[at]
+                fr, *fields = ([f[j] for j in at] if isinstance(f, list) else f for f in (fr, *fields))
+            columns.append((t, seq, list(map(record, t.tolist(), seq.tolist(), fr, *fields))))
+
+        starts, seqs = c["starts"], c["seqs"]
+        add(None, starts, seqs, trace.release)
+        if k:
+            feed, comp, emit, changed = c["feed"], c["comp"], c["emit"], c["changed"]
+            # a completion's seq follows the (time, replica) order of the deliveries
+            order = np.argsort(feed, axis=1, kind="stable")
+            rank = np.empty_like(order)
+            np.put_along_axis(rank, order, np.arange(k), axis=1)
+            clean_tails = list(map(self._completion_tails.__getitem__, rows))
             for i, rid in enumerate(self.healthy_ids):
-                t = release + feed[i]
-                records.append((t, seq + i, trace.delivery(t, seq + i, fr, rid, feed[i])))
-        completion_seq = seq + k
-        self.seq = completion_seq + k
+                add(None, starts + feed[:, i], seqs + 1 + i, trace.delivery, repeat(rid), feed[:, i].tolist())
+                tails = clean_tails
+                if changed is not None and changed[:, i].any():
+                    tails = clean_tails.copy()
+                    for j in np.flatnonzero(changed[:, i]).tolist():
+                        tails[j] = trace.completion_fields(
+                            self._cycles, int(c["digests"][j, i]), int(c["outputs"][j, i].argmax()))
+                add(None if emit[:, i].all() else np.flatnonzero(emit[:, i]), starts + comp[:, i],
+                    seqs + 1 + k + rank[:, i], trace.completion, repeat(rid), comp[:, i].tolist(), tails)
 
-        clean = self._result((), row)
-        arrivals = []
-        outputs = {}
-        traces = {}
-        # a stable sort by delivery time keeps replica order on ties: (time, seq) order
-        for i in sorted(range(k), key=feed.__getitem__):
-            if emit[i]:
-                rid = self.healthy_ids[i]
-                out, bus_trace, digest = self._compute(i, row, clean, fired)
-                t = release + comp[i]
-                arrivals.append((rid, t + self._corr[i]))
-                outputs[rid] = ReplicaOutput(rid, out, digest)
-                traces[rid] = bus_trace
-                self.prev_output[rid] = out
-                if tracing:
-                    records.append((t, completion_seq, trace.completion(
-                        t, completion_seq, fr, rid, comp[i],
-                        trace.completion_fields(self._cycles, digest, argmax_index(out)))))
-            completion_seq += 1
-        self.now = release + max(comp)
-        if tracing:
-            self._write(trace.in_order(records))
-
-        outcome = rendezvous(self.healthy_ids, arrivals, self._window_ns)
-        if isinstance(outcome, Complete):
-            deadline = outcome.present[-1][1]
-        elif arrivals:
-            deadline = min(t for _, t in arrivals) + self._window_ns
+        # the records that end each round
+        verdict, action, counts, safe = c["verdict"], c["action"], c["counts"], c["safe"]
+        ends, end_seqs = starts + c["durations"], seqs + 1 + 2 * k
+        if (action == action[0]).all() and (counts == counts[0]).all() and (safe == safe[0]).all():
+            safety = repeat(_safety_tail(bool(safe[0]), int(action[0]), int(counts[0])))
         else:
-            deadline = release + self._window_ns
+            safety = list(map(_safety_tail, safe.tolist(), action.tolist(), counts.tolist()))
+        agreed = list(map(self._agreed_tails.__getitem__, rows))
+        for j in np.flatnonzero(c["voted"] & (verdict == _PASS)).tolist():
+            members = self._groups_of(c["labels"][j])[int(c["best"][j])]
+            agreed[j] = trace.agreed(trace.ids(members), int(c["agreed"][j]))
+        plain = (verdict == _PASS) & ~c["diverged"]
+        add(None if plain.all() else np.flatnonzero(plain), ends, end_seqs, trace.pass_end,
+            c["skew"].tolist(), agreed, safety)
+        if plain.all():
+            return trace.in_order(columns)
 
-        divergence = None
-        if self.topology.bus_trace_compare and isinstance(self.coupling, Tight):
-            ids = sorted(traces)
-            if len(ids) >= 2:
-                self.bus["comparisons"] += 1
-                for rid in ids[1:]:
-                    index = compare_bus_traces(traces[ids[0]], traces[rid])
-                    if index is not None:
-                        divergence = (ids[0], rid, index)
-                        break
-
-        verdict = vote(list(outputs.values()), self.topology.policy, self.topology.comparator, outcome)
-        self._finish_round(frame_id, rep, outcome, verdict, divergence, deadline)
-
-        if applied:
-            self.faults["injected"] += 1
-            if verdict.variant != PASS:
-                self.faults["detected"] += 1
-            elif verdict.agreed.digest == clean[2]:
-                self.faults["masked_pass"] += 1
+        # the other rounds' end records, field by field
+        outcomes, divergences, variants, fields = ([None] * len(rows) for _ in range(4))
+        for j in np.flatnonzero(~plain).tolist():
+            v = int(verdict[j])
+            variants[j] = VERDICTS[v]
+            missing = None
+            if k and c["complete"][j]:
+                outcomes[j] = trace.complete_fields(int(c["skew"][j]))
+            elif k:
+                outcomes[j], missing = self._timeout(c["present"][j])
+            if c["diverged"][j]:
+                divergences[j] = (self.healthy_ids[int(c["emit"][j].argmax())],
+                                  self.healthy_ids[int(c["other"][j])], int(c["index"][j]))
+            if v == _PASS:
+                fields[j] = agreed[j]
+            elif v == _MISMATCH:
+                fields[j] = trace.groups(self._groups_of(c["labels"][j]))
+            elif v == _TIMEOUT:
+                fields[j] = missing
+            elif k:
+                fields[j] = trace.reason(f"{k} output(s) cannot reach "
+                                         f"{self.topology.policy.required_agreement}-way agreement")
             else:
-                self.faults["corrupted_pass"] += 1
+                fields[j] = trace.reason("no healthy replicas")
+        add(np.flatnonzero(~plain), ends, end_seqs, trace.round_end, outcomes, divergences, variants, fields,
+            safety)
+        return trace.in_order(columns)
 
-    def _finish_round(self, frame_id, rep, outcome, verdict, divergence, deadline):
-        t_record = max(deadline, self.now)
-        self.now = t_record
-        if isinstance(outcome, Complete):
-            self.skews.append(outcome.skew_ns)
-        if divergence is not None:
-            self.bus["divergences"] += 1
-        self.verdict_counts[verdict.variant] += 1
-        new_state, action = step_safety(self.safety, verdict)
+    def _groups_of(self, labels):
+        """The replica ids of each agreement group of one round's labels."""
+        key = tuple(labels.tolist())
+        groups = self._groups.get(key)
+        if groups is None:
+            groups = self._groups[key] = [
+                [rid for rid, label in zip(self.healthy_ids, key) if label == g] for g in range(max(key) + 1)]
+        return groups
 
-        if self._write is not None:
-            # every record at t_record, in seq order
-            fr = trace.frame(frame_id, rep)
-            lines = []
-            if isinstance(outcome, Complete):
-                lines.append(trace.complete(t_record, self.seq, fr, outcome.skew_ns))
-            elif outcome is not None:
-                lines.append(trace.timeout(t_record, self.seq, fr, trace.ids(outcome.present_ids),
-                                           trace.ids(outcome.missing_ids)))
-            if divergence is not None:
-                lines.append(trace.divergence(t_record, self.seq + len(lines), fr, *divergence))
-            seq = self.seq + len(lines)
-            lines.append(trace.verdict(t_record, seq, fr, verdict.variant, trace.verdict_fields(verdict)))
-            lines.append(trace.safety(t_record, seq + 1, fr, trace.safety_fields(
-                new_state.state, action, new_state.consecutive_fault_count)))
-            self._write("".join(lines))
-        self.seq += 2 + (outcome is not None) + (divergence is not None)
+    def _timeout(self, present):
+        """(rendezvous fields, verdict fields) of a timeout whose present
+        columns are flagged in `present`."""
+        key = tuple(present.tolist())
+        texts = self._timeouts.get(key)
+        if texts is None:
+            missing = trace.ids([rid for rid, here in zip(self.healthy_ids, key) if not here])
+            texts = self._timeouts[key] = (
+                trace.timeout_fields(trace.ids([rid for rid, here in zip(self.healthy_ids, key) if here]), missing),
+                trace.missing(missing))
+        return texts
 
-        if new_state.state != self.safety.state:
-            self.safety_timeline.append(
-                {"t_ns": t_record, "frame_id": frame_id, "repetition": rep,
-                 "from": self.safety.state, "to": new_state.state}
-            )
-        self.safety = new_state
 
     # -- clock sync ------------------------------------------------------
 
@@ -479,10 +604,9 @@ class ExperimentRunner:
             count = min(BLOCK_FRAMES, wl.frame_count - first)
             self._frames = gen_frames(self.cfg.seed, range(first, first + count), wl.input_shape)
             self._block = {}
-            self._result((), 0)
-            outs, _, rows = self._block[()]
-            # the trace tails of each frame's clean output, for its pass rounds
-            digests = [r[-1] for r in rows]
+            _, outs, rows, _ = self._result(())
+            # the trace tails of each frame's clean output
+            digests = rows[:, -1].tolist()
             self._completion_tails = list(map(trace.completion_fields, repeat(self._cycles), digests,
                                               outs.argmax(axis=1).tolist()))
             self._agreed_tails = list(map(trace.agreed, repeat(trace.ids(self.healthy_ids)), digests))
@@ -536,7 +660,7 @@ class ExperimentRunner:
             config=self.cfg.to_json_dict(),
             replicas=replicas,
             verdict_counts=self.verdict_counts,
-            safety={"final_state": self.safety.state, "timeline": self.safety_timeline},
+            safety={"final_state": self.safety_state, "timeline": self.safety_timeline},
             faults=self.faults,
             skew_ns=skew,
             bus=self.bus,

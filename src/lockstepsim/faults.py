@@ -1,22 +1,24 @@
-"""Fault transforms applied to a single channel.
+"""Fault kinds, their triggers and the transforms they apply to a channel.
 
-Weight flips hit the parameters before inference, output flips hit the
-produced tensor, delay faults push the completion timestamp, drop and
-stuck faults act at output emission. Indices are validated when the
-experiment is loaded, never at run time. Each fault owns its trigger RNG
-stream, so evaluation order cannot perturb any other stream. Triggers are
-evaluated for a chunk of rounds at once (`trigger_fires`); the runner adds
-delays to its completion times and masks drops, and `apply_fault` folds the
-value faults (weight flips, output flips, stuck) of one inference.
+Weight flips hit the parameters before inference (`flip_weight_bits`),
+output flips hit the produced outputs (`flip_output_bits`), delay faults
+push the completion timestamp, drop faults mask the output and a stuck
+output repeats the replica's last emitted output. Indices are validated
+when the experiment is loaded, never at run time. Each fault owns its
+trigger RNG stream, so evaluation order cannot perturb any other stream.
+Triggers are evaluated for a chunk of rounds at once (`trigger_fires`), and
+the runner applies every kind to the chunk's arrays; the value faults
+(`VALUE_FAULTS`) of one inference act in the order weight flips, output
+flips, stuck.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fixedpoint import FixedPointTensor, flip_bit
+from .fixedpoint import flip_bit
 from .replica import LayerSpec, WeightSet
 from .rng import uniforms
 
@@ -87,28 +89,6 @@ def trigger_fires(trigger, frame_ids: np.ndarray, seed: int, start: int):
 VALUE_FAULTS = (WeightBitFlip, OutputBitFlip, StuckOutput)
 
 
-@dataclass
-class FaultEffects:
-    """Accumulated effect of every value fault fired for one inference."""
-
-    weight_flips: list = field(default_factory=list)
-    output_flips: list = field(default_factory=list)
-    stuck: bool = False
-
-
-def apply_fault(spec: FaultSpec, effects: FaultEffects) -> None:
-    """Fold a value fault (one of `VALUE_FAULTS`) that fired into `effects`."""
-    kind = spec.kind
-    if isinstance(kind, WeightBitFlip):
-        effects.weight_flips.append((kind.layer, kind.element_index, kind.bit))
-    elif isinstance(kind, OutputBitFlip):
-        effects.output_flips.append((kind.element_index, kind.bit))
-    elif isinstance(kind, StuckOutput):
-        effects.stuck = True
-    else:
-        raise TypeError(f"not a value fault: {kind!r}")
-
-
 def flip_weight_bits(weights: WeightSet, flips) -> WeightSet:
     """Copy of `weights` with the named weight bits XORed."""
     layers = list(weights.layers)
@@ -122,7 +102,11 @@ def flip_weight_bits(weights: WeightSet, flips) -> WeightSet:
     return WeightSet(tuple(layers))
 
 
-def flip_output_bits(tensor: FixedPointTensor, flips) -> FixedPointTensor:
-    for element_index, bit in flips:
-        tensor = flip_bit(tensor, element_index, bit)
-    return tensor
+def flip_output_bits(outputs: np.ndarray, flips, fired: np.ndarray) -> None:
+    """XOR into `outputs`, an int16 array with one output per row, the bits
+    of the output flips that fired in each row's round: `flips` holds the
+    (element_index, bit) of each flip and `fired[:, s]` whether flip s
+    fired. Two flips of one bit cancel, as two calls of `flip_bit` do."""
+    bits = outputs.view(np.uint16)
+    for s, (element_index, bit) in enumerate(flips):
+        bits[:, element_index] ^= fired[:, s].astype(np.uint16) << np.uint16(bit)

@@ -142,16 +142,6 @@ class EngineConfig:
             raise ConfigError("pipeline_startup_cycles must be non-negative")
 
 
-@dataclass(frozen=True)
-class ReplicaOutput:
-    """What the voter reads from one replica for one frame: the replica's
-    id, its output and the output's `tensor_digest`."""
-
-    replica_id: int
-    output: FixedPointTensor
-    digest: int
-
-
 def gen_weights(seed: int, arch) -> WeightSet:
     """Deterministic synthetic network for the given layer widths.
 

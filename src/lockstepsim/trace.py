@@ -3,24 +3,22 @@
 A record function is a single f-string. It takes t_ns, seq, the round's
 frame fields (`frame`, formatted once per round) and the record's remaining
 fields in order, and gives exactly the bytes of
-`json.dumps(record, separators=(",", ":"))` and a newline. A completion, a
-verdict and a safety action take their trailing fields as one text
-(`completion_fields`, `verdict_fields`, `safety_fields`), so a run of pass
-rounds formats a tail once per frame or once per piece and the scalar
-rounds format their own. `pass_end` writes the three records that end a
-pass round. `in_order` writes a few records in (t_ns, seq) order;
-`pass_rounds` builds the records of many pass rounds a kind at a time, from
-arrays, and gives their text in (t_ns, seq) order.
+`json.dumps(record, separators=(",", ":"))` and a newline. Fields that vary
+by outcome come as one text: a completion's tail (`completion_fields`), a
+rendezvous outcome (`complete_fields`, `timeout_fields`), a verdict's
+fields after its variant (`agreed`, `groups`, `missing`, `reason`) and a
+safety action's tail (`safety_fields`), so the runner formats a shared tail
+once. The records that end a round share its record time and take
+consecutive seqs: `pass_end` writes those of a pass round without a bus
+divergence, and `round_end` those of any round. `in_order` gives the text
+of records built a kind at a time, from columns, in (t_ns, seq) order.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import repeat
 
 import numpy as np
-
-from .voting import PASS
 
 
 def frame(frame_id, repetition):
@@ -44,13 +42,17 @@ def completion(t, seq, fr, replica_id, turnaround_ns, fields):
             f'"turnaround_ns":{turnaround_ns}{fields}}}\n')
 
 
-def complete(t, seq, fr, skew_ns):
-    return f'{{"t_ns":{t},"seq":{seq},"kind":"rendezvous",{fr},"outcome":"complete","skew_ns":{skew_ns}}}\n'
+def complete_fields(skew_ns):
+    return f',"outcome":"complete","skew_ns":{skew_ns}'
 
 
-def timeout(t, seq, fr, present_ids, missing_ids):
-    return (f'{{"t_ns":{t},"seq":{seq},"kind":"rendezvous",{fr},"outcome":"timeout",'
-            f'"present_ids":{present_ids},"missing_ids":{missing_ids}}}\n')
+def timeout_fields(present_ids, missing_ids):
+    """A timeout's fields; the ids are `ids` text."""
+    return f',"outcome":"timeout","present_ids":{present_ids},"missing_ids":{missing_ids}'
+
+
+def rendezvous(t, seq, fr, outcome):
+    return f'{{"t_ns":{t},"seq":{seq},"kind":"rendezvous",{fr}{outcome}}}\n'
 
 
 def divergence(t, seq, fr, replica_a, replica_b, event_index):
@@ -92,51 +94,42 @@ def agreed(agreeing_ids, agreed_digest):
     return f',"agreeing_ids":{agreeing_ids},"agreed_digest":{agreed_digest}'
 
 
-def verdict_fields(v) -> str:
-    """JSON text of the verdict record's fields after "variant"."""
-    if v.variant == PASS:
-        return agreed(ids(v.agreeing_ids), v.agreed.digest)
-    if v.variant == "mismatch":
-        return ',"groups":[' + ",".join(ids(g) for g in v.groups) + "]"
-    if v.variant == "timeout":
-        return f',"missing_ids":{ids(v.missing_ids)}'
-    return f',"reason":{json.dumps(v.reason)}'
+def groups(members) -> str:
+    """A mismatch verdict's fields: the replica ids of each group."""
+    return ',"groups":[' + ",".join(map(ids, members)) + "]"
 
 
-def in_order(records) -> str:
-    """Text of (t_ns, seq, line) records in (t_ns, seq) order."""
-    return "".join([line for _, _, line in sorted(records)])
+def missing(missing_ids):
+    """A timeout verdict's fields; `missing_ids` is `ids` text."""
+    return f',"missing_ids":{missing_ids}'
 
 
-def pass_rounds(frames, replica_ids, starts, seqs, feed, comp, spread, durations,
-                completions, agreements, safety_tail) -> str:
-    """Text of the records of pass rounds, in (t_ns, seq) order. Each array
-    holds one row per round: its release time and first seq, each replica's
-    delivery and completion time after the release (`feed`, `comp`), the
-    rendezvous skew and the round's duration. Per round, `frames` holds the
-    frame fields, `completions` the clean output's `completion_fields` and
-    `agreements` the pass verdict's `agreed` fields; `safety_tail` is the
-    `safety_fields` every round of the piece shares. Seq runs as
-    `experiment` lays it out: release, deliveries, completions in delivery
-    order, then rendezvous, verdict and safety action."""
-    k = len(replica_ids)
-    keys, lines = [], []
+def reason(text):
+    """A degraded verdict's fields."""
+    return f',"reason":{json.dumps(text)}'
 
-    def add(t, seq, record, *columns):
-        keys.append((t, seq))
-        lines.extend(map(record, t.tolist(), seq.tolist(), frames, *columns))
 
-    add(starts, seqs, release)
-    # a completion's seq follows the (time, replica) order of the deliveries
-    order = np.argsort(feed, axis=1, kind="stable")
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(k), axis=1)
-    for i, rid in enumerate(replica_ids):
-        add(starts + feed[:, i], seqs + 1 + i, delivery, repeat(rid), feed[:, i].tolist())
-        add(starts + comp[:, i], seqs + 1 + k + rank[:, i], completion, repeat(rid),
-            comp[:, i].tolist(), completions)
-    # the three end records share a time and take consecutive seqs, so one
-    # key orders them
-    add(starts + durations, seqs + 1 + 2 * k, pass_end, spread.tolist(), agreements, repeat(safety_tail))
-    ts, seqs = (np.concatenate(column) for column in zip(*keys))
+def round_end(t, seq, fr, outcome, divergence_fields, variant, fields, safety_tail):
+    """The records that end a round, at its record time from seq on: the
+    rendezvous with its `outcome` fields (none when None), the bus
+    divergence with its (replica_a, replica_b, event_index) (none when
+    None), the verdict with its variant and `fields`, and the safety
+    action."""
+    text = ""
+    if outcome is not None:
+        text = rendezvous(t, seq, fr, outcome)
+        seq += 1
+    if divergence_fields is not None:
+        text += divergence(t, seq, fr, *divergence_fields)
+        seq += 1
+    return text + verdict(t, seq, fr, variant, fields) + safety(t, seq + 1, fr, safety_tail)
+
+
+def in_order(columns) -> str:
+    """Text of the records in `columns`, in (t_ns, seq) order. Each entry of
+    `columns` is a kind of record: an int64 array of times, one of seqs and
+    the list of their lines."""
+    ts = np.concatenate([t for t, _, _ in columns])
+    seqs = np.concatenate([seq for _, seq, _ in columns])
+    lines = [line for _, _, kind in columns for line in kind]
     return "".join(map(lines.__getitem__, np.lexsort((seqs, ts)).tolist()))

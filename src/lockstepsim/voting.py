@@ -1,22 +1,36 @@
-"""MooN voter/checker and the safety-switch-off state machine.
+"""MooN voter/checker and the safety-switch-off state machine, over arrays.
+
+Every function here decides a batch of rounds at once: one row per round
+and one column per replica, in replica-id order.
 
 The redundant configurations here are checkers, not choosers: with two or
 more channels a verdict needs at least two agreeing outputs, so a lone
 channel can never pass its own corrupted value through. The named duplex
 policies (1oo2, 2oo2) therefore both behave as comparators on
-disagreement; the m/n pair is kept as the architecture label. SafeOff is
-absorbing; recovery is an operator action outside this model.
+disagreement; the m/n pair is kept as the architecture label.
+
+A round's verdict: a rendezvous that did not complete is a timeout,
+whatever the values. Too few outputs to ever reach the threshold is
+degraded rather than mismatch: a missing channel and a disagreeing channel
+are different failure modes. Otherwise the outputs are grouped by agreement
+(`agreement_labels`), and the largest group of at least
+`required_agreement` members passes, ties between equal-size groups going
+to the group of the lowest replica id (`vote_rounds`); anything else is a
+mismatch.
+
+The safety switch (`safety_scan`) counts consecutive non-pass verdicts;
+reaching the debounce threshold enters SafeOff, which is absorbing;
+recovery is an operator action outside this model.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import Timeout as RendezvousTimeout
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError
 from .fixedpoint import FRAC_BITS
 
 _POLICY_RE = re.compile(r"^(\d+)oo(\d+)$")
@@ -65,103 +79,63 @@ class Tolerance:
             raise ConfigError("comparator eps must be non-negative")
 
 
-def outputs_agree(comparator, a, b) -> bool:
-    if a.output.shape != b.output.shape:
-        raise ProtocolError(
-            f"replicas {a.replica_id} and {b.replica_id} produced mismatched shapes "
-            f"{a.output.shape} vs {b.output.shape}"
-        )
-    if isinstance(comparator, Exact):
-        return a.digest == b.digest
-    # widened: the difference of two int16 values can overflow int16
-    diff = np.subtract(a.output.data, b.output.data, dtype=np.int64)
-    return bool((np.abs(diff) <= comparator.eps * (1 << FRAC_BITS)).all())
+def agreement_labels(comparator, digests, outputs=None) -> np.ndarray:
+    """The agreement group of each output, as an int64 array of the shape
+    of `digests`: a uint64 array holding each output's `tensor_digest`.
+    Under `Tolerance`, `outputs` holds the outputs themselves, an int16
+    array with one more axis.
 
-
-@dataclass(frozen=True)
-class AgreementGroup:
-    replica_ids: tuple
-    pivot: object  # the first-scanned member's ReplicaOutput
-
-
-def group_agreements(outputs, comparator) -> list:
-    """Group outputs by agreement.
-
-    Outputs are scanned in replica-id order; each joins the first existing
-    group whose pivot (its first member) agrees with it, else founds a new
-    group. For an exact comparator this yields the digest equivalence
-    classes; under a tolerance it is a deterministic greedy rule.
-    """
-    if not outputs:
-        raise ProtocolError("agreement grouping needs at least one output")
-    ordered = sorted(outputs, key=lambda o: o.replica_id)
-    groups = []  # [pivot, [ids]]
-    for out in ordered:
-        for g in groups:
-            if outputs_agree(comparator, g[0], out):
-                g[1].append(out.replica_id)
-                break
-        else:
-            groups.append([out, [out.replica_id]])
-    return [AgreementGroup(tuple(ids), pivot) for pivot, ids in groups]
+    Each row is scanned in column order; an output joins the first group
+    whose pivot (its first member) agrees with it, else founds the next
+    group. Under `Exact` this gives the digest equivalence classes; under a
+    tolerance it is a deterministic greedy rule, which compares the values
+    widened to int64."""
+    n, k = digests.shape
+    labels = np.zeros((n, k), dtype=np.int64)
+    pivots = np.zeros((n, k), dtype=np.int64)  # pivots[r, g]: the column of group g's pivot
+    founded = np.ones(n, dtype=np.int64)
+    at = np.arange(n)
+    exact = isinstance(comparator, Exact)
+    for i in range(1, k):
+        label = np.full(n, -1)
+        for g in range(i):
+            p = pivots[:, g]
+            if exact:
+                agree = digests[at, p] == digests[:, i]
+            else:
+                diff = np.subtract(outputs[at, p], outputs[:, i], dtype=np.int64)
+                agree = (np.abs(diff) <= comparator.eps * (1 << FRAC_BITS)).all(axis=1)
+            label[(label < 0) & (g < founded) & agree] = g
+        new = label < 0
+        label[new] = founded[new]
+        pivots[new, founded[new]] = i
+        founded += new
+        labels[:, i] = label
+    return labels
 
 
 PASS = "pass"
 MISMATCH = "mismatch"
 TIMEOUT = "timeout"
 DEGRADED = "degraded"
+# a verdict code is its index here, the order of report.json's verdict_counts
+VERDICTS = (PASS, MISMATCH, TIMEOUT, DEGRADED)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    variant: str
-    agreed: object = None      # pivot ReplicaOutput, pass only
-    agreeing_ids: tuple = ()
-    groups: tuple = ()         # tuple of replica-id tuples, mismatch only
-    missing_ids: tuple = ()
-    reason: str = ""
-
-    @classmethod
-    def passed(cls, agreed, agreeing_ids):
-        return cls(PASS, agreed=agreed, agreeing_ids=tuple(agreeing_ids))
-
-    @classmethod
-    def mismatch(cls, groups):
-        return cls(MISMATCH, groups=tuple(tuple(g) for g in groups))
-
-    @classmethod
-    def timeout(cls, missing_ids):
-        return cls(TIMEOUT, missing_ids=tuple(missing_ids))
-
-    @classmethod
-    def degraded(cls, reason):
-        return cls(DEGRADED, reason=reason)
-
-
-def vote(outputs, policy: VotingPolicy, comparator, outcome=None) -> Verdict:
-    """MooN verdict over the outputs of one frame.
-
-    A rendezvous timeout is a Timeout verdict regardless of values. The
-    largest agreement group of at least `required_agreement` members wins
-    (ties between equal-size groups go to the lowest contained replica id);
-    anything else is a Mismatch. Too few outputs to ever reach the
-    threshold is Degraded rather than Mismatch: a missing channel and a
-    disagreeing channel are different failure modes.
-    """
-    if isinstance(outcome, RendezvousTimeout):
-        return Verdict.timeout(outcome.missing_ids)
-    if not outputs:
-        return Verdict.timeout(tuple(range(policy.n)))
-    required = policy.required_agreement
-    if len(outputs) < required:
-        return Verdict.degraded(
-            f"{len(outputs)} output(s) cannot reach {required}-way agreement"
-        )
-    groups = group_agreements(outputs, comparator)
-    best = max(groups, key=lambda g: (len(g.replica_ids), -min(g.replica_ids)))
-    if len(best.replica_ids) >= required:
-        return Verdict.passed(best.pivot, best.replica_ids)
-    return Verdict.mismatch(tuple(g.replica_ids for g in groups))
+def vote_rounds(complete, labels, required):
+    """(verdict, best): per round, the index in `VERDICTS` of its verdict
+    and the label of its largest agreement group. `complete` flags the
+    rounds whose rendezvous completed, in which every column's output is
+    present; `labels` are their `agreement_labels` and `required` is the
+    policy's `required_agreement`."""
+    n, k = labels.shape
+    sizes = np.stack([(labels == g).sum(axis=1) for g in range(k)], axis=1) if k else np.zeros((n, 1), int)
+    best = sizes.argmax(axis=1)  # the first largest group: its pivot has the lowest id
+    if k < required:
+        decided = np.full(n, VERDICTS.index(DEGRADED))
+    else:
+        decided = np.where(sizes.max(axis=1) >= required, VERDICTS.index(PASS), VERDICTS.index(MISMATCH))
+    return np.where(complete, decided, VERDICTS.index(TIMEOUT)), best
 
 
 OPERATIONAL = "operational"
@@ -170,31 +144,31 @@ SAFE_OFF = "safe_off"
 DELIVER_OUTPUT = "deliver_output"
 SUPPRESS_OUTPUT = "suppress_output"
 ENTER_SAFE_OFF = "enter_safe_off"
+ACTIONS = (DELIVER_OUTPUT, SUPPRESS_OUTPUT, ENTER_SAFE_OFF)
 
 
-@dataclass(frozen=True)
-class SafetySwitchState:
-    state: str = OPERATIONAL
-    consecutive_fault_count: int = 0
-    debounce_threshold: int = 1
+def safety_scan(faulty, threshold, state=OPERATIONAL, count=0):
+    """Step the safety switch over a run of rounds from `state` with
+    `count` consecutive faults. `faulty` flags each round whose verdict is
+    not a pass. A pass resets the count and delivers; any other verdict
+    counts toward `threshold` and suppresses; reaching it enters SafeOff,
+    which suppresses from then on and keeps its count.
 
-    def __post_init__(self):
-        if self.debounce_threshold < 1:
-            raise ConfigError("debounce_threshold must be at least 1")
-
-
-def step_safety(state: SafetySwitchState, verdict: Verdict):
-    """Advance the safety switch by one verdict.
-
-    Pass resets the fault counter and delivers; any non-Pass counts toward
-    the debounce threshold and suppresses; reaching the threshold enters
-    SafeOff, which is absorbing. Returns (new state, action).
-    """
-    if state.state == SAFE_OFF:
-        return state, SUPPRESS_OUTPUT
-    if verdict.variant == PASS:
-        return replace(state, consecutive_fault_count=0), DELIVER_OUTPUT
-    count = state.consecutive_fault_count + 1
-    if count >= state.debounce_threshold:
-        return replace(state, state=SAFE_OFF, consecutive_fault_count=count), ENTER_SAFE_OFF
-    return replace(state, consecutive_fault_count=count), SUPPRESS_OUTPUT
+    Returns (action, counts, entered): per round the index in `ACTIONS` of
+    its action and the consecutive fault count after it, and the round that
+    entered SafeOff, or None."""
+    n = len(faulty)
+    if state == SAFE_OFF:
+        return np.ones(n, dtype=np.int64), np.full(n, count, dtype=np.int64), None
+    at = np.arange(n)
+    last_pass = np.maximum.accumulate(np.where(faulty, -1, at))
+    counts = np.where(last_pass >= 0, at - last_pass, at + 1 + count)
+    action = faulty.astype(np.int64)
+    over = np.flatnonzero(counts >= threshold)
+    if not over.size:
+        return action, counts, None
+    entered = int(over[0])
+    action[entered] = ACTIONS.index(ENTER_SAFE_OFF)
+    action[entered + 1:] = ACTIONS.index(SUPPRESS_OUTPUT)
+    counts[entered + 1:] = counts[entered]
+    return action, counts, entered

@@ -4,15 +4,6 @@ import json
 
 from lockstepsim.config import config_from_dict
 from lockstepsim.experiment import ExperimentRunner
-from lockstepsim.fixedpoint import FixedPointTensor, tensor_digest
-from lockstepsim.replica import ReplicaOutput
-
-
-def make_output(replica_id, values):
-    if isinstance(values, int):
-        values = [values]
-    tensor = FixedPointTensor((len(values),), tuple(values))
-    return ReplicaOutput(replica_id=replica_id, output=tensor, digest=tensor_digest(tensor))
 
 
 def run_with_records(raw):

@@ -6,9 +6,12 @@ subset enumeration instead of greedy grouping.
 
 `run_reference` is the scalar experiment runner, frozen as a reference:
 one frame, one inference and one bus trace of (cycle, kind, digest)
-events at a time, in plain Python ints. It imports only the random
-streams, simulated time, coupling, voting, profiling and the error types;
-never the experiment runner, the tensors, the replica or the faults.
+events at a time, in plain Python ints. It decides each round with the
+scalar input barrier, rendezvous, vote and safety step, frozen here as
+verbatim copies of the functions the library replaced with arrays. It
+imports only the random streams, simulated time, the PTP estimate, the
+policy and comparator types, profiling and the error types; never the
+experiment runner, the tensors, the replica or the faults.
 """
 
 import json
@@ -145,19 +148,254 @@ def tolerance_cliques(values, raw_eps):
 # digest over tuple data. Change it only to follow an on-purpose change of the
 # trace or report format.
 
-from lockstepsim.coupling import (  # noqa: E402
-    Complete,
-    Tight,
-    distribute_input,
-    estimate_ptp_offset,
-    rendezvous,
-    simulate_ptp_exchange,
+from dataclasses import dataclass, replace  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from lockstepsim.coupling import Tight, estimate_ptp_offset, simulate_ptp_exchange  # noqa: E402
+from lockstepsim.errors import (  # noqa: E402
+    ConfigError,
+    HarnessError,
+    ProtocolError,
+    SimulationError,
 )
-from lockstepsim.errors import NoHealthyReplicas, SimulationError  # noqa: E402
-from lockstepsim.eventsim import cycles_to_time, sample_turnaround_overhead  # noqa: E402
+from lockstepsim.eventsim import JitterModel, _geometric, cycles_to_time  # noqa: E402
 from lockstepsim.profiling import detect_outliers, histogram, stats  # noqa: E402
 from lockstepsim.rng import Rng, derive_seed, fnv1a64  # noqa: E402
-from lockstepsim.voting import PASS, SafetySwitchState, Verdict, step_safety, vote  # noqa: E402
+from lockstepsim.voting import (  # noqa: E402
+    DEGRADED,
+    DELIVER_OUTPUT,
+    ENTER_SAFE_OFF,
+    MISMATCH,
+    OPERATIONAL,
+    PASS,
+    SAFE_OFF,
+    SUPPRESS_OUTPUT,
+    TIMEOUT,
+    Exact,
+    VotingPolicy,
+)
+
+FRAC_BITS = 8
+
+
+# -- the scalar round rules, frozen --------------------------------------------
+#
+# Verbatim copies of the scalar input barrier, rendezvous, turnaround sample,
+# vote and safety step that the library replaced with its array kernel
+# (`coupling.rendezvous_rounds`, `voting.agreement_labels`, `vote_rounds` and
+# `safety_scan`). The runner below and the differential tests use them.
+
+class NoHealthyReplicas(HarnessError):
+    """Input distribution found nothing to feed; the system must go safe."""
+
+
+@dataclass(frozen=True)
+class InputBarrier:
+    frame_id: int
+    release_time: int
+    deliveries: tuple  # (replica_id, delivery_time_ns), in replica order
+
+
+def distribute_input(frame_id: int, release_time: int, replica_ids, mode, feeds=None) -> InputBarrier:
+    """Plan the delivery of one frame to every healthy replica.
+
+    Tight coupling delivers to all replicas at the release time exactly.
+    Loose coupling delays each delivery by an independent draw from that
+    replica's feed jitter stream; `feeds` is a list of (JitterModel, Rng)
+    aligned with `replica_ids`.
+    """
+    replica_ids = list(replica_ids)
+    if not replica_ids:
+        raise NoHealthyReplicas("no healthy replicas to feed")
+    if isinstance(mode, Tight) or feeds is None:
+        deliveries = tuple((rid, release_time) for rid in replica_ids)
+    else:
+        deliveries = []
+        for rid, (model, rng) in zip(replica_ids, feeds):
+            deliveries.append((rid, release_time + sample_turnaround_overhead(model, rng)))
+        deliveries = tuple(deliveries)
+    return InputBarrier(frame_id, release_time, deliveries)
+
+
+@dataclass(frozen=True)
+class Complete:
+    present: tuple  # (replica_id, completion_time_ns), time-sorted
+    skew_ns: int
+
+
+@dataclass(frozen=True)
+class Timeout:
+    present_ids: tuple
+    missing_ids: tuple
+
+
+RendezvousTimeout = Timeout
+
+
+def rendezvous(expected_ids, arrivals, window_ns: int):
+    """Collect outputs for one frame.
+
+    The window opens at the first arrival; every expected id arriving
+    within [first, first + window] is present, the rest (late or never)
+    are missing. Complete reports the max pairwise completion gap.
+    """
+    if window_ns <= 0:
+        raise ConfigError("rendezvous window must be positive")
+    expected = set(expected_ids)
+    seen = set()
+    for rid, _ in arrivals:
+        if rid in seen:
+            raise ProtocolError(f"duplicate output from replica {rid} within one frame")
+        if rid not in expected:
+            raise ProtocolError(f"output from unexpected replica {rid}")
+        seen.add(rid)
+    arr = sorted(arrivals, key=lambda it: (it[1], it[0]))
+    if not arr:
+        return Timeout((), tuple(sorted(expected)))
+    cutoff = arr[0][1] + window_ns
+    present = [(rid, t) for rid, t in arr if t <= cutoff]
+    present_ids = {rid for rid, _ in present}
+    if present_ids == expected:
+        return Complete(tuple(present), present[-1][1] - present[0][1])
+    return Timeout(
+        tuple(sorted(present_ids)),
+        tuple(sorted(expected - present_ids)),
+    )
+
+
+def sample_turnaround_overhead(model: JitterModel, rng: Rng) -> int:
+    """One overhead sample. Draw order is fixed (mode, then spike, then the
+    spike's size when its mean exceeds 1) so a stream replays identically
+    regardless of which branches fire."""
+    total = model.base_overhead_ns
+    if rng.uniform() < model.mode2_prob:
+        total += model.mode2_offset_ns
+    if rng.uniform() < model.spike_prob:
+        total += _geometric(rng.uniform(), model.spike_scale_ns) if model.spike_scale_ns > 1 else 1
+    return total
+
+
+def outputs_agree(comparator, a, b) -> bool:
+    if a.output.shape != b.output.shape:
+        raise ProtocolError(
+            f"replicas {a.replica_id} and {b.replica_id} produced mismatched shapes "
+            f"{a.output.shape} vs {b.output.shape}"
+        )
+    if isinstance(comparator, Exact):
+        return a.digest == b.digest
+    # widened: the difference of two int16 values can overflow int16
+    diff = np.subtract(a.output.data, b.output.data, dtype=np.int64)
+    return bool((np.abs(diff) <= comparator.eps * (1 << FRAC_BITS)).all())
+
+
+@dataclass(frozen=True)
+class AgreementGroup:
+    replica_ids: tuple
+    pivot: object  # the first-scanned member's ReplicaOutput
+
+
+def group_agreements(outputs, comparator) -> list:
+    """Group outputs by agreement.
+
+    Outputs are scanned in replica-id order; each joins the first existing
+    group whose pivot (its first member) agrees with it, else founds a new
+    group. For an exact comparator this yields the digest equivalence
+    classes; under a tolerance it is a deterministic greedy rule.
+    """
+    if not outputs:
+        raise ProtocolError("agreement grouping needs at least one output")
+    ordered = sorted(outputs, key=lambda o: o.replica_id)
+    groups = []  # [pivot, [ids]]
+    for out in ordered:
+        for g in groups:
+            if outputs_agree(comparator, g[0], out):
+                g[1].append(out.replica_id)
+                break
+        else:
+            groups.append([out, [out.replica_id]])
+    return [AgreementGroup(tuple(ids), pivot) for pivot, ids in groups]
+
+
+@dataclass(frozen=True)
+class Verdict:
+    variant: str
+    agreed: object = None      # pivot ReplicaOutput, pass only
+    agreeing_ids: tuple = ()
+    groups: tuple = ()         # tuple of replica-id tuples, mismatch only
+    missing_ids: tuple = ()
+    reason: str = ""
+
+    @classmethod
+    def passed(cls, agreed, agreeing_ids):
+        return cls(PASS, agreed=agreed, agreeing_ids=tuple(agreeing_ids))
+
+    @classmethod
+    def mismatch(cls, groups):
+        return cls(MISMATCH, groups=tuple(tuple(g) for g in groups))
+
+    @classmethod
+    def timeout(cls, missing_ids):
+        return cls(TIMEOUT, missing_ids=tuple(missing_ids))
+
+    @classmethod
+    def degraded(cls, reason):
+        return cls(DEGRADED, reason=reason)
+
+
+def vote(outputs, policy: VotingPolicy, comparator, outcome=None) -> Verdict:
+    """MooN verdict over the outputs of one frame.
+
+    A rendezvous timeout is a Timeout verdict regardless of values. The
+    largest agreement group of at least `required_agreement` members wins
+    (ties between equal-size groups go to the lowest contained replica id);
+    anything else is a Mismatch. Too few outputs to ever reach the
+    threshold is Degraded rather than Mismatch: a missing channel and a
+    disagreeing channel are different failure modes.
+    """
+    if isinstance(outcome, RendezvousTimeout):
+        return Verdict.timeout(outcome.missing_ids)
+    if not outputs:
+        return Verdict.timeout(tuple(range(policy.n)))
+    required = policy.required_agreement
+    if len(outputs) < required:
+        return Verdict.degraded(
+            f"{len(outputs)} output(s) cannot reach {required}-way agreement"
+        )
+    groups = group_agreements(outputs, comparator)
+    best = max(groups, key=lambda g: (len(g.replica_ids), -min(g.replica_ids)))
+    if len(best.replica_ids) >= required:
+        return Verdict.passed(best.pivot, best.replica_ids)
+    return Verdict.mismatch(tuple(g.replica_ids for g in groups))
+
+
+@dataclass(frozen=True)
+class SafetySwitchState:
+    state: str = OPERATIONAL
+    consecutive_fault_count: int = 0
+    debounce_threshold: int = 1
+
+    def __post_init__(self):
+        if self.debounce_threshold < 1:
+            raise ConfigError("debounce_threshold must be at least 1")
+
+
+def step_safety(state: SafetySwitchState, verdict: Verdict):
+    """Advance the safety switch by one verdict.
+
+    Pass resets the fault counter and delivers; any non-Pass counts toward
+    the debounce threshold and suppresses; reaching the threshold enters
+    SafeOff, which is absorbing. Returns (new state, action).
+    """
+    if state.state == SAFE_OFF:
+        return state, SUPPRESS_OUTPUT
+    if verdict.variant == PASS:
+        return replace(state, consecutive_fault_count=0), DELIVER_OUTPUT
+    count = state.consecutive_fault_count + 1
+    if count >= state.debounce_threshold:
+        return replace(state, state=SAFE_OFF, consecutive_fault_count=count), ENTER_SAFE_OFF
+    return replace(state, consecutive_fault_count=count), SUPPRESS_OUTPUT
+
 
 _Tensor = namedtuple("_Tensor", "shape data")
 _Layer = namedtuple("_Layer", "weights bias activation out_width in_width")

@@ -1,103 +1,123 @@
+import numpy as np
 import pytest
 
 from lockstepsim.coupling import (
-    Complete,
     Loose,
     PtpExchange,
     Tight,
-    Timeout,
+    bus_traces,
     compare_bus_traces,
-    distribute_input,
     estimate_ptp_offset,
-    rendezvous,
+    rendezvous_rounds,
     simulate_ptp_exchange,
 )
-from lockstepsim.errors import ConfigError, NoHealthyReplicas, ProtocolError
-from lockstepsim.eventsim import JitterModel
+from lockstepsim.errors import ConfigError, ProtocolError
+from lockstepsim.eventsim import JitterModel, sample_turnaround_overheads
 from lockstepsim.rng import Rng
-from oracles import _BusEvent, _compare_bus_traces
+from helpers import run_with_records, zero_jitter_duplex
+from oracles import Complete, _BusEvent, _compare_bus_traces, rendezvous
 
 
-def skews(barrier):
-    """Delivery delay after the release, per replica."""
-    return {rid: t - barrier.release_time for rid, t in barrier.deliveries}
+def delivery_skews(records):
+    """Delivery delay after the release, per (frame, repetition) and replica."""
+    return {(r["frame_id"], r["repetition"], r["replica_id"]): r["skew_ns"]
+            for r in records if r["kind"] == "delivery"}
 
 
-class TestDistributeInput:
+class TestInputDelivery:
     def test_tight_all_deliveries_at_release(self):
-        barrier = distribute_input(0, 1000, [0, 1], Tight())
-        assert barrier.deliveries == ((0, 1000), (1, 1000))
-        assert set(skews(barrier).values()) == {0}
+        raw = zero_jitter_duplex(frames=3, extra_topology={
+            "coupling": {"mode": "tight"}, "host_jitter": {"base_overhead_ns": 700, "spike_prob": 0.5,
+                                                           "spike_scale_ns": 90}})
+        _, _, records = run_with_records(raw)
+        skews = delivery_skews(records)
+        assert len(skews) == 6 and set(skews.values()) == {0}
 
     def test_loose_zero_jitter_zero_skew(self):
-        feeds = [(JitterModel(), Rng(1).child("f0")), (JitterModel(), Rng(1).child("f1"))]
-        barrier = distribute_input(0, 1000, [0, 1], Loose(100), feeds)
-        assert set(skews(barrier).values()) == {0}
+        _, _, records = run_with_records(zero_jitter_duplex(frames=3))
+        skews = delivery_skews(records)
+        assert len(skews) == 6 and set(skews.values()) == {0}
 
     def test_loose_bounded_jitter_bounded_skew(self):
         # delays take values {0, J}: the skew can never exceed J
         J = 250
         model = JitterModel(mode2_offset_ns=J, mode2_prob=0.5)
-        feeds = [(model, Rng(5).child("f0")), (model, Rng(5).child("f1"))]
-        worst = 0
-        for frame in range(10_000):
-            barrier = distribute_input(frame, frame * 1000, [0, 1], Loose(10_000), feeds)
-            delays = skews(barrier)
-            assert all(0 <= s <= J for s in delays.values())
-            worst = max(worst, max(delays.values()) - min(delays.values()))
-        assert worst == J  # both branches actually exercised
+        a, _ = sample_turnaround_overheads(model, Rng(5).child("f0").seed, 0, 10_000)
+        b, _ = sample_turnaround_overheads(model, Rng(5).child("f1").seed, 0, 10_000)
+        assert set(a.tolist()) == set(b.tolist()) == {0, J}
+        assert np.abs(a - b).max() == J  # both branches actually exercised
 
     def test_no_healthy_replicas(self):
-        with pytest.raises(NoHealthyReplicas):
-            distribute_input(0, 0, [], Tight())
+        # nothing to feed: each round is a release and a degraded verdict
+        raw = zero_jitter_duplex(frames=2, extra_topology={"health": ["failed", "switched_off"]})
+        _, report, records = run_with_records(raw)
+        assert [r["kind"] for r in records] == ["input_release", "verdict", "safety_action"] * 2
+        assert {r["reason"] for r in records if r["kind"] == "verdict"} == {"no healthy replicas"}
+        assert report.verdict_counts["degraded"] == 2
+
+
+def outcome(arrivals, window, expected=2):
+    """(present columns, complete, deadline) of one round whose outputs
+    arrive as {column: time}."""
+    arrival = np.array([[arrivals.get(i, 0) for i in range(expected)]])
+    emitted = np.array([[i in arrivals for i in range(expected)]])
+    present, complete, deadline = rendezvous_rounds(arrival, emitted, window)
+    return [i for i in range(expected) if present[0, i]], bool(complete[0]), int(deadline[0])
 
 
 class TestRendezvous:
     def test_both_inside_window(self):
-        out = rendezvous([0, 1], [(0, 100), (1, 105)], 10)
-        assert isinstance(out, Complete)
-        assert out.skew_ns == 5
+        assert outcome({0: 100, 1: 105}, 10) == ([0, 1], True, 105)
 
     def test_missing_replica(self):
-        out = rendezvous([0, 1], [(0, 100)], 10)
-        assert out == Timeout((0,), (1,))
+        assert outcome({0: 100}, 10) == ([0], False, 110)
 
     def test_late_arrival_is_missing(self):
-        out = rendezvous([0, 1], [(0, 100), (1, 115)], 10)
-        assert out == Timeout((0,), (1,))
+        assert outcome({0: 100, 1: 115}, 10) == ([0], False, 110)
+
+    def test_window_opens_at_the_first_arrival(self):
+        assert outcome({0: 115, 1: 100}, 10) == ([1], False, 110)
 
     def test_boundary_is_inclusive(self):
-        out = rendezvous([0, 1], [(0, 100), (1, 110)], 10)
-        assert isinstance(out, Complete)
-        assert out.skew_ns == 10
+        assert outcome({0: 100, 1: 110}, 10) == ([0, 1], True, 110)
 
     def test_no_arrivals(self):
-        assert rendezvous([0, 1], [], 10) == Timeout((), (0, 1))
-
-    def test_duplicate_output_protocol_error(self):
-        with pytest.raises(ProtocolError):
-            rendezvous([0, 1], [(0, 100), (0, 101)], 10)
-
-    def test_unexpected_replica_protocol_error(self):
-        with pytest.raises(ProtocolError):
-            rendezvous([0], [(3, 100)], 10)
+        # the window opens at the release, time 0
+        assert outcome({}, 10) == ([], False, 10)
 
     def test_window_must_be_positive(self):
         with pytest.raises(ConfigError):
-            rendezvous([0], [(0, 100)], 0)
+            Loose(0)
 
-    def test_every_frame_yields_exactly_one_outcome(self):
-        # totality: any arrival pattern classifies as Complete xor Timeout
+    def test_matches_the_frozen_rendezvous(self):
+        # every arrival pattern classifies as the scalar rendezvous does
         rng = Rng(17)
-        for _ in range(500):
-            arrivals = [(rid, 100 + rng.randrange(40)) for rid in range(3) if rng.randrange(4)]
-            out = rendezvous([0, 1, 2], arrivals, 20)
-            assert isinstance(out, (Complete, Timeout))
+        rounds = [{rid: 100 + rng.randrange(40) for rid in range(3) if rng.randrange(4)} for _ in range(500)]
+        arrival = np.array([[r.get(i, 0) for i in range(3)] for r in rounds])
+        emitted = np.array([[i in r for i in range(3)] for r in rounds])
+        present, complete, deadline = rendezvous_rounds(arrival, emitted, 20)
+        for j, r in enumerate(rounds):
+            frozen = rendezvous([0, 1, 2], list(r.items()), 20)
+            if isinstance(frozen, Complete):
+                assert complete[j] and deadline[j] == frozen.present[-1][1]
+                assert frozen.skew_ns == arrival[j].max() - arrival[j].min()
+            else:
+                assert not complete[j]
+                assert tuple(np.flatnonzero(present[j]).tolist()) == frozen.present_ids
+                assert deadline[j] == (min(r.values()) if r else 0) + 20
 
 
 # Two layers: parameter digests, then the digest row (input, layer 0
 # output, layer 1 output).
 TRACE = ((11, 22), (33, 44, 55))
+
+
+def compare(a, b):
+    """`compare_bus_traces` of two single traces, as (params, row) pairs."""
+    rows = [bus_traces(np.array(params, dtype=np.uint64), np.array([row], dtype=np.uint64))
+            for params, row in (a, b)]
+    index = int(compare_bus_traces(*rows)[0])
+    return None if index < 0 else index
 
 
 def _events(trace):
@@ -113,17 +133,23 @@ def _events(trace):
 
 class TestCompareBusTraces:
     def test_identical_traces_match(self):
-        assert compare_bus_traces(TRACE, TRACE) is None
-        assert compare_bus_traces(TRACE, ((11, 22), (33, 44, 55))) is None
+        assert compare(TRACE, TRACE) is None
+        assert compare(TRACE, ((11, 22), (33, 44, 55))) is None
 
     def test_each_payload_diverges_at_its_event(self):
-        assert compare_bus_traces(TRACE, ((11, 99), (33, 44, 55))) == 4
-        assert compare_bus_traces(TRACE, ((11, 22), (99, 44, 55))) == 1
-        assert compare_bus_traces(TRACE, ((11, 22), (33, 99, 55))) == 2
-        assert compare_bus_traces(TRACE, ((11, 22), (33, 44, 99))) == 6
+        assert compare(TRACE, ((11, 99), (33, 44, 55))) == 4
+        assert compare(TRACE, ((11, 22), (99, 44, 55))) == 1
+        assert compare(TRACE, ((11, 22), (33, 99, 55))) == 2
+        assert compare(TRACE, ((11, 22), (33, 44, 99))) == 6
 
     def test_first_divergence_wins(self):
-        assert compare_bus_traces(TRACE, ((99, 22), (33, 44, 88))) == 0
+        assert compare(TRACE, ((99, 22), (33, 44, 88))) == 0
+
+    def test_rows_are_compared_independently(self):
+        params = np.array([11, 22], dtype=np.uint64)
+        a = bus_traces(params, np.array([[33, 44, 55], [33, 44, 55]], dtype=np.uint64))
+        b = bus_traces(params, np.array([[33, 44, 55], [33, 44, 99]], dtype=np.uint64))
+        assert compare_bus_traces(a, b).tolist() == [-1, 6]
 
     def test_matches_the_event_by_event_compare(self):
         # The event-by-event compare of the frozen reference runner, over the
@@ -134,11 +160,11 @@ class TestCompareBusTraces:
             a = (tuple(rng.randrange(2) for _ in range(3)), tuple(rng.randrange(2) for _ in range(4)))
             b = (tuple(rng.randrange(2) for _ in range(3)), tuple(rng.randrange(2) for _ in range(4)))
             ref = _compare_bus_traces(_events(a), _events(b), 2)
-            div = compare_bus_traces(a, b)
+            div = compare(a, b)
             assert (div is None) == (ref is None)
             if div is not None:
                 assert tuple(ref) == (div, "payload digest mismatch")
-                assert compare_bus_traces(b, a) == div
+                assert compare(b, a) == div
 
 
 class TestPtp:

@@ -11,11 +11,11 @@ from lockstepsim.eventsim import (
     ClockDomain,
     JitterModel,
     cycles_to_time,
-    sample_turnaround_overhead,
     sample_turnaround_overheads,
 )
 from lockstepsim.profiling import stats
 from lockstepsim.rng import Rng, draws
+from oracles import sample_turnaround_overhead
 
 MHZ210 = ClockDomain("dpu", 210_000_000)
 

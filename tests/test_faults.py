@@ -1,21 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import zero_jitter_duplex
+from helpers import run_with_records, zero_jitter_duplex
 from lockstepsim.config import config_from_dict
 from lockstepsim.experiment import run_experiment
 from lockstepsim.faults import (
     Always,
-    DropOutput,
-    ExtraDelay,
-    FaultEffects,
-    FaultSpec,
     OnFrame,
     OutputBitFlip,
-    StuckOutput,
     WeightBitFlip,
     WithProbability,
-    apply_fault,
     flip_output_bits,
     flip_weight_bits,
     trigger_fires,
@@ -26,10 +20,21 @@ from lockstepsim.rng import Rng
 
 
 def test_output_bit_flip_xor_semantics():
-    effects = FaultEffects()
-    apply_fault(FaultSpec(OutputBitFlip(element_index=0, bit=0)), effects)
-    out = flip_output_bits(FixedPointTensor((2,), (256, -128)), effects.output_flips)
-    assert out.data.tolist() == [257, -128]
+    out = np.array([[256, -128], [256, -128]], dtype=np.int16)
+    flip_output_bits(out, [(0, 0)], np.array([[True], [False]]))
+    assert out.tolist() == [[257, -128], [256, -128]]
+
+
+def test_output_flips_match_flip_bit():
+    # the sign bit, a bit flipped twice (which cancels) and two elements
+    flips = [(1, 15), (0, 3), (1, 15), (2, 0)]
+    tensor = FixedPointTensor((3,), (-5, 300, 32767))
+    want = tensor
+    for element_index, bit in flips:
+        want = flip_bit(want, element_index, bit)
+    out = tensor.data.reshape(1, 3).copy()
+    flip_output_bits(out, flips, np.ones((1, 4), dtype=bool))
+    assert out[0].tolist() == want.data.tolist()
 
 
 def test_extra_delay_accumulates():
@@ -40,14 +45,20 @@ def test_extra_delay_accumulates():
     assert report.skew_ns["min"] == report.skew_ns["max"] == 750
 
 
-def test_drop_and_stuck_flags():
-    effects = FaultEffects()
-    apply_fault(FaultSpec(StuckOutput()), effects)
-    assert effects.stuck
-    # drop and delay act on the runner's emission mask and times, not on a value
-    for kind in (DropOutput(), ExtraDelay(5)):
-        with pytest.raises(TypeError):
-            apply_fault(FaultSpec(kind), effects)
+def test_value_faults_act_in_order():
+    # Replica 1 has an output flip and a stuck output, both always. In frame
+    # 0 it has nothing to repeat, so it emits its flipped output; from then
+    # on it repeats that output. Drop and delay act on the emission mask and
+    # the times, never on a value.
+    faults = [{"replica_id": 1, "kind": kind, "trigger": {"type": "always"}} for kind in (
+        {"type": "stuck_output"}, {"type": "output_bit_flip", "element_index": 0, "bit": 12},
+        {"type": "extra_delay", "ns": 5})]
+    _, report, records = run_with_records(zero_jitter_duplex(frames=3, faults=faults))
+    digests = [[r["digest"] for r in records if r["kind"] == "completion" and r["replica_id"] == rid]
+               for rid in (0, 1)]
+    assert digests[0][2] != digests[0][0]
+    assert digests[1] == [digests[1][0]] * 3 and digests[1][0] != digests[0][0]
+    assert report.verdict_counts["mismatch"] == 3
 
 
 FRAMES = np.arange(1000)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,6 @@ from lockstepsim.voting import (
     OPERATIONAL,
     SAFE_OFF,
     SUPPRESS_OUTPUT,
-    Verdict,
 )
 
 times = st.integers(0, (1 << 62) - 1)
@@ -65,7 +65,7 @@ def test_completion(t, seq, frame_id, rep, rid, turnaround, cycles, digest, cls)
 @settings(max_examples=100, deadline=None)
 def test_complete(t, seq, frame_id, rep, skew):
     want = {**head(t, seq, "rendezvous", frame_id, rep), "outcome": "complete", "skew_ns": skew}
-    assert trace.complete(t, seq, trace.frame(frame_id, rep), skew) == line(want)
+    assert trace.rendezvous(t, seq, trace.frame(frame_id, rep), trace.complete_fields(skew)) == line(want)
 
 
 @given(times, seqs, small, small, id_lists, id_lists)
@@ -73,7 +73,8 @@ def test_complete(t, seq, frame_id, rep, skew):
 def test_timeout(t, seq, frame_id, rep, present, missing):
     want = {**head(t, seq, "rendezvous", frame_id, rep), "outcome": "timeout",
             "present_ids": present, "missing_ids": missing}
-    got = trace.timeout(t, seq, trace.frame(frame_id, rep), trace.ids(present), trace.ids(missing))
+    got = trace.rendezvous(t, seq, trace.frame(frame_id, rep),
+                           trace.timeout_fields(trace.ids(present), trace.ids(missing)))
     assert got == line(want)
 
 
@@ -85,26 +86,21 @@ def test_divergence(t, seq, frame_id, rep, a, b, index):
     assert trace.divergence(t, seq, trace.frame(frame_id, rep), a, b, index) == line(want)
 
 
-class _Agreed:
-    def __init__(self, digest):
-        self.digest = digest
-
-
 verdicts = st.one_of(
-    st.builds(lambda ids, d: (Verdict.passed(_Agreed(d), ids), {"agreeing_ids": ids, "agreed_digest": d}),
+    st.builds(lambda ids, d: ("pass", trace.agreed(trace.ids(ids), d), {"agreeing_ids": ids, "agreed_digest": d}),
               id_lists, digests),
-    st.builds(lambda groups: (Verdict.mismatch(groups), {"groups": groups}), st.lists(id_lists, max_size=4)),
-    st.builds(lambda ids: (Verdict.timeout(ids), {"missing_ids": ids}), id_lists),
-    st.builds(lambda reason: (Verdict.degraded(reason), {"reason": reason}), reasons),
+    st.builds(lambda groups: ("mismatch", trace.groups(groups), {"groups": groups}), st.lists(id_lists, max_size=4)),
+    st.builds(lambda ids: ("timeout", trace.missing(trace.ids(ids)), {"missing_ids": ids}), id_lists),
+    st.builds(lambda text: ("degraded", trace.reason(text), {"reason": text}), reasons),
 )
 
 
 @given(times, seqs, small, small, verdicts)
 @settings(max_examples=200, deadline=None)
 def test_verdict(t, seq, frame_id, rep, verdict_and_fields):
-    v, fields = verdict_and_fields
-    want = {**head(t, seq, "verdict", frame_id, rep), "variant": v.variant, **fields}
-    assert trace.verdict(t, seq, trace.frame(frame_id, rep), v.variant, trace.verdict_fields(v)) == line(want)
+    variant, fields, want_fields = verdict_and_fields
+    want = {**head(t, seq, "verdict", frame_id, rep), "variant": variant, **want_fields}
+    assert trace.verdict(t, seq, trace.frame(frame_id, rep), variant, fields) == line(want)
 
 
 @given(times, seqs, small, small, states, actions, small)
@@ -128,7 +124,33 @@ def test_pass_end_is_the_three_end_records(t, seq, frame_id, rep, skew, ids, dig
     fr = trace.frame(frame_id, rep)
     agreed = trace.agreed(trace.ids(ids), digest)
     tail = trace.safety_fields(state, action, count)
-    want = (trace.complete(t, seq, fr, skew) + trace.verdict(t, seq + 1, fr, "pass", agreed)
+    want = (trace.rendezvous(t, seq, fr, trace.complete_fields(skew)) + trace.verdict(t, seq + 1, fr, "pass", agreed)
             + trace.safety(t, seq + 2, fr, tail))
     assert trace.pass_end(t, seq, fr, skew, agreed, tail) == want
-    assert agreed == trace.verdict_fields(Verdict.passed(_Agreed(digest), ids))
+    assert trace.round_end(t, seq, fr, trace.complete_fields(skew), None, "pass", agreed, tail) == want
+
+
+outcomes = st.none() | st.builds(trace.complete_fields, signed) | st.builds(
+    lambda present, missing: trace.timeout_fields(trace.ids(present), trace.ids(missing)), id_lists, id_lists)
+divergences = st.none() | st.tuples(st.integers(0, 7), st.integers(0, 7), small)
+
+
+@given(times, seqs, small, small, outcomes, divergences, verdicts, states, actions, small)
+@settings(max_examples=100, deadline=None)
+def test_round_end_writes_each_record_it_is_given(t, seq, frame_id, rep, outcome, div, verdict_and_fields,
+                                                  state, action, count):
+    fr = trace.frame(frame_id, rep)
+    variant, fields, _ = verdict_and_fields
+    tail = trace.safety_fields(state, action, count)
+    want, at = "", seq
+    if outcome is not None:
+        want, at = trace.rendezvous(t, at, fr, outcome), at + 1
+    if div is not None:
+        want, at = want + trace.divergence(t, at, fr, *div), at + 1
+    want += trace.verdict(t, at, fr, variant, fields) + trace.safety(t, at + 1, fr, tail)
+    assert trace.round_end(t, seq, fr, outcome, div, variant, fields, tail) == want
+
+
+def test_in_order_sorts_by_time_then_seq():
+    columns = [(np.array([5, 1]), np.array([0, 9]), ["a", "b"]), (np.array([5, 1]), np.array([2, 3]), ["c", "d"])]
+    assert trace.in_order(columns) == "dbac"

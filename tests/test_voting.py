@@ -1,30 +1,45 @@
+"""The array voter and the safety scan: case by case, and against the frozen
+scalar `vote` and `step_safety` of the reference runner (`oracles`)."""
+
+from collections import namedtuple
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lockstepsim.coupling import Complete, Timeout
-from lockstepsim.errors import ConfigError, ProtocolError
+from lockstepsim.cli import agreement_patterns
+from lockstepsim.coupling import rendezvous_rounds
+from lockstepsim.errors import ConfigError
+from lockstepsim.fixedpoint import tensor_digests
 from lockstepsim.voting import (
+    ACTIONS,
     DEGRADED,
     DELIVER_OUTPUT,
     ENTER_SAFE_OFF,
-    Exact,
     MISMATCH,
     OPERATIONAL,
     PASS,
     SAFE_OFF,
     SUPPRESS_OUTPUT,
-    SafetySwitchState,
     TIMEOUT,
+    VERDICTS,
+    Exact,
     Tolerance,
-    Verdict,
     VotingPolicy,
-    group_agreements,
-    step_safety,
-    vote,
+    agreement_labels,
+    safety_scan,
+    vote_rounds,
 )
-from helpers import make_output
-from oracles import tolerance_cliques, vote_oracle_exact
+from oracles import (
+    SafetySwitchState,
+    Verdict,
+    _Tensor,
+    step_safety,
+    tolerance_cliques,
+    vote,
+    vote_oracle_exact,
+)
 
 
 class TestVotingPolicy:
@@ -50,24 +65,46 @@ class TestVotingPolicy:
         assert VotingPolicy(3, 4).required_agreement == 3
 
 
-class TestGroupAgreements:
+def outputs(rounds):
+    """(digests, outputs) of a batch of rounds, each a list of one output
+    per replica: a list of values, or an int for a one-element output."""
+    out = np.array([[[v] if isinstance(v, int) else v for v in r] for r in rounds], dtype=np.int16)
+    n, k, width = out.shape
+    return tensor_digests((width,), out.reshape(n * k, width)).reshape(n, k), out
+
+
+def labels_of(*values, comparator=Exact()):
+    return agreement_labels(comparator, *outputs([values]))[0].tolist()
+
+
+def decide(rounds, policy, comparator=Exact(), complete=None):
+    """Per round: (variant, agreeing ids, agreed digest) of a pass, else
+    (variant, groups of replica ids, None)."""
+    digests, out = outputs(rounds)
+    labels = agreement_labels(comparator, digests, out)
+    if complete is None:
+        complete = np.ones(len(rounds), dtype=bool)
+    verdicts, best = vote_rounds(complete, labels, policy.required_agreement)
+    results = []
+    for row, d, verdict, g in zip(labels.tolist(), digests.tolist(), verdicts.tolist(), best.tolist()):
+        groups = [tuple(i for i, label in enumerate(row) if label == h) for h in range(max(row, default=-1) + 1)]
+        if VERDICTS[verdict] == PASS:
+            results.append((PASS, groups[g], d[groups[g][0]]))
+        else:
+            results.append((VERDICTS[verdict], tuple(groups), None))
+    return results
+
+
+class TestAgreementLabels:
     def test_three_identical_one_group(self):
-        outs = [make_output(i, 42) for i in range(3)]
-        groups = group_agreements(outs, Exact())
-        assert len(groups) == 1
-        assert groups[0].replica_ids == (0, 1, 2)
+        assert labels_of(42, 42, 42) == [0, 0, 0]
 
     def test_two_values_two_groups(self):
-        outs = [make_output(0, 5), make_output(1, 5), make_output(2, 9)]
-        groups = group_agreements(outs, Exact())
-        assert [g.replica_ids for g in groups] == [(0, 1), (2,)]
+        assert labels_of(5, 5, 9) == [0, 0, 1]
 
     def test_tolerance_greedy_pivot_rule(self):
         # eps of one raw unit: 0 and 1 agree with pivot 0; 2 does not
-        eps = 1 / 256
-        outs = [make_output(0, 0), make_output(1, 1), make_output(2, 2)]
-        groups = group_agreements(outs, Tolerance(eps))
-        assert [g.replica_ids for g in groups] == [(0, 1), (2,)]
+        assert labels_of(0, 1, 2, comparator=Tolerance(1 / 256)) == [0, 0, 1]
         # the clique view differs: {1,2} is also a valid clique, which is
         # exactly the non-transitivity gap the greedy pivot rule resolves
         cliques = tolerance_cliques([0, 1, 2], raw_eps=1)
@@ -76,181 +113,221 @@ class TestGroupAgreements:
     def test_tolerance_compares_widened_values(self):
         # -32768 - 32767 wraps to 1 in int16 arithmetic; the rails are
         # 65535 raw units (~256.0) apart
-        rails = [make_output(0, -32768), make_output(1, 32767)]
-        assert len(group_agreements(rails, Tolerance(0.01))) == 2
-        assert len(group_agreements(rails, Tolerance(65535 / 256))) == 1
+        assert labels_of(-32768, 32767, comparator=Tolerance(0.01)) == [0, 1]
+        assert labels_of(-32768, 32767, comparator=Tolerance(65535 / 256)) == [0, 0]
 
-    def test_mismatched_shapes_protocol_error(self):
-        with pytest.raises(ProtocolError):
-            group_agreements([make_output(0, [1, 2]), make_output(1, [1])], Exact())
-
-    def test_empty_outputs_protocol_error(self):
-        with pytest.raises(ProtocolError):
-            group_agreements([], Exact())
+    def test_tolerance_bounds_every_element(self):
+        tol = Tolerance(2 / 256)
+        assert labels_of([0, 100], [2, 98], comparator=tol) == [0, 0]
+        assert labels_of([0, 100], [2, 97], comparator=tol) == [0, 1]
 
     def test_scan_is_replica_id_ordered(self):
-        outs = [make_output(2, 9), make_output(0, 5), make_output(1, 5)]
-        groups = group_agreements(outs, Exact())
-        assert [g.replica_ids for g in groups] == [(0, 1), (2,)]
-        assert groups[0].pivot.replica_id == 0
+        # groups are numbered in the order their pivots (first members) come
+        assert labels_of(9, 5, 5) == [0, 1, 1]
+        assert labels_of(5, 9, 5, 7, 9) == [0, 1, 0, 2, 1]
+
+    def test_rounds_are_independent(self):
+        digests, out = outputs([[1, 1, 2], [3, 4, 4], [5, 6, 7]])
+        assert agreement_labels(Exact(), digests, out).tolist() == [[0, 0, 1], [0, 1, 1], [0, 1, 2]]
+
+    def test_no_outputs_no_groups(self):
+        labels = agreement_labels(Exact(), np.zeros((3, 0), dtype=np.uint64))
+        assert labels.shape == (3, 0)
 
 
-class TestVote:
+class TestVoteRounds:
     def test_duplex_agreement_passes(self):
-        outs = [make_output(0, 7), make_output(1, 7)]
-        v = vote(outs, VotingPolicy.named("1oo2"), Exact())
-        assert v.variant == PASS
-        assert v.agreeing_ids == (0, 1)
-        assert v.agreed.digest == outs[0].digest
+        [(variant, ids, digest)] = decide([[7, 7]], VotingPolicy.named("1oo2"))
+        assert (variant, ids) == (PASS, (0, 1))
+        assert digest == outputs([[7]])[0][0, 0]
 
     def test_duplex_disagreement_is_mismatch_not_pass(self):
         # the duplex voter is a comparator: a lone channel never wins
-        outs = [make_output(0, 7), make_output(1, 8)]
-        v = vote(outs, VotingPolicy.named("1oo2"), Exact())
-        assert v.variant == MISMATCH
-        assert set(v.groups) == {(0,), (1,)}
+        [(variant, groups, _)] = decide([[7, 8]], VotingPolicy.named("1oo2"))
+        assert variant == MISMATCH
+        assert set(groups) == {(0,), (1,)}
 
     def test_2oo2_disagreement_mismatch(self):
-        outs = [make_output(0, 7), make_output(1, 8)]
-        assert vote(outs, VotingPolicy.named("2oo2"), Exact()).variant == MISMATCH
+        assert decide([[7, 8]], VotingPolicy.named("2oo2"))[0][0] == MISMATCH
 
     def test_2oo3_majority_masks_single_fault(self):
-        outs = [make_output(0, 7), make_output(1, 7), make_output(2, 9)]
-        v = vote(outs, VotingPolicy.named("2oo3"), Exact())
-        assert v.variant == PASS
-        assert v.agreeing_ids == (0, 1)
-        assert v.agreed.output.data.tolist() == [7]
+        [(variant, ids, digest)] = decide([[7, 7, 9]], VotingPolicy.named("2oo3"))
+        assert (variant, ids) == (PASS, (0, 1))
+        assert digest == outputs([[7]])[0][0, 0]
 
     def test_3oo4_split_pairs_mismatch(self):
-        outs = [make_output(0, 1), make_output(1, 1), make_output(2, 2), make_output(3, 2)]
-        v = vote(outs, VotingPolicy(3, 4), Exact())
-        assert v.variant == MISMATCH
-        assert sorted(len(g) for g in v.groups) == [2, 2]
+        [(variant, groups, _)] = decide([[1, 1, 2, 2]], VotingPolicy(3, 4))
+        assert variant == MISMATCH
+        assert sorted(len(g) for g in groups) == [2, 2]
 
     def test_equal_size_tie_breaks_to_lowest_id(self):
-        outs = [make_output(0, 1), make_output(1, 1), make_output(2, 2), make_output(3, 2)]
-        v = vote(outs, VotingPolicy(2, 4), Exact())
-        assert v.variant == PASS
-        assert v.agreeing_ids == (0, 1)
+        assert decide([[1, 1, 2, 2]], VotingPolicy(2, 4))[0][:2] == (PASS, (0, 1))
+        assert decide([[2, 1, 1, 2]], VotingPolicy(2, 4))[0][:2] == (PASS, (0, 3))
+        assert decide([[1, 2, 2, 1]], VotingPolicy(2, 4))[0][:2] == (PASS, (0, 3))
 
     def test_rendezvous_timeout_dominates(self):
-        outs = [make_output(0, 7)]
-        v = vote(outs, VotingPolicy.named("1oo2"), Exact(), Timeout((0,), (1,)))
-        assert v.variant == TIMEOUT
-        assert v.missing_ids == (1,)
+        # agreeing values, but the rendezvous did not complete
+        rounds = decide([[7, 7]], VotingPolicy.named("1oo2"), complete=np.array([False]))
+        assert rounds[0][0] == TIMEOUT
 
     def test_zero_outputs_timeout_all_missing(self):
-        v = vote([], VotingPolicy.named("2oo3"), Exact())
-        assert v.variant == TIMEOUT
-        assert v.missing_ids == (0, 1, 2)
+        # no output arrives: the rendezvous times out with every replica missing
+        present, complete, _ = rendezvous_rounds(np.zeros((1, 3), np.int64), np.zeros((1, 3), bool), 10)
+        assert present.tolist() == [[False] * 3] and not complete[0]
+        verdicts, _ = vote_rounds(complete, np.zeros((1, 3), np.int64), 2)
+        assert VERDICTS[verdicts[0]] == TIMEOUT
 
     def test_too_few_outputs_degraded(self):
-        v = vote([make_output(0, 7)], VotingPolicy.named("1oo2"), Exact())
-        assert v.variant == DEGRADED
+        assert decide([[7]], VotingPolicy.named("1oo2"))[0][0] == DEGRADED
 
     def test_simplex_single_output_passes(self):
-        v = vote([make_output(0, 7)], VotingPolicy(1, 1), Exact())
-        assert v.variant == PASS
+        assert decide([[7]], VotingPolicy(1, 1))[0][:2] == (PASS, (0,))
 
     def test_value_voting_ignores_timing(self):
         # permuting completion times inside the window never changes the verdict
-        outs = [make_output(0, 7), make_output(1, 7)]
-        base = vote(outs, VotingPolicy.named("1oo2"), Exact(),
-                    Complete(((0, 100), (1, 105)), 5))
-        swapped = vote(outs, VotingPolicy.named("1oo2"), Exact(),
-                       Complete(((1, 100), (0, 105)), 5))
-        assert base.variant == swapped.variant == PASS
-        assert base.agreed.digest == swapped.agreed.digest
+        arrival = np.array([[100, 105], [105, 100]])
+        _, complete, _ = rendezvous_rounds(arrival, np.ones((2, 2), bool), 10)
+        first, swapped = decide([[7, 7], [7, 7]], VotingPolicy.named("1oo2"), complete=complete)
+        assert first == swapped
+        assert first[0] == PASS
 
     def test_exhaustive_oracle_equivalence(self):
         # every n <= 4, every labelling with <= 4 distinct values, every valid m
         for n in range(1, 5):
-            for pattern in range(4**n):
-                labels = [(pattern // 4**i) % 4 for i in range(n)]
-                outs = [make_output(i, labels[i]) for i in range(n)]
-                for m in range(1, n + 1):
-                    policy = VotingPolicy(m, n)
-                    got = vote(outs, policy, Exact())
+            rounds = [[(pattern // 4**i) % 4 for i in range(n)] for pattern in range(4**n)]
+            for m in range(1, n + 1):
+                for labels, got in zip(rounds, decide(rounds, VotingPolicy(m, n))):
                     want_variant, want_detail = vote_oracle_exact(labels, m, n)
-                    assert got.variant == want_variant, (labels, m, n)
-                    if want_variant == "pass":
-                        assert got.agreeing_ids == want_detail, (labels, m, n)
+                    assert got[0] == want_variant, (labels, m, n)
+                    if want_variant == PASS:
+                        assert got[1] == want_detail, (labels, m, n)
                     else:
-                        assert frozenset(got.groups) == want_detail, (labels, m, n)
+                        assert frozenset(got[1]) == want_detail, (labels, m, n)
 
 
-class TestSafetySwitch:
+# -- against the frozen scalar vote --------------------------------------------
+
+_Output = namedtuple("_Output", "replica_id output digest")
+
+
+def frozen_vote(row, digests, policy, comparator):
+    """The frozen scalar `vote` of one round's outputs, in `decide`'s form."""
+    outs = [_Output(rid, _Tensor((len(v),), tuple(v)), d) for rid, (v, d) in enumerate(zip(row, digests))]
+    v = vote(outs, policy, comparator)
+    if v.variant == PASS:
+        return (PASS, v.agreeing_ids, v.agreed.digest)
+    return (v.variant, v.groups, None)
+
+
+def assert_matches_frozen_vote(rounds, policy, comparator):
+    digests, _ = outputs(rounds)
+    rows = [[[v] if isinstance(v, int) else v for v in r] for r in rounds]
+    for row, d, got in zip(rows, digests.tolist(), decide(rounds, policy, comparator)):
+        assert got == frozen_vote(row, d, policy, comparator), (row, policy, comparator)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_pattern_matches_the_frozen_vote(n):
+    # every agreement pattern of n outputs, under every m, exact comparator
+    patterns = [list(p) for p in agreement_patterns(n)]
+    for m in range(1, n + 1):
+        assert_matches_frozen_vote(patterns, VotingPolicy(m, n), Exact())
+
+
+INT16_EDGES = [-32768, -32767, -256, -1, 0, 1, 255, 256, 32766, 32767]
+
+
+@st.composite
+def tolerance_rounds(draw):
+    n = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 3))
+    value = st.sampled_from(INT16_EDGES) | st.integers(-32768, 32767)
+    base = [draw(value) for _ in range(width)]
+    # outputs near one another, so that groups form, or anywhere in int16
+    near = st.builds(lambda d: [max(-32768, min(32767, b + d)) for b in base], st.integers(-300, 300))
+    rounds = [[draw(near | st.lists(value, min_size=width, max_size=width)) for _ in range(n)]
+              for _ in range(draw(st.integers(1, 4)))]
+    return rounds, VotingPolicy(draw(st.integers(1, n)), n), draw(st.sampled_from([0.0, 0.05, 1.0]))
+
+
+@given(tolerance_rounds())
+@settings(max_examples=300, deadline=None)
+def test_tolerance_matches_the_frozen_vote(case):
+    rounds, policy, eps = case
+    assert_matches_frozen_vote(rounds, policy, Tolerance(eps))
+
+
+# -- the safety switch ---------------------------------------------------------
+
+
+def scan(faulty, threshold, state=OPERATIONAL, count=0):
+    action, counts, entered = safety_scan(np.array(faulty, dtype=bool), threshold, state, count)
+    return [ACTIONS[a] for a in action.tolist()], counts.tolist(), entered
+
+
+class TestSafetyScan:
     def test_pass_delivers_and_resets(self):
-        st0 = SafetySwitchState(debounce_threshold=3, consecutive_fault_count=2)
-        st1, action = step_safety(st0, Verdict.passed(None, (0, 1)))
-        assert action == DELIVER_OUTPUT
-        assert st1.state == OPERATIONAL
-        assert st1.consecutive_fault_count == 0
+        assert scan([False], 3, count=2) == ([DELIVER_OUTPUT], [0], None)
 
     def test_immediate_trip_with_default_debounce(self):
-        st0 = SafetySwitchState()
-        st1, action = step_safety(st0, Verdict.mismatch(((0,), (1,))))
-        assert action == ENTER_SAFE_OFF
-        assert st1.state == SAFE_OFF
+        assert scan([True], 1) == ([ENTER_SAFE_OFF], [1], 0)
 
     def test_debounce_three_hand_trace(self):
-        st = SafetySwitchState(debounce_threshold=3)
-        seq = [
-            Verdict.mismatch(((0,), (1,))),
-            Verdict.passed(None, (0, 1)),
-            Verdict.mismatch(((0,), (1,))),
-            Verdict.mismatch(((0,), (1,))),
-            Verdict.mismatch(((0,), (1,))),
-        ]
-        actions = []
-        for v in seq:
-            st, action = step_safety(st, v)
-            actions.append(action)
-        assert actions == [
-            SUPPRESS_OUTPUT,
-            DELIVER_OUTPUT,
-            SUPPRESS_OUTPUT,
-            SUPPRESS_OUTPUT,
-            ENTER_SAFE_OFF,
-        ]
-        assert st.state == SAFE_OFF
+        actions, counts, entered = scan([True, False, True, True, True], 3)
+        assert actions == [SUPPRESS_OUTPUT, DELIVER_OUTPUT, SUPPRESS_OUTPUT, SUPPRESS_OUTPUT, ENTER_SAFE_OFF]
+        assert counts == [1, 0, 1, 2, 3]
+        assert entered == 4
 
-    def test_timeout_counts_toward_debounce(self):
-        st0 = SafetySwitchState(debounce_threshold=2)
-        st1, a1 = step_safety(st0, Verdict.timeout((1,)))
-        st2, a2 = step_safety(st1, Verdict.timeout((1,)))
-        assert (a1, a2) == (SUPPRESS_OUTPUT, ENTER_SAFE_OFF)
+    def test_count_carries_into_the_next_run(self):
+        # a timeout or degraded verdict counts like any other non-pass
+        assert scan([True], 2, count=1) == ([ENTER_SAFE_OFF], [2], 0)
+        assert scan([True, True], 3, count=1)[0] == [SUPPRESS_OUTPUT, ENTER_SAFE_OFF]
 
-    def test_degraded_counts_toward_debounce(self):
-        st0 = SafetySwitchState()
-        st1, action = step_safety(st0, Verdict.degraded("half the system gone"))
-        assert st1.state == SAFE_OFF
+    def test_safe_off_keeps_its_count_after_entry(self):
+        actions, counts, entered = scan([True, True, False, True], 2)
+        assert actions == [SUPPRESS_OUTPUT, ENTER_SAFE_OFF, SUPPRESS_OUTPUT, SUPPRESS_OUTPUT]
+        assert counts == [1, 2, 2, 2]
+        assert entered == 1
 
     def test_safe_off_is_absorbing(self):
-        st0 = SafetySwitchState(state=SAFE_OFF, consecutive_fault_count=1)
-        for v in (Verdict.passed(None, (0,)), Verdict.mismatch(((0,),)), Verdict.timeout((0,))):
-            st1, action = step_safety(st0, v)
-            assert st1.state == SAFE_OFF
-            assert action == SUPPRESS_OUTPUT
+        assert scan([False, True, False], 3, SAFE_OFF, 1) == ([SUPPRESS_OUTPUT] * 3, [1, 1, 1], None)
 
-    @given(
-        st.integers(1, 5),
-        st.lists(st.sampled_from(["pass", "mismatch", "timeout", "degraded"]), max_size=60),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_no_sequence_leaves_safe_off(self, threshold, variants):
-        state = SafetySwitchState(debounce_threshold=threshold)
-        tripped = False
-        for name in variants:
-            verdict = {
-                "pass": Verdict.passed(None, (0, 1)),
-                "mismatch": Verdict.mismatch(((0,), (1,))),
-                "timeout": Verdict.timeout((1,)),
-                "degraded": Verdict.degraded("x"),
-            }[name]
-            state, action = step_safety(state, verdict)
-            if state.state == SAFE_OFF:
-                tripped = True
-            if tripped:
-                assert state.state == SAFE_OFF
-                assert action in (ENTER_SAFE_OFF, SUPPRESS_OUTPUT)
+
+VARIANTS = {
+    "pass": Verdict.passed(None, (0, 1)),
+    "mismatch": Verdict.mismatch(((0,), (1,))),
+    "timeout": Verdict.timeout((1,)),
+    "degraded": Verdict.degraded("x"),
+}
+
+
+@given(
+    st.integers(1, 5),
+    st.lists(st.sampled_from(sorted(VARIANTS)), max_size=60),
+    st.lists(st.integers(1, 20), max_size=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_scan_matches_the_frozen_step_in_any_chunking(threshold, variants, cuts):
+    # the frozen step, one verdict at a time
+    state, want = SafetySwitchState(debounce_threshold=threshold), []
+    for name in variants:
+        state, action = step_safety(state, VARIANTS[name])
+        want.append((state.state, action, state.consecutive_fault_count))
+    # the scan, over chunks of any size, carrying its state across them
+    got, at, now, count = [], 0, OPERATIONAL, 0
+    for size in cuts + [len(variants)]:
+        chunk = variants[at:at + size]
+        at += len(chunk)
+        if not chunk:
+            continue
+        actions, counts, entered = scan([v != "pass" for v in chunk], threshold, now, count)
+        for j, (action, c) in enumerate(zip(actions, counts)):
+            off = now == SAFE_OFF or (entered is not None and j >= entered)
+            got.append((SAFE_OFF if off else OPERATIONAL, action, c))
+        now, count = got[-1][0], got[-1][2]
+    assert got == want
+    # SafeOff is absorbing
+    states = [s for s, _, _ in got]
+    if SAFE_OFF in states:
+        assert set(states[states.index(SAFE_OFF):]) == {SAFE_OFF}
+
