@@ -12,6 +12,7 @@ delays each delivery by a draw of the replica's feed jitter
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -48,17 +49,25 @@ def rendezvous_rounds(arrival, emitted, window_ns: int):
     The window opens at the first arrival; an output arriving within
     [first, first + window] is present, the rest (late or never) are
     missing. A rendezvous is complete when every expected replica is
-    present. Returns (present, complete, deadline): per round, the time at
-    which the checker decides, which is the last arrival of a complete
-    rendezvous, else the close of the window; a round with no output at all
-    opens the window at 0.
+    present. Returns (present, complete, skew, deadline): per round, the
+    skew of a complete rendezvous (its last arrival less its first) and the
+    time at which the checker decides, which is the last arrival of a
+    complete rendezvous, else the close of the window; a round with no
+    output at all opens the window at 0.
     """
-    never = np.iinfo(np.int64).max
-    first = np.where(emitted, arrival, never).min(axis=1)
-    first[first == never] = 0
-    present = emitted & (arrival <= (first + window_ns)[:, None])
-    complete = present.all(axis=1)
-    return present, complete, np.where(complete, arrival.max(axis=1), first + window_ns)
+    # Reductions across the few columns run column by column: NumPy's
+    # axis-1 reduction of a narrow array costs ten times as much.
+    everyone = reduce(np.logical_and, emitted.T)
+    if everyone.all():
+        first = reduce(np.minimum, arrival.T)
+    else:
+        never = np.iinfo(np.int64).max
+        first = reduce(np.minimum, np.where(emitted, arrival, never).T)
+        first[first == never] = 0
+    last = reduce(np.maximum, arrival.T)
+    close = first + window_ns
+    complete = everyone & (last <= close)
+    return emitted & (arrival <= close[:, None]), complete, last - first, np.where(complete, last, close)
 
 
 def bus_traces(params, rows):

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import repeat
 from pathlib import Path
 
@@ -278,7 +278,7 @@ class ExperimentRunner:
                 for bit, (s, _) in enumerate(flips):
                     code |= fired[:, s].astype(np.int64) << bit
                 code[~emitted] = 0
-                for c in np.unique(code[code > 0]).tolist():
+                for c in sorted(set(code[code > 0].tolist())):
                     at = code == c
                     key, outs, digest_rows, _ = self._result(
                         tuple(flip for bit, (_, flip) in enumerate(flips) if c >> bit & 1))
@@ -336,7 +336,7 @@ class ExperimentRunner:
         keys = keys[at]
         blocks = list(self._block.values())
         traces = np.empty((len(at), k, 3 * len(self.weights.layers)), dtype=np.uint64)
-        for key in np.unique(keys).tolist():
+        for key in sorted(set(keys.ravel().tolist())):
             _, _, digest_rows, params = blocks[key]
             hit = keys == key
             traces[hit] = bus_traces(np.array(params, dtype=np.uint64), digest_rows[rows[at][hit.nonzero()[0]]])
@@ -395,10 +395,8 @@ class ExperimentRunner:
 
         # outcomes
         if k:
-            arrival = comp + self._corr
-            present, complete, deadline = rendezvous_rounds(arrival, emit, self._window_ns)
-            durations = np.maximum(deadline, comp.max(axis=1))
-            skew = arrival.max(axis=1) - arrival.min(axis=1)
+            present, complete, skew, deadline = rendezvous_rounds(comp + self._corr, emit, self._window_ns)
+            durations = np.maximum(deadline, reduce(np.maximum, comp.T))
             self.skews.extend(skew[complete].tolist())
         else:
             present, complete = emit, np.zeros(n, dtype=bool)
@@ -490,10 +488,13 @@ class ExperimentRunner:
         add(None, starts, seqs, trace.release)
         if k:
             feed, comp, emit, changed = c["feed"], c["comp"], c["emit"], c["changed"]
-            # a completion's seq follows the (time, replica) order of the deliveries
-            order = np.argsort(feed, axis=1, kind="stable")
-            rank = np.empty_like(order)
-            np.put_along_axis(rank, order, np.arange(k), axis=1)
+            # a completion's seq follows the (time, replica) order of the
+            # deliveries, which is replica order when all come at the release
+            rank = np.broadcast_to(np.arange(k), feed.shape)
+            if self._feed:
+                order = np.argsort(feed, axis=1, kind="stable")
+                rank = np.empty_like(order)
+                np.put_along_axis(rank, order, np.arange(k), axis=1)
             clean_tails = list(map(self._completion_tails.__getitem__, rows))
             for i, rid in enumerate(self.healthy_ids):
                 add(None, starts + feed[:, i], seqs + 1 + i, trace.delivery, repeat(rid), feed[:, i].tolist())

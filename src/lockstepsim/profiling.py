@@ -43,9 +43,11 @@ from .errors import ConfigError
 def stats(samples) -> dict:
     """Aggregate statistics over integer samples: n, mean, sample_std, min,
     max, p50, p95, p99, skewness, excess_kurtosis and bimodality. Samples
-    that NumPy does not hold as signed integers (floats, bools alone, an
-    int outside the int64 range) raise ValueError."""
+    that NumPy does not hold as signed integers (floats, bools, an int
+    outside the int64 range) raise ValueError."""
     xs = np.asarray(samples)
+    if not isinstance(samples, np.ndarray) and any(isinstance(x, (bool, np.bool_)) for x in samples):
+        xs = xs.astype(bool)  # NumPy holds [True, 5] as int64; refuse it as a bool array
     n = len(xs)
     if n == 0:
         raise ValueError("stats needs at least one sample")

@@ -120,6 +120,7 @@ TIMEOUT = "timeout"
 DEGRADED = "degraded"
 # a verdict code is its index here, the order of report.json's verdict_counts
 VERDICTS = (PASS, MISMATCH, TIMEOUT, DEGRADED)
+_PASS, _MISMATCH, _TIMEOUT, _DEGRADED = range(4)
 
 
 def vote_rounds(complete, labels, required):
@@ -129,13 +130,15 @@ def vote_rounds(complete, labels, required):
     present; `labels` are their `agreement_labels` and `required` is the
     policy's `required_agreement`."""
     n, k = labels.shape
-    sizes = np.stack([(labels == g).sum(axis=1) for g in range(k)], axis=1) if k else np.zeros((n, 1), int)
-    best = sizes.argmax(axis=1)  # the first largest group: its pivot has the lowest id
     if k < required:
-        decided = np.full(n, VERDICTS.index(DEGRADED))
+        decided, best = _DEGRADED, np.zeros(n, dtype=np.int64)
+    elif not labels.any():  # one group of every output
+        decided, best = _PASS, np.zeros(n, dtype=np.int64)
     else:
-        decided = np.where(sizes.max(axis=1) >= required, VERDICTS.index(PASS), VERDICTS.index(MISMATCH))
-    return np.where(complete, decided, VERDICTS.index(TIMEOUT)), best
+        sizes = np.stack([(labels == g).sum(axis=1) for g in range(k)], axis=1)
+        best = sizes.argmax(axis=1)  # the first largest group: its pivot has the lowest id
+        decided = np.where(sizes.max(axis=1) >= required, _PASS, _MISMATCH)
+    return np.where(complete, decided, _TIMEOUT), best
 
 
 OPERATIONAL = "operational"
@@ -160,6 +163,8 @@ def safety_scan(faulty, threshold, state=OPERATIONAL, count=0):
     n = len(faulty)
     if state == SAFE_OFF:
         return np.ones(n, dtype=np.int64), np.full(n, count, dtype=np.int64), None
+    if not faulty.any():
+        return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), None
     at = np.arange(n)
     last_pass = np.maximum.accumulate(np.where(faulty, -1, at))
     counts = np.where(last_pass >= 0, at - last_pass, at + 1 + count)

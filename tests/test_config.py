@@ -10,6 +10,7 @@ from lockstepsim.config import (
 )
 from lockstepsim.coupling import Loose, Tight
 from lockstepsim.errors import ConfigError
+from lockstepsim.faults import Always, ExtraDelay, FaultSpec, OutputBitFlip, WithProbability
 from lockstepsim.voting import Exact, VotingPolicy
 from helpers import zero_jitter_duplex
 
@@ -250,6 +251,14 @@ class TestShippedConfigs:
     def test_tight_baseline_loads(self):
         cfg = load_config(CONFIG_DIR / "tight-baseline.json")
         assert isinstance(cfg.topology.coupling, Tight)
+
+    def test_fault_campaign_is_paper_protocol_with_two_faults(self):
+        cfg = load_config(CONFIG_DIR / "fault-campaign.json")
+        paper = load_config(CONFIG_DIR / "paper-protocol.json")
+        assert (cfg.seed, cfg.topology, cfg.workload) == (paper.seed, paper.topology, paper.workload)
+        (r0, timing), (r1, value) = cfg.faults
+        assert (r0, timing) == (1, FaultSpec(ExtraDelay(1), Always()))
+        assert (r1, value) == (1, FaultSpec(OutputBitFlip(3, 9), WithProbability(0.01)))
 
 
 # Every bounded field, as (path, minimum, maximum). A `[i]` in a path is a

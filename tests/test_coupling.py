@@ -58,16 +58,17 @@ class TestInputDelivery:
 
 def outcome(arrivals, window, expected=2):
     """(present columns, complete, deadline) of one round whose outputs
-    arrive as {column: time}."""
+    arrive as {column: time}, and its skew if complete."""
     arrival = np.array([[arrivals.get(i, 0) for i in range(expected)]])
     emitted = np.array([[i in arrivals for i in range(expected)]])
-    present, complete, deadline = rendezvous_rounds(arrival, emitted, window)
-    return [i for i in range(expected) if present[0, i]], bool(complete[0]), int(deadline[0])
+    present, complete, skew, deadline = rendezvous_rounds(arrival, emitted, window)
+    result = [i for i in range(expected) if present[0, i]], bool(complete[0]), int(deadline[0])
+    return result + (int(skew[0]),) if complete[0] else result
 
 
 class TestRendezvous:
     def test_both_inside_window(self):
-        assert outcome({0: 100, 1: 105}, 10) == ([0, 1], True, 105)
+        assert outcome({0: 100, 1: 105}, 10) == ([0, 1], True, 105, 5)
 
     def test_missing_replica(self):
         assert outcome({0: 100}, 10) == ([0], False, 110)
@@ -79,7 +80,7 @@ class TestRendezvous:
         assert outcome({0: 115, 1: 100}, 10) == ([1], False, 110)
 
     def test_boundary_is_inclusive(self):
-        assert outcome({0: 100, 1: 110}, 10) == ([0, 1], True, 110)
+        assert outcome({0: 100, 1: 110}, 10) == ([0, 1], True, 110, 10)
 
     def test_no_arrivals(self):
         # the window opens at the release, time 0
@@ -95,12 +96,12 @@ class TestRendezvous:
         rounds = [{rid: 100 + rng.randrange(40) for rid in range(3) if rng.randrange(4)} for _ in range(500)]
         arrival = np.array([[r.get(i, 0) for i in range(3)] for r in rounds])
         emitted = np.array([[i in r for i in range(3)] for r in rounds])
-        present, complete, deadline = rendezvous_rounds(arrival, emitted, 20)
+        present, complete, skew, deadline = rendezvous_rounds(arrival, emitted, 20)
         for j, r in enumerate(rounds):
             frozen = rendezvous([0, 1, 2], list(r.items()), 20)
             if isinstance(frozen, Complete):
                 assert complete[j] and deadline[j] == frozen.present[-1][1]
-                assert frozen.skew_ns == arrival[j].max() - arrival[j].min()
+                assert skew[j] == frozen.skew_ns
             else:
                 assert not complete[j]
                 assert tuple(np.flatnonzero(present[j]).tolist()) == frozen.present_ids

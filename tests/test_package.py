@@ -29,3 +29,14 @@ def test_all_is_the_public_surface():
 def test_every_public_name_resolves():
     for name in lockstepsim.__all__:
         assert getattr(lockstepsim, name) is not None, name
+
+
+# What the benchmark's child process and its span tests call on the package.
+BENCHMARK_CALLS = ("load_config", "config_from_dict", "ExperimentRunner", "run_experiment",
+                   "run_to_directory", "infer", "gen_weights", "gen_frame")
+
+
+def test_the_benchmark_calls_resolve():
+    for name in BENCHMARK_CALLS:
+        assert name in lockstepsim.__all__, name
+        assert callable(getattr(lockstepsim, name)), name

@@ -392,6 +392,14 @@ class TestListAndArrayAgree:
         with pytest.raises(ValueError, match="int64"):
             stats(samples)
 
+    @pytest.mark.parametrize("samples", [[True, 5], [5, False, 7], (3, np.True_), [1 << 62, True]])
+    def test_stats_refuses_a_bool_among_ints(self, samples):
+        with pytest.raises(ValueError) as mixed:
+            stats(samples)
+        with pytest.raises(ValueError) as alone:
+            stats(np.array([True, False]))
+        assert str(mixed.value) == str(alone.value)
+
     def test_stats_takes_the_int64_limits(self):
         xs = [-(1 << 63), 0, (1 << 63) - 1, 5]
         assert bits(stats(xs)) == bits(stats(np.array(xs, dtype=np.int64)))

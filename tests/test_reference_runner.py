@@ -19,7 +19,7 @@ from lockstepsim import experiment
 from lockstepsim.config import config_from_dict
 from lockstepsim.experiment import REPORT_FILENAME, TRACE_FILENAME, run_to_directory
 from oracles import run_reference
-from test_golden import CASES, PINS, SLOW_CASES
+from test_golden import CASES, CONFIG_DIR, PINS, SLOW_CASES
 
 # mostly healthy, so that most rounds reach the vote
 HEALTH = ("healthy",) * 5 + ("failed", "switched_off")
@@ -177,16 +177,30 @@ def test_generated_configs_match_the_reference(tmp_path_factory, raw):
     assert_matches_reference(raw, tmp_path_factory.mktemp("run"))
 
 
+@pytest.mark.parametrize("chunk", [1, 3])
 @settings(settings.get_profile("oracle-fuzz"))
-@given(configs())
-def test_tiny_chunks_and_blocks_match_the_reference(tmp_path_factory, raw):
-    # Chunks of 3 rounds, blocks of 2 frames and pass runs written 2 rounds
-    # at a time: their edges fall mid-frame, right after a slow round, inside
-    # a jitter stream's 3-draw samples and after SafeOff.
-    with mock.patch.object(experiment, "ROUND_CHUNK", 3), \
+@given(raw=configs())
+def test_tiny_chunks_and_blocks_match_the_reference(tmp_path_factory, chunk, raw):
+    # Chunks of 1 or 3 rounds, blocks of 2 frames and rounds written 2 at a
+    # time: their edges fall mid-frame, right after a slow round, inside a
+    # jitter stream's 3-draw samples and after SafeOff. With chunks of 1,
+    # every round sits on a chunk edge, so the safety switch, a stuck
+    # output's last value and seq all carry across chunks.
+    with mock.patch.object(experiment, "ROUND_CHUNK", chunk), \
             mock.patch.object(experiment, "BLOCK_FRAMES", 2), \
             mock.patch.object(experiment, "WRITE_ROUNDS", 2):
         assert_matches_reference(raw, tmp_path_factory.mktemp("run"))
+
+
+def _fault_campaign(frames):
+    raw = json.loads((CONFIG_DIR / "fault-campaign.json").read_text())
+    raw["workload"]["frame_count"] = frames
+    return raw
+
+
+def test_fault_campaign_cut_matches_the_reference(tmp_path):
+    # 20 frames: 2000 rounds, each with the delay, some with the flip
+    assert_matches_reference(_fault_campaign(20), tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(set(CASES) - SLOW_CASES - {"two-profiles"}))

@@ -172,7 +172,7 @@ class TestVoteRounds:
 
     def test_zero_outputs_timeout_all_missing(self):
         # no output arrives: the rendezvous times out with every replica missing
-        present, complete, _ = rendezvous_rounds(np.zeros((1, 3), np.int64), np.zeros((1, 3), bool), 10)
+        present, complete, _, _ = rendezvous_rounds(np.zeros((1, 3), np.int64), np.zeros((1, 3), bool), 10)
         assert present.tolist() == [[False] * 3] and not complete[0]
         verdicts, _ = vote_rounds(complete, np.zeros((1, 3), np.int64), 2)
         assert VERDICTS[verdicts[0]] == TIMEOUT
@@ -186,7 +186,7 @@ class TestVoteRounds:
     def test_value_voting_ignores_timing(self):
         # permuting completion times inside the window never changes the verdict
         arrival = np.array([[100, 105], [105, 100]])
-        _, complete, _ = rendezvous_rounds(arrival, np.ones((2, 2), bool), 10)
+        _, complete, _, _ = rendezvous_rounds(arrival, np.ones((2, 2), bool), 10)
         first, swapped = decide([[7, 7], [7, 7]], VotingPolicy.named("1oo2"), complete=complete)
         assert first == swapped
         assert first[0] == PASS
