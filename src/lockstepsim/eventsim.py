@@ -111,7 +111,7 @@ def _sample_starts(spikes: np.ndarray, count: int) -> np.ndarray:
 
 
 def sample_turnaround_overheads(model: JitterModel, seed: int, start: int, count: int):
-    """`count` overhead samples from the stream `Rng(seed)` after its first
+    """`count` overhead samples from the stream `seed` after its first
     `start` draws, as an int64 array, and the stream position after them.
 
     A sample is the base overhead, plus the second mode's offset if its

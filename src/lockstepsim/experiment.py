@@ -75,6 +75,7 @@ from .coupling import (
 from .errors import SimulationError
 from .eventsim import cycles_to_time, sample_turnaround_overheads
 from .faults import (
+    VALUE_FAULTS,
     DropOutput,
     ExtraDelay,
     OutputBitFlip,
@@ -87,7 +88,7 @@ from .faults import (
 from .fixedpoint import tensor_digests
 from .profiling import detect_outliers, histogram, stats, write_histogram_csv
 from .replica import HEALTHY, gen_frames, gen_weights, infer
-from .rng import Rng, derive_seed
+from .rng import derive_seed
 from .voting import (
     ACTIONS,
     DEGRADED,
@@ -181,35 +182,24 @@ class ExperimentRunner:
         self.now = 0
         self.seq = 0
 
-        root = Rng(config.seed)
         self.weights = gen_weights(derive_seed(config.seed, "weights"), config.workload.arch)
         n = topo.replica_count
         self.healthy_ids = [rid for rid in range(n) if topo.health[rid] == HEALTHY]
         k = len(self.healthy_ids)
         # Per healthy replica (a column of the chunk arrays): its jitter
         # models and stream seeds; feed jitter only under loose coupling.
-        self._host = [(topo.host_jitter[rid], root.child(f"host.{rid}").seed) for rid in self.healthy_ids]
+        self._host = [(topo.host_jitter[rid], derive_seed(config.seed, f"host.{rid}")) for rid in self.healthy_ids]
         self._feed = [] if isinstance(self.coupling, Tight) else [
-            (topo.feed_jitter[rid], root.child(f"feed.{rid}").seed) for rid in self.healthy_ids]
+            (topo.feed_jitter[rid], derive_seed(config.seed, f"feed.{rid}")) for rid in self.healthy_ids]
         # (column, spec, stream seed) of each fault of a healthy replica; a
         # fault of another replica is never evaluated
         column = {rid: i for i, rid in enumerate(self.healthy_ids)}
-        self._faults = [(column[rid], spec, root.child(f"fault.{i}").seed)
+        self._faults = [(column[rid], spec, derive_seed(config.seed, f"fault.{i}"))
                         for i, (rid, spec) in enumerate(config.faults) if rid in column]
-        # per column, its value faults by kind: (fault index, flip) pairs and
-        # the indices of its stuck faults
-        self._weight_flips = [[] for _ in range(k)]
-        self._output_flips = [[] for _ in range(k)]
-        self._stuck = [[] for _ in range(k)]
-        for s, (i, spec, _) in enumerate(self._faults):
-            kind = spec.kind
-            if isinstance(kind, WeightBitFlip):
-                self._weight_flips[i].append((s, (kind.layer, kind.element_index, kind.bit)))
-            elif isinstance(kind, OutputBitFlip):
-                self._output_flips[i].append((s, (kind.element_index, kind.bit)))
-            elif isinstance(kind, StuckOutput):
-                self._stuck[i].append(s)
-        self._valued = any(self._weight_flips + self._output_flips + self._stuck)
+        # (fault index, kind) of each value fault, per column
+        self._value_faults = [[(s, spec.kind) for s, (c, spec, _) in enumerate(self._faults)
+                               if c == i and isinstance(spec.kind, VALUE_FAULTS)] for i in range(k)]
+        self._valued = any(self._value_faults)
         # draws taken so far from each stream
         self._host_pos = [0] * len(self._host)
         self._feed_pos = [0] * len(self._feed)
@@ -222,8 +212,6 @@ class ExperimentRunner:
         self._frames = None                 # the current block of frames
         self._block = {}                    # weight-bit flips -> results on it
         self._bus = topo.bus_trace_compare and isinstance(self.coupling, Tight)
-        self._groups = {}                   # agreement labels -> trace texts
-        self._timeouts = {}                 # present columns -> trace texts
 
         if isinstance(self.coupling, Tight):
             self._window_ns = max(
@@ -269,19 +257,18 @@ class ExperimentRunner:
         outputs = np.repeat(outs[rows][:, None], k, axis=1)
         keys = np.zeros((n, k), dtype=np.int64)
         changed = np.zeros((n, k), dtype=bool)
-        for i in range(k):
-            flips, out_flips, stuck = self._weight_flips[i], self._output_flips[i], self._stuck[i]
+        for i, faults in enumerate(self._value_faults):
+            if not faults:
+                continue
+            flips = [(s, (f.layer, f.element_index, f.bit)) for s, f in faults if isinstance(f, WeightBitFlip)]
+            out_flips = [(s, (f.element_index, f.bit)) for s, f in faults if isinstance(f, OutputBitFlip)]
+            stuck = [s for s, f in faults if isinstance(f, StuckOutput)]
             emitted = emit[:, i]
             if flips:
-                # the weight flips that fired, as a bit set per round
-                code = np.zeros(n, dtype=np.int64)
-                for bit, (s, _) in enumerate(flips):
-                    code |= fired[:, s].astype(np.int64) << bit
-                code[~emitted] = 0
-                for c in sorted(set(code[code > 0].tolist())):
-                    at = code == c
-                    key, outs, digest_rows, _ = self._result(
-                        tuple(flip for bit, (_, flip) in enumerate(flips) if c >> bit & 1))
+                patterns = fired[:, [s for s, _ in flips]] & emitted[:, None]
+                for pattern in sorted(set(map(tuple, patterns.tolist())) - {(False,) * len(flips)}):
+                    at = (patterns == pattern).all(axis=1)
+                    key, outs, digest_rows, _ = self._result(tuple(f for (_, f), on in zip(flips, pattern) if on))
                     keys[at, i] = key
                     outputs[at, i] = outs[rows[at]]
                     digests[at, i] = digest_rows[rows[at], -1]
@@ -295,9 +282,7 @@ class ExperimentRunner:
                     digests[at, i] = tensor_digests(flipped.shape[1:], flipped)
             if stuck:
                 self._hold(i, emitted, fired[:, stuck].any(axis=1) & emitted, outputs[:, i], digests[:, i])
-            slots = [s for s, _ in flips + out_flips] + stuck
-            if slots:
-                changed[:, i] = fired[:, slots].any(axis=1) & emitted
+            changed[:, i] = fired[:, [s for s, _ in faults]].any(axis=1) & emitted
         return digests, outputs, keys, changed
 
     def _hold(self, i, emitted, stuck, outputs, digests):
@@ -328,30 +313,21 @@ class ExperimentRunner:
         emitted, and the event index where it diverges; -1 where none
         does."""
         n, k = emit.shape
-        other = np.full(n, -1)
-        index = np.full(n, -1)
+        other, index = np.full(n, -1), np.full(n, -1)
         at = np.flatnonzero((emit.sum(axis=1) >= 2) & (keys != 0).any(axis=1))
         if not at.size:
             return other, index
-        keys = keys[at]
-        blocks = list(self._block.values())
-        traces = np.empty((len(at), k, 3 * len(self.weights.layers)), dtype=np.uint64)
-        for key in sorted(set(keys.ravel().tolist())):
-            _, _, digest_rows, params = blocks[key]
-            hit = keys == key
-            traces[hit] = bus_traces(np.array(params, dtype=np.uint64), digest_rows[rows[at][hit.nonzero()[0]]])
+        # each round's trace on each flip set of the block, then each replica's
+        traces = np.stack([bus_traces(np.array(params, dtype=np.uint64), digest_rows[rows[at]])
+                           for _, _, digest_rows, params in self._block.values()])
+        traces = traces[keys[at], np.arange(len(at))[:, None]]
         emitted = emit[at]
         first = emitted.argmax(axis=1)
         base = traces[np.arange(len(at)), first]
-        found = np.full(len(at), -1)
-        where = np.full(len(at), -1)
         for c in range(1, k):
             event = compare_bus_traces(base, traces[:, c])
-            hit = (found < 0) & emitted[:, c] & (c > first) & (event >= 0)
-            found[hit] = c
-            where[hit] = event[hit]
-        other[at] = found
-        index[at] = where
+            hit = (other[at] < 0) & emitted[:, c] & (c > first) & (event >= 0)
+            other[at[hit]], index[at[hit]] = c, event[hit]
         return other, index
 
     # -- a chunk of rounds -----------------------------------------------
@@ -511,12 +487,13 @@ class ExperimentRunner:
         verdict, action, counts, safe = c["verdict"], c["action"], c["counts"], c["safe"]
         ends, end_seqs = starts + c["durations"], seqs + 1 + 2 * k
         if (action == action[0]).all() and (counts == counts[0]).all() and (safe == safe[0]).all():
-            safety = repeat(_safety_tail(bool(safe[0]), int(action[0]), int(counts[0])))
+            safety = [_safety_tail(bool(safe[0]), int(action[0]), int(counts[0]))] * len(rows)
         else:
             safety = list(map(_safety_tail, safe.tolist(), action.tolist(), counts.tolist()))
         agreed = list(map(self._agreed_tails.__getitem__, rows))
+        ids = np.array(self.healthy_ids)
         for j in np.flatnonzero(c["voted"] & (verdict == _PASS)).tolist():
-            members = self._groups_of(c["labels"][j])[int(c["best"][j])]
+            members = ids[c["labels"][j] == c["best"][j]].tolist()
             agreed[j] = trace.agreed(trace.ids(members), int(c["agreed"][j]))
         plain = (verdict == _PASS) & ~c["diverged"]
         add(None if plain.all() else np.flatnonzero(plain), ends, end_seqs, trace.pass_end,
@@ -524,55 +501,37 @@ class ExperimentRunner:
         if plain.all():
             return trace.in_order(columns)
 
-        # the other rounds' end records, field by field
-        outcomes, divergences, variants, fields = ([None] * len(rows) for _ in range(4))
-        for j in np.flatnonzero(~plain).tolist():
-            v = int(verdict[j])
-            variants[j] = VERDICTS[v]
-            missing = None
-            if k and c["complete"][j]:
-                outcomes[j] = trace.complete_fields(int(c["skew"][j]))
-            elif k:
-                outcomes[j], missing = self._timeout(c["present"][j])
-            if c["diverged"][j]:
-                divergences[j] = (self.healthy_ids[int(c["emit"][j].argmax())],
-                                  self.healthy_ids[int(c["other"][j])], int(c["index"][j]))
-            if v == _PASS:
-                fields[j] = agreed[j]
-            elif v == _MISMATCH:
-                fields[j] = trace.groups(self._groups_of(c["labels"][j]))
-            elif v == _TIMEOUT:
-                fields[j] = missing
-            elif k:
-                fields[j] = trace.reason(f"{k} output(s) cannot reach "
-                                         f"{self.topology.policy.required_agreement}-way agreement")
-            else:
-                fields[j] = trace.reason("no healthy replicas")
-        add(np.flatnonzero(~plain), ends, end_seqs, trace.round_end, outcomes, divergences, variants, fields,
-            safety)
+        at = np.flatnonzero(~plain).tolist()
+        columns.append((ends[at], end_seqs[at], [
+            trace.round_end(int(ends[j]), int(end_seqs[j]), frames[j], *self._end(c, j, agreed[j]), safety[j])
+            for j in at]))
         return trace.in_order(columns)
 
-    def _groups_of(self, labels):
-        """The replica ids of each agreement group of one round's labels."""
-        key = tuple(labels.tolist())
-        groups = self._groups.get(key)
-        if groups is None:
-            groups = self._groups[key] = [
-                [rid for rid, label in zip(self.healthy_ids, key) if label == g] for g in range(max(key) + 1)]
-        return groups
-
-    def _timeout(self, present):
-        """(rendezvous fields, verdict fields) of a timeout whose present
-        columns are flagged in `present`."""
-        key = tuple(present.tolist())
-        texts = self._timeouts.get(key)
-        if texts is None:
-            missing = trace.ids([rid for rid, here in zip(self.healthy_ids, key) if not here])
-            texts = self._timeouts[key] = (
-                trace.timeout_fields(trace.ids([rid for rid, here in zip(self.healthy_ids, key) if here]), missing),
-                trace.missing(missing))
-        return texts
-
+    def _end(self, c, j, agreed):
+        """(outcome, divergence, variant, fields) of round j of a piece, as
+        `trace.round_end` takes them; `agreed` is its fields if it passed."""
+        ids = np.array(self.healthy_ids)
+        outcome = divergence = None
+        if len(ids):
+            present = c["present"][j]
+            missing = trace.ids(ids[~present].tolist())
+            outcome = (trace.complete_fields(int(c["skew"][j])) if c["complete"][j]
+                       else trace.timeout_fields(trace.ids(ids[present].tolist()), missing))
+        if c["diverged"][j]:
+            divergence = (int(ids[c["emit"][j].argmax()]), int(ids[c["other"][j]]), int(c["index"][j]))
+        v = int(c["verdict"][j])
+        if v == _PASS:
+            fields = agreed
+        elif v == _MISMATCH:
+            labels = c["labels"][j]
+            fields = trace.groups([ids[labels == g].tolist() for g in range(labels.max() + 1)])
+        elif v == _TIMEOUT:
+            fields = trace.missing(missing)
+        else:
+            fields = trace.reason(f"{len(ids)} output(s) cannot reach "
+                                  f"{self.topology.policy.required_agreement}-way agreement"
+                                  if len(ids) else "no healthy replicas")
+        return outcome, divergence, VERDICTS[v], fields
 
     # -- clock sync ------------------------------------------------------
 

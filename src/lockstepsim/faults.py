@@ -76,7 +76,7 @@ def trigger_fires(trigger, frame_ids: np.ndarray, seed: int, start: int):
     """Whether `trigger` fires in each round of a chunk, whose frames are
     `frame_ids`, as a bool array, and the number of draws it took. A
     probabilistic trigger takes one draw per round from the stream
-    `Rng(seed)`, after its first `start` draws."""
+    `seed`, after its first `start` draws."""
     if isinstance(trigger, Always):
         return np.ones(len(frame_ids), dtype=bool), 0
     if isinstance(trigger, OnFrame):

@@ -122,11 +122,3 @@ def flip_bit(t: FixedPointTensor, element_index: int, bit: int) -> FixedPointTen
     data = t.data.copy()
     data.view(np.uint16)[element_index] ^= 1 << bit
     return FixedPointTensor(t.shape, data)
-
-
-def argmax_index(t: FixedPointTensor) -> int:
-    """Index of the maximum element; ties resolve to the lowest index."""
-    if not t.data.size:
-        raise DimensionError("argmax of an empty tensor")
-    return int(t.data.argmax())
-

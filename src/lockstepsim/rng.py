@@ -1,15 +1,16 @@
-"""SplitMix64 PRNG with named child streams.
+"""SplitMix64 random streams with named child streams.
 
-One root generator per experiment. Every consumer (jitter models, fault
-triggers, weight/frame synthesis) takes its own child stream, so the number
-of draws one consumer makes can never shift the values another one sees.
-Child streams are derived from the parent's base seed, not from its current
-state: creating or using siblings in any order yields the same streams.
+One root seed per experiment. Every consumer (jitter models, fault
+triggers, weight/frame synthesis) takes its own child stream, whose seed
+`derive_seed` gives from the root seed and the consumer's name, so the
+number of draws one consumer makes can never shift the values another one
+sees, and siblings are the same streams in any order.
 
-SplitMix64 is counter-addressed: draw k (from 1) of the stream with base
-seed s is mix64(s + k * gamma), so `draws` computes any number of draws of
-many streams at once as uint64 arrays (Steele, Lea & Flood, "Fast
-Splittable Pseudorandom Number Generators", OOPSLA 2014).
+SplitMix64 is counter-addressed: draw k (from 1) of the stream with seed s
+is mix64(s + k * gamma), so `draws` computes any number of draws of many
+streams at once as uint64 arrays (Steele, Lea & Flood, "Fast Splittable
+Pseudorandom Number Generators", OOPSLA 2014). A uniform in [0, 1) is a
+draw's top 53 bits over 2**53 (`uniforms`).
 """
 
 from __future__ import annotations
@@ -42,9 +43,8 @@ def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
 
 
 def draws(seeds, count: int, start: int = 0) -> np.ndarray:
-    """The `count` `next_u64()` draws of `Rng(seed)` that follow its first
-    `start` draws, for every seed in `seeds`, as a uint64 array of shape
-    (len(seeds), count)."""
+    """Draws start+1 .. start+count of the stream of each seed in `seeds`,
+    as a uint64 array of shape (len(seeds), count)."""
     base = np.array([s & MASK64 for s in seeds], dtype=np.uint64)
     z = base[:, None] + np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -53,8 +53,8 @@ def draws(seeds, count: int, start: int = 0) -> np.ndarray:
 
 
 def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """The `Rng(seed).uniform()` values of draws start+1 .. start+count, as
-    a float64 array: the same bits as the scalar method gives."""
+    """The uniforms of draws start+1 .. start+count of the stream `seed`,
+    as a float64 array."""
     return (draws([seed], count, start)[0] >> np.uint64(11)) * (1.0 / (1 << 53))
 
 
@@ -73,39 +73,3 @@ def fnv1a64_rows(h: int, rows: np.ndarray) -> np.ndarray:
 def derive_seed(seed: int, name: str) -> int:
     """Deterministic seed of the child stream `name` under root `seed`."""
     return mix64((seed & MASK64) ^ fnv1a64(name.encode("utf-8")))
-
-
-class Rng:
-    """A single 64-bit SplitMix64 stream."""
-
-    __slots__ = ("_seed", "_state")
-
-    def __init__(self, seed: int):
-        self._seed = seed & MASK64
-        self._state = self._seed
-
-    @property
-    def seed(self) -> int:
-        """Base seed this stream was created with; drives child derivation."""
-        return self._seed
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & MASK64
-        return mix64(self._state)
-
-    def uniform(self) -> float:
-        """Uniform float in [0, 1) with 53 significant bits."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
-
-    def randrange(self, n: int) -> int:
-        """Integer in [0, n). Modulo bias is negligible for n << 2**64."""
-        if n <= 0:
-            raise ValueError("randrange needs n >= 1")
-        return self.next_u64() % n
-
-    def child(self, name: str) -> "Rng":
-        """Independent named substream, unaffected by draws made on self."""
-        return Rng(derive_seed(self._seed, name))
-
-    def __repr__(self) -> str:
-        return f"Rng(seed=0x{self._seed:016x})"

@@ -9,7 +9,7 @@ one frame, one inference and one bus trace of (cycle, kind, digest)
 events at a time, in plain Python ints. It decides each round with the
 scalar input barrier, rendezvous, vote and safety step, frozen here as
 verbatim copies of the functions the library replaced with arrays. It
-imports only the random streams, simulated time, the PTP estimate, the
+imports only the stream seeds and hashes, simulated time, the PTP estimate, the
 policy and comparator types, profiling and the error types; never the
 experiment runner, the tensors, the replica or the faults.
 """
@@ -161,7 +161,7 @@ from lockstepsim.errors import (  # noqa: E402
 )
 from lockstepsim.eventsim import JitterModel, _geometric, cycles_to_time  # noqa: E402
 from lockstepsim.profiling import detect_outliers, histogram, stats  # noqa: E402
-from lockstepsim.rng import Rng, derive_seed, fnv1a64  # noqa: E402
+from lockstepsim.rng import _GAMMA, MASK64, derive_seed, fnv1a64, mix64  # noqa: E402
 from lockstepsim.voting import (  # noqa: E402
     DEGRADED,
     DELIVER_OUTPUT,
@@ -181,10 +181,47 @@ FRAC_BITS = 8
 
 # -- the scalar round rules, frozen --------------------------------------------
 #
-# Verbatim copies of the scalar input barrier, rendezvous, turnaround sample,
-# vote and safety step that the library replaced with its array kernel
-# (`coupling.rendezvous_rounds`, `voting.agreement_labels`, `vote_rounds` and
-# `safety_scan`). The runner below and the differential tests use them.
+# Verbatim copies of the scalar random stream, input barrier, rendezvous,
+# turnaround sample, vote and safety step that the library replaced with its
+# array kernel (`rng.draws`, `coupling.rendezvous_rounds`,
+# `voting.agreement_labels`, `vote_rounds` and `safety_scan`). The runner
+# below and the differential tests use them.
+
+class Rng:
+    """A single 64-bit SplitMix64 stream."""
+
+    __slots__ = ("_seed", "_state")
+
+    def __init__(self, seed: int):
+        self._seed = seed & MASK64
+        self._state = self._seed
+
+    @property
+    def seed(self) -> int:
+        """Base seed this stream was created with; drives child derivation."""
+        return self._seed
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GAMMA) & MASK64
+        return mix64(self._state)
+
+    def uniform(self) -> float:
+        """Uniform float in [0, 1) with 53 significant bits."""
+        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+
+    def randrange(self, n: int) -> int:
+        """Integer in [0, n). Modulo bias is negligible for n << 2**64."""
+        if n <= 0:
+            raise ValueError("randrange needs n >= 1")
+        return self.next_u64() % n
+
+    def child(self, name: str) -> "Rng":
+        """Independent named substream, unaffected by draws made on self."""
+        return Rng(derive_seed(self._seed, name))
+
+    def __repr__(self) -> str:
+        return f"Rng(seed=0x{self._seed:016x})"
+
 
 class NoHealthyReplicas(HarnessError):
     """Input distribution found nothing to feed; the system must go safe."""

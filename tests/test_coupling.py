@@ -13,9 +13,8 @@ from lockstepsim.coupling import (
 )
 from lockstepsim.errors import ConfigError, ProtocolError
 from lockstepsim.eventsim import JitterModel, sample_turnaround_overheads
-from lockstepsim.rng import Rng
 from helpers import run_with_records, zero_jitter_duplex
-from oracles import Complete, _BusEvent, _compare_bus_traces, rendezvous
+from oracles import Complete, Rng, _BusEvent, _compare_bus_traces, rendezvous
 
 
 def delivery_skews(records):

@@ -14,8 +14,8 @@ from lockstepsim.eventsim import (
     sample_turnaround_overheads,
 )
 from lockstepsim.profiling import stats
-from lockstepsim.rng import Rng, draws
-from oracles import sample_turnaround_overhead
+from lockstepsim.rng import draws
+from oracles import Rng, sample_turnaround_overhead
 
 MHZ210 = ClockDomain("dpu", 210_000_000)
 

@@ -16,7 +16,7 @@ from lockstepsim.faults import (
 )
 from lockstepsim.fixedpoint import FixedPointTensor, flip_bit
 from lockstepsim.replica import EngineConfig, LayerSpec, WeightSet, gen_frame, gen_weights, infer
-from lockstepsim.rng import Rng
+from oracles import Rng
 
 
 def test_output_bit_flip_xor_semantics():

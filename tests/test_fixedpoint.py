@@ -11,7 +11,6 @@ from lockstepsim.fixedpoint import (
     RAW_MAX,
     RAW_MIN,
     FixedPointTensor,
-    argmax_index,
     combine_digests,
     element_count,
     encode_tensor,
@@ -74,11 +73,6 @@ def test_flip_bit_examples():
         flip_bit(t, 5, 0)
     with pytest.raises(DimensionError):
         flip_bit(t, 0, 16)
-
-
-def test_argmax_lowest_index_wins_ties():
-    assert argmax_index(FixedPointTensor((4,), (7, 9, 9, 1))) == 1
-    assert argmax_index(FixedPointTensor((3,), (5, 5, 5))) == 0
 
 
 def test_combine_digests_order_sensitive():

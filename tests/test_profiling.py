@@ -16,8 +16,7 @@ from lockstepsim.profiling import (
     stats,
     write_histogram_csv,
 )
-from lockstepsim.rng import Rng
-from oracles import ks_reference, stats_reference
+from oracles import Rng, ks_reference, stats_reference
 
 samples_strategy = st.lists(st.integers(0, 10**9), min_size=1, max_size=400)
 
