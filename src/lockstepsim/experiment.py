@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from itertools import repeat
 from pathlib import Path
 
@@ -120,11 +120,6 @@ TIME_LIMIT_NS = 1 << 62
 _PASS, _MISMATCH, _TIMEOUT, _DEGRADED = map(VERDICTS.index, (PASS, MISMATCH, TIMEOUT, DEGRADED))
 
 
-@cache
-def _safety_tail(safe_off, action, count):
-    return trace.safety_fields(SAFE_OFF if safe_off else OPERATIONAL, ACTIONS[action], count)
-
-
 @dataclass
 class ExperimentReport:
     """The contents of report.json: the fields are its keys after
@@ -185,10 +180,12 @@ class ExperimentRunner:
         self.weights = gen_weights(derive_seed(config.seed, "weights"), config.workload.arch)
         n = topo.replica_count
         self.healthy_ids = [rid for rid in range(n) if topo.health[rid] == HEALTHY]
+        self._ids = np.array(self.healthy_ids, dtype=np.int64)
         k = len(self.healthy_ids)
         # Per healthy replica (a column of the chunk arrays): its jitter
         # models and stream seeds; feed jitter only under loose coupling.
-        self._host = [(topo.host_jitter[rid], derive_seed(config.seed, f"host.{rid}")) for rid in self.healthy_ids]
+        self._host = [(topo.host_jitter[rid], derive_seed(config.seed, f"host.{rid}"))
+                      for rid in self.healthy_ids]
         self._feed = [] if isinstance(self.coupling, Tight) else [
             (topo.feed_jitter[rid], derive_seed(config.seed, f"feed.{rid}")) for rid in self.healthy_ids]
         # (column, spec, stream seed) of each fault of a healthy replica; a
@@ -207,7 +204,7 @@ class ExperimentRunner:
 
         self.clock_offsets = list(topo.clock_offsets_ns)
         self.ptp_corrections = [0] * n
-        self._last = [None] * k              # a stuck column's last emitted (output, digest)
+        self._last = [None] * k             # a stuck column's last emitted (output, digest)
         self._weights = {(): self.weights}  # weight-bit flips -> WeightSet
         self._frames = None                 # the current block of frames
         self._block = {}                    # weight-bit flips -> results on it
@@ -268,7 +265,8 @@ class ExperimentRunner:
                 patterns = fired[:, [s for s, _ in flips]] & emitted[:, None]
                 for pattern in sorted(set(map(tuple, patterns.tolist())) - {(False,) * len(flips)}):
                     at = (patterns == pattern).all(axis=1)
-                    key, outs, digest_rows, _ = self._result(tuple(f for (_, f), on in zip(flips, pattern) if on))
+                    key, outs, digest_rows, _ = self._result(
+                        tuple(flip for (_, flip), on in zip(flips, pattern) if on))
                     keys[at, i] = key
                     outputs[at, i] = outs[rows[at]]
                     digests[at, i] = digest_rows[rows[at], -1]
@@ -486,14 +484,15 @@ class ExperimentRunner:
         # the records that end each round
         verdict, action, counts, safe = c["verdict"], c["action"], c["counts"], c["safe"]
         ends, end_seqs = starts + c["durations"], seqs + 1 + 2 * k
+        states = [SAFE_OFF if off else OPERATIONAL for off in safe.tolist()]
         if (action == action[0]).all() and (counts == counts[0]).all() and (safe == safe[0]).all():
-            safety = [_safety_tail(bool(safe[0]), int(action[0]), int(counts[0]))] * len(rows)
+            safety = [trace.safety_fields(states[0], ACTIONS[action[0]], int(counts[0]))] * len(rows)
         else:
-            safety = list(map(_safety_tail, safe.tolist(), action.tolist(), counts.tolist()))
+            safety = list(map(trace.safety_fields, states, map(ACTIONS.__getitem__, action.tolist()),
+                              counts.tolist()))
         agreed = list(map(self._agreed_tails.__getitem__, rows))
-        ids = np.array(self.healthy_ids)
         for j in np.flatnonzero(c["voted"] & (verdict == _PASS)).tolist():
-            members = ids[c["labels"][j] == c["best"][j]].tolist()
+            members = self._ids[c["labels"][j] == c["best"][j]].tolist()
             agreed[j] = trace.agreed(trace.ids(members), int(c["agreed"][j]))
         plain = (verdict == _PASS) & ~c["diverged"]
         add(None if plain.all() else np.flatnonzero(plain), ends, end_seqs, trace.pass_end,
@@ -510,7 +509,7 @@ class ExperimentRunner:
     def _end(self, c, j, agreed):
         """(outcome, divergence, variant, fields) of round j of a piece, as
         `trace.round_end` takes them; `agreed` is its fields if it passed."""
-        ids = np.array(self.healthy_ids)
+        ids = self._ids
         outcome = divergence = None
         if len(ids):
             present = c["present"][j]
