@@ -90,13 +90,10 @@ from .profiling import detect_outliers, histogram, stats, write_histogram_csv
 from .replica import HEALTHY, gen_frames, gen_weights, infer
 from .rng import derive_seed
 from .voting import (
-    ACTIONS,
     DEGRADED,
-    MISMATCH,
     OPERATIONAL,
     PASS,
     SAFE_OFF,
-    TIMEOUT,
     VERDICTS,
     agreement_labels,
     safety_scan,
@@ -117,7 +114,7 @@ WRITE_ROUNDS = 64
 # Simulated time stays below 2**62 ns (146 years), so int64 holds every time.
 TIME_LIMIT_NS = 1 << 62
 
-_PASS, _MISMATCH, _TIMEOUT, _DEGRADED = map(VERDICTS.index, (PASS, MISMATCH, TIMEOUT, DEGRADED))
+_PASS, _DEGRADED = VERDICTS.index(PASS), VERDICTS.index(DEGRADED)
 
 
 @dataclass
@@ -180,7 +177,6 @@ class ExperimentRunner:
         self.weights = gen_weights(derive_seed(config.seed, "weights"), config.workload.arch)
         n = topo.replica_count
         self.healthy_ids = [rid for rid in range(n) if topo.health[rid] == HEALTHY]
-        self._ids = np.array(self.healthy_ids, dtype=np.int64)
         k = len(self.healthy_ids)
         # Per healthy replica (a column of the chunk arrays): its jitter
         # models and stream seeds; feed jitter only under loose coupling.
@@ -435,102 +431,14 @@ class ExperimentRunner:
             digests=digests, outputs=outputs, changed=changed, other=other, index=index, diverged=diverged,
             action=action, counts=counts, safe=safe,
         )
+        required = self.topology.policy.required_agreement
         for a in range(0, n, WRITE_ROUNDS):
             c = {name: None if v is None else v[a:a + WRITE_ROUNDS] for name, v in chunk.items()}
-            self._write(self._text(first, c))
-
-    def _text(self, first, c):
-        """Trace text of a piece of a chunk's rounds; `c` holds the piece's
-        column of each of the chunk's arrays."""
-        k = len(self.healthy_ids)
-        rows = c["rows"].tolist()
-        frames = list(map(trace.frame, [first + r for r in rows], c["reps"].tolist()))
-        columns = []
-
-        def add(at, t, seq, record, *fields):
-            """The records of the rounds `at` of the piece (all when None),
-            each from its time, seq, frame fields and `fields`: a list with
-            one entry per round of the piece, or an iterator."""
-            fr = frames
-            if at is not None:
-                at = at.tolist()
-                t, seq = t[at], seq[at]
-                fr, *fields = ([f[j] for j in at] if isinstance(f, list) else f for f in (fr, *fields))
-            columns.append((t, seq, list(map(record, t.tolist(), seq.tolist(), fr, *fields))))
-
-        starts, seqs = c["starts"], c["seqs"]
-        add(None, starts, seqs, trace.release)
-        if k:
-            feed, comp, emit, changed = c["feed"], c["comp"], c["emit"], c["changed"]
-            # a completion's seq follows the (time, replica) order of the
-            # deliveries, which is replica order when all come at the release
-            rank = np.broadcast_to(np.arange(k), feed.shape)
-            if self._feed:
-                order = np.argsort(feed, axis=1, kind="stable")
-                rank = np.empty_like(order)
-                np.put_along_axis(rank, order, np.arange(k), axis=1)
-            clean_tails = list(map(self._completion_tails.__getitem__, rows))
-            for i, rid in enumerate(self.healthy_ids):
-                add(None, starts + feed[:, i], seqs + 1 + i, trace.delivery, repeat(rid), feed[:, i].tolist())
-                tails = clean_tails
-                if changed is not None and changed[:, i].any():
-                    tails = clean_tails.copy()
-                    for j in np.flatnonzero(changed[:, i]).tolist():
-                        tails[j] = trace.completion_fields(
-                            self._cycles, int(c["digests"][j, i]), int(c["outputs"][j, i].argmax()))
-                add(None if emit[:, i].all() else np.flatnonzero(emit[:, i]), starts + comp[:, i],
-                    seqs + 1 + k + rank[:, i], trace.completion, repeat(rid), comp[:, i].tolist(), tails)
-
-        # the records that end each round
-        verdict, action, counts, safe = c["verdict"], c["action"], c["counts"], c["safe"]
-        ends, end_seqs = starts + c["durations"], seqs + 1 + 2 * k
-        states = [SAFE_OFF if off else OPERATIONAL for off in safe.tolist()]
-        if (action == action[0]).all() and (counts == counts[0]).all() and (safe == safe[0]).all():
-            safety = [trace.safety_fields(states[0], ACTIONS[action[0]], int(counts[0]))] * len(rows)
-        else:
-            safety = list(map(trace.safety_fields, states, map(ACTIONS.__getitem__, action.tolist()),
-                              counts.tolist()))
-        agreed = list(map(self._agreed_tails.__getitem__, rows))
-        for j in np.flatnonzero(c["voted"] & (verdict == _PASS)).tolist():
-            members = self._ids[c["labels"][j] == c["best"][j]].tolist()
-            agreed[j] = trace.agreed(trace.ids(members), int(c["agreed"][j]))
-        plain = (verdict == _PASS) & ~c["diverged"]
-        add(None if plain.all() else np.flatnonzero(plain), ends, end_seqs, trace.pass_end,
-            c["skew"].tolist(), agreed, safety)
-        if plain.all():
-            return trace.in_order(columns)
-
-        at = np.flatnonzero(~plain).tolist()
-        columns.append((ends[at], end_seqs[at], [
-            trace.round_end(int(ends[j]), int(end_seqs[j]), frames[j], *self._end(c, j, agreed[j]), safety[j])
-            for j in at]))
-        return trace.in_order(columns)
-
-    def _end(self, c, j, agreed):
-        """(outcome, divergence, variant, fields) of round j of a piece, as
-        `trace.round_end` takes them; `agreed` is its fields if it passed."""
-        ids = self._ids
-        outcome = divergence = None
-        if len(ids):
-            present = c["present"][j]
-            missing = trace.ids(ids[~present].tolist())
-            outcome = (trace.complete_fields(int(c["skew"][j])) if c["complete"][j]
-                       else trace.timeout_fields(trace.ids(ids[present].tolist()), missing))
-        if c["diverged"][j]:
-            divergence = (int(ids[c["emit"][j].argmax()]), int(ids[c["other"][j]]), int(c["index"][j]))
-        v = int(c["verdict"][j])
-        if v == _PASS:
-            fields = agreed
-        elif v == _MISMATCH:
-            labels = c["labels"][j]
-            fields = trace.groups([ids[labels == g].tolist() for g in range(labels.max() + 1)])
-        elif v == _TIMEOUT:
-            fields = trace.missing(missing)
-        else:
-            fields = trace.reason(f"{len(ids)} output(s) cannot reach "
-                                  f"{self.topology.policy.required_agreement}-way agreement"
-                                  if len(ids) else "no healthy replicas")
-        return outcome, divergence, VERDICTS[v], fields
+            at = c["rows"].tolist()
+            frames = list(map(trace.frame, [first + r for r in at], c["reps"].tolist()))
+            self._write(trace.rounds(
+                c, self.healthy_ids, frames, list(map(self._completion_tails.__getitem__, at)),
+                list(map(self._agreed_tails.__getitem__, at)), self._cycles, required))
 
     # -- clock sync ------------------------------------------------------
 

@@ -17,8 +17,13 @@ of records built a kind at a time, from columns, in (t_ns, seq) order.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 
 import numpy as np
+
+from .voting import ACTIONS, MISMATCH, OPERATIONAL, PASS, SAFE_OFF, TIMEOUT, VERDICTS
+
+_PASS, _MISMATCH, _TIMEOUT = VERDICTS.index(PASS), VERDICTS.index(MISMATCH), VERDICTS.index(TIMEOUT)
 
 
 def frame(frame_id, repetition):
@@ -133,3 +138,111 @@ def in_order(columns) -> str:
     seqs = np.concatenate([seq for _, seq, _ in columns])
     lines = [line for _, _, kind in columns for line in kind]
     return "".join(map(lines.__getitem__, np.lexsort((seqs, ts)).tolist()))
+
+
+def rounds(c, replica_ids, frames, completions, agreements, cycles, required) -> str:
+    """Text of the records of a run of rounds, in (t_ns, seq) order.
+
+    `c` holds each column the runner keeps, with one row per round and, in
+    the two-axis ones, one column per healthy replica in `replica_ids`:
+    starts, seqs (the release's seq), durations; feed, comp, emit (each
+    delivery and completion time after the release, whether emitted);
+    present, complete, skew (the rendezvous); verdict (an index in
+    `VERDICTS`); labels, best, voted, agreed (the agreement groups, the
+    winning group, whether the round was grouped, the agreed digest);
+    diverged, other, index (the bus divergence: with which column, at which
+    event); action, counts, safe (the safety switch after the round). When
+    no value fault can fire, changed, digests and outputs are None; else
+    they flag and hold each output that a value fault changed. Per round,
+    `frames` holds the frame fields, `completions` the clean output's
+    `completion_fields` and `agreements` the clean pass verdict's `agreed`
+    fields; `cycles` is an inference's compute cycles and `required` the
+    policy's required agreement.
+
+    Seq runs as `experiment` lays it out: release, deliveries, completions
+    in delivery order, then the end records (`pass_end`, `round_end`).
+    """
+    rids = np.array(replica_ids, dtype=np.int64)
+    k = len(rids)
+    columns = []
+
+    def add(at, t, seq, record, *fields):
+        """The records of the rounds `at` (all when None), each from its
+        time, seq, frame fields and `fields`: a list with one entry per
+        round, or an iterator."""
+        fr = frames
+        if at is not None:
+            at = at.tolist()
+            t, seq = t[at], seq[at]
+            fr, *fields = ([f[j] for j in at] if isinstance(f, list) else f for f in (fr, *fields))
+        columns.append((t, seq, list(map(record, t.tolist(), seq.tolist(), fr, *fields))))
+
+    starts, seqs = c["starts"], c["seqs"]
+    add(None, starts, seqs, release)
+    if k:
+        feed, comp, emit, changed = c["feed"], c["comp"], c["emit"], c["changed"]
+        # a completion's seq follows the (time, replica) order of the
+        # deliveries, which is replica order when all come at the release
+        rank = np.broadcast_to(np.arange(k), feed.shape)
+        if feed.any():
+            order = np.argsort(feed, axis=1, kind="stable")
+            rank = np.empty_like(order)
+            np.put_along_axis(rank, order, np.arange(k), axis=1)
+        for i, rid in enumerate(replica_ids):
+            add(None, starts + feed[:, i], seqs + 1 + i, delivery, repeat(rid), feed[:, i].tolist())
+            tails = completions
+            if changed is not None and changed[:, i].any():
+                tails = completions.copy()
+                for j in np.flatnonzero(changed[:, i]).tolist():
+                    tails[j] = completion_fields(
+                        cycles, int(c["digests"][j, i]), int(c["outputs"][j, i].argmax()))
+            add(None if emit[:, i].all() else np.flatnonzero(emit[:, i]), starts + comp[:, i],
+                seqs + 1 + k + rank[:, i], completion, repeat(rid), comp[:, i].tolist(), tails)
+
+    # the records that end each round
+    verdict, action, counts, safe = c["verdict"], c["action"], c["counts"], c["safe"]
+    ends, end_seqs = starts + c["durations"], seqs + 1 + 2 * k
+    states = [SAFE_OFF if off else OPERATIONAL for off in safe.tolist()]
+    if (action == action[0]).all() and (counts == counts[0]).all() and (safe == safe[0]).all():
+        tails = [safety_fields(states[0], ACTIONS[action[0]], int(counts[0]))] * len(frames)
+    else:
+        tails = list(map(safety_fields, states, map(ACTIONS.__getitem__, action.tolist()), counts.tolist()))
+    agreements = agreements.copy()
+    for j in np.flatnonzero(c["voted"] & (verdict == _PASS)).tolist():
+        agreements[j] = agreed(ids(rids[c["labels"][j] == c["best"][j]].tolist()), int(c["agreed"][j]))
+    plain = (verdict == _PASS) & ~c["diverged"]
+    add(None if plain.all() else np.flatnonzero(plain), ends, end_seqs, pass_end,
+        c["skew"].tolist(), agreements, tails)
+    at = np.flatnonzero(~plain).tolist()
+    if at:
+        columns.append((ends[at], end_seqs[at], [
+            round_end(int(ends[j]), int(end_seqs[j]), frames[j], *_end(c, j, rids, agreements[j], required),
+                      tails[j])
+            for j in at]))
+    return in_order(columns)
+
+
+def _end(c, j, rids, agreed_fields, required):
+    """(outcome, divergence, variant, fields) of round j, as `round_end`
+    takes them; `agreed_fields` are its verdict's fields if it passed."""
+    outcome = divergence = None
+    if len(rids):
+        present = c["present"][j]
+        gone = ids(rids[~present].tolist())
+        outcome = (complete_fields(int(c["skew"][j])) if c["complete"][j]
+                   else timeout_fields(ids(rids[present].tolist()), gone))
+    if c["diverged"][j]:
+        divergence = (int(rids[c["emit"][j].argmax()]), int(rids[c["other"][j]]), int(c["index"][j]))
+    v = int(c["verdict"][j])
+    if v == _PASS:
+        fields = agreed_fields
+    elif v == _MISMATCH:
+        labels = c["labels"][j]
+        fields = groups([rids[labels == g].tolist() for g in range(labels.max() + 1)])
+    elif v == _TIMEOUT:
+        fields = missing(gone)
+    else:
+        fields = reason(f"{len(rids)} output(s) cannot reach {required}-way agreement"
+                        if len(rids) else "no healthy replicas")
+    return outcome, divergence, VERDICTS[v], fields
+

@@ -6,12 +6,13 @@ subset enumeration instead of greedy grouping.
 
 `run_reference` is the scalar experiment runner, frozen as a reference:
 one frame, one inference and one bus trace of (cycle, kind, digest)
-events at a time, in plain Python ints. It decides each round with the
-scalar input barrier, rendezvous, vote and safety step, frozen here as
-verbatim copies of the functions the library replaced with arrays. It
-imports only the stream seeds and hashes, simulated time, the PTP estimate, the
-policy and comparator types, profiling and the error types; never the
-experiment runner, the tensors, the replica or the faults.
+events at a time, in plain Python ints. It draws from the scalar random
+stream and decides each round with the scalar input barrier, rendezvous,
+vote and safety step, frozen here as verbatim copies of the code the
+library replaced with arrays. It imports only the stream seeds and hashes,
+simulated time, the PTP estimate, the policy and comparator types,
+profiling and the error types; never the experiment runner, the tensors,
+the replica or the faults.
 """
 
 import json
