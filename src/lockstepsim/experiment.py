@@ -434,11 +434,11 @@ class ExperimentRunner:
         required = self.topology.policy.required_agreement
         for a in range(0, n, WRITE_ROUNDS):
             c = {name: None if v is None else v[a:a + WRITE_ROUNDS] for name, v in chunk.items()}
-            at = c["rows"].tolist()
-            frames = list(map(trace.frame, [first + r for r in at], c["reps"].tolist()))
+            piece = c["rows"].tolist()
+            frames = list(map(trace.frame, [first + r for r in piece], c["reps"].tolist()))
             self._write(trace.rounds(
-                c, self.healthy_ids, frames, list(map(self._completion_tails.__getitem__, at)),
-                list(map(self._agreed_tails.__getitem__, at)), self._cycles, required))
+                c, self.healthy_ids, frames, list(map(self._completion_tails.__getitem__, piece)),
+                list(map(self._agreed_tails.__getitem__, piece)), self._cycles, required))
 
     # -- clock sync ------------------------------------------------------
 
