@@ -183,11 +183,10 @@ def rounds(c, replica_ids, frames, completions, agreements, cycles, required) ->
         feed, comp, emit, changed = c["feed"], c["comp"], c["emit"], c["changed"]
         # a completion's seq follows the (time, replica) order of the
         # deliveries, which is replica order when all come at the release
-        rank = np.broadcast_to(np.arange(k), feed.shape)
+        completion_seqs = seqs[:, None] + (1 + k + np.arange(k))
         if feed.any():
             order = np.argsort(feed, axis=1, kind="stable")
-            rank = np.empty_like(order)
-            np.put_along_axis(rank, order, np.arange(k), axis=1)
+            np.put_along_axis(completion_seqs, order, completion_seqs.copy(), axis=1)
         for i, rid in enumerate(replica_ids):
             add(None, starts + feed[:, i], seqs + 1 + i, delivery, repeat(rid), feed[:, i].tolist())
             tails = completions
@@ -197,7 +196,7 @@ def rounds(c, replica_ids, frames, completions, agreements, cycles, required) ->
                     tails[j] = completion_fields(
                         cycles, int(c["digests"][j, i]), int(c["outputs"][j, i].argmax()))
             add(None if emit[:, i].all() else np.flatnonzero(emit[:, i]), starts + comp[:, i],
-                seqs + 1 + k + rank[:, i], completion, repeat(rid), comp[:, i].tolist(), tails)
+                completion_seqs[:, i], completion, repeat(rid), comp[:, i].tolist(), tails)
 
     # the records that end each round
     verdict, action, counts, safe = c["verdict"], c["action"], c["counts"], c["safe"]
@@ -207,9 +206,10 @@ def rounds(c, replica_ids, frames, completions, agreements, cycles, required) ->
         tails = [safety_fields(states[0], ACTIONS[action[0]], int(counts[0]))] * len(frames)
     else:
         tails = list(map(safety_fields, states, map(ACTIONS.__getitem__, action.tolist()), counts.tolist()))
-    agreements = agreements.copy()
-    for j in np.flatnonzero(c["voted"] & (verdict == _PASS)).tolist():
-        agreements[j] = agreed(ids(rids[c["labels"][j] == c["best"][j]].tolist()), int(c["agreed"][j]))
+    if c["voted"].any():
+        agreements = agreements.copy()
+        for j in np.flatnonzero(c["voted"] & (verdict == _PASS)).tolist():
+            agreements[j] = agreed(ids(rids[c["labels"][j] == c["best"][j]].tolist()), int(c["agreed"][j]))
     plain = (verdict == _PASS) & ~c["diverged"]
     add(None if plain.all() else np.flatnonzero(plain), ends, end_seqs, pass_end,
         c["skew"].tolist(), agreements, tails)
