@@ -10,8 +10,9 @@ fields after its variant (`agreed`, `groups`, `missing`, `reason`) and a
 safety action's tail (`safety_fields`), so the runner formats a shared tail
 once. The records that end a round share its record time and take
 consecutive seqs: `pass_end` writes those of a pass round without a bus
-divergence, and `round_end` those of any round. `in_order` gives the text
-of records built a kind at a time, from columns, in (t_ns, seq) order.
+divergence, and `round_end` those of any round. `rounds` builds the records
+of a run of rounds a kind at a time, from columns, and `in_order` gives
+their text in (t_ns, seq) order.
 """
 
 from __future__ import annotations
@@ -130,14 +131,12 @@ def round_end(t, seq, fr, outcome, divergence_fields, variant, fields, safety_ta
     return text + verdict(t, seq, fr, variant, fields) + safety(t, seq + 1, fr, safety_tail)
 
 
-def in_order(columns) -> str:
-    """Text of the records in `columns`, in (t_ns, seq) order. Each entry of
-    `columns` is a kind of record: an int64 array of times, one of seqs and
-    the list of their lines."""
-    ts = np.concatenate([t for t, _, _ in columns])
-    seqs = np.concatenate([seq for _, seq, _ in columns])
-    lines = [line for _, _, kind in columns for line in kind]
-    return "".join(map(lines.__getitem__, np.lexsort((seqs, ts)).tolist()))
+def in_order(times, seqs, lines) -> str:
+    """Text of `lines` in (t_ns, seq) order. `times` and `seqs` hold the
+    records' keys, as int64 arrays whose concatenation lines up with
+    `lines`."""
+    order = np.lexsort((np.concatenate(seqs), np.concatenate(times)))
+    return "".join(map(lines.__getitem__, order.tolist()))
 
 
 def rounds(c, replica_ids, frames, completions, agreements, cycles, required) -> str:
@@ -164,7 +163,7 @@ def rounds(c, replica_ids, frames, completions, agreements, cycles, required) ->
     """
     rids = np.array(replica_ids, dtype=np.int64)
     k = len(rids)
-    columns = []
+    times, keys, lines = [], [], []
 
     def add(at, t, seq, record, *fields):
         """The records of the rounds `at` (all when None), each from its
@@ -175,7 +174,9 @@ def rounds(c, replica_ids, frames, completions, agreements, cycles, required) ->
             at = at.tolist()
             t, seq = t[at], seq[at]
             fr, *fields = ([f[j] for j in at] if isinstance(f, list) else f for f in (fr, *fields))
-        columns.append((t, seq, list(map(record, t.tolist(), seq.tolist(), fr, *fields))))
+        times.append(t)
+        keys.append(seq)
+        lines.extend(map(record, t.tolist(), seq.tolist(), fr, *fields))
 
     starts, seqs = c["starts"], c["seqs"]
     add(None, starts, seqs, release)
@@ -201,10 +202,11 @@ def rounds(c, replica_ids, frames, completions, agreements, cycles, required) ->
     # the records that end each round
     verdict, action, counts, safe = c["verdict"], c["action"], c["counts"], c["safe"]
     ends, end_seqs = starts + c["durations"], seqs + 1 + 2 * k
-    states = [SAFE_OFF if off else OPERATIONAL for off in safe.tolist()]
     if (action == action[0]).all() and (counts == counts[0]).all() and (safe == safe[0]).all():
-        tails = [safety_fields(states[0], ACTIONS[action[0]], int(counts[0]))] * len(frames)
+        tails = [safety_fields(SAFE_OFF if safe[0] else OPERATIONAL, ACTIONS[action[0]], int(counts[0]))]
+        tails *= len(frames)
     else:
+        states = [SAFE_OFF if off else OPERATIONAL for off in safe.tolist()]
         tails = list(map(safety_fields, states, map(ACTIONS.__getitem__, action.tolist()), counts.tolist()))
     if c["voted"].any():
         agreements = agreements.copy()
@@ -215,11 +217,11 @@ def rounds(c, replica_ids, frames, completions, agreements, cycles, required) ->
         c["skew"].tolist(), agreements, tails)
     at = np.flatnonzero(~plain).tolist()
     if at:
-        columns.append((ends[at], end_seqs[at], [
-            round_end(int(ends[j]), int(end_seqs[j]), frames[j], *_end(c, j, rids, agreements[j], required),
-                      tails[j])
-            for j in at]))
-    return in_order(columns)
+        times.append(ends[at])
+        keys.append(end_seqs[at])
+        lines.extend(round_end(int(ends[j]), int(end_seqs[j]), frames[j],
+                               *_end(c, j, rids, agreements[j], required), tails[j]) for j in at)
+    return in_order(times, keys, lines)
 
 
 def _end(c, j, rids, agreed_fields, required):

@@ -152,5 +152,5 @@ def test_round_end_writes_each_record_it_is_given(t, seq, frame_id, rep, outcome
 
 
 def test_in_order_sorts_by_time_then_seq():
-    columns = [(np.array([5, 1]), np.array([0, 9]), ["a", "b"]), (np.array([5, 1]), np.array([2, 3]), ["c", "d"])]
-    assert trace.in_order(columns) == "dbac"
+    times, seqs = [np.array([5, 1]), np.array([5, 1])], [np.array([0, 9]), np.array([2, 3])]
+    assert trace.in_order(times, seqs, ["a", "b", "c", "d"]) == "dbac"
