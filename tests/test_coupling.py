@@ -4,7 +4,6 @@ import pytest
 from lockstepsim.coupling import (
     Loose,
     PtpExchange,
-    Tight,
     bus_traces,
     compare_bus_traces,
     estimate_ptp_offset,

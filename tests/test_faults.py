@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from helpers import run_with_records, zero_jitter_duplex
 from lockstepsim.config import config_from_dict
@@ -7,8 +6,6 @@ from lockstepsim.experiment import run_experiment
 from lockstepsim.faults import (
     Always,
     OnFrame,
-    OutputBitFlip,
-    WeightBitFlip,
     WithProbability,
     flip_output_bits,
     flip_weight_bits,
