@@ -46,10 +46,11 @@ this order: the input release; one delivery per healthy replica in replica
 order; one completion per delivery, in (time, seq) order of the deliveries
 (a dropped output takes its seq but writes no record); then, at the record
 time, the rendezvous, any bus divergence, the verdict and the safety action.
-Rounds are written `WRITE_ROUNDS` at a time, each kind of record built from
-columns by its record function (`trace`) and ordered by one `lexsort` on
-(t_ns, seq). The tails that clean outputs share, the completion's and the
-pass verdict's, are formatted once per frame of the block.
+Rounds are written `WRITE_ROUNDS` at a time by `trace.rounds`, each kind of
+record built from columns by its record function and ordered by one
+`lexsort` on (t_ns, seq). The tails that clean outputs share, the
+completion's and the pass verdict's, are formatted once per frame of the
+block.
 """
 
 from __future__ import annotations
