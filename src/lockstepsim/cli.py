@@ -92,14 +92,15 @@ def _load_report(path_str: str) -> dict:
     replicas = report.get("replicas") if isinstance(report, dict) else None
     if not isinstance(replicas, list) or not all(
         isinstance(r, dict) and isinstance(r.get("replica_id"), int)
-        and isinstance(r.get("samples"), list) and all(isinstance(x, (int, float)) for x in r["samples"])
+        and isinstance(r.get("samples"), list)
+        and all(type(x) is int and -(1 << 63) <= x < 1 << 63 for x in r["samples"])  # as `stats` takes
         and isinstance(r.get("stats"), (dict, type(None)))
         and (r.get("outliers") is None
              or isinstance(r["outliers"], dict) and isinstance(r["outliers"].get("indices", []), list))
         for r in replicas
     ):
         raise ConfigError([f"{p}: not a report: expected an object whose replicas each have "
-                           "an integer replica_id and a list of numeric samples"])
+                           "an integer replica_id and a list of int64 samples"])
     return report
 
 

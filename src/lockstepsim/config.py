@@ -11,11 +11,12 @@ expanded ExperimentConfig (presets resolved, defaults filled), and its
 order: `(field, type, minimum, maximum)`. A type is `int`, `float` (any
 finite JSON number, kept as a float), `bool`, `list` (a non-empty JSON list
 of integers, kept as a tuple; the bounds apply to each element) or a tagged
-object. Bounds are inclusive; `None` is unbounded. A field's default is its
-dataclass default, and a field without one is required. The one exception,
-in `_DEFAULT_OVERRIDES`: a config's engine starts its pipeline at 64
-cycles, a bare `EngineConfig()` at 0. `_parse(cls, obj, path, errors)`
-builds any class of the table and `_dump(obj)` writes it back.
+object. Bounds are inclusive; `None` is unbounded. A field's default is
+its record default (the class-level value), and a field without one is
+required. The one exception, in `_DEFAULT_OVERRIDES`: a config's engine
+starts its pipeline at 64 cycles, a bare `EngineConfig()` at 0.
+`_parse(cls, obj, path, errors)` builds any class of the table and
+`_dump(obj)` writes it back.
 
 A tagged object is a `(tag key, {tag value: class})` pair: the tag's value
 picks the class, and the dump writes the tag first. There are four: the
@@ -36,13 +37,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import faults as flt
 from .coupling import Loose, Tight
 from .errors import ConfigError
 from .eventsim import ClockDomain, JitterModel
+from .record import Record
 from .replica import HEALTH_STATES, HEALTHY, MAX_LAYER_WIDTH, EngineConfig
 from .rng import MASK64
 from .voting import Exact, Tolerance, VotingPolicy
@@ -68,16 +69,14 @@ _PRESETS = {
 }
 
 
-@dataclass
-class PtpSettings:
+class PtpSettings(Record):
     enabled: bool = False
     link_delay_ns: int = 500
     asymmetry_ns: int = 0
     slave_turnaround_ns: int = 50
 
 
-@dataclass
-class Topology:
+class Topology(Record):
     replica_count: int
     clocks: list            # ClockDomain per replica
     shared_clock: bool
@@ -94,16 +93,14 @@ class Topology:
     bus_trace_compare: bool
 
 
-@dataclass
-class Workload:
+class Workload(Record):
     frame_count: int = 500
     repetitions_per_frame: int = 100
     input_shape: tuple = (16,)
     arch: tuple = (16, 16, 8)
 
 
-@dataclass
-class ProfilerSettings:
+class ProfilerSettings(Record):
     bin_count: int = 50
     outlier_threshold: float = 3.5
     alpha: float = 0.01
@@ -160,12 +157,6 @@ _FIELDS = {
 
 _DEFAULT_OVERRIDES = {(EngineConfig, "pipeline_startup_cycles"): 64}
 
-_DEFAULTS = {
-    cls: {f.name: _DEFAULT_OVERRIDES.get((cls, f.name), f.default)
-          for f in fields(cls) if f.default is not MISSING}
-    for cls in _FIELDS
-}
-
 _COUPLING = ("mode", {"tight": Tight, "loose": Loose})
 _COMPARATOR = ("kind", {"exact": Exact, "tolerance": Tolerance})
 _FAULT_KIND = ("type", {
@@ -188,14 +179,16 @@ def _dump(obj) -> dict:
     return out
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(Record):
     seed: int
     topology: Topology
     workload: Workload
     faults: list            # (replica_id, FaultSpec) pairs
     profiler: ProfilerSettings
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = None
+
+    def __post_init__(self):  # a fresh {} per config when not given
+        self.metadata = {} if self.metadata is None else self.metadata
 
     def to_json_dict(self) -> dict:
         """Fully expanded config (presets resolved, defaults filled)."""
@@ -305,9 +298,9 @@ def _parse(cls, obj, path, errors, **fixed):
     if not _check_keys(obj, [row[0] for row in rows], path, errors):
         return None
     count = len(errors)
-    defaults = _DEFAULTS[cls]
     vals = {
-        name: _get(obj, name, typ, path, errors, defaults.get(name, _REQUIRED), lo, hi)
+        name: _get(obj, name, typ, path, errors,
+                   _DEFAULT_OVERRIDES.get((cls, name), getattr(cls, name, _REQUIRED)), lo, hi)
         for name, typ, lo, hi in rows
     }
     if len(errors) > count:
@@ -401,7 +394,7 @@ def _parse_topology(raw, path, errors) -> Topology:
         clock_raw = raw.get("clock", {"freq_hz": 1_000_000_000})
         one = _parse(ClockDomain, clock_raw, f"{path}.clock", errors, id="shared" if shared else "replica")
         if one is not None:
-            clocks = [one] * count if shared else [replace(one, id=f"replica{i}") for i in range(count)]
+            clocks = [one] * count if shared else [one.replace(id=f"replica{i}") for i in range(count)]
 
     engine = _parse(EngineConfig, raw.get("engine", {}), f"{path}.engine", errors)
     feed = _parse_jitter(raw, "feed_jitter", path, errors, count)

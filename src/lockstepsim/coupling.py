@@ -11,16 +11,15 @@ delays each delivery by a draw of the replica's feed jitter
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Tight:
+class Tight(Record, frozen=True):
     """Shared-clock lockstep; completions must land within a small cycle skew."""
 
     skew_tolerance_cycles: int = 2
@@ -30,8 +29,7 @@ class Tight:
             raise ConfigError("skew_tolerance_cycles must be non-negative")
 
 
-@dataclass(frozen=True)
-class Loose:
+class Loose(Record, frozen=True):
     """Asynchronous channels; outputs must rendezvous within a time window."""
 
     rendezvous_window_ns: int
@@ -98,8 +96,7 @@ def compare_bus_traces(a, b):
     return np.where(differ.any(axis=1), 4 * (column // 3) + column % 3, -1)
 
 
-@dataclass(frozen=True)
-class PtpExchange:
+class PtpExchange(Record, frozen=True):
     """Two-step exchange timestamps: master send, slave receive, slave send,
     master receive. t2/t3 are slave-clock times, t1/t4 master-clock."""
 
@@ -109,8 +106,7 @@ class PtpExchange:
     t4: int
 
 
-@dataclass(frozen=True)
-class PtpEstimate:
+class PtpEstimate(Record, frozen=True):
     offset_ns: int      # positive when the slave clock runs ahead
     path_delay_ns: int
 

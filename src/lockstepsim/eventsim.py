@@ -15,19 +15,18 @@ Time is integer nanoseconds since simulation start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, SimulationError
+from .record import Record
 from .rng import uniforms
 
 _NS_PER_S = 10**9
 _PPM = 10**6
 
 
-@dataclass(frozen=True)
-class ClockDomain:
+class ClockDomain(Record, frozen=True):
     """A clock with nominal frequency and a fixed drift in parts per million."""
 
     id: str
@@ -51,8 +50,7 @@ def cycles_to_time(cycles: int, clock: ClockDomain) -> int:
     return (2 * num + den) // (2 * den)
 
 
-@dataclass(frozen=True)
-class JitterModel:
+class JitterModel(Record, frozen=True):
     """Parametric turnaround overhead: a base cost, an optional second mode
     and a geometric-tailed spike process for outliers."""
 

@@ -56,7 +56,7 @@ block.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
 from functools import reduce
 from itertools import repeat
 from pathlib import Path
@@ -88,6 +88,7 @@ from .faults import (
 )
 from .fixedpoint import tensor_digests
 from .profiling import detect_outliers, histogram, stats, write_histogram_csv
+from .record import Record
 from .replica import HEALTHY, gen_frames, gen_weights, infer
 from .rng import derive_seed
 from .voting import (
@@ -118,8 +119,7 @@ TIME_LIMIT_NS = 1 << 62
 _PASS, _DEGRADED = VERDICTS.index(PASS), VERDICTS.index(DEGRADED)
 
 
-@dataclass
-class ExperimentReport:
+class ExperimentReport(Record):
     """The contents of report.json: the fields are its keys after
     `"schema_version": 1`, in file order, and every value is already JSON.
 
@@ -536,6 +536,42 @@ class ExperimentRunner:
         )
 
 
+# Stands in for each long list of numbers in the dumped report; its JSON text.
+_SPLICE, _SPLICE_TEXT = "\0splice\0", '"\\u0000splice\\u0000"'
+
+
+def _hollow(node, lists):
+    """`node` with each list of more than 8 plain ints or finite floats
+    replaced by `_SPLICE`; the lists are appended to `lists` in file order."""
+    if isinstance(node, dict):
+        return {k: _hollow(v, lists) for k, v in node.items()}
+    if not isinstance(node, list):
+        return node
+    types = set(map(type, node))
+    if len(node) > 8 and types <= {int, float} and (
+            float not in types or all(math.isfinite(x) for x in node if type(x) is float)):
+        lists.append(node)
+        return _SPLICE
+    return [_hollow(v, lists) for v in node]
+
+
+def write_report(report: dict, f, slice_len: int = 4096):
+    """Write to `f` what `json.dump(report, f, indent=2)` and a newline would,
+    writing each long number list from `repr`, `slice_len` numbers at a time."""
+    lists = []
+    parts = json.dumps(_hollow(report, lists), indent=2).split(_SPLICE_TEXT)
+    if len(parts) != len(lists) + 1:
+        raise ValueError(f"a report string equals the splice marker {_SPLICE!r}")
+    for text, xs in zip(parts, lists):
+        line = text[text.rfind("\n") + 1:]
+        sep = ",\n" + " " * (len(line) - len(line.lstrip(" ")) + 2)
+        f.write(text + "[" + sep[1:])
+        for i in range(0, len(xs), slice_len):
+            f.write((sep if i else "") + sep.join(map(repr, xs[i:i + slice_len])))
+        f.write(sep[1:-2] + "]")
+    f.write(parts[-1] + "\n")
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run one experiment without a trace; `ExperimentRunner` takes a trace
     writer."""
@@ -550,8 +586,7 @@ def run_to_directory(config: ExperimentConfig, out_dir) -> ExperimentReport:
     with open(out / TRACE_FILENAME, "w") as tf:
         report = ExperimentRunner(config, tf.write).run()
     with open(out / REPORT_FILENAME, "w") as rf:
-        json.dump(report.to_json_dict(), rf, indent=2)
-        rf.write("\n")
+        write_report(report.to_json_dict(), rf)
     for row in report.replicas:
         with open(out / f"hist_replica{row['replica_id']}.csv", "w") as hf:
             write_histogram_csv(row["histogram"], hf)

@@ -14,60 +14,50 @@ flips, stuck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fixedpoint import flip_bit
-from .replica import LayerSpec, WeightSet
+from .record import Record
+from .replica import WeightSet
 from .rng import uniforms
 
 
-@dataclass(frozen=True)
-class Always:
+class Always(Record, frozen=True):
     pass
 
 
-@dataclass(frozen=True)
-class OnFrame:
+class OnFrame(Record, frozen=True):
     frame_id: int
 
 
-@dataclass(frozen=True)
-class WithProbability:
+class WithProbability(Record, frozen=True):
     p: float
 
 
-@dataclass(frozen=True)
-class WeightBitFlip:
+class WeightBitFlip(Record, frozen=True):
     layer: int
     element_index: int
     bit: int
 
 
-@dataclass(frozen=True)
-class OutputBitFlip:
+class OutputBitFlip(Record, frozen=True):
     element_index: int
     bit: int
 
 
-@dataclass(frozen=True)
-class ExtraDelay:
+class ExtraDelay(Record, frozen=True):
     ns: int
 
 
-@dataclass(frozen=True)
-class DropOutput:
+class DropOutput(Record, frozen=True):
     pass
 
 
-@dataclass(frozen=True)
-class StuckOutput:
+class StuckOutput(Record, frozen=True):
     pass
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Record, frozen=True):
     kind: object
     trigger: object = Always()
 
@@ -94,11 +84,7 @@ def flip_weight_bits(weights: WeightSet, flips) -> WeightSet:
     layers = list(weights.layers)
     for layer_idx, element_index, bit in flips:
         layer = layers[layer_idx]
-        layers[layer_idx] = LayerSpec(
-            weights=flip_bit(layer.weights, element_index, bit),
-            bias=layer.bias,
-            activation=layer.activation,
-        )
+        layers[layer_idx] = layer.replace(weights=flip_bit(layer.weights, element_index, bit))
     return WeightSet(tuple(layers))
 
 

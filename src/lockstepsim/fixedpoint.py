@@ -22,13 +22,14 @@ digests for a whole block of tensors of one shape at once.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError
+from .record import Record
 from .rng import fnv1a64, fnv1a64_rows
 
 FRAC_BITS = 8
@@ -39,16 +40,10 @@ RAW_MAX = (1 << 15) - 1
 
 def element_count(shape) -> int:
     """Number of elements for a shape; the empty shape is the empty tensor."""
-    if not shape:
-        return 0
-    n = 1
-    for d in shape:
-        n *= d
-    return n
+    return math.prod(shape) if shape else 0
 
 
-@dataclass(frozen=True, eq=False)
-class FixedPointTensor:
+class FixedPointTensor(Record, frozen=True):
     """`data` may be given as any flat sequence of ints; it is stored as a
     read-only int16 array of its own."""
 
@@ -83,7 +78,7 @@ class FixedPointTensor:
 
     @cached_property
     def _digest(self) -> int:
-        # Stored in the instance __dict__, outside the dataclass fields, so
+        # Stored in the instance __dict__, outside the record's fields, so
         # == and hash never see it.
         return fnv1a64(encode_tensor(self))
 

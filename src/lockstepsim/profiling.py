@@ -151,6 +151,8 @@ def ks_statistic(a, b, alpha: float = 0.01) -> dict:
     na, nb = len(xa), len(xb)
     if na == 0 or nb == 0:
         raise ValueError("both sample sets must be nonempty")
+    if any(x != x for x in (*xa, *xb)):  # NaN equals nothing, so the merge below would not end
+        raise ValueError("samples must not be NaN")
     i = j = 0
     best_num = 0
     while i < na or j < nb:

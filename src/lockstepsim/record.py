@@ -1,0 +1,43 @@
+"""Record classes. A `Record` subclass lists its fields as annotations, in
+order (`field_names`); a class-level value is a field's default. It gets
+`__init__` (then `__post_init__`), `__eq__` by type and values and `__repr__`
+as closures over the names, unless its body defines them, and `replace`;
+`frozen=True` adds `__hash__` and refuses assignment, else it is unhashable."""
+
+
+class Record:
+    def __init_subclass__(cls, frozen=False):
+        names = cls.field_names = tuple(cls.__annotations__)
+        defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+        post_init = getattr(cls, "__post_init__", None)
+
+        def values(self):
+            return tuple([getattr(self, n) for n in names])
+
+        def __init__(self, *args, **kwargs):
+            given = {**defaults, **dict(zip(names, args)), **kwargs}
+            if len(args) > len(names) or kwargs.keys() & names[:len(args)] or given.keys() ^ set(names):
+                raise TypeError(f"{cls.__name__}() takes {names}, got {len(args)} args and {sorted(kwargs)}")
+            self.__dict__.update([(n, given[n]) for n in names])
+            if post_init is not None:
+                post_init(self)
+
+        def __eq__(self, other):
+            return values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented
+
+        def __repr__(self):
+            return f"{cls.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+
+        def refuse(self, name, *value):
+            raise AttributeError(f"cannot assign to field {name!r} of a frozen {cls.__name__}")
+
+        methods = {"__init__": __init__, "__eq__": __eq__, "__repr__": __repr__, "__hash__": None}
+        if frozen:
+            methods.update(__hash__=lambda self: hash(values(self)), __setattr__=refuse, __delattr__=refuse)
+        for name, method in methods.items():
+            if name not in cls.__dict__:
+                setattr(cls, name, method)
+
+    def replace(self, **changes):
+        """A copy with `changes` applied, checked again by `__post_init__`."""
+        return self.__class__(**{**{n: getattr(self, n) for n in self.field_names}, **changes})

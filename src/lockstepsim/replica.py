@@ -30,7 +30,6 @@ row, the digests of the network input and of each layer's output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -47,7 +46,8 @@ from .fixedpoint import (
     tensor_digest,
     tensor_digests,
 )
-from .rng import derive_seed, draws
+from .record import Record
+from .rng import derive_seeds, draws
 
 RELU = "relu"
 LINEAR = "none"
@@ -67,8 +67,7 @@ INPUT_CLAMP = 1 << 8
 MAX_LAYER_WIDTH = 1024
 
 
-@dataclass(frozen=True)
-class LayerSpec:
+class LayerSpec(Record, frozen=True):
     """One dense layer: weights (out x in), bias (out), activation."""
 
     weights: FixedPointTensor
@@ -96,8 +95,7 @@ class LayerSpec:
         return self.weights.shape[1]
 
 
-@dataclass(frozen=True)
-class WeightSet:
+class WeightSet(Record, frozen=True):
     """Ordered dense layers with compatible widths."""
 
     layers: tuple
@@ -124,8 +122,7 @@ class WeightSet:
                      for layer in self.layers)
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(Record, frozen=True):
     """Cycle cost model of one compute engine. Identical configs imply
     identical cycle counts for identical work."""
 
@@ -174,7 +171,7 @@ def gen_weights(seed: int, arch) -> WeightSet:
 def gen_frames(seed: int, frame_ids, shape) -> np.ndarray:
     """The frames `gen_frame` gives for each of `frame_ids`, as one int16
     array of shape (len(frame_ids), *shape)."""
-    seeds = [derive_seed(seed, f"frame.{frame_id}") for frame_id in frame_ids]
+    seeds = derive_seeds(seed, "frame.", frame_ids)
     values = draws(seeds, math.prod(shape)) % np.uint64(2 * INPUT_CLAMP + 1)
     return (values.astype(np.int16) - INPUT_CLAMP).reshape(len(seeds), *shape)
 

@@ -42,14 +42,18 @@ def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
     return h
 
 
-def draws(seeds, count: int, start: int = 0) -> np.ndarray:
-    """Draws start+1 .. start+count of the stream of each seed in `seeds`,
-    as a uint64 array of shape (len(seeds), count)."""
-    base = np.array([s & MASK64 for s in seeds], dtype=np.uint64)
-    z = base[:, None] + np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+def mix64s(z: np.ndarray) -> np.ndarray:
+    """`mix64` of each element of the uint64 array `z`."""
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
+
+
+def draws(seeds, count: int, start: int = 0) -> np.ndarray:
+    """Draws start+1 .. start+count of the stream of each seed in `seeds`
+    (seeds in [0, 2**64)), as a uint64 array of shape (len(seeds), count)."""
+    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    return mix64s(np.asarray(seeds, dtype=np.uint64)[:, None] + counters * np.uint64(_GAMMA))
 
 
 def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -73,3 +77,16 @@ def fnv1a64_rows(h: int, rows: np.ndarray) -> np.ndarray:
 def derive_seed(seed: int, name: str) -> int:
     """Deterministic seed of the child stream `name` under root `seed`."""
     return mix64((seed & MASK64) ^ fnv1a64(name.encode("utf-8")))
+
+
+def derive_seeds(seed: int, prefix: str, ids) -> np.ndarray:
+    """`derive_seed(seed, f"{prefix}{i}")` of each int `i` of `ids`, as a
+    uint64 array: the prefix's hash continued over the text of each id, one
+    `fnv1a64_rows` per text length."""
+    text = np.asarray(ids, dtype=np.int64).astype("S")
+    rows = text.view(np.uint8).reshape(len(text), text.itemsize)
+    width = (rows != 0).sum(axis=1)
+    h = np.empty(len(rows), dtype=np.uint64)
+    for w in set(width.tolist()):
+        h[width == w] = fnv1a64_rows(fnv1a64(prefix.encode("utf-8")), rows[width == w, :w])
+    return mix64s(np.uint64(seed & MASK64) ^ h)

@@ -26,18 +26,17 @@ recovery is an operator action outside this model.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .fixedpoint import FRAC_BITS
+from .record import Record
 
 _POLICY_RE = re.compile(r"^(\d+)oo(\d+)$")
 
 
-@dataclass(frozen=True)
-class VotingPolicy:
+class VotingPolicy(Record, frozen=True):
     m: int
     n: int
 
@@ -62,13 +61,11 @@ class VotingPolicy:
         return f"{self.m}oo{self.n}"
 
 
-@dataclass(frozen=True)
-class Exact:
+class Exact(Record, frozen=True):
     """Agreement means digest equality (an equivalence relation)."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Tolerance(Record, frozen=True):
     """Agreement means max absolute difference of dequantized outputs
     within eps. Reflexive and symmetric, knowingly not transitive."""
 

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lockstepsim
 from lockstepsim.cli import agreement_patterns, cli_main
 from lockstepsim.config import SEED_ENV_VAR
 from helpers import zero_jitter_duplex
@@ -202,6 +206,10 @@ class TestCompareCommand:
         "[]",
         '{"replicas": [{"replica_id": 0, "samples": [1, "a", 2, 3]}]}',
         '{"replicas": [{"replica_id": 0, "samples": [1, 2, 3, 4], "outliers": {"indices": 5}}]}',
+        '{"replicas": [{"replica_id": 0, "samples": [NaN, 1, 2, 3]}]}',
+        '{"replicas": [{"replica_id": 0, "samples": [Infinity, 1, 2, 3]}]}',
+        '{"replicas": [{"replica_id": 0, "samples": [true, 1, 2, 3]}]}',
+        '{"replicas": [{"replica_id": 0, "samples": [9223372036854775808, 1, 2, 3]}]}',
     ])
     def test_compare_report_of_wrong_shape_exit_one(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
@@ -210,6 +218,18 @@ class TestCompareCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"{bad}: not a report")
+
+    def test_compare_nan_sample_exits_in_a_subprocess(self, tmp_path):
+        # A NaN once sent the KS merge loop into an endless loop: a
+        # regression must fail here, not hang the suite.
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"replicas": [{"replica_id": 0, "samples": [NaN, 1, 2, 3]}]}')
+        src = str(Path(lockstepsim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "lockstepsim.cli", "compare", str(bad), str(bad)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"{bad}: not a report")
 
 
 VOTE_TABLE_PINS = {

@@ -1,12 +1,16 @@
+import io
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lockstepsim.config import config_from_dict, load_config
 from lockstepsim.errors import ConfigError, SimulationError
 from lockstepsim.eventsim import ClockDomain, cycles_to_time
-from lockstepsim.experiment import run_experiment, run_to_directory
+from lockstepsim.experiment import _SPLICE, run_experiment, run_to_directory, write_report
 from lockstepsim.faults import ExtraDelay, FaultSpec, OnFrame
 from lockstepsim.profiling import compare_runs, render_comparison_table
 from helpers import run_with_records, zero_jitter_duplex
@@ -338,3 +342,40 @@ class TestCompareRuns:
         table = render_comparison_table(compare_runs(rep, rep))
         assert "replica" in table.splitlines()[0]
         assert len(table.splitlines()) == 4  # header, rule, two replicas
+
+
+int64s = st.integers(-(1 << 63), (1 << 63) - 1)
+floats = st.floats() | st.sampled_from([5e-324, 1e16, -0.0, 0.1, 1e-7, math.inf])
+scalars = st.none() | st.booleans() | int64s | floats | st.text(max_size=6)
+numbers = st.lists(int64s, max_size=20) | st.lists(floats, max_size=20) | st.lists(int64s | floats, max_size=20)
+json_values = st.recursive(scalars | numbers, lambda inner: st.lists(inner, max_size=10)
+                           | st.dictionaries(st.text(max_size=4), inner, max_size=4), max_leaves=30)
+replica_rows = st.fixed_dictionaries({
+    "replica_id": st.integers(0, 7),
+    "samples": st.lists(int64s, max_size=20),
+    "stats": st.none() | st.dictionaries(st.sampled_from(["n", "min", "mean", "p99"]), int64s | floats | st.none()),
+    "outliers": st.none() | st.fixed_dictionaries({
+        "method": st.just("mad_modified_z"), "threshold": floats,
+        "indices": st.lists(st.integers(0, 20), max_size=20), "scores": st.lists(floats, max_size=20)}),
+    "histogram": st.lists(st.fixed_dictionaries({"lower_edge_ns": int64s | floats, "count": st.integers(0, 9)}),
+                          max_size=12),
+})
+reports = st.fixed_dictionaries({"schema_version": st.just(1), "config": json_values,
+                                 "replicas": st.lists(replica_rows, max_size=3), "skew_ns": json_values})
+
+
+@given(reports)
+@example({"schema_version": 1, "config": {}, "replicas": [], "skew_ns": None})
+@example({"schema_version": 1, "config": [[1] * 9, [True] * 9], "skew_ns": [math.nan] + [1] * 9,
+          "replicas": [{"replica_id": 0, "samples": [-(1 << 63), (1 << 63) - 1] * 5, "stats": None,
+                        "outliers": {"scores": [5e-324, 1e16, -0.0] * 3}, "histogram": []}]})
+@settings(max_examples=300, deadline=None, database=None)
+def test_report_bytes_are_the_indent_dump(report):
+    f = io.StringIO()
+    write_report(report, f, slice_len=4)
+    assert f.getvalue() == json.dumps(report, indent=2) + "\n"
+
+
+def test_report_holding_the_splice_marker_is_refused():
+    with pytest.raises(ValueError, match="splice marker"):
+        write_report({"config": {"metadata": {"note": _SPLICE}}, "samples": list(range(9))}, io.StringIO())

@@ -11,7 +11,6 @@ To print the digests of the current code (for a deliberate format change):
 """
 
 import copy
-import dataclasses
 import hashlib
 import json
 import sys
@@ -295,14 +294,16 @@ def _shape(rec):
 
 @pytest.fixture(scope="module")
 def case_output(tmp_path_factory):
-    """name -> (trace/report digests, trace lines); each case runs once per module."""
+    """name -> (trace/report digests, trace lines, report bytes); each case runs
+    once per module."""
     cache = {}
 
     def get(name):
         if name not in cache:
             out = tmp_path_factory.mktemp(name)
             digests = _digests(name, out)
-            cache[name] = (digests, (out / TRACE_FILENAME).read_text().splitlines())
+            cache[name] = (digests, (out / TRACE_FILENAME).read_text().splitlines(),
+                           (out / REPORT_FILENAME).read_bytes())
         return cache[name]
 
     return get
@@ -336,17 +337,15 @@ def test_cases_cover_every_record_shape(case_output):
     assert seen == RECORD_SHAPES
 
 
-@pytest.mark.parametrize("name", ["tight-2oo3-all-faults", "loose-duplex-ptp-tolerance"])
-def test_in_memory_report_is_the_file(name, tmp_path):
-    # run_experiment's report, dumped as run_to_directory dumps it, is the file
-    cfg = config_from_dict(CASES[name](), env={})
-    run_to_directory(cfg, tmp_path)
-    written = (tmp_path / REPORT_FILENAME).read_bytes()
-    in_memory = run_experiment(cfg).to_json_dict()
+@pytest.mark.parametrize("name", CASE_PARAMS)
+def test_in_memory_report_is_the_file(name, case_output):
+    # run_to_directory writes run_experiment's report as json.dump(indent=2) would
+    written = case_output(name)[2]
+    in_memory = run_experiment(config_from_dict(CASES[name](), env={})).to_json_dict()
     assert (json.dumps(in_memory, indent=2) + "\n").encode() == written
     keys = list(json.loads(written))
     assert keys[0] == "schema_version"
-    assert [f.name for f in dataclasses.fields(ExperimentReport)] == keys[1:]
+    assert list(ExperimentReport.field_names) == keys[1:]
 
 
 if __name__ == "__main__":

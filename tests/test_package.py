@@ -1,5 +1,9 @@
 """The package's top-level surface: the names its callers import."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import lockstepsim
 
 # The benchmark's child process calls load_config, ExperimentRunner,
@@ -40,3 +44,12 @@ def test_the_benchmark_calls_resolve():
     for name in BENCHMARK_CALLS:
         assert name in lockstepsim.__all__, name
         assert callable(getattr(lockstepsim, name)), name
+
+
+def test_import_leaves_out_dataclasses_and_copy():
+    # Both cost import time in every process; numpy imports neither.
+    code = "import sys, lockstepsim; print(sorted({'dataclasses', 'copy'} & set(sys.modules)))"
+    src = str(Path(lockstepsim.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, cwd=src)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -176,6 +176,11 @@ class TestKs:
         with pytest.raises(ValueError):
             ks_statistic([], [1])
 
+    @pytest.mark.parametrize("a, b", [([math.nan, 1, 2], [1, 2]), ([1, 2], [3, math.nan]), ([math.nan], [math.nan])])
+    def test_nan_rejected(self, a, b):
+        with pytest.raises(ValueError, match="NaN"):
+            ks_statistic(a, b)
+
     @given(
         st.lists(st.integers(0, 50), min_size=1, max_size=80),
         st.lists(st.integers(0, 50), min_size=1, max_size=80),

@@ -1,0 +1,104 @@
+"""The record base class: construction, equality, hashing, immutability
+and `replace`, on the package's own records and on small local ones."""
+
+import pytest
+
+from lockstepsim.config import ExperimentConfig, ProfilerSettings, Workload, config_from_dict
+from lockstepsim.coupling import Loose, Tight
+from lockstepsim.errors import ConfigError
+from lockstepsim.eventsim import ClockDomain
+from lockstepsim.faults import Always, DropOutput, FaultSpec, WeightBitFlip
+from lockstepsim.fixedpoint import FixedPointTensor, tensor_digest
+from lockstepsim.record import Record
+from lockstepsim.replica import EngineConfig
+from helpers import zero_jitter_duplex
+
+
+class Point(Record, frozen=True):
+    x: int
+    y: int = 0
+
+
+class Box(Record):
+    x: int = 1
+    items: list = None
+
+
+def test_fields_in_order_and_defaults_filled():
+    assert Point.field_names == ("x", "y")
+    assert Point(3) == Point(3, 0) == Point(x=3) == Point(y=0, x=3)
+    assert repr(Point(3, 4)) == "Point(x=3, y=4)"
+    assert ExperimentConfig.field_names == ("seed", "topology", "workload", "faults", "profiler", "metadata")
+
+
+@pytest.mark.parametrize("args, kwargs", [((), {}), ((1, 2, 3), {}), ((1,), {"x": 1}), ((1,), {"z": 2})])
+def test_bad_arguments_raise_type_error(args, kwargs):
+    with pytest.raises(TypeError):
+        Point(*args, **kwargs)
+
+
+def test_equality_by_type_and_values():
+    assert Tight(2) == Tight(2)
+    assert Tight(2) != Tight(3)
+    assert Tight(2) != Loose(2)
+    assert Always() != DropOutput()
+    assert Point(1, 2) != (1, 2)
+    assert FaultSpec(WeightBitFlip(0, 1, 2)) == FaultSpec(WeightBitFlip(0, 1, 2), Always())
+    assert Box(1, [2]) == Box(1, [2]) != Box(1, [3])
+
+
+def test_equal_frozen_records_hash_equal_and_mutable_ones_do_not_hash():
+    assert hash(Point(1, 2)) == hash(Point(1, 2))
+    assert hash(ClockDomain("a", 5)) == hash(ClockDomain("a", 5, 0))
+    assert len({WeightBitFlip(0, 1, 2), WeightBitFlip(0, 1, 2), WeightBitFlip(0, 1, 3)}) == 2
+    for mutable in (Box(), Workload(), ProfilerSettings()):
+        with pytest.raises(TypeError):
+            hash(mutable)
+
+
+def test_frozen_records_refuse_assignment_and_mutable_ones_take_it():
+    p = Point(1)
+    with pytest.raises(AttributeError):
+        p.x = 2
+    with pytest.raises(AttributeError):
+        p.z = 2
+    with pytest.raises(AttributeError):
+        del p.y
+    assert p == Point(1)
+    b = Box()
+    b.x = 5
+    assert b == Box(5)
+
+
+def test_replace_changes_fields_and_reruns_post_init():
+    assert Point(1, 2).replace(y=5) == Point(1, 5)
+    clock = ClockDomain("shared", 1000)
+    assert clock.replace(id="replica1") == ClockDomain("replica1", 1000)
+    with pytest.raises(ConfigError, match="freq_hz"):
+        clock.replace(freq_hz=0)
+    with pytest.raises(ConfigError):
+        Tight().replace(skew_tolerance_cycles=-1)
+    with pytest.raises(TypeError):
+        Point(1).replace(z=1)
+
+
+def test_defaults_stay_per_class_and_metadata_is_not_shared():
+    assert Box().items is None and Point(1).y == 0
+    assert EngineConfig().pipeline_startup_cycles == 0
+    assert config_from_dict(zero_jitter_duplex(), env={}).topology.engine.pipeline_startup_cycles == 64
+    cfg = config_from_dict(zero_jitter_duplex(), env={})
+    a = ExperimentConfig(cfg.seed, cfg.topology, cfg.workload, [], cfg.profiler)
+    b = ExperimentConfig(cfg.seed, cfg.topology, cfg.workload, [], cfg.profiler)
+    a.metadata["k"] = 1
+    assert b.metadata == {} and a.metadata == {"k": 1}
+
+
+def test_a_class_keeps_its_own_eq_hash_and_cached_digest():
+    a = FixedPointTensor((2,), [1, 2])
+    b = FixedPointTensor((2,), [1, 2])
+    digest = tensor_digest(a)
+    assert "_digest" in vars(a) and "_digest" not in vars(b)
+    assert a == b and hash(a) == hash(b)
+    assert tensor_digest(b) == digest
+    with pytest.raises(AttributeError):
+        a.shape = (1,)

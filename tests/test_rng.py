@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lockstepsim.rng import MASK64, derive_seed, draws, fnv1a64, fnv1a64_rows, mix64, uniforms
+from lockstepsim.rng import MASK64, derive_seed, derive_seeds, draws, fnv1a64, fnv1a64_rows, mix64, mix64s, uniforms
 from oracles import Rng
 
 # Published SplitMix64 output for seed 0 (used as cross-implementation
@@ -105,3 +105,15 @@ def test_draws_from_start_continue_a_stepped_stream(start):
         for _ in range(start):
             r.next_u64()
         assert uniforms(seed, 6, start).tolist() == [r.uniform() for _ in range(6)]
+
+
+def test_array_mix64_is_mix64():
+    zs = [0, 1, 12345, MASK64, 2**63]
+    assert mix64s(np.array(zs, dtype=np.uint64)).tolist() == [mix64(z) for z in zs]
+
+
+@pytest.mark.parametrize("seed", [0, 7, MASK64])
+def test_derive_seeds_is_derive_seed_per_id(seed):
+    ids = list(range(2001)) + [10**k + d for k in range(1, 8) for d in (-1, 0, 1)] + [-7, 2**63 - 1]
+    assert derive_seeds(seed, "frame.", ids).tolist() == [derive_seed(seed, f"frame.{i}") for i in ids]
+    assert derive_seeds(seed, "frame.", []).tolist() == []
