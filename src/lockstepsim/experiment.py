@@ -536,8 +536,8 @@ class ExperimentRunner:
         )
 
 
-# Stands in for each long list of numbers in the dumped report; its JSON text.
-_SPLICE, _SPLICE_TEXT = "\0splice\0", '"\\u0000splice\\u0000"'
+_SPLICE, _SPLICE_TEXT = "\0splice\0", '"\\u0000splice\\u0000"'  # a long number list's stand-in; its JSON text
+_SLICE_LEN = 4096
 
 
 def _hollow(node, lists):
@@ -555,9 +555,9 @@ def _hollow(node, lists):
     return [_hollow(v, lists) for v in node]
 
 
-def write_report(report: dict, f, slice_len: int = 4096):
+def write_report(report: dict, f):
     """Write to `f` what `json.dump(report, f, indent=2)` and a newline would,
-    writing each long number list from `repr`, `slice_len` numbers at a time."""
+    writing each long number list from `repr`, `_SLICE_LEN` numbers at a time."""
     lists = []
     parts = json.dumps(_hollow(report, lists), indent=2).split(_SPLICE_TEXT)
     if len(parts) != len(lists) + 1:
@@ -566,8 +566,8 @@ def write_report(report: dict, f, slice_len: int = 4096):
         line = text[text.rfind("\n") + 1:]
         sep = ",\n" + " " * (len(line) - len(line.lstrip(" ")) + 2)
         f.write(text + "[" + sep[1:])
-        for i in range(0, len(xs), slice_len):
-            f.write((sep if i else "") + sep.join(map(repr, xs[i:i + slice_len])))
+        for i in range(0, len(xs), _SLICE_LEN):
+            f.write((sep if i else "") + sep.join(map(repr, xs[i:i + _SLICE_LEN])))
         f.write(sep[1:-2] + "]")
     f.write(parts[-1] + "\n")
 

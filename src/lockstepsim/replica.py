@@ -47,7 +47,7 @@ from .fixedpoint import (
     tensor_digests,
 )
 from .record import Record
-from .rng import derive_seeds, draws
+from .rng import MASK64, derive_seeds, draws
 
 RELU = "relu"
 LINEAR = "none"
@@ -154,7 +154,7 @@ def gen_weights(seed: int, arch) -> WeightSet:
         raise ConfigError(f"arch widths must not exceed {MAX_LAYER_WIDTH}: {arch}")
     # one stream: each layer's weights, then its bias
     total = sum((in_w + 1) * out_w for in_w, out_w in zip(arch, arch[1:]))
-    values = (draws([seed], total)[0] % np.uint64(2 * WEIGHT_CLAMP + 1)).astype(np.int16) - WEIGHT_CLAMP
+    values = (draws([seed & MASK64], total)[0] % np.uint64(2 * WEIGHT_CLAMP + 1)).astype(np.int16) - WEIGHT_CLAMP
     layers = []
     for li, (in_w, out_w) in enumerate(zip(arch, arch[1:])):
         w, b, values = np.split(values, [out_w * in_w, (in_w + 1) * out_w])

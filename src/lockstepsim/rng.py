@@ -59,7 +59,7 @@ def draws(seeds, count: int, start: int = 0) -> np.ndarray:
 def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
     """The uniforms of draws start+1 .. start+count of the stream `seed`,
     as a float64 array."""
-    return (draws([seed], count, start)[0] >> np.uint64(11)) * (1.0 / (1 << 53))
+    return (draws([seed & MASK64], count, start)[0] >> np.uint64(11)) * (1.0 / (1 << 53))
 
 
 def fnv1a64_rows(h: int, rows: np.ndarray) -> np.ndarray:

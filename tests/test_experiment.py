@@ -369,10 +369,13 @@ reports = st.fixed_dictionaries({"schema_version": st.just(1), "config": json_va
 @example({"schema_version": 1, "config": [[1] * 9, [True] * 9], "skew_ns": [math.nan] + [1] * 9,
           "replicas": [{"replica_id": 0, "samples": [-(1 << 63), (1 << 63) - 1] * 5, "stats": None,
                         "outliers": {"scores": [5e-324, 1e16, -0.0] * 3}, "histogram": []}]})
+@example({"schema_version": 1, "config": {}, "skew_ns": None,  # three slices, the last a short one
+          "replicas": [{"replica_id": 0, "samples": list(range(-4096, 4097)), "stats": None, "outliers": None,
+                        "histogram": [{"lower_edge_ns": 0.5, "count": 1}] * 9}]})
 @settings(max_examples=300, deadline=None, database=None)
 def test_report_bytes_are_the_indent_dump(report):
     f = io.StringIO()
-    write_report(report, f, slice_len=4)
+    write_report(report, f)
     assert f.getvalue() == json.dumps(report, indent=2) + "\n"
 
 

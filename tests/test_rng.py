@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lockstepsim.replica import gen_weights
 from lockstepsim.rng import MASK64, derive_seed, derive_seeds, draws, fnv1a64, fnv1a64_rows, mix64, mix64s, uniforms
 from oracles import Rng
 
@@ -117,3 +118,9 @@ def test_derive_seeds_is_derive_seed_per_id(seed):
     ids = list(range(2001)) + [10**k + d for k in range(1, 8) for d in (-1, 0, 1)] + [-7, 2**63 - 1]
     assert derive_seeds(seed, "frame.", ids).tolist() == [derive_seed(seed, f"frame.{i}") for i in ids]
     assert derive_seeds(seed, "frame.", []).tolist() == []
+
+
+def test_scalar_seeds_are_reduced_mod_2_64():
+    assert uniforms(-1, 5).tolist() == uniforms(MASK64, 5).tolist()
+    assert uniforms(2**64, 5, start=3).tolist() == uniforms(0, 5, start=3).tolist()
+    assert gen_weights(-1, [3, 2]) == gen_weights(MASK64, [3, 2])
