@@ -1,5 +1,5 @@
-"""Experiment configuration: one field table drives validation, defaults
-and the expanded dump.
+"""Experiment configuration: the record classes drive validation,
+defaults and the expanded dump.
 
 Configs are plain JSON. Validation is total: every problem is collected
 with its field path and reported at once in one ConfigError, and unknown
@@ -7,16 +7,14 @@ fields are rejected. `load_config` / `config_from_dict` return a fully
 expanded ExperimentConfig (presets resolved, defaults filled), and its
 `to_json_dict` writes that expansion back.
 
-`_FIELDS` describes every flat config class, one row per field in JSON key
-order: `(field, type, minimum, maximum)`. A type is `int`, `float` (any
-finite JSON number, kept as a float), `bool`, `list` (a non-empty JSON list
-of integers, kept as a tuple; the bounds apply to each element) or a tagged
-object. Bounds are inclusive; `None` is unbounded. A field's default is
-its record default (the class-level value), and a field without one is
-required. The one exception, in `_DEFAULT_OVERRIDES`: a config's engine
-starts its pipeline at 64 cycles, a bare `EngineConfig()` at 0.
-`_parse(cls, obj, path, errors)` builds any class of the table and
-`_dump(obj)` writes it back.
+A flat config class's JSON fields, in JSON key order, are its fields
+annotated `int`, `float` (any finite JSON number, kept as a float), `bool`
+or `tuple` (a non-empty JSON list of integers), each checked against the
+class's `bounds` (see `record`); the parser sets any other, such as a
+clock's `id`. A field's default is its class-level value, else it is
+required; in `_DEFAULT_OVERRIDES`, a config's engine starts its pipeline
+at 64 cycles, a bare `EngineConfig()` at 0. `_parse(cls, obj, path,
+errors)` builds any such class and `_dump(obj)` writes it back.
 
 A tagged object is a `(tag key, {tag value: class})` pair: the tag's value
 picks the class, and the dump writes the tag first. There are four: the
@@ -27,6 +25,7 @@ Checks across fields stay hand-written: the replica count against the
 policy and per-replica lists, tight coupling against the shared clock and
 bus compare, `clock` against `clocks`, health, clock offsets, the PTP
 forward delay, and the input shape and fault indices against the workload.
+`metadata` is any JSON object whose numbers are all finite.
 
 Seed priority: explicit override (CLI flag) > config file > the
 LOCKSTEP_SEED environment variable.
@@ -43,7 +42,7 @@ from . import faults as flt
 from .coupling import Loose, Tight
 from .errors import ConfigError
 from .eventsim import ClockDomain, JitterModel
-from .record import Record
+from .record import Record, bound_error
 from .replica import HEALTH_STATES, HEALTHY, MAX_LAYER_WIDTH, EngineConfig
 from .rng import MASK64
 from .voting import Exact, Tolerance, VotingPolicy
@@ -74,6 +73,7 @@ class PtpSettings(Record):
     link_delay_ns: int = 500
     asymmetry_ns: int = 0
     slave_turnaround_ns: int = 50
+    bounds = {"link_delay_ns": (0, None), "slave_turnaround_ns": (0, None)}
 
 
 class Topology(Record):
@@ -98,62 +98,20 @@ class Workload(Record):
     repetitions_per_frame: int = 100
     input_shape: tuple = (16,)
     arch: tuple = (16, 16, 8)
+    bounds = {"frame_count": (1, None), "repetitions_per_frame": (1, None), "input_shape": (1, None),
+              "arch": (1, MAX_LAYER_WIDTH)}
+
+
+# The KS significance level accepted from a config or by `compare_runs`.
+ALPHA_BOUNDS = (1e-9, 0.5)
 
 
 class ProfilerSettings(Record):
     bin_count: int = 50
     outlier_threshold: float = 3.5
     alpha: float = 0.01
+    bounds = {"bin_count": (1, None), "outlier_threshold": (0.0, None), "alpha": ALPHA_BOUNDS}
 
-
-# The KS significance level accepted from a config or by `compare_runs`.
-ALPHA_BOUNDS = (1e-9, 0.5)
-
-# (field, type, minimum, maximum) per flat config class, in JSON key order.
-_FIELDS = {
-    Tight: (("skew_tolerance_cycles", int, 0, None),),
-    Loose: (("rendezvous_window_ns", int, 1, None),),
-    Exact: (),
-    Tolerance: (("eps", float, 0.0, None),),
-    VotingPolicy: (("m", int, 1, 8), ("n", int, 1, 8)),
-    ClockDomain: (("freq_hz", int, 1, None), ("drift_ppm", int, -(10**6) + 1, None)),
-    EngineConfig: (
-        ("cycles_per_mac", int, 1, None),
-        ("cycles_per_load", int, 1, None),
-        ("cycles_per_store", int, 1, None),
-        ("pipeline_startup_cycles", int, 0, None),
-    ),
-    JitterModel: (
-        ("base_overhead_ns", int, 0, None),
-        ("spike_prob", float, 0.0, 1.0),
-        ("spike_scale_ns", int, 1, None),
-        ("mode2_offset_ns", int, 0, None),
-        ("mode2_prob", float, 0.0, 1.0),
-    ),
-    PtpSettings: (
-        ("enabled", bool, None, None),
-        ("link_delay_ns", int, 0, None),
-        ("asymmetry_ns", int, None, None),
-        ("slave_turnaround_ns", int, 0, None),
-    ),
-    Workload: (
-        ("frame_count", int, 1, None),
-        ("repetitions_per_frame", int, 1, None),
-        ("input_shape", list, 1, None),
-        ("arch", list, 1, MAX_LAYER_WIDTH),
-    ),
-    ProfilerSettings: (
-        ("bin_count", int, 1, None),
-        ("outlier_threshold", float, 0.0, None),
-        ("alpha", float, *ALPHA_BOUNDS),
-    ),
-    flt.WeightBitFlip: (("layer", int, 0, None), ("element_index", int, 0, None), ("bit", int, 0, 15)),
-    flt.OutputBitFlip: (("element_index", int, 0, None), ("bit", int, 0, 15)),
-    flt.ExtraDelay: (("ns", int, 0, None),),
-    flt.DropOutput: (), flt.StuckOutput: (), flt.Always: (),
-    flt.OnFrame: (("frame_id", int, 0, None),),
-    flt.WithProbability: (("p", float, 0.0, 1.0),),
-}
 
 _DEFAULT_OVERRIDES = {(EngineConfig, "pipeline_startup_cycles"): 64}
 
@@ -169,13 +127,19 @@ _TAG_OF = {cls: (tag, name) for tag, classes in (_COUPLING, _COMPARATOR, _FAULT_
            for name, cls in classes.items()}
 
 
+def _json_fields(cls) -> list:
+    """(name, type) of each JSON field of `cls`, in key order, from its string annotations."""
+    types = {"int": int, "float": float, "bool": bool, "tuple": tuple}
+    return [(name, types[t]) for name, t in cls.__annotations__.items() if t in types]
+
+
 def _dump(obj) -> dict:
-    """JSON object of one config object of the table, its tag (if any) first."""
+    """JSON object of one flat config object, its tag (if any) first."""
     tag = _TAG_OF.get(type(obj))
     out = {tag[0]: tag[1]} if tag else {}
-    for name, typ, _, _ in _FIELDS[type(obj)]:
+    for name, typ in _json_fields(type(obj)):
         v = getattr(obj, name)
-        out[name] = list(v) if typ is list else v
+        out[name] = list(v) if typ is tuple else v
     return out
 
 
@@ -236,8 +200,9 @@ def _check_keys(obj, allowed, path, errors) -> bool:
     return True
 
 
-def _check(v, typ, minimum, maximum, path, errors):
-    """`v` as a value of one table row, or None after recording why not."""
+def _check(v, typ, bound, path, errors):
+    """`v` as a value of type `typ` within `bound` (a `bound_error` pair or
+    None), or None after recording why not."""
     if isinstance(typ, tuple):  # a tagged object: (tag key, {tag value: class})
         tag, classes = typ
         if not isinstance(v, dict):
@@ -253,11 +218,11 @@ def _check(v, typ, minimum, maximum, path, errors):
             return v
         errors.append(f"{path}: expected true/false, got {v!r}")
         return None
-    if typ is list:
+    if typ is tuple:
         if not isinstance(v, list) or not v:
             errors.append(f"{path}: expected a non-empty list of integers, got {v!r}")
             return None
-        items = [_check(x, int, minimum, maximum, f"{path}[{i}]", errors) for i, x in enumerate(v)]
+        items = [_check(x, int, bound, f"{path}[{i}]", errors) for i, x in enumerate(v)]
         return None if None in items else tuple(items)
     if isinstance(v, bool) or not isinstance(v, int if typ is int else (int, float)):
         errors.append(f"{path}: expected {'an integer' if typ is int else 'a number'}, got {v!r}")
@@ -271,19 +236,16 @@ def _check(v, typ, minimum, maximum, path, errors):
         except OverflowError:
             errors.append(f"{path}: must be finite, got an integer too large for a float")
             return None
-    if minimum is not None and v < minimum:
-        errors.append(f"{path}: must be >= {minimum}, got {v}")
-        return None
-    if maximum is not None and v > maximum:
-        errors.append(f"{path}: must be <= {maximum}, got {v}")
+    if bound is not None and (error := bound_error(v, bound)):
+        errors.append(f"{path}: {error}")
         return None
     return f if typ is float else v
 
 
-def _get(obj, key, typ, path, errors, default=_REQUIRED, minimum=None, maximum=None):
+def _get(obj, key, typ, path, errors, default=_REQUIRED, bound=None):
     """`obj[key]` checked by `_check`; `default` if absent, else an error."""
     if key in obj:
-        return _check(obj[key], typ, minimum, maximum, f"{path}.{key}", errors)
+        return _check(obj[key], typ, bound, f"{path}.{key}", errors)
     if default is _REQUIRED:
         errors.append(f"{path}.{key}: required field missing")
         return None
@@ -291,17 +253,17 @@ def _get(obj, key, typ, path, errors, default=_REQUIRED, minimum=None, maximum=N
 
 
 def _parse(cls, obj, path, errors, **fixed):
-    """A `cls` built from the JSON object `obj` by its table rows (plus
+    """A `cls` built from the JSON object `obj` by its JSON fields (plus
     `fixed` fields that are not in the JSON), or None after recording
     every problem."""
-    rows = _FIELDS[cls]
-    if not _check_keys(obj, [row[0] for row in rows], path, errors):
+    fields = _json_fields(cls)
+    if not _check_keys(obj, [name for name, _ in fields], path, errors):
         return None
     count = len(errors)
     vals = {
         name: _get(obj, name, typ, path, errors,
-                   _DEFAULT_OVERRIDES.get((cls, name), getattr(cls, name, _REQUIRED)), lo, hi)
-        for name, typ, lo, hi in rows
+                   _DEFAULT_OVERRIDES.get((cls, name), getattr(cls, name, _REQUIRED)), cls.bounds.get(name))
+        for name, typ in fields
     }
     if len(errors) > count:
         return None
@@ -354,7 +316,7 @@ def _parse_topology(raw, path, errors) -> Topology:
     if not _check_keys(raw, _TOPOLOGY_KEYS, path, errors):
         return None
 
-    count = _get(raw, "replicas", int, path, errors, minimum=1, maximum=8)
+    count = _get(raw, "replicas", int, path, errors, bound=(1, 8))
     if count is None:
         return None
 
@@ -367,7 +329,7 @@ def _parse_topology(raw, path, errors) -> Topology:
     if _check_keys(voter, {"policy", "comparator", "debounce_threshold"}, f"{path}.voter", errors):
         policy = _parse_policy(voter.get("policy", "1oo2"), f"{path}.voter.policy", errors)
         comparator = _get(voter, "comparator", _COMPARATOR, f"{path}.voter", errors, Exact())
-        debounce = _get(voter, "debounce_threshold", int, f"{path}.voter", errors, 1, minimum=1)
+        debounce = _get(voter, "debounce_threshold", int, f"{path}.voter", errors, 1, bound=(1, None))
 
     if policy is not None and policy.n != count:
         errors.append(f"{path}.voter.policy: policy {policy} does not match {count} replica(s)")
@@ -454,7 +416,7 @@ def _parse_fault(raw, path, errors, replica_count, workload):
     replica count and the workload's network and frame count."""
     if not _check_keys(raw, {"replica_id", "kind", "trigger"}, path, errors):
         return None
-    rid = _get(raw, "replica_id", int, path, errors, minimum=0)
+    rid = _get(raw, "replica_id", int, path, errors, bound=(0, None))
     if rid is not None and rid >= replica_count:
         errors.append(f"{path}.replica_id: {rid} out of range for {replica_count} replica(s)")
         rid = None
@@ -478,6 +440,15 @@ def _parse_fault(raw, path, errors, replica_count, workload):
     return (rid, flt.FaultSpec(kind, trigger))
 
 
+def _check_finite(node, path, errors):
+    """Record each NaN or +-Infinity under the JSON value `node`, with its path."""
+    if isinstance(node, float) and not math.isfinite(node):
+        errors.append(f"{path}: must be finite, got {node}")
+    elif isinstance(node, (dict, list)):
+        for key, v in node.items() if isinstance(node, dict) else enumerate(node):
+            _check_finite(v, f"{path}.{key}" if isinstance(node, dict) else f"{path}[{key}]", errors)
+
+
 _TOP_LEVEL_KEYS = {"seed", "topology", "workload", "faults", "profiler", "metadata"}
 
 
@@ -493,14 +464,14 @@ def config_from_dict(obj: dict, seed_override=None, env=None) -> ExperimentConfi
     _check_keys(obj, _TOP_LEVEL_KEYS, "config", errors)
 
     # seeds are 64-bit: a larger one would run as its value modulo 2**64
-    seed = None
+    seed, seed_bound = None, (0, MASK64)
     if seed_override is not None:
-        seed = _check(seed_override, int, 0, MASK64, "config.seed", errors)
+        seed = _check(seed_override, int, seed_bound, "config.seed", errors)
     elif "seed" in obj:
-        seed = _get(obj, "seed", int, "config", errors, minimum=0, maximum=MASK64)
+        seed = _get(obj, "seed", int, "config", errors, bound=seed_bound)
     elif env.get(SEED_ENV_VAR):
         try:
-            seed = _check(int(env[SEED_ENV_VAR]), int, 0, MASK64, "config.seed", errors)
+            seed = _check(int(env[SEED_ENV_VAR]), int, seed_bound, "config.seed", errors)
         except ValueError:
             errors.append(f"config.seed: {SEED_ENV_VAR}={env[SEED_ENV_VAR]!r} is not an integer")
     else:
@@ -529,6 +500,7 @@ def config_from_dict(obj: dict, seed_override=None, env=None) -> ExperimentConfi
     metadata = obj.get("metadata", {})
     if not isinstance(metadata, dict):
         errors.append("config.metadata: expected an object")
+    _check_finite(metadata, "config.metadata", errors)
 
     if errors:
         raise ConfigError(errors)

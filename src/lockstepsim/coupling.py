@@ -23,20 +23,14 @@ class Tight(Record, frozen=True):
     """Shared-clock lockstep; completions must land within a small cycle skew."""
 
     skew_tolerance_cycles: int = 2
-
-    def __post_init__(self):
-        if self.skew_tolerance_cycles < 0:
-            raise ConfigError("skew_tolerance_cycles must be non-negative")
+    bounds = {"skew_tolerance_cycles": (0, None)}
 
 
 class Loose(Record, frozen=True):
     """Asynchronous channels; outputs must rendezvous within a time window."""
 
     rendezvous_window_ns: int
-
-    def __post_init__(self):
-        if self.rendezvous_window_ns <= 0:
-            raise ConfigError("rendezvous_window_ns must be positive")
+    bounds = {"rendezvous_window_ns": (1, None)}
 
 
 def rendezvous_rounds(arrival, emitted, window_ns: int):

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, SimulationError
+from .errors import SimulationError
 from .record import Record
 from .rng import uniforms
 
@@ -32,12 +32,7 @@ class ClockDomain(Record, frozen=True):
     id: str
     freq_hz: int
     drift_ppm: int = 0
-
-    def __post_init__(self):
-        if self.freq_hz <= 0:
-            raise ConfigError(f"clock {self.id!r}: freq_hz must be positive")
-        if _PPM + self.drift_ppm <= 0:
-            raise ConfigError(f"clock {self.id!r}: effective frequency must stay positive")
+    bounds = {"freq_hz": (1, None), "drift_ppm": (1 - _PPM, None)}  # the effective frequency stays positive
 
 
 def cycles_to_time(cycles: int, clock: ClockDomain) -> int:
@@ -59,18 +54,8 @@ class JitterModel(Record, frozen=True):
     spike_scale_ns: int = 1
     mode2_offset_ns: int = 0
     mode2_prob: float = 0.0
-
-    def __post_init__(self):
-        if self.base_overhead_ns < 0:
-            raise ConfigError("base_overhead_ns must be non-negative")
-        if not (0.0 <= self.spike_prob <= 1.0):
-            raise ConfigError("spike_prob must be within [0, 1]")
-        if self.spike_scale_ns < 1:
-            raise ConfigError("spike_scale_ns must be positive")
-        if self.mode2_offset_ns < 0:
-            raise ConfigError("mode2_offset_ns must be non-negative")
-        if not (0.0 <= self.mode2_prob <= 1.0):
-            raise ConfigError("mode2_prob must be within [0, 1]")
+    bounds = {"base_overhead_ns": (0, None), "spike_prob": (0.0, 1.0), "spike_scale_ns": (1, None),
+              "mode2_offset_ns": (0, None), "mode2_prob": (0.0, 1.0)}
 
     @property
     def bound_ns(self) -> int:

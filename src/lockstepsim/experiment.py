@@ -41,14 +41,10 @@ clock and the delays that fired. A drop fault masks the output. Then:
   (`voting.safety_scan`, its state carried across chunks) and the report's
   counts.
 
-Trace records are totally ordered by (t_ns, seq). Each round takes seq in
-this order: the input release; one delivery per healthy replica in replica
-order; one completion per delivery, in (time, seq) order of the deliveries
-(a dropped output takes its seq but writes no record); then, at the record
-time, the rendezvous, any bus divergence, the verdict and the safety action.
-Rounds are written `WRITE_ROUNDS` at a time by `trace.rounds`, each kind of
-record built from columns by its record function and ordered by one
-`lexsort` on (t_ns, seq). The tails that clean outputs share, the
+Trace records are totally ordered by (t_ns, seq). Rounds are written
+`WRITE_ROUNDS` at a time by `trace.rounds`, which lays out their seqs and
+builds each kind of record from columns by its record function, ordered by
+one `lexsort` on (t_ns, seq). The tails that clean outputs share, the
 completion's and the pass verdict's, are formatted once per frame of the
 block.
 """
@@ -58,7 +54,7 @@ from __future__ import annotations
 import json
 import math
 from functools import reduce
-from itertools import repeat
+from itertools import count as naturals, repeat
 from pathlib import Path
 
 import numpy as np
@@ -410,11 +406,8 @@ class ExperimentRunner:
         action, counts, entered = safety_scan(~passed, self.topology.debounce_threshold,
                                               self.safety_state, self.fault_count)
         safe = np.full(n, self.safety_state == SAFE_OFF)
-        steps = 4 + 2 * k + diverged if k else np.full(n, 3)
         starts = self.now + np.cumsum(durations) - durations
-        seqs = self.seq + np.cumsum(steps) - steps
         self.now = int(starts[-1] + durations[-1])
-        self.seq = int(seqs[-1] + steps[-1])
         if entered is not None:
             safe[entered:] = True
             self.safety_timeline.append(
@@ -426,7 +419,7 @@ class ExperimentRunner:
             return
 
         chunk = dict(
-            rows=rows, reps=(lo + np.arange(n)) % reps, starts=starts, seqs=seqs, durations=durations,
+            rows=rows, reps=(lo + np.arange(n)) % reps, starts=starts, durations=durations,
             feed=feed, comp=comp, emit=emit, present=present, complete=complete, skew=skew,
             verdict=verdict, labels=labels, best=best, agreed=agreed, voted=voted,
             digests=digests, outputs=outputs, changed=changed, other=other, index=index, diverged=diverged,
@@ -437,9 +430,10 @@ class ExperimentRunner:
             c = {name: None if v is None else v[a:a + WRITE_ROUNDS] for name, v in chunk.items()}
             piece = c["rows"].tolist()
             frames = list(map(trace.frame, [first + r for r in piece], c["reps"].tolist()))
-            self._write(trace.rounds(
-                c, self.healthy_ids, frames, list(map(self._completion_tails.__getitem__, piece)),
-                list(map(self._agreed_tails.__getitem__, piece)), self._cycles, required))
+            self.seq, text = trace.rounds(
+                c, self.seq, self.healthy_ids, frames, list(map(self._completion_tails.__getitem__, piece)),
+                list(map(self._agreed_tails.__getitem__, piece)), self._cycles, required)
+            self._write(text)
 
     # -- clock sync ------------------------------------------------------
 
@@ -536,32 +530,34 @@ class ExperimentRunner:
         )
 
 
-_SPLICE, _SPLICE_TEXT = "\0splice\0", '"\\u0000splice\\u0000"'  # a long number list's stand-in; its JSON text
 _SLICE_LEN = 4096
 
 
-def _hollow(node, lists):
+def _hollow(node, lists, marker):
     """`node` with each list of more than 8 plain ints or finite floats
-    replaced by `_SPLICE`; the lists are appended to `lists` in file order."""
+    replaced by `marker`; the lists are appended to `lists` in file order."""
     if isinstance(node, dict):
-        return {k: _hollow(v, lists) for k, v in node.items()}
+        return {k: _hollow(v, lists, marker) for k, v in node.items()}
     if not isinstance(node, list):
         return node
     types = set(map(type, node))
     if len(node) > 8 and types <= {int, float} and (
             float not in types or all(math.isfinite(x) for x in node if type(x) is float)):
         lists.append(node)
-        return _SPLICE
-    return [_hollow(v, lists) for v in node]
+        return marker
+    return [_hollow(v, lists, marker) for v in node]
 
 
 def write_report(report: dict, f):
     """Write to `f` what `json.dump(report, f, indent=2)` and a newline would,
-    writing each long number list from `repr`, `_SLICE_LEN` numbers at a time."""
-    lists = []
-    parts = json.dumps(_hollow(report, lists), indent=2).split(_SPLICE_TEXT)
-    if len(parts) != len(lists) + 1:
-        raise ValueError(f"a report string equals the splice marker {_SPLICE!r}")
+    writing each long number list from `repr`, `_SLICE_LEN` numbers at a time.
+    The lists stand in the dump as the first string "\\0splice<k>\\0" (k = 0,
+    1, ...) whose JSON text occurs once per list, so no report string is cut."""
+    for k in naturals():
+        marker, lists = f"\0splice{k}\0", []
+        parts = json.dumps(_hollow(report, lists, marker), indent=2).split(json.dumps(marker))
+        if len(parts) == len(lists) + 1:
+            break
     for text, xs in zip(parts, lists):
         line = text[text.rfind("\n") + 1:]
         sep = ",\n" + " " * (len(line) - len(line.lstrip(" ")) + 2)

@@ -28,25 +28,30 @@ class Always(Record, frozen=True):
 
 class OnFrame(Record, frozen=True):
     frame_id: int
+    bounds = {"frame_id": (0, None)}
 
 
 class WithProbability(Record, frozen=True):
     p: float
+    bounds = {"p": (0.0, 1.0)}
 
 
 class WeightBitFlip(Record, frozen=True):
     layer: int
     element_index: int
     bit: int
+    bounds = {"layer": (0, None), "element_index": (0, None), "bit": (0, 15)}
 
 
 class OutputBitFlip(Record, frozen=True):
     element_index: int
     bit: int
+    bounds = {"element_index": (0, None), "bit": (0, 15)}
 
 
 class ExtraDelay(Record, frozen=True):
     ns: int
+    bounds = {"ns": (0, None)}
 
 
 class DropOutput(Record, frozen=True):

@@ -130,13 +130,8 @@ class EngineConfig(Record, frozen=True):
     cycles_per_load: int = 1
     cycles_per_store: int = 1
     pipeline_startup_cycles: int = 0
-
-    def __post_init__(self):
-        for name in ("cycles_per_mac", "cycles_per_load", "cycles_per_store"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be a positive integer")
-        if self.pipeline_startup_cycles < 0:
-            raise ConfigError("pipeline_startup_cycles must be non-negative")
+    bounds = {"cycles_per_mac": (1, None), "cycles_per_load": (1, None), "cycles_per_store": (1, None),
+              "pipeline_startup_cycles": (0, None)}
 
 
 def gen_weights(seed: int, arch) -> WeightSet:

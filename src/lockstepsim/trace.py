@@ -139,30 +139,36 @@ def in_order(times, seqs, lines) -> str:
     return "".join(map(lines.__getitem__, order.tolist()))
 
 
-def rounds(c, replica_ids, frames, completions, agreements, cycles, required) -> str:
-    """Text of the records of a run of rounds, in (t_ns, seq) order.
+def rounds(c, first_seq, replica_ids, frames, completions, agreements, cycles, required):
+    """(the seq after the last round, the text in (t_ns, seq) order) of the
+    records of a run of rounds whose first takes seq `first_seq`.
 
     `c` holds each column the runner keeps, with one row per round and, in
     the two-axis ones, one column per healthy replica in `replica_ids`:
-    starts, seqs (the release's seq), durations; feed, comp, emit (each
-    delivery and completion time after the release, whether emitted);
-    present, complete, skew (the rendezvous); verdict (an index in
-    `VERDICTS`); labels, best, voted, agreed (the agreement groups, the
-    winning group, whether the round was grouped, the agreed digest);
-    diverged, other, index (the bus divergence: with which column, at which
-    event); action, counts, safe (the safety switch after the round). When
-    no value fault can fire, changed, digests and outputs are None; else
-    they flag and hold each output that a value fault changed. Per round,
-    `frames` holds the frame fields, `completions` the clean output's
-    `completion_fields` and `agreements` the clean pass verdict's `agreed`
-    fields; `cycles` is an inference's compute cycles and `required` the
-    policy's required agreement.
+    starts, durations; feed, comp, emit (each delivery and completion time
+    after the release, whether emitted); present, complete, skew (the
+    rendezvous); verdict (an index in `VERDICTS`); labels, best, voted,
+    agreed (the agreement groups, the winning group, whether the round was
+    grouped, the agreed digest); diverged, other, index (the bus divergence:
+    with which column, at which event); action, counts, safe (the safety
+    switch after the round). When no value fault can fire, changed, digests
+    and outputs are None; else they flag and hold each output that a value
+    fault changed. Per round, `frames` holds the frame fields, `completions`
+    the clean output's `completion_fields` and `agreements` the clean pass
+    verdict's `agreed` fields; `cycles` is an inference's compute cycles and
+    `required` the policy's required agreement.
 
-    Seq runs as `experiment` lays it out: release, deliveries, completions
-    in delivery order, then the end records (`pass_end`, `round_end`).
+    Each round takes seqs in this order: the input release; one delivery
+    per healthy replica in replica order; one completion per delivery, in
+    (time, seq) order of the deliveries (a dropped output takes its seq but
+    writes no record); then, at the record time, the rendezvous, any bus
+    divergence, the verdict and the safety action (`pass_end` or
+    `round_end`). With no healthy replica a round takes 3 seqs.
     """
     rids = np.array(replica_ids, dtype=np.int64)
     k = len(rids)
+    steps = 4 + 2 * k + c["diverged"] if k else np.full(len(frames), 3)
+    seqs = first_seq + np.cumsum(steps) - steps
     times, keys, lines = [], [], []
 
     def add(at, t, seq, record, *fields):
@@ -178,7 +184,7 @@ def rounds(c, replica_ids, frames, completions, agreements, cycles, required) ->
         keys.append(seq)
         lines.extend(map(record, t.tolist(), seq.tolist(), fr, *fields))
 
-    starts, seqs = c["starts"], c["seqs"]
+    starts = c["starts"]
     add(None, starts, seqs, release)
     if k:
         feed, comp, emit, changed = c["feed"], c["comp"], c["emit"], c["changed"]
@@ -221,7 +227,7 @@ def rounds(c, replica_ids, frames, completions, agreements, cycles, required) ->
         keys.append(end_seqs[at])
         lines.extend(round_end(int(ends[j]), int(end_seqs[j]), frames[j],
                                *_end(c, j, rids, agreements[j], required), tails[j]) for j in at)
-    return in_order(times, keys, lines)
+    return int(seqs[-1] + steps[-1]), in_order(times, keys, lines)
 
 
 def _end(c, j, rids, agreed_fields, required):

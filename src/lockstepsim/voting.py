@@ -39,10 +39,11 @@ _POLICY_RE = re.compile(r"^(\d+)oo(\d+)$")
 class VotingPolicy(Record, frozen=True):
     m: int
     n: int
+    bounds = {"m": (1, 8), "n": (1, 8)}
 
     def __post_init__(self):
-        if not (1 <= self.m <= self.n <= 8):
-            raise ConfigError(f"voting policy needs 1 <= m <= n <= 8, got {self.m}oo{self.n}")
+        if self.m > self.n:
+            raise ConfigError(f"voting policy needs m <= n, got {self.m}oo{self.n}")
 
     @property
     def required_agreement(self) -> int:
@@ -70,10 +71,7 @@ class Tolerance(Record, frozen=True):
     within eps. Reflexive and symmetric, knowingly not transitive."""
 
     eps: float
-
-    def __post_init__(self):
-        if self.eps < 0:
-            raise ConfigError("comparator eps must be non-negative")
+    bounds = {"eps": (0.0, None)}
 
 
 def agreement_labels(comparator, digests, outputs=None) -> np.ndarray:

@@ -35,6 +35,16 @@ class TestRunCommand:
         assert "run complete" in captured.err
         assert captured.out == ""
 
+    def test_run_with_splice_marker_metadata_writes_the_report(self, tmp_path):
+        raw = zero_jitter_duplex(frames=5, reps=2)
+        raw["metadata"] = {"note": "\0splice\0", "\0splice\0": 'a"\0splice0\0'}
+        cfg = write_config(tmp_path, raw)
+        out_dir = tmp_path / "r1"
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        text = (out_dir / "report.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert json.loads(text)["config"]["metadata"] == raw["metadata"]
+
     def test_run_without_config_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli_main(["run", "--out", "x"])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lockstepsim.config import config_from_dict, load_config
 from lockstepsim.errors import ConfigError, SimulationError
 from lockstepsim.eventsim import ClockDomain, cycles_to_time
-from lockstepsim.experiment import _SPLICE, run_experiment, run_to_directory, write_report
+from lockstepsim.experiment import run_experiment, run_to_directory, write_report
 from lockstepsim.faults import ExtraDelay, FaultSpec, OnFrame
 from lockstepsim.profiling import compare_runs, render_comparison_table
 from helpers import run_with_records, zero_jitter_duplex
@@ -158,18 +158,25 @@ class TestFaultScenarios:
         assert report.verdict_counts["pass"] == 4
         assert report.skew_ns["max"] == delay
 
+    @staticmethod
+    def _negative_delay():
+        """An ExtraDelay of -1 s, past the bound its constructor checks."""
+        delay = ExtraDelay(0)
+        object.__setattr__(delay, "ns", -10**9)
+        return delay
+
     def test_completion_before_its_delivery_raises(self):
         # config validation rejects a negative delay; a hand-built config
         # that carries one must still not move simulated time backwards
         cfg = config_from_dict(zero_jitter_duplex(frames=2))
-        cfg.faults = [(1, FaultSpec(ExtraDelay(-10**9)))]
+        cfg.faults = [(1, FaultSpec(self._negative_delay()))]
         with pytest.raises(SimulationError, match="replica 1, frame 0"):
             run_experiment(cfg)
 
     def test_negative_delay_names_its_replica_and_frame(self):
         # the check runs on a chunk's arrays; the first bad round is named
         cfg = config_from_dict(zero_jitter_duplex(frames=6, reps=3))
-        cfg.faults = [(0, FaultSpec(ExtraDelay(-10**9), OnFrame(4)))]
+        cfg.faults = [(0, FaultSpec(self._negative_delay(), OnFrame(4)))]
         with pytest.raises(SimulationError, match="replica 0, frame 4: delivery at 0 ns"):
             run_experiment(cfg)
 
@@ -379,6 +386,15 @@ def test_report_bytes_are_the_indent_dump(report):
     assert f.getvalue() == json.dumps(report, indent=2) + "\n"
 
 
-def test_report_holding_the_splice_marker_is_refused():
-    with pytest.raises(ValueError, match="splice marker"):
-        write_report({"config": {"metadata": {"note": _SPLICE}}, "samples": list(range(9))}, io.StringIO())
+# strings that hold the JSON text of a long list's stand-in: as a value, a
+# key and the end of a longer string, for the first stand-ins tried
+@pytest.mark.parametrize("metadata", [
+    {"note": "\0splice\0"}, {"\0splice\0": 1}, {"note": 'a"\0splice\0'},
+    {"note": "\0splice0\0"}, {"\0splice0\0": 1}, {"note": 'a"\0splice0\0'},
+    {"a": "\0splice0\0", "\0splice1\0": 'b"\0splice2\0', "c": ["\0splice3\0"] * 9},
+])
+def test_report_holding_the_splice_marker_is_the_indent_dump(metadata):
+    report = {"config": {"metadata": metadata}, "samples": list(range(9)), "more": [list(range(10))]}
+    f = io.StringIO()
+    write_report(report, f)
+    assert f.getvalue() == json.dumps(report, indent=2) + "\n"

@@ -1,16 +1,20 @@
-"""The record base class: construction, equality, hashing, immutability
-and `replace`, on the package's own records and on small local ones."""
+"""The record base class: construction, bounds, equality, hashing,
+immutability and `replace`, on the package's own records and on small
+local ones."""
 
 import pytest
 
-from lockstepsim.config import ExperimentConfig, ProfilerSettings, Workload, config_from_dict
+from lockstepsim.config import ExperimentConfig, ProfilerSettings, PtpSettings, Workload, config_from_dict
 from lockstepsim.coupling import Loose, Tight
 from lockstepsim.errors import ConfigError
-from lockstepsim.eventsim import ClockDomain
-from lockstepsim.faults import Always, DropOutput, FaultSpec, WeightBitFlip
+from lockstepsim.eventsim import ClockDomain, JitterModel
+from lockstepsim.faults import (
+    Always, DropOutput, ExtraDelay, FaultSpec, OnFrame, OutputBitFlip, WeightBitFlip, WithProbability,
+)
 from lockstepsim.fixedpoint import FixedPointTensor, tensor_digest
 from lockstepsim.record import Record
 from lockstepsim.replica import EngineConfig
+from lockstepsim.voting import Tolerance, VotingPolicy
 from helpers import zero_jitter_duplex
 
 
@@ -80,6 +84,47 @@ def test_replace_changes_fields_and_reruns_post_init():
         Tight().replace(skew_tolerance_cycles=-1)
     with pytest.raises(TypeError):
         Point(1).replace(z=1)
+
+
+@pytest.mark.parametrize("cls, kwargs, error", [
+    (ExtraDelay, {"ns": -1}, "ns: must be >= 0, got -1"),
+    (WeightBitFlip, {"layer": 0, "element_index": 0, "bit": 16}, "bit: must be <= 15, got 16"),
+    (Workload, {"frame_count": 0}, "frame_count: must be >= 1, got 0"),
+    (Workload, {"arch": (16, 1025)}, "arch[1]: must be <= 1024, got 1025"),
+    (ProfilerSettings, {"alpha": 0.6}, "alpha: must be <= 0.5, got 0.6"),
+    (Tolerance, {"eps": float("nan")}, "eps: must be >= 0.0, got nan"),
+    (JitterModel, {"spike_prob": float("nan")}, "spike_prob: must be >= 0.0, got nan"),
+    (VotingPolicy, {"m": 3, "n": 2}, "voting policy needs m <= n, got 3oo2"),
+])
+def test_constructor_refuses_a_value_out_of_bounds(cls, kwargs, error):
+    with pytest.raises(ConfigError) as exc:
+        cls(**kwargs)
+    assert exc.value.errors == [error]
+
+
+# A valid record of every class that declares bounds.
+BOUNDED = (
+    Tight(), Loose(1), Tolerance(0.5), VotingPolicy(1, 2), ClockDomain("c", 1), EngineConfig(),
+    JitterModel(), PtpSettings(), Workload(), ProfilerSettings(), WeightBitFlip(0, 0, 0),
+    OutputBitFlip(0, 0), ExtraDelay(0), OnFrame(0), WithProbability(0.5),
+)
+
+
+def test_every_class_with_bounds_is_covered():
+    assert {type(r) for r in BOUNDED} == {cls for cls in Record.__subclasses__() if cls.bounds}
+
+
+@pytest.mark.parametrize("record", BOUNDED, ids=[type(r).__name__ for r in BOUNDED])
+def test_every_bound_is_checked_on_construction(record):
+    for name, (lo, hi) in type(record).bounds.items():
+        cases = [(lo - 1, f">= {lo}")] if lo is not None else []
+        cases += [(hi + 1, f"<= {hi}")] if hi is not None else []
+        cases.append((float("nan"), cases[0][1]))  # NaN breaks the first limit checked
+        in_tuple = isinstance(getattr(record, name), tuple)  # a tuple's bound applies to each element
+        for v, rule in cases:
+            with pytest.raises(ConfigError) as exc:
+                record.replace(**{name: (1, v) if in_tuple else v})
+            assert exc.value.errors == [f"{name}{'[1]' if in_tuple else ''}: must be {rule}, got {v}"]
 
 
 def test_defaults_stay_per_class_and_metadata_is_not_shared():
