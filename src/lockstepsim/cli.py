@@ -86,7 +86,7 @@ def _load_report(path_str: str) -> dict:
         raise ConfigError([f"no report found at {p}"])
     try:
         report = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also bad UTF-8 and an integer of too many digits
         raise ConfigError([f"{p}: not valid JSON ({e})"]) from e
     # the parts compare_runs reads
     replicas = report.get("replicas") if isinstance(report, dict) else None
@@ -150,11 +150,11 @@ def _cmd_stats(args) -> int:
         print(f"no trace file at {p}", file=sys.stderr)
         return 1
     samples = {}
-    with open(p) as fp:
+    with open(p, "rb") as fp:
         for lineno, line in enumerate(fp, 1):
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
+                rec = json.loads(line.decode())
+            except ValueError as e:  # also bad UTF-8 and an integer of too many digits
                 print(f"{p}:{lineno}: not valid JSON ({e})", file=sys.stderr)
                 return 1
             if not isinstance(rec, dict):

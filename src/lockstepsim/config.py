@@ -514,6 +514,6 @@ def load_config(path, seed_override=None, env=None) -> ExperimentConfig:
         raise ConfigError([f"config file not found: {p}"])
     try:
         obj = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also bad UTF-8 and an integer of too many digits
         raise ConfigError([f"{p}: not valid JSON ({e})"]) from e
     return config_from_dict(obj, seed_override=seed_override, env=env)

@@ -63,7 +63,7 @@ def rendezvous_rounds(arrival, emitted, window_ns: int):
 
 
 def bus_traces(params, rows):
-    """The bus traces of a block of inferences on one weight set, as one
+    """The bus traces of a block of inferences on one network, as one
     uint64 row per frame: per layer L, the payload digests of its fetch,
     load and execute events (4L, 4L+1, 4L+2). `params` holds the layer
     parameter digests and `rows` the frames' digest rows (see `replica`)."""

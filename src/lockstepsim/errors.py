@@ -16,7 +16,7 @@ class ConfigError(HarnessError):
 
 
 class DimensionError(HarnessError):
-    """Tensor or layer shape mismatch."""
+    """Input shape does not match the network."""
 
 
 class ProtocolError(HarnessError):

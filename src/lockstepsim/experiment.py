@@ -85,7 +85,7 @@ from .faults import (
 from .fixedpoint import tensor_digests
 from .profiling import detect_outliers, histogram, stats, write_histogram_csv
 from .record import Record
-from .replica import HEALTHY, gen_frames, gen_weights, infer
+from .replica import HEALTHY, gen_frames, gen_weights, infer, params_digests
 from .rng import derive_seed
 from .voting import (
     DEGRADED,
@@ -198,7 +198,7 @@ class ExperimentRunner:
         self.clock_offsets = list(topo.clock_offsets_ns)
         self.ptp_corrections = [0] * n
         self._last = [None] * k             # a stuck column's last emitted (output, digest)
-        self._weights = {(): self.weights}  # weight-bit flips -> WeightSet
+        self._weights = {(): (self.weights, params_digests(self.weights))}  # flips -> (network, digests)
         self._frames = None                 # the current block of frames
         self._block = {}                    # weight-bit flips -> results on it
         self._bus = topo.bus_trace_compare and isinstance(self.coupling, Tight)
@@ -229,11 +229,12 @@ class ExperimentRunner:
         the clean weights."""
         block = self._block.get(flips)
         if block is None:
-            weights = self._weights.get(flips)
-            if weights is None:
-                weights = self._weights[flips] = flip_weight_bits(self.weights, flips)
+            if flips not in self._weights:
+                weights = flip_weight_bits(self.weights, flips)
+                self._weights[flips] = (weights, params_digests(weights))
+            weights, params = self._weights[flips]
             outs, self._cycles, rows = infer(weights, self._frames, self.engine)
-            block = self._block[flips] = (len(self._block), outs, rows, weights.params_digests)
+            block = self._block[flips] = (len(self._block), outs, rows, params)
         return block
 
     def _values(self, rows, emit, fired):

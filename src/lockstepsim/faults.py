@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fixedpoint import flip_bit
 from .record import Record
-from .replica import WeightSet
 from .rng import uniforms
 
 
@@ -84,20 +82,25 @@ def trigger_fires(trigger, frame_ids: np.ndarray, seed: int, start: int):
 VALUE_FAULTS = (WeightBitFlip, OutputBitFlip, StuckOutput)
 
 
-def flip_weight_bits(weights: WeightSet, flips) -> WeightSet:
-    """Copy of `weights` with the named weight bits XORed."""
-    layers = list(weights.layers)
+def flip_weight_bits(layers, flips) -> tuple:
+    """Copy of the network `layers` (`replica.gen_weights`) with the named
+    weight bits XORed. A flipped layer gets a new read-only weight array;
+    every other array is shared."""
+    layers = list(layers)
     for layer_idx, element_index, bit in flips:
-        layer = layers[layer_idx]
-        layers[layer_idx] = layer.replace(weights=flip_bit(layer.weights, element_index, bit))
-    return WeightSet(tuple(layers))
+        w, b = layers[layer_idx]
+        w = w.copy()
+        w.view(np.uint16).reshape(-1)[element_index] ^= 1 << bit
+        w.flags.writeable = False
+        layers[layer_idx] = (w, b)
+    return tuple(layers)
 
 
 def flip_output_bits(outputs: np.ndarray, flips, fired: np.ndarray) -> None:
     """XOR into `outputs`, an int16 array with one output per row, the bits
     of the output flips that fired in each row's round: `flips` holds the
     (element_index, bit) of each flip and `fired[:, s]` whether flip s
-    fired. Two flips of one bit cancel, as two calls of `flip_bit` do."""
+    fired. Two flips of one bit cancel."""
     bits = outputs.view(np.uint16)
     for s, (element_index, bit) in enumerate(flips):
         bits[:, element_index] ^= fired[:, s].astype(np.uint16) << np.uint16(bit)

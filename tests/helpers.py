@@ -4,6 +4,7 @@ import json
 
 from lockstepsim.config import config_from_dict
 from lockstepsim.experiment import ExperimentRunner
+from oracles import _Layer, _Tensor, _Weights
 
 
 def run_with_records(raw):
@@ -42,3 +43,17 @@ def zero_jitter_duplex(seed=1, frames=5, reps=1, window_ns=10_000_000, policy="1
         },
         "faults": list(faults),
     }
+
+
+def oracle_tensor(array):
+    """An int16 array as the oracle's tensor: its shape and its values in
+    row-major order."""
+    return _Tensor(array.shape, tuple(array.ravel().tolist()))
+
+
+def oracle_network(layers):
+    """The network `layers`, (weights, bias) array pairs, as the oracle's
+    weights: every layer but the last applies ReLU."""
+    return _Weights(tuple(
+        _Layer(oracle_tensor(w), oracle_tensor(b), "relu" if i < len(layers) - 1 else "none", *w.shape)
+        for i, (w, b) in enumerate(layers)))

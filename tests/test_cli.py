@@ -346,3 +346,22 @@ class TestStatsCommand:
         assert cli_main(["stats", "--trace", str(trace)]) == 0
         blob = json.loads(capsys.readouterr().out)
         assert (blob["3"]["n"], blob["3"]["min"], blob["3"]["max"]) == (3, -(1 << 63), (1 << 63) - 1)
+
+
+@pytest.mark.parametrize("content", [b'{"big": ' + b"9" * 5000 + b"}\n", b'{"bad": "\xff\xfe"}\n'],
+                         ids=["5000-digit-integer", "invalid-utf8"])
+@pytest.mark.parametrize("command", ["run", "compare", "stats"])
+def test_undecodable_input_exits_one_without_traceback(tmp_path, capsys, content, command):
+    # json raises a plain ValueError past 4300 digits, and reading bad UTF-8
+    # raises UnicodeDecodeError: both must read as invalid JSON
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv, where = {
+        "run": (["run", "--config", str(bad), "--out", str(tmp_path / "out")], bad),
+        "compare": (["compare", str(bad), str(bad)], bad),
+        "stats": (["stats", "--trace", str(bad)], f"{bad}:1"),
+    }[command]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{where}: not valid JSON (")

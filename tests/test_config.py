@@ -133,6 +133,9 @@ class TestErrors:
         }])
         errs = errors_of(raw)
         assert any("kind.layer" in e for e in errs)
+        # layer 1 (4 in, 3 out) has elements 0-11; only this check keeps a run's flips in range
+        raw["faults"][0]["kind"].update(layer=1, element_index=12)
+        assert errors_of(raw) == ["config.faults[0].kind.element_index: 12 out of range for layer of 12 weights"]
 
     def test_nonexistent_file(self):
         with pytest.raises(ConfigError):

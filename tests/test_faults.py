@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from helpers import run_with_records, zero_jitter_duplex
+from helpers import oracle_network, oracle_tensor, run_with_records, zero_jitter_duplex
 from lockstepsim.config import config_from_dict
 from lockstepsim.experiment import run_experiment
 from lockstepsim.faults import (
@@ -11,9 +12,8 @@ from lockstepsim.faults import (
     flip_weight_bits,
     trigger_fires,
 )
-from lockstepsim.fixedpoint import FixedPointTensor, flip_bit
-from lockstepsim.replica import EngineConfig, LayerSpec, WeightSet, gen_frame, gen_weights, infer
-from oracles import Rng
+from lockstepsim.replica import EngineConfig, gen_frame, gen_weights, infer, params_digests
+from oracles import Rng, _flip_bit, _flip_weight_bits, _Tensor, infer_reference
 
 
 def test_output_bit_flip_xor_semantics():
@@ -22,16 +22,15 @@ def test_output_bit_flip_xor_semantics():
     assert out.tolist() == [[257, -128], [256, -128]]
 
 
-def test_output_flips_match_flip_bit():
+def test_output_flips_match_the_scalar_flip():
     # the sign bit, a bit flipped twice (which cancels) and two elements
     flips = [(1, 15), (0, 3), (1, 15), (2, 0)]
-    tensor = FixedPointTensor((3,), (-5, 300, 32767))
-    want = tensor
+    want = _Tensor((3,), (-5, 300, 32767))
     for element_index, bit in flips:
-        want = flip_bit(want, element_index, bit)
-    out = tensor.data.reshape(1, 3).copy()
+        want = _flip_bit(want, element_index, bit)
+    out = np.array([[-5, 300, 32767]], dtype=np.int16)
     flip_output_bits(out, flips, np.ones((1, 4), dtype=bool))
-    assert out[0].tolist() == want.data.tolist()
+    assert out[0].tolist() == list(want.data)
 
 
 def test_extra_delay_accumulates():
@@ -90,49 +89,45 @@ def test_probabilistic_trigger_is_the_scalar_stream():
     assert fired.tolist() == scalar[200:] and used == 100
 
 
-def test_weight_flip_changes_one_bit():
-    ws = gen_weights(5, [3, 2])
-    flipped = flip_weight_bits(ws, [(0, 1, 4)])
-    assert flipped.params_digests[0] != ws.params_digests[0]
-    orig = ws.layers[0].weights.data.tolist()
-    new = flipped.layers[0].weights.data.tolist()
-    diffs = [(i, a ^ b) for i, (a, b) in enumerate(zip(orig, new)) if a != b]
-    assert len(diffs) == 1
-    assert diffs[0][0] == 1
-    assert (diffs[0][1] & 0xFFFF) == 1 << 4
-    # bias untouched
-    assert flipped.layers[0].bias == ws.layers[0].bias
-
-
 def test_probabilistic_trigger_rate_roughly_matches():
     fired, _ = trigger_fires(WithProbability(0.25), np.arange(20000), 99, 0)
     assert abs(fired.mean() - 0.25) < 0.02
 
 
-def test_weight_flip_rebuilds_only_the_flipped_layer():
+def test_weight_flip_changes_one_bit_and_shares_the_rest():
     ws = gen_weights(5, [6, 5, 4])
-    engine = EngineConfig()
-    frame = gen_frame(5, 0, (6,))
-    before = infer(ws, frame, engine)  # fills every cache of the original
     element, bit = 14, 13  # changes output 2 from 32767 to 25018
-
     flipped = flip_weight_bits(ws, [(1, element, bit)])
-    assert flipped.layers[0] is ws.layers[0]
+    assert params_digests(flipped)[1] != params_digests(ws)[1]
+    old, new = ws[1][0].view(np.uint16).ravel(), flipped[1][0].view(np.uint16).ravel()
+    assert np.flatnonzero(old != new).tolist() == [element] and old[element] ^ new[element] == 1 << bit
+    # the bias and the unflipped layer are the original arrays
+    assert flipped[1][1] is ws[1][1]
+    assert flipped[0][0] is ws[0][0] and flipped[0][1] is ws[0][1]
+    frame = gen_frame(5, 0, (6,))
+    engine = EngineConfig()
+    out = infer(flipped, frame, engine)[0]
+    want = infer_reference(_flip_weight_bits(oracle_network(ws), [(1, element, bit)]), oracle_tensor(frame[0]))
+    assert out[0].tolist() == want
+    assert out[0, 2] == 25018 and infer(ws, frame, engine)[0][0, 2] == 32767
 
-    old = ws.layers[1]
-    scratch = WeightSet((
-        LayerSpec(
-            FixedPointTensor(ws.layers[0].weights.shape, ws.layers[0].weights.data),
-            FixedPointTensor(ws.layers[0].bias.shape, ws.layers[0].bias.data),
-            ws.layers[0].activation,
-        ),
-        LayerSpec(
-            FixedPointTensor(old.weights.shape, flip_bit(old.weights, element, bit).data),
-            FixedPointTensor(old.bias.shape, old.bias.data),
-            old.activation,
-        ),
-    ))
-    result = infer(flipped, frame, engine)
-    assert result == infer(scratch, frame, engine)
-    assert result[0] != before[0]
-    assert infer(ws, frame, engine) == before
+
+def test_weight_flips_of_one_layer_compose():
+    # two bits of one element and one of another; a bit flipped twice cancels
+    ws = gen_weights(5, [6, 5, 4])
+    flipped = flip_weight_bits(ws, [(1, 3, 0), (1, 3, 15), (1, 9, 2), (1, 9, 2)])
+    want = _flip_weight_bits(oracle_network(ws), [(1, 3, 0), (1, 3, 15)]).layers[1].weights
+    assert flipped[1][0].ravel().tolist() == list(want.data)
+    assert flip_weight_bits(ws, [(0, 7, 4), (0, 7, 4)])[0][0].tolist() == ws[0][0].tolist()
+
+
+def test_every_weight_array_refuses_writes():
+    # flip_weight_bits shares the arrays it does not flip between every flip
+    # set, so one write in place would change all of them
+    ws = gen_weights(5, [6, 5, 4])
+    flipped = flip_weight_bits(ws, [(1, 14, 13), (1, 3, 0), (0, 2, 15)])
+    for array in [a for pair in ws + flipped for a in pair]:
+        with pytest.raises(ValueError):
+            array[0] = 1
+        with pytest.raises(ValueError):
+            array.reshape(-1)[-1] = 1

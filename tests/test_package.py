@@ -1,10 +1,16 @@
 """The package's top-level surface: the names its callers import."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import lockstepsim
+from helpers import run_with_records
+
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
 # The benchmark's child process calls load_config, ExperimentRunner,
 # run_experiment, run_to_directory, infer, gen_weights and gen_frame.
@@ -44,6 +50,23 @@ def test_the_benchmark_calls_resolve():
     for name in BENCHMARK_CALLS:
         assert name in lockstepsim.__all__, name
         assert callable(getattr(lockstepsim, name)), name
+
+
+def test_the_benchmark_cycle_call_chains_on_a_shipped_config():
+    # perfbench/bench_child.py's sim_cycles, word for word
+    ls = lockstepsim
+    cfg, _, records = run_with_records(json.loads((CONFIG_DIR / "tight-baseline.json").read_text()))
+    wl = cfg.workload
+    cycles = ls.infer(ls.gen_weights(0, wl.arch), ls.gen_frame(0, 0, wl.input_shape),
+                      cfg.topology.engine)[1]
+    assert {r["compute_cycles"] for r in records if r["kind"] == "completion"} == {cycles}
+
+
+def test_gen_frame_is_the_one_frame_block_of_gen_frames():
+    frames = lockstepsim.replica.gen_frames(3, range(5), (2, 3))
+    for f in range(5):
+        block = lockstepsim.gen_frame(3, f, (2, 3))
+        assert block.shape == (1, 2, 3) and np.array_equal(block[0], frames[f])
 
 
 def test_import_leaves_out_dataclasses_and_copy():

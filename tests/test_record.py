@@ -11,7 +11,6 @@ from lockstepsim.eventsim import ClockDomain, JitterModel
 from lockstepsim.faults import (
     Always, DropOutput, ExtraDelay, FaultSpec, OnFrame, OutputBitFlip, WeightBitFlip, WithProbability,
 )
-from lockstepsim.fixedpoint import FixedPointTensor, tensor_digest
 from lockstepsim.record import Record
 from lockstepsim.replica import EngineConfig
 from lockstepsim.voting import Tolerance, VotingPolicy
@@ -136,14 +135,3 @@ def test_defaults_stay_per_class_and_metadata_is_not_shared():
     b = ExperimentConfig(cfg.seed, cfg.topology, cfg.workload, [], cfg.profiler)
     a.metadata["k"] = 1
     assert b.metadata == {} and a.metadata == {"k": 1}
-
-
-def test_a_class_keeps_its_own_eq_hash_and_cached_digest():
-    a = FixedPointTensor((2,), [1, 2])
-    b = FixedPointTensor((2,), [1, 2])
-    digest = tensor_digest(a)
-    assert "_digest" in vars(a) and "_digest" not in vars(b)
-    assert a == b and hash(a) == hash(b)
-    assert tensor_digest(b) == digest
-    with pytest.raises(AttributeError):
-        a.shape = (1,)

@@ -3,50 +3,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import oracle_network, oracle_tensor
 from lockstepsim.errors import ConfigError, DimensionError
-from lockstepsim.fixedpoint import FixedPointTensor, combine_digests, tensor_digest
+from lockstepsim.fixedpoint import combine_digests, tensor_digest
 from lockstepsim.replica import (
-    LINEAR,
-    RELU,
     WEIGHT_CLAMP,
     EngineConfig,
-    LayerSpec,
-    WeightSet,
     gen_frame,
     gen_frames,
     gen_weights,
     infer,
     layer_costs,
+    params_digests,
 )
 from oracles import _gen_frame, _gen_weights, _infer, infer_reference
 
 ENGINE = EngineConfig()
 
 
-def single_layer(weight_rows, bias, activation=LINEAR):
-    out_w = len(weight_rows)
-    in_w = len(weight_rows[0])
-    flat = tuple(v for row in weight_rows for v in row)
-    return WeightSet(
-        (
-            LayerSpec(
-                weights=FixedPointTensor((out_w, in_w), flat),
-                bias=FixedPointTensor((out_w,), tuple(bias)),
-                activation=activation,
-            ),
-        )
-    )
+def layer(weight_rows, bias):
+    return np.array(weight_rows, dtype=np.int16), np.array(bias, dtype=np.int16)
+
+
+def identity(width):
+    """A last layer that passes its input through unchanged."""
+    return layer(np.eye(width, dtype=np.int16) * 256, [0] * width)
+
+
+def frame(*values):
+    """A one-frame block."""
+    return np.array([values], dtype=np.int16)
 
 
 def test_gen_weights_deterministic():
     a = gen_weights(11, [3, 5, 2])
     b = gen_weights(11, [3, 5, 2])
-    assert a == b
-    assert a.params_digests == b.params_digests
+    assert all(np.array_equal(x, y) for la, lb in zip(a, b) for x, y in zip(la, lb))
+    assert params_digests(a) == params_digests(b)
 
 
 def test_gen_weights_seeds_differ():
-    assert gen_weights(1, [2, 2]).params_digests != gen_weights(2, [2, 2]).params_digests
+    assert params_digests(gen_weights(1, [2, 2])) != params_digests(gen_weights(2, [2, 2]))
 
 
 def test_gen_weights_validates_arch():
@@ -60,65 +57,57 @@ def test_gen_weights_validates_arch():
         gen_weights(1, [2, 2000])
 
 
-def test_gen_weights_range_and_activations():
+def test_gen_weights_range_and_shapes():
     ws = gen_weights(3, [4, 6, 5, 2])
-    for layer in ws.layers:
-        for v in layer.weights.data.tolist() + layer.bias.data.tolist():
+    assert [(w.shape, b.shape) for w, b in ws] == [((6, 4), (6,)), ((5, 6), (5,)), ((2, 5), (2,))]
+    for w, b in ws:
+        assert w.dtype == b.dtype == np.int16
+        for v in w.ravel().tolist() + b.tolist():
             assert -WEIGHT_CLAMP <= v <= WEIGHT_CLAMP
-    assert [l.activation for l in ws.layers] == [RELU, RELU, LINEAR]
 
 
 def test_gen_frame_deterministic_and_bounded():
     a = gen_frame(5, 3, (4,))
-    b = gen_frame(5, 3, (4,))
-    assert a == b
-    assert gen_frame(5, 4, (4,)) != a
-    assert all(-256 <= v <= 256 for v in a.data)
+    assert a.shape == (1, 4) and a.dtype == np.int16
+    assert np.array_equal(gen_frame(5, 3, (4,)), a)
+    assert not np.array_equal(gen_frame(5, 4, (4,)), a)
+    assert all(-256 <= v <= 256 for v in a.ravel().tolist())
 
 
 def test_infer_identity():
-    ws = single_layer([[256, 0], [0, 256]], [0, 0])
-    out, _, _ = infer(ws, FixedPointTensor((2,), (256, -128)), ENGINE)
-    assert out.data.tolist() == [256, -128]
+    out, _, _ = infer((identity(2),), frame(256, -128), ENGINE)
+    assert out.tolist() == [[256, -128]]
 
 
 def test_infer_half_sum_relu():
     # 0.5*1.0 + 0.5*1.0 == 1.0 exactly after the rounding shift
-    ws = single_layer([[128, 128]], [0], activation=RELU)
-    out, _, _ = infer(ws, FixedPointTensor((2,), (256, 256)), ENGINE)
-    assert out.data.tolist() == [256,]
+    ws = (layer([[128, 128]], [0]), identity(1))
+    out, _, _ = infer(ws, frame(256, 256), ENGINE)
+    assert out.tolist() == [[256]]
 
 
 def test_round_half_to_even():
-    # acc = 128 -> 0.5 rounds to even 0; acc = 384 -> 1.5 rounds to even 2
-    ws = single_layer([[1]], [0])
-    out, _, _ = infer(ws, FixedPointTensor((1,), (128,)), ENGINE)
-    assert out.data.tolist() == [0,]
-    ws = single_layer([[3]], [0])
-    out, _, _ = infer(ws, FixedPointTensor((1,), (128,)), ENGINE)
-    assert out.data.tolist() == [2,]
+    # acc = 128 -> 0.5 rounds to even 0; acc = 384 -> 1.5 rounds to even 2;
     # negative side: acc = -128 -> -0.5 rounds to 0; acc = -384 -> -1.5 to -2
-    ws = single_layer([[-1]], [0])
-    out, _, _ = infer(ws, FixedPointTensor((1,), (128,)), ENGINE)
-    assert out.data.tolist() == [0,]
-    ws = single_layer([[-3]], [0])
-    out, _, _ = infer(ws, FixedPointTensor((1,), (128,)), ENGINE)
-    assert out.data.tolist() == [-2,]
+    for w, want in ((1, 0), (3, 2), (-1, 0), (-3, -2)):
+        out, _, _ = infer((layer([[w]], [0]),), frame(128), ENGINE)
+        assert out.tolist() == [[want]], w
 
 
 def test_relu_clamps_negatives():
-    ws = single_layer([[-256]], [0], activation=RELU)
-    out, _, _ = infer(ws, FixedPointTensor((1,), (256,)), ENGINE)
-    assert out.data.tolist() == [0,]
+    # the hidden layer applies ReLU, the last one does not
+    ws = (layer([[-256]], [0]), identity(1))
+    out, _, _ = infer(ws, frame(256), ENGINE)
+    assert out.tolist() == [[0]]
+    out, _, _ = infer(ws[:1], frame(256), ENGINE)
+    assert out.tolist() == [[-256]]
 
 
 def test_saturation_no_wrap():
-    ws = single_layer([[32767, 32767]], [32767])
-    out, _, _ = infer(ws, FixedPointTensor((2,), (32767, 32767)), ENGINE)
-    assert out.data.tolist() == [32767,]
-    ws = single_layer([[-32768, -32768]], [-32768])
-    out, _, _ = infer(ws, FixedPointTensor((2,), (32767, 32767)), ENGINE)
-    assert out.data.tolist() == [-32768,]
+    out, _, _ = infer((layer([[32767, 32767]], [32767]),), frame(32767, 32767), ENGINE)
+    assert out.tolist() == [[32767]]
+    out, _, _ = infer((layer([[-32768, -32768]], [-32768]),), frame(32767, 32767), ENGINE)
+    assert out.tolist() == [[-32768]]
 
 
 def test_accumulator_bound_for_supported_sizes():
@@ -127,48 +116,38 @@ def test_accumulator_bound_for_supported_sizes():
 
 
 def test_infer_shape_mismatch():
-    ws = single_layer([[256, 0]], [0])
     with pytest.raises(DimensionError):
-        infer(ws, FixedPointTensor((3,), (1, 2, 3)), ENGINE)
+        infer((layer([[256, 0]], [0]),), frame(1, 2, 3), ENGINE)
 
 
 def test_infer_bit_identical_across_calls():
     ws = gen_weights(21, [6, 5, 3])
-    frame = gen_frame(21, 0, (6,))
-    r1 = infer(ws, frame, ENGINE)
-    r2 = infer(ws, frame, ENGINE)
-    assert r1 == r2
+    x = gen_frame(21, 0, (6,))
+    (o1, c1, r1), (o2, c2, r2) = infer(ws, x, ENGINE), infer(ws, x, ENGINE)
+    assert np.array_equal(o1, o2) and c1 == c2 and np.array_equal(r1, r2)
 
 
 def test_cycle_accounting_and_trace_layout():
     engine = EngineConfig(cycles_per_mac=2, cycles_per_load=3, cycles_per_store=5,
                           pipeline_startup_cycles=7)
-    ws = single_layer([[256, 0]], [0])
-    macs, loads, stores = layer_costs(ws.layers[0])
+    ws = (layer([[256, 0]], [0]),)
+    macs, loads, stores = layer_costs(ws[0][0])
     assert (macs, loads, stores) == (2, 2 + 2 + 1, 1)
-    x = FixedPointTensor((2,), (10, 20))
-    out, cycles, (params, row) = infer(ws, x, engine)
+    x = frame(10, 20)
+    out, cycles, rows = infer(ws, x, engine)
     assert cycles == 7 + macs * 2 + loads * 3 + stores * 5
     # fetch reads the parameters, load the input, execute and store the output
-    assert params == (combine_digests(tensor_digest(ws.layers[0].weights), tensor_digest(ws.layers[0].bias)),)
-    assert row == (tensor_digest(x), tensor_digest(out))
+    assert params_digests(ws) == (combine_digests(tensor_digest(ws[0][0]), tensor_digest(ws[0][1])),)
+    assert rows.tolist() == [[tensor_digest(x[0]), tensor_digest(out[0])]]
 
 
 def test_trace_row_has_every_layer_output():
     ws = gen_weights(4, [3, 4, 2])
     x = gen_frame(4, 0, (3,))
-    out, _, (params, row) = infer(ws, x, ENGINE)
-    hidden, _, _ = infer(WeightSet(ws.layers[:1]), x, ENGINE)
-    assert params == ws.params_digests and len(params) == 2
-    assert row == (tensor_digest(x), tensor_digest(hidden), tensor_digest(out))
-
-
-def test_weight_set_validation():
-    good = gen_weights(1, [2, 3, 2])
-    with pytest.raises(DimensionError):
-        WeightSet((good.layers[1], good.layers[1]))  # 2-wide feeding 3-wide
-    with pytest.raises(DimensionError):
-        WeightSet(())
+    out, _, rows = infer(ws, x, ENGINE)
+    hidden, _, _ = infer((ws[0], identity(4)), x, ENGINE)
+    assert len(params_digests(ws)) == 2
+    assert rows.tolist() == [[tensor_digest(x[0]), tensor_digest(hidden[0]), tensor_digest(out[0])]]
 
 
 @given(st.data())
@@ -178,22 +157,14 @@ def test_infer_matches_bigint_reference(data):
     hidden = data.draw(st.integers(1, 5))
     out_w = data.draw(st.integers(1, 4))
     elems = st.integers(-32768, 32767)
-    layers = []
-    for (a, b, act) in ((in_w, hidden, RELU), (hidden, out_w, LINEAR)):
+    ws = []
+    for a, b in ((in_w, hidden), (hidden, out_w)):
         w = data.draw(st.lists(elems, min_size=a * b, max_size=a * b))
         bias = data.draw(st.lists(elems, min_size=b, max_size=b))
-        layers.append(
-            LayerSpec(
-                weights=FixedPointTensor((b, a), tuple(w)),
-                bias=FixedPointTensor((b,), tuple(bias)),
-                activation=act,
-            )
-        )
-    ws = WeightSet(tuple(layers))
-    x = data.draw(st.lists(elems, min_size=in_w, max_size=in_w))
-    tensor = FixedPointTensor((in_w,), tuple(x))
-    out, _, _ = infer(ws, tensor, ENGINE)
-    assert list(out.data) == infer_reference(ws, tensor)
+        ws.append((np.array(w, dtype=np.int16).reshape(b, a), np.array(bias, dtype=np.int16)))
+    x = np.array([data.draw(st.lists(elems, min_size=in_w, max_size=in_w))], dtype=np.int16)
+    out, _, _ = infer(tuple(ws), x, ENGINE)
+    assert out[0].tolist() == infer_reference(oracle_network(ws), oracle_tensor(x[0]))
 
 
 def test_block_infer_equals_reference_on_saturating_and_relu_cases():
@@ -202,27 +173,25 @@ def test_block_infer_equals_reference_on_saturating_and_relu_cases():
     elems = [32767, -32768, 256, -256, 3, -3, 0, 128]
     w0 = [[elems[(i * 3 + j) % 8] for j in range(4)] for i in range(5)]
     w1 = [[elems[(i + 5 * j) % 8] for j in range(5)] for i in range(3)]
-    ws = WeightSet((
-        single_layer(w0, [32767, -32768, 0, 5, -5], activation=RELU).layers[0],
-        single_layer(w1, [-32768, 32767, 1]).layers[0],
-    ))
+    ws = (layer(w0, [32767, -32768, 0, 5, -5]), layer(w1, [-32768, 32767, 1]))
     frames = np.array([[elems[(f + k) % 8] for k in range(4)] for f in range(8)]
                       + [[32767] * 4, [-32768] * 4], dtype=np.int16).reshape(10, 2, 2)
     outs, cycles, rows = infer(ws, frames, ENGINE)
     assert outs.dtype == np.int16 and outs.shape == (10, 3)
-    relu = WeightSet(ws.layers[:1])
+    relu = (ws[0], identity(5))
     hidden, _, _ = infer(relu, frames, ENGINE)
+    params = params_digests(ws)
     for f in range(10):
-        x = FixedPointTensor((2, 2), frames[f])
-        assert outs[f].tolist() == infer_reference(ws, x)
-        assert hidden[f].tolist() == infer_reference(relu, x)
-        out, one_cycles, (params, row) = infer(ws, x, ENGINE)
-        assert (one_cycles, row) == (cycles, tuple(rows[f].tolist()))
+        x = oracle_tensor(frames[f])
+        assert outs[f].tolist() == infer_reference(oracle_network(ws), x)
+        assert hidden[f].tolist() == infer_reference(oracle_network(relu), x)
+        _, one_cycles, one_rows = infer(ws, frames[f:f + 1], ENGINE)
+        assert (one_cycles, one_rows.tolist()) == (cycles, [rows[f].tolist()])
         # the frozen event-by-event trace: fetch, load, execute per layer
-        _, ref_cycles, events = _infer(ws, x, ENGINE)
+        _, ref_cycles, events = _infer(oracle_network(ws), x, ENGINE)
         assert ref_cycles == cycles
         assert params == (events[0].payload_digest, events[4].payload_digest)
-        assert row == tuple(events[i].payload_digest for i in (1, 2, 6))
+        assert rows[f].tolist() == [events[i].payload_digest for i in (1, 2, 6)]
     assert {32767, -32768} <= set(outs.ravel().tolist())
     assert {0, 32767} <= set(hidden.ravel().tolist())
 
@@ -232,8 +201,7 @@ def test_frame_and_weight_synthesis_match_the_scalar_draws():
     assert frames.dtype == np.int16 and frames.shape == (4, 2, 3)
     for k, f in enumerate(range(3, 7)):
         assert frames[k].ravel().tolist() == list(_gen_frame(9, f, (2, 3)).data)
-        assert gen_frame(9, f, (2, 3)) == FixedPointTensor((2, 3), frames[k])
     seed = 2**64 - 5  # the stream's counter wraps past 2**64
-    for layer, ref in zip(gen_weights(seed, [4, 3, 2]).layers, _gen_weights(seed, [4, 3, 2]).layers):
-        assert layer.weights.data.tolist() == list(ref.weights.data)
-        assert layer.bias.data.tolist() == list(ref.bias.data)
+    for (w, b), ref in zip(gen_weights(seed, [4, 3, 2]), _gen_weights(seed, [4, 3, 2]).layers):
+        assert w.shape == ref.weights.shape and w.ravel().tolist() == list(ref.weights.data)
+        assert b.tolist() == list(ref.bias.data)
