@@ -91,16 +91,16 @@ def _load_report(path_str: str) -> dict:
     # the parts compare_runs reads
     replicas = report.get("replicas") if isinstance(report, dict) else None
     if not isinstance(replicas, list) or not all(
-        isinstance(r, dict) and isinstance(r.get("replica_id"), int)
+        isinstance(r, dict) and type(r.get("replica_id")) is int
         and isinstance(r.get("samples"), list)
         and all(type(x) is int and -(1 << 63) <= x < 1 << 63 for x in r["samples"])  # as `stats` takes
         and isinstance(r.get("stats"), (dict, type(None)))
         and (r.get("outliers") is None
              or isinstance(r["outliers"], dict) and isinstance(r["outliers"].get("indices", []), list))
         for r in replicas
-    ):
+    ) or len({r["replica_id"] for r in replicas}) < len(replicas):
         raise ConfigError([f"{p}: not a report: expected an object whose replicas each have "
-                           "an integer replica_id and a list of int64 samples"])
+                           "a unique integer replica_id and a list of int64 samples"])
     return report
 
 

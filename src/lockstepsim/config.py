@@ -12,9 +12,8 @@ annotated `int`, `float` (any finite JSON number, kept as a float), `bool`
 or `tuple` (a non-empty JSON list of integers), each checked against the
 class's `bounds` (see `record`); the parser sets any other, such as a
 clock's `id`. A field's default is its class-level value, else it is
-required; in `_DEFAULT_OVERRIDES`, a config's engine starts its pipeline
-at 64 cycles, a bare `EngineConfig()` at 0. `_parse(cls, obj, path,
-errors)` builds any such class and `_dump(obj)` writes it back.
+required. `_parse(cls, obj, path, errors)` builds any such class and
+`_dump(obj)` writes it back.
 
 A tagged object is a `(tag key, {tag value: class})` pair: the tag's value
 picks the class, and the dump writes the tag first. There are four: the
@@ -106,14 +105,17 @@ class Workload(Record):
 ALPHA_BOUNDS = (1e-9, 0.5)
 
 
+# The most histogram bins a config may ask for: every bin is a row of the
+# report and of the CSV, and 10**9 of them would take gigabytes.
+MAX_BIN_COUNT = 10_000
+
+
 class ProfilerSettings(Record):
     bin_count: int = 50
     outlier_threshold: float = 3.5
     alpha: float = 0.01
-    bounds = {"bin_count": (1, None), "outlier_threshold": (0.0, None), "alpha": ALPHA_BOUNDS}
+    bounds = {"bin_count": (1, MAX_BIN_COUNT), "outlier_threshold": (0.0, None), "alpha": ALPHA_BOUNDS}
 
-
-_DEFAULT_OVERRIDES = {(EngineConfig, "pipeline_startup_cycles"): 64}
 
 _COUPLING = ("mode", {"tight": Tight, "loose": Loose})
 _COMPARATOR = ("kind", {"exact": Exact, "tolerance": Tolerance})
@@ -261,8 +263,7 @@ def _parse(cls, obj, path, errors, **fixed):
         return None
     count = len(errors)
     vals = {
-        name: _get(obj, name, typ, path, errors,
-                   _DEFAULT_OVERRIDES.get((cls, name), getattr(cls, name, _REQUIRED)), cls.bounds.get(name))
+        name: _get(obj, name, typ, path, errors, getattr(cls, name, _REQUIRED), cls.bounds.get(name))
         for name, typ in fields
     }
     if len(errors) > count:

@@ -41,12 +41,12 @@ clock and the delays that fired. A drop fault masks the output. Then:
   (`voting.safety_scan`, its state carried across chunks) and the report's
   counts.
 
-Trace records are totally ordered by (t_ns, seq). Rounds are written
-`WRITE_ROUNDS` at a time by `trace.rounds`, which lays out their seqs and
-builds each kind of record from columns by its record function, ordered by
-one `lexsort` on (t_ns, seq). The tails that clean outputs share, the
-completion's and the pass verdict's, are formatted once per frame of the
-block.
+With a trace writer, each chunk hands its columns to `trace.rounds`: the
+frame ids, repetitions, clean digest and class of each round, the arrays
+above, the compute cycles, the healthy ids and the required agreement.
+The trace format is `trace`'s alone: it lays out the seqs and writes the
+records in (t_ns, seq) order. The runner keeps only the running seq, which
+the PTP records (`trace.ptp`) also take.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from __future__ import annotations
 import json
 import math
 from functools import reduce
-from itertools import count as naturals, repeat
+from itertools import count as naturals
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +85,7 @@ from .faults import (
 from .fixedpoint import tensor_digests
 from .profiling import detect_outliers, histogram, stats, write_histogram_csv
 from .record import Record
-from .replica import HEALTHY, gen_frames, gen_weights, infer, params_digests
+from .replica import HEALTHY, compute_cycles, gen_frames, gen_weights, infer, params_digests
 from .rng import derive_seed
 from .voting import (
     DEGRADED,
@@ -105,9 +105,6 @@ BLOCK_FRAMES = 256
 # The rounds whose draws and times are one set of arrays: enough to amortize
 # NumPy's per-call cost, few enough that the arrays stay small.
 ROUND_CHUNK = 512
-# Rounds are written in pieces of at most this many rounds, which caps the
-# trace text held at once.
-WRITE_ROUNDS = 64
 
 # Simulated time stays below 2**62 ns (146 years), so int64 holds every time.
 TIME_LIMIT_NS = 1 << 62
@@ -172,6 +169,7 @@ class ExperimentRunner:
         self.seq = 0
 
         self.weights = gen_weights(derive_seed(config.seed, "weights"), config.workload.arch)
+        self._cycles = compute_cycles(self.weights, self.engine)
         n = topo.replica_count
         self.healthy_ids = [rid for rid in range(n) if topo.health[rid] == HEALTHY]
         k = len(self.healthy_ids)
@@ -233,7 +231,7 @@ class ExperimentRunner:
                 weights = flip_weight_bits(self.weights, flips)
                 self._weights[flips] = (weights, params_digests(weights))
             weights, params = self._weights[flips]
-            outs, self._cycles, rows = infer(weights, self._frames, self.engine)
+            outs, _, rows = infer(weights, self._frames, self.engine)
             block = self._block[flips] = (len(self._block), outs, rows, params)
         return block
 
@@ -419,22 +417,14 @@ class ExperimentRunner:
         if self._write is None:
             return
 
-        chunk = dict(
-            rows=rows, reps=(lo + np.arange(n)) % reps, starts=starts, durations=durations,
+        self.seq = trace.rounds(self._write, self.seq, dict(
+            frame_ids=first + rows, reps=(lo + np.arange(n)) % reps, clean=clean,
+            classes=self._result(())[1][rows].argmax(axis=1), starts=starts, durations=durations,
             feed=feed, comp=comp, emit=emit, present=present, complete=complete, skew=skew,
             verdict=verdict, labels=labels, best=best, agreed=agreed, voted=voted,
             digests=digests, outputs=outputs, changed=changed, other=other, index=index, diverged=diverged,
             action=action, counts=counts, safe=safe,
-        )
-        required = self.topology.policy.required_agreement
-        for a in range(0, n, WRITE_ROUNDS):
-            c = {name: None if v is None else v[a:a + WRITE_ROUNDS] for name, v in chunk.items()}
-            piece = c["rows"].tolist()
-            frames = list(map(trace.frame, [first + r for r in piece], c["reps"].tolist()))
-            self.seq, text = trace.rounds(
-                c, self.seq, self.healthy_ids, frames, list(map(self._completion_tails.__getitem__, piece)),
-                list(map(self._agreed_tails.__getitem__, piece)), self._cycles, required)
-            self._write(text)
+        ), self.healthy_ids, self._cycles, self.topology.policy.required_agreement)
 
     # -- clock sync ------------------------------------------------------
 
@@ -462,19 +452,12 @@ class ExperimentRunner:
             self._sync_clocks()
         # what the checker adds to a completion time to get its arrival time
         self._corr = [self.clock_offsets[rid] - self.ptp_corrections[rid] for rid in self.healthy_ids]
+        self._check_time_limit()
         reps = wl.repetitions_per_frame
         for first in range(0, wl.frame_count, BLOCK_FRAMES):
             count = min(BLOCK_FRAMES, wl.frame_count - first)
             self._frames = gen_frames(self.cfg.seed, range(first, first + count), wl.input_shape)
             self._block = {}
-            _, outs, rows, _ = self._result(())
-            # the trace tails of each frame's clean output
-            digests = rows[:, -1].tolist()
-            self._completion_tails = list(map(trace.completion_fields, repeat(self._cycles), digests,
-                                              outs.argmax(axis=1).tolist()))
-            self._agreed_tails = list(map(trace.agreed, repeat(trace.ids(self.healthy_ids)), digests))
-            if first == 0:
-                self._check_time_limit()
             for lo in range(0, count * reps, ROUND_CHUNK):
                 self._run_chunk(first, lo, min(lo + ROUND_CHUNK, count * reps))
         return self._build_report()

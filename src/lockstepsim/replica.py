@@ -61,7 +61,7 @@ class EngineConfig(Record, frozen=True):
     cycles_per_mac: int = 1
     cycles_per_load: int = 1
     cycles_per_store: int = 1
-    pipeline_startup_cycles: int = 0
+    pipeline_startup_cycles: int = 64
     bounds = {"cycles_per_mac": (1, None), "cycles_per_load": (1, None), "cycles_per_store": (1, None),
               "pipeline_startup_cycles": (0, None)}
 
@@ -125,14 +125,20 @@ def layer_costs(weights: np.ndarray) -> tuple:
     return macs, in_w + macs + out_w, out_w
 
 
+def compute_cycles(layers, engine: EngineConfig) -> int:
+    """The compute cycles of one inference of the network `layers`:
+    pipeline_startup + sum over layers of macs*cycles_per_mac +
+    loads*cycles_per_load + stores*cycles_per_store."""
+    return engine.pipeline_startup_cycles + sum(
+        macs * engine.cycles_per_mac + loads * engine.cycles_per_load + stores * engine.cycles_per_store
+        for macs, loads, stores in (layer_costs(w) for w, _ in layers))
+
+
 def infer(layers, frames: np.ndarray, engine: EngineConfig):
     """Run the network `layers` on a block of frames, an int16 array holding
     one frame per index of axis 0. Returns (int16 outputs, compute_cycles,
-    uint64 digest rows), with one output row and one digest row per frame.
-
-    compute_cycles = pipeline_startup + sum over layers of
-    macs*cycles_per_mac + loads*cycles_per_load + stores*cycles_per_store,
-    the same for every frame.
+    uint64 digest rows), with one output row and one digest row per frame;
+    every frame takes `compute_cycles(layers, engine)`.
     """
     shape = frames.shape[1:]
     in_w = layers[0][0].shape[1]
@@ -140,7 +146,6 @@ def infer(layers, frames: np.ndarray, engine: EngineConfig):
         raise DimensionError(f"input has {math.prod(shape)} elements, network expects {in_w}")
     x = frames.reshape(len(frames), -1)
     rows = [tensor_digests(shape, x)]
-    cycles = engine.pipeline_startup_cycles
     for i, (w, b) in enumerate(layers):
         acc = np.matmul(x, w.T, dtype=np.int64)
         acc += b.astype(np.int64) << FRAC_BITS
@@ -150,7 +155,4 @@ def infer(layers, frames: np.ndarray, engine: EngineConfig):
             np.maximum(y, 0, out=y)
         x = y.astype(np.int16)
         rows.append(tensor_digests(b.shape, x))
-        macs, loads, stores = layer_costs(w)
-        cycles += (macs * engine.cycles_per_mac + loads * engine.cycles_per_load
-                   + stores * engine.cycles_per_store)
-    return x, cycles, np.stack(rows, axis=1)
+    return x, compute_cycles(layers, engine), np.stack(rows, axis=1)

@@ -1,30 +1,34 @@
-"""trace.jsonl lines: one record function per record kind.
+"""trace.jsonl: the one writer of a run's rounds, and its record functions.
 
 A record function is a single f-string. It takes t_ns, seq, the round's
-frame fields (`frame`, formatted once per round) and the record's remaining
-fields in order, and gives exactly the bytes of
-`json.dumps(record, separators=(",", ":"))` and a newline. Fields that vary
-by outcome come as one text: a completion's tail (`completion_fields`), a
-rendezvous outcome (`complete_fields`, `timeout_fields`), a verdict's
-fields after its variant (`agreed`, `groups`, `missing`, `reason`) and a
-safety action's tail (`safety_fields`), so the runner formats a shared tail
-once. The records that end a round share its record time and take
-consecutive seqs: `pass_end` writes those of a pass round without a bus
-divergence, and `round_end` those of any round. `rounds` builds the records
-of a run of rounds a kind at a time, from columns, and `in_order` gives
-their text in (t_ns, seq) order.
+frame fields (`frame`) and the record's remaining fields in order, and
+gives exactly the bytes of `json.dumps(record, separators=(",", ":"))` and
+a newline. Fields that vary by outcome come as one text: a completion's
+tail (`completion_fields`), a verdict's fields after its variant (`agreed`,
+`groups`, `missing`, `reason`) and a safety action's tail
+(`safety_fields`). A verdict and the safety action after it share a time
+and take consecutive seqs, so `verdict_and_safety` writes both.
+
+`rounds` is the one writer of the runner's rounds: it takes a chunk's
+columns, formats the clean output's tails once per frame, and writes the
+text `WRITE_ROUNDS` rounds at a time. For each piece it lays out the seqs,
+builds each kind of record from columns for the rounds that a mask flags,
+and orders the text by (t_ns, seq) (`in_order`).
 """
 
 from __future__ import annotations
 
 import json
-from itertools import repeat
 
 import numpy as np
 
 from .voting import ACTIONS, MISMATCH, OPERATIONAL, PASS, SAFE_OFF, TIMEOUT, VERDICTS
 
 _PASS, _MISMATCH, _TIMEOUT = VERDICTS.index(PASS), VERDICTS.index(MISMATCH), VERDICTS.index(TIMEOUT)
+
+# Rounds are written in pieces of at most this many rounds, which caps the
+# trace text held at once.
+WRITE_ROUNDS = 128
 
 
 def frame(frame_id, repetition):
@@ -48,17 +52,14 @@ def completion(t, seq, fr, replica_id, turnaround_ns, fields):
             f'"turnaround_ns":{turnaround_ns}{fields}}}\n')
 
 
-def complete_fields(skew_ns):
-    return f',"outcome":"complete","skew_ns":{skew_ns}'
+def complete(t, seq, fr, skew_ns):
+    return f'{{"t_ns":{t},"seq":{seq},"kind":"rendezvous",{fr},"outcome":"complete","skew_ns":{skew_ns}}}\n'
 
 
-def timeout_fields(present_ids, missing_ids):
-    """A timeout's fields; the ids are `ids` text."""
-    return f',"outcome":"timeout","present_ids":{present_ids},"missing_ids":{missing_ids}'
-
-
-def rendezvous(t, seq, fr, outcome):
-    return f'{{"t_ns":{t},"seq":{seq},"kind":"rendezvous",{fr}{outcome}}}\n'
+def timeout(t, seq, fr, present_ids, missing_ids):
+    """A timed-out rendezvous; the ids are `ids` text."""
+    return (f'{{"t_ns":{t},"seq":{seq},"kind":"rendezvous",{fr},"outcome":"timeout",'
+            f'"present_ids":{present_ids},"missing_ids":{missing_ids}}}\n')
 
 
 def divergence(t, seq, fr, replica_a, replica_b, event_index):
@@ -66,28 +67,19 @@ def divergence(t, seq, fr, replica_a, replica_b, event_index):
             f'"replica_b":{replica_b},"event_index":{event_index},"reason":"payload digest mismatch"}}\n')
 
 
-def verdict(t, seq, fr, variant, fields):
-    return f'{{"t_ns":{t},"seq":{seq},"kind":"verdict",{fr},"variant":"{variant}"{fields}}}\n'
-
-
 def safety_fields(state, action, consecutive_faults):
     return f',"state":"{state}","action":"{action}","consecutive_faults":{consecutive_faults}'
 
 
-def safety(t, seq, fr, fields):
-    return f'{{"t_ns":{t},"seq":{seq},"kind":"safety_action",{fr}{fields}}}\n'
+def verdict_and_safety(t, seq, fr, variant, fields, safety_tail):
+    """The verdict at seq and the safety action at seq + 1."""
+    return (f'{{"t_ns":{t},"seq":{seq},"kind":"verdict",{fr},"variant":"{variant}"{fields}}}\n'
+            f'{{"t_ns":{t},"seq":{seq + 1},"kind":"safety_action",{fr}{safety_tail}}}\n')
 
 
 def ptp(t, seq, replica_id, offset_ns, path_delay_ns):
     return (f'{{"t_ns":{t},"seq":{seq},"kind":"ptp","replica_id":{replica_id},'
             f'"offset_ns":{offset_ns},"path_delay_ns":{path_delay_ns}}}\n')
-
-
-def pass_end(t, seq, fr, skew_ns, agreed_fields, safety_tail):
-    """The rendezvous, verdict and safety action records of a pass round."""
-    return (f'{{"t_ns":{t},"seq":{seq},"kind":"rendezvous",{fr},"outcome":"complete","skew_ns":{skew_ns}}}\n'
-            f'{{"t_ns":{t},"seq":{seq + 1},"kind":"verdict",{fr},"variant":"pass"{agreed_fields}}}\n'
-            f'{{"t_ns":{t},"seq":{seq + 2},"kind":"safety_action",{fr}{safety_tail}}}\n')
 
 
 def ids(values) -> str:
@@ -115,22 +107,6 @@ def reason(text):
     return f',"reason":{json.dumps(text)}'
 
 
-def round_end(t, seq, fr, outcome, divergence_fields, variant, fields, safety_tail):
-    """The records that end a round, at its record time from seq on: the
-    rendezvous with its `outcome` fields (none when None), the bus
-    divergence with its (replica_a, replica_b, event_index) (none when
-    None), the verdict with its variant and `fields`, and the safety
-    action."""
-    text = ""
-    if outcome is not None:
-        text = rendezvous(t, seq, fr, outcome)
-        seq += 1
-    if divergence_fields is not None:
-        text += divergence(t, seq, fr, *divergence_fields)
-        seq += 1
-    return text + verdict(t, seq, fr, variant, fields) + safety(t, seq + 1, fr, safety_tail)
-
-
 def in_order(times, seqs, lines) -> str:
     """Text of `lines` in (t_ns, seq) order. `times` and `seqs` hold the
     records' keys, as int64 arrays whose concatenation lines up with
@@ -139,50 +115,81 @@ def in_order(times, seqs, lines) -> str:
     return "".join(map(lines.__getitem__, order.tolist()))
 
 
-def rounds(c, first_seq, replica_ids, frames, completions, agreements, cycles, required):
-    """(the seq after the last round, the text in (t_ns, seq) order) of the
-    records of a run of rounds whose first takes seq `first_seq`.
+def _ids_of(flags, replica_ids) -> list:
+    """Per row of the bool (rounds, replicas) `flags`, the `ids` text of
+    the replica ids it flags, formatted once per distinct row."""
+    codes = (flags << np.arange(len(replica_ids))).sum(axis=1).tolist()
+    text = {code: ids([r for b, r in enumerate(replica_ids) if code >> b & 1]) for code in set(codes)}
+    return list(map(text.__getitem__, codes))
 
-    `c` holds each column the runner keeps, with one row per round and, in
-    the two-axis ones, one column per healthy replica in `replica_ids`:
-    starts, durations; feed, comp, emit (each delivery and completion time
-    after the release, whether emitted); present, complete, skew (the
-    rendezvous); verdict (an index in `VERDICTS`); labels, best, voted,
-    agreed (the agreement groups, the winning group, whether the round was
-    grouped, the agreed digest); diverged, other, index (the bus divergence:
-    with which column, at which event); action, counts, safe (the safety
-    switch after the round). When no value fault can fire, changed, digests
-    and outputs are None; else they flag and hold each output that a value
-    fault changed. Per round, `frames` holds the frame fields, `completions`
-    the clean output's `completion_fields` and `agreements` the clean pass
-    verdict's `agreed` fields; `cycles` is an inference's compute cycles and
-    `required` the policy's required agreement.
+
+def rounds(write, first_seq, c, replica_ids, cycles, required) -> int:
+    """Write the records of a chunk of rounds, whose first takes seq
+    `first_seq`, with `write`; return the seq after its last round.
+
+    `c` holds the runner's columns, with one row per round and, in the
+    two-axis ones, one column per healthy replica in `replica_ids`:
+    frame_ids, reps (the round's repetition), clean and classes (the clean
+    output's digest and classification); starts, durations; feed, comp,
+    emit (each delivery and completion time after the release, whether
+    emitted); present, complete, skew (the rendezvous); verdict (an index
+    in `VERDICTS`); labels, best, voted, agreed (the agreement groups, the
+    winning group, whether the round was grouped, the agreed digest);
+    diverged, other, index (the bus divergence: with which column, at which
+    event); action, counts, safe (the safety switch after the round). When
+    no value fault can fire, changed, digests and outputs are None; else
+    they flag and hold each output that a value fault changed. `cycles` is
+    an inference's compute cycles and `required` the policy's required
+    agreement.
 
     Each round takes seqs in this order: the input release; one delivery
     per healthy replica in replica order; one completion per delivery, in
     (time, seq) order of the deliveries (a dropped output takes its seq but
     writes no record); then, at the record time, the rendezvous, any bus
-    divergence, the verdict and the safety action (`pass_end` or
-    `round_end`). With no healthy replica a round takes 3 seqs.
+    divergence, the verdict and the safety action. With no healthy replica
+    a round takes 3 seqs.
     """
-    rids = np.array(replica_ids, dtype=np.int64)
-    k = len(rids)
-    steps = 4 + 2 * k + c["diverged"] if k else np.full(len(frames), 3)
-    seqs = first_seq + np.cumsum(steps) - steps
+    fids = c["frame_ids"]
+    frames = list(map(frame, fids.tolist(), c["reps"].tolist()))
+    # the clean output's tails, formatted once per frame
+    new = np.ones(len(fids), dtype=bool)
+    new[1:] = fids[1:] != fids[:-1]
+    digests, of = c["clean"][new].tolist(), (np.cumsum(new) - 1).tolist()
+    completions = list(map(completion_fields, [cycles] * len(digests), digests, c["classes"][new].tolist()))
+    agreements = list(map(agreed, [ids(replica_ids)] * len(digests), digests))
+    completions, agreements = list(map(completions.__getitem__, of)), list(map(agreements.__getitem__, of))
+    for a in range(0, len(fids), WRITE_ROUNDS):
+        b = a + WRITE_ROUNDS
+        piece = {name: None if v is None else v[a:b] for name, v in c.items()}
+        first_seq, text = _piece(piece, first_seq, replica_ids, frames[a:b], completions[a:b], agreements[a:b],
+                                 cycles, required)
+        write(text)
+    return first_seq
+
+
+def _piece(c, first_seq, replica_ids, frames, completions, agreements, cycles, required):
+    """(the seq after the last round, the text in (t_ns, seq) order) of a
+    piece of `rounds`; per round, `frames`, `completions` and `agreements`
+    hold its frame fields and its clean output's completion and pass
+    verdict fields."""
+    n, k = len(frames), len(replica_ids)
+    steps = 4 + 2 * k + c["diverged"] if k else np.full(n, 3)
+    nexts = first_seq + np.cumsum(steps)  # each round's last seq + 1
+    seqs = nexts - steps
     times, keys, lines = [], [], []
 
-    def add(at, t, seq, record, *fields):
-        """The records of the rounds `at` (all when None), each from its
-        time, seq, frame fields and `fields`: a list with one entry per
-        round, or an iterator."""
-        fr = frames
-        if at is not None:
-            at = at.tolist()
-            t, seq = t[at], seq[at]
-            fr, *fields = ([f[j] for j in at] if isinstance(f, list) else f for f in (fr, *fields))
+    def add(mask, t, seq, record, *fields):
+        """The records of the rounds that the bool `mask` flags (every round
+        when None), each from its time, seq, frame fields and `fields`:
+        columns with one entry per round, lists or arrays."""
+        cols = (frames, *fields)
+        if mask is not None and not mask.all():
+            at = np.flatnonzero(mask)
+            t, seq, rows = t[at], seq[at], at.tolist()
+            cols = [[f[j] for j in rows] if isinstance(f, list) else f[at] for f in cols]
         times.append(t)
         keys.append(seq)
-        lines.extend(map(record, t.tolist(), seq.tolist(), fr, *fields))
+        lines.extend(map(record, t.tolist(), seq.tolist(), *(f if isinstance(f, list) else f.tolist() for f in cols)))
 
     starts = c["starts"]
     add(None, starts, seqs, release)
@@ -190,67 +197,59 @@ def rounds(c, first_seq, replica_ids, frames, completions, agreements, cycles, r
         feed, comp, emit, changed = c["feed"], c["comp"], c["emit"], c["changed"]
         # a completion's seq follows the (time, replica) order of the
         # deliveries, which is replica order when all come at the release
-        completion_seqs = seqs[:, None] + (1 + k + np.arange(k))
+        completion_seqs = seqs[:, None] + np.arange(1 + k, 1 + 2 * k)
         if feed.any():
             order = np.argsort(feed, axis=1, kind="stable")
             np.put_along_axis(completion_seqs, order, completion_seqs.copy(), axis=1)
         for i, rid in enumerate(replica_ids):
-            add(None, starts + feed[:, i], seqs + 1 + i, delivery, repeat(rid), feed[:, i].tolist())
+            add(None, starts + feed[:, i], seqs + (1 + i), delivery, [rid] * n, feed[:, i])
             tails = completions
             if changed is not None and changed[:, i].any():
                 tails = completions.copy()
-                for j in np.flatnonzero(changed[:, i]).tolist():
-                    tails[j] = completion_fields(
-                        cycles, int(c["digests"][j, i]), int(c["outputs"][j, i].argmax()))
-            add(None if emit[:, i].all() else np.flatnonzero(emit[:, i]), starts + comp[:, i],
-                completion_seqs[:, i], completion, repeat(rid), comp[:, i].tolist(), tails)
+                at = np.flatnonzero(changed[:, i]).tolist()
+                for j, text in zip(at, map(completion_fields, [cycles] * len(at), c["digests"][at, i].tolist(),
+                                           c["outputs"][at, i].argmax(axis=1).tolist())):
+                    tails[j] = text
+            add(emit[:, i], starts + comp[:, i], completion_seqs[:, i], completion, [rid] * n, comp[:, i], tails)
 
-    # the records that end each round
-    verdict, action, counts, safe = c["verdict"], c["action"], c["counts"], c["safe"]
-    ends, end_seqs = starts + c["durations"], seqs + 1 + 2 * k
+    # the records that end each round, at its record time: the rendezvous,
+    # any bus divergence, then the verdict and the safety action at the
+    # round's last two seqs
+    ends, verdict, diverged, fields = starts + c["durations"], c["verdict"], c["diverged"], agreements
+    if c["voted"].any():
+        at = np.flatnonzero(c["voted"] & (verdict == _PASS)).tolist()
+        agreeing = _ids_of(c["labels"][at] == c["best"][at, None], replica_ids)
+        for j, text in zip(at, map(agreed, agreeing, c["agreed"][at].tolist())):
+            fields[j] = text
+    if k:
+        done, rendezvous_seqs = c["complete"], seqs + (1 + 2 * k)
+        add(done, ends, rendezvous_seqs, complete, c["skew"])
+        if not done.all():
+            present, gone = _ids_of(c["present"], replica_ids), _ids_of(~c["present"], replica_ids)
+            add(~done, ends, rendezvous_seqs, timeout, present, gone)
+        if diverged.any():
+            rids = np.array(replica_ids)
+            add(diverged, ends, rendezvous_seqs + 1, divergence, rids[c["emit"].argmax(axis=1)], rids[c["other"]],
+                c["index"])
+    # the text of each non-pass verdict
+    failed = np.flatnonzero(verdict != _PASS).tolist()
+    if failed:
+        degraded = reason(f"{k} output(s) cannot reach {required}-way agreement" if k else "no healthy replicas")
+    for j in failed:
+        v = verdict[j]
+        if v == _MISMATCH:
+            labels = c["labels"][j]
+            fields[j] = groups([[r for r, g in zip(replica_ids, labels.tolist()) if g == group]
+                                for group in range(labels.max() + 1)])
+        else:
+            fields[j] = missing(gone[j]) if v == _TIMEOUT else degraded
+
+    action, counts, safe = c["action"], c["counts"], c["safe"]
     if (action == action[0]).all() and (counts == counts[0]).all() and (safe == safe[0]).all():
-        tails = [safety_fields(SAFE_OFF if safe[0] else OPERATIONAL, ACTIONS[action[0]], int(counts[0]))]
-        tails *= len(frames)
+        tails = [safety_fields(SAFE_OFF if safe[0] else OPERATIONAL, ACTIONS[action[0]], int(counts[0]))] * n
     else:
         states = [SAFE_OFF if off else OPERATIONAL for off in safe.tolist()]
         tails = list(map(safety_fields, states, map(ACTIONS.__getitem__, action.tolist()), counts.tolist()))
-    if c["voted"].any():
-        agreements = agreements.copy()
-        for j in np.flatnonzero(c["voted"] & (verdict == _PASS)).tolist():
-            agreements[j] = agreed(ids(rids[c["labels"][j] == c["best"][j]].tolist()), int(c["agreed"][j]))
-    plain = (verdict == _PASS) & ~c["diverged"]
-    add(None if plain.all() else np.flatnonzero(plain), ends, end_seqs, pass_end,
-        c["skew"].tolist(), agreements, tails)
-    at = np.flatnonzero(~plain).tolist()
-    if at:
-        times.append(ends[at])
-        keys.append(end_seqs[at])
-        lines.extend(round_end(int(ends[j]), int(end_seqs[j]), frames[j],
-                               *_end(c, j, rids, agreements[j], required), tails[j]) for j in at)
-    return int(seqs[-1] + steps[-1]), in_order(times, keys, lines)
-
-
-def _end(c, j, rids, agreed_fields, required):
-    """(outcome, divergence, variant, fields) of round j, as `round_end`
-    takes them; `agreed_fields` are its verdict's fields if it passed."""
-    outcome = divergence = None
-    if len(rids):
-        present = c["present"][j]
-        gone = ids(rids[~present].tolist())
-        outcome = (complete_fields(int(c["skew"][j])) if c["complete"][j]
-                   else timeout_fields(ids(rids[present].tolist()), gone))
-    if c["diverged"][j]:
-        divergence = (int(rids[c["emit"][j].argmax()]), int(rids[c["other"][j]]), int(c["index"][j]))
-    v = int(c["verdict"][j])
-    if v == _PASS:
-        fields = agreed_fields
-    elif v == _MISMATCH:
-        labels = c["labels"][j]
-        fields = groups([rids[labels == g].tolist() for g in range(labels.max() + 1)])
-    elif v == _TIMEOUT:
-        fields = missing(gone)
-    else:
-        fields = reason(f"{len(rids)} output(s) cannot reach {required}-way agreement"
-                        if len(rids) else "no healthy replicas")
-    return outcome, divergence, VERDICTS[v], fields
-
+    add(None, ends, nexts - 2, verdict_and_safety, list(map(VERDICTS.__getitem__, verdict.tolist())),
+        fields, tails)
+    return int(nexts[-1]), in_order(times, keys, lines)

@@ -9,7 +9,7 @@ import pytest
 
 import lockstepsim
 from lockstepsim.cli import agreement_patterns, cli_main
-from lockstepsim.config import SEED_ENV_VAR
+from lockstepsim.config import MAX_BIN_COUNT, SEED_ENV_VAR
 from helpers import zero_jitter_duplex
 from oracles import vote_oracle_exact
 
@@ -158,6 +158,17 @@ class TestRunCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"{out}: ")
 
+    def test_bin_count_past_its_maximum_exit_one(self, tmp_path, capsys):
+        # 10**30 once reached np.bincount and ended in a TypeError
+        raw = zero_jitter_duplex(frames=2)
+        raw["profiler"] = {"bin_count": 10**30}
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config.profiler.bin_count: must be <= {MAX_BIN_COUNT}, got {10**30}" in captured.err
+        assert not out.exists()
+
 
 class TestCompareCommand:
     def test_compare_self_and_written_json(self, tmp_path, capsys):
@@ -220,6 +231,8 @@ class TestCompareCommand:
         '{"replicas": [{"replica_id": 0, "samples": [Infinity, 1, 2, 3]}]}',
         '{"replicas": [{"replica_id": 0, "samples": [true, 1, 2, 3]}]}',
         '{"replicas": [{"replica_id": 0, "samples": [9223372036854775808, 1, 2, 3]}]}',
+        '{"replicas": [{"replica_id": true, "samples": [1, 2, 3, 4]}]}',
+        '{"replicas": [{"replica_id": 0, "samples": [1, 2, 3, 4]}, {"replica_id": 0, "samples": [5, 6, 7, 8]}]}',
     ])
     def test_compare_report_of_wrong_shape_exit_one(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from lockstepsim.config import (
+    MAX_BIN_COUNT,
     SEED_ENV_VAR,
     config_from_dict,
     load_config,
@@ -307,7 +308,7 @@ BOUNDED_FIELDS = (
     ("config.faults[2].kind.ns", 0, None),
     ("config.faults[1].trigger.frame_id", 0, None),
     ("config.faults[2].trigger.p", 0.0, 1.0),
-    ("config.profiler.bin_count", 1, None),
+    ("config.profiler.bin_count", 1, MAX_BIN_COUNT),
     ("config.profiler.outlier_threshold", 0.0, None),
     ("config.profiler.alpha", 1e-9, 0.5),
 )

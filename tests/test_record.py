@@ -128,7 +128,7 @@ def test_every_bound_is_checked_on_construction(record):
 
 def test_defaults_stay_per_class_and_metadata_is_not_shared():
     assert Box().items is None and Point(1).y == 0
-    assert EngineConfig().pipeline_startup_cycles == 0
+    assert EngineConfig().pipeline_startup_cycles == 64
     assert config_from_dict(zero_jitter_duplex(), env={}).topology.engine.pipeline_startup_cycles == 64
     cfg = config_from_dict(zero_jitter_duplex(), env={})
     a = ExperimentConfig(cfg.seed, cfg.topology, cfg.workload, [], cfg.profiler)

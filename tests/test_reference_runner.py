@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lockstepsim import experiment
+from lockstepsim import experiment, trace
 from lockstepsim.config import config_from_dict
 from lockstepsim.experiment import REPORT_FILENAME, TRACE_FILENAME, run_to_directory
 from oracles import run_reference
@@ -188,7 +188,7 @@ def test_tiny_chunks_and_blocks_match_the_reference(tmp_path_factory, chunk, raw
     # output's last value and seq all carry across chunks.
     with mock.patch.object(experiment, "ROUND_CHUNK", chunk), \
             mock.patch.object(experiment, "BLOCK_FRAMES", 2), \
-            mock.patch.object(experiment, "WRITE_ROUNDS", 2):
+            mock.patch.object(trace, "WRITE_ROUNDS", 2):
         assert_matches_reference(raw, tmp_path_factory.mktemp("run"))
 
 

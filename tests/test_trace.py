@@ -1,12 +1,17 @@
-"""Each trace record function against `json.dumps` of the record it writes."""
+"""Each trace record function against `json.dumps` of the record it writes,
+and the round writer's pieces."""
 
 import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import zero_jitter_duplex
 from lockstepsim import trace
+from lockstepsim.config import config_from_dict
+from lockstepsim.experiment import ExperimentRunner
 from lockstepsim.voting import (
     DELIVER_OUTPUT,
     ENTER_SAFE_OFF,
@@ -65,7 +70,7 @@ def test_completion(t, seq, frame_id, rep, rid, turnaround, cycles, digest, cls)
 @settings(max_examples=100, deadline=None)
 def test_complete(t, seq, frame_id, rep, skew):
     want = {**head(t, seq, "rendezvous", frame_id, rep), "outcome": "complete", "skew_ns": skew}
-    assert trace.rendezvous(t, seq, trace.frame(frame_id, rep), trace.complete_fields(skew)) == line(want)
+    assert trace.complete(t, seq, trace.frame(frame_id, rep), skew) == line(want)
 
 
 @given(times, seqs, small, small, id_lists, id_lists)
@@ -73,9 +78,7 @@ def test_complete(t, seq, frame_id, rep, skew):
 def test_timeout(t, seq, frame_id, rep, present, missing):
     want = {**head(t, seq, "rendezvous", frame_id, rep), "outcome": "timeout",
             "present_ids": present, "missing_ids": missing}
-    got = trace.rendezvous(t, seq, trace.frame(frame_id, rep),
-                           trace.timeout_fields(trace.ids(present), trace.ids(missing)))
-    assert got == line(want)
+    assert trace.timeout(t, seq, trace.frame(frame_id, rep), trace.ids(present), trace.ids(missing)) == line(want)
 
 
 @given(times, seqs, small, small, st.integers(0, 7), st.integers(0, 7), small)
@@ -95,20 +98,16 @@ verdicts = st.one_of(
 )
 
 
-@given(times, seqs, small, small, verdicts)
+@given(times, seqs, small, small, verdicts, states, actions, small)
 @settings(max_examples=200, deadline=None)
-def test_verdict(t, seq, frame_id, rep, verdict_and_fields):
+def test_verdict_and_safety(t, seq, frame_id, rep, verdict_and_fields, state, action, count):
     variant, fields, want_fields = verdict_and_fields
-    want = {**head(t, seq, "verdict", frame_id, rep), "variant": variant, **want_fields}
-    assert trace.verdict(t, seq, trace.frame(frame_id, rep), variant, fields) == line(want)
-
-
-@given(times, seqs, small, small, states, actions, small)
-@settings(max_examples=100, deadline=None)
-def test_safety(t, seq, frame_id, rep, state, action, count):
-    want = {**head(t, seq, "safety_action", frame_id, rep), "state": state, "action": action,
-            "consecutive_faults": count}
-    assert trace.safety(t, seq, trace.frame(frame_id, rep), trace.safety_fields(state, action, count)) == line(want)
+    verdict = {**head(t, seq, "verdict", frame_id, rep), "variant": variant, **want_fields}
+    safety = {**head(t, seq + 1, "safety_action", frame_id, rep), "state": state, "action": action,
+              "consecutive_faults": count}
+    got = trace.verdict_and_safety(t, seq, trace.frame(frame_id, rep), variant, fields,
+                                   trace.safety_fields(state, action, count))
+    assert got == line(verdict) + line(safety)
 
 
 @given(times, seqs, st.integers(0, 7), signed, signed)
@@ -118,39 +117,18 @@ def test_ptp(t, seq, rid, offset, delay):
     assert trace.ptp(t, seq, rid, offset, delay) == line(want)
 
 
-@given(times, seqs, small, small, signed, id_lists, digests, states, actions, small)
-@settings(max_examples=100, deadline=None)
-def test_pass_end_is_the_three_end_records(t, seq, frame_id, rep, skew, ids, digest, state, action, count):
-    fr = trace.frame(frame_id, rep)
-    agreed = trace.agreed(trace.ids(ids), digest)
-    tail = trace.safety_fields(state, action, count)
-    want = (trace.rendezvous(t, seq, fr, trace.complete_fields(skew)) + trace.verdict(t, seq + 1, fr, "pass", agreed)
-            + trace.safety(t, seq + 2, fr, tail))
-    assert trace.pass_end(t, seq, fr, skew, agreed, tail) == want
-    assert trace.round_end(t, seq, fr, trace.complete_fields(skew), None, "pass", agreed, tail) == want
-
-
-outcomes = st.none() | st.builds(trace.complete_fields, signed) | st.builds(
-    lambda present, missing: trace.timeout_fields(trace.ids(present), trace.ids(missing)), id_lists, id_lists)
-divergences = st.none() | st.tuples(st.integers(0, 7), st.integers(0, 7), small)
-
-
-@given(times, seqs, small, small, outcomes, divergences, verdicts, states, actions, small)
-@settings(max_examples=100, deadline=None)
-def test_round_end_writes_each_record_it_is_given(t, seq, frame_id, rep, outcome, div, verdict_and_fields,
-                                                  state, action, count):
-    fr = trace.frame(frame_id, rep)
-    variant, fields, _ = verdict_and_fields
-    tail = trace.safety_fields(state, action, count)
-    want, at = "", seq
-    if outcome is not None:
-        want, at = trace.rendezvous(t, at, fr, outcome), at + 1
-    if div is not None:
-        want, at = want + trace.divergence(t, at, fr, *div), at + 1
-    want += trace.verdict(t, at, fr, variant, fields) + trace.safety(t, at + 1, fr, tail)
-    assert trace.round_end(t, seq, fr, outcome, div, variant, fields, tail) == want
-
-
 def test_in_order_sorts_by_time_then_seq():
     times, seqs = [np.array([5, 1]), np.array([5, 1])], [np.array([0, 9]), np.array([2, 3])]
     assert trace.in_order(times, seqs, ["a", "b", "c", "d"]) == "dbac"
+
+
+def test_rounds_writes_whole_rounds_a_piece_at_a_time():
+    cfg = config_from_dict(zero_jitter_duplex(frames=5, reps=2))
+    whole, pieces = [], []
+    ExperimentRunner(cfg, whole.append).run()
+    with mock.patch.object(trace, "WRITE_ROUNDS", 3):
+        ExperimentRunner(cfg, pieces.append).run()
+    assert "".join(pieces) == "".join(whole) and len(whole) == 1
+    releases = [text.count('"kind":"input_release"') for text in pieces]
+    assert releases == [3, 3, 3, 1]
+    assert all('"kind":"safety_action"' in text.splitlines()[-1] for text in pieces)
