@@ -86,7 +86,7 @@ def _load_report(path_str: str) -> dict:
         raise ConfigError([f"no report found at {p}"])
     try:
         report = json.loads(p.read_text())
-    except ValueError as e:  # also bad UTF-8 and an integer of too many digits
+    except (ValueError, RecursionError) as e:  # also bad UTF-8, too many digits and too deep nesting
         raise ConfigError([f"{p}: not valid JSON ({e})"]) from e
     # the parts compare_runs reads
     replicas = report.get("replicas") if isinstance(report, dict) else None
@@ -154,7 +154,7 @@ def _cmd_stats(args) -> int:
         for lineno, line in enumerate(fp, 1):
             try:
                 rec = json.loads(line.decode())
-            except ValueError as e:  # also bad UTF-8 and an integer of too many digits
+            except (ValueError, RecursionError) as e:  # also bad UTF-8, too many digits and too deep nesting
                 print(f"{p}:{lineno}: not valid JSON ({e})", file=sys.stderr)
                 return 1
             if not isinstance(rec, dict):

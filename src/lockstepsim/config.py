@@ -10,10 +10,9 @@ expanded ExperimentConfig (presets resolved, defaults filled), and its
 A flat config class's JSON fields, in JSON key order, are its fields
 annotated `int`, `float` (any finite JSON number, kept as a float), `bool`
 or `tuple` (a non-empty JSON list of integers), each checked against the
-class's `bounds` (see `record`); the parser sets any other, such as a
-clock's `id`. A field's default is its class-level value, else it is
-required. `_parse(cls, obj, path, errors)` builds any such class and
-`_dump(obj)` writes it back.
+class's `bounds` (see `record`). A field's default is its class-level
+value, else it is required. `_parse(cls, obj, path, errors)` builds any
+such class and `_dump(obj)` writes it back.
 
 A tagged object is a `(tag key, {tag value: class})` pair: the tag's value
 picks the class, and the dump writes the tag first. There are four: the
@@ -24,7 +23,8 @@ Checks across fields stay hand-written: the replica count against the
 policy and per-replica lists, tight coupling against the shared clock and
 bus compare, `clock` against `clocks`, health, clock offsets, the PTP
 forward delay, and the input shape and fault indices against the workload.
-`metadata` is any JSON object whose numbers are all finite.
+`metadata` is any JSON object whose numbers are all finite, nested at
+most `METADATA_DEPTH` deep.
 
 Seed priority: explicit override (CLI flag) > config file > the
 LOCKSTEP_SEED environment variable.
@@ -47,6 +47,7 @@ from .rng import MASK64
 from .voting import Exact, Tolerance, VotingPolicy
 
 SEED_ENV_VAR = "LOCKSTEP_SEED"
+METADATA_DEPTH = 64  # objects and lists nested in `metadata`: the report writer recurses over them
 
 # Presets list only what differs from the defaults.
 _PRESETS = {
@@ -254,10 +255,9 @@ def _get(obj, key, typ, path, errors, default=_REQUIRED, bound=None):
     return default
 
 
-def _parse(cls, obj, path, errors, **fixed):
-    """A `cls` built from the JSON object `obj` by its JSON fields (plus
-    `fixed` fields that are not in the JSON), or None after recording
-    every problem."""
+def _parse(cls, obj, path, errors):
+    """A `cls` built from the JSON object `obj` by its JSON fields, or None
+    after recording every problem."""
     fields = _json_fields(cls)
     if not _check_keys(obj, [name for name, _ in fields], path, errors):
         return None
@@ -269,7 +269,7 @@ def _parse(cls, obj, path, errors, **fixed):
     if len(errors) > count:
         return None
     try:
-        return cls(**vals, **fixed)
+        return cls(**vals)
     except ConfigError as e:
         errors.append(f"{path}: {e}")
         return None
@@ -347,17 +347,11 @@ def _parse_topology(raw, path, errors) -> Topology:
         if not isinstance(raw_clocks, list) or len(raw_clocks) != count:
             errors.append(f"{path}.clocks: expected a list of {count} clock objects")
         else:
-            clocks = [
-                _parse(ClockDomain, c, f"{path}.clocks[{i}]", errors, id=f"replica{i}")
-                for i, c in enumerate(raw_clocks)
-            ]
+            clocks = [_parse(ClockDomain, c, f"{path}.clocks[{i}]", errors) for i, c in enumerate(raw_clocks)]
             if shared and len({(c.freq_hz, c.drift_ppm) for c in clocks if c}) > 1:
                 errors.append(f"{path}.clocks: shared_clock requires identical clock parameters")
     else:
-        clock_raw = raw.get("clock", {"freq_hz": 1_000_000_000})
-        one = _parse(ClockDomain, clock_raw, f"{path}.clock", errors, id="shared" if shared else "replica")
-        if one is not None:
-            clocks = [one] * count if shared else [one.replace(id=f"replica{i}") for i in range(count)]
+        clocks = [_parse(ClockDomain, raw.get("clock", {"freq_hz": 1_000_000_000}), f"{path}.clock", errors)] * count
 
     engine = _parse(EngineConfig, raw.get("engine", {}), f"{path}.engine", errors)
     feed = _parse_jitter(raw, "feed_jitter", path, errors, count)
@@ -441,13 +435,16 @@ def _parse_fault(raw, path, errors, replica_count, workload):
     return (rid, flt.FaultSpec(kind, trigger))
 
 
-def _check_finite(node, path, errors):
-    """Record each NaN or +-Infinity under the JSON value `node`, with its path."""
+def _check_finite(node, path, errors, depth=METADATA_DEPTH):
+    """Record each NaN or +-Infinity under the JSON value `node`, and an
+    object or list nested more than `depth` deep, with its path."""
     if isinstance(node, float) and not math.isfinite(node):
         errors.append(f"{path}: must be finite, got {node}")
+    elif isinstance(node, (dict, list)) and not depth:
+        errors.append(f"{path}: nested deeper than {METADATA_DEPTH} objects and lists")
     elif isinstance(node, (dict, list)):
         for key, v in node.items() if isinstance(node, dict) else enumerate(node):
-            _check_finite(v, f"{path}.{key}" if isinstance(node, dict) else f"{path}[{key}]", errors)
+            _check_finite(v, f"{path}.{key}" if isinstance(node, dict) else f"{path}[{key}]", errors, depth - 1)
 
 
 _TOP_LEVEL_KEYS = {"seed", "topology", "workload", "faults", "profiler", "metadata"}
@@ -515,6 +512,6 @@ def load_config(path, seed_override=None, env=None) -> ExperimentConfig:
         raise ConfigError([f"config file not found: {p}"])
     try:
         obj = json.loads(p.read_text())
-    except ValueError as e:  # also bad UTF-8 and an integer of too many digits
+    except (ValueError, RecursionError) as e:  # also bad UTF-8, too many digits and too deep nesting
         raise ConfigError([f"{p}: not valid JSON ({e})"]) from e
     return config_from_dict(obj, seed_override=seed_override, env=env)

@@ -29,7 +29,6 @@ _PPM = 10**6
 class ClockDomain(Record, frozen=True):
     """A clock with nominal frequency and a fixed drift in parts per million."""
 
-    id: str
     freq_hz: int
     drift_ppm: int = 0
     bounds = {"freq_hz": (1, None), "drift_ppm": (1 - _PPM, None)}  # the effective frequency stays positive

@@ -52,7 +52,6 @@ the PTP records (`trace.ptp`) also take.
 from __future__ import annotations
 
 import json
-import math
 from functools import reduce
 from itertools import count as naturals
 from pathlib import Path
@@ -110,11 +109,14 @@ ROUND_CHUNK = 512
 TIME_LIMIT_NS = 1 << 62
 
 _PASS, _DEGRADED = VERDICTS.index(PASS), VERDICTS.index(DEGRADED)
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 class ExperimentReport(Record):
     """The contents of report.json: the fields are its keys after
-    `"schema_version": 1`, in file order, and every value is already JSON.
+    `"schema_version": 1`, in file order. Every value is already JSON but
+    the samples, an int64 array in memory and a list in `to_json_dict()`
+    and in the file.
 
     config          the expanded config, `ExperimentConfig.to_json_dict()`
     replicas        one row per replica, in replica order: replica_id;
@@ -147,8 +149,12 @@ class ExperimentReport(Record):
     bus: dict
     ptp: list
 
-    def to_json_dict(self) -> dict:
+    def _contents(self) -> dict:
+        """report.json's object, the samples still arrays."""
         return {"schema_version": 1, **vars(self)}
+
+    def to_json_dict(self) -> dict:
+        return {**self._contents(), "replicas": [{**row, "samples": row["samples"].tolist()} for row in self.replicas]}
 
 
 class ExperimentRunner:
@@ -208,8 +214,8 @@ class ExperimentRunner:
         else:
             self._window_ns = self.coupling.rendezvous_window_ns
 
-        self.samples = [[] for _ in range(n)]
-        self.skews = []
+        self.samples = [[_EMPTY] for _ in range(n)]  # int64 arrays per chunk, joined by `_build_report`
+        self.skews = [_EMPTY]
         self.verdict_counts = dict.fromkeys(VERDICTS, 0)
         self.safety_state = OPERATIONAL
         self.fault_count = 0                # consecutive non-pass verdicts
@@ -356,14 +362,14 @@ class ExperimentRunner:
                 f"and completion at {comp[j, i]} ns after the release must not precede it or each other"
             )
         for i, rid in enumerate(self.healthy_ids):
-            self.samples[rid].extend(comp[emit[:, i], i].tolist())
+            self.samples[rid].append(comp[emit[:, i], i])
         applied = fired.any(axis=1)
 
         # outcomes
         if k:
             present, complete, skew, deadline = rendezvous_rounds(comp + self._corr, emit, self._window_ns)
             durations = np.maximum(deadline, reduce(np.maximum, comp.T))
-            self.skews.extend(skew[complete].tolist())
+            self.skews.append(skew[complete])
         else:
             present, complete = emit, np.zeros(n, dtype=bool)
             durations = skew = np.zeros(n, dtype=np.int64)
@@ -485,23 +491,18 @@ class ExperimentRunner:
     def _build_report(self) -> ExperimentReport:
         prof = self.cfg.profiler
         replicas = []
-        for rid, xs in enumerate(self.samples):
-            array = np.array(xs, dtype=np.int64)
+        for rid, chunks in enumerate(self.samples):
+            xs = np.concatenate(chunks)
             replicas.append({
                 "replica_id": rid,
                 "samples": xs,
-                "stats": stats(array) if xs else None,
-                "outliers": detect_outliers(array, prof.outlier_threshold) if len(xs) >= 3 else None,
-                "histogram": histogram(array, prof.bin_count),
+                "stats": stats(xs) if len(xs) else None,
+                "outliers": detect_outliers(xs, prof.outlier_threshold) if len(xs) >= 3 else None,
+                "histogram": histogram(xs, prof.bin_count),
             })
-        skew = None
-        if self.skews:
-            skew = {
-                "n": len(self.skews),
-                "min": min(self.skews),
-                "mean": sum(self.skews) / len(self.skews),
-                "max": max(self.skews),
-            }
+        skews = np.concatenate(self.skews)  # each within the window: their sum stays below TIME_LIMIT_NS
+        skew = {"n": len(skews), "min": int(skews.min()), "mean": int(skews.sum()) / len(skews),
+                "max": int(skews.max())} if len(skews) else None
         return ExperimentReport(
             config=self.cfg.to_json_dict(),
             replicas=replicas,
@@ -517,37 +518,36 @@ class ExperimentRunner:
 _SLICE_LEN = 4096
 
 
-def _hollow(node, lists, marker):
-    """`node` with each list of more than 8 plain ints or finite floats
-    replaced by `marker`; the lists are appended to `lists` in file order."""
-    if isinstance(node, dict):
-        return {k: _hollow(v, lists, marker) for k, v in node.items()}
-    if not isinstance(node, list):
-        return node
-    types = set(map(type, node))
-    if len(node) > 8 and types <= {int, float} and (
-            float not in types or all(math.isfinite(x) for x in node if type(x) is float)):
-        lists.append(node)
+def _hollow(node, arrays, marker):
+    """`node` with each non-empty NumPy array replaced by `marker` (an empty
+    one becomes []); the arrays are appended to `arrays` in file order."""
+    if isinstance(node, np.ndarray) and node.size:
+        arrays.append(node)
         return marker
-    return [_hollow(v, lists, marker) for v in node]
+    if isinstance(node, dict):
+        return {k: _hollow(v, arrays, marker) for k, v in node.items()}
+    if isinstance(node, (list, np.ndarray)):
+        return [_hollow(v, arrays, marker) for v in node]
+    return node
 
 
 def write_report(report: dict, f):
-    """Write to `f` what `json.dump(report, f, indent=2)` and a newline would,
-    writing each long number list from `repr`, `_SLICE_LEN` numbers at a time.
-    The lists stand in the dump as the first string "\\0splice<k>\\0" (k = 0,
-    1, ...) whose JSON text occurs once per list, so no report string is cut."""
+    """Write to `f` what `json.dump(report, f, indent=2)` and a newline would
+    with each int64 array in `report` as a list. The arrays are spliced into
+    the dump, each written from `tolist` and `repr`, `_SLICE_LEN` numbers at a
+    time. They stand in the dump as the first string "\\0splice<k>\\0" (k = 0,
+    1, ...) whose JSON text occurs once per array, so no report string is cut."""
     for k in naturals():
-        marker, lists = f"\0splice{k}\0", []
-        parts = json.dumps(_hollow(report, lists, marker), indent=2).split(json.dumps(marker))
-        if len(parts) == len(lists) + 1:
+        marker, arrays = f"\0splice{k}\0", []
+        parts = json.dumps(_hollow(report, arrays, marker), indent=2).split(json.dumps(marker))
+        if len(parts) == len(arrays) + 1:
             break
-    for text, xs in zip(parts, lists):
+    for text, xs in zip(parts, arrays):
         line = text[text.rfind("\n") + 1:]
         sep = ",\n" + " " * (len(line) - len(line.lstrip(" ")) + 2)
         f.write(text + "[" + sep[1:])
         for i in range(0, len(xs), _SLICE_LEN):
-            f.write((sep if i else "") + sep.join(map(repr, xs[i:i + _SLICE_LEN])))
+            f.write((sep if i else "") + sep.join(map(repr, xs[i:i + _SLICE_LEN].tolist())))
         f.write(sep[1:-2] + "]")
     f.write(parts[-1] + "\n")
 
@@ -566,7 +566,7 @@ def run_to_directory(config: ExperimentConfig, out_dir) -> ExperimentReport:
     with open(out / TRACE_FILENAME, "w") as tf:
         report = ExperimentRunner(config, tf.write).run()
     with open(out / REPORT_FILENAME, "w") as rf:
-        write_report(report.to_json_dict(), rf)
+        write_report(report._contents(), rf)
     for row in report.replicas:
         with open(out / f"hist_replica{row['replica_id']}.csv", "w") as hf:
             write_histogram_csv(row["histogram"], hf)

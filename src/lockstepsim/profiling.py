@@ -6,7 +6,8 @@ return dicts with a fixed key order, and `histogram` returns a list of
 `{"lower_edge_ns", "count"}` dicts. `stats`, `detect_outliers` and
 `histogram` take a list of ints or an int64 array and give the same value
 for both. `compare_runs` compares the turnaround samples of two
-report.json dicts.
+report.json dicts; `ks_statistic` ranks the values of both sets by
+`np.searchsorted` in their sorted union.
 
 Moment statistics come from exact integer power sums, so repeated runs are
 bit-identical and agree with a high-precision reference to float rounding.
@@ -142,32 +143,26 @@ def ks_statistic(a, b, alpha: float = 0.01) -> dict:
     """Two-sample Kolmogorov-Smirnov comparison: d, critical_value, alpha,
     distinguishable (d > critical_value), n_a and n_b.
 
-    D is the exact supremum ECDF gap (computed with integer cross products,
-    no float accumulation); the critical value at `alpha` is
-    c(alpha) * sqrt((n_a + n_b) / (n_a * n_b)) with
-    c(alpha) = sqrt(-ln(alpha / 2) / 2).
+    D is the exact supremum ECDF gap: the largest |i n_b - j n_a| over n_a n_b
+    (below 2**63), with i and j the samples of a and of b up to each value.
+    The critical value at `alpha` is c(alpha) * sqrt((n_a + n_b) / (n_a n_b))
+    with c(alpha) = sqrt(-ln(alpha / 2) / 2).
     """
-    xa, xb = sorted(a), sorted(b)
+    xa, xb = np.asarray(a), np.asarray(b)
     na, nb = len(xa), len(xb)
     if na == 0 or nb == 0:
         raise ValueError("both sample sets must be nonempty")
-    if any(x != x for x in (*xa, *xb)):  # NaN equals nothing, so the merge below would not end
-        raise ValueError("samples must not be NaN")
-    i = j = 0
-    best_num = 0
-    while i < na or j < nb:
-        if j >= nb or (i < na and xa[i] <= xb[j]):
-            v = xa[i]
-        else:
-            v = xb[j]
-        while i < na and xa[i] == v:
-            i += 1
-        while j < nb and xb[j] == v:
-            j += 1
-        gap = abs(i * nb - j * na)
-        if gap > best_num:
-            best_num = gap
-    d = best_num / (na * nb)
+    if na * nb >= 1 << 63:
+        raise ValueError(f"n_a * n_b must stay below 2**63, got {na} * {nb}")
+    if xa.dtype.kind != "i" or xb.dtype.kind != "i":
+        # floats, ints beyond int64 or a mix: compare the values as Python objects, exactly
+        xa, xb = np.array(a, dtype=object), np.array(b, dtype=object)
+        if (xa != xa).any() or (xb != xb).any():  # NaN equals nothing: it has no rank
+            raise ValueError("samples must not be NaN")
+    xa, xb = np.sort(xa), np.sort(xb)
+    values = np.union1d(xa, xb)
+    gaps = np.searchsorted(xa, values, "right") * nb - np.searchsorted(xb, values, "right") * na
+    d = int(np.abs(gaps).max()) / (na * nb)
     c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
     critical = c * math.sqrt((na + nb) / (na * nb))
     return {"d": d, "critical_value": critical, "alpha": alpha,

@@ -361,12 +361,13 @@ class TestStatsCommand:
         assert (blob["3"]["n"], blob["3"]["min"], blob["3"]["max"]) == (3, -(1 << 63), (1 << 63) - 1)
 
 
-@pytest.mark.parametrize("content", [b'{"big": ' + b"9" * 5000 + b"}\n", b'{"bad": "\xff\xfe"}\n'],
-                         ids=["5000-digit-integer", "invalid-utf8"])
+@pytest.mark.parametrize("content", [b'{"big": ' + b"9" * 5000 + b"}\n", b'{"bad": "\xff\xfe"}\n',
+                                     b"[" * 100_000 + b"]" * 100_000 + b"\n"],
+                         ids=["5000-digit-integer", "invalid-utf8", "100000-deep"])
 @pytest.mark.parametrize("command", ["run", "compare", "stats"])
 def test_undecodable_input_exits_one_without_traceback(tmp_path, capsys, content, command):
-    # json raises a plain ValueError past 4300 digits, and reading bad UTF-8
-    # raises UnicodeDecodeError: both must read as invalid JSON
+    # json raises a plain ValueError past 4300 digits, UnicodeDecodeError on
+    # bad UTF-8 and RecursionError on deep nesting: each must read as invalid JSON
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
     argv, where = {
@@ -378,3 +379,18 @@ def test_undecodable_input_exits_one_without_traceback(tmp_path, capsys, content
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"{where}: not valid JSON (")
+    assert "Traceback" not in captured.err
+
+
+def test_run_on_metadata_nested_500_deep_exits_one_before_any_output(tmp_path, capsys):
+    # the report writer recurses over the metadata: nesting this deep once
+    # left an empty report.json beside a full trace
+    raw = zero_jitter_duplex()
+    raw["metadata"] = {"deep": "DEEP"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw).replace('"DEEP"', "[" * 500 + "]" * 500))
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config.metadata.deep" + "[0]" * 63 + ": nested deeper than 64 objects and lists\n"
+    assert not (tmp_path / "out").exists()

@@ -1,8 +1,10 @@
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -123,7 +125,7 @@ class TestFaultScenarios:
         assert report.verdict_counts["pass"] == 2
 
     def test_extra_delay_beyond_tight_tolerance_flags_exact_frames(self):
-        clock = ClockDomain("dpu", 210_000_000)
+        clock = ClockDomain(210_000_000)
         delay = cycles_to_time(3, clock)
         faults = [
             {"replica_id": 1, "kind": {"type": "extra_delay", "ns": delay},
@@ -144,7 +146,7 @@ class TestFaultScenarios:
         assert report.verdict_counts["timeout"] == 2
 
     def test_extra_delay_within_tolerance_passes(self):
-        clock = ClockDomain("dpu", 210_000_000)
+        clock = ClockDomain(210_000_000)
         delay = cycles_to_time(2, clock)
         raw = {
             "seed": 5,
@@ -235,7 +237,7 @@ class TestDegradedTopologies:
                                  extra_topology={"health": ["failed", "failed"]})
         cfg, report, _ = run_with_records(raw)
         assert report.verdict_counts["degraded"] == 2
-        assert all(row["samples"] == [] for row in report.replicas)
+        assert all(len(row["samples"]) == 0 for row in report.replicas)
 
     def test_2oo3_with_one_failed_channel_still_passes(self):
         raw = zero_jitter_duplex(frames=3, reps=1, replicas=3, policy="2oo3",
@@ -351,15 +353,59 @@ class TestCompareRuns:
         assert len(table.splitlines()) == 4  # header, rule, two replicas
 
 
+class TestMemoryPerRound:
+    def test_report_holds_the_samples_and_little_more(self):
+        # Untraced gpu-duplex-loose, 50k rounds: two replicas' int64 samples
+        # are 16 B per round. Python int lists of them took about 85 B per
+        # round to hold and 150 B per round at the peak.
+        cfg = config_from_dict({"seed": 1, "topology": "gpu-duplex-loose",
+                                "workload": {"frame_count": 500, "repetitions_per_frame": 100}}, env={})
+        rounds = 500 * 100
+        run_experiment(cfg)  # warm-up: imports and caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = run_experiment(cfg)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, (row["samples"] for row in report.replicas))) == 2 * rounds
+        assert (live - before) / rounds < 40
+        assert (peak - before) / rounds < 120
+
+
+def int64_array(xs):
+    return np.array(xs, dtype=np.int64)
+
+
+def as_lists(node):
+    """`node` with each NumPy array in it as a list."""
+    if isinstance(node, np.ndarray):
+        return node.tolist()
+    if isinstance(node, dict):
+        return {k: as_lists(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [as_lists(v) for v in node]
+    return node
+
+
+def assert_written_as_indent_dump(report):
+    f = io.StringIO()
+    write_report(report, f)
+    assert f.getvalue() == json.dumps(as_lists(report), indent=2) + "\n"
+
+
 int64s = st.integers(-(1 << 63), (1 << 63) - 1)
+int64_arrays = st.lists(int64s, max_size=20).map(int64_array)
 floats = st.floats() | st.sampled_from([5e-324, 1e16, -0.0, 0.1, 1e-7, math.inf])
 scalars = st.none() | st.booleans() | int64s | floats | st.text(max_size=6)
-numbers = st.lists(int64s, max_size=20) | st.lists(floats, max_size=20) | st.lists(int64s | floats, max_size=20)
+numbers = (st.lists(int64s, max_size=20) | st.lists(floats, max_size=20) | st.lists(int64s | floats, max_size=20)
+           | int64_arrays)
 json_values = st.recursive(scalars | numbers, lambda inner: st.lists(inner, max_size=10)
                            | st.dictionaries(st.text(max_size=4), inner, max_size=4), max_leaves=30)
 replica_rows = st.fixed_dictionaries({
     "replica_id": st.integers(0, 7),
-    "samples": st.lists(int64s, max_size=20),
+    "samples": int64_arrays,
     "stats": st.none() | st.dictionaries(st.sampled_from(["n", "min", "mean", "p99"]), int64s | floats | st.none()),
     "outliers": st.none() | st.fixed_dictionaries({
         "method": st.just("mad_modified_z"), "threshold": floats,
@@ -374,16 +420,22 @@ reports = st.fixed_dictionaries({"schema_version": st.just(1), "config": json_va
 @given(reports)
 @example({"schema_version": 1, "config": {}, "replicas": [], "skew_ns": None})
 @example({"schema_version": 1, "config": [[1] * 9, [True] * 9], "skew_ns": [math.nan] + [1] * 9,
-          "replicas": [{"replica_id": 0, "samples": [-(1 << 63), (1 << 63) - 1] * 5, "stats": None,
+          "replicas": [{"replica_id": 0, "samples": int64_array([-(1 << 63), (1 << 63) - 1] * 5), "stats": None,
                         "outliers": {"scores": [5e-324, 1e16, -0.0] * 3}, "histogram": []}]})
 @example({"schema_version": 1, "config": {}, "skew_ns": None,  # three slices, the last a short one
-          "replicas": [{"replica_id": 0, "samples": list(range(-4096, 4097)), "stats": None, "outliers": None,
-                        "histogram": [{"lower_edge_ns": 0.5, "count": 1}] * 9}]})
+          "replicas": [{"replica_id": 0, "samples": int64_array(range(-4096, 4097)), "stats": None,
+                        "outliers": None, "histogram": [{"lower_edge_ns": 0.5, "count": 1}] * 9}]})
 @settings(max_examples=300, deadline=None, database=None)
 def test_report_bytes_are_the_indent_dump(report):
-    f = io.StringIO()
-    write_report(report, f)
-    assert f.getvalue() == json.dumps(report, indent=2) + "\n"
+    assert_written_as_indent_dump(report)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 8, 9, 4096, 4097, 8193])
+def test_arrays_of_every_length_are_the_indent_dump(n):
+    extremes = int64_array(([-(1 << 63), (1 << 63) - 1] * n)[:n])
+    assert_written_as_indent_dump({"replicas": [{"replica_id": 0, "samples": int64_array(range(n))},
+                                                {"replica_id": 1, "samples": extremes}],
+                                   "nested": [[extremes, {"empty": int64_array([])}]]})
 
 
 # strings that hold the JSON text of a long list's stand-in: as a value, a
@@ -394,7 +446,5 @@ def test_report_bytes_are_the_indent_dump(report):
     {"a": "\0splice0\0", "\0splice1\0": 'b"\0splice2\0', "c": ["\0splice3\0"] * 9},
 ])
 def test_report_holding_the_splice_marker_is_the_indent_dump(metadata):
-    report = {"config": {"metadata": metadata}, "samples": list(range(9)), "more": [list(range(10))]}
-    f = io.StringIO()
-    write_report(report, f)
-    assert f.getvalue() == json.dumps(report, indent=2) + "\n"
+    assert_written_as_indent_dump({"config": {"metadata": metadata}, "samples": int64_array(range(9)),
+                                   "more": [int64_array(range(10))]})

@@ -207,6 +207,92 @@ class TestKs:
         assert ks_statistic(a, b)["d"] == pytest.approx(float(want), abs=1e-9)
 
 
+def ks_merge_d(a, b):
+    """D by the merge loop `ks_statistic` ran before it ranked by `np.searchsorted`."""
+    xa, xb = sorted(a), sorted(b)
+    na, nb = len(xa), len(xb)
+    i = j = 0
+    best_num = 0
+    while i < na or j < nb:
+        if j >= nb or (i < na and xa[i] <= xb[j]):
+            v = xa[i]
+        else:
+            v = xb[j]
+        while i < na and xa[i] == v:
+            i += 1
+        while j < nb and xb[j] == v:
+            j += 1
+        gap = abs(i * nb - j * na)
+        if gap > best_num:
+            best_num = gap
+    return best_num / (na * nb)
+
+
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+few_values = st.lists(st.integers(0, 6), min_size=1, max_size=40)  # ties
+int64_values = st.lists(st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX])
+                        | st.integers(INT64_MIN, INT64_MAX), min_size=1, max_size=40)
+float_values = st.lists(st.floats(allow_nan=False) | st.sampled_from([-0.0, 0.0, 5e-324, 2.0**63]),
+                        min_size=1, max_size=40)
+wide_values = st.lists(st.integers(-(1 << 70), 1 << 70) | st.sampled_from([INT64_MAX + 1, 1 << 64, 0.5, -0.0]),
+                       min_size=1, max_size=40)
+
+
+class TestKsEqualsTheMergeLoop:
+    @given(few_values, few_values)
+    @settings(max_examples=200, deadline=None)
+    def test_ties(self, a, b):
+        assert ks_statistic(a, b)["d"] == ks_merge_d(a, b)
+
+    @given(few_values, few_values)
+    @settings(max_examples=50, deadline=None)
+    def test_disjoint_sets(self, a, b):
+        b = [x + 7 for x in b]
+        assert ks_statistic(a, b)["d"] == ks_merge_d(a, b) == 1.0
+
+    @given(st.integers(INT64_MIN, INT64_MAX), int64_values)
+    @settings(max_examples=50, deadline=None)
+    def test_single_values(self, x, b):
+        assert ks_statistic([x], b)["d"] == ks_merge_d([x], b)
+        assert ks_statistic([x], [x])["d"] == 0.0
+
+    @given(int64_values, int64_values)
+    @settings(max_examples=200, deadline=None)
+    def test_int64_extremes_as_lists_and_arrays(self, a, b):
+        want = ks_merge_d(a, b)
+        assert ks_statistic(a, b)["d"] == want
+        assert ks_statistic(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))["d"] == want
+
+    @given(float_values, float_values | int64_values)
+    @settings(max_examples=200, deadline=None)
+    def test_floats(self, a, b):
+        assert ks_statistic(a, b)["d"] == ks_merge_d(a, b)
+
+    @given(wide_values, wide_values | int64_values)
+    @settings(max_examples=200, deadline=None)
+    def test_ints_beyond_int64_give_the_loop_d_or_a_value_error(self, a, b):
+        try:
+            d = ks_statistic(a, b)["d"]
+        except ValueError:
+            return
+        assert d == ks_merge_d(a, b)
+
+    @pytest.mark.parametrize("a, b", [([math.nan, 1 << 64], [1]), ([1 << 64], [2.0, math.nan])])
+    def test_nan_beside_ints_beyond_int64_is_a_value_error(self, a, b):
+        with pytest.raises(ValueError, match="NaN"):
+            ks_statistic(a, b)
+
+    def test_sample_count_product_past_int64_is_refused(self):
+        many = np.broadcast_to(np.int64(0), (1 << 32,))  # no memory behind it
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            ks_statistic(many, many)
+
+    def test_arrays_are_left_unsorted(self):
+        a, b = np.array([3, 1, 2], dtype=np.int64), np.array([9, 0], dtype=np.int64)
+        ks_statistic(a, b)
+        assert a.tolist() == [3, 1, 2] and b.tolist() == [9, 0]
+
+
 class TestHistogram:
     def test_even_split(self):
         bins = histogram([0, 1, 2, 3], 2)

@@ -52,7 +52,7 @@ def test_equality_by_type_and_values():
 
 def test_equal_frozen_records_hash_equal_and_mutable_ones_do_not_hash():
     assert hash(Point(1, 2)) == hash(Point(1, 2))
-    assert hash(ClockDomain("a", 5)) == hash(ClockDomain("a", 5, 0))
+    assert hash(ClockDomain(5)) == hash(ClockDomain(5, 0))
     assert len({WeightBitFlip(0, 1, 2), WeightBitFlip(0, 1, 2), WeightBitFlip(0, 1, 3)}) == 2
     for mutable in (Box(), Workload(), ProfilerSettings()):
         with pytest.raises(TypeError):
@@ -75,8 +75,8 @@ def test_frozen_records_refuse_assignment_and_mutable_ones_take_it():
 
 def test_replace_changes_fields_and_reruns_post_init():
     assert Point(1, 2).replace(y=5) == Point(1, 5)
-    clock = ClockDomain("shared", 1000)
-    assert clock.replace(id="replica1") == ClockDomain("replica1", 1000)
+    clock = ClockDomain(1000)
+    assert clock.replace(drift_ppm=7) == ClockDomain(1000, 7)
     with pytest.raises(ConfigError, match="freq_hz"):
         clock.replace(freq_hz=0)
     with pytest.raises(ConfigError):
@@ -103,7 +103,7 @@ def test_constructor_refuses_a_value_out_of_bounds(cls, kwargs, error):
 
 # A valid record of every class that declares bounds.
 BOUNDED = (
-    Tight(), Loose(1), Tolerance(0.5), VotingPolicy(1, 2), ClockDomain("c", 1), EngineConfig(),
+    Tight(), Loose(1), Tolerance(0.5), VotingPolicy(1, 2), ClockDomain(1), EngineConfig(),
     JitterModel(), PtpSettings(), Workload(), ProfilerSettings(), WeightBitFlip(0, 0, 0),
     OutputBitFlip(0, 0), ExtraDelay(0), OnFrame(0), WithProbability(0.5),
 )
