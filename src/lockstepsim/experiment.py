@@ -197,7 +197,6 @@ class ExperimentRunner:
         # draws taken so far from each stream
         self._host_pos = [0] * len(self._host)
         self._feed_pos = [0] * len(self._feed)
-        self._fault_pos = [0] * len(self._faults)
 
         self.clock_offsets = list(topo.clock_offsets_ns)
         self.ptp_corrections = [0] * n
@@ -348,8 +347,7 @@ class ExperimentRunner:
         emit = np.ones((n, k), dtype=bool)
         fired = np.zeros((n, len(self._faults)), dtype=bool)
         for s, (i, spec, seed) in enumerate(self._faults):
-            fired[:, s], used = trigger_fires(spec.trigger, first + rows, seed, self._fault_pos[s])
-            self._fault_pos[s] += used
+            fired[:, s] = trigger_fires(spec.trigger, first + rows, seed, first * reps + lo)
             if isinstance(spec.kind, ExtraDelay):
                 comp[:, i] += spec.kind.ns * fired[:, s]
             elif isinstance(spec.kind, DropOutput):

@@ -65,17 +65,17 @@ class FaultSpec(Record, frozen=True):
     trigger: object = Always()
 
 
-def trigger_fires(trigger, frame_ids: np.ndarray, seed: int, start: int):
+def trigger_fires(trigger, frame_ids: np.ndarray, seed: int, start: int) -> np.ndarray:
     """Whether `trigger` fires in each round of a chunk, whose frames are
-    `frame_ids`, as a bool array, and the number of draws it took. A
-    probabilistic trigger takes one draw per round from the stream
-    `seed`, after its first `start` draws."""
+    `frame_ids` and whose first round is the run's round `start`, as a bool
+    array. A probabilistic trigger takes one draw per round from the stream
+    `seed`, so round `start + i` reads draw `start + i + 1`."""
     if isinstance(trigger, Always):
-        return np.ones(len(frame_ids), dtype=bool), 0
+        return np.ones(len(frame_ids), dtype=bool)
     if isinstance(trigger, OnFrame):
-        return frame_ids == trigger.frame_id, 0
+        return frame_ids == trigger.frame_id
     if isinstance(trigger, WithProbability):
-        return uniforms(seed, len(frame_ids), start) < trigger.p, len(frame_ids)
+        return uniforms(seed, len(frame_ids), start) < trigger.p
     raise TypeError(f"unknown trigger {trigger!r}")
 
 

@@ -1,7 +1,7 @@
 """Record classes. A `Record` subclass lists its fields as annotations, in
 order (`field_names`); a class-level value is a field's default. It gets
 `__init__` (then `__post_init__`), `__eq__` by type and values and `__repr__`
-as closures over the names, in place of any the body defines, and `replace`;
+as closures over the names, in place of any the body defines;
 `frozen=True` adds `__hash__` and refuses assignment, else it is unhashable.
 A class-level `bounds = {field: (minimum, maximum)}` holds inclusive bounds,
 None for no limit, on a value or each element of a tuple; `__init__` refuses
@@ -58,7 +58,3 @@ class Record:
             methods.update(__hash__=lambda self: hash(values(self)), __setattr__=refuse, __delattr__=refuse)
         for name, method in methods.items():
             setattr(cls, name, method)
-
-    def replace(self, **changes):
-        """A copy with `changes` applied, checked again by `__init__`."""
-        return self.__class__(**{**{n: getattr(self, n) for n in self.field_names}, **changes})

@@ -9,11 +9,12 @@ tail (`completion_fields`), a verdict's fields after its variant (`agreed`,
 (`safety_fields`). A verdict and the safety action after it share a time
 and take consecutive seqs, so `verdict_and_safety` writes both.
 
-`rounds` is the one writer of the runner's rounds: it takes a chunk's
-columns, formats the clean output's tails once per frame, and writes the
-text `WRITE_ROUNDS` rounds at a time. For each piece it lays out the seqs,
-builds each kind of record from columns for the rounds that a mask flags,
-and orders the text by (t_ns, seq) (`in_order`).
+`rounds` is the one writer of the runner's rounds. Once per chunk, it
+lays out the seqs and, for each kind of record, the rounds that a mask
+flags and their fields as columns, with the clean output's tails formatted
+once per frame. It writes the text `WRITE_ROUNDS` rounds at a time: each
+piece only formats its slice of every kind and orders the text by (t_ns,
+seq) (`in_order`).
 """
 
 from __future__ import annotations
@@ -148,50 +149,36 @@ def rounds(write, first_seq, c, replica_ids, cycles, required) -> int:
     writes no record); then, at the record time, the rendezvous, any bus
     divergence, the verdict and the safety action. With no healthy replica
     a round takes 3 seqs.
+
+    The seqs and each kind's rows and fields are laid out once per chunk;
+    each piece of `WRITE_ROUNDS` rounds only formats and orders its slices.
     """
-    fids = c["frame_ids"]
+    fids, starts, verdict, diverged = c["frame_ids"], c["starts"], c["verdict"], c["diverged"]
+    n, k = len(fids), len(replica_ids)
     frames = list(map(frame, fids.tolist(), c["reps"].tolist()))
+    steps = 4 + 2 * k + diverged if k else np.full(n, 3)
+    nexts = first_seq + np.cumsum(steps)  # each round's last seq + 1
+    seqs = nexts - steps
     # the clean output's tails, formatted once per frame
-    new = np.ones(len(fids), dtype=bool)
+    new = np.ones(n, dtype=bool)
     new[1:] = fids[1:] != fids[:-1]
     digests, of = c["clean"][new].tolist(), (np.cumsum(new) - 1).tolist()
     completions = list(map(completion_fields, [cycles] * len(digests), digests, c["classes"][new].tolist()))
     agreements = list(map(agreed, [ids(replica_ids)] * len(digests), digests))
-    completions, agreements = list(map(completions.__getitem__, of)), list(map(agreements.__getitem__, of))
-    for a in range(0, len(fids), WRITE_ROUNDS):
-        b = a + WRITE_ROUNDS
-        piece = {name: None if v is None else v[a:b] for name, v in c.items()}
-        first_seq, text = _piece(piece, first_seq, replica_ids, frames[a:b], completions[a:b], agreements[a:b],
-                                 cycles, required)
-        write(text)
-    return first_seq
+    completions, fields = list(map(completions.__getitem__, of)), list(map(agreements.__getitem__, of))
+    kinds = []
 
-
-def _piece(c, first_seq, replica_ids, frames, completions, agreements, cycles, required):
-    """(the seq after the last round, the text in (t_ns, seq) order) of a
-    piece of `rounds`; per round, `frames`, `completions` and `agreements`
-    hold its frame fields and its clean output's completion and pass
-    verdict fields."""
-    n, k = len(frames), len(replica_ids)
-    steps = 4 + 2 * k + c["diverged"] if k else np.full(n, 3)
-    nexts = first_seq + np.cumsum(steps)  # each round's last seq + 1
-    seqs = nexts - steps
-    times, keys, lines = [], [], []
-
-    def add(mask, t, seq, record, *fields):
-        """The records of the rounds that the bool `mask` flags (every round
-        when None), each from its time, seq, frame fields and `fields`:
+    def add(mask, t, seq, record, *cols):
+        """A kind of record, for the rounds that the bool `mask` flags (every
+        round when None), each from its time, seq, frame fields and `cols`:
         columns with one entry per round, lists or arrays."""
-        cols = (frames, *fields)
+        rows, cols = None, (t, seq, frames, *cols)
         if mask is not None and not mask.all():
-            at = np.flatnonzero(mask)
-            t, seq, rows = t[at], seq[at], at.tolist()
-            cols = [[f[j] for j in rows] if isinstance(f, list) else f[at] for f in cols]
-        times.append(t)
-        keys.append(seq)
-        lines.extend(map(record, t.tolist(), seq.tolist(), *(f if isinstance(f, list) else f.tolist() for f in cols)))
+            rows = np.flatnonzero(mask)
+            at = rows.tolist()
+            cols = [list(map(f.__getitem__, at)) if isinstance(f, list) else f[rows] for f in cols]
+        kinds.append((rows, cols[0], cols[1], record, [f if isinstance(f, list) else f.tolist() for f in cols]))
 
-    starts = c["starts"]
     add(None, starts, seqs, release)
     if k:
         feed, comp, emit, changed = c["feed"], c["comp"], c["emit"], c["changed"]
@@ -215,7 +202,7 @@ def _piece(c, first_seq, replica_ids, frames, completions, agreements, cycles, r
     # the records that end each round, at its record time: the rendezvous,
     # any bus divergence, then the verdict and the safety action at the
     # round's last two seqs
-    ends, verdict, diverged, fields = starts + c["durations"], c["verdict"], c["diverged"], agreements
+    ends = starts + c["durations"]
     if c["voted"].any():
         at = np.flatnonzero(c["voted"] & (verdict == _PASS)).tolist()
         agreeing = _ids_of(c["labels"][at] == c["best"][at, None], replica_ids)
@@ -232,10 +219,8 @@ def _piece(c, first_seq, replica_ids, frames, completions, agreements, cycles, r
             add(diverged, ends, rendezvous_seqs + 1, divergence, rids[c["emit"].argmax(axis=1)], rids[c["other"]],
                 c["index"])
     # the text of each non-pass verdict
-    failed = np.flatnonzero(verdict != _PASS).tolist()
-    if failed:
-        degraded = reason(f"{k} output(s) cannot reach {required}-way agreement" if k else "no healthy replicas")
-    for j in failed:
+    degraded = reason(f"{k} output(s) cannot reach {required}-way agreement" if k else "no healthy replicas")
+    for j in np.flatnonzero(verdict != _PASS).tolist():
         v = verdict[j]
         if v == _MISMATCH:
             labels = c["labels"][j]
@@ -252,4 +237,13 @@ def _piece(c, first_seq, replica_ids, frames, completions, agreements, cycles, r
         tails = list(map(safety_fields, states, map(ACTIONS.__getitem__, action.tolist()), counts.tolist()))
     add(None, ends, nexts - 2, verdict_and_safety, list(map(VERDICTS.__getitem__, verdict.tolist())),
         fields, tails)
-    return int(nexts[-1]), in_order(times, keys, lines)
+
+    for a in range(0, n, WRITE_ROUNDS):
+        times, keys, lines = [], [], []
+        for rows, t, seq, record, cols in kinds:
+            i, j = (a, a + WRITE_ROUNDS) if rows is None else rows.searchsorted((a, a + WRITE_ROUNDS)).tolist()
+            times.append(t[i:j])
+            keys.append(seq[i:j])
+            lines.extend(map(record, *(f[i:j] for f in cols)))
+        write(in_order(times, keys, lines))
+    return int(nexts[-1])

@@ -1,5 +1,6 @@
 """The package's top-level surface: the names its callers import."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -87,3 +88,18 @@ def test_import_leaves_out_dataclasses_and_copy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, cwd=src)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n")[:2] == ["[]", "False"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # no linter runs here, and a deletion can leave an import behind
+    unused = []
+    for path in sorted(Path(lockstepsim.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []

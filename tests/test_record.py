@@ -73,18 +73,6 @@ def test_frozen_records_refuse_assignment_and_mutable_ones_take_it():
     assert b == Box(5)
 
 
-def test_replace_changes_fields_and_reruns_post_init():
-    assert Point(1, 2).replace(y=5) == Point(1, 5)
-    clock = ClockDomain(1000)
-    assert clock.replace(drift_ppm=7) == ClockDomain(1000, 7)
-    with pytest.raises(ConfigError, match="freq_hz"):
-        clock.replace(freq_hz=0)
-    with pytest.raises(ConfigError):
-        Tight().replace(skew_tolerance_cycles=-1)
-    with pytest.raises(TypeError):
-        Point(1).replace(z=1)
-
-
 @pytest.mark.parametrize("cls, kwargs, error", [
     (ExtraDelay, {"ns": -1}, "ns: must be >= 0, got -1"),
     (WeightBitFlip, {"layer": 0, "element_index": 0, "bit": 16}, "bit: must be <= 15, got 16"),
@@ -122,7 +110,7 @@ def test_every_bound_is_checked_on_construction(record):
         in_tuple = isinstance(getattr(record, name), tuple)  # a tuple's bound applies to each element
         for v, rule in cases:
             with pytest.raises(ConfigError) as exc:
-                record.replace(**{name: (1, v) if in_tuple else v})
+                type(record)(**{**vars(record), name: (1, v) if in_tuple else v})
             assert exc.value.errors == [f"{name}{'[1]' if in_tuple else ''}: must be {rule}, got {v}"]
 
 
