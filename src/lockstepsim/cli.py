@@ -93,7 +93,8 @@ def _load_report(path_str: str) -> dict:
     if not isinstance(replicas, list) or not all(
         isinstance(r, dict) and type(r.get("replica_id")) is int
         and isinstance(r.get("samples"), list)
-        and all(type(x) is int and -(1 << 63) <= x < 1 << 63 for x in r["samples"])  # as `stats` takes
+        and set(map(type, r["samples"])) <= {int}  # int64s, as `stats` takes
+        and (not r["samples"] or -(1 << 63) <= min(r["samples"]) and max(r["samples"]) < 1 << 63)
         and isinstance(r.get("stats"), (dict, type(None)))
         and (r.get("outliers") is None
              or isinstance(r["outliers"], dict) and isinstance(r["outliers"].get("indices", []), list))

@@ -73,23 +73,18 @@ def _geometric(u: float, mean_ns: int) -> int:
 def _sample_starts(spikes: np.ndarray, count: int) -> np.ndarray:
     """The first draw of each of `count` samples. `spikes[j]` says whether a
     sample that starts at draw j spikes; a sample takes 3 draws if it spikes
-    (and its mean exceeds 1), else 2. Runs of plain samples are stepped as
-    arrays; the loop runs once per spike."""
-    n = len(spikes)
-    # next_spike[j]: the first spiking draw at or after j of the parity of j
-    next_spike = np.where(spikes, np.arange(n), n)
-    for parity in (0, 1):
-        column = next_spike[parity::2]
-        column[:] = np.minimum.accumulate(column[::-1])[::-1]
-    pieces = []
-    j, left = 0, count
-    while left:
-        q = int(next_spike[j])
-        run = min((q - j) // 2 + 1, left)  # the plain samples from j, then the spike at q
-        pieces.append(np.arange(j, j + 2 * run, 2))
-        left -= run
-        j = q + 3
-    return np.concatenate(pieces)
+    (and its mean exceeds 1), else 2, so sample i starts at draw 2 i plus the
+    number of samples before it that spiked. The walk visits the spike
+    positions in order as Python ints: from a sample's start j, the first
+    one at or after j of the parity of j is where the next spiking sample
+    starts."""
+    after, i, j = [], 0, 0  # the samples after a spike; a sample and its start
+    for q in np.flatnonzero(spikes).tolist():
+        if q >= j and not (q - j) & 1:
+            i += (q - j) // 2 + 1
+            after.append(i)
+            j = q + 3
+    return 2 * np.arange(count) + np.cumsum(np.bincount(after, minlength=count)[:count])
 
 
 def sample_turnaround_overheads(model: JitterModel, seed: int, start: int, count: int):

@@ -15,7 +15,9 @@ Frames are processed in blocks of `BLOCK_FRAMES`: each block is drawn,
 inferred and digested at once (`replica.infer`), and a weight-flip set
 re-infers the block when it first fires in it, on weights flipped once per
 run. The rounds of a block run in chunks of at most `ROUND_CHUNK`, so
-memory does not grow with the frame count.
+memory does not grow with the frame count: a chunk's arrays hold about 100
+bytes per round, and about 400 with the trace's columns (`trace.rounds`
+builds its Python ints and text a piece at a time).
 
 Every round of a chunk is decided from arrays with one row per round and
 one column per healthy replica. Every random stream is counter-addressed
@@ -103,7 +105,7 @@ REPORT_FILENAME = "report.json"
 BLOCK_FRAMES = 256
 # The rounds whose draws and times are one set of arrays: enough to amortize
 # NumPy's per-call cost, few enough that the arrays stay small.
-ROUND_CHUNK = 512
+ROUND_CHUNK = 4096
 
 # Simulated time stays below 2**62 ns (146 years), so int64 holds every time.
 TIME_LIMIT_NS = 1 << 62

@@ -10,11 +10,15 @@ tail (`completion_fields`), a verdict's fields after its variant (`agreed`,
 and take consecutive seqs, so `verdict_and_safety` writes both.
 
 `rounds` is the one writer of the runner's rounds. Once per chunk, it
-lays out the seqs and, for each kind of record, the rounds that a mask
-flags and their fields as columns, with the clean output's tails formatted
-once per frame. It writes the text `WRITE_ROUNDS` rounds at a time: each
-piece only formats its slice of every kind and orders the text by (t_ns,
-seq) (`in_order`).
+lays out as NumPy arrays the seqs, the completion seqs and, for each kind
+of record, the rounds that a mask flags and their fields; a text field
+shared by many rounds (the clean output's tails, formatted once per frame,
+and the `_ids_of` texts) is a list of references. It writes the text
+`WRITE_ROUNDS` rounds at a time: each piece builds its frame fields, turns
+its slice of every array into lists, formats the records and orders the
+text by (t_ns, seq) (`in_order`). Only a field that differs from the
+clean round's (a changed output, a verdict other than pass, safety tails
+that vary within the chunk) is formatted per round for the whole chunk.
 """
 
 from __future__ import annotations
@@ -151,11 +155,10 @@ def rounds(write, first_seq, c, replica_ids, cycles, required) -> int:
     a round takes 3 seqs.
 
     The seqs and each kind's rows and fields are laid out once per chunk;
-    each piece of `WRITE_ROUNDS` rounds only formats and orders its slices.
+    each piece of `WRITE_ROUNDS` rounds lists, formats and orders its slices.
     """
     fids, starts, verdict, diverged = c["frame_ids"], c["starts"], c["verdict"], c["diverged"]
     n, k = len(fids), len(replica_ids)
-    frames = list(map(frame, fids.tolist(), c["reps"].tolist()))
     steps = 4 + 2 * k + diverged if k else np.full(n, 3)
     nexts = first_seq + np.cumsum(steps)  # each round's last seq + 1
     seqs = nexts - steps
@@ -171,13 +174,14 @@ def rounds(write, first_seq, c, replica_ids, cycles, required) -> int:
     def add(mask, t, seq, record, *cols):
         """A kind of record, for the rounds that the bool `mask` flags (every
         round when None), each from its time, seq, frame fields and `cols`:
-        columns with one entry per round, lists or arrays."""
-        rows, cols = None, (t, seq, frames, *cols)
+        columns with one entry per round, lists or arrays (kept as arrays
+        until a piece slices them)."""
+        rows, cols = None, (t, seq, *cols)
         if mask is not None and not mask.all():
             rows = np.flatnonzero(mask)
             at = rows.tolist()
             cols = [list(map(f.__getitem__, at)) if isinstance(f, list) else f[rows] for f in cols]
-        kinds.append((rows, cols[0], cols[1], record, [f if isinstance(f, list) else f.tolist() for f in cols]))
+        kinds.append((rows, record, cols))
 
     add(None, starts, seqs, release)
     if k:
@@ -239,11 +243,16 @@ def rounds(write, first_seq, c, replica_ids, cycles, required) -> int:
         fields, tails)
 
     for a in range(0, n, WRITE_ROUNDS):
+        b = a + WRITE_ROUNDS
+        frames = list(map(frame, fids[a:b].tolist(), c["reps"][a:b].tolist()))
         times, keys, lines = [], [], []
-        for rows, t, seq, record, cols in kinds:
-            i, j = (a, a + WRITE_ROUNDS) if rows is None else rows.searchsorted((a, a + WRITE_ROUNDS)).tolist()
-            times.append(t[i:j])
-            keys.append(seq[i:j])
-            lines.extend(map(record, *(f[i:j] for f in cols)))
+        for rows, record, cols in kinds:
+            i, j = (a, b) if rows is None else rows.searchsorted((a, b)).tolist()
+            fr = frames if rows is None else list(map(frames.__getitem__, (rows[i:j] - a).tolist()))
+            t, seq, *rest = (f[i:j] for f in cols)
+            times.append(t)
+            keys.append(seq)
+            rest = [f if isinstance(f, list) else f.tolist() for f in rest]
+            lines.extend(map(record, t.tolist(), seq.tolist(), fr, *rest))
         write(in_order(times, keys, lines))
     return int(nexts[-1])

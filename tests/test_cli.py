@@ -231,6 +231,10 @@ class TestCompareCommand:
         '{"replicas": [{"replica_id": 0, "samples": [Infinity, 1, 2, 3]}]}',
         '{"replicas": [{"replica_id": 0, "samples": [true, 1, 2, 3]}]}',
         '{"replicas": [{"replica_id": 0, "samples": [9223372036854775808, 1, 2, 3]}]}',
+        '{"replicas": [{"replica_id": 0, "samples": [1, 2, 3, -9223372036854775809]}]}',
+        '{"replicas": [{"replica_id": 0, "samples": [1, 2, 3.0, 4]}]}',
+        '{"replicas": [{"replica_id": 0, "samples": [1, 2, 3, false]}]}',
+        '{"replicas": [{"replica_id": 0, "samples": [1, 2, 3, 4]}, {"replica_id": 1, "samples": [0.5]}]}',
         '{"replicas": [{"replica_id": true, "samples": [1, 2, 3, 4]}]}',
         '{"replicas": [{"replica_id": 0, "samples": [1, 2, 3, 4]}, {"replica_id": 0, "samples": [5, 6, 7, 8]}]}',
     ])
@@ -241,6 +245,13 @@ class TestCompareCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"{bad}: not a report")
+
+    def test_compare_takes_the_int64_extremes_and_no_samples(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text('{"replicas": [{"replica_id": 0, "samples": [-9223372036854775808, 0, 1, '
+                          '9223372036854775807]}, {"replica_id": 1, "samples": []}]}')
+        assert cli_main(["compare", str(report), str(report)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_compare_nan_sample_exits_in_a_subprocess(self, tmp_path):
         # A NaN once sent the KS merge loop into an endless loop: a

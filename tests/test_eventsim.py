@@ -10,6 +10,7 @@ from lockstepsim.errors import ConfigError
 from lockstepsim.eventsim import (
     ClockDomain,
     JitterModel,
+    _sample_starts,
     cycles_to_time,
     sample_turnaround_overheads,
 )
@@ -137,3 +138,49 @@ class TestArrayJitter:
         largest = 1.0 - 2.0 ** -53
         spike = math.ceil(math.log1p(-largest) / math.log1p(-1.0 / model.spike_scale_ns))
         assert 10 + 5 + spike < model.bound_ns
+
+
+def parity_walk_starts(spikes, count):
+    """The earlier `_sample_starts`: the next spike of each parity as an
+    array, and one `np.arange` per run of plain samples."""
+    n = len(spikes)
+    next_spike = np.where(spikes, np.arange(n), n)
+    for parity in (0, 1):
+        column = next_spike[parity::2]
+        column[:] = np.minimum.accumulate(column[::-1])[::-1]
+    pieces = []
+    j, left = 0, count
+    while left:
+        q = int(next_spike[j])
+        run = min((q - j) // 2 + 1, left)
+        pieces.append(np.arange(j, j + 2 * run, 2))
+        left -= run
+        j = q + 3
+    return np.concatenate(pieces)
+
+
+class TestSpikeWalk:
+    """`_sample_starts` against the parity walk it replaced."""
+
+    @given(st.integers(1, 5000), st.sampled_from([0.0, 0.003, 0.5, 1.0]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_starts_equal_the_parity_walk(self, count, density, seed):
+        # as `sample_turnaround_overheads` builds it: one flag per draw of
+        # `count` 3-draw samples, the last one False
+        spikes = np.append(np.random.default_rng(seed).random(3 * count - 1) < density, False)
+        got = _sample_starts(spikes, count)
+        assert got.dtype == np.int64
+        assert got.tolist() == parity_walk_starts(spikes, count).tolist()
+
+    @given(st.integers(1, 3000), st.integers(1, 3000), st.sampled_from([0.0, 0.003, 0.5, 1.0]),
+           st.sampled_from([1, 2, 400_000]), st.integers(0, 2**64 - 1), st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_one_call_equals_two_from_the_returned_position(self, a, b, spike_prob, scale, seed, start):
+        # scale 1 takes 2 draws per sample, a larger scale 3 per spike
+        model = JitterModel(base_overhead_ns=7, spike_prob=spike_prob, spike_scale_ns=scale,
+                            mode2_offset_ns=30, mode2_prob=0.5)
+        whole, end = sample_turnaround_overheads(model, seed, start, a + b)
+        first, pos = sample_turnaround_overheads(model, seed, start, a)
+        second, pos = sample_turnaround_overheads(model, seed, pos, b)
+        assert np.concatenate([first, second]).tolist() == whole.tolist()
+        assert pos == end

@@ -3,12 +3,14 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lockstepsim import experiment
 from lockstepsim.config import config_from_dict, load_config
 from lockstepsim.errors import ConfigError, SimulationError
 from lockstepsim.eventsim import ClockDomain, cycles_to_time
@@ -372,6 +374,25 @@ class TestMemoryPerRound:
         assert sum(map(len, (row["samples"] for row in report.replicas))) == 2 * rounds
         assert (live - before) / rounds < 40
         assert (peak - before) / rounds < 120
+
+    def test_traced_run_builds_trace_objects_a_piece_at_a_time(self, tmp_path):
+        # Traced gpu-duplex-loose, 5000 rounds: a chunk of 4096 rounds and
+        # one of 904. The peak read 423 B per round when each 128-round
+        # piece of a chunk becomes Python lists and text, and 1093 B per
+        # round when every column of the whole chunk did.
+        cfg = config_from_dict({"seed": 1, "topology": "gpu-duplex-loose",
+                                "workload": {"frame_count": 50, "repetitions_per_frame": 100}}, env={})
+        rounds = 50 * 100
+        run_to_directory(cfg, tmp_path)  # warm-up: imports and caches
+        with mock.patch.object(experiment, "ROUND_CHUNK", 4096):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                run_to_directory(cfg, tmp_path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peak - before) / rounds < 700
 
 
 def int64_array(xs):

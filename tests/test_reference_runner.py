@@ -198,9 +198,13 @@ def _fault_campaign(frames):
     return raw
 
 
-def test_fault_campaign_cut_matches_the_reference(tmp_path):
-    # 20 frames: 2000 rounds, each with the delay, some with the flip
-    assert_matches_reference(_fault_campaign(20), tmp_path)
+@pytest.mark.parametrize("chunk", sorted({512, experiment.ROUND_CHUNK}))
+def test_fault_campaign_cut_matches_the_reference(tmp_path, chunk):
+    # 20 frames: 2000 rounds, each with the delay, some with the flip. In
+    # chunks of 512 the chunk edges fall mid-frame; at the shipped size the
+    # rounds sit in one chunk, and the 128-round pieces fall mid-chunk.
+    with mock.patch.object(experiment, "ROUND_CHUNK", chunk):
+        assert_matches_reference(_fault_campaign(20), tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(set(CASES) - SLOW_CASES - {"two-profiles"}))
