@@ -63,11 +63,16 @@ class JitterModel(Record, frozen=True):
         return self.base_overhead_ns + self.mode2_offset_ns + 37 * self.spike_scale_ns + 1
 
 
+def _geometrics(us, mean_ns: int) -> list:
+    """Geometric variates on {1, 2, ...} with the given mean (> 1), one by
+    inversion of each uniform of the list `us`."""
+    scale = math.log1p(-1.0 / mean_ns)
+    return [max(1, math.ceil(math.log1p(-u) / scale)) for u in us]
+
+
 def _geometric(u: float, mean_ns: int) -> int:
-    """Geometric variate on {1, 2, ...} with the given mean (> 1), by
-    inversion of the uniform `u`."""
-    k = math.ceil(math.log1p(-u) / math.log1p(-1.0 / mean_ns))
-    return max(1, k)
+    """The geometric variate of one uniform `u` (`_geometrics`)."""
+    return _geometrics([u], mean_ns)[0]
 
 
 def _sample_starts(spikes: np.ndarray, count: int) -> np.ndarray:
@@ -111,7 +116,7 @@ def sample_turnaround_overheads(model: JitterModel, seed: int, start: int, count
         spike = spikes[firsts]
         tail = np.zeros(count, np.int64)
         at = np.flatnonzero(spike)
-        tail[at] = [_geometric(x, model.spike_scale_ns) for x in u[firsts[at] + 2].tolist()]
+        tail[at] = _geometrics(u[firsts[at] + 2].tolist(), model.spike_scale_ns)
     total = model.base_overhead_ns + np.where(u[firsts] < model.mode2_prob, model.mode2_offset_ns, 0) + tail
     used = int(firsts[-1]) + 2 + int(stride == 3 and spike[-1])
     return total.astype(np.int64), start + used

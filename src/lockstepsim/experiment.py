@@ -11,13 +11,16 @@ same config produce byte-identical traces and reports.
 The report is built once, in the shape report.json holds: the counters
 are the report's dicts, and `ExperimentReport`'s fields are the file's keys.
 
-Frames are processed in blocks of `BLOCK_FRAMES`: each block is drawn,
+Frames are processed in blocks of `BLOCK_VALUES` values, the block's
+frames times the widest layer of the net plus its digest row: 255 frames
+of a 1024-wide net, 7489 of a [32, 32, 16] one. Each block is drawn,
 inferred and digested at once (`replica.infer`), and a weight-flip set
 re-infers the block when it first fires in it, on weights flipped once per
-run. The rounds of a block run in chunks of at most `ROUND_CHUNK`, so
-memory does not grow with the frame count: a chunk's arrays hold about 100
-bytes per round, and about 400 with the trace's columns (`trace.rounds`
-builds its Python ints and text a piece at a time).
+run. The rounds of a block run in chunks of at most `ROUND_CHUNK`, so a
+narrow net with one round per frame runs thousands of rounds per chunk,
+and memory does not grow with the frame count: a chunk's arrays hold
+about 100 bytes per round, and about 400 with the trace's columns
+(`trace.rounds` builds its Python ints and text a piece at a time).
 
 Every round of a chunk is decided from arrays with one row per round and
 one column per healthy replica. Every random stream is counter-addressed
@@ -102,7 +105,12 @@ from .voting import (
 TRACE_FILENAME = "trace.jsonl"
 REPORT_FILENAME = "report.json"
 
-BLOCK_FRAMES = 256
+# A block's frames times the 64-bit values each frame holds at once: the
+# widest layer's accumulators and a digest per layer and input. A block
+# stays near 2 MB whatever the frame count (255 frames of a 3-layer net at
+# `replica.MAX_LAYER_WIDTH`); a narrow net runs thousands of frames per
+# block, a deep one fewer.
+BLOCK_VALUES = 1 << 18
 # The rounds whose draws and times are one set of arrays: enough to amortize
 # NumPy's per-call cost, few enough that the arrays stay small.
 ROUND_CHUNK = 4096
@@ -460,8 +468,9 @@ class ExperimentRunner:
         self._corr = [self.clock_offsets[rid] - self.ptp_corrections[rid] for rid in self.healthy_ids]
         self._check_time_limit()
         reps = wl.repetitions_per_frame
-        for first in range(0, wl.frame_count, BLOCK_FRAMES):
-            count = min(BLOCK_FRAMES, wl.frame_count - first)
+        size = BLOCK_VALUES // (max(wl.arch) + len(wl.arch))
+        for first in range(0, wl.frame_count, size):
+            count = min(size, wl.frame_count - first)
             self._frames = gen_frames(self.cfg.seed, range(first, first + count), wl.input_shape)
             self._block = {}
             for lo in range(0, count * reps, ROUND_CHUNK):

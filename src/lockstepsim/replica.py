@@ -15,8 +15,12 @@ below 2**63 for layer widths up to 1024):
     y[j]    = saturate_int16(round_half_to_even(acc[j] / 256))
     out[j]  = max(y[j], 0) for every layer but the last, else y[j]
 
-`infer` runs a block of frames: one int64 matmul per layer for all of
-them, and the digests of the whole block at once.
+The rounding is the shift form (acc + 127 + (q & 1)) >> 8 with
+q = acc >> 8, the floor of acc / 256 (an arithmetic shift floors negative
+values too): a remainder above 128, or of 128 under an odd q, carries into
+q + 1. `infer` runs a block of frames: one int64 matmul per layer for all
+of them, rounded in place with one temporary of the accumulators' size,
+and the digests of the whole block at once.
 
 Bus trace: per layer L the channel fetches the parameters (event 4L),
 loads the layer input (4L+1), executes (4L+2) and stores the result
@@ -98,8 +102,11 @@ def gen_frames(seed: int, frame_ids, shape) -> np.ndarray:
     """Synthetic input frames, deterministic in (seed, frame id, shape): an
     int16 array of shape (len(frame_ids), *shape), one frame per id."""
     seeds = derive_seeds(seed, "frame.", frame_ids)
-    values = draws(seeds, math.prod(shape)) % np.uint64(2 * INPUT_CLAMP + 1)
-    return (values.astype(np.int16) - INPUT_CLAMP).reshape(len(seeds), *shape)
+    values = draws(seeds, math.prod(shape))
+    values %= np.uint64(2 * INPUT_CLAMP + 1)
+    frames = values.astype(np.int16)
+    frames -= INPUT_CLAMP
+    return frames.reshape(len(seeds), *shape)
 
 
 def gen_frame(seed: int, frame_id: int, shape) -> np.ndarray:
@@ -107,13 +114,24 @@ def gen_frame(seed: int, frame_id: int, shape) -> np.ndarray:
     return gen_frames(seed, [frame_id], shape)
 
 
-def _round_shift_half_even(acc: np.ndarray) -> np.ndarray:
-    # acc / 256 rounded half-to-even; floor divmod keeps remainders in [0, 256)
-    q = np.floor_divide(acc, SCALE)
-    r = acc - q * SCALE
-    half = SCALE >> 1
-    bump = (r > half) | ((r == half) & ((q & 1) == 1))
-    return q + bump
+def _round_half_even(acc: np.ndarray) -> np.ndarray:
+    """acc / 256 rounded half to even, in place in the int64 array `acc`:
+    (acc + 127 + (q & 1)) >> 8 with q = acc >> 8. Returns `acc`."""
+    odd = acc >> FRAC_BITS
+    odd &= 1
+    odd += (SCALE >> 1) - 1
+    acc += odd
+    acc >>= FRAC_BITS
+    return acc
+
+
+def _layer(x, w, b, relu):
+    """The int16 outputs of the layer (w, b) on the int16 inputs `x`, one
+    row per frame. Its accumulators are freed when it returns."""
+    acc = np.matmul(x, w.T, dtype=np.int64)
+    acc += b.astype(np.int64) << FRAC_BITS
+    np.clip(_round_half_even(acc), 0 if relu else RAW_MIN, RAW_MAX, out=acc)  # ReLU is max(y, 0)
+    return acc.astype(np.int16)
 
 
 def layer_costs(weights: np.ndarray) -> tuple:
@@ -147,12 +165,6 @@ def infer(layers, frames: np.ndarray, engine: EngineConfig):
     x = frames.reshape(len(frames), -1)
     rows = [tensor_digests(shape, x)]
     for i, (w, b) in enumerate(layers):
-        acc = np.matmul(x, w.T, dtype=np.int64)
-        acc += b.astype(np.int64) << FRAC_BITS
-        y = _round_shift_half_even(acc)
-        np.clip(y, RAW_MIN, RAW_MAX, out=y)
-        if i < len(layers) - 1:
-            np.maximum(y, 0, out=y)
-        x = y.astype(np.int16)
+        x = _layer(x, w, b, i < len(layers) - 1)
         rows.append(tensor_digests(b.shape, x))
     return x, compute_cycles(layers, engine), np.stack(rows, axis=1)

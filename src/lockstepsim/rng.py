@@ -43,10 +43,14 @@ def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
 
 
 def mix64s(z: np.ndarray) -> np.ndarray:
-    """`mix64` of each element of the uint64 array `z`."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """`mix64` of each element of the uint64 array `z`, in place (one
+    temporary of its size at a time); returns `z`."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def draws(seeds, count: int, start: int = 0) -> np.ndarray:
@@ -65,10 +69,11 @@ def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
 def fnv1a64_rows(h: int, rows: np.ndarray) -> np.ndarray:
     """FNV-1a 64-bit, continued from the hash `h`, over the bytes of each row
     of the uint8 array `rows`: a uint64 array with one hash per row. The loop
-    runs over the byte columns and each step over every row at once."""
+    runs over the byte columns and each step over every row at once, each
+    column widened as it is taken, so no uint64 copy of `rows` is made."""
     out = np.full(len(rows), h, dtype=np.uint64)
     prime = np.uint64(_FNV_PRIME)
-    for column in rows.T.astype(np.uint64):
+    for column in rows.T:
         out ^= column
         out *= prime
     return out

@@ -10,15 +10,15 @@ tail (`completion_fields`), a verdict's fields after its variant (`agreed`,
 and take consecutive seqs, so `verdict_and_safety` writes both.
 
 `rounds` is the one writer of the runner's rounds. Once per chunk, it
-lays out as NumPy arrays the seqs, the completion seqs and, for each kind
-of record, the rounds that a mask flags and their fields; a text field
-shared by many rounds (the clean output's tails, formatted once per frame,
-and the `_ids_of` texts) is a list of references. It writes the text
-`WRITE_ROUNDS` rounds at a time: each piece builds its frame fields, turns
-its slice of every array into lists, formats the records and orders the
-text by (t_ns, seq) (`in_order`). Only a field that differs from the
-clean round's (a changed output, a verdict other than pass, safety tails
-that vary within the chunk) is formatted per round for the whole chunk.
+lays out as NumPy arrays the seqs, the record times and the rounds that
+each kind of record or text is for. It writes the text `WRITE_ROUNDS`
+rounds at a time (`_piece`): each piece builds its frame and text fields,
+turns its slices of the arrays into lists, formats the records and orders
+the text by (t_ns, seq) (`in_order`). A text shared by many rounds is
+formatted once per piece: the clean output's tails once per frame, the
+`_ids_of` texts once per set of ids, the safety tails once when they are
+all equal; a changed output and a verdict other than pass take their
+own. So every Python str and list lives for one piece only.
 """
 
 from __future__ import annotations
@@ -154,105 +154,141 @@ def rounds(write, first_seq, c, replica_ids, cycles, required) -> int:
     divergence, the verdict and the safety action. With no healthy replica
     a round takes 3 seqs.
 
-    The seqs and each kind's rows and fields are laid out once per chunk;
-    each piece of `WRITE_ROUNDS` rounds lists, formats and orders its slices.
+    The seqs, the record times and the rounds of each kind are laid out
+    once per chunk, as arrays; `_piece` writes each `WRITE_ROUNDS` rounds.
     """
-    fids, starts, verdict, diverged = c["frame_ids"], c["starts"], c["verdict"], c["diverged"]
+    fids, verdict, emit, changed = c["frame_ids"], c["verdict"], c["emit"], c["changed"]
     n, k = len(fids), len(replica_ids)
-    steps = 4 + 2 * k + diverged if k else np.full(n, 3)
+    steps = 4 + 2 * k + c["diverged"] if k else np.full(n, 3)
     nexts = first_seq + np.cumsum(steps)  # each round's last seq + 1
     seqs = nexts - steps
-    # the clean output's tails, formatted once per frame
+    # a completion's seq follows the (time, replica) order of the
+    # deliveries, which is replica order when all come at the release
+    completion_seqs = seqs[:, None] + np.arange(1 + k, 1 + 2 * k)
+    if k and c["feed"].any():
+        order = np.argsort(c["feed"], axis=1, kind="stable")
+        np.put_along_axis(completion_seqs, order, completion_seqs.copy(), axis=1)
     new = np.ones(n, dtype=bool)
     new[1:] = fids[1:] != fids[:-1]
-    digests, of = c["clean"][new].tolist(), (np.cumsum(new) - 1).tolist()
-    completions = list(map(completion_fields, [cycles] * len(digests), digests, c["classes"][new].tolist()))
+    action, counts, safe = c["action"], c["counts"], c["safe"]
+    # frame_of numbers each round's frame, frame_rows holds each frame's
+    # first round, and uniform says whether every safety tail is the same
+    c = {**c, "seqs": seqs, "nexts": nexts, "completion_seqs": completion_seqs, "ends": c["starts"] + c["durations"],
+         "frame_of": np.cumsum(new) - 1, "frame_rows": np.flatnonzero(new),
+         "uniform": (action == action[0]).all() and (counts == counts[0]).all() and (safe == safe[0]).all()}
+    # the rounds that each kind of record or text is for, as ascending
+    # indices; None when that is every round
+    masks = {"complete": c["complete"], "timeout": ~c["complete"], "diverged": c["diverged"],
+             "voted": c["voted"] & (verdict == _PASS), "other": verdict != _PASS}
+    masks.update({("emit", i): emit[:, i] for i in range(k)})
+    if changed is not None:
+        masks.update({("changed", i): changed[:, i] for i in range(k)})
+    rows = {kind: None if mask.all() else np.flatnonzero(mask) for kind, mask in masks.items()}
+    for a in range(0, n, WRITE_ROUNDS):
+        write(_piece(c, rows, a, min(a + WRITE_ROUNDS, n), replica_ids, cycles, required))
+    return int(nexts[-1])
+
+
+def _piece(c, rows, a, b, replica_ids, cycles, required) -> str:
+    """The text of rounds a .. b-1 of `rounds`' columns `c`, in (t_ns, seq)
+    order; `rows` holds the rounds of each kind."""
+    s = slice(a, b)
+    starts, ends, seqs, verdict = c["starts"][s], c["ends"][s], c["seqs"][s], c["verdict"][s]
+    n, k = b - a, len(replica_ids)
+    every = np.arange(n)
+
+    def within(kind):
+        """The rounds of the piece that `rows[kind]` holds, as indices into
+        the piece."""
+        at = rows[kind]
+        if at is None:
+            return every
+        i, j = at.searchsorted((a, b)).tolist()
+        return at[i:j] - a
+
+    frames = list(map(frame, c["frame_ids"][s].tolist(), c["reps"][s].tolist()))
+    # the clean output's tails, formatted once per frame
+    of = c["frame_of"][s]
+    lo = int(of[0])
+    at = c["frame_rows"][lo:int(of[-1]) + 1]
+    digests, of = c["clean"][at].tolist(), (of - lo).tolist()
+    completions = list(map(completion_fields, [cycles] * len(digests), digests, c["classes"][at].tolist()))
     agreements = list(map(agreed, [ids(replica_ids)] * len(digests), digests))
     completions, fields = list(map(completions.__getitem__, of)), list(map(agreements.__getitem__, of))
-    kinds = []
+    times, keys, lines = [], [], []
 
-    def add(mask, t, seq, record, *cols):
-        """A kind of record, for the rounds that the bool `mask` flags (every
-        round when None), each from its time, seq, frame fields and `cols`:
-        columns with one entry per round, lists or arrays (kept as arrays
-        until a piece slices them)."""
-        rows, cols = None, (t, seq, *cols)
-        if mask is not None and not mask.all():
-            rows = np.flatnonzero(mask)
-            at = rows.tolist()
-            cols = [list(map(f.__getitem__, at)) if isinstance(f, list) else f[rows] for f in cols]
-        kinds.append((rows, record, cols))
+    def add(at, t, seq, record, *cols):
+        """Format a kind of record for the rounds `at` of the piece, each
+        from its time, seq, frame fields and `cols`: lists or arrays with
+        one entry per round of the piece."""
+        fr = frames
+        if len(at) < n:
+            if not len(at):
+                return
+            j = at.tolist()
+            fr = list(map(frames.__getitem__, j))
+            t, seq = t[at], seq[at]
+            cols = [list(map(f.__getitem__, j)) if isinstance(f, list) else f[at] for f in cols]
+        times.append(t)
+        keys.append(seq)
+        lines.extend(map(record, t.tolist(), seq.tolist(), fr,
+                         *(f if isinstance(f, list) else f.tolist() for f in cols)))
 
-    add(None, starts, seqs, release)
+    add(every, starts, seqs, release)
     if k:
-        feed, comp, emit, changed = c["feed"], c["comp"], c["emit"], c["changed"]
-        # a completion's seq follows the (time, replica) order of the
-        # deliveries, which is replica order when all come at the release
-        completion_seqs = seqs[:, None] + np.arange(1 + k, 1 + 2 * k)
-        if feed.any():
-            order = np.argsort(feed, axis=1, kind="stable")
-            np.put_along_axis(completion_seqs, order, completion_seqs.copy(), axis=1)
+        feed, comp, completion_seqs = c["feed"][s], c["comp"][s], c["completion_seqs"][s]
         for i, rid in enumerate(replica_ids):
-            add(None, starts + feed[:, i], seqs + (1 + i), delivery, [rid] * n, feed[:, i])
+            add(every, starts + feed[:, i], seqs + (1 + i), delivery, [rid] * n, feed[:, i])
             tails = completions
-            if changed is not None and changed[:, i].any():
+            if ("changed", i) in rows and len(at := within(("changed", i))):
                 tails = completions.copy()
-                at = np.flatnonzero(changed[:, i]).tolist()
-                for j, text in zip(at, map(completion_fields, [cycles] * len(at), c["digests"][at, i].tolist(),
-                                           c["outputs"][at, i].argmax(axis=1).tolist())):
+                g = at + a
+                for j, text in zip(at.tolist(), map(completion_fields, [cycles] * len(at),
+                                                    c["digests"][g, i].tolist(),
+                                                    c["outputs"][g, i].argmax(axis=1).tolist())):
                     tails[j] = text
-            add(emit[:, i], starts + comp[:, i], completion_seqs[:, i], completion, [rid] * n, comp[:, i], tails)
+            add(within(("emit", i)), starts + comp[:, i], completion_seqs[:, i], completion, [rid] * n, comp[:, i],
+                tails)
 
     # the records that end each round, at its record time: the rendezvous,
     # any bus divergence, then the verdict and the safety action at the
     # round's last two seqs
-    ends = starts + c["durations"]
-    if c["voted"].any():
-        at = np.flatnonzero(c["voted"] & (verdict == _PASS)).tolist()
-        agreeing = _ids_of(c["labels"][at] == c["best"][at, None], replica_ids)
-        for j, text in zip(at, map(agreed, agreeing, c["agreed"][at].tolist())):
+    at = within("voted")
+    if len(at):
+        g = at + a
+        agreeing = _ids_of(c["labels"][g] == c["best"][g, None], replica_ids)
+        for j, text in zip(at.tolist(), map(agreed, agreeing, c["agreed"][g].tolist())):
             fields[j] = text
     if k:
-        done, rendezvous_seqs = c["complete"], seqs + (1 + 2 * k)
-        add(done, ends, rendezvous_seqs, complete, c["skew"])
-        if not done.all():
-            present, gone = _ids_of(c["present"], replica_ids), _ids_of(~c["present"], replica_ids)
-            add(~done, ends, rendezvous_seqs, timeout, present, gone)
-        if diverged.any():
+        rendezvous_seqs = seqs + (1 + 2 * k)
+        add(within("complete"), ends, rendezvous_seqs, complete, c["skew"][s])
+        at = within("timeout")
+        if len(at):
+            present = c["present"][s]
+            present, gone = _ids_of(present, replica_ids), _ids_of(~present, replica_ids)
+            add(at, ends, rendezvous_seqs, timeout, present, gone)
+        at = within("diverged")
+        if len(at):
             rids = np.array(replica_ids)
-            add(diverged, ends, rendezvous_seqs + 1, divergence, rids[c["emit"].argmax(axis=1)], rids[c["other"]],
-                c["index"])
+            add(at, ends, rendezvous_seqs + 1, divergence, rids[c["emit"][s].argmax(axis=1)], rids[c["other"][s]],
+                c["index"][s])
     # the text of each non-pass verdict
     degraded = reason(f"{k} output(s) cannot reach {required}-way agreement" if k else "no healthy replicas")
-    for j in np.flatnonzero(verdict != _PASS).tolist():
+    for j in within("other").tolist():
         v = verdict[j]
         if v == _MISMATCH:
-            labels = c["labels"][j]
+            labels = c["labels"][a + j]
             fields[j] = groups([[r for r, g in zip(replica_ids, labels.tolist()) if g == group]
                                 for group in range(labels.max() + 1)])
         else:
             fields[j] = missing(gone[j]) if v == _TIMEOUT else degraded
 
-    action, counts, safe = c["action"], c["counts"], c["safe"]
-    if (action == action[0]).all() and (counts == counts[0]).all() and (safe == safe[0]).all():
+    action, counts, safe = c["action"][s], c["counts"][s], c["safe"][s]
+    if c["uniform"]:
         tails = [safety_fields(SAFE_OFF if safe[0] else OPERATIONAL, ACTIONS[action[0]], int(counts[0]))] * n
     else:
         states = [SAFE_OFF if off else OPERATIONAL for off in safe.tolist()]
         tails = list(map(safety_fields, states, map(ACTIONS.__getitem__, action.tolist()), counts.tolist()))
-    add(None, ends, nexts - 2, verdict_and_safety, list(map(VERDICTS.__getitem__, verdict.tolist())),
+    add(every, ends, c["nexts"][s] - 2, verdict_and_safety, list(map(VERDICTS.__getitem__, verdict.tolist())),
         fields, tails)
-
-    for a in range(0, n, WRITE_ROUNDS):
-        b = a + WRITE_ROUNDS
-        frames = list(map(frame, fids[a:b].tolist(), c["reps"][a:b].tolist()))
-        times, keys, lines = [], [], []
-        for rows, record, cols in kinds:
-            i, j = (a, b) if rows is None else rows.searchsorted((a, b)).tolist()
-            fr = frames if rows is None else list(map(frames.__getitem__, (rows[i:j] - a).tolist()))
-            t, seq, *rest = (f[i:j] for f in cols)
-            times.append(t)
-            keys.append(seq)
-            rest = [f if isinstance(f, list) else f.tolist() for f in rest]
-            lines.extend(map(record, t.tolist(), seq.tolist(), fr, *rest))
-        write(in_order(times, keys, lines))
-    return int(nexts[-1])
+    return in_order(times, keys, lines)

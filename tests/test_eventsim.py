@@ -10,6 +10,7 @@ from lockstepsim.errors import ConfigError
 from lockstepsim.eventsim import (
     ClockDomain,
     JitterModel,
+    _geometrics,
     _sample_starts,
     cycles_to_time,
     sample_turnaround_overheads,
@@ -184,3 +185,19 @@ class TestSpikeWalk:
         second, pos = sample_turnaround_overheads(model, seed, pos, b)
         assert np.concatenate([first, second]).tolist() == whole.tolist()
         assert pos == end
+
+
+def per_call_geometric(u, mean_ns):
+    """The earlier `_geometric`: the log of the success probability taken
+    once per variate."""
+    return max(1, math.ceil(math.log1p(-u) / math.log1p(-1.0 / mean_ns)))
+
+
+# the uniforms `sample_turnaround_overheads` draws: k / 2**53, 0 <= k < 2**53
+UNIFORMS = st.integers(0, 2**53 - 1).map(lambda k: k / 2**53)
+
+
+@given(st.lists(UNIFORMS, max_size=40), st.integers(2, 2**62) | st.sampled_from([2, 3, 5_000, 400_000]))
+@settings(max_examples=300, deadline=None)
+def test_geometrics_equal_the_per_call_form(us, mean_ns):
+    assert _geometrics(us, mean_ns) == [per_call_geometric(u, mean_ns) for u in us]

@@ -394,6 +394,88 @@ class TestMemoryPerRound:
                 tracemalloc.stop()
         assert (peak - before) / rounds < 700
 
+    def test_tight_run_of_one_chunk_builds_trace_text_a_piece_at_a_time(self, tmp_path):
+        # Tight 2oo3 with every fault kind, 1500 frames of one round each:
+        # one block and one chunk of 1500 rounds, each a fresh frame. The
+        # peak read 1050 B per round with the trace text built per piece,
+        # and 1809 B per round with the completion, agreement and safety
+        # tails and the sparse kinds' lists built for the whole chunk.
+        cfg = config_from_dict(tight_all_faults(1500), env={})
+        run_to_directory(cfg, tmp_path)  # warm-up: imports and caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_to_directory(cfg, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / 1500 < 1400
+
+
+def tight_all_faults(frames):
+    """3 tight replicas of a [32, 32, 16] net with bus compare and 2oo3, one
+    round per frame, and a fault of every kind fired by probability."""
+    def fault(rid, kind, p):
+        return {"replica_id": rid, "kind": kind, "trigger": {"type": "with_probability", "p": p}}
+    return {
+        "seed": 11,
+        "topology": {"replicas": 3, "coupling": {"mode": "tight", "skew_tolerance_cycles": 2},
+                     "voter": {"policy": "2oo3", "comparator": {"kind": "exact"}, "debounce_threshold": 3},
+                     "clock": {"freq_hz": 210_000_000, "drift_ppm": 0}, "shared_clock": True,
+                     "bus_trace_compare": True},
+        "workload": {"frame_count": frames, "repetitions_per_frame": 1, "input_shape": [32], "arch": [32, 32, 16]},
+        "faults": [
+            fault(2, {"type": "weight_bit_flip", "layer": 0, "element_index": 77, "bit": 12}, 0.05),
+            fault(2, {"type": "output_bit_flip", "element_index": 3, "bit": 9}, 0.04),
+            fault(2, {"type": "stuck_output"}, 0.02),
+            fault(2, {"type": "drop_output"}, 0.02),
+            fault(2, {"type": "extra_delay", "ns": 50_000}, 0.03),
+            fault(1, {"type": "output_bit_flip", "element_index": 5, "bit": 14}, 0.01),
+        ],
+    }
+
+
+class TestBlocks:
+    """Frames are drawn and inferred in blocks of `BLOCK_VALUES` values,
+    frames times the widest layer plus the digest row, and a block's rounds
+    run in chunks."""
+
+    @staticmethod
+    def _calls(raw):
+        """The frame count of each `gen_frames` call and the round count of
+        each `_run_chunk` call of a run of `raw`."""
+        blocks, chunks = [], []
+        gen_frames, run_chunk = experiment.gen_frames, experiment.ExperimentRunner._run_chunk
+
+        def counted_frames(seed, frame_ids, shape):
+            blocks.append(len(frame_ids))
+            return gen_frames(seed, frame_ids, shape)
+
+        def counted_chunk(self, first, lo, hi):
+            chunks.append(hi - lo)
+            return run_chunk(self, first, lo, hi)
+
+        with mock.patch.object(experiment, "gen_frames", counted_frames), \
+                mock.patch.object(experiment.ExperimentRunner, "_run_chunk", counted_chunk):
+            run_experiment(config_from_dict(raw, env={}))
+        return blocks, chunks
+
+    def test_a_narrow_net_with_one_round_per_frame_runs_one_chunk(self):
+        assert self._calls(tight_all_faults(1500)) == ([1500], [1500])
+
+    def test_a_1024_wide_net_keeps_blocks_of_at_most_256_frames(self):
+        raw = {"seed": 3, "topology": "gpu-duplex-loose",
+               "workload": {"frame_count": 513, "repetitions_per_frame": 2, "input_shape": [1024],
+                            "arch": [1024, 4]}}
+        assert self._calls(raw) == ([255, 255, 3], [510, 510, 6])
+
+    def test_a_deep_net_counts_its_digest_row(self):
+        # 63 layers of width 4: by the widest layer alone a block would be
+        # 65536 frames, whose digest rows alone take 33 MB
+        raw = {"seed": 3, "topology": "gpu-duplex-loose",
+               "workload": {"frame_count": 4000, "repetitions_per_frame": 1, "input_shape": [4], "arch": [4] * 64}}
+        assert self._calls(raw) == ([3855, 145], [3855, 145])
+
 
 def int64_array(xs):
     return np.array(xs, dtype=np.int64)

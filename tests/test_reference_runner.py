@@ -181,13 +181,15 @@ def test_generated_configs_match_the_reference(tmp_path_factory, raw):
 @settings(settings.get_profile("oracle-fuzz"))
 @given(raw=configs())
 def test_tiny_chunks_and_blocks_match_the_reference(tmp_path_factory, chunk, raw):
-    # Chunks of 1 or 3 rounds, blocks of 2 frames and rounds written 2 at a
-    # time: their edges fall mid-frame, right after a slow round, inside a
-    # jitter stream's 3-draw samples and after SafeOff. With chunks of 1,
-    # every round sits on a chunk edge, so the safety switch, a stuck
-    # output's last value and seq all carry across chunks.
+    # Chunks of 1 or 3 rounds, blocks of 2 frames (a budget of 2 frames'
+    # values) and rounds written 2 at a time: their edges fall mid-frame,
+    # right after a slow round, inside a jitter stream's 3-draw samples and
+    # after SafeOff. With chunks of 1, every round sits on a chunk edge, so
+    # the safety switch, a stuck output's last value and seq all carry
+    # across chunks.
+    arch = config_from_dict(raw, env={}).workload.arch
     with mock.patch.object(experiment, "ROUND_CHUNK", chunk), \
-            mock.patch.object(experiment, "BLOCK_FRAMES", 2), \
+            mock.patch.object(experiment, "BLOCK_VALUES", 2 * (max(arch) + len(arch))), \
             mock.patch.object(trace, "WRITE_ROUNDS", 2):
         assert_matches_reference(raw, tmp_path_factory.mktemp("run"))
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from lockstepsim.fixedpoint import combine_digests, tensor_digest
 from lockstepsim.replica import (
     WEIGHT_CLAMP,
     EngineConfig,
+    _round_half_even,
     gen_frame,
     gen_frames,
     gen_weights,
@@ -92,6 +95,25 @@ def test_round_half_to_even():
     for w, want in ((1, 0), (3, 2), (-1, 0), (-3, -2)):
         out, _, _ = infer((layer([[w]], [0]),), frame(128), ENGINE)
         assert out.tolist() == [[want]], w
+
+
+# every accumulator of a supported net: 1024 products below 2**30 and a bias
+# term below 2**23 stay within 2**41
+ACCUMULATORS = st.integers(-(2**41), 2**41)
+TIES = st.integers(-(2**33), 2**33 - 1).map(lambda q: 256 * q + 128)
+
+
+@given(st.lists(ACCUMULATORS | TIES, min_size=1, max_size=50))
+@settings(max_examples=300, deadline=None)
+def test_shift_rounding_is_half_to_even(accs):
+    got = _round_half_even(np.array(accs, dtype=np.int64))
+    assert got.tolist() == [round(Fraction(acc, 256)) for acc in accs]
+
+
+def test_shift_rounding_of_the_ties_near_zero():
+    accs = 256 * np.arange(-5000, 5000) + 128
+    want = [round(Fraction(int(acc), 256)) for acc in accs]
+    assert _round_half_even(accs).tolist() == want
 
 
 def test_relu_clamps_negatives():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,23 @@ def test_row_hashes_continue_fnv1a64():
     h = fnv1a64(b"prefix")
     out = fnv1a64_rows(h, np.frombuffer(b"".join(rows), dtype="uint8").reshape(3, 9))
     assert out.tolist() == [fnv1a64(r, h) for r in rows] == [fnv1a64(b"prefix" + r) for r in rows]
+
+
+def test_row_hashes_of_a_strided_view_widen_one_column_at_a_time():
+    # a (4096, 64) block of a strided view: widening the whole block to
+    # uint64 took a 2.1 MB peak, one column at a time takes the hashes' 32 KB
+    block = np.random.default_rng(5).integers(0, 256, (8192, 128), dtype=np.uint8)[::2, 1::2]
+    assert block.shape == (4096, 64) and not block.flags.c_contiguous
+    h = fnv1a64(b"prefix")
+    fnv1a64_rows(h, block)  # warm-up
+    tracemalloc.start()
+    try:
+        out = fnv1a64_rows(h, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
+    assert out.tolist() == [fnv1a64(row.tobytes(), h) for row in block]
 
 
 @pytest.mark.parametrize("start", [0, 1, 7, 1000])
