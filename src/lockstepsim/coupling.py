@@ -1,9 +1,10 @@
 """The coupling layer between redundant channels.
 
 Tight and loose coupling, the output rendezvous with its timeout window and
-the bus-trace comparison for tight coupling, each over a batch of rounds as
-arrays, and a two-step offset/path-delay estimate for loosely-coupled
-modules on separate clocks. Input distribution has no function of its own:
+the bus-trace comparison for tight coupling (by the parameter digests of
+each side's network), each over a batch of rounds as arrays, and a
+two-step offset/path-delay estimate for loosely-coupled modules on
+separate clocks. Input distribution has no function of its own:
 tight coupling delivers every input at its release, and loose coupling
 delays each delivery by a draw of the replica's feed jitter
 (`eventsim.sample_turnaround_overheads`).
@@ -62,32 +63,20 @@ def rendezvous_rounds(arrival, emitted, window_ns: int):
     return emitted & (arrival <= close[:, None]), complete, last - first, np.where(complete, last, close)
 
 
-def bus_traces(params, rows):
-    """The bus traces of a block of inferences on one network, as one
-    uint64 row per frame: per layer L, the payload digests of its fetch,
-    load and execute events (4L, 4L+1, 4L+2). `params` holds the layer
-    parameter digests and `rows` the frames' digest rows (see `replica`)."""
-    layers = len(params)
-    out = np.empty((len(rows), layers, 3), dtype=np.uint64)
-    out[:, :, 0] = params
-    out[:, :, 1] = rows[:, :-1]
-    out[:, :, 2] = rows[:, 1:]
-    return out.reshape(len(rows), 3 * layers)
-
-
 def compare_bus_traces(a, b):
-    """Compare two batches of `bus_traces` row by row.
+    """Compare the bus traces of two batches of rounds, given as the
+    (rounds, layers) uint64 parameter digests of the network each side ran
+    (`replica.params_digests`).
 
-    Returns per row the index of the first diverging event, or -1 on a
-    match. Every trace of one network on one engine runs the same cycle
-    schedule (see `replica`), so their event kinds, cycles and lengths
-    agree, and the first divergence is the first event whose payload digest
-    differs. A store (event 4L+3) repeats its execute's digest, so it is
-    never first.
+    Returns per round the index of the first diverging event, or -1 on a
+    match. Both sides infer the same frame on the same cycle schedule (see
+    `replica`), so their event kinds, cycles and lengths agree, and every
+    payload before the first layer whose parameters differ is equal: the
+    first divergence is that layer's fetch, event 4L. Like `voting.Exact`,
+    this takes unequal tensors to have unequal digests.
     """
     differ = a != b
-    column = differ.argmax(axis=1)
-    return np.where(differ.any(axis=1), 4 * (column // 3) + column % 3, -1)
+    return np.where(differ.any(axis=1), 4 * differ.argmax(axis=1), -1)
 
 
 class PtpExchange(Record, frozen=True):

@@ -12,11 +12,11 @@ The report is built once, in the shape report.json holds: the counters
 are the report's dicts, and `ExperimentReport`'s fields are the file's keys.
 
 Frames are processed in blocks of `BLOCK_VALUES` values, the block's
-frames times the widest layer of the net plus its digest row: 255 frames
-of a 1024-wide net, 7489 of a [32, 32, 16] one. Each block is drawn,
-inferred and digested at once (`replica.infer`), and a weight-flip set
-re-infers the block when it first fires in it, on weights flipped once per
-run. The rounds of a block run in chunks of at most `ROUND_CHUNK`, so a
+frames times the widest layer of the net plus its output digest: 255
+frames of a 1024-wide net, 7943 of a [32, 32, 16] one. Each block is
+drawn, inferred and digested at once (`replica.infer`), and a weight-flip
+set re-infers the block when it first fires in it, on weights flipped once
+per run. The rounds of a block run in chunks of at most `ROUND_CHUNK`, so a
 narrow net with one round per frame runs thousands of rounds per chunk,
 and memory does not grow with the frame count: a chunk's arrays hold
 about 100 bytes per round, and about 400 with the trace's columns
@@ -41,7 +41,9 @@ clock and the delays that fired. A drop fault masks the output. Then:
   the replica's last emitted output, carried across chunks. Only the rounds
   in which a value fault fired are grouped (`voting.agreement_labels`); in
   the others every output is the clean one. Bus traces follow the weight
-  flips alone, so only rounds in which one fired are compared.
+  flips alone, so only rounds in which one fired are compared, each
+  output by the parameter digests of the weights it ran on
+  (`coupling.compare_bus_traces`).
 - state: the verdicts (`voting.vote_rounds`), the safety switch
   (`voting.safety_scan`, its state carried across chunks) and the report's
   counts.
@@ -67,7 +69,6 @@ from . import trace
 from .config import ExperimentConfig
 from .coupling import (
     Tight,
-    bus_traces,
     compare_bus_traces,
     estimate_ptp_offset,
     rendezvous_rounds,
@@ -106,10 +107,10 @@ TRACE_FILENAME = "trace.jsonl"
 REPORT_FILENAME = "report.json"
 
 # A block's frames times the 64-bit values each frame holds at once: the
-# widest layer's accumulators and a digest per layer and input. A block
-# stays near 2 MB whatever the frame count (255 frames of a 3-layer net at
+# widest layer's accumulators and its output digest. A block stays near
+# 2 MB whatever the frame count (255 frames of a net at
 # `replica.MAX_LAYER_WIDTH`); a narrow net runs thousands of frames per
-# block, a deep one fewer.
+# block.
 BLOCK_VALUES = 1 << 18
 # The rounds whose draws and times are one set of arrays: enough to amortize
 # NumPy's per-call cost, few enough that the arrays stay small.
@@ -236,7 +237,7 @@ class ExperimentRunner:
     # -- per-replica values ----------------------------------------------
 
     def _result(self, flips):
-        """(index, outputs, digest rows, parameter digests) of the block's
+        """(index, outputs, output digests, parameter digests) of the block's
         frames on the weights with the weight-bit `flips` applied; `index`
         numbers the flip sets of the block in order of first use, from 0 for
         the clean weights."""
@@ -246,8 +247,8 @@ class ExperimentRunner:
                 weights = flip_weight_bits(self.weights, flips)
                 self._weights[flips] = (weights, params_digests(weights))
             weights, params = self._weights[flips]
-            outs, _, rows = infer(weights, self._frames, self.engine)
-            block = self._block[flips] = (len(self._block), outs, rows, params)
+            outs, _, digests = infer(weights, self._frames, self.engine)
+            block = self._block[flips] = (len(self._block), outs, digests, params)
         return block
 
     def _values(self, rows, emit, fired):
@@ -255,9 +256,9 @@ class ExperimentRunner:
         row per round and one column per healthy replica: each digest, each
         output (one more axis), the index of the weight-flip set it ran on
         (`_result`) and whether a value fault fired for it."""
-        _, outs, digest_rows, _ = self._result(())
+        _, outs, clean, _ = self._result(())
         n, k = emit.shape
-        digests = np.repeat(digest_rows[rows, -1][:, None], k, axis=1)
+        digests = np.repeat(clean[rows][:, None], k, axis=1)
         outputs = np.repeat(outs[rows][:, None], k, axis=1)
         keys = np.zeros((n, k), dtype=np.int64)
         changed = np.zeros((n, k), dtype=bool)
@@ -272,11 +273,11 @@ class ExperimentRunner:
                 patterns = fired[:, [s for s, _ in flips]] & emitted[:, None]
                 for pattern in sorted(set(map(tuple, patterns.tolist())) - {(False,) * len(flips)}):
                     at = (patterns == pattern).all(axis=1)
-                    key, outs, digest_rows, _ = self._result(
+                    key, outs, flipped, _ = self._result(
                         tuple(flip for (_, flip), on in zip(flips, pattern) if on))
                     keys[at, i] = key
                     outputs[at, i] = outs[rows[at]]
-                    digests[at, i] = digest_rows[rows[at], -1]
+                    digests[at, i] = flipped[rows[at]]
             if out_flips:
                 slots = [s for s, _ in out_flips]
                 at = fired[:, slots].any(axis=1) & emitted
@@ -312,20 +313,19 @@ class ExperimentRunner:
             j = n - 1 - int(emitted[::-1].argmax())
             self._last[i] = (outputs[j].copy(), digests[j])
 
-    def _bus_compare(self, rows, emit, keys):
+    def _bus_compare(self, emit, keys):
         """(other, index): per round of a chunk, the column of the first
         replica whose bus trace differs from that of the first replica that
         emitted, and the event index where it diverges; -1 where none
-        does."""
+        does. `keys` holds the flip set each output ran on (`_values`)."""
         n, k = emit.shape
         other, index = np.full(n, -1), np.full(n, -1)
         at = np.flatnonzero((emit.sum(axis=1) >= 2) & (keys != 0).any(axis=1))
         if not at.size:
             return other, index
-        # each round's trace on each flip set of the block, then each replica's
-        traces = np.stack([bus_traces(np.array(params, dtype=np.uint64), digest_rows[rows[at]])
-                           for _, _, digest_rows, params in self._block.values()])
-        traces = traces[keys[at], np.arange(len(at))[:, None]]
+        # each flip set's parameter digests, then each output's
+        params = np.array([p for _, _, _, p in self._block.values()], dtype=np.uint64)
+        traces = params[keys[at]]
         emitted = emit[at]
         first = emitted.argmax(axis=1)
         base = traces[np.arange(len(at)), first]
@@ -383,7 +383,7 @@ class ExperimentRunner:
             durations = skew = np.zeros(n, dtype=np.int64)
 
         # values
-        clean = self._result(())[2][rows, -1]
+        clean = self._result(())[2][rows]
         labels = np.zeros((n, k), dtype=np.int64)
         digests = outputs = changed = None
         voted = diverged = np.zeros(n, dtype=bool)
@@ -394,7 +394,7 @@ class ExperimentRunner:
             if voted.any():
                 labels[voted] = agreement_labels(self.topology.comparator, digests[voted], outputs[voted])
             if self._bus and k >= 2:
-                other, index = self._bus_compare(rows, emit, keys)
+                other, index = self._bus_compare(emit, keys)
                 diverged = other >= 0
         verdict, best = vote_rounds(complete, labels, self.topology.policy.required_agreement)
         if not k:
@@ -468,7 +468,7 @@ class ExperimentRunner:
         self._corr = [self.clock_offsets[rid] - self.ptp_corrections[rid] for rid in self.healthy_ids]
         self._check_time_limit()
         reps = wl.repetitions_per_frame
-        size = BLOCK_VALUES // (max(wl.arch) + len(wl.arch))
+        size = BLOCK_VALUES // (max(wl.arch) + 1)
         for first in range(0, wl.frame_count, size):
             count = min(size, wl.frame_count - first)
             self._frames = gen_frames(self.cfg.seed, range(first, first + count), wl.input_shape)

@@ -20,17 +20,18 @@ q = acc >> 8, the floor of acc / 256 (an arithmetic shift floors negative
 values too): a remainder above 128, or of 128 under an odd q, carries into
 q + 1. `infer` runs a block of frames: one int64 matmul per layer for all
 of them, rounded in place with one temporary of the accumulators' size,
-and the digests of the whole block at once.
+and the output digests of the whole block at once.
 
 Bus trace: per layer L the channel fetches the parameters (event 4L),
 loads the layer input (4L+1), executes (4L+2) and stores the result
 (4L+3). The cycle of each event depends only on the layer shapes and the
 engine, so every inference of one network on one engine shares one cycle
-schedule, which ends at the compute cycles `infer` returns. A trace
-therefore carries only the payload digests, as a pair: the per-layer
-parameter digests (`params_digests`), computed once per network, and the
-frame's digest row, the digests of the network input and of each layer's
-output.
+schedule, which ends at the compute cycles `infer` returns. Two replicas of
+a round infer the same frame, so up to the first layer whose parameters
+differ, every load, execute and store payload is equal too: the first
+divergence is always that layer's fetch. A network's trace therefore comes
+down to its per-layer parameter digests (`params_digests`), computed once
+per network.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def compute_cycles(layers, engine: EngineConfig) -> int:
 def infer(layers, frames: np.ndarray, engine: EngineConfig):
     """Run the network `layers` on a block of frames, an int16 array holding
     one frame per index of axis 0. Returns (int16 outputs, compute_cycles,
-    uint64 digest rows), with one output row and one digest row per frame;
+    uint64 output digests), with one output row and one digest per frame;
     every frame takes `compute_cycles(layers, engine)`.
     """
     shape = frames.shape[1:]
@@ -163,8 +164,6 @@ def infer(layers, frames: np.ndarray, engine: EngineConfig):
     if math.prod(shape) != in_w:
         raise DimensionError(f"input has {math.prod(shape)} elements, network expects {in_w}")
     x = frames.reshape(len(frames), -1)
-    rows = [tensor_digests(shape, x)]
     for i, (w, b) in enumerate(layers):
         x = _layer(x, w, b, i < len(layers) - 1)
-        rows.append(tensor_digests(b.shape, x))
-    return x, compute_cycles(layers, engine), np.stack(rows, axis=1)
+    return x, compute_cycles(layers, engine), tensor_digests(x.shape[1:], x)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lockstepsim.coupling import (
     Loose,
     PtpExchange,
-    bus_traces,
     compare_bus_traces,
     estimate_ptp_offset,
     rendezvous_rounds,
@@ -12,8 +13,12 @@ from lockstepsim.coupling import (
 )
 from lockstepsim.errors import ConfigError, ProtocolError
 from lockstepsim.eventsim import JitterModel, sample_turnaround_overheads
-from helpers import run_with_records, zero_jitter_duplex
-from oracles import Complete, Rng, _BusEvent, _compare_bus_traces, rendezvous
+from lockstepsim.faults import flip_weight_bits
+from lockstepsim.replica import EngineConfig, gen_frame, gen_weights, params_digests
+from helpers import oracle_network, oracle_tensor, run_with_records, zero_jitter_duplex
+from oracles import Complete, Rng, _compare_bus_traces, _infer, rendezvous
+
+ENGINE = EngineConfig()
 
 
 def delivery_skews(records):
@@ -106,64 +111,58 @@ class TestRendezvous:
                 assert deadline[j] == (min(r.values()) if r else 0) + 20
 
 
-# Two layers: parameter digests, then the digest row (input, layer 0
-# output, layer 1 output).
-TRACE = ((11, 22), (33, 44, 55))
-
-
 def compare(a, b):
-    """`compare_bus_traces` of two single traces, as (params, row) pairs."""
-    rows = [bus_traces(np.array(params, dtype=np.uint64), np.array([row], dtype=np.uint64))
-            for params, row in (a, b)]
-    index = int(compare_bus_traces(*rows)[0])
-    return None if index < 0 else index
+    """`compare_bus_traces` of two batches, each a list of rounds' parameter
+    digests, as a list."""
+    return compare_bus_traces(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64)).tolist()
 
 
-def _events(trace):
-    """The trace as the fetch/load/execute/store events of the shared
-    schedule; every event at cycle 0."""
-    params, row = trace
-    events = []
-    for layer, p in enumerate(params):
-        events += [_BusEvent(0, "fetch", p), _BusEvent(0, "load", row[layer]),
-                   _BusEvent(0, "execute", row[layer + 1]), _BusEvent(0, "store", row[layer + 1])]
-    return tuple(events)
+def _flips(draw, arch):
+    """0-3 weight-bit flips on any layer of a net of widths `arch`; after
+    some, one of them again, which cancels it."""
+    flips = [(layer, draw(st.integers(0, arch[layer] * arch[layer + 1] - 1)), draw(st.integers(0, 15)))
+             for layer in draw(st.lists(st.integers(0, len(arch) - 2), max_size=3))]
+    if flips and draw(st.booleans()):
+        flips.append(draw(st.sampled_from(flips)))
+    return flips
 
 
 class TestCompareBusTraces:
     def test_identical_traces_match(self):
-        assert compare(TRACE, TRACE) is None
-        assert compare(TRACE, ((11, 22), (33, 44, 55))) is None
+        assert compare([(11, 22)], [(11, 22)]) == [-1]
 
-    def test_each_payload_diverges_at_its_event(self):
-        assert compare(TRACE, ((11, 99), (33, 44, 55))) == 4
-        assert compare(TRACE, ((11, 22), (99, 44, 55))) == 1
-        assert compare(TRACE, ((11, 22), (33, 99, 55))) == 2
-        assert compare(TRACE, ((11, 22), (33, 44, 99))) == 6
+    def test_each_layer_diverges_at_its_fetch(self):
+        assert compare([(11, 22, 33)], [(99, 22, 33)]) == [0]
+        assert compare([(11, 22, 33)], [(11, 99, 33)]) == [4]
+        assert compare([(11, 22, 33)], [(11, 22, 99)]) == [8]
 
     def test_first_divergence_wins(self):
-        assert compare(TRACE, ((99, 22), (33, 44, 88))) == 0
+        assert compare([(11, 22, 33)], [(11, 88, 99)]) == [4]
 
     def test_rows_are_compared_independently(self):
-        params = np.array([11, 22], dtype=np.uint64)
-        a = bus_traces(params, np.array([[33, 44, 55], [33, 44, 55]], dtype=np.uint64))
-        b = bus_traces(params, np.array([[33, 44, 55], [33, 44, 99]], dtype=np.uint64))
-        assert compare_bus_traces(a, b).tolist() == [-1, 6]
+        assert compare([(11, 22), (11, 22), (11, 22)], [(11, 22), (11, 99), (0, 22)]) == [-1, 4, 0]
 
-    def test_matches_the_event_by_event_compare(self):
-        # The event-by-event compare of the frozen reference runner, over the
-        # events of one shared schedule, gives the same event index, and its
-        # reason is always the one the bus_divergence record writes.
-        rng = Rng(23)
-        for _ in range(500):
-            a = (tuple(rng.randrange(2) for _ in range(3)), tuple(rng.randrange(2) for _ in range(4)))
-            b = (tuple(rng.randrange(2) for _ in range(3)), tuple(rng.randrange(2) for _ in range(4)))
-            ref = _compare_bus_traces(_events(a), _events(b), 2)
-            div = compare(a, b)
-            assert (div is None) == (ref is None)
-            if div is not None:
-                assert tuple(ref) == (div, "payload digest mismatch")
-                assert compare(b, a) == div
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_event_by_event_compare_on_real_networks(self, data):
+        # Two replicas of one network, each with its own weight-bit flips, on
+        # one frame: the frozen runner's event-by-event compare of their full
+        # traces diverges where the parameter digests say, always at a fetch.
+        arch = data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=5))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        ws = gen_weights(seed, arch)
+        flips_a, flips_b = _flips(data.draw, arch), _flips(data.draw, arch)
+        if data.draw(st.booleans()):
+            flips_b = flips_a + flips_b + flips_b  # b's own flips cancel: the weights of a
+        a, b = flip_weight_bits(ws, flips_a), flip_weight_bits(ws, flips_b)
+        x = oracle_tensor(gen_frame(seed, 0, (arch[0],))[0])
+        ref = _compare_bus_traces(_infer(oracle_network(a), x, ENGINE)[2],
+                                  _infer(oracle_network(b), x, ENGINE)[2], 0)
+        [index] = compare([params_digests(a)], [params_digests(b)])
+        if ref is None:
+            assert index == -1
+        else:
+            assert tuple(ref) == (index, "payload digest mismatch") and index % 4 == 0
 
 
 class TestPtp:

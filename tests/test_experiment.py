@@ -437,8 +437,8 @@ def tight_all_faults(frames):
 
 class TestBlocks:
     """Frames are drawn and inferred in blocks of `BLOCK_VALUES` values,
-    frames times the widest layer plus the digest row, and a block's rounds
-    run in chunks."""
+    frames times the widest layer plus the output digest, and a block's
+    rounds run in chunks."""
 
     @staticmethod
     def _calls(raw):
@@ -469,12 +469,12 @@ class TestBlocks:
                             "arch": [1024, 4]}}
         assert self._calls(raw) == ([255, 255, 3], [510, 510, 6])
 
-    def test_a_deep_net_counts_its_digest_row(self):
-        # 63 layers of width 4: by the widest layer alone a block would be
-        # 65536 frames, whose digest rows alone take 33 MB
+    def test_a_deep_net_counts_one_output_digest(self):
+        # 63 layers of width 4: a frame holds the widest layer's 4
+        # accumulators and one output digest, so a block is 52428 frames
         raw = {"seed": 3, "topology": "gpu-duplex-loose",
                "workload": {"frame_count": 4000, "repetitions_per_frame": 1, "input_shape": [4], "arch": [4] * 64}}
-        assert self._calls(raw) == ([3855, 145], [3855, 145])
+        assert self._calls(raw) == ([4000], [4000])
 
 
 def int64_array(xs):

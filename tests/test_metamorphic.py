@@ -1,0 +1,99 @@
+"""Metamorphic relations: properties of a run, or between runs, that hold
+whatever the right output is.
+
+The oracle fuzz (`test_reference_runner`) checks the runner against its
+frozen scalar copy, so a modelling error that both share passes it. These
+relations check the model against itself (T. Y. Chen et al., "Metamorphic
+Testing: A Review of Challenges and Opportunities", ACM Computing Surveys
+2018), over the oracle fuzz's generated configs: every fault kind, trigger
+and topology feature.
+"""
+
+import copy
+from collections import defaultdict
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import run_with_records
+from test_reference_runner import _trigger, configs
+
+
+def _tight(raw):
+    """`raw` on a tight topology with bus compare: a loose one gets tight
+    coupling on one shared clock, without offsets, PTP or feed jitter."""
+    topo = raw["topology"]
+    if topo["coupling"]["mode"] == "loose":
+        for key in ("clocks", "clock_offsets_ns", "ptp", "feed_jitter"):
+            topo.pop(key, None)
+        topo["coupling"] = {"mode": "tight"}
+    topo["bus_trace_compare"] = True
+    return raw
+
+
+def _emitters(records):
+    """The replicas that emitted an output, per (frame_id, repetition)."""
+    emitted = defaultdict(set)
+    for r in records:
+        if r["kind"] == "completion":
+            emitted[r["frame_id"], r["repetition"]].add(r["replica_id"])
+    return emitted
+
+
+@settings(settings.get_profile("oracle-fuzz"))
+@given(configs())
+def test_f_tight_zero_jitter_no_delay_skews_are_zero_and_buses_match(raw):
+    # Every replica runs the same work on one clock, released at once, so
+    # every output completes at the same time. Weight flips are left out:
+    # they change the bus by design (relation h). Drops, stuck outputs and
+    # output flips stay; they change neither a completion time nor a bus.
+    raw = _tight(raw)
+    raw["topology"].pop("host_jitter", None)
+    raw["faults"] = [f for f in raw["faults"] if f["kind"]["type"] not in ("extra_delay", "weight_bit_flip")]
+    cfg, report, records = run_with_records(raw)
+    assert {r["skew_ns"] for r in records if "skew_ns" in r} <= {0}
+    assert report.skew_ns is None or (report.skew_ns["min"], report.skew_ns["max"]) == (0, 0)
+    # a zero skew is within any window: only a missing output times out
+    healthy = {rid for rid, state in enumerate(cfg.topology.health) if state == "healthy"}
+    emitted = _emitters(records)
+    for r in records:
+        if r["kind"] == "rendezvous":
+            assert (r["outcome"] == "complete") == (emitted[r["frame_id"], r["repetition"]] == healthy)
+    assert not [r for r in records if r["kind"] == "bus_divergence"]
+    assert report.bus == {"comparisons": sum(len(ids) >= 2 for ids in emitted.values()), "divergences": 0}
+
+
+@settings(settings.get_profile("oracle-fuzz"))
+@given(configs(), st.data())
+def test_h_a_weight_flip_diverges_at_its_layers_fetch_in_the_rounds_it_fires(raw, data):
+    # One weight-bit flip on layer L of one replica, and no other: the bus
+    # diverges at event 4L in every round in which it fired and the replica
+    # and at least one other emitted, and in no other round. Its rounds are
+    # read from a second run in which the same fault, with the same
+    # trigger, drops the replica's output instead.
+    raw = _tight(raw)
+    arch = raw["workload"]["arch"]
+    layer = data.draw(st.integers(0, len(arch) - 2))
+    rid = data.draw(st.integers(0, raw["topology"]["replicas"] - 1))
+    flip = {"replica_id": rid,
+            "kind": {"type": "weight_bit_flip", "layer": layer,
+                     "element_index": data.draw(st.integers(0, arch[layer] * arch[layer + 1] - 1)),
+                     "bit": data.draw(st.integers(0, 15))},
+            "trigger": _trigger(data.draw, raw["workload"]["frame_count"])}
+    faults = [f for f in raw["faults"] if f["kind"]["type"] != "weight_bit_flip"]
+    at = data.draw(st.integers(0, len(faults)))
+    raw["faults"] = faults[:at] + [flip] + faults[at:]
+    dropping = copy.deepcopy(raw)
+    dropping["faults"][at]["kind"] = {"type": "drop_output"}
+
+    _, report, records = run_with_records(raw)
+    emitted = _emitters(records)
+    kept = _emitters(run_with_records(dropping)[2])
+    fired = {key for key, ids in emitted.items() if rid in ids and rid not in kept[key]}
+    divergences = {(r["frame_id"], r["repetition"]): r for r in records if r["kind"] == "bus_divergence"}
+    assert set(divergences) == {key for key in fired if len(emitted[key]) >= 2}
+    for key, r in divergences.items():
+        # the first emitter against the first other emitter that differs
+        assert r["event_index"] == 4 * layer and rid in (r["replica_a"], r["replica_b"])
+        assert r["replica_a"] == min(emitted[key]) and r["replica_b"] in emitted[key]
+    assert report.bus["divergences"] == len(divergences)

@@ -189,7 +189,7 @@ def test_tiny_chunks_and_blocks_match_the_reference(tmp_path_factory, chunk, raw
     # across chunks.
     arch = config_from_dict(raw, env={}).workload.arch
     with mock.patch.object(experiment, "ROUND_CHUNK", chunk), \
-            mock.patch.object(experiment, "BLOCK_VALUES", 2 * (max(arch) + len(arch))), \
+            mock.patch.object(experiment, "BLOCK_VALUES", 2 * (max(arch) + 1)), \
             mock.patch.object(trace, "WRITE_ROUNDS", 2):
         assert_matches_reference(raw, tmp_path_factory.mktemp("run"))
 

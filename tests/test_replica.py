@@ -156,20 +156,23 @@ def test_cycle_accounting_and_trace_layout():
     macs, loads, stores = layer_costs(ws[0][0])
     assert (macs, loads, stores) == (2, 2 + 2 + 1, 1)
     x = frame(10, 20)
-    out, cycles, rows = infer(ws, x, engine)
+    out, cycles, digests = infer(ws, x, engine)
     assert cycles == 7 + macs * 2 + loads * 3 + stores * 5
-    # fetch reads the parameters, load the input, execute and store the output
+    # fetch reads the parameters; the last execute writes the output
+    _, ref_cycles, events = _infer(oracle_network(ws), oracle_tensor(x[0]), engine)
+    assert ref_cycles == cycles
     assert params_digests(ws) == (combine_digests(tensor_digest(ws[0][0]), tensor_digest(ws[0][1])),)
-    assert rows.tolist() == [[tensor_digest(x[0]), tensor_digest(out[0])]]
+    assert params_digests(ws) == (events[0].payload_digest,)
+    assert digests.tolist() == [tensor_digest(out[0])] == [events[-2].payload_digest]
 
 
-def test_trace_row_has_every_layer_output():
+def test_digest_is_the_last_execute_payload():
     ws = gen_weights(4, [3, 4, 2])
     x = gen_frame(4, 0, (3,))
-    out, _, rows = infer(ws, x, ENGINE)
-    hidden, _, _ = infer((ws[0], identity(4)), x, ENGINE)
-    assert len(params_digests(ws)) == 2
-    assert rows.tolist() == [[tensor_digest(x[0]), tensor_digest(hidden[0]), tensor_digest(out[0])]]
+    out, _, digests = infer(ws, x, ENGINE)
+    _, _, events = _infer(oracle_network(ws), oracle_tensor(x[0]), ENGINE)
+    assert len(params_digests(ws)) == 2 and len(events) == 8
+    assert digests.tolist() == [tensor_digest(out[0])] == [events[6].payload_digest]
 
 
 @given(st.data())
@@ -198,7 +201,7 @@ def test_block_infer_equals_reference_on_saturating_and_relu_cases():
     ws = (layer(w0, [32767, -32768, 0, 5, -5]), layer(w1, [-32768, 32767, 1]))
     frames = np.array([[elems[(f + k) % 8] for k in range(4)] for f in range(8)]
                       + [[32767] * 4, [-32768] * 4], dtype=np.int16).reshape(10, 2, 2)
-    outs, cycles, rows = infer(ws, frames, ENGINE)
+    outs, cycles, digests = infer(ws, frames, ENGINE)
     assert outs.dtype == np.int16 and outs.shape == (10, 3)
     relu = (ws[0], identity(5))
     hidden, _, _ = infer(relu, frames, ENGINE)
@@ -207,13 +210,14 @@ def test_block_infer_equals_reference_on_saturating_and_relu_cases():
         x = oracle_tensor(frames[f])
         assert outs[f].tolist() == infer_reference(oracle_network(ws), x)
         assert hidden[f].tolist() == infer_reference(oracle_network(relu), x)
-        _, one_cycles, one_rows = infer(ws, frames[f:f + 1], ENGINE)
-        assert (one_cycles, one_rows.tolist()) == (cycles, [rows[f].tolist()])
-        # the frozen event-by-event trace: fetch, load, execute per layer
+        _, one_cycles, one_digests = infer(ws, frames[f:f + 1], ENGINE)
+        assert (one_cycles, one_digests.tolist()) == (cycles, [digests[f]])
+        # the frozen event-by-event trace: each layer's fetch, and the last
+        # layer's execute
         _, ref_cycles, events = _infer(oracle_network(ws), x, ENGINE)
         assert ref_cycles == cycles
         assert params == (events[0].payload_digest, events[4].payload_digest)
-        assert rows[f].tolist() == [events[i].payload_digest for i in (1, 2, 6)]
+        assert digests[f] == tensor_digest(outs[f]) == events[6].payload_digest
     assert {32767, -32768} <= set(outs.ravel().tolist())
     assert {0, 32767} <= set(hidden.ravel().tolist())
 
