@@ -433,3 +433,44 @@ def test_bad_tag_names_the_choices(path, value, expected):
     assert errors_of(_bounded_config(path, value), env={}) == [
         f"{path}: expected one of {expected}, got {value!r}"
     ]
+
+
+TOPO = "config.topology"
+
+
+def _topology_with(**changes):
+    """The quiet duplex with topology keys set (a None value removes the key)."""
+    raw = zero_jitter_duplex()
+    for key, value in changes.items():
+        if value is None:
+            raw["topology"].pop(key, None)
+        else:
+            raw["topology"][key] = value
+    return raw
+
+
+# Each topology whose errors no other test pins, with its full error list.
+@pytest.mark.parametrize("raw, expected", [
+    (_topology_with(voter=3), [f"{TOPO}.voter: expected an object"]),
+    (_topology_with(voter={"policy": "1oo2", "quorum": 1}), [f"{TOPO}.voter.quorum: unknown field"]),
+    (_topology_with(clocks=[{"freq_hz": 1}, {"freq_hz": 1}]), [f"{TOPO}: give either 'clock' or 'clocks', not both"]),
+    (_topology_with(clock=None, clocks={"freq_hz": 1}), [f"{TOPO}.clocks: expected a list of 2 clock objects"]),
+    (_topology_with(clock=None, clocks=[{"freq_hz": 1}]), [f"{TOPO}.clocks: expected a list of 2 clock objects"]),
+    (_topology_with(clock=None, shared_clock=True, clocks=[{"freq_hz": 1}, {"freq_hz": 2}]),
+     [f"{TOPO}.clocks: shared_clock requires identical clock parameters"]),
+    (_topology_with(clock_offsets_ns=[0]), [f"{TOPO}.clock_offsets_ns: expected a list of 2 integers"]),
+    (_topology_with(clock_offsets_ns=[0, "a"]), [f"{TOPO}.clock_offsets_ns: expected a list of 2 integers"]),
+    (_topology_with(health="healthy"), [f"{TOPO}.health: expected a list of 2 states"]),
+    (_topology_with(health=["healthy", "sick"]),
+     [f"{TOPO}.health[1]: unknown state 'sick'; one of healthy, failed, switched_off"]),
+    (_topology_with(replicas=None), [f"{TOPO}.replicas: required field missing"]),
+    (_topology_with(replicas="two"), [f"{TOPO}.replicas: expected an integer, got 'two'"]),
+    (_topology_with(voter={"policy": "2oo3"}, health=["healthy", "ill"]), [
+        f"{TOPO}.voter.policy: policy 2oo3 does not match 2 replica(s)",
+        f"{TOPO}.health[1]: unknown state 'ill'; one of healthy, failed, switched_off",
+    ]),
+], ids=["voter-not-object", "voter-unknown-key", "clock-and-clocks", "clocks-not-list", "clocks-length",
+        "shared-unequal-clocks", "offsets-length", "offsets-element", "health-not-list", "health-state",
+        "replicas-missing", "replicas-not-int", "policy-and-health"])
+def test_topology_error_list(raw, expected):
+    assert errors_of(raw) == expected
