@@ -19,10 +19,16 @@ picks the class, and the dump writes the tag first. There are four: the
 coupling (`mode`), the comparator (`kind`), a fault's kind (`type`) and
 its trigger (`type`).
 
-Checks across fields stay hand-written: the replica count against the
-policy and per-replica lists, tight coupling against the shared clock and
-bus compare, `clock` against `clocks`, health, clock offsets, the PTP
-forward delay, and the input shape and fault indices against the workload.
+The topology's JSON shape is one table, `_TOPOLOGY_FIELDS`, which drives
+its key check, parse and dump. A per-replica field takes a list of
+`replicas` entries or one entry for all (`clock` for `clocks`, the same key
+for a jitter; `clock_offsets_ns` and `health` only take lists).
+
+Checks across fields stay hand-written. They run on whatever parsed, and
+their errors follow the fields' own: the policy against the replica count,
+tight coupling against the shared clock and bus compare, the shared clock
+against unequal `clocks`, the PTP forward delay, and the input shape and
+fault indices against the workload.
 `metadata` is any JSON object whose numbers are all finite, nested at
 most `METADATA_DEPTH` deep.
 
@@ -35,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import namedtuple
 from pathlib import Path
 
 from . import faults as flt
@@ -68,7 +75,7 @@ _PRESETS = {
 }
 
 
-class PtpSettings(Record):
+class PtpSettings(Record, frozen=True):
     enabled: bool = False
     link_delay_ns: int = 500
     asymmetry_ns: int = 0
@@ -91,6 +98,7 @@ class Topology(Record):
     health: list
     ptp: PtpSettings
     bus_trace_compare: bool
+    bounds = {"replica_count": (1, 8), "debounce_threshold": (1, None)}
 
 
 class Workload(Record):
@@ -130,19 +138,40 @@ _TAG_OF = {cls: (tag, name) for tag, classes in (_COUPLING, _COMPARATOR, _FAULT_
            for name, cls in classes.items()}
 
 
+_REQUIRED = object()
+_TIGHT = object()  # a default: true under tight coupling
+
+# A JSON field: its key path ("voter.policy" is `policy` in the `voter`
+# object), attribute, element type as `_check` takes it and default
+# (`_REQUIRED`, `_TIGHT` or a parsed value). A per-replica field is a list of
+# `replicas` entries, or one entry for all under the key `single` if it has one.
+_Field = namedtuple("_Field", "key attr typ default per_replica single", defaults=(_REQUIRED, False, None))
+
+
 def _json_fields(cls) -> list:
-    """(name, type) of each JSON field of `cls`, in key order, from its string annotations."""
+    """A `_Field` per JSON field of `cls`, in key order, from its string annotations."""
     types = {"int": int, "float": float, "bool": bool, "tuple": tuple}
-    return [(name, types[t]) for name, t in cls.__annotations__.items() if t in types]
+    return [_Field(name, name, types[t], getattr(cls, name, _REQUIRED))
+            for name, t in cls.__annotations__.items() if t in types]
 
 
-def _dump(obj) -> dict:
-    """JSON object of one flat config object, its tag (if any) first."""
+def _dump_value(typ, v):
+    """JSON value of `v`, parsed by `_check` as `typ`; a parse function's value dumps as its str."""
+    if callable(typ) and not isinstance(typ, type):
+        return str(v)
+    return _dump(v) if isinstance(v, Record) else list(v) if isinstance(v, tuple) else v
+
+
+def _dump(obj, fields=None) -> dict:
+    """JSON object of `obj` by its `fields` (a flat config object's by
+    default), its tag (if any) first."""
     tag = _TAG_OF.get(type(obj))
     out = {tag[0]: tag[1]} if tag else {}
-    for name, typ in _json_fields(type(obj)):
-        v = getattr(obj, name)
-        out[name] = list(v) if typ is tuple else v
+    for f in fields or _json_fields(type(obj)):
+        parent, _, key = f.key.rpartition(".")
+        v = getattr(obj, f.attr)
+        node = out.setdefault(parent, {}) if parent else out
+        node[key] = [_dump_value(f.typ, x) for x in v] if f.per_replica else _dump_value(f.typ, v)
     return out
 
 
@@ -159,27 +188,9 @@ class ExperimentConfig(Record):
 
     def to_json_dict(self) -> dict:
         """Fully expanded config (presets resolved, defaults filled)."""
-        topo = self.topology
         return {
             "seed": self.seed,
-            "topology": {
-                "replicas": topo.replica_count,
-                "coupling": _dump(topo.coupling),
-                "voter": {
-                    "policy": str(topo.policy),
-                    "comparator": _dump(topo.comparator),
-                    "debounce_threshold": topo.debounce_threshold,
-                },
-                "shared_clock": topo.shared_clock,
-                "clocks": [_dump(c) for c in topo.clocks],
-                "engine": _dump(topo.engine),
-                "feed_jitter": [_dump(j) for j in topo.feed_jitter],
-                "host_jitter": [_dump(j) for j in topo.host_jitter],
-                "clock_offsets_ns": list(topo.clock_offsets_ns),
-                "health": list(topo.health),
-                "ptp": _dump(topo.ptp),
-                "bus_trace_compare": topo.bus_trace_compare,
-            },
+            "topology": _dump(self.topology, _TOPOLOGY_FIELDS),
             "workload": _dump(self.workload),
             "faults": [
                 {"replica_id": rid, "kind": _dump(spec.kind), "trigger": _dump(spec.trigger)}
@@ -188,9 +199,6 @@ class ExperimentConfig(Record):
             "profiler": _dump(self.profiler),
             "metadata": dict(self.metadata),
         }
-
-
-_REQUIRED = object()
 
 
 def _check_keys(obj, allowed, path, errors) -> bool:
@@ -205,7 +213,9 @@ def _check_keys(obj, allowed, path, errors) -> bool:
 
 def _check(v, typ, bound, path, errors):
     """`v` as a value of type `typ` within `bound` (a `bound_error` pair or
-    None), or None after recording why not."""
+    None), or None after recording why not. `typ` is `int`, `float`, `bool`,
+    `tuple`, a flat config class, a tagged object or a parse function
+    `(v, path, errors)`."""
     if isinstance(typ, tuple):  # a tagged object: (tag key, {tag value: class})
         tag, classes = typ
         if not isinstance(v, dict):
@@ -216,6 +226,10 @@ def _check(v, typ, bound, path, errors):
             errors.append(f"{path}.{tag}: expected one of {', '.join(map(repr, classes))}, got {name!r}")
             return None
         return _parse(classes[name], {k: x for k, x in v.items() if k != tag}, path, errors)
+    if not isinstance(typ, type):
+        return typ(v, path, errors)
+    if issubclass(typ, Record):
+        return _parse(typ, v, path, errors)
     if typ is bool:
         if isinstance(v, bool):
             return v
@@ -259,13 +273,10 @@ def _parse(cls, obj, path, errors):
     """A `cls` built from the JSON object `obj` by its JSON fields, or None
     after recording every problem."""
     fields = _json_fields(cls)
-    if not _check_keys(obj, [name for name, _ in fields], path, errors):
+    if not _check_keys(obj, [f.key for f in fields], path, errors):
         return None
     count = len(errors)
-    vals = {
-        name: _get(obj, name, typ, path, errors, getattr(cls, name, _REQUIRED), cls.bounds.get(name))
-        for name, typ in fields
-    }
+    vals = {f.attr: _get(obj, f.key, f.typ, path, errors, f.default, cls.bounds.get(f.attr)) for f in fields}
     if len(errors) > count:
         return None
     try:
@@ -288,21 +299,52 @@ def _parse_policy(raw, path, errors):
     return None
 
 
-def _parse_jitter(raw, key, path, errors, count) -> list:
-    """One JitterModel per replica, from one object or a per-replica list."""
-    value = raw.get(key, {})
-    if not isinstance(value, list):
-        return [_parse(JitterModel, value, f"{path}.{key}", errors)] * count
-    if len(value) != count:
-        errors.append(f"{path}.{key}: expected {count} entries (one per replica), got {len(value)}")
-        return None
-    return [_parse(JitterModel, item, f"{path}.{key}[{i}]", errors) for i, item in enumerate(value)]
+def _parse_health(raw, path, errors):
+    if raw in HEALTH_STATES:
+        return raw
+    errors.append(f"{path}: unknown state {raw!r}; one of {', '.join(HEALTH_STATES)}")
+    return None
 
 
-_TOPOLOGY_KEYS = {
-    "replicas", "coupling", "voter", "clock", "clocks", "shared_clock", "engine",
-    "feed_jitter", "host_jitter", "clock_offsets_ns", "health", "ptp", "bus_trace_compare",
+# The topology's fields, in JSON key order.
+_TOPOLOGY_FIELDS = (
+    _Field("replicas", "replica_count", int),
+    _Field("coupling", "coupling", _COUPLING),
+    _Field("voter.policy", "policy", _parse_policy, VotingPolicy(1, 2)),
+    _Field("voter.comparator", "comparator", _COMPARATOR, Exact()),
+    _Field("voter.debounce_threshold", "debounce_threshold", int, 1),
+    _Field("shared_clock", "shared_clock", bool, _TIGHT),
+    _Field("clocks", "clocks", ClockDomain, ClockDomain(1_000_000_000), True, "clock"),
+    _Field("engine", "engine", EngineConfig, EngineConfig()),
+    _Field("feed_jitter", "feed_jitter", JitterModel, JitterModel(), True, "feed_jitter"),
+    _Field("host_jitter", "host_jitter", JitterModel, JitterModel(), True, "host_jitter"),
+    _Field("clock_offsets_ns", "clock_offsets_ns", int, 0, True),
+    _Field("health", "health", _parse_health, HEALTHY, True),
+    _Field("ptp", "ptp", PtpSettings, PtpSettings()),
+    _Field("bus_trace_compare", "bus_trace_compare", bool, _TIGHT),
+)
+
+_TOPOLOGY_KEYS = {  # the allowed keys of the topology ("") and of its voter
+    "": {f.key.split(".")[0] for f in _TOPOLOGY_FIELDS} | {f.single for f in _TOPOLOGY_FIELDS if f.single},
+    "voter": {f.key.partition(".")[2] for f in _TOPOLOGY_FIELDS if f.key.startswith("voter.")},
 }
+
+
+def _get_per_replica(obj, f, count, path, errors) -> list:
+    """`count` entries of the per-replica field `f`: a list under its key,
+    else one entry for all under `f.single`, else the default; None after a
+    shape error, and a None entry for each bad one."""
+    key = f.key
+    if f.single not in (None, key) and f.single in obj and key in obj:
+        errors.append(f"{path}: give either {f.single!r} or {key!r}, not both")
+        return None
+    if key in obj and (f.single != key or isinstance(obj[key], list)):
+        items = obj[key]
+        if not isinstance(items, list) or len(items) != count:
+            errors.append(f"{path}.{key}: expected a list of {count} entries (one per replica)")
+            return None
+        return [_check(x, f.typ, None, f"{path}.{key}[{i}]", errors) for i, x in enumerate(items)]
+    return [_get(obj, f.single, f.typ, path, errors, f.default) if f.single else f.default] * count
 
 
 def _parse_topology(raw, path, errors) -> Topology:
@@ -314,83 +356,46 @@ def _parse_topology(raw, path, errors) -> Topology:
             errors.append(f"{path}: unknown preset {raw!r}; known presets: {', '.join(_PRESETS)}")
             return None
         raw = _PRESETS[raw]
-    if not _check_keys(raw, _TOPOLOGY_KEYS, path, errors):
+    if not _check_keys(raw, _TOPOLOGY_KEYS[""], path, errors):
         return None
 
-    count = _get(raw, "replicas", int, path, errors, bound=(1, 8))
-    if count is None:
-        return None
+    objs, vals = {"": raw}, {}
+    for f in _TOPOLOGY_FIELDS:
+        parent, _, key = f.key.rpartition(".")
+        where = f"{path}.{parent}" if parent else path
+        if parent not in objs:  # a nested object, checked at its first field
+            obj = raw.get(parent, {})
+            objs[parent] = obj if _check_keys(obj, _TOPOLOGY_KEYS[parent], where, errors) else None
+        if (obj := objs[parent]) is None:
+            vals[f.attr] = None
+        elif f.per_replica:
+            vals[f.attr] = _get_per_replica(obj, f, vals["replica_count"], where, errors)
+        else:
+            default = isinstance(vals.get("coupling"), Tight) if f.default is _TIGHT else f.default
+            vals[f.attr] = _get(obj, key, f.typ, where, errors, default, Topology.bounds.get(f.attr))
+        if vals["replica_count"] is None:
+            return None  # the per-replica fields need the count
 
-    coupling = _get(raw, "coupling", _COUPLING, path, errors)
-    tight = isinstance(coupling, Tight)
-
-    voter = raw.get("voter", {})
-    policy = comparator = None
-    debounce = 1
-    if _check_keys(voter, {"policy", "comparator", "debounce_threshold"}, f"{path}.voter", errors):
-        policy = _parse_policy(voter.get("policy", "1oo2"), f"{path}.voter.policy", errors)
-        comparator = _get(voter, "comparator", _COMPARATOR, f"{path}.voter", errors, Exact())
-        debounce = _get(voter, "debounce_threshold", int, f"{path}.voter", errors, 1, bound=(1, None))
-
+    count, policy, coupling, shared, ptp = map(
+        vals.get, ("replica_count", "policy", "coupling", "shared_clock", "ptp"))
     if policy is not None and policy.n != count:
         errors.append(f"{path}.voter.policy: policy {policy} does not match {count} replica(s)")
-
-    shared = _get(raw, "shared_clock", bool, path, errors, tight)
-    if tight and shared is False:
+    if isinstance(coupling, Tight) and shared is False:
         errors.append(f"{path}.shared_clock: tight coupling requires a shared clock")
-
-    clocks = None
-    if "clock" in raw and "clocks" in raw:
-        errors.append(f"{path}: give either 'clock' or 'clocks', not both")
-    elif "clocks" in raw:
-        raw_clocks = raw["clocks"]
-        if not isinstance(raw_clocks, list) or len(raw_clocks) != count:
-            errors.append(f"{path}.clocks: expected a list of {count} clock objects")
-        else:
-            clocks = [_parse(ClockDomain, c, f"{path}.clocks[{i}]", errors) for i, c in enumerate(raw_clocks)]
-            if shared and len({(c.freq_hz, c.drift_ppm) for c in clocks if c}) > 1:
-                errors.append(f"{path}.clocks: shared_clock requires identical clock parameters")
-    else:
-        clocks = [_parse(ClockDomain, raw.get("clock", {"freq_hz": 1_000_000_000}), f"{path}.clock", errors)] * count
-
-    engine = _parse(EngineConfig, raw.get("engine", {}), f"{path}.engine", errors)
-    feed = _parse_jitter(raw, "feed_jitter", path, errors, count)
-    host = _parse_jitter(raw, "host_jitter", path, errors, count)
-
-    offsets = raw.get("clock_offsets_ns", [0] * count)
-    if not isinstance(offsets, list) or len(offsets) != count or any(
-        isinstance(v, bool) or not isinstance(v, int) for v in offsets
-    ):
-        errors.append(f"{path}.clock_offsets_ns: expected a list of {count} integers")
-
-    health = raw.get("health", [HEALTHY] * count)
-    if not isinstance(health, list) or len(health) != count:
-        errors.append(f"{path}.health: expected a list of {count} states")
-    else:
-        for i, h in enumerate(health):
-            if h not in HEALTH_STATES:
-                errors.append(f"{path}.health[{i}]: unknown state {h!r}; one of {', '.join(HEALTH_STATES)}")
-
-    ptp = _parse(PtpSettings, raw.get("ptp", {}), f"{path}.ptp", errors)
+    if shared and vals["clocks"] and len(set(vals["clocks"]) - {None}) > 1:
+        errors.append(f"{path}.clocks: shared_clock requires identical clock parameters")
     if ptp is not None and ptp.enabled and ptp.link_delay_ns + ptp.asymmetry_ns < 0:
         # the master-to-slave delay is link_delay_ns + asymmetry_ns
         errors.append(
             f"{path}.ptp.asymmetry_ns: must be >= -link_delay_ns = {-ptp.link_delay_ns} "
             f"when ptp is enabled, got {ptp.asymmetry_ns}"
         )
-
-    bus = _get(raw, "bus_trace_compare", bool, path, errors, tight)
-    if bus and isinstance(coupling, Loose):
+    if vals["bus_trace_compare"] and isinstance(coupling, Loose):
         errors.append(f"{path}.bus_trace_compare: bus traces are only visible under tight coupling")
 
     if len(errors) > errors_at_entry:
         return None
-    return Topology(
-        replica_count=count, clocks=clocks, shared_clock=shared, coupling=coupling,
-        policy=policy, comparator=comparator, debounce_threshold=debounce, engine=engine,
-        feed_jitter=feed, host_jitter=host, clock_offsets_ns=list(offsets), health=list(health),
-        ptp=ptp, bus_trace_compare=bus,
-    )
+    return Topology(**vals)
 
 
 def _parse_workload(raw, path, errors) -> Workload:
@@ -447,9 +452,6 @@ def _check_finite(node, path, errors, depth=METADATA_DEPTH):
             _check_finite(v, f"{path}.{key}" if isinstance(node, dict) else f"{path}[{key}]", errors, depth - 1)
 
 
-_TOP_LEVEL_KEYS = {"seed", "topology", "workload", "faults", "profiler", "metadata"}
-
-
 def config_from_dict(obj: dict, seed_override=None, env=None) -> ExperimentConfig:
     """Validate and expand a raw config mapping.
 
@@ -459,7 +461,7 @@ def config_from_dict(obj: dict, seed_override=None, env=None) -> ExperimentConfi
     errors = []
     if not isinstance(obj, dict):
         raise ConfigError(["config root must be a JSON object"])
-    _check_keys(obj, _TOP_LEVEL_KEYS, "config", errors)
+    _check_keys(obj, ExperimentConfig.field_names, "config", errors)
 
     # seeds are 64-bit: a larger one would run as its value modulo 2**64
     seed, seed_bound = None, (0, MASK64)
@@ -475,11 +477,7 @@ def config_from_dict(obj: dict, seed_override=None, env=None) -> ExperimentConfi
     else:
         errors.append(f"config.seed: required (set it, pass --seed, or export {SEED_ENV_VAR})")
 
-    if "topology" not in obj:
-        errors.append("config.topology: required field missing")
-        topology = None
-    else:
-        topology = _parse_topology(obj["topology"], "config.topology", errors)
+    topology = _get(obj, "topology", _parse_topology, "config", errors)
 
     workload = _parse_workload(obj.get("workload", {}), "config.workload", errors)
 

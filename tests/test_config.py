@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lockstepsim.config import (
     MAX_BIN_COUNT,
@@ -14,6 +16,7 @@ from lockstepsim.errors import ConfigError
 from lockstepsim.faults import Always, ExtraDelay, FaultSpec, OutputBitFlip, WithProbability
 from lockstepsim.voting import Exact, VotingPolicy
 from helpers import zero_jitter_duplex
+from test_reference_runner import configs
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -449,28 +452,72 @@ def _topology_with(**changes):
     return raw
 
 
+PER_REPLICA = "expected a list of 2 entries (one per replica)"
+
+
 # Each topology whose errors no other test pins, with its full error list.
 @pytest.mark.parametrize("raw, expected", [
     (_topology_with(voter=3), [f"{TOPO}.voter: expected an object"]),
     (_topology_with(voter={"policy": "1oo2", "quorum": 1}), [f"{TOPO}.voter.quorum: unknown field"]),
     (_topology_with(clocks=[{"freq_hz": 1}, {"freq_hz": 1}]), [f"{TOPO}: give either 'clock' or 'clocks', not both"]),
-    (_topology_with(clock=None, clocks={"freq_hz": 1}), [f"{TOPO}.clocks: expected a list of 2 clock objects"]),
-    (_topology_with(clock=None, clocks=[{"freq_hz": 1}]), [f"{TOPO}.clocks: expected a list of 2 clock objects"]),
+    (_topology_with(clock=None, clocks={"freq_hz": 1}), [f"{TOPO}.clocks: {PER_REPLICA}"]),
+    (_topology_with(clock=None, clocks=[{"freq_hz": 1}]), [f"{TOPO}.clocks: {PER_REPLICA}"]),
     (_topology_with(clock=None, shared_clock=True, clocks=[{"freq_hz": 1}, {"freq_hz": 2}]),
      [f"{TOPO}.clocks: shared_clock requires identical clock parameters"]),
-    (_topology_with(clock_offsets_ns=[0]), [f"{TOPO}.clock_offsets_ns: expected a list of 2 integers"]),
-    (_topology_with(clock_offsets_ns=[0, "a"]), [f"{TOPO}.clock_offsets_ns: expected a list of 2 integers"]),
-    (_topology_with(health="healthy"), [f"{TOPO}.health: expected a list of 2 states"]),
+    (_topology_with(clock_offsets_ns=[0]), [f"{TOPO}.clock_offsets_ns: {PER_REPLICA}"]),
+    (_topology_with(clock_offsets_ns=[0, "a"]), [f"{TOPO}.clock_offsets_ns[1]: expected an integer, got 'a'"]),
+    (_topology_with(host_jitter=[{}]), [f"{TOPO}.host_jitter: {PER_REPLICA}"]),
+    (_topology_with(health="healthy"), [f"{TOPO}.health: {PER_REPLICA}"]),
     (_topology_with(health=["healthy", "sick"]),
      [f"{TOPO}.health[1]: unknown state 'sick'; one of healthy, failed, switched_off"]),
     (_topology_with(replicas=None), [f"{TOPO}.replicas: required field missing"]),
     (_topology_with(replicas="two"), [f"{TOPO}.replicas: expected an integer, got 'two'"]),
-    (_topology_with(voter={"policy": "2oo3"}, health=["healthy", "ill"]), [
-        f"{TOPO}.voter.policy: policy 2oo3 does not match 2 replica(s)",
+    (_topology_with(voter={"policy": "2oo3"}, health=["healthy", "ill"]), [  # checks across fields last
         f"{TOPO}.health[1]: unknown state 'ill'; one of healthy, failed, switched_off",
+        f"{TOPO}.voter.policy: policy 2oo3 does not match 2 replica(s)",
     ]),
 ], ids=["voter-not-object", "voter-unknown-key", "clock-and-clocks", "clocks-not-list", "clocks-length",
-        "shared-unequal-clocks", "offsets-length", "offsets-element", "health-not-list", "health-state",
+        "shared-unequal-clocks", "offsets-length", "offsets-element", "jitter-length", "health-not-list", "health-state",
         "replicas-missing", "replicas-not-int", "policy-and-health"])
 def test_topology_error_list(raw, expected):
     assert errors_of(raw) == expected
+
+
+# Each per-replica field and the key that holds one entry for all (None: lists only).
+PER_REPLICA_KEYS = {"clocks": "clock", "feed_jitter": "feed_jitter", "host_jitter": "host_jitter",
+                    "clock_offsets_ns": None, "health": None}
+
+
+@st.composite
+def per_replica_forms(draw):
+    """A generated config whose present per-replica fields each take one
+    entry for all or a list, and the same config with every one a list."""
+    raw = draw(configs())
+    topo = raw["topology"]
+    n = topo["replicas"]
+    as_lists = json.loads(json.dumps(raw))
+    for key, single in PER_REPLICA_KEYS.items():
+        value = topo.pop(single, None) if single else None
+        value = topo.pop(key, value)
+        if value is None:
+            continue
+        entries = value if isinstance(value, list) else [value] * n
+        if single and draw(st.booleans()):
+            entries = [entries[0]] * n
+            topo[single] = entries[0]
+        else:
+            topo[key] = entries
+        as_lists["topology"].pop(single, None)
+        as_lists["topology"][key] = entries
+    return raw, as_lists
+
+
+@settings(settings.get_profile("oracle-fuzz"))
+@given(per_replica_forms())
+def test_per_replica_forms_round_trip(forms):
+    raw, as_lists = forms
+    d = config_from_dict(raw, env={}).to_json_dict()
+    # one entry for all expands to the list it stands for
+    assert d == config_from_dict(as_lists, env={}).to_json_dict()
+    assert json.dumps(config_from_dict(d, env={}).to_json_dict()) == json.dumps(d)
+    assert all(len(d["topology"][key]) == raw["topology"]["replicas"] for key in PER_REPLICA_KEYS)

@@ -94,6 +94,7 @@ BOUNDED = (
     Tight(), Loose(1), Tolerance(0.5), VotingPolicy(1, 2), ClockDomain(1), EngineConfig(),
     JitterModel(), PtpSettings(), Workload(), ProfilerSettings(), WeightBitFlip(0, 0, 0),
     OutputBitFlip(0, 0), ExtraDelay(0), OnFrame(0), WithProbability(0.5),
+    config_from_dict(zero_jitter_duplex(), env={}).topology,
 )
 
 
