@@ -79,16 +79,6 @@ def compare_bus_traces(a, b):
     return np.where(differ.any(axis=1), 4 * differ.argmax(axis=1), -1)
 
 
-class PtpExchange(Record, frozen=True):
-    """Two-step exchange timestamps: master send, slave receive, slave send,
-    master receive. t2/t3 are slave-clock times, t1/t4 master-clock."""
-
-    t1: int
-    t2: int
-    t3: int
-    t4: int
-
-
 class PtpEstimate(Record, frozen=True):
     offset_ns: int      # positive when the slave clock runs ahead
     path_delay_ns: int
@@ -98,25 +88,28 @@ def _half_toward_zero(v: int) -> int:
     return v // 2 if v >= 0 else -((-v) // 2)
 
 
-def estimate_ptp_offset(x: PtpExchange) -> PtpEstimate:
-    """Standard two-step estimate: offset = ((t2-t1) - (t4-t3)) / 2,
-    path delay = ((t2-t1) + (t4-t3)) / 2, halving toward zero."""
-    if x.t4 < x.t1 or x.t3 < x.t2:
-        raise ProtocolError(f"inconsistent exchange timestamps {x}")
-    fwd = x.t2 - x.t1
-    ret = x.t4 - x.t3
+def estimate_ptp_offset(exchange) -> PtpEstimate:
+    """Standard two-step estimate from the exchange timestamps (t1, t2, t3,
+    t4): master send, slave receive, slave send, master receive, with t2/t3
+    slave-clock times and t1/t4 master-clock. offset = ((t2-t1) -
+    (t4-t3)) / 2, path delay = ((t2-t1) + (t4-t3)) / 2, halving toward zero."""
+    t1, t2, t3, t4 = exchange
+    if t4 < t1 or t3 < t2:
+        raise ProtocolError(f"inconsistent exchange timestamps {exchange}")
+    fwd = t2 - t1
+    ret = t4 - t3
     if fwd + ret < 0:
-        raise ProtocolError(f"negative computed path delay for {x}")
+        raise ProtocolError(f"negative computed path delay for {exchange}")
     return PtpEstimate(_half_toward_zero(fwd - ret), _half_toward_zero(fwd + ret))
 
 
 def simulate_ptp_exchange(t1: int, true_offset_ns: int, forward_delay_ns: int,
-                          return_delay_ns: int, slave_turnaround_ns: int = 0) -> PtpExchange:
-    """Build the exchange a master and a slave with the given true clock
-    offset and one-way path delays would produce."""
+                          return_delay_ns: int, slave_turnaround_ns: int = 0) -> tuple:
+    """The exchange timestamps (t1, t2, t3, t4) that a master and a slave
+    with the given true clock offset and one-way path delays would produce."""
     if forward_delay_ns < 0 or return_delay_ns < 0 or slave_turnaround_ns < 0:
         raise ConfigError("path delays and turnaround must be non-negative")
     t2 = t1 + forward_delay_ns + true_offset_ns
     t3 = t2 + slave_turnaround_ns
     t4 = (t3 - true_offset_ns) + return_delay_ns
-    return PtpExchange(t1, t2, t3, t4)
+    return t1, t2, t3, t4

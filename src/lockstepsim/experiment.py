@@ -44,16 +44,16 @@ clock and the delays that fired. A drop fault masks the output. Then:
   flips alone, so only rounds in which one fired are compared, each
   output by the parameter digests of the weights it ran on
   (`coupling.compare_bus_traces`).
-- state: the verdicts (`voting.vote_rounds`), the safety switch
-  (`voting.safety_scan`, its state carried across chunks) and the report's
-  counts.
+- state: the verdicts (`voting.vote_rounds`) and the safety switch
+  (`voting.safety_scan`), whose state is the consecutive fault count
+  carried across chunks: SafeOff once it reaches the debounce threshold.
 
-With a trace writer, each chunk hands its columns to `trace.rounds`: the
-frame ids, repetitions, clean digest and class of each round, the arrays
-above, the compute cycles, the healthy ids and the required agreement.
-The trace format is `trace`'s alone: it lays out the seqs and writes the
-records in (t_ns, seq) order. The runner keeps only the running seq, which
-the PTP records (`trace.ptp`) also take.
+Each chunk is decided, counted and written in three steps (`run`):
+`_run_chunk` decides it and returns its columns, one entry per round;
+`tally` folds them into the report's counters; with a trace writer,
+`trace.rounds` writes them. The trace format is `trace`'s alone: it lays
+out the seqs and writes the records in (t_ns, seq) order. The runner
+keeps only the running seq, which the PTP records (`trace.ptp`) also take.
 """
 
 from __future__ import annotations
@@ -93,7 +93,9 @@ from .record import Record
 from .replica import HEALTHY, compute_cycles, gen_frames, gen_weights, infer, params_digests
 from .rng import derive_seed
 from .voting import (
+    ACTIONS,
     DEGRADED,
+    ENTER_SAFE_OFF,
     OPERATIONAL,
     PASS,
     SAFE_OFF,
@@ -119,7 +121,7 @@ ROUND_CHUNK = 4096
 # Simulated time stays below 2**62 ns (146 years), so int64 holds every time.
 TIME_LIMIT_NS = 1 << 62
 
-_PASS, _DEGRADED = VERDICTS.index(PASS), VERDICTS.index(DEGRADED)
+_PASS, _DEGRADED, _ENTER = VERDICTS.index(PASS), VERDICTS.index(DEGRADED), ACTIONS.index(ENTER_SAFE_OFF)
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 
@@ -209,7 +211,6 @@ class ExperimentRunner:
         self._host_pos = [0] * len(self._host)
         self._feed_pos = [0] * len(self._feed)
 
-        self.clock_offsets = list(topo.clock_offsets_ns)
         self.ptp_corrections = [0] * n
         self._last = [None] * k             # a stuck column's last emitted (output, digest)
         self._weights = {(): (self.weights, params_digests(self.weights))}  # flips -> (network, digests)
@@ -224,14 +225,11 @@ class ExperimentRunner:
         else:
             self._window_ns = self.coupling.rendezvous_window_ns
 
-        self.samples = [[_EMPTY] for _ in range(n)]  # int64 arrays per chunk, joined by `_build_report`
-        self.skews = [_EMPTY]
-        self.verdict_counts = dict.fromkeys(VERDICTS, 0)
-        self.safety_state = OPERATIONAL
-        self.fault_count = 0                # consecutive non-pass verdicts
-        self.safety_timeline = []
-        self.faults = {"injected": 0, "detected": 0, "masked_pass": 0, "corrupted_pass": 0}
-        self.bus = {"comparisons": 0, "divergences": 0}
+        self.fault_count = 0                # consecutive non-pass verdicts: the safety switch's state
+        # the report's counters (`tally`), the samples and skews as int64 arrays per chunk
+        self.totals = dict(samples=[[_EMPTY] for _ in range(n)], skews=[_EMPTY], timeline=[],
+                           verdict_counts=dict.fromkeys(VERDICTS, 0), bus={"comparisons": 0, "divergences": 0},
+                           faults=dict.fromkeys(("injected", "detected", "masked_pass", "corrupted_pass"), 0))
         self.ptp_info = []
 
     # -- per-replica values ----------------------------------------------
@@ -313,14 +311,14 @@ class ExperimentRunner:
             j = n - 1 - int(emitted[::-1].argmax())
             self._last[i] = (outputs[j].copy(), digests[j])
 
-    def _bus_compare(self, emit, keys):
-        """(other, index): per round of a chunk, the column of the first
-        replica whose bus trace differs from that of the first replica that
-        emitted, and the event index where it diverges; -1 where none
-        does. `keys` holds the flip set each output ran on (`_values`)."""
+    def _bus_compare(self, emit, keys, compared):
+        """(other, index): per round of a chunk that is `compared`, the column
+        of the first replica whose bus trace differs from that of the first
+        replica that emitted, and the event index where it diverges; -1 where
+        none does. `keys` holds the flip set each output ran on (`_values`)."""
         n, k = emit.shape
         other, index = np.full(n, -1), np.full(n, -1)
-        at = np.flatnonzero((emit.sum(axis=1) >= 2) & (keys != 0).any(axis=1))
+        at = np.flatnonzero(compared & (keys != 0).any(axis=1))
         if not at.size:
             return other, index
         # each flip set's parameter digests, then each output's
@@ -345,10 +343,12 @@ class ExperimentRunner:
         return out
 
     def _run_chunk(self, first, lo, hi):
-        """Rounds lo .. hi-1 of the block whose first frame is `first`."""
+        """Decide rounds lo .. hi-1 of the block whose first frame is `first`
+        and return their columns (`trace.rounds`). Keep only what the next
+        chunk needs: stream positions, stuck outputs, `now`, `fault_count`."""
         reps = self.cfg.workload.repetitions_per_frame
         n = hi - lo
-        rows = np.arange(lo, hi) // reps
+        rows, repetitions = np.divmod(np.arange(lo, hi), reps)
         k = len(self.healthy_ids)
 
         # times relative to each round's release
@@ -369,32 +369,31 @@ class ExperimentRunner:
                 f"replica {self.healthy_ids[i]}, frame {first + rows[j]}: delivery at {feed[j, i]} ns "
                 f"and completion at {comp[j, i]} ns after the release must not precede it or each other"
             )
-        for i, rid in enumerate(self.healthy_ids):
-            self.samples[rid].append(comp[emit[:, i], i])
-        applied = fired.any(axis=1)
 
         # outcomes
         if k:
             present, complete, skew, deadline = rendezvous_rounds(comp + self._corr, emit, self._window_ns)
             durations = np.maximum(deadline, reduce(np.maximum, comp.T))
-            self.skews.append(skew[complete])
         else:
             present, complete = emit, np.zeros(n, dtype=bool)
             durations = skew = np.zeros(n, dtype=np.int64)
+        ends = self.now + np.cumsum(durations)
+        self.now = int(ends[-1])
 
         # values
         clean = self._result(())[2][rows]
         labels = np.zeros((n, k), dtype=np.int64)
-        digests = outputs = changed = None
-        voted = diverged = np.zeros(n, dtype=bool)
-        other = index = None
+        digests = outputs = changed = other = index = None
+        voted = diverged = compared = np.zeros(n, dtype=bool)
+        if self._bus:
+            compared = emit.sum(axis=1) >= 2
         if self._valued:
             digests, outputs, keys, changed = self._values(rows, emit, fired)
             voted = complete & changed.any(axis=1)
             if voted.any():
                 labels[voted] = agreement_labels(self.topology.comparator, digests[voted], outputs[voted])
             if self._bus and k >= 2:
-                other, index = self._bus_compare(emit, keys)
+                other, index = self._bus_compare(emit, keys, compared)
                 diverged = other >= 0
         verdict, best = vote_rounds(complete, labels, self.topology.policy.required_agreement)
         if not k:
@@ -403,57 +402,29 @@ class ExperimentRunner:
         if digests is not None:
             agreed = digests[np.arange(n), (labels == best[:, None]).argmax(axis=1)]
 
-        # state and counts
-        passed = verdict == _PASS
-        for code, count in enumerate(np.bincount(verdict, minlength=len(VERDICTS)).tolist()):
-            self.verdict_counts[VERDICTS[code]] += count
-        if applied.any():
-            masked = applied & passed & (agreed == clean)
-            self.faults["injected"] += int(applied.sum())
-            self.faults["detected"] += int((applied & ~passed).sum())
-            self.faults["masked_pass"] += int(masked.sum())
-            self.faults["corrupted_pass"] += int((applied & passed).sum()) - int(masked.sum())
-        if self._bus:
-            self.bus["comparisons"] += int((emit.sum(axis=1) >= 2).sum())
-            self.bus["divergences"] += int(diverged.sum())
-        action, counts, entered = safety_scan(~passed, self.topology.debounce_threshold,
-                                              self.safety_state, self.fault_count)
-        safe = np.full(n, self.safety_state == SAFE_OFF)
-        starts = self.now + np.cumsum(durations) - durations
-        self.now = int(starts[-1] + durations[-1])
-        if entered is not None:
-            safe[entered:] = True
-            self.safety_timeline.append(
-                {"t_ns": int(starts[entered] + durations[entered]), "frame_id": first + int(rows[entered]),
-                 "repetition": (lo + entered) % reps, "from": OPERATIONAL, "to": SAFE_OFF})
-            self.safety_state = SAFE_OFF
+        # state
+        action, counts = safety_scan(verdict != _PASS, self.topology.debounce_threshold, self.fault_count)
         self.fault_count = int(counts[-1])
-        if self._write is None:
-            return
-
-        self.seq = trace.rounds(self._write, self.seq, dict(
-            frame_ids=first + rows, reps=(lo + np.arange(n)) % reps, clean=clean,
-            classes=self._result(())[1][rows].argmax(axis=1), starts=starts, durations=durations,
-            feed=feed, comp=comp, emit=emit, present=present, complete=complete, skew=skew,
-            verdict=verdict, labels=labels, best=best, agreed=agreed, voted=voted,
-            digests=digests, outputs=outputs, changed=changed, other=other, index=index, diverged=diverged,
-            action=action, counts=counts, safe=safe,
-        ), self.healthy_ids, self._cycles, self.topology.policy.required_agreement)
+        c = dict(frame_ids=first + rows, reps=repetitions, clean=clean, starts=ends - durations,
+                 ends=ends, feed=feed, comp=comp, emit=emit, applied=fired.any(axis=1), present=present,
+                 complete=complete, skew=skew, verdict=verdict, labels=labels, best=best, agreed=agreed,
+                 voted=voted, digests=digests, outputs=outputs, changed=changed, compared=compared, other=other,
+                 index=index, diverged=diverged, action=action, counts=counts)
+        if self._write is not None:  # the columns only the trace reads
+            c.update(classes=self._result(())[1][rows].argmax(axis=1),
+                     safe=counts >= self.topology.debounce_threshold)
+        return c
 
     # -- clock sync ------------------------------------------------------
 
     def _sync_clocks(self):
         s = self.topology.ptp
         for rid in range(self.topology.replica_count):
-            forward = s.link_delay_ns + s.asymmetry_ns
-            exchange = simulate_ptp_exchange(
-                self.now, self.clock_offsets[rid], forward, s.link_delay_ns,
-                s.slave_turnaround_ns,
-            )
-            est = estimate_ptp_offset(exchange)
+            est = estimate_ptp_offset(simulate_ptp_exchange(
+                self.now, self.topology.clock_offsets_ns[rid], s.link_delay_ns + s.asymmetry_ns, s.link_delay_ns,
+                s.slave_turnaround_ns))
             self.ptp_corrections[rid] = est.offset_ns
-            self.ptp_info.append({"replica_id": rid, "offset_ns": est.offset_ns,
-                                  "path_delay_ns": est.path_delay_ns})
+            self.ptp_info.append({"replica_id": rid, "offset_ns": est.offset_ns, "path_delay_ns": est.path_delay_ns})
             if self._write is not None:
                 self._write(trace.ptp(self.now, self.seq, rid, est.offset_ns, est.path_delay_ns))
             self.seq += 1
@@ -465,7 +436,7 @@ class ExperimentRunner:
         if self.topology.ptp.enabled:
             self._sync_clocks()
         # what the checker adds to a completion time to get its arrival time
-        self._corr = [self.clock_offsets[rid] - self.ptp_corrections[rid] for rid in self.healthy_ids]
+        self._corr = [self.topology.clock_offsets_ns[rid] - self.ptp_corrections[rid] for rid in self.healthy_ids]
         self._check_time_limit()
         reps = wl.repetitions_per_frame
         size = BLOCK_VALUES // (max(wl.arch) + 1)
@@ -474,7 +445,12 @@ class ExperimentRunner:
             self._frames = gen_frames(self.cfg.seed, range(first, first + count), wl.input_shape)
             self._block = {}
             for lo in range(0, count * reps, ROUND_CHUNK):
-                self._run_chunk(first, lo, min(lo + ROUND_CHUNK, count * reps))
+                c = self._run_chunk(first, lo, min(lo + ROUND_CHUNK, count * reps))
+                tally(self.totals, c, self.healthy_ids)
+                if self._write is not None:
+                    self.seq = trace.rounds(self._write, self.seq, c, self.healthy_ids, self._cycles,
+                                            self.topology.policy.required_agreement)
+                del c  # the next chunk runs without this one's columns
         return self._build_report()
 
     def _check_time_limit(self):
@@ -498,9 +474,9 @@ class ExperimentRunner:
         self._compute_ns = np.array(compute, dtype=np.int64)
 
     def _build_report(self) -> ExperimentReport:
-        prof = self.cfg.profiler
+        prof, t = self.cfg.profiler, self.totals
         replicas = []
-        for rid, chunks in enumerate(self.samples):
+        for rid, chunks in enumerate(t["samples"]):
             xs = np.concatenate(chunks)
             replicas.append({
                 "replica_id": rid,
@@ -509,19 +485,43 @@ class ExperimentRunner:
                 "outliers": detect_outliers(xs, prof.outlier_threshold) if len(xs) >= 3 else None,
                 "histogram": histogram(xs, prof.bin_count),
             })
-        skews = np.concatenate(self.skews)  # each within the window: their sum stays below TIME_LIMIT_NS
+        skews = np.concatenate(t["skews"])  # each within the window: their sum stays below TIME_LIMIT_NS
         skew = {"n": len(skews), "min": int(skews.min()), "mean": int(skews.sum()) / len(skews),
                 "max": int(skews.max())} if len(skews) else None
         return ExperimentReport(
             config=self.cfg.to_json_dict(),
             replicas=replicas,
-            verdict_counts=self.verdict_counts,
-            safety={"final_state": self.safety_state, "timeline": self.safety_timeline},
-            faults=self.faults,
+            verdict_counts=t["verdict_counts"],
+            safety={"final_state": SAFE_OFF if self.fault_count >= self.topology.debounce_threshold else OPERATIONAL,
+                    "timeline": t["timeline"]},
+            faults=t["faults"],
             skew_ns=skew,
-            bus=self.bus,
+            bus=t["bus"],
             ptp=self.ptp_info,
         )
+
+
+def tally(t, c, replica_ids):
+    """Fold a chunk's columns `c` (`ExperimentRunner._run_chunk`), whose
+    columns are the healthy `replica_ids`, into the report's counters `t`
+    (`ExperimentRunner.totals`); SafeOff is entered at its `ENTER_SAFE_OFF`."""
+    comp, emit, verdict, applied = c["comp"], c["emit"], c["verdict"], c["applied"]
+    for i, rid in enumerate(replica_ids):
+        t["samples"][rid].append(comp[emit[:, i], i])
+    t["skews"].append(c["skew"][c["complete"]])
+    for code, n in enumerate(np.bincount(verdict, minlength=len(VERDICTS)).tolist()):
+        t["verdict_counts"][VERDICTS[code]] += n
+    t["bus"]["comparisons"] += int(c["compared"].sum())
+    t["bus"]["divergences"] += int(c["diverged"].sum())
+    if applied.any():  # the rounds in which a fault fired, by outcome
+        passed = applied & (verdict == _PASS)
+        masked = passed & (c["agreed"] == c["clean"])
+        for key, flags in (("injected", applied), ("detected", applied & ~passed), ("masked_pass", masked),
+                           ("corrupted_pass", passed & ~masked)):
+            t["faults"][key] += int(flags.sum())
+    for j in np.flatnonzero(c["action"] == _ENTER).tolist():
+        t["timeline"].append({"t_ns": int(c["ends"][j]), "frame_id": int(c["frame_ids"][j]),
+                              "repetition": int(c["reps"][j]), "from": OPERATIONAL, "to": SAFE_OFF})
 
 
 _SLICE_LEN = 4096

@@ -135,17 +135,20 @@ def rounds(write, first_seq, c, replica_ids, cycles, required) -> int:
     `c` holds the runner's columns, with one row per round and, in the
     two-axis ones, one column per healthy replica in `replica_ids`:
     frame_ids, reps (the round's repetition), clean and classes (the clean
-    output's digest and classification); starts, durations; feed, comp,
-    emit (each delivery and completion time after the release, whether
-    emitted); present, complete, skew (the rendezvous); verdict (an index
-    in `VERDICTS`); labels, best, voted, agreed (the agreement groups, the
-    winning group, whether the round was grouped, the agreed digest);
-    diverged, other, index (the bus divergence: with which column, at which
-    event); action, counts, safe (the safety switch after the round). When
-    no value fault can fire, changed, digests and outputs are None; else
-    they flag and hold each output that a value fault changed. `cycles` is
-    an inference's compute cycles and `required` the policy's required
-    agreement.
+    output's digest and classification); starts, ends (the release and
+    record times); feed, comp, emit (each delivery and completion time
+    after the release, whether emitted); applied (a fault fired); present,
+    complete, skew (the rendezvous); verdict (an index in `VERDICTS`);
+    labels, best, voted, agreed (the agreement groups, the winning group,
+    whether the round was grouped, the agreed digest); compared, diverged,
+    other, index (the bus compare: whether the round's buses were
+    compared, and whether they diverged, with which column, at which
+    event); action, counts, safe (the safety switch after the round, safe
+    being counts >= the threshold). When no value fault can fire, changed,
+    digests and outputs are None; else they flag and hold each output that
+    a value fault changed. `experiment.ExperimentRunner._run_chunk` makes
+    them and `experiment.tally` counts them. `cycles` is an inference's
+    compute cycles and `required` the policy's required agreement.
 
     Each round takes seqs in this order: the input release; one delivery
     per healthy replica in replica order; one completion per delivery, in
@@ -170,12 +173,12 @@ def rounds(write, first_seq, c, replica_ids, cycles, required) -> int:
         np.put_along_axis(completion_seqs, order, completion_seqs.copy(), axis=1)
     new = np.ones(n, dtype=bool)
     new[1:] = fids[1:] != fids[:-1]
-    action, counts, safe = c["action"], c["counts"], c["safe"]
+    action, counts = c["action"], c["counts"]
     # frame_of numbers each round's frame, frame_rows holds each frame's
     # first round, and uniform says whether every safety tail is the same
-    c = {**c, "seqs": seqs, "nexts": nexts, "completion_seqs": completion_seqs, "ends": c["starts"] + c["durations"],
+    c = {**c, "seqs": seqs, "nexts": nexts, "completion_seqs": completion_seqs,
          "frame_of": np.cumsum(new) - 1, "frame_rows": np.flatnonzero(new),
-         "uniform": (action == action[0]).all() and (counts == counts[0]).all() and (safe == safe[0]).all()}
+         "uniform": (action == action[0]).all() and (counts == counts[0]).all()}
     # the rounds that each kind of record or text is for, as ascending
     # indices; None when that is every round
     masks = {"complete": c["complete"], "timeout": ~c["complete"], "diverged": c["diverged"],

@@ -145,30 +145,31 @@ ENTER_SAFE_OFF = "enter_safe_off"
 ACTIONS = (DELIVER_OUTPUT, SUPPRESS_OUTPUT, ENTER_SAFE_OFF)
 
 
-def safety_scan(faulty, threshold, state=OPERATIONAL, count=0):
-    """Step the safety switch over a run of rounds from `state` with
-    `count` consecutive faults. `faulty` flags each round whose verdict is
-    not a pass. A pass resets the count and delivers; any other verdict
-    counts toward `threshold` and suppresses; reaching it enters SafeOff,
-    which suppresses from then on and keeps its count.
+def safety_scan(faulty, threshold, count=0):
+    """Step the safety switch over a run of rounds from `count` consecutive
+    faults. `faulty` flags each round whose verdict is not a pass. A pass
+    resets the count and delivers; any other verdict counts toward
+    `threshold` and suppresses; reaching it enters SafeOff, which
+    suppresses from then on and keeps its count. The count is the switch's
+    whole state: from a count below `threshold`, the round that enters
+    SafeOff counts exactly `threshold`, so the switch is in SafeOff exactly
+    when its count is at least `threshold`.
 
-    Returns (action, counts, entered): per round the index in `ACTIONS` of
-    its action and the consecutive fault count after it, and the round that
-    entered SafeOff, or None."""
+    Returns (action, counts): per round the index in `ACTIONS` of its
+    action and the consecutive fault count after it."""
     n = len(faulty)
-    if state == SAFE_OFF:
-        return np.ones(n, dtype=np.int64), np.full(n, count, dtype=np.int64), None
+    if count >= threshold:
+        return np.ones(n, dtype=np.int64), np.full(n, count, dtype=np.int64)
     if not faulty.any():
-        return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), None
+        return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     at = np.arange(n)
     last_pass = np.maximum.accumulate(np.where(faulty, -1, at))
     counts = np.where(last_pass >= 0, at - last_pass, at + 1 + count)
     action = faulty.astype(np.int64)
     over = np.flatnonzero(counts >= threshold)
-    if not over.size:
-        return action, counts, None
-    entered = int(over[0])
-    action[entered] = ACTIONS.index(ENTER_SAFE_OFF)
-    action[entered + 1:] = ACTIONS.index(SUPPRESS_OUTPUT)
-    counts[entered + 1:] = counts[entered]
-    return action, counts, entered
+    if over.size:
+        entered = int(over[0])
+        action[entered] = ACTIONS.index(ENTER_SAFE_OFF)
+        action[entered + 1:] = ACTIONS.index(SUPPRESS_OUTPUT)
+        counts[entered + 1:] = counts[entered]
+    return action, counts

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from lockstepsim.coupling import (
     Loose,
-    PtpExchange,
     compare_bus_traces,
     estimate_ptp_offset,
     rendezvous_rounds,
@@ -167,27 +166,27 @@ class TestCompareBusTraces:
 
 class TestPtp:
     def test_symmetric_case(self):
-        est = estimate_ptp_offset(PtpExchange(0, 10, 20, 30))
+        est = estimate_ptp_offset((0, 10, 20, 30))
         assert (est.offset_ns, est.path_delay_ns) == (0, 10)
 
     def test_offset_two(self):
-        est = estimate_ptp_offset(PtpExchange(0, 12, 20, 28))
+        est = estimate_ptp_offset((0, 12, 20, 28))
         assert (est.offset_ns, est.path_delay_ns) == (2, 10)
 
     def test_negative_path_delay_rejected(self):
         # slave turnaround longer than the whole master round trip
         with pytest.raises(ProtocolError):
-            estimate_ptp_offset(PtpExchange(0, -100, 300, 100))
+            estimate_ptp_offset((0, -100, 300, 100))
 
     def test_inconsistent_timestamps_rejected(self):
         with pytest.raises(ProtocolError):
-            estimate_ptp_offset(PtpExchange(0, 10, 5, 30))  # t3 < t2
+            estimate_ptp_offset((0, 10, 5, 30))  # t3 < t2
         with pytest.raises(ProtocolError):
-            estimate_ptp_offset(PtpExchange(100, 110, 120, 90))  # t4 < t1
+            estimate_ptp_offset((100, 110, 120, 90))  # t4 < t1
 
     def test_halving_rounds_toward_zero(self):
         # fwd - ret odd and negative: -1/2 -> 0, not -1
-        est = estimate_ptp_offset(PtpExchange(0, 5, 5, 11))
+        est = estimate_ptp_offset((0, 5, 5, 11))
         assert est.offset_ns == 0  # (5 - 6) / 2 toward zero
         assert est.path_delay_ns == 5  # (5 + 6) / 2 toward zero
 

@@ -375,6 +375,30 @@ class TestMemoryPerRound:
         assert (live - before) / rounds < 40
         assert (peak - before) / rounds < 120
 
+    def test_untraced_round_loop_holds_one_chunk_at_a_time(self):
+        # Untraced gpu-duplex-loose, 50k rounds, read at the entry of
+        # `_build_report`: the samples and skews are 24 B per round. The peak
+        # read 36.2 B per round, and 46.8 when `run` still held a chunk's
+        # columns while the next chunk ran.
+        cfg = config_from_dict({"seed": 1, "topology": "gpu-duplex-loose",
+                                "workload": {"frame_count": 500, "repetitions_per_frame": 100}}, env={})
+        rounds = 500 * 100
+        build, peaks = experiment.ExperimentRunner._build_report, []
+
+        def build_report(runner):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return build(runner)
+
+        run_experiment(cfg)  # warm-up: imports and caches
+        with mock.patch.object(experiment.ExperimentRunner, "_build_report", build_report):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                run_experiment(cfg)
+            finally:
+                tracemalloc.stop()
+        assert (peaks[0] - before) / rounds < 42
+
     def test_traced_run_builds_trace_objects_a_piece_at_a_time(self, tmp_path):
         # Traced gpu-duplex-loose, 5000 rounds: a chunk of 4096 rounds and
         # one of 904. The peak read 423 B per round when each 128-round

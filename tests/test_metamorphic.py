@@ -12,9 +12,12 @@ and topology feature.
 import copy
 from collections import defaultdict
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lockstepsim.config import config_from_dict
+from lockstepsim.experiment import run_experiment
 from helpers import run_with_records
 from test_reference_runner import _trigger, configs
 
@@ -38,6 +41,25 @@ def _emitters(records):
         if r["kind"] == "completion":
             emitted[r["frame_id"], r["repetition"]].add(r["replica_id"])
     return emitted
+
+
+@settings(settings.get_profile("oracle-fuzz"))
+@given(configs(), st.integers(1, 4))
+def test_e_a_higher_debounce_never_enters_safe_off_earlier(raw, raise_by):
+    # The safety switch only reads the verdicts, so a higher debounce
+    # threshold changes no verdict, fault, bus or skew count and no sample,
+    # and a run that enters SafeOff with it enters SafeOff with the lower
+    # threshold too, at the same round or earlier.
+    higher = copy.deepcopy(raw)
+    higher["topology"]["voter"]["debounce_threshold"] += raise_by
+    low, high = (run_experiment(config_from_dict(r)) for r in (raw, higher))
+    for key in ("verdict_counts", "faults", "bus", "skew_ns"):
+        assert getattr(low, key) == getattr(high, key)
+    for a, b in zip(low.replicas, high.replicas, strict=True):
+        assert np.array_equal(a["samples"], b["samples"])
+    entered = [[(e["frame_id"], e["repetition"]) for e in r.safety["timeline"]] for r in (low, high)]
+    if entered[1]:
+        assert entered[0] and entered[0][0] <= entered[1][0]
 
 
 @settings(settings.get_profile("oracle-fuzz"))

@@ -2,6 +2,7 @@
 scalar `vote` and `step_safety` of the reference runner (`oracles`)."""
 
 from collections import namedtuple
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -234,6 +235,36 @@ def test_every_pattern_matches_the_frozen_vote(n):
         assert_matches_frozen_vote(patterns, VotingPolicy(m, n), Exact())
 
 
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_g_a_pass_selects_a_corrupted_value_only_when_corrupted_outputs_outvote_the_clean_ones(n):
+    # The checker's claim, for every MooN with this n under Exact: over every
+    # set of corrupted columns and every way their values collude, a pass
+    # selects a corrupted value only if at least the required agreement of
+    # corrupted outputs agree on it and their group is at least as large as
+    # the clean one. So a lone corrupted column never wins once two
+    # witnesses are required. A clean output holds 0, a corrupted one 1 +
+    # its collusion label, each value standing in for its digest.
+    rows = []
+    for size in range(n + 1):
+        for columns in combinations(range(n), size):
+            for pattern in agreement_patterns(size):
+                row = [0] * n
+                for c, label in zip(columns, pattern):
+                    row[c] = 1 + label
+                rows.append(row)
+    labels = agreement_labels(Exact(), np.array(rows, dtype=np.uint64)).tolist()
+    for m in range(1, n + 1):
+        required = VotingPolicy(m, n).required_agreement
+        verdict, best = vote_rounds(np.ones(len(rows), dtype=bool), np.array(labels), required)
+        for row, row_labels, v, b in zip(rows, labels, verdict.tolist(), best.tolist()):
+            if VERDICTS[v] != PASS:
+                continue
+            (value,) = {x for x, g in zip(row, row_labels) if g == b}
+            if value:
+                assert row.count(value) >= max(required, row.count(0)), (row, m)
+
+
 INT16_EDGES = [-32768, -32767, -256, -1, 0, 1, 255, 256, 32766, 32767]
 
 
@@ -260,37 +291,36 @@ def test_tolerance_matches_the_frozen_vote(case):
 # -- the safety switch ---------------------------------------------------------
 
 
-def scan(faulty, threshold, state=OPERATIONAL, count=0):
-    action, counts, entered = safety_scan(np.array(faulty, dtype=bool), threshold, state, count)
-    return [ACTIONS[a] for a in action.tolist()], counts.tolist(), entered
+def scan(faulty, threshold, count=0):
+    action, counts = safety_scan(np.array(faulty, dtype=bool), threshold, count)
+    return [ACTIONS[a] for a in action.tolist()], counts.tolist()
 
 
 class TestSafetyScan:
     def test_pass_delivers_and_resets(self):
-        assert scan([False], 3, count=2) == ([DELIVER_OUTPUT], [0], None)
+        assert scan([False], 3, count=2) == ([DELIVER_OUTPUT], [0])
 
     def test_immediate_trip_with_default_debounce(self):
-        assert scan([True], 1) == ([ENTER_SAFE_OFF], [1], 0)
+        assert scan([True], 1) == ([ENTER_SAFE_OFF], [1])
 
     def test_debounce_three_hand_trace(self):
-        actions, counts, entered = scan([True, False, True, True, True], 3)
+        actions, counts = scan([True, False, True, True, True], 3)
         assert actions == [SUPPRESS_OUTPUT, DELIVER_OUTPUT, SUPPRESS_OUTPUT, SUPPRESS_OUTPUT, ENTER_SAFE_OFF]
         assert counts == [1, 0, 1, 2, 3]
-        assert entered == 4
 
     def test_count_carries_into_the_next_run(self):
         # a timeout or degraded verdict counts like any other non-pass
-        assert scan([True], 2, count=1) == ([ENTER_SAFE_OFF], [2], 0)
+        assert scan([True], 2, count=1) == ([ENTER_SAFE_OFF], [2])
         assert scan([True, True], 3, count=1)[0] == [SUPPRESS_OUTPUT, ENTER_SAFE_OFF]
 
     def test_safe_off_keeps_its_count_after_entry(self):
-        actions, counts, entered = scan([True, True, False, True], 2)
+        actions, counts = scan([True, True, False, True], 2)
         assert actions == [SUPPRESS_OUTPUT, ENTER_SAFE_OFF, SUPPRESS_OUTPUT, SUPPRESS_OUTPUT]
         assert counts == [1, 2, 2, 2]
-        assert entered == 1
 
     def test_safe_off_is_absorbing(self):
-        assert scan([False, True, False], 3, SAFE_OFF, 1) == ([SUPPRESS_OUTPUT] * 3, [1, 1, 1], None)
+        # SafeOff is a count at the threshold; a pass does not reset it
+        assert scan([False, True, False], 3, 3) == ([SUPPRESS_OUTPUT] * 3, [3, 3, 3])
 
 
 VARIANTS = {
@@ -313,18 +343,19 @@ def test_scan_matches_the_frozen_step_in_any_chunking(threshold, variants, cuts)
     for name in variants:
         state, action = step_safety(state, VARIANTS[name])
         want.append((state.state, action, state.consecutive_fault_count))
-    # the scan, over chunks of any size, carrying its state across them
-    got, at, now, count = [], 0, OPERATIONAL, 0
+    # the frozen switch is in SafeOff exactly when its count has reached
+    # the threshold, so the count is its whole state
+    assert all((s == SAFE_OFF) == (c >= threshold) for s, _, c in want)
+    # the scan, over chunks of any size, carrying only the count across them
+    got, at, count = [], 0, 0
     for size in cuts + [len(variants)]:
         chunk = variants[at:at + size]
         at += len(chunk)
         if not chunk:
             continue
-        actions, counts, entered = scan([v != "pass" for v in chunk], threshold, now, count)
-        for j, (action, c) in enumerate(zip(actions, counts)):
-            off = now == SAFE_OFF or (entered is not None and j >= entered)
-            got.append((SAFE_OFF if off else OPERATIONAL, action, c))
-        now, count = got[-1][0], got[-1][2]
+        actions, counts = scan([v != "pass" for v in chunk], threshold, count)
+        got += [(SAFE_OFF if c >= threshold else OPERATIONAL, action, c) for action, c in zip(actions, counts)]
+        count = counts[-1]
     assert got == want
     # SafeOff is absorbing
     states = [s for s, _, _ in got]
