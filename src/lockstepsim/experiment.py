@@ -14,13 +14,14 @@ are the report's dicts, and `ExperimentReport`'s fields are the file's keys.
 Frames are processed in blocks of `BLOCK_VALUES` values, the block's
 frames times the widest layer of the net plus its output digest: 255
 frames of a 1024-wide net, 7943 of a [32, 32, 16] one. Each block is
-drawn, inferred and digested at once (`replica.infer`), and a weight-flip
-set re-infers the block when it first fires in it, on weights flipped once
-per run. The rounds of a block run in chunks of at most `ROUND_CHUNK`, so a
-narrow net with one round per frame runs thousands of rounds per chunk,
-and memory does not grow with the frame count: a chunk's arrays hold
-about 100 bytes per round, and about 400 with the trace's columns
-(`trace.rounds` builds its Python ints and text a piece at a time).
+drawn, inferred and digested at once (`replica.infer`). A weight-flip set
+infers only the distinct frames of the rounds it fired in, a chunk and a
+replica at a time, on weights flipped once per run. The rounds of a block
+run in chunks of at most `ROUND_CHUNK`, so a narrow net with one round per
+frame runs thousands of rounds per chunk, and memory does not grow with the
+frame count: a chunk's arrays hold about 100 bytes per round, and about 400
+with the trace's columns (`trace.rounds` builds its Python ints and text a
+piece at a time).
 
 Every round of a chunk is decided from arrays with one row per round and
 one column per healthy replica. Every random stream is counter-addressed
@@ -211,11 +212,12 @@ class ExperimentRunner:
         self._host_pos = [0] * len(self._host)
         self._feed_pos = [0] * len(self._feed)
 
-        self.ptp_corrections = [0] * n
         self._last = [None] * k             # a stuck column's last emitted (output, digest)
-        self._weights = {(): (self.weights, params_digests(self.weights))}  # flips -> (network, digests)
+        # weight-bit flips -> (index, network, parameter digests), indexed in
+        # order of first use from 0 for the clean weights
+        self._flips = {(): (0, self.weights, params_digests(self.weights))}
         self._frames = None                 # the current block of frames
-        self._block = {}                    # weight-bit flips -> results on it
+        self._clean = None                  # (outputs, output digests) of the block on the clean weights
         self._bus = topo.bus_trace_compare and isinstance(self.coupling, Tight)
 
         if isinstance(self.coupling, Tight):
@@ -234,27 +236,24 @@ class ExperimentRunner:
 
     # -- per-replica values ----------------------------------------------
 
-    def _result(self, flips):
-        """(index, outputs, output digests, parameter digests) of the block's
-        frames on the weights with the weight-bit `flips` applied; `index`
-        numbers the flip sets of the block in order of first use, from 0 for
-        the clean weights."""
-        block = self._block.get(flips)
-        if block is None:
-            if flips not in self._weights:
-                weights = flip_weight_bits(self.weights, flips)
-                self._weights[flips] = (weights, params_digests(weights))
-            weights, params = self._weights[flips]
-            outs, _, digests = infer(weights, self._frames, self.engine)
-            block = self._block[flips] = (len(self._block), outs, digests, params)
-        return block
+    def _flipped(self, flips, rows):
+        """(index, outputs, output digests) of the block's frames `rows` on
+        the weights with the weight-bit `flips` applied, inferring each
+        distinct frame once; `index` numbers the flip set (`_flips`)."""
+        if flips not in self._flips:
+            weights = flip_weight_bits(self.weights, flips)
+            self._flips[flips] = (len(self._flips), weights, params_digests(weights))
+        index, weights, _ = self._flips[flips]
+        frames, inverse = np.unique(rows, return_inverse=True)
+        outs, _, digests = infer(weights, self._frames[frames], self.engine)
+        return index, outs[inverse], digests[inverse]
 
     def _values(self, rows, emit, fired):
         """(digests, outputs, flip sets, changed) of a chunk's outputs, one
         row per round and one column per healthy replica: each digest, each
         output (one more axis), the index of the weight-flip set it ran on
-        (`_result`) and whether a value fault fired for it."""
-        _, outs, clean, _ = self._result(())
+        (`_flips`) and whether a value fault fired for it."""
+        outs, clean = self._clean
         n, k = emit.shape
         digests = np.repeat(clean[rows][:, None], k, axis=1)
         outputs = np.repeat(outs[rows][:, None], k, axis=1)
@@ -271,11 +270,8 @@ class ExperimentRunner:
                 patterns = fired[:, [s for s, _ in flips]] & emitted[:, None]
                 for pattern in sorted(set(map(tuple, patterns.tolist())) - {(False,) * len(flips)}):
                     at = (patterns == pattern).all(axis=1)
-                    key, outs, flipped, _ = self._result(
-                        tuple(flip for (_, flip), on in zip(flips, pattern) if on))
-                    keys[at, i] = key
-                    outputs[at, i] = outs[rows[at]]
-                    digests[at, i] = flipped[rows[at]]
+                    keys[at, i], outputs[at, i], digests[at, i] = self._flipped(
+                        tuple(flip for (_, flip), on in zip(flips, pattern) if on), rows[at])
             if out_flips:
                 slots = [s for s, _ in out_flips]
                 at = fired[:, slots].any(axis=1) & emitted
@@ -322,7 +318,7 @@ class ExperimentRunner:
         if not at.size:
             return other, index
         # each flip set's parameter digests, then each output's
-        params = np.array([p for _, _, _, p in self._block.values()], dtype=np.uint64)
+        params = np.array([p for _, _, p in self._flips.values()], dtype=np.uint64)
         traces = params[keys[at]]
         emitted = emit[at]
         first = emitted.argmax(axis=1)
@@ -381,7 +377,7 @@ class ExperimentRunner:
         self.now = int(ends[-1])
 
         # values
-        clean = self._result(())[2][rows]
+        clean = self._clean[1][rows]
         labels = np.zeros((n, k), dtype=np.int64)
         digests = outputs = changed = other = index = None
         voted = diverged = compared = np.zeros(n, dtype=bool)
@@ -411,7 +407,7 @@ class ExperimentRunner:
                  voted=voted, digests=digests, outputs=outputs, changed=changed, compared=compared, other=other,
                  index=index, diverged=diverged, action=action, counts=counts)
         if self._write is not None:  # the columns only the trace reads
-            c.update(classes=self._result(())[1][rows].argmax(axis=1),
+            c.update(classes=self._clean[0][rows].argmax(axis=1),
                      safe=counts >= self.topology.debounce_threshold)
         return c
 
@@ -423,7 +419,6 @@ class ExperimentRunner:
             est = estimate_ptp_offset(simulate_ptp_exchange(
                 self.now, self.topology.clock_offsets_ns[rid], s.link_delay_ns + s.asymmetry_ns, s.link_delay_ns,
                 s.slave_turnaround_ns))
-            self.ptp_corrections[rid] = est.offset_ns
             self.ptp_info.append({"replica_id": rid, "offset_ns": est.offset_ns, "path_delay_ns": est.path_delay_ns})
             if self._write is not None:
                 self._write(trace.ptp(self.now, self.seq, rid, est.offset_ns, est.path_delay_ns))
@@ -436,14 +431,16 @@ class ExperimentRunner:
         if self.topology.ptp.enabled:
             self._sync_clocks()
         # what the checker adds to a completion time to get its arrival time
-        self._corr = [self.topology.clock_offsets_ns[rid] - self.ptp_corrections[rid] for rid in self.healthy_ids]
+        ptp = {row["replica_id"]: row["offset_ns"] for row in self.ptp_info}
+        self._corr = [self.topology.clock_offsets_ns[rid] - ptp.get(rid, 0) for rid in self.healthy_ids]
         self._check_time_limit()
         reps = wl.repetitions_per_frame
         size = BLOCK_VALUES // (max(wl.arch) + 1)
         for first in range(0, wl.frame_count, size):
             count = min(size, wl.frame_count - first)
             self._frames = gen_frames(self.cfg.seed, range(first, first + count), wl.input_shape)
-            self._block = {}
+            outs, _, digests = infer(self.weights, self._frames, self.engine)
+            self._clean = (outs, digests)
             for lo in range(0, count * reps, ROUND_CHUNK):
                 c = self._run_chunk(first, lo, min(lo + ROUND_CHUNK, count * reps))
                 tally(self.totals, c, self.healthy_ids)

@@ -8,19 +8,19 @@ what makes exact cross-replica comparison meaningful.
 
 A network is a tuple of layers, each a (weights, bias) pair of read-only
 int16 arrays of shapes (out, in) and (out,). Every layer but the last
-applies ReLU. Arithmetic per layer (never wraps; accumulators stay far
-below 2**63 for layer widths up to 1024):
+applies ReLU. Arithmetic per layer (never wraps):
 
     acc[j]  = sum_i W[j,i] * x[i] + (bias[j] << 8)
     y[j]    = saturate_int16(round_half_to_even(acc[j] / 256))
     out[j]  = max(y[j], 0) for every layer but the last, else y[j]
 
-The rounding is the shift form (acc + 127 + (q & 1)) >> 8 with
-q = acc >> 8, the floor of acc / 256 (an arithmetic shift floors negative
-values too): a remainder above 128, or of 128 under an odd q, carries into
-q + 1. `infer` runs a block of frames: one int64 matmul per layer for all
-of them, rounded in place with one temporary of the accumulators' size,
-and the output digests of the whole block at once.
+`infer` runs a block of frames: one float64 BLAS matmul per layer for all
+of them, rounded in place, and the output digests of the whole block at
+once. The float arithmetic is exact: a layer of width up to 1024 sums
+products below 2**30 and a bias term below 2**23, so every partial sum is
+an integer below 2**41 < 2**53, whatever the summation order, blocking or
+thread count of the BLAS. Dividing by 256 is exact too, and `np.rint`
+rounds half to even.
 
 Bus trace: per layer L the channel fetches the parameters (event 4L),
 loads the layer input (4L+1), executes (4L+2) and stores the result
@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .fixedpoint import FRAC_BITS, RAW_MAX, RAW_MIN, SCALE, combine_digests, tensor_digest, tensor_digests
+from .fixedpoint import RAW_MAX, RAW_MIN, SCALE, combine_digests, tensor_digest, tensor_digests
 from .record import Record
 from .rng import MASK64, derive_seeds, draws
 
@@ -115,23 +115,14 @@ def gen_frame(seed: int, frame_id: int, shape) -> np.ndarray:
     return gen_frames(seed, [frame_id], shape)
 
 
-def _round_half_even(acc: np.ndarray) -> np.ndarray:
-    """acc / 256 rounded half to even, in place in the int64 array `acc`:
-    (acc + 127 + (q & 1)) >> 8 with q = acc >> 8. Returns `acc`."""
-    odd = acc >> FRAC_BITS
-    odd &= 1
-    odd += (SCALE >> 1) - 1
-    acc += odd
-    acc >>= FRAC_BITS
-    return acc
-
-
 def _layer(x, w, b, relu):
     """The int16 outputs of the layer (w, b) on the int16 inputs `x`, one
     row per frame. Its accumulators are freed when it returns."""
-    acc = np.matmul(x, w.T, dtype=np.int64)
-    acc += b.astype(np.int64) << FRAC_BITS
-    np.clip(_round_half_even(acc), 0 if relu else RAW_MIN, RAW_MAX, out=acc)  # ReLU is max(y, 0)
+    acc = np.matmul(x, w.T.astype(np.float64))
+    acc += b * 256.0
+    acc /= SCALE
+    np.rint(acc, out=acc)
+    np.clip(acc, 0 if relu else RAW_MIN, RAW_MAX, out=acc)  # ReLU is max(y, 0)
     return acc.astype(np.int16)
 
 

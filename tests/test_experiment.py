@@ -15,8 +15,10 @@ from lockstepsim.config import config_from_dict, load_config
 from lockstepsim.errors import ConfigError, SimulationError
 from lockstepsim.eventsim import ClockDomain, cycles_to_time
 from lockstepsim.experiment import run_experiment, run_to_directory, write_report
-from lockstepsim.faults import ExtraDelay, FaultSpec, OnFrame
+from lockstepsim.faults import ExtraDelay, FaultSpec, OnFrame, WithProbability, flip_weight_bits, trigger_fires
 from lockstepsim.profiling import compare_runs, render_comparison_table
+from lockstepsim.replica import gen_frames, gen_weights, params_digests
+from lockstepsim.rng import derive_seed
 from helpers import run_with_records, zero_jitter_duplex
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -499,6 +501,61 @@ class TestBlocks:
         raw = {"seed": 3, "topology": "gpu-duplex-loose",
                "workload": {"frame_count": 4000, "repetitions_per_frame": 1, "input_shape": [4], "arch": [4] * 64}}
         assert self._calls(raw) == ([4000], [4000])
+
+
+class TestInferenceWork:
+    """Per block, the clean weights infer the block once, and each weight-flip
+    set infers exactly the distinct frames of the rounds it fired in."""
+
+    @staticmethod
+    def _infers(raw):
+        """The parameter digests and the frame ids of each `infer` call of a
+        run of `raw`, and a function from weight-bit flips to the parameter
+        digests of the weights they leave."""
+        cfg = config_from_dict(raw, env={})
+        wl = cfg.workload
+        frames = gen_frames(cfg.seed, range(wl.frame_count), wl.input_shape)
+        ids = {row.tobytes(): f for f, row in enumerate(frames)}
+        calls = []
+        infer = experiment.infer
+
+        def counted_infer(layers, block, engine):
+            calls.append((params_digests(layers), [ids[row.tobytes()] for row in block]))
+            return infer(layers, block, engine)
+
+        with mock.patch.object(experiment, "infer", counted_infer):
+            run_experiment(cfg)
+        weights = gen_weights(derive_seed(cfg.seed, "weights"), wl.arch)
+        return calls, lambda *flips: params_digests(flip_weight_bits(weights, flips))
+
+    def test_flip_sets_infer_the_frames_they_fired_on_once_per_block(self):
+        # blocks of 255 frames, two rounds per frame; the flips of frame 301
+        # never emit, so they infer nothing
+        a, b, c = (0, 5, 3), (0, 2000, 15), (0, 7, 1)
+
+        def flip(rid, at, frame_id):
+            kind = {"type": "weight_bit_flip", "layer": at[0], "element_index": at[1], "bit": at[2]}
+            return {"replica_id": rid, "kind": kind, "trigger": {"type": "on_frame", "frame_id": frame_id}}
+        raw = {"seed": 3, "topology": "gpu-duplex-loose",
+               "workload": {"frame_count": 513, "repetitions_per_frame": 2, "input_shape": [1024],
+                            "arch": [1024, 4]},
+               "faults": [flip(0, a, 3), flip(0, b, 3), flip(1, a, 300), flip(1, c, 301),
+                          {"replica_id": 1, "kind": {"type": "drop_output"},
+                           "trigger": {"type": "on_frame", "frame_id": 301}}]}
+        calls, params = self._infers(raw)
+        assert calls == [(params(), list(range(255))), (params(a, b), [3]),
+                         (params(), list(range(255, 510))), (params(a), [300]),
+                         (params(), [510, 511, 512])]
+
+    def test_a_probable_flip_infers_the_emitted_frames_it_fired_on(self):
+        raw = tight_all_faults(1500)
+        calls, params = self._infers(raw)
+        rounds = np.arange(1500)
+        flipped, dropped = (trigger_fires(WithProbability(p), rounds, derive_seed(raw["seed"], f"fault.{s}"), 0)
+                            for s, p in ((0, 0.05), (3, 0.02)))
+        fired = np.flatnonzero(flipped & ~dropped).tolist()
+        assert 40 < len(fired) < 100
+        assert calls == [(params(), rounds.tolist()), (params((0, 77, 12)), fired)]
 
 
 def int64_array(xs):

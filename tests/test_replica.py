@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from helpers import oracle_network, oracle_tensor
 from lockstepsim.errors import ConfigError, DimensionError
-from lockstepsim.fixedpoint import combine_digests, tensor_digest
+from lockstepsim.fixedpoint import RAW_MAX, RAW_MIN, combine_digests, tensor_digest
 from lockstepsim.replica import (
     WEIGHT_CLAMP,
     EngineConfig,
-    _round_half_even,
+    _layer,
     gen_frame,
     gen_frames,
     gen_weights,
@@ -103,17 +103,37 @@ ACCUMULATORS = st.integers(-(2**41), 2**41)
 TIES = st.integers(-(2**33), 2**33 - 1).map(lambda q: 256 * q + 128)
 
 
+# inputs of weight -2**15 that one accumulator's quotient is spread over:
+# 2049 of them keep each one an int16 for every accumulator up to 2**41
+SPREAD = 2049
+
+
+def accumulated(accs):
+    """What `_layer` gives for each accumulator in `accs`: it runs a layer
+    whose one output accumulates acc = r + 2**15 * q (0 <= r < 2**15) from
+    one frame per acc, r on an input of weight 1 and -q spread over `SPREAD`
+    inputs of weight -2**15."""
+    q, r = np.divmod(np.array(accs, dtype=np.int64), 1 << 15)
+    base, extra = np.divmod(-q, SPREAD)
+    frames = np.column_stack([r, base[:, None] + (np.arange(SPREAD) < extra[:, None])]).astype(np.int16)
+    w, b = layer([[1] + [RAW_MIN] * SPREAD], [0])
+    return _layer(frames, w, b, relu=False)[:, 0]
+
+
+def saturated(acc):
+    """acc / 256 rounded half to even and saturated, from exact rationals."""
+    return min(max(round(Fraction(acc, 256)), RAW_MIN), RAW_MAX)
+
+
 @given(st.lists(ACCUMULATORS | TIES, min_size=1, max_size=50))
 @settings(max_examples=300, deadline=None)
-def test_shift_rounding_is_half_to_even(accs):
-    got = _round_half_even(np.array(accs, dtype=np.int64))
-    assert got.tolist() == [round(Fraction(acc, 256)) for acc in accs]
+def test_layer_rounding_is_half_to_even(accs):
+    assert accumulated(accs).tolist() == [saturated(acc) for acc in accs]
 
 
-def test_shift_rounding_of_the_ties_near_zero():
-    accs = 256 * np.arange(-5000, 5000) + 128
-    want = [round(Fraction(int(acc), 256)) for acc in accs]
-    assert _round_half_even(accs).tolist() == want
+def test_layer_rounding_of_the_ties_near_zero():
+    accs = (256 * np.arange(-5000, 5000) + 128).tolist()
+    assert accumulated(accs).tolist() == [round(Fraction(acc, 256)) for acc in accs]
 
 
 def test_relu_clamps_negatives():
@@ -133,8 +153,45 @@ def test_saturation_no_wrap():
 
 
 def test_accumulator_bound_for_supported_sizes():
-    # per-MAC product bound 2**30, bias term bound 2**23, max width 1024
-    assert 1024 * 2**30 + 2**23 < 2**63
+    # per-MAC product bound 2**30, bias term bound 2**23, max width 1024:
+    # float64 holds every partial sum exactly
+    assert 1024 * 2**30 + 2**23 < 2**41 < 2**53
+
+
+def rails_layer():
+    """A width-1024 layer at its extremes and 8 frames at the rails: weights
+    at -2**15 and 2**15 - 1 (what bit-15 flips leave), inputs at RAW_MIN and
+    RAW_MAX, biases at +/-WEIGHT_CLAMP. Row 0 on frame 0 sums 1024 products
+    of 2**30; row 1 on frame 1 sums products of +/-2**30 that cancel to 1 in
+    each group of four."""
+    rng = np.random.default_rng(23)
+    rails = np.array([RAW_MIN, RAW_MAX], dtype=np.int16)
+    w, frames = rng.choice(rails, (16, 1024)), rng.choice(rails, (8, 1024))
+    b = rng.choice(np.array([-WEIGHT_CLAMP, WEIGHT_CLAMP], dtype=np.int16), 16)
+    w[0], frames[0] = RAW_MIN, RAW_MIN
+    w[1], frames[1], b[1] = np.tile(rails, 512), np.repeat(np.tile(rails, 256), 2), WEIGHT_CLAMP
+    return (w, b), frames
+
+
+def test_a_1024_wide_layer_at_its_extremes_equals_python_ints():
+    (w, b), frames = rails_layer()
+    accs = [[sum(int(a) * int(v) for a, v in zip(row, x)) + (int(bias) << 8) for row, bias in zip(w, b)]
+            for x in frames]
+    assert accs[0][0] == 2**40 + (int(b[0]) << 8) and accs[1][1] == 256 + (WEIGHT_CLAMP << 8)
+    want = [[saturated(acc) for acc in row] for row in accs]
+    assert want[0][0] == RAW_MAX and want[1][1] == WEIGHT_CLAMP + 1
+    assert _layer(frames, w, b, relu=False).tolist() == want
+    assert _layer(frames, w, b, relu=True).tolist() == [[max(y, 0) for y in row] for row in want]
+
+
+def test_a_block_infers_the_bits_of_each_of_its_frames():
+    # a block runs a matrix-matrix BLAS kernel, one frame a matrix-vector one
+    rails, frames = rails_layer()
+    for ws, block in (((rails,), frames), (gen_weights(5, [1024, 1024, 16]), gen_frames(5, range(40), (1024,)))):
+        outs, _, digests = infer(ws, block, ENGINE)
+        for f in range(len(block)):
+            one, _, digest = infer(ws, block[f:f + 1], ENGINE)
+            assert one.tobytes() == outs[f:f + 1].tobytes() and digest.tolist() == [digests[f]]
 
 
 def test_infer_shape_mismatch():
