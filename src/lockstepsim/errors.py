@@ -20,9 +20,10 @@ class DimensionError(HarnessError):
 
 
 class ProtocolError(HarnessError):
-    """Replica misbehavior as seen by the checker (duplicate outputs, bad exchange)."""
+    """Inconsistent PTP exchange timestamps (`coupling.estimate_ptp_offset`)."""
 
 
 class SimulationError(HarnessError):
-    """Fatal event-loop violation, e.g. scheduling into the past."""
+    """An unsimulable run: a negative cycle count, a delivery or completion
+    before its release, or simulated time that could reach 2**62 ns."""
 

@@ -20,8 +20,8 @@ replica at a time, on weights flipped once per run. The rounds of a block
 run in chunks of at most `ROUND_CHUNK`, so a narrow net with one round per
 frame runs thousands of rounds per chunk, and memory does not grow with the
 frame count: a chunk's arrays hold about 100 bytes per round, and about 400
-with the trace's columns (`trace.rounds` builds its Python ints and text a
-piece at a time).
+with the trace's columns (`trace.rounds` builds its Python ints and text
+from a slice of them at a time).
 
 Every round of a chunk is decided from arrays with one row per round and
 one column per healthy replica. Every random stream is counter-addressed
@@ -53,8 +53,9 @@ Each chunk is decided, counted and written in three steps (`run`):
 `_run_chunk` decides it and returns its columns, one entry per round;
 `tally` folds them into the report's counters; with a trace writer,
 `trace.rounds` writes them. The trace format is `trace`'s alone: it lays
-out the seqs and writes the records in (t_ns, seq) order. The runner
-keeps only the running seq, which the PTP records (`trace.ptp`) also take.
+out the chunk's seqs, then writes each piece of rounds from its slice of
+the columns, the records in (t_ns, seq) order. The runner keeps only the
+running seq, which the PTP records (`trace.ptp`) also take.
 """
 
 from __future__ import annotations

@@ -10,15 +10,15 @@ tail (`completion_fields`), a verdict's fields after its variant (`agreed`,
 and take consecutive seqs, so `verdict_and_safety` writes both.
 
 `rounds` is the one writer of the runner's rounds. Once per chunk, it
-lays out as NumPy arrays the seqs, the record times and the rounds that
-each kind of record or text is for. It writes the text `WRITE_ROUNDS`
-rounds at a time (`_piece`): each piece builds its frame and text fields,
-turns its slices of the arrays into lists, formats the records and orders
-the text by (t_ns, seq) (`in_order`). A text shared by many rounds is
-formatted once per piece: the clean output's tails once per frame, the
-`_ids_of` texts once per set of ids, the safety tails once when they are
-all equal; a changed output and a verdict other than pass take their
-own. So every Python str and list lives for one piece only.
+lays out the seqs as NumPy arrays; then each `WRITE_ROUNDS` rounds take a
+slice of every column, and `_piece` writes them from those rows alone: it
+builds the frame and text fields, finds the rounds of each kind of record
+from the slices' masks, turns the arrays into lists, formats the records
+and orders the text by (t_ns, seq) (`in_order`). A text shared by many
+rounds is formatted once per piece: the clean output's tails once per
+frame, the `_ids_of` texts once per set of ids, the safety tails once when
+they are all equal; a changed output and a verdict other than pass take
+their own. So every Python str and list lives for one piece only.
 """
 
 from __future__ import annotations
@@ -157,11 +157,11 @@ def rounds(write, first_seq, c, replica_ids, cycles, required) -> int:
     divergence, the verdict and the safety action. With no healthy replica
     a round takes 3 seqs.
 
-    The seqs, the record times and the rounds of each kind are laid out
-    once per chunk, as arrays; `_piece` writes each `WRITE_ROUNDS` rounds.
+    The seqs and the order of the completion seqs are laid out once per
+    chunk. Each `WRITE_ROUNDS` rounds then take a slice of every column
+    (None stays None), which `_piece` writes.
     """
-    fids, verdict, emit, changed = c["frame_ids"], c["verdict"], c["emit"], c["changed"]
-    n, k = len(fids), len(replica_ids)
+    n, k = len(c["verdict"]), len(replica_ids)
     steps = 4 + 2 * k + c["diverged"] if k else np.full(n, 3)
     nexts = first_seq + np.cumsum(steps)  # each round's last seq + 1
     seqs = nexts - steps
@@ -171,61 +171,35 @@ def rounds(write, first_seq, c, replica_ids, cycles, required) -> int:
     if k and c["feed"].any():
         order = np.argsort(c["feed"], axis=1, kind="stable")
         np.put_along_axis(completion_seqs, order, completion_seqs.copy(), axis=1)
-    new = np.ones(n, dtype=bool)
-    new[1:] = fids[1:] != fids[:-1]
-    action, counts = c["action"], c["counts"]
-    # frame_of numbers each round's frame, frame_rows holds each frame's
-    # first round, and uniform says whether every safety tail is the same
-    c = {**c, "seqs": seqs, "nexts": nexts, "completion_seqs": completion_seqs,
-         "frame_of": np.cumsum(new) - 1, "frame_rows": np.flatnonzero(new),
-         "uniform": (action == action[0]).all() and (counts == counts[0]).all()}
-    # the rounds that each kind of record or text is for, as ascending
-    # indices; None when that is every round
-    masks = {"complete": c["complete"], "timeout": ~c["complete"], "diverged": c["diverged"],
-             "voted": c["voted"] & (verdict == _PASS), "other": verdict != _PASS}
-    masks.update({("emit", i): emit[:, i] for i in range(k)})
-    if changed is not None:
-        masks.update({("changed", i): changed[:, i] for i in range(k)})
-    rows = {kind: None if mask.all() else np.flatnonzero(mask) for kind, mask in masks.items()}
+    c = {**c, "seqs": seqs, "nexts": nexts, "completion_seqs": completion_seqs}
     for a in range(0, n, WRITE_ROUNDS):
-        write(_piece(c, rows, a, min(a + WRITE_ROUNDS, n), replica_ids, cycles, required))
+        s = slice(a, a + WRITE_ROUNDS)
+        write(_piece({key: v if v is None else v[s] for key, v in c.items()}, replica_ids, cycles, required))
     return int(nexts[-1])
 
 
-def _piece(c, rows, a, b, replica_ids, cycles, required) -> str:
-    """The text of rounds a .. b-1 of `rounds`' columns `c`, in (t_ns, seq)
-    order; `rows` holds the rounds of each kind."""
-    s = slice(a, b)
-    starts, ends, seqs, verdict = c["starts"][s], c["ends"][s], c["seqs"][s], c["verdict"][s]
-    n, k = b - a, len(replica_ids)
-    every = np.arange(n)
-
-    def within(kind):
-        """The rounds of the piece that `rows[kind]` holds, as indices into
-        the piece."""
-        at = rows[kind]
-        if at is None:
-            return every
-        i, j = at.searchsorted((a, b)).tolist()
-        return at[i:j] - a
-
-    frames = list(map(frame, c["frame_ids"][s].tolist(), c["reps"][s].tolist()))
+def _piece(c, replica_ids, cycles, required) -> str:
+    """The text of the rounds of `c`, a slice of `rounds`' columns, in
+    (t_ns, seq) order."""
+    fids, starts, ends, seqs, verdict = c["frame_ids"], c["starts"], c["ends"], c["seqs"], c["verdict"]
+    n, k = len(fids), len(replica_ids)
+    frames = list(map(frame, fids.tolist(), c["reps"].tolist()))
     # the clean output's tails, formatted once per frame
-    of = c["frame_of"][s]
-    lo = int(of[0])
-    at = c["frame_rows"][lo:int(of[-1]) + 1]
-    digests, of = c["clean"][at].tolist(), (of - lo).tolist()
+    new = np.ones(n, dtype=bool)
+    new[1:] = fids[1:] != fids[:-1]
+    at, of = np.flatnonzero(new), (np.cumsum(new) - 1).tolist()
+    digests = c["clean"][at].tolist()
     completions = list(map(completion_fields, [cycles] * len(digests), digests, c["classes"][at].tolist()))
     agreements = list(map(agreed, [ids(replica_ids)] * len(digests), digests))
     completions, fields = list(map(completions.__getitem__, of)), list(map(agreements.__getitem__, of))
     times, keys, lines = [], [], []
 
-    def add(at, t, seq, record, *cols):
-        """Format a kind of record for the rounds `at` of the piece, each
-        from its time, seq, frame fields and `cols`: lists or arrays with
-        one entry per round of the piece."""
+    def add(mask, t, seq, record, *cols):
+        """Format a kind of record for the rounds that the bool `mask`
+        flags, or for every round if it is None, each from its time, seq,
+        frame fields and `cols`: lists or arrays with one entry per round."""
         fr = frames
-        if len(at) < n:
+        if mask is not None and len(at := np.flatnonzero(mask)) < n:
             if not len(at):
                 return
             j = at.tolist()
@@ -237,61 +211,57 @@ def _piece(c, rows, a, b, replica_ids, cycles, required) -> str:
         lines.extend(map(record, t.tolist(), seq.tolist(), fr,
                          *(f if isinstance(f, list) else f.tolist() for f in cols)))
 
-    add(every, starts, seqs, release)
+    add(None, starts, seqs, release)
     if k:
-        feed, comp, completion_seqs = c["feed"][s], c["comp"][s], c["completion_seqs"][s]
+        feed, comp, changed = c["feed"], c["comp"], c["changed"]
         for i, rid in enumerate(replica_ids):
-            add(every, starts + feed[:, i], seqs + (1 + i), delivery, [rid] * n, feed[:, i])
+            add(None, starts + feed[:, i], seqs + (1 + i), delivery, [rid] * n, feed[:, i])
             tails = completions
-            if ("changed", i) in rows and len(at := within(("changed", i))):
+            if changed is not None and len(at := np.flatnonzero(changed[:, i])):
                 tails = completions.copy()
-                g = at + a
                 for j, text in zip(at.tolist(), map(completion_fields, [cycles] * len(at),
-                                                    c["digests"][g, i].tolist(),
-                                                    c["outputs"][g, i].argmax(axis=1).tolist())):
+                                                    c["digests"][at, i].tolist(),
+                                                    c["outputs"][at, i].argmax(axis=1).tolist())):
                     tails[j] = text
-            add(within(("emit", i)), starts + comp[:, i], completion_seqs[:, i], completion, [rid] * n, comp[:, i],
-                tails)
+            add(c["emit"][:, i], starts + comp[:, i], c["completion_seqs"][:, i], completion, [rid] * n,
+                comp[:, i], tails)
 
     # the records that end each round, at its record time: the rendezvous,
     # any bus divergence, then the verdict and the safety action at the
     # round's last two seqs
-    at = within("voted")
+    at = np.flatnonzero(c["voted"] & (verdict == _PASS))
     if len(at):
-        g = at + a
-        agreeing = _ids_of(c["labels"][g] == c["best"][g, None], replica_ids)
-        for j, text in zip(at.tolist(), map(agreed, agreeing, c["agreed"][g].tolist())):
+        agreeing = _ids_of(c["labels"][at] == c["best"][at, None], replica_ids)
+        for j, text in zip(at.tolist(), map(agreed, agreeing, c["agreed"][at].tolist())):
             fields[j] = text
     if k:
         rendezvous_seqs = seqs + (1 + 2 * k)
-        add(within("complete"), ends, rendezvous_seqs, complete, c["skew"][s])
-        at = within("timeout")
-        if len(at):
-            present = c["present"][s]
+        add(c["complete"], ends, rendezvous_seqs, complete, c["skew"])
+        if not c["complete"].all():
+            present = c["present"]
             present, gone = _ids_of(present, replica_ids), _ids_of(~present, replica_ids)
-            add(at, ends, rendezvous_seqs, timeout, present, gone)
-        at = within("diverged")
-        if len(at):
+            add(~c["complete"], ends, rendezvous_seqs, timeout, present, gone)
+        if c["diverged"].any():
             rids = np.array(replica_ids)
-            add(at, ends, rendezvous_seqs + 1, divergence, rids[c["emit"][s].argmax(axis=1)], rids[c["other"][s]],
-                c["index"][s])
+            add(c["diverged"], ends, rendezvous_seqs + 1, divergence, rids[c["emit"].argmax(axis=1)],
+                rids[c["other"]], c["index"])
     # the text of each non-pass verdict
     degraded = reason(f"{k} output(s) cannot reach {required}-way agreement" if k else "no healthy replicas")
-    for j in within("other").tolist():
+    for j in np.flatnonzero(verdict != _PASS).tolist():
         v = verdict[j]
         if v == _MISMATCH:
-            labels = c["labels"][a + j]
+            labels = c["labels"][j]
             fields[j] = groups([[r for r, g in zip(replica_ids, labels.tolist()) if g == group]
                                 for group in range(labels.max() + 1)])
         else:
             fields[j] = missing(gone[j]) if v == _TIMEOUT else degraded
 
-    action, counts, safe = c["action"][s], c["counts"][s], c["safe"][s]
-    if c["uniform"]:
+    action, counts, safe = c["action"], c["counts"], c["safe"]
+    if (action == action[0]).all() and (counts == counts[0]).all():
         tails = [safety_fields(SAFE_OFF if safe[0] else OPERATIONAL, ACTIONS[action[0]], int(counts[0]))] * n
     else:
         states = [SAFE_OFF if off else OPERATIONAL for off in safe.tolist()]
         tails = list(map(safety_fields, states, map(ACTIONS.__getitem__, action.tolist()), counts.tolist()))
-    add(every, ends, c["nexts"][s] - 2, verdict_and_safety, list(map(VERDICTS.__getitem__, verdict.tolist())),
+    add(None, ends, c["nexts"] - 2, verdict_and_safety, list(map(VERDICTS.__getitem__, verdict.tolist())),
         fields, tails)
     return in_order(times, keys, lines)

@@ -7,13 +7,19 @@ from lockstepsim.experiment import ExperimentRunner
 from oracles import _Layer, _Tensor, _Weights
 
 
-def run_with_records(raw):
-    """(config, report, trace records) of one run of the raw config; each
-    record is a line the runner wrote, parsed."""
+def run_with_text(raw):
+    """(config, report, trace text) of one run of the raw config."""
     cfg = config_from_dict(raw)
     chunks = []
     report = ExperimentRunner(cfg, chunks.append).run()
-    return cfg, report, [json.loads(line) for line in "".join(chunks).splitlines()]
+    return cfg, report, "".join(chunks)
+
+
+def run_with_records(raw):
+    """(config, report, trace records) of one run of the raw config; each
+    record is a line the runner wrote, parsed."""
+    cfg, report, text = run_with_text(raw)
+    return cfg, report, [json.loads(line) for line in text.splitlines()]
 
 
 def zero_jitter_duplex(seed=1, frames=5, reps=1, window_ns=10_000_000, policy="1oo2",

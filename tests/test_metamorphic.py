@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from lockstepsim.config import config_from_dict
 from lockstepsim.experiment import run_experiment
-from helpers import run_with_records
-from test_reference_runner import _trigger, configs
+from helpers import run_with_records, run_with_text
+from test_reference_runner import _fault_kind, _trigger, configs
 
 
 def _tight(raw):
@@ -34,6 +34,12 @@ def _tight(raw):
     return raw
 
 
+def _completed(records):
+    """The (frame_id, repetition) of each complete rendezvous."""
+    return {(r["frame_id"], r["repetition"]) for r in records
+            if r["kind"] == "rendezvous" and r["outcome"] == "complete"}
+
+
 def _emitters(records):
     """The replicas that emitted an output, per (frame_id, repetition)."""
     emitted = defaultdict(set)
@@ -41,6 +47,53 @@ def _emitters(records):
         if r["kind"] == "completion":
             emitted[r["frame_id"], r["repetition"]].add(r["replica_id"])
     return emitted
+
+
+@settings(settings.get_profile("oracle-fuzz"))
+@given(configs(), st.data())
+def test_a_a_wider_window_never_turns_a_complete_rendezvous_into_a_timeout(raw, data):
+    # A round's completion times do not depend on the window or the
+    # tolerance, only whether they fit in it: every rendezvous that
+    # completes under the narrower one completes under the wider one.
+    wider = copy.deepcopy(raw)
+    coupling = wider["topology"]["coupling"]
+    if coupling["mode"] == "loose":
+        coupling["rendezvous_window_ns"] += data.draw(st.integers(0, 10_000_000))
+    else:
+        coupling["skew_tolerance_cycles"] += data.draw(st.integers(0, 5))
+    narrow, wide = (_completed(run_with_records(r)[2]) for r in (raw, wider))
+    assert narrow <= wide
+
+
+@settings(settings.get_profile("oracle-fuzz"))
+@given(configs(), st.data())
+def test_b_a_fault_that_changes_nothing_leaves_the_trace_and_samples(raw, data):
+    # A zero extra delay that always fires, or any fault that fires with
+    # probability 0, moves no time and changes no output. It is appended,
+    # so the other faults keep their streams. A value fault that never
+    # fires still runs the value path, with every output unchanged.
+    n, arch = raw["topology"]["replicas"], raw["workload"]["arch"]
+    if data.draw(st.booleans()):
+        fault = {"kind": {"type": "extra_delay", "ns": 0}, "trigger": {"type": "always"}}
+    else:
+        fault = {"kind": _fault_kind(data.draw, arch), "trigger": {"type": "with_probability", "p": 0.0}}
+    quiet = copy.deepcopy(raw)
+    quiet["faults"].append({"replica_id": data.draw(st.integers(0, n - 1)), **fault})
+    (_, report, text), (_, quiet_report, quiet_text) = run_with_text(raw), run_with_text(quiet)
+    assert quiet_text == text
+    for a, b in zip(report.replicas, quiet_report.replicas, strict=True):
+        assert np.array_equal(a["samples"], b["samples"])
+
+
+@settings(settings.get_profile("oracle-fuzz"))
+@given(configs())
+def test_d_a_zero_tolerance_writes_the_exact_comparators_trace(raw):
+    # Outputs within 0 of each other are equal outputs, whose digests are
+    # equal: the two comparators group every round alike.
+    raw["topology"]["voter"]["comparator"] = {"kind": "exact"}
+    zero = copy.deepcopy(raw)
+    zero["topology"]["voter"]["comparator"] = {"kind": "tolerance", "eps": 0.0}
+    assert run_with_text(zero)[2] == run_with_text(raw)[2]
 
 
 @settings(settings.get_profile("oracle-fuzz"))
