@@ -3,11 +3,13 @@
 A clock domain turns compute cycles into nanoseconds with exact integer
 arithmetic; a jitter model draws the host and feed overheads around each
 inference from a named random stream, a chunk of rounds at once
-(`sample_turnaround_overheads`). One sample takes its draws in a fixed
-order (mode, then spike, then the spike's size when its mean exceeds 1), so
-a stream replays identically whichever branches fire. The simulator keeps
-no event queue: the experiment runner computes the event times of a chunk
-of rounds as arrays, relative to each round's release (see `experiment`).
+(`sample_turnaround_overheads`). One sample takes its draws in a fixed order
+(mode, then spike, then the spike's size when its mean exceeds 1), so a
+stream replays identically whichever branches fire. Draws meet probabilities
+as integer mantissas, and a chunk draws about what its samples use (all 3
+per sample again in the rare case that falls short). The simulator keeps no
+event queue: the experiment runner computes the event times of a chunk of
+rounds as arrays, relative to each round's release (see `experiment`).
 
 Time is integer nanoseconds since simulation start.
 """
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import SimulationError
 from .record import Record
-from .rng import uniforms
+from .rng import MASK64, draws
 
 _NS_PER_S = 10**9
 _PPM = 10**6
@@ -92,6 +94,11 @@ def _sample_starts(spikes: np.ndarray, count: int) -> np.ndarray:
     return 2 * np.arange(count) + np.cumsum(np.bincount(after, minlength=count)[:count])
 
 
+def _mantissa_bound(p: float) -> int:
+    """The t with k / 2**53 < p exactly when k < t, for k in [0, 2**53)."""
+    return math.ceil(p * (1 << 53))  # p * 2**53 is exact
+
+
 def sample_turnaround_overheads(model: JitterModel, seed: int, start: int, count: int):
     """`count` overhead samples from the stream `seed` after its first
     `start` draws, as an int64 array, and the stream position after them.
@@ -99,24 +106,26 @@ def sample_turnaround_overheads(model: JitterModel, seed: int, start: int, count
     A sample is the base overhead, plus the second mode's offset if its
     first uniform falls below `mode2_prob`, plus a spike if its second
     falls below `spike_prob`: 1 ns when the spike's mean is 1, else a
-    geometric variate of that mean drawn from a third uniform. The mode and
-    spike uniforms are drawn as arrays; `math.log1p` runs on the spike
-    samples only, since `np.log1p` can differ from it in the last bit."""
+    geometric variate of that mean drawn from a third uniform. A uniform
+    is k / 2**53 for a draw's top 53 bits k, so k is compared with
+    `_mantissa_bound` of each probability; only the spikes' third draws
+    become floats, for `math.log1p` (`np.log1p` can differ from it in the
+    last bit). The first try draws 2 count, plus the mean spike count, 4 of
+    its Poisson deviations and 4 (at most 3 count); in the rare case that
+    the samples end past that, it draws all 3 count again."""
     if not count:
         return np.zeros(0, dtype=np.int64), start
-    stride = 3 if model.spike_scale_ns > 1 else 2
-    u = uniforms(seed, stride * count, start)
-    if stride == 2:
-        firsts = np.arange(0, 2 * count, 2)
-        spike = u[1::2] < model.spike_prob
-        tail = spike.astype(np.int64)
-    else:
-        spikes = np.append(u[1:] < model.spike_prob, False)
-        firsts = _sample_starts(spikes, count)
-        spike = spikes[firsts]
-        tail = np.zeros(count, np.int64)
-        at = np.flatnonzero(spike)
-        tail[at] = _geometrics(u[firsts[at] + 2].tolist(), model.spike_scale_ns)
-    total = model.base_overhead_ns + np.where(u[firsts] < model.mode2_prob, model.mode2_offset_ns, 0) + tail
-    used = int(firsts[-1]) + 2 + int(stride == 3 and spike[-1])
-    return total.astype(np.int64), start + used
+    third, mean = model.spike_scale_ns > 1, count * model.spike_prob
+    for size in (min((2 + third) * count, 2 * count + math.ceil(mean + 4 * math.sqrt(mean)) + 4), 3 * count):
+        k = draws([seed & MASK64], size, start)[0] >> np.uint64(11)
+        spikes = np.append(k[1:] < _mantissa_bound(model.spike_prob), False)  # the last flag starts no sample
+        firsts = _sample_starts(spikes, count) if third else np.arange(0, size, 2)
+        last = int(firsts[-1])
+        if last < size - 1 and (used := last + 2 + int(third and spikes[last])) <= size:
+            break
+    tail = spikes[firsts].astype(np.int64)
+    if third:
+        at = np.flatnonzero(tail)
+        tail[at] = _geometrics((k[firsts[at] + 2] * (1.0 / (1 << 53))).tolist(), model.spike_scale_ns)
+    mode2 = np.where(k[firsts] < _mantissa_bound(model.mode2_prob), model.mode2_offset_ns, 0)
+    return model.base_overhead_ns + mode2 + tail, start + used

@@ -119,22 +119,29 @@ def detect_outliers(samples, threshold: float = 3.5) -> dict:
     A zero MAD falls back to the mean absolute deviation; if that is also
     zero (constant data) there are no outliers. Robust by construction:
     the outliers being hunted cannot mask themselves.
+
+    Integer samples deviate by multiples of 1/2: while the largest times n
+    is below 2**52, NumPy sums the mean deviation exactly, to the bits of
+    Python's sum. Only the d at or above threshold * denom / 0.6745, less a
+    relative 1e-9 for rounding, are scored, each as (d * 0.6745) / denom.
     """
     n = len(samples)
     if n < 3:
         raise ValueError("outlier detection needs at least 3 samples")
-    devs = np.asarray(samples)
-    devs = devs - _median(np.sort(devs))
+    xs = np.asarray(samples)
+    devs = xs - _median(np.sort(xs))
     np.abs(devs, out=devs)
     denom = _median(np.sort(devs))
     if denom == 0:
-        denom = sum(devs.tolist()) / n
+        exact = xs.dtype.kind == "i" and devs.max().item() * n < 2**52
+        denom = (devs.sum().item() if exact else sum(devs.tolist())) / n
     indices, scores = [], []
     if denom != 0:
-        score = devs * 0.6745  # the bits of 0.6745 * d / denom
+        at = np.flatnonzero(devs >= threshold * denom / 0.6745 * (1 - 1e-9))
+        score = devs[at] * 0.6745  # the bits of 0.6745 * d / denom
         score /= denom
         flagged = score > threshold
-        indices = np.flatnonzero(flagged).tolist()
+        indices = at[flagged].tolist()
         scores = score[flagged].tolist()
     return {"method": "mad_modified_z", "threshold": threshold, "indices": indices, "scores": scores}
 
@@ -181,12 +188,15 @@ def histogram(samples, bin_count: int) -> list:
         return []
     lo = xs.min().item()
     width = (xs.max().item() - lo) / bin_count
+    counts = np.zeros(bin_count, dtype=np.int64)
     if width == 0:
-        index = np.full(len(xs), bin_count - 1)
+        counts[-1] = len(xs)
     else:
-        index = (np.subtract(xs, lo) / width).astype(np.int64)
-        np.minimum(index, bin_count - 1, out=index)
-    counts = np.bincount(index, minlength=bin_count).tolist()
+        for part in np.split(xs, range(1 << 16, len(xs), 1 << 16)):  # one slice's temporaries at a time
+            index = (np.subtract(part, lo) / width).astype(np.int64)
+            np.minimum(index, bin_count - 1, out=index)
+            counts += np.bincount(index, minlength=bin_count)
+    counts = counts.tolist()
     edges = (lo + np.arange(bin_count) * width).tolist()
     return [{"lower_edge_ns": e, "count": c} for e, c in zip(edges, counts)]
 

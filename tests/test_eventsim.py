@@ -1,16 +1,20 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lockstepsim import eventsim
+from lockstepsim.config import _PRESETS
 from lockstepsim.errors import ConfigError
 from lockstepsim.eventsim import (
     ClockDomain,
     JitterModel,
     _geometrics,
+    _mantissa_bound,
     _sample_starts,
     cycles_to_time,
     sample_turnaround_overheads,
@@ -139,6 +143,124 @@ class TestArrayJitter:
         largest = 1.0 - 2.0 ** -53
         spike = math.ceil(math.log1p(-largest) / math.log1p(-1.0 / model.spike_scale_ns))
         assert 10 + 5 + spike < model.bound_ns
+
+
+# k / 2**53 for a few mantissas k, and the floats either side of each
+EDGE_PROBS = [0.0, 5e-324, 0.02, 1 / 3, 1.0] + [
+    f(k / 2**53) for k in (1, 3, 12_345, 2**52, 2**53 - 1)
+    for f in (lambda p: math.nextafter(p, 0.0), lambda p: p, lambda p: math.nextafter(p, 2.0))
+]
+
+
+class TestMantissaBound:
+    """`_mantissa_bound(p)` decides `u < p` for the uniform u = k / 2**53 of
+    a mantissa k exactly as the float compare does."""
+
+    @pytest.mark.parametrize("p", EDGE_PROBS)
+    def test_integer_compare_equals_the_float_compare(self, p):
+        bound = _mantissa_bound(p)
+        assert 0 <= bound <= 2**53
+        for k in (bound - 1, bound, bound + 1):
+            if 0 <= k < 2**53:
+                assert (k < bound) == (k * (1.0 / (1 << 53)) < p), (p, k)
+
+    @given(st.integers(0, 2**53 - 1), st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_any_mantissa_and_probability(self, k, p):
+        assert (k < _mantissa_bound(p)) == (k * (1.0 / (1 << 53)) < p)
+
+
+def scalar_replay(model, seed, start, n):
+    """`n` scalar samples of the stream `seed` after its first `start`
+    draws, and the stream's next draw after them."""
+    rng = Rng(seed)
+    for _ in range(start):
+        rng.next_u64()
+    samples = [sample_turnaround_overhead(model, rng) for _ in range(n)]
+    return samples, rng.next_u64()
+
+
+def chunked(model, seed, counts, start=0):
+    """The samples of one call per count of `counts`, each continuing from
+    the position the previous call returned, and the next draw after them."""
+    got, pos = [], start
+    for count in counts:
+        values, pos = sample_turnaround_overheads(model, seed, pos, count)
+        assert values.dtype == np.int64
+        got += values.tolist()
+    return got, int(draws([seed], 1, start=pos)[0, 0])
+
+
+@pytest.fixture
+def draw_sizes(monkeypatch):
+    """The number of draws of each `draws` call the sampler makes."""
+    sizes = []
+
+    def spy(seeds, count, start=0):
+        sizes.append(count)
+        return draws(seeds, count, start)
+
+    monkeypatch.setattr(eventsim, "draws", spy)
+    return sizes
+
+
+class TestShortDraw:
+    """The first try draws about what the samples take; the rare chunk that
+    ends past it draws all 3 per sample again. Both match the scalar stream."""
+
+    @pytest.mark.parametrize("name", ["host_jitter", "feed_jitter"])
+    def test_preset_models_at_full_chunks(self, name, draw_sizes):
+        model = JitterModel(**_PRESETS["gpu-duplex-loose"][name])
+        seed, start = 987_654_321, 5
+        assert chunked(model, seed, [4096] * 3, start) == scalar_replay(model, seed, start, 3 * 4096)
+        assert all(2 * 4096 < size < 3 * 4096 for size in draw_sizes)
+
+    # seed 44752: at the first density the first try of 1000 samples from
+    # draw 0 holds them; at the next float one more of its uniforms spikes
+    # and the samples end past it, so all 3000 draws are taken again
+    @pytest.mark.parametrize("spike_prob, sizes", [
+        (float.fromhex("0x1.88993e267b5a0p-5"), [2080]),
+        (float.fromhex("0x1.88993e267b5a1p-5"), [2080, 3000]),
+    ])
+    def test_densities_either_side_of_a_short_first_try(self, spike_prob, sizes, draw_sizes):
+        model = JitterModel(base_overhead_ns=7, spike_prob=spike_prob, spike_scale_ns=400_000,
+                            mode2_offset_ns=30, mode2_prob=0.5)
+        assert chunked(model, 44752, [1000]) == scalar_replay(model, 44752, 0, 1000)
+        assert draw_sizes == sizes
+        assert chunked(model, 44752, [1000, 4096, 3]) == scalar_replay(model, 44752, 0, 5099)
+
+    @pytest.mark.parametrize("spikes, sizes", [(83, [2083]), (84, [2083, 3000])])
+    def test_samples_ending_on_and_one_past_the_first_try(self, spikes, sizes, monkeypatch):
+        # a made-up stream of mantissas in which the last `spikes` of 1000
+        # samples spike: the first try holds 2083 draws, so 83 spikes end
+        # on its last draw and 84 end one past it, on a spike's third draw
+        model = JitterModel(base_overhead_ns=7, spike_prob=0.05, spike_scale_ns=400_000,
+                            mode2_offset_ns=30, mode2_prob=0.5)
+        rand = np.random.default_rng(spikes).integers(0, 2**53, 3000).tolist()
+        stream = []
+        for i in range(1000):
+            spiking = i >= 1000 - spikes
+            stream += [rand.pop(), 0 if spiking else 2**52] + ([rand.pop()] if spiking else [])
+        stream = np.array(stream + rand[:3000 - len(stream)], dtype=np.uint64)
+        got = []
+
+        def fake_draws(seeds, count, start=0):
+            got.append(count)
+            return (stream[start:start + count] << np.uint64(11))[None, :]
+
+        monkeypatch.setattr(eventsim, "draws", fake_draws)
+        values, pos = sample_turnaround_overheads(model, 0, 0, 1000)
+        uniforms = iter((stream * (1.0 / (1 << 53))).tolist())
+        replay = SimpleNamespace(uniform=lambda: next(uniforms))  # the scalar sampler on the same stream
+        assert values.tolist() == [sample_turnaround_overhead(model, replay) for _ in range(1000)]
+        assert got == sizes and pos == 2000 + spikes
+
+    @pytest.mark.parametrize("spike_prob, first", [(0.85, 2971), (0.9, 3000)])
+    def test_dense_spikes_draw_at_most_three_per_sample(self, spike_prob, first, draw_sizes):
+        # past about 0.87 the mean and its deviations pass 1000 spikes
+        model = JitterModel(base_overhead_ns=7, spike_prob=spike_prob, spike_scale_ns=2)
+        assert chunked(model, 31, [1000, 1000]) == scalar_replay(model, 31, 0, 2000)
+        assert draw_sizes[0] == first
 
 
 def parity_walk_starts(spikes, count):

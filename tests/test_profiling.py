@@ -3,6 +3,7 @@ import json
 import math
 import statistics
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -438,6 +439,74 @@ class TestVectorizedMatchesScalar:
         xs = [1, 2, 3, 10**9, 7, 8]
         assert bits(detect_outliers(xs, 0.5)) == bits(scalar_detect_outliers(xs, 0.5))
         assert bits(histogram(xs, 7)) == bits(scalar_histogram(xs, 7))
+
+    # Zero MAD, so the mean deviation is the denominator. An odd n gives
+    # int64 deviations, an even n float ones (the mean of two equal middle
+    # samples). NumPy sums them only while the largest times n is below
+    # 2**52. The cases put that product, and the total, either side of
+    # 2**52; the last one passes 2**53, where Python's order rounds
+    # 2**53 + 1 down twice and a pairwise sum adds 1 + 1 first.
+    @pytest.mark.parametrize("xs", [
+        [9, 9, 9] + [9 + (2**52 - 1) // 5] * 2,
+        [9, 9, 9] + [9 + 2**52 // 5 + 1] * 2,
+        [3] * 501 + [3 + (2**52 - 1) // 1001] * 500,
+        [3] * 501 + [3 + 2**52 // 1001 + 1] * 500,
+        [0, 0, 2**52 - 1],
+        [0, 0, 2**52 + 1],
+        [4, 4, 4, 4, 4 + 2**51, 4 + 2**51 - 1],
+        [4, 4, 4, 4, 4 + 2**51, 4 + 2**51 + 1],
+        [7] * 502 + [7 + (2**52 - 1) // 1000] * 498,
+        [7] * 502 + [7 + 2**52 // 1000 + 1] * 498,
+        [0, 0, 0, 0, 0, 2**53, 1, 1],
+    ])
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 3.5])
+    def test_zero_mad_mean_deviation_near_2_to_the_52(self, xs, threshold):
+        med = statistics.median(xs)
+        assert statistics.median(abs(x - med) for x in xs) == 0
+        for samples in (xs, np.array(xs, dtype=np.int64)):
+            assert bits(detect_outliers(samples, threshold)) == bits(scalar_detect_outliers(xs, threshold))
+
+    @pytest.mark.parametrize("xs", [
+        [8, 9, 10, 11, 12, 13, 14, 100],
+        [5] * 20 + [500, 6],
+        [1, 2, 3, 10**9, 7, 8],
+        [1000 + 37 * (i % 11) for i in range(99)] + [5_000, 123_457],
+        # threshold * denom / 0.6745 rounds to above the top deviation here
+        [447, 515, 693, 365, 776, 541, 331, 14172],
+        [872, 920, 889, 6754480],
+    ])
+    def test_a_score_one_float_above_the_threshold_is_flagged(self, xs):
+        top = max(scalar_detect_outliers(xs, 0.0)["scores"])
+        # top is the first float above the first threshold and not above the second
+        for threshold in (math.nextafter(top, 0.0), top):
+            got = detect_outliers(xs, threshold)
+            assert (top in got["scores"]) == (threshold < top)
+            assert bits(got) == bits(scalar_detect_outliers(xs, threshold))
+
+
+def test_report_statistics_of_1m_samples_stay_near_their_size():
+    # the shape of a loose preset's host samples: a base value (so a zero
+    # MAD), a second mode and 2% geometric spikes
+    rng = np.random.default_rng(3)
+    xs = np.full(1_000_000, 20_000, dtype=np.int64)
+    xs[rng.random(len(xs)) < 0.15] += 60_000
+    spike = rng.random(len(xs)) < 0.02
+    xs[spike] += rng.geometric(1 / 400_000, spike.sum())
+    assert np.median(np.abs(xs - np.median(xs))) == 0
+    # one sorted copy beside the deviations; one slice of bin indices
+    for fn, args, bound in ((detect_outliers, (3.5,), 2.5), (histogram, (50,), 0.5)):
+        fn(xs, *args)  # warm-up
+        tracemalloc.start()
+        try:
+            fn(xs, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * xs.nbytes, (fn.__name__, peak / xs.nbytes)
+    # the slices count what the whole array does
+    lo, width = xs.min(), (xs.max() - xs.min()) / 50
+    whole = np.bincount(np.minimum(((xs - lo) / width).astype(np.int64), 49), minlength=50)
+    assert [b["count"] for b in histogram(xs, 50)] == whole.tolist()
 
 
 # -- a list and its int64 array give the same plain-Python report values --
