@@ -6,7 +6,7 @@ each side's network), each over a batch of rounds as arrays, and a
 two-step offset/path-delay estimate for loosely-coupled modules on
 separate clocks. Input distribution has no function of its own:
 tight coupling delivers every input at its release, and loose coupling
-delays each delivery by a draw of the replica's feed jitter
+delays each delivery by the round's sample of the replica's feed jitter
 (`eventsim.sample_turnaround_overheads`).
 """
 

@@ -2,14 +2,13 @@
 
 A clock domain turns compute cycles into nanoseconds with exact integer
 arithmetic; a jitter model draws the host and feed overheads around each
-inference from a named random stream, a chunk of rounds at once
-(`sample_turnaround_overheads`). One sample takes its draws in a fixed order
-(mode, then spike, then the spike's size when its mean exceeds 1), so a
-stream replays identically whichever branches fire. Draws meet probabilities
-as integer mantissas, and a chunk draws about what its samples use (all 3
-per sample again in the rare case that falls short). The simulator keeps no
-event queue: the experiment runner computes the event times of a chunk of
-rounds as arrays, relative to each round's release (see `experiment`).
+inference, a chunk of rounds at once (`sample_turnaround_overheads`). Each
+draw is addressed by its round r: the sample of round r reads draws 2r+1
+(mode) and 2r+2 (spike) of its stream and, for a spike whose mean exceeds
+1, draw r+1 of a second stream (its size). Draws meet probabilities as
+integer mantissas. The simulator keeps no event queue: the experiment
+runner computes the event times of a chunk of rounds as arrays, relative to
+each round's release (see `experiment`).
 
 Time is integer nanoseconds since simulation start.
 """
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import SimulationError
 from .record import Record
-from .rng import MASK64, draws
+from .rng import draws_at
 
 _NS_PER_S = 10**9
 _PPM = 10**6
@@ -65,33 +64,14 @@ class JitterModel(Record, frozen=True):
         return self.base_overhead_ns + self.mode2_offset_ns + 37 * self.spike_scale_ns + 1
 
 
-def _geometrics(us, mean_ns: int) -> list:
+def _geometrics(us: np.ndarray, mean_ns: int) -> np.ndarray:
     """Geometric variates on {1, 2, ...} with the given mean (> 1), one by
-    inversion of each uniform of the list `us`."""
-    scale = math.log1p(-1.0 / mean_ns)
-    return [max(1, math.ceil(math.log1p(-u) / scale)) for u in us]
-
-
-def _geometric(u: float, mean_ns: int) -> int:
-    """The geometric variate of one uniform `u` (`_geometrics`)."""
-    return _geometrics([u], mean_ns)[0]
-
-
-def _sample_starts(spikes: np.ndarray, count: int) -> np.ndarray:
-    """The first draw of each of `count` samples. `spikes[j]` says whether a
-    sample that starts at draw j spikes; a sample takes 3 draws if it spikes
-    (and its mean exceeds 1), else 2, so sample i starts at draw 2 i plus the
-    number of samples before it that spiked. The walk visits the spike
-    positions in order as Python ints: from a sample's start j, the first
-    one at or after j of the parity of j is where the next spiking sample
-    starts."""
-    after, i, j = [], 0, 0  # the samples after a spike; a sample and its start
-    for q in np.flatnonzero(spikes).tolist():
-        if q >= j and not (q - j) & 1:
-            i += (q - j) // 2 + 1
-            after.append(i)
-            j = q + 3
-    return 2 * np.arange(count) + np.cumsum(np.bincount(after, minlength=count)[:count])
+    inversion of each uniform of the float64 array `us`, as float64 (a
+    mean near 2**62 can pass int64). Only the logs are Python's, since
+    `np.log1p` can differ from `math.log1p` in the last bit; the divide and
+    the rounding up give the same bits in NumPy as in Python."""
+    logs = np.fromiter(map(math.log1p, (-us).tolist()), dtype=np.float64, count=len(us))
+    return np.maximum(np.ceil(logs / math.log1p(-1.0 / mean_ns)), 1.0)
 
 
 def _mantissa_bound(p: float) -> int:
@@ -99,33 +79,36 @@ def _mantissa_bound(p: float) -> int:
     return math.ceil(p * (1 << 53))  # p * 2**53 is exact
 
 
-def sample_turnaround_overheads(model: JitterModel, seed: int, start: int, count: int):
-    """`count` overhead samples from the stream `seed` after its first
-    `start` draws, as an int64 array, and the stream position after them.
+def _below(seed: int, counters: np.ndarray, p: float) -> np.ndarray:
+    """Whether the uniform of each draw `counters` of the stream `seed` falls
+    below p, compared as the draw's top 53 bits k (the uniform is k / 2**53)."""
+    return draws_at(seed, counters) >> np.uint64(11) < _mantissa_bound(p)
 
-    A sample is the base overhead, plus the second mode's offset if its
-    first uniform falls below `mode2_prob`, plus a spike if its second
-    falls below `spike_prob`: 1 ns when the spike's mean is 1, else a
-    geometric variate of that mean drawn from a third uniform. A uniform
-    is k / 2**53 for a draw's top 53 bits k, so k is compared with
-    `_mantissa_bound` of each probability; only the spikes' third draws
-    become floats, for `math.log1p` (`np.log1p` can differ from it in the
-    last bit). The first try draws 2 count, plus the mean spike count, 4 of
-    its Poisson deviations and 4 (at most 3 count); in the rare case that
-    the samples end past that, it draws all 3 count again."""
-    if not count:
-        return np.zeros(0, dtype=np.int64), start
-    third, mean = model.spike_scale_ns > 1, count * model.spike_prob
-    for size in (min((2 + third) * count, 2 * count + math.ceil(mean + 4 * math.sqrt(mean)) + 4), 3 * count):
-        k = draws([seed & MASK64], size, start)[0] >> np.uint64(11)
-        spikes = np.append(k[1:] < _mantissa_bound(model.spike_prob), False)  # the last flag starts no sample
-        firsts = _sample_starts(spikes, count) if third else np.arange(0, size, 2)
-        last = int(firsts[-1])
-        if last < size - 1 and (used := last + 2 + int(third and spikes[last])) <= size:
-            break
-    tail = spikes[firsts].astype(np.int64)
-    if third:
-        at = np.flatnonzero(tail)
-        tail[at] = _geometrics((k[firsts[at] + 2] * (1.0 / (1 << 53))).tolist(), model.spike_scale_ns)
-    mode2 = np.where(k[firsts] < _mantissa_bound(model.mode2_prob), model.mode2_offset_ns, 0)
-    return model.base_overhead_ns + mode2 + tail, start + used
+
+def sample_turnaround_overheads(model: JitterModel, seeds, first: int, count: int) -> np.ndarray:
+    """The overhead samples of rounds first .. first+count-1 from the
+    streams `seeds` = (stream, size stream), as an int64 array.
+
+    The sample of round r is the base overhead, plus the second mode's
+    offset if the uniform of draw 2r+1 of the stream falls below
+    `mode2_prob`, plus a spike if that of draw 2r+2 falls below
+    `spike_prob`: 1 ns when the spike's mean is 1, else a geometric variate
+    of that mean from the uniform of draw r+1 of the size stream. So a
+    round's sample depends on r alone, never on the rounds drawn before it
+    or on how the rounds are cut into calls, and a model whose
+    probabilities are both 0 draws nothing."""
+    seed, size_seed = seeds
+    base = np.int64(model.base_overhead_ns)
+    evens = np.arange(2 * first, 2 * (first + count), 2, dtype=np.uint64)  # 2r for each round r
+    if model.mode2_prob:
+        out = np.where(_below(seed, evens + np.uint64(1), model.mode2_prob), base + model.mode2_offset_ns, base)
+    else:
+        out = np.full(count, base)
+    if model.spike_prob:
+        at = np.flatnonzero(_below(seed, evens + np.uint64(2), model.spike_prob))
+        if model.spike_scale_ns == 1:
+            out[at] += 1
+        else:
+            k = draws_at(size_seed, (at + (first + 1)).astype(np.uint64)) >> np.uint64(11)
+            out[at] += _geometrics(k * (1.0 / (1 << 53)), model.spike_scale_ns).astype(np.int64)
+    return out

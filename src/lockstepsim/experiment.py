@@ -24,12 +24,14 @@ with the trace's columns (`trace.rounds` builds its Python ints and text
 from a slice of them at a time).
 
 Every round of a chunk is decided from arrays with one row per round and
-one column per healthy replica. Every random stream is counter-addressed
-(`rng.draws`), so the feed and host jitter of each replica and the draws of
-each probabilistic fault trigger come out for the whole chunk at once.
+one column per healthy replica. Every random draw is addressed by the run's
+index of its round (`rng.draws_at`), so the feed and host jitter of each
+replica and the draws of each probabilistic fault trigger come out for the
+whole chunk at once, the same however the rounds are cut into chunks, and
+no stream state passes from one chunk to the next.
 Every round ends before the next input is released, so a device is always
 idle when its kernel arrives: relative to the release, a completion is the
-delivery time plus one host jitter draw, the compute time on the replica's
+delivery time plus the round's host jitter sample, the compute time on the replica's
 clock and the delays that fired. A drop fault masks the output. Then:
 
 - outcomes: the rendezvous (`coupling.rendezvous_rounds`) and each round's
@@ -195,11 +197,13 @@ class ExperimentRunner:
         self.healthy_ids = [rid for rid in range(n) if topo.health[rid] == HEALTHY]
         k = len(self.healthy_ids)
         # Per healthy replica (a column of the chunk arrays): its jitter
-        # models and stream seeds; feed jitter only under loose coupling.
-        self._host = [(topo.host_jitter[rid], derive_seed(config.seed, f"host.{rid}"))
-                      for rid in self.healthy_ids]
-        self._feed = [] if isinstance(self.coupling, Tight) else [
-            (topo.feed_jitter[rid], derive_seed(config.seed, f"feed.{rid}")) for rid in self.healthy_ids]
+        # models and (stream, size stream) seeds; feed jitter only under
+        # loose coupling.
+        def streams(models, name):
+            return [(models[rid], (derive_seed(config.seed, f"{name}.{rid}"),
+                                   derive_seed(config.seed, f"{name}.{rid}.size"))) for rid in self.healthy_ids]
+        self._host = streams(topo.host_jitter, "host")
+        self._feed = [] if isinstance(self.coupling, Tight) else streams(topo.feed_jitter, "feed")
         # (column, spec, stream seed) of each fault of a healthy replica; a
         # fault of another replica is never evaluated
         column = {rid: i for i, rid in enumerate(self.healthy_ids)}
@@ -209,9 +213,6 @@ class ExperimentRunner:
         self._value_faults = [[(s, spec.kind) for s, (c, spec, _) in enumerate(self._faults)
                                if c == i and isinstance(spec.kind, VALUE_FAULTS)] for i in range(k)]
         self._valued = any(self._value_faults)
-        # draws taken so far from each stream
-        self._host_pos = [0] * len(self._host)
-        self._feed_pos = [0] * len(self._feed)
 
         self._last = [None] * k             # a stuck column's last emitted (output, digest)
         # weight-bit flips -> (index, network, parameter digests), indexed in
@@ -332,29 +333,31 @@ class ExperimentRunner:
 
     # -- a chunk of rounds -----------------------------------------------
 
-    def _jitter(self, streams, positions, n):
-        """(n, columns) int64 array: n samples of each (model, seed) stream."""
+    def _jitter(self, streams, start, n):
+        """(n, columns) int64 array: the samples of rounds start ..
+        start+n-1 of the run from each (model, seeds) of `streams`."""
         out = np.zeros((n, len(self.healthy_ids)), dtype=np.int64)
-        for i, (model, seed) in enumerate(streams):
-            out[:, i], positions[i] = sample_turnaround_overheads(model, seed, positions[i], n)
+        for i, (model, seeds) in enumerate(streams):
+            out[:, i] = sample_turnaround_overheads(model, seeds, start, n)
         return out
 
     def _run_chunk(self, first, lo, hi):
         """Decide rounds lo .. hi-1 of the block whose first frame is `first`
         and return their columns (`trace.rounds`). Keep only what the next
-        chunk needs: stream positions, stuck outputs, `now`, `fault_count`."""
+        chunk needs: stuck outputs, `now`, `fault_count`."""
         reps = self.cfg.workload.repetitions_per_frame
         n = hi - lo
         rows, repetitions = np.divmod(np.arange(lo, hi), reps)
         k = len(self.healthy_ids)
 
         # times relative to each round's release
-        feed = self._jitter(self._feed, self._feed_pos, n)
-        comp = feed + self._jitter(self._host, self._host_pos, n) + self._compute_ns
+        start = first * reps + lo  # the run's index of round lo
+        feed = self._jitter(self._feed, start, n)
+        comp = feed + self._jitter(self._host, start, n) + self._compute_ns
         emit = np.ones((n, k), dtype=bool)
         fired = np.zeros((n, len(self._faults)), dtype=bool)
         for s, (i, spec, seed) in enumerate(self._faults):
-            fired[:, s] = trigger_fires(spec.trigger, first + rows, seed, first * reps + lo)
+            fired[:, s] = trigger_fires(spec.trigger, first + rows, seed, start)
             if isinstance(spec.kind, ExtraDelay):
                 comp[:, i] += spec.kind.ns * fired[:, s]
             elif isinstance(spec.kind, DropOutput):

@@ -14,8 +14,8 @@ applies ReLU. Arithmetic per layer (never wraps):
     y[j]    = saturate_int16(round_half_to_even(acc[j] / 256))
     out[j]  = max(y[j], 0) for every layer but the last, else y[j]
 
-`infer` runs a block of frames: one float64 BLAS matmul per layer for all
-of them, rounded in place, and the output digests of the whole block at
+`infer` runs a block of frames: float64 BLAS matmuls per layer, a slice of
+frames at a time into one array, rounded in place, and the output digests of the whole block at
 once. The float arithmetic is exact: a layer of width up to 1024 sums
 products below 2**30 and a bias term below 2**23, so every partial sum is
 an integer below 2**41 < 2**53, whatever the summation order, blocking or
@@ -57,6 +57,9 @@ WEIGHT_CLAMP = 1 << 12
 INPUT_CLAMP = 1 << 8
 
 MAX_LAYER_WIDTH = 1024
+# The frames of one BLAS product: OpenBLAS threads a larger one, and on a
+# host with few cores its threads can stall a product for milliseconds.
+MATMUL_ROWS = 256
 
 
 class EngineConfig(Record, frozen=True):
@@ -117,8 +120,12 @@ def gen_frame(seed: int, frame_id: int, shape) -> np.ndarray:
 
 def _layer(x, w, b, relu):
     """The int16 outputs of the layer (w, b) on the int16 inputs `x`, one
-    row per frame. Its accumulators are freed when it returns."""
-    acc = np.matmul(x, w.T.astype(np.float64))
+    row per frame, one product per `MATMUL_ROWS` frames. Its accumulators
+    are freed when it returns."""
+    wt = w.T.astype(np.float64)
+    acc = np.empty((len(x), len(w)))
+    for i in range(0, len(x), MATMUL_ROWS):
+        np.matmul(x[i:i + MATMUL_ROWS], wt, out=acc[i:i + MATMUL_ROWS])
     acc += b * 256.0
     acc /= SCALE
     np.rint(acc, out=acc)

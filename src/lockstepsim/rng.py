@@ -7,7 +7,7 @@ number of draws one consumer makes can never shift the values another one
 sees, and siblings are the same streams in any order.
 
 SplitMix64 is counter-addressed: draw k (from 1) of the stream with seed s
-is mix64(s + k * gamma), so `draws` computes any number of draws of many
+is mix64(s + k * gamma), so `draws_at` computes any set of draws of many
 streams at once as uint64 arrays (Steele, Lea & Flood, "Fast Splittable
 Pseudorandom Number Generators", OOPSLA 2014). A uniform in [0, 1) is a
 draw's top 53 bits over 2**53 (`uniforms`).
@@ -53,11 +53,17 @@ def mix64s(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def draws_at(seeds, counters: np.ndarray) -> np.ndarray:
+    """Draw k of the stream of each seed for each k (from 1) of the uint64
+    array `counters`, `seeds` and `counters` broadcast together."""
+    return mix64s(np.asarray(seeds, dtype=np.uint64) + counters * np.uint64(_GAMMA))
+
+
 def draws(seeds, count: int, start: int = 0) -> np.ndarray:
     """Draws start+1 .. start+count of the stream of each seed in `seeds`
     (seeds in [0, 2**64)), as a uint64 array of shape (len(seeds), count)."""
-    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    return mix64s(np.asarray(seeds, dtype=np.uint64)[:, None] + counters * np.uint64(_GAMMA))
+    return draws_at(np.asarray(seeds, dtype=np.uint64)[:, None],
+                    np.arange(start + 1, start + count + 1, dtype=np.uint64))
 
 
 def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:

@@ -160,7 +160,7 @@ from lockstepsim.errors import (  # noqa: E402
     ProtocolError,
     SimulationError,
 )
-from lockstepsim.eventsim import JitterModel, _geometric, cycles_to_time  # noqa: E402
+from lockstepsim.eventsim import JitterModel, cycles_to_time  # noqa: E402
 from lockstepsim.profiling import detect_outliers, histogram, stats  # noqa: E402
 from lockstepsim.rng import _GAMMA, MASK64, derive_seed, fnv1a64, mix64  # noqa: E402
 from lockstepsim.voting import (  # noqa: E402
@@ -183,10 +183,11 @@ FRAC_BITS = 8
 # -- the scalar round rules, frozen --------------------------------------------
 #
 # Verbatim copies of the scalar random stream, input barrier, rendezvous,
-# turnaround sample, vote and safety step that the library replaced with its
-# array kernel (`rng.draws`, `coupling.rendezvous_rounds`,
-# `voting.agreement_labels`, `vote_rounds` and `safety_scan`). The runner
-# below and the differential tests use them.
+# vote and safety step that the library replaced with its array kernel
+# (`rng.draws`, `coupling.rendezvous_rounds`, `voting.agreement_labels`,
+# `vote_rounds` and `safety_scan`), and the scalar turnaround sample of one
+# round (`eventsim.sample_turnaround_overheads`). The runner below and the
+# differential tests use them.
 
 class Rng:
     """A single 64-bit SplitMix64 stream."""
@@ -235,12 +236,12 @@ class InputBarrier:
     deliveries: tuple  # (replica_id, delivery_time_ns), in replica order
 
 
-def distribute_input(frame_id: int, release_time: int, replica_ids, mode, feeds=None) -> InputBarrier:
+def distribute_input(frame_id: int, release_time: int, replica_ids, mode, feeds=None, r=0) -> InputBarrier:
     """Plan the delivery of one frame to every healthy replica.
 
     Tight coupling delivers to all replicas at the release time exactly.
-    Loose coupling delays each delivery by an independent draw from that
-    replica's feed jitter stream; `feeds` is a list of (JitterModel, Rng)
+    Loose coupling delays each delivery by the sample of round `r` of that
+    replica's feed jitter; `feeds` is a list of (JitterModel, stream seeds)
     aligned with `replica_ids`.
     """
     replica_ids = list(replica_ids)
@@ -250,8 +251,8 @@ def distribute_input(frame_id: int, release_time: int, replica_ids, mode, feeds=
         deliveries = tuple((rid, release_time) for rid in replica_ids)
     else:
         deliveries = []
-        for rid, (model, rng) in zip(replica_ids, feeds):
-            deliveries.append((rid, release_time + sample_turnaround_overhead(model, rng)))
+        for rid, (model, seeds) in zip(replica_ids, feeds):
+            deliveries.append((rid, release_time + sample_turnaround_overhead(model, seeds, r)))
         deliveries = tuple(deliveries)
     return InputBarrier(frame_id, release_time, deliveries)
 
@@ -302,15 +303,28 @@ def rendezvous(expected_ids, arrivals, window_ns: int):
     )
 
 
-def sample_turnaround_overhead(model: JitterModel, rng: Rng) -> int:
-    """One overhead sample. Draw order is fixed (mode, then spike, then the
-    spike's size when its mean exceeds 1) so a stream replays identically
-    regardless of which branches fire."""
+def _uniform_at(seed: int, k: int) -> float:
+    """The uniform of draw k (from 1) of the stream `seed`: the k-th
+    `Rng(seed).uniform()`."""
+    return (mix64((seed + k * _GAMMA) & MASK64) >> 11) * (1.0 / (1 << 53))
+
+
+def sample_turnaround_overhead(model: JitterModel, seeds, r: int) -> int:
+    """The overhead sample of round r from the streams `seeds` = (stream,
+    size stream): draw 2r+1 of the stream decides the mode, draw 2r+2 the
+    spike, and draw r+1 of the size stream sizes a spike whose mean exceeds
+    1, by inversion of the geometric law."""
+    seed, size_seed = seeds
     total = model.base_overhead_ns
-    if rng.uniform() < model.mode2_prob:
+    if _uniform_at(seed, 2 * r + 1) < model.mode2_prob:
         total += model.mode2_offset_ns
-    if rng.uniform() < model.spike_prob:
-        total += _geometric(rng.uniform(), model.spike_scale_ns) if model.spike_scale_ns > 1 else 1
+    if _uniform_at(seed, 2 * r + 2) < model.spike_prob:
+        mean = model.spike_scale_ns
+        if mean > 1:
+            u = _uniform_at(size_seed, r + 1)
+            total += max(1, math.ceil(math.log1p(-u) / math.log1p(-1.0 / mean)))
+        else:
+            total += 1
     return total
 
 
@@ -577,8 +591,10 @@ class _ReferenceRunner:
         self.host_pairs = []
         self.feed_pairs = []
         for rid in range(n):
-            self.host_pairs.append((topo.host_jitter[rid], root.child(f"host.{rid}")))
-            self.feed_pairs.append((topo.feed_jitter[rid], root.child(f"feed.{rid}")))
+            for pairs, models, name in ((self.host_pairs, topo.host_jitter, "host"),
+                                        (self.feed_pairs, topo.feed_jitter, "feed")):
+                seeds = (root.child(f"{name}.{rid}").seed, root.child(f"{name}.{rid}.size").seed)
+                pairs.append((models[rid], seeds))
         self.replica_faults = {rid: [] for rid in range(n)}
         for i, (rid, spec) in enumerate(config.faults):
             self.replica_faults[rid].append((spec, root.child(f"fault.{i}")))
@@ -633,6 +649,7 @@ class _ReferenceRunner:
 
     def _run_round(self, frame_id, rep, input_tensor, clean):
         release = self.now
+        r = frame_id * self.cfg.workload.repetitions_per_frame + rep  # the run's index of this round
         fr = f'"frame_id":{frame_id},"repetition":{rep}'
         records = [(release, self.seq, f'"kind":"input_release",{fr}')]
         self.seq += 1
@@ -643,6 +660,7 @@ class _ReferenceRunner:
                 self.healthy_ids,
                 self.coupling,
                 [self.feed_pairs[rid] for rid in self.healthy_ids],
+                r,
             )
         except NoHealthyReplicas:
             self._write_records(records)
@@ -665,8 +683,8 @@ class _ReferenceRunner:
             out, cycles, trace, digest, classification, effects, applied = self._compute(
                 rid, frame_id, input_tensor, clean)
             any_applied |= applied
-            jitter, host_rng = self.host_pairs[rid]
-            t = (t_deliver + sample_turnaround_overhead(jitter, host_rng)
+            jitter, host_seeds = self.host_pairs[rid]
+            t = (t_deliver + sample_turnaround_overhead(jitter, host_seeds, r)
                  + cycles_to_time(cycles, self.topology.clocks[rid]) + effects["extra_delay_ns"])
             if not release <= t_deliver <= t:
                 raise SimulationError(f"replica {rid}, frame {frame_id}: time runs backwards")

@@ -44,8 +44,8 @@ class TestInputDelivery:
         # delays take values {0, J}: the skew can never exceed J
         J = 250
         model = JitterModel(mode2_offset_ns=J, mode2_prob=0.5)
-        a, _ = sample_turnaround_overheads(model, Rng(5).child("f0").seed, 0, 10_000)
-        b, _ = sample_turnaround_overheads(model, Rng(5).child("f1").seed, 0, 10_000)
+        a, b = (sample_turnaround_overheads(model, (Rng(5).child(name).seed, 0), 0, 10_000)
+                for name in ("f0", "f1"))
         assert set(a.tolist()) == set(b.tolist()) == {0, J}
         assert np.abs(a - b).max() == J  # both branches actually exercised
 

@@ -215,40 +215,40 @@ PINS = {
         "376abf23f41357caf279f76d0c200039fda67d157c089334c74e47168616a0a9",
     ),
     "two-profiles": (
-        "c3fa98935a54a3a5d124f7ef3a7cade3e98218f770f13f78ec41944ebfaa4216",
-        "0ea5fc111b375bd31f8c0b6093f505e50e71ce968abde6881cce405adc2fc8f2",
+        "432f4161f3e097be2b2f9c699ecd58d5438946236352602d60d1c6e9259089b5",
+        "5c4ea6d8a0fef927e5f5f92491e6dbbae2a7c831c8a43df8f4def41cfc455f4e",
     ),
     "tight-2oo3-all-faults": (
         "83518c72e72d3c56badccce2eac36aef544447e844151826dd4951432e12c9c2",
         "557d5c645e0355ee3df47971cecad6ecfa14d451ba9071ce7f3e035bbb2f0951",
     ),
     "loose-duplex-ptp-tolerance": (
-        "80aadc052cab9a69ee3c65fd0d762e2b01fac5612aad2717bbbfe5b1449f6549",
-        "85ab5f18d8a64d9ceaa8c93fe7dd7773b604eaa40eba11e4c69a0a5f1c08de83",
+        "5c70611217b77aab49e1c32fa3526462a3cc4aa4aceaa06796da3b113814c169",
+        "08a3c533706ed77fcf250aa92cae4958967535221f1ce604f85130339a80b226",
     ),
     "loose-3-one-failed": (
-        "97b0eecc1a18d91d9c9e8670edc9ed7c859688e6ea5d4fe1cf370550d6b631a1",
-        "ccc61807924be0e8148a145a64342e0ba5b66d561efbe0c8e8d5333ffa526c94",
+        "7db147fbdb1f0da87fe1bdbcc489cd9bc8f9b44d6d2fdec06ca8e1d1757c62e7",
+        "9f971bdaae0e31072ca22a93389106dc941fc816f0e86f3f2fce4604989ccbe6",
     ),
     "degraded-no-healthy": (
         "3a64aabd385a8bf718073dcc6d3bac6330637b3e3168a7b2245470b6b4913008",
         "da533bbda510c7cc00bd7278ce4eb576fd140287d5ccdfd42a18d9fe58404252",
     ),
     "degraded-one-short": (
-        "068525e53181f6caff20461232b8aaa5855f1289f882cbbe5addeb6037102316",
-        "85a537011e632c4bdbeb07193b08649587e89e5435bcf704a1da9c3dabee0814",
+        "56ed671ec8649049cee37062d9fc45e366adb1c403b90a9d475b336f7a1168d7",
+        "78e8b87a62840a3a4b12c1cba2898ac21d82294f3fad87dd17da42c13bd92d1b",
     ),
     "paper-protocol": (
-        "850b395b8930a0ae87a7a54235eb28d555935f4d4aef4d27dd5ad564b848edfa",
-        "d11c0939eb0ac5784259bf831af78ce8fd6ed66c0cd0cf4c6dc82812e1ef0bc8",
+        "5eeedb61613aaf12a71bf7414f63b482e214b5df4877166fbe7dfa2637ee6bdb",
+        "f7d34042d54e9599dd75b4a148091846cad004fac83ae635cfb6b87d118b1e0a",
     ),
     "tight-3oo4-rank2-blocks": (
         "cb155208d84550fe8e7416cc9473b6c8e91ca37034ad31c08520967d23870f0d",
         "a0d963bae21ea8c2d4e568e63cdcf0129dd0e0319174e1dfbaac549bd587c45a",
     ),
     "loose-3-chunks-safe-off": (
-        "f4a3977efafd5aa6dda50e764cd149c4449137cb827da773e60cf9ca5684f5ee",
-        "457146fef349539c82f97df5d35f55a1625214710ff65255903e6ff1704ec3d5",
+        "7fd97ef4c1b2882acc14a02312f15abbe0d8e0a12d79da082e7cba943baab1f4",
+        "b2b4591b95fe36e900793781a77c62bbef71d5b07ed4718c978d85c96d9bc663",
     ),
 }
 

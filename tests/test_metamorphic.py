@@ -86,6 +86,24 @@ def test_b_a_fault_that_changes_nothing_leaves_the_trace_and_samples(raw, data):
 
 
 @settings(settings.get_profile("oracle-fuzz"))
+@given(configs(), st.data())
+def test_c_switching_off_a_replica_leaves_the_others_samples(raw, data):
+    # A sample is its replica's feed and host jitter, compute time and own
+    # faults, each drawn by round from a stream named by replica id or
+    # fault index: none reads another replica. Checked with the generated
+    # faults and without any.
+    off = data.draw(st.integers(0, raw["topology"]["replicas"] - 1))
+    for faults in (raw["faults"], []):
+        kept = copy.deepcopy({**raw, "faults": faults})
+        cut = copy.deepcopy(kept)
+        cut["topology"]["health"][off] = "switched_off"
+        a, b = (run_experiment(config_from_dict(r)).replicas for r in (kept, cut))
+        assert not len(b[off]["samples"])
+        for rid in set(range(len(a))) - {off}:
+            assert np.array_equal(a[rid]["samples"], b[rid]["samples"])
+
+
+@settings(settings.get_profile("oracle-fuzz"))
 @given(configs())
 def test_d_a_zero_tolerance_writes_the_exact_comparators_trace(raw):
     # Outputs within 0 of each other are equal outputs, whose digests are

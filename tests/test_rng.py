@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from lockstepsim.replica import gen_weights
-from lockstepsim.rng import MASK64, derive_seed, derive_seeds, draws, fnv1a64, fnv1a64_rows, mix64, mix64s, uniforms
+from lockstepsim.rng import (
+    MASK64, derive_seed, derive_seeds, draws, draws_at, fnv1a64, fnv1a64_rows, mix64, mix64s, uniforms,
+)
 from oracles import Rng
 
 # Published SplitMix64 output for seed 0 (used as cross-implementation
@@ -144,3 +146,14 @@ def test_scalar_seeds_are_reduced_mod_2_64():
     assert uniforms(2**64, 5, start=3).tolist() == uniforms(0, 5, start=3).tolist()
     assert [a.tolist() for layer in gen_weights(-1, [3, 2]) for a in layer] == \
         [a.tolist() for layer in gen_weights(MASK64, [3, 2]) for a in layer]
+
+
+def test_draws_at_reads_any_draws_of_a_stepped_stream():
+    # counters in any order, repeated, and past 2**32
+    counters = [5, 1, 5, 2**40, 3]
+    for seed in (0, 5, MASK64):
+        r = Rng(seed)
+        stepped = [r.next_u64() for _ in range(5)]
+        got = draws_at(seed, np.array(counters, dtype=np.uint64)).tolist()
+        assert got[:3] + got[4:] == [stepped[4], stepped[0], stepped[4], stepped[2]]
+        assert got[3] == mix64(seed + 2**40 * 0x9E3779B97F4A7C15)
