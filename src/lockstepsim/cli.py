@@ -3,7 +3,7 @@
     lockstepsim run --config cfg.json --out rundir/ [--seed N] [--fail-on-safeoff]
     lockstepsim compare RUN_A RUN_B [--alpha A] [--out FILE]
     lockstepsim vote-table --policy 2oo3
-    lockstepsim stats --trace rundir/trace.jsonl
+    lockstepsim stats --trace rundir/trace.jsonl   (from its completion records)
 
 Exit codes: 0 success, 1 usage or validation error, 2 safety-relevant
 finding when --fail-on-safeoff is set.

@@ -79,20 +79,17 @@ def compare_bus_traces(a, b):
     return np.where(differ.any(axis=1), 4 * differ.argmax(axis=1), -1)
 
 
-class PtpEstimate(Record, frozen=True):
-    offset_ns: int      # positive when the slave clock runs ahead
-    path_delay_ns: int
-
-
 def _half_toward_zero(v: int) -> int:
     return v // 2 if v >= 0 else -((-v) // 2)
 
 
-def estimate_ptp_offset(exchange) -> PtpEstimate:
-    """Standard two-step estimate from the exchange timestamps (t1, t2, t3,
-    t4): master send, slave receive, slave send, master receive, with t2/t3
-    slave-clock times and t1/t4 master-clock. offset = ((t2-t1) -
-    (t4-t3)) / 2, path delay = ((t2-t1) + (t4-t3)) / 2, halving toward zero."""
+def estimate_ptp_offset(exchange) -> tuple:
+    """(offset_ns, path_delay_ns): the standard two-step estimate from the
+    exchange timestamps (t1, t2, t3, t4): master send, slave receive, slave
+    send, master receive, with t2/t3 slave-clock times and t1/t4
+    master-clock. offset = ((t2-t1) - (t4-t3)) / 2, positive when the slave
+    clock runs ahead; path delay = ((t2-t1) + (t4-t3)) / 2; each halved
+    toward zero."""
     t1, t2, t3, t4 = exchange
     if t4 < t1 or t3 < t2:
         raise ProtocolError(f"inconsistent exchange timestamps {exchange}")
@@ -100,7 +97,7 @@ def estimate_ptp_offset(exchange) -> PtpEstimate:
     ret = t4 - t3
     if fwd + ret < 0:
         raise ProtocolError(f"negative computed path delay for {exchange}")
-    return PtpEstimate(_half_toward_zero(fwd - ret), _half_toward_zero(fwd + ret))
+    return _half_toward_zero(fwd - ret), _half_toward_zero(fwd + ret)
 
 
 def simulate_ptp_exchange(t1: int, true_offset_ns: int, forward_delay_ns: int,

@@ -4,9 +4,11 @@ Per frame, per repetition (a round): release one synthetic input to every
 healthy replica, run each replica with its faults applied, rendezvous on
 the completion times the checker observes, compare bus traces under tight
 coupling, vote, step the safety switch, and record latency samples. With a
-trace writer, every event is also written as one JSON text line (the lines
-of trace.jsonl). Everything derives from the config seed; two runs of the
-same config produce byte-identical traces and reports.
+trace writer, the run is also written as JSON text lines (trace.jsonl, see
+`trace`): a header, the PTP estimates, and per round one line per emitted
+output, at its completion time, and one for the verdict. Everything derives
+from the config seed; two runs of the same config produce byte-identical
+traces and reports.
 
 The report is built once, in the shape report.json holds: the counters
 are the report's dicts, and `ExperimentReport`'s fields are the file's keys.
@@ -54,10 +56,10 @@ clock and the delays that fired. A drop fault masks the output. Then:
 Each chunk is decided, counted and written in three steps (`run`):
 `_run_chunk` decides it and returns its columns, one entry per round;
 `tally` folds them into the report's counters; with a trace writer,
-`trace.rounds` writes them. The trace format is `trace`'s alone: it lays
-out the chunk's seqs, then writes each piece of rounds from its slice of
-the columns, the records in (t_ns, seq) order. The runner keeps only the
-running seq, which the PTP records (`trace.ptp`) also take.
+`trace.rounds` writes them. The trace format is `trace`'s alone. The
+runner writes the header (`trace.header`, seq 0) and the PTP records
+(`trace.ptp`) before the first round, and keeps only the running seq, the
+index of the next line.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ class ExperimentRunner:
         self.engine = topo.engine
         self._write = trace_writer
         self.now = 0
-        self.seq = 0
+        self.seq = 1                        # the next record's: the trace header takes 0
 
         self.weights = gen_weights(derive_seed(config.seed, "weights"), config.workload.arch)
         self._cycles = compute_cycles(self.weights, self.engine)
@@ -383,7 +385,7 @@ class ExperimentRunner:
         # values
         clean = self._clean[1][rows]
         labels = np.zeros((n, k), dtype=np.int64)
-        digests = outputs = changed = other = index = None
+        digests = outputs = other = index = None
         voted = diverged = compared = np.zeros(n, dtype=bool)
         if self._bus:
             compared = emit.sum(axis=1) >= 2
@@ -408,8 +410,8 @@ class ExperimentRunner:
         c = dict(frame_ids=first + rows, reps=repetitions, clean=clean, starts=ends - durations,
                  ends=ends, feed=feed, comp=comp, emit=emit, applied=fired.any(axis=1), present=present,
                  complete=complete, skew=skew, verdict=verdict, labels=labels, best=best, agreed=agreed,
-                 voted=voted, digests=digests, outputs=outputs, changed=changed, compared=compared, other=other,
-                 index=index, diverged=diverged, action=action, counts=counts)
+                 voted=voted, digests=digests, outputs=outputs, compared=compared, other=other, index=index,
+                 diverged=diverged, action=action, counts=counts)
         if self._write is not None:  # the columns only the trace reads
             c.update(classes=self._clean[0][rows].argmax(axis=1),
                      safe=counts >= self.topology.debounce_threshold)
@@ -420,18 +422,20 @@ class ExperimentRunner:
     def _sync_clocks(self):
         s = self.topology.ptp
         for rid in range(self.topology.replica_count):
-            est = estimate_ptp_offset(simulate_ptp_exchange(
+            offset, delay = estimate_ptp_offset(simulate_ptp_exchange(
                 self.now, self.topology.clock_offsets_ns[rid], s.link_delay_ns + s.asymmetry_ns, s.link_delay_ns,
                 s.slave_turnaround_ns))
-            self.ptp_info.append({"replica_id": rid, "offset_ns": est.offset_ns, "path_delay_ns": est.path_delay_ns})
+            self.ptp_info.append({"replica_id": rid, "offset_ns": offset, "path_delay_ns": delay})
             if self._write is not None:
-                self._write(trace.ptp(self.now, self.seq, rid, est.offset_ns, est.path_delay_ns))
+                self._write(trace.ptp(self.now, self.seq, rid, offset, delay))
             self.seq += 1
 
     # -- top level --------------------------------------------------------
 
     def run(self) -> ExperimentReport:
-        wl = self.cfg.workload
+        wl, required = self.cfg.workload, self.topology.policy.required_agreement
+        if self._write is not None:
+            self._write(trace.header(self.cfg, self.healthy_ids, self._cycles, required))
         if self.topology.ptp.enabled:
             self._sync_clocks()
         # what the checker adds to a completion time to get its arrival time
@@ -449,8 +453,7 @@ class ExperimentRunner:
                 c = self._run_chunk(first, lo, min(lo + ROUND_CHUNK, count * reps))
                 tally(self.totals, c, self.healthy_ids)
                 if self._write is not None:
-                    self.seq = trace.rounds(self._write, self.seq, c, self.healthy_ids, self._cycles,
-                                            self.topology.policy.required_agreement)
+                    self.seq = trace.rounds(self._write, self.seq, c, self.healthy_ids, required)
                 del c  # the next chunk runs without this one's columns
         return self._build_report()
 

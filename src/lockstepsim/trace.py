@@ -1,32 +1,45 @@
-"""trace.jsonl: the one writer of a run's rounds, and its record functions.
+"""trace.jsonl: a run's records, one JSON object per line (schema_version 2).
 
-A record function is a single f-string. It takes t_ns, seq, the round's
-frame fields (`frame`) and the record's remaining fields in order, and
-gives exactly the bytes of `json.dumps(record, separators=(",", ":"))` and
-a newline. Fields that vary by outcome come as one text: a completion's
-tail (`completion_fields`), a verdict's fields after its variant (`agreed`,
-`groups`, `missing`, `reason`) and a safety action's tail
-(`safety_fields`). A verdict and the safety action after it share a time
-and take consecutive seqs, so `verdict_and_safety` writes both.
+Each line is `json.dumps(record, separators=(",", ":"))` and a newline. A
+record starts with "t_ns" (simulated time), "seq" (its line index, from 0)
+and "kind", one of four:
 
-`rounds` is the one writer of the runner's rounds. Once per chunk, it
-lays out the seqs as NumPy arrays; then each `WRITE_ROUNDS` rounds take a
-slice of every column, and `_piece` writes them from those rows alone: it
-builds the frame and text fields, finds the rounds of each kind of record
-from the slices' masks, turns the arrays into lists, formats the records
-and orders the text by (t_ns, seq) (`in_order`). A text shared by many
-rounds is formatted once per piece: the clean output's tails once per
-frame, the `_ids_of` texts once per set of ids, the safety tails once when
-they are all equal; a changed output and a verdict other than pass take
-their own. So every Python str and list lives for one piece only.
+header: line 1, at t_ns 0: schema_version, package_version, the seed,
+config_digest (`rng.fnv1a64` of the expanded config's compact JSON),
+replica_ids (the healthy replicas, in the order of every per-replica list
+below), compute_cycles of one inference and the required_agreement.
+
+ptp: one per replica when PTP is on, at t_ns 0: replica_id, offset_ns and
+path_delay_ns.
+
+completion: one per emitted output, at its completion time: replica_id and
+turnaround_ns (after the release); then, only where a value fault changed
+the output, its digest and classification.
+
+verdict: one per round, at its record time: frame_id, repetition,
+release_ns, delivery_ns (each delivery's offset after the release), the
+clean output's digest and classification; the rendezvous, "complete" with
+skew_ns or "timeout" with present_ids and missing_ids, unless no replica
+is healthy; bus_divergence {replica_a, replica_b, event_index} if the
+buses diverged; the variant, with agreeing_ids and agreed_digest, groups
+or reason (a timeout's missing ids are the rendezvous's); and the safety
+switch after the round: state, action, consecutive_faults.
+
+The seq rule: a round's completions take the next seqs in (time, replica
+id) order and its verdict the one after them. Rounds never overlap and a
+verdict's time is at or after its round's completions, so (t_ns, seq)
+strictly increases.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import repeat
 
 import numpy as np
 
+from . import __version__
+from .rng import fnv1a64
 from .voting import ACTIONS, MISMATCH, OPERATIONAL, PASS, SAFE_OFF, TIMEOUT, VERDICTS
 
 _PASS, _MISMATCH, _TIMEOUT = VERDICTS.index(PASS), VERDICTS.index(MISMATCH), VERDICTS.index(TIMEOUT)
@@ -36,55 +49,53 @@ _PASS, _MISMATCH, _TIMEOUT = VERDICTS.index(PASS), VERDICTS.index(MISMATCH), VER
 WRITE_ROUNDS = 128
 
 
-def frame(frame_id, repetition):
-    return f'"frame_id":{frame_id},"repetition":{repetition}'
-
-
-def release(t, seq, fr):
-    return f'{{"t_ns":{t},"seq":{seq},"kind":"input_release",{fr}}}\n'
-
-
-def delivery(t, seq, fr, replica_id, skew_ns):
-    return f'{{"t_ns":{t},"seq":{seq},"kind":"delivery",{fr},"replica_id":{replica_id},"skew_ns":{skew_ns}}}\n'
-
-
-def completion_fields(compute_cycles, digest, classification):
-    return f',"compute_cycles":{compute_cycles},"digest":{digest},"classification":{classification}'
-
-
-def completion(t, seq, fr, replica_id, turnaround_ns, fields):
-    return (f'{{"t_ns":{t},"seq":{seq},"kind":"completion",{fr},"replica_id":{replica_id},'
-            f'"turnaround_ns":{turnaround_ns}{fields}}}\n')
-
-
-def complete(t, seq, fr, skew_ns):
-    return f'{{"t_ns":{t},"seq":{seq},"kind":"rendezvous",{fr},"outcome":"complete","skew_ns":{skew_ns}}}\n'
-
-
-def timeout(t, seq, fr, present_ids, missing_ids):
-    """A timed-out rendezvous; the ids are `ids` text."""
-    return (f'{{"t_ns":{t},"seq":{seq},"kind":"rendezvous",{fr},"outcome":"timeout",'
-            f'"present_ids":{present_ids},"missing_ids":{missing_ids}}}\n')
-
-
-def divergence(t, seq, fr, replica_a, replica_b, event_index):
-    return (f'{{"t_ns":{t},"seq":{seq},"kind":"bus_divergence",{fr},"replica_a":{replica_a},'
-            f'"replica_b":{replica_b},"event_index":{event_index},"reason":"payload digest mismatch"}}\n')
-
-
-def safety_fields(state, action, consecutive_faults):
-    return f',"state":"{state}","action":"{action}","consecutive_faults":{consecutive_faults}'
-
-
-def verdict_and_safety(t, seq, fr, variant, fields, safety_tail):
-    """The verdict at seq and the safety action at seq + 1."""
-    return (f'{{"t_ns":{t},"seq":{seq},"kind":"verdict",{fr},"variant":"{variant}"{fields}}}\n'
-            f'{{"t_ns":{t},"seq":{seq + 1},"kind":"safety_action",{fr}{safety_tail}}}\n')
+def header(config, replica_ids, compute_cycles, required_agreement) -> str:
+    digest = fnv1a64(json.dumps(config.to_json_dict(), separators=(",", ":")).encode())
+    return (f'{{"t_ns":0,"seq":0,"kind":"header","schema_version":2,"package_version":{json.dumps(__version__)},'
+            f'"seed":{config.seed},"config_digest":{digest},"replica_ids":{ids(replica_ids)},'
+            f'"compute_cycles":{compute_cycles},"required_agreement":{required_agreement}}}\n')
 
 
 def ptp(t, seq, replica_id, offset_ns, path_delay_ns):
     return (f'{{"t_ns":{t},"seq":{seq},"kind":"ptp","replica_id":{replica_id},'
             f'"offset_ns":{offset_ns},"path_delay_ns":{path_delay_ns}}}\n')
+
+
+def completion(t, seq, replica_id, turnaround_ns, changed=""):
+    """`changed` is "" or a changed output's `output` text."""
+    return (f'{{"t_ns":{t},"seq":{seq},"kind":"completion","replica_id":{replica_id},'
+            f'"turnaround_ns":{turnaround_ns}{changed}}}\n')
+
+
+def output(digest, classification):
+    return f',"digest":{digest},"classification":{classification}'
+
+
+def verdict(t, seq, frame_id, repetition, release_ns, delivery_ns, clean, outcome, variant, fields, safety):
+    """A round's verdict record. `delivery_ns` is `ids` text, `clean` the
+    clean output's `output` text; `outcome` (the rendezvous and any bus
+    divergence), `fields` (the variant's) and `safety` are texts that
+    begin with a comma or are empty."""
+    return (f'{{"t_ns":{t},"seq":{seq},"kind":"verdict","frame_id":{frame_id},"repetition":{repetition},'
+            f'"release_ns":{release_ns},"delivery_ns":{delivery_ns}{clean}{outcome},"variant":"{variant}"'
+            f'{fields}{safety}}}\n')
+
+
+def completed(skew_ns):
+    return f',"rendezvous":"complete","skew_ns":{skew_ns}'
+
+
+def timed_out(present_ids, missing_ids):
+    """A timed-out rendezvous; the ids are `ids` text."""
+    return f',"rendezvous":"timeout","present_ids":{present_ids},"missing_ids":{missing_ids}'
+
+
+def diverged(replica_a, replica_b, event_index):
+    return f',"bus_divergence":{{"replica_a":{replica_a},"replica_b":{replica_b},"event_index":{event_index}}}'
+
+
+def safety_fields(state, action, consecutive_faults):
+    return f',"state":"{state}","action":"{action}","consecutive_faults":{consecutive_faults}'
 
 
 def ids(values) -> str:
@@ -102,22 +113,9 @@ def groups(members) -> str:
     return ',"groups":[' + ",".join(map(ids, members)) + "]"
 
 
-def missing(missing_ids):
-    """A timeout verdict's fields; `missing_ids` is `ids` text."""
-    return f',"missing_ids":{missing_ids}'
-
-
 def reason(text):
     """A degraded verdict's fields."""
     return f',"reason":{json.dumps(text)}'
-
-
-def in_order(times, seqs, lines) -> str:
-    """Text of `lines` in (t_ns, seq) order. `times` and `seqs` hold the
-    records' keys, as int64 arrays whose concatenation lines up with
-    `lines`."""
-    order = np.lexsort((np.concatenate(seqs), np.concatenate(times)))
-    return "".join(map(lines.__getitem__, order.tolist()))
 
 
 def _ids_of(flags, replica_ids) -> list:
@@ -128,140 +126,101 @@ def _ids_of(flags, replica_ids) -> list:
     return list(map(text.__getitem__, codes))
 
 
-def rounds(write, first_seq, c, replica_ids, cycles, required) -> int:
+def rounds(write, first_seq, c, replica_ids, required) -> int:
     """Write the records of a chunk of rounds, whose first takes seq
     `first_seq`, with `write`; return the seq after its last round.
+    `required` is the policy's required agreement.
 
-    `c` holds the runner's columns, with one row per round and, in the
-    two-axis ones, one column per healthy replica in `replica_ids`:
-    frame_ids, reps (the round's repetition), clean and classes (the clean
-    output's digest and classification); starts, ends (the release and
-    record times); feed, comp, emit (each delivery and completion time
-    after the release, whether emitted); applied (a fault fired); present,
-    complete, skew (the rendezvous); verdict (an index in `VERDICTS`);
-    labels, best, voted, agreed (the agreement groups, the winning group,
-    whether the round was grouped, the agreed digest); compared, diverged,
-    other, index (the bus compare: whether the round's buses were
-    compared, and whether they diverged, with which column, at which
-    event); action, counts, safe (the safety switch after the round, safe
-    being counts >= the threshold). When no value fault can fire, changed,
-    digests and outputs are None; else they flag and hold each output that
-    a value fault changed. `experiment.ExperimentRunner._run_chunk` makes
-    them and `experiment.tally` counts them. `cycles` is an inference's
-    compute cycles and `required` the policy's required agreement.
+    `c` holds the columns of `experiment.ExperimentRunner._run_chunk`, one
+    row per round and, in the two-axis ones, one column per healthy replica
+    in `replica_ids`: frame_ids, reps, clean and classes (the clean output's
+    digest and classification); starts and ends (the release and record
+    times); feed, comp and emit (each delivery and completion time after
+    the release, whether emitted); present, complete and skew (the
+    rendezvous); verdict (an index in `VERDICTS`); labels, best, voted and
+    agreed (the agreement groups, the winning group, whether the round was
+    grouped, the agreed digest); diverged, other and index (the bus
+    divergence, with which column, at which event); action, counts and safe
+    (the safety switch after the round). digests and outputs hold each
+    output, or are None when no value fault can fire.
 
-    Each round takes seqs in this order: the input release; one delivery
-    per healthy replica in replica order; one completion per delivery, in
-    (time, seq) order of the deliveries (a dropped output takes its seq but
-    writes no record); then, at the record time, the rendezvous, any bus
-    divergence, the verdict and the safety action. With no healthy replica
-    a round takes 3 seqs.
-
-    The seqs and the order of the completion seqs are laid out once per
-    chunk. Each `WRITE_ROUNDS` rounds then take a slice of every column
-    (None stays None), which `_piece` writes.
+    Each `WRITE_ROUNDS` rounds, a piece, take a slice of every column (None
+    stays None), which `_piece` writes, so every Python str and list lives
+    for one piece only.
     """
-    n, k = len(c["verdict"]), len(replica_ids)
-    steps = 4 + 2 * k + c["diverged"] if k else np.full(n, 3)
-    nexts = first_seq + np.cumsum(steps)  # each round's last seq + 1
-    seqs = nexts - steps
-    # a completion's seq follows the (time, replica) order of the
-    # deliveries, which is replica order when all come at the release
-    completion_seqs = seqs[:, None] + np.arange(1 + k, 1 + 2 * k)
-    if k and c["feed"].any():
-        order = np.argsort(c["feed"], axis=1, kind="stable")
-        np.put_along_axis(completion_seqs, order, completion_seqs.copy(), axis=1)
-    c = {**c, "seqs": seqs, "nexts": nexts, "completion_seqs": completion_seqs}
-    for a in range(0, n, WRITE_ROUNDS):
+    verdict_seqs = first_seq - 1 + np.cumsum(c["emit"].sum(axis=1) + 1)
+    c = {**c, "verdict_seqs": verdict_seqs}
+    for a in range(0, len(verdict_seqs), WRITE_ROUNDS):
         s = slice(a, a + WRITE_ROUNDS)
-        write(_piece({key: v if v is None else v[s] for key, v in c.items()}, replica_ids, cycles, required))
-    return int(nexts[-1])
+        write(_piece({key: v if v is None else v[s] for key, v in c.items()}, replica_ids, required))
+    return int(verdict_seqs[-1]) + 1
 
 
-def _piece(c, replica_ids, cycles, required) -> str:
-    """The text of the rounds of `c`, a slice of `rounds`' columns, in
-    (t_ns, seq) order."""
-    fids, starts, ends, seqs, verdict = c["frame_ids"], c["starts"], c["ends"], c["seqs"], c["verdict"]
-    n, k = len(fids), len(replica_ids)
-    frames = list(map(frame, fids.tolist(), c["reps"].tolist()))
-    # the clean output's tails, formatted once per frame
-    new = np.ones(n, dtype=bool)
-    new[1:] = fids[1:] != fids[:-1]
-    at, of = np.flatnonzero(new), (np.cumsum(new) - 1).tolist()
-    digests = c["clean"][at].tolist()
-    completions = list(map(completion_fields, [cycles] * len(digests), digests, c["classes"][at].tolist()))
-    agreements = list(map(agreed, [ids(replica_ids)] * len(digests), digests))
-    completions, fields = list(map(completions.__getitem__, of)), list(map(agreements.__getitem__, of))
-    times, keys, lines = [], [], []
+def _piece(c, replica_ids, required) -> str:
+    """The text of the rounds of `c`, a slice of `rounds`' columns, in seq
+    order."""
+    starts, comp, emit, codes, verdict_seqs = c["starts"], c["comp"], c["emit"], c["verdict"], c["verdict_seqs"]
+    n, k = len(codes), len(replica_ids)
 
-    def add(mask, t, seq, record, *cols):
-        """Format a kind of record for the rounds that the bool `mask`
-        flags, or for every round if it is None, each from its time, seq,
-        frame fields and `cols`: lists or arrays with one entry per round."""
-        fr = frames
-        if mask is not None and len(at := np.flatnonzero(mask)) < n:
-            if not len(at):
-                return
-            j = at.tolist()
-            fr = list(map(frames.__getitem__, j))
-            t, seq = t[at], seq[at]
-            cols = [list(map(f.__getitem__, j)) if isinstance(f, list) else f[at] for f in cols]
-        times.append(t)
-        keys.append(seq)
-        lines.extend(map(record, t.tolist(), seq.tolist(), fr,
-                         *(f if isinstance(f, list) else f.tolist() for f in cols)))
+    # each emitted output's seq: its round's next, in (time, replica) order
+    order = np.argsort(comp, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.cumsum(np.take_along_axis(emit, order, axis=1), axis=1), axis=1)
+    places = (verdict_seqs - emit.sum(axis=1) - 1)[:, None] + ranks
+    seqs, lines = [], []
+    for i, rid in enumerate(replica_ids):
+        at = np.flatnonzero(emit[:, i])
+        changed = [""] * len(at)
+        if c["digests"] is not None:
+            for j in np.flatnonzero(c["digests"][at, i] != c["clean"][at]).tolist():
+                changed[j] = output(int(c["digests"][at[j], i]), int(c["outputs"][at[j], i].argmax()))
+        seqs.append(places[at, i])
+        lines.extend(map(completion, (starts[at] + comp[at, i]).tolist(), places[at, i].tolist(), repeat(rid),
+                         comp[at, i].tolist(), changed))
 
-    add(None, starts, seqs, release)
+    # the rendezvous and any bus divergence
+    outcomes = [""] * n
     if k:
-        feed, comp, changed = c["feed"], c["comp"], c["changed"]
-        for i, rid in enumerate(replica_ids):
-            add(None, starts + feed[:, i], seqs + (1 + i), delivery, [rid] * n, feed[:, i])
-            tails = completions
-            if changed is not None and len(at := np.flatnonzero(changed[:, i])):
-                tails = completions.copy()
-                for j, text in zip(at.tolist(), map(completion_fields, [cycles] * len(at),
-                                                    c["digests"][at, i].tolist(),
-                                                    c["outputs"][at, i].argmax(axis=1).tolist())):
-                    tails[j] = text
-            add(c["emit"][:, i], starts + comp[:, i], c["completion_seqs"][:, i], completion, [rid] * n,
-                comp[:, i], tails)
+        present, gone = _ids_of(c["present"], replica_ids), _ids_of(~c["present"], replica_ids)
+        outcomes = [completed(skew) if done else timed_out(p, g)
+                    for done, skew, p, g in zip(c["complete"].tolist(), c["skew"].tolist(), present, gone)]
+    for j in np.flatnonzero(c["diverged"]).tolist():
+        outcomes[j] += diverged(replica_ids[emit[j].argmax()], replica_ids[c["other"][j]], c["index"][j])
 
-    # the records that end each round, at its record time: the rendezvous,
-    # any bus divergence, then the verdict and the safety action at the
-    # round's last two seqs
-    at = np.flatnonzero(c["voted"] & (verdict == _PASS))
-    if len(at):
-        agreeing = _ids_of(c["labels"][at] == c["best"][at, None], replica_ids)
-        for j, text in zip(at.tolist(), map(agreed, agreeing, c["agreed"][at].tolist())):
-            fields[j] = text
-    if k:
-        rendezvous_seqs = seqs + (1 + 2 * k)
-        add(c["complete"], ends, rendezvous_seqs, complete, c["skew"])
-        if not c["complete"].all():
-            present = c["present"]
-            present, gone = _ids_of(present, replica_ids), _ids_of(~present, replica_ids)
-            add(~c["complete"], ends, rendezvous_seqs, timeout, present, gone)
-        if c["diverged"].any():
-            rids = np.array(replica_ids)
-            add(c["diverged"], ends, rendezvous_seqs + 1, divergence, rids[c["emit"].argmax(axis=1)],
-                rids[c["other"]], c["index"])
-    # the text of each non-pass verdict
+    # the variant's fields: a pass agrees on the clean output unless its
+    # round was grouped; each clean output's texts are formatted once
+    clean = c["clean"].tolist()
+    cleans = {d: output(d, cls) for d, cls in dict(zip(clean, c["classes"].tolist())).items()}
+    everyone = ids(replica_ids)
+    fields = list(map({d: agreed(everyone, d) for d in cleans}.__getitem__, clean))
+    at = np.flatnonzero(c["voted"] & (codes == _PASS))
+    for j, text in zip(at.tolist(), map(agreed, _ids_of(c["labels"][at] == c["best"][at, None], replica_ids),
+                                        c["agreed"][at].tolist())):
+        fields[j] = text
     degraded = reason(f"{k} output(s) cannot reach {required}-way agreement" if k else "no healthy replicas")
-    for j in np.flatnonzero(verdict != _PASS).tolist():
-        v = verdict[j]
-        if v == _MISMATCH:
-            labels = c["labels"][j]
-            fields[j] = groups([[r for r, g in zip(replica_ids, labels.tolist()) if g == group]
-                                for group in range(labels.max() + 1)])
+    for j in np.flatnonzero(codes != _PASS).tolist():
+        if codes[j] == _MISMATCH:
+            labels = c["labels"][j].tolist()
+            fields[j] = groups([[r for r, g in zip(replica_ids, labels) if g == group]
+                                for group in range(max(labels) + 1)])
         else:
-            fields[j] = missing(gone[j]) if v == _TIMEOUT else degraded
+            fields[j] = "" if codes[j] == _TIMEOUT else degraded
 
     action, counts, safe = c["action"], c["counts"], c["safe"]
     if (action == action[0]).all() and (counts == counts[0]).all():
-        tails = [safety_fields(SAFE_OFF if safe[0] else OPERATIONAL, ACTIONS[action[0]], int(counts[0]))] * n
+        tails = repeat(safety_fields(SAFE_OFF if safe[0] else OPERATIONAL, ACTIONS[action[0]], int(counts[0])))
     else:
         states = [SAFE_OFF if off else OPERATIONAL for off in safe.tolist()]
-        tails = list(map(safety_fields, states, map(ACTIONS.__getitem__, action.tolist()), counts.tolist()))
-    add(None, ends, c["nexts"] - 2, verdict_and_safety, list(map(VERDICTS.__getitem__, verdict.tolist())),
-        fields, tails)
-    return in_order(times, keys, lines)
+        tails = map(safety_fields, states, map(ACTIONS.__getitem__, action.tolist()), counts.tolist())
+    feed = c["feed"]
+    deliveries = (map(("[" + ",".join(["{}"] * k) + "]").format, *feed.T.tolist()) if feed.any()
+                  else repeat(ids([0] * k)))
+    seqs.append(verdict_seqs)
+    lines.extend(map(verdict, c["ends"].tolist(), verdict_seqs.tolist(), c["frame_ids"].tolist(),
+                     c["reps"].tolist(), starts.tolist(), deliveries, map(cleans.__getitem__, clean), outcomes,
+                     map(VERDICTS.__getitem__, codes.tolist()), fields, tails))
+    # put each line at its seq
+    at = np.concatenate(seqs) - (int(verdict_seqs[0]) - int(emit[0].sum()))
+    order = np.empty_like(at)
+    order[at] = np.arange(len(at))
+    return "".join(map(lines.__getitem__, order.tolist()))

@@ -9,10 +9,10 @@ one frame, one inference and one bus trace of (cycle, kind, digest)
 events at a time, in plain Python ints. It draws from the scalar random
 stream and decides each round with the scalar input barrier, rendezvous,
 vote and safety step, frozen here as verbatim copies of the code the
-library replaced with arrays. It imports only the stream seeds and hashes,
-simulated time, the PTP estimate, the policy and comparator types,
-profiling and the error types; never the experiment runner, the tensors,
-the replica or the faults.
+library replaced with arrays. It imports only the package version, the
+stream seeds and hashes, simulated time, the PTP estimate, the policy and
+comparator types, profiling and the error types; never the experiment
+runner, the trace writer, the tensors, the replica or the faults.
 """
 
 import json
@@ -153,6 +153,7 @@ from dataclasses import dataclass, replace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from lockstepsim import __version__  # noqa: E402
 from lockstepsim.coupling import Tight, estimate_ptp_offset, simulate_ptp_exchange  # noqa: E402
 from lockstepsim.errors import (  # noqa: E402
     ConfigError,
@@ -583,7 +584,6 @@ class _ReferenceRunner:
         self.engine = topo.engine
         self.lines = []
         self.now = 0
-        self.seq = 0
 
         root = Rng(config.seed)
         self.weights = _gen_weights(derive_seed(config.seed, "weights"), config.workload.arch)
@@ -620,9 +620,9 @@ class _ReferenceRunner:
         self.bus = {"comparisons": 0, "divergences": 0}
         self.ptp_info = []
 
-    def _write_records(self, records):
-        for t, seq, body in sorted(records):
-            self.lines.append(f'{{"t_ns":{t},"seq":{seq},{body}}}\n')
+    def _write(self, t, body):
+        """One record at time t, whose seq is its line index."""
+        self.lines.append(f'{{"t_ns":{t},"seq":{len(self.lines)},{body}}}\n')
 
     def _compute(self, rid, frame_id, input_tensor, clean):
         effects = {"weight_flips": [], "output_flips": [], "extra_delay_ns": 0,
@@ -650,9 +650,7 @@ class _ReferenceRunner:
     def _run_round(self, frame_id, rep, input_tensor, clean):
         release = self.now
         r = frame_id * self.cfg.workload.repetitions_per_frame + rep  # the run's index of this round
-        fr = f'"frame_id":{frame_id},"repetition":{rep}'
-        records = [(release, self.seq, f'"kind":"input_release",{fr}')]
-        self.seq += 1
+        head = f'"kind":"verdict","frame_id":{frame_id},"repetition":{rep},"release_ns":{release}'
         try:
             barrier = distribute_input(
                 frame_id,
@@ -663,18 +661,13 @@ class _ReferenceRunner:
                 r,
             )
         except NoHealthyReplicas:
-            self._write_records(records)
-            self._finish_round(frame_id, rep, None, Verdict.degraded("no healthy replicas"),
-                               divergence=None, deadline=release)
+            self._finish_round(frame_id, rep, head + ',"delivery_ns":[]', clean, None,
+                               Verdict.degraded("no healthy replicas"), divergence=None, deadline=release)
             return
 
         deliveries = barrier.deliveries
-        seq = self.seq
-        for i, (rid, t) in enumerate(deliveries):
-            records.append((t, seq + i, f'"kind":"delivery",{fr},"replica_id":{rid},"skew_ns":{t - release}'))
-        completion_seq = seq + len(deliveries)
-        self.seq = completion_seq + len(deliveries)
-
+        head += f',"delivery_ns":{_ids([t - release for _, t in deliveries])}'
+        completions = []
         now = release
         arrivals = []
         outputs = {}
@@ -695,13 +688,13 @@ class _ReferenceRunner:
                 outputs[rid] = _Output(rid, frame_id, out, classification, digest, cycles, t, trace)
                 self.samples[rid].append(turnaround)
                 self.prev_output[rid] = out
-                records.append((t, completion_seq, (
-                    f'"kind":"completion",{fr},"replica_id":{rid},"turnaround_ns":{turnaround},'
-                    f'"compute_cycles":{cycles},"digest":{digest},"classification":{classification}'
-                )))
-            completion_seq += 1
+                body = f'"kind":"completion","replica_id":{rid},"turnaround_ns":{turnaround}'
+                if digest != clean[3]:
+                    body += f',"digest":{digest},"classification":{classification}'
+                completions.append((t, rid, body))
         self.now = now
-        self._write_records(records)
+        for t, _, body in sorted(completions):
+            self._write(t, body)
 
         outcome = rendezvous(self.healthy_ids, arrivals, self._window_ns)
         if isinstance(outcome, Complete):
@@ -727,7 +720,7 @@ class _ReferenceRunner:
 
         present_outputs = [outputs[rid] for rid in sorted(outputs)]
         verdict = vote(present_outputs, self.topology.policy, self.topology.comparator, outcome)
-        self._finish_round(frame_id, rep, outcome, verdict, divergence, deadline)
+        self._finish_round(frame_id, rep, head, clean, outcome, verdict, divergence, deadline)
 
         if any_applied:
             self.faults["injected"] += 1
@@ -738,7 +731,7 @@ class _ReferenceRunner:
             else:
                 self.faults["corrupted_pass"] += 1
 
-    def _finish_round(self, frame_id, rep, outcome, verdict, divergence, deadline):
+    def _finish_round(self, frame_id, rep, head, clean, outcome, verdict, divergence, deadline):
         t_record = max(deadline, self.now)
         self.now = t_record
         if isinstance(outcome, Complete):
@@ -748,37 +741,26 @@ class _ReferenceRunner:
         self.verdict_counts[verdict.variant] += 1
         new_state, action = step_safety(self.safety, verdict)
 
-        fr = f'"frame_id":{frame_id},"repetition":{rep}'
-        bodies = []
+        v = head + f',"digest":{clean[3]},"classification":{clean[4]}'
         if isinstance(outcome, Complete):
-            bodies.append(f'"kind":"rendezvous",{fr},"outcome":"complete","skew_ns":{outcome.skew_ns}')
+            v += f',"rendezvous":"complete","skew_ns":{outcome.skew_ns}'
         elif outcome is not None:
-            bodies.append(
-                f'"kind":"rendezvous",{fr},"outcome":"timeout","present_ids":{_ids(outcome.present_ids)},'
-                f'"missing_ids":{_ids(outcome.missing_ids)}'
-            )
+            v += (f',"rendezvous":"timeout","present_ids":{_ids(outcome.present_ids)},'
+                  f'"missing_ids":{_ids(outcome.missing_ids)}')
         if divergence is not None:
             rid_a, rid_b, div = divergence
-            bodies.append(
-                f'"kind":"bus_divergence",{fr},"replica_a":{rid_a},"replica_b":{rid_b},'
-                f'"event_index":{div.event_index},"reason":{json.dumps(div.reason)}'
-            )
-        v = f'"kind":"verdict",{fr},"variant":"{verdict.variant}"'
+            v += f',"bus_divergence":{{"replica_a":{rid_a},"replica_b":{rid_b},"event_index":{div.event_index}}}'
+        v += f',"variant":"{verdict.variant}"'
         if verdict.variant == PASS:
             v += f',"agreeing_ids":{_ids(verdict.agreeing_ids)},"agreed_digest":{verdict.agreed.digest}'
         elif verdict.variant == "mismatch":
             v += ',"groups":[' + ",".join(_ids(g) for g in verdict.groups) + "]"
-        elif verdict.variant == "timeout":
-            v += f',"missing_ids":{_ids(verdict.missing_ids)}'
-        else:
+        elif verdict.variant == "degraded":
             v += f',"reason":{json.dumps(verdict.reason)}'
-        bodies.append(v)
-        bodies.append(
-            f'"kind":"safety_action",{fr},"state":"{new_state.state}","action":"{action}",'
-            f'"consecutive_faults":{new_state.consecutive_fault_count}'
-        )
-        self._write_records([(t_record, self.seq + i, body) for i, body in enumerate(bodies)])
-        self.seq += 2 + (outcome is not None) + (divergence is not None)
+        # a timeout verdict's missing ids are its rendezvous's, written above
+        v += (f',"state":"{new_state.state}","action":"{action}",'
+              f'"consecutive_faults":{new_state.consecutive_fault_count}')
+        self._write(t_record, v)
 
         if new_state.state != self.safety.state:
             self.safety_timeline.append(
@@ -795,18 +777,20 @@ class _ReferenceRunner:
                 self.now, self.clock_offsets[rid], forward, s.link_delay_ns,
                 s.slave_turnaround_ns,
             )
-            est = estimate_ptp_offset(exchange)
-            self.ptp_corrections[rid] = est.offset_ns
-            self.ptp_info.append({"replica_id": rid, "offset_ns": est.offset_ns,
-                                  "path_delay_ns": est.path_delay_ns})
-            self._write_records([(self.now, self.seq, (
-                f'"kind":"ptp","replica_id":{rid},"offset_ns":{est.offset_ns},'
-                f'"path_delay_ns":{est.path_delay_ns}'
-            ))])
-            self.seq += 1
+            offset, delay = estimate_ptp_offset(exchange)
+            self.ptp_corrections[rid] = offset
+            self.ptp_info.append({"replica_id": rid, "offset_ns": offset, "path_delay_ns": delay})
+            self._write(self.now, f'"kind":"ptp","replica_id":{rid},"offset_ns":{offset},"path_delay_ns":{delay}')
 
     def run(self):
         wl = self.cfg.workload
+        # every frame's inference takes the same cycles
+        cycles = _infer(self.weights, _gen_frame(self.cfg.seed, 0, wl.input_shape), self.engine)[1]
+        config_digest = fnv1a64(json.dumps(self.cfg.to_json_dict(), separators=(",", ":")).encode("utf-8"))
+        self._write(0, f'"kind":"header","schema_version":2,"package_version":"{__version__}",'
+                       f'"seed":{self.cfg.seed},"config_digest":{config_digest},'
+                       f'"replica_ids":{_ids(self.healthy_ids)},"compute_cycles":{cycles},'
+                       f'"required_agreement":{self.topology.policy.required_agreement}')
         if self.topology.ptp.enabled:
             self._sync_clocks()
         for frame_id in range(wl.frame_count):

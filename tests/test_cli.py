@@ -9,9 +9,11 @@ import pytest
 
 import lockstepsim
 from lockstepsim.cli import agreement_patterns, cli_main
-from lockstepsim.config import MAX_BIN_COUNT, SEED_ENV_VAR
+from lockstepsim.config import MAX_BIN_COUNT, SEED_ENV_VAR, config_from_dict
+from lockstepsim.experiment import run_to_directory
 from helpers import zero_jitter_duplex
 from oracles import vote_oracle_exact
+from test_golden import CASE_PARAMS, CASES
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -314,14 +316,16 @@ class TestVoteTableCommand:
 
 
 class TestStatsCommand:
-    def test_stats_from_trace(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, zero_jitter_duplex(frames=6, reps=2))
-        cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")])
-        code = cli_main(["stats", "--trace", str(tmp_path / "a" / "trace.jsonl")])
-        assert code == 0
-        blob = json.loads(capsys.readouterr().out)
-        assert blob["0"]["n"] == 12
-        assert blob["1"]["n"] == 12
+    @pytest.mark.parametrize("name", CASE_PARAMS)
+    def test_stats_from_trace(self, tmp_path, capsys, name):
+        # on every golden config, stats prints each replica's stats as
+        # report.json holds them, or exits 1 when no replica has a sample
+        run_to_directory(config_from_dict(CASES[name](), env={}), tmp_path)
+        code = cli_main(["stats", "--trace", str(tmp_path / "trace.jsonl")])
+        out = capsys.readouterr().out
+        report = json.loads((tmp_path / "report.json").read_text())
+        want = {str(row["replica_id"]): row["stats"] for row in report["replicas"] if row["samples"]}
+        assert (code, out) == ((0, json.dumps(want, indent=2) + "\n") if want else (1, ""))
 
     def test_stats_missing_file(self, tmp_path, capsys):
         assert cli_main(["stats", "--trace", str(tmp_path / "none.jsonl")]) == 1

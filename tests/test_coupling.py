@@ -22,8 +22,9 @@ ENGINE = EngineConfig()
 
 def delivery_skews(records):
     """Delivery delay after the release, per (frame, repetition) and replica."""
-    return {(r["frame_id"], r["repetition"], r["replica_id"]): r["skew_ns"]
-            for r in records if r["kind"] == "delivery"}
+    replica_ids = records[0]["replica_ids"]
+    return {(r["frame_id"], r["repetition"], rid): skew
+            for r in records if r["kind"] == "verdict" for rid, skew in zip(replica_ids, r["delivery_ns"])}
 
 
 class TestInputDelivery:
@@ -50,10 +51,11 @@ class TestInputDelivery:
         assert np.abs(a - b).max() == J  # both branches actually exercised
 
     def test_no_healthy_replicas(self):
-        # nothing to feed: each round is a release and a degraded verdict
+        # nothing to feed: each round is a degraded verdict with no deliveries
         raw = zero_jitter_duplex(frames=2, extra_topology={"health": ["failed", "switched_off"]})
         _, report, records = run_with_records(raw)
-        assert [r["kind"] for r in records] == ["input_release", "verdict", "safety_action"] * 2
+        assert [r["kind"] for r in records] == ["header", "verdict", "verdict"]
+        assert records[0]["replica_ids"] == [] and [r["delivery_ns"] for r in records[1:]] == [[], []]
         assert {r["reason"] for r in records if r["kind"] == "verdict"} == {"no healthy replicas"}
         assert report.verdict_counts["degraded"] == 2
 
@@ -166,12 +168,10 @@ class TestCompareBusTraces:
 
 class TestPtp:
     def test_symmetric_case(self):
-        est = estimate_ptp_offset((0, 10, 20, 30))
-        assert (est.offset_ns, est.path_delay_ns) == (0, 10)
+        assert estimate_ptp_offset((0, 10, 20, 30)) == (0, 10)
 
     def test_offset_two(self):
-        est = estimate_ptp_offset((0, 12, 20, 28))
-        assert (est.offset_ns, est.path_delay_ns) == (2, 10)
+        assert estimate_ptp_offset((0, 12, 20, 28)) == (2, 10)
 
     def test_negative_path_delay_rejected(self):
         # slave turnaround longer than the whole master round trip
@@ -186,19 +186,17 @@ class TestPtp:
 
     def test_halving_rounds_toward_zero(self):
         # fwd - ret odd and negative: -1/2 -> 0, not -1
-        est = estimate_ptp_offset((0, 5, 5, 11))
-        assert est.offset_ns == 0  # (5 - 6) / 2 toward zero
-        assert est.path_delay_ns == 5  # (5 + 6) / 2 toward zero
+        offset, delay = estimate_ptp_offset((0, 5, 5, 11))
+        assert offset == 0  # (5 - 6) / 2 toward zero
+        assert delay == 5  # (5 + 6) / 2 toward zero
 
     def test_simulated_exchange_recovers_offset_exactly(self):
         for offset in (-1_000_000, -12_345, -1, 0, 1, 999, 1_000_000):
             x = simulate_ptp_exchange(5_000, offset, 800, 800, slave_turnaround_ns=50)
-            est = estimate_ptp_offset(x)
-            assert est.offset_ns == offset
-            assert est.path_delay_ns == 800
+            assert estimate_ptp_offset(x) == (offset, 800)
 
     def test_asymmetry_error_is_half_the_asymmetry(self):
         for asym in (-400, -2, 2, 100, 400):  # even values: a/2 is exact
             x = simulate_ptp_exchange(0, 500, 800 + asym, 800, slave_turnaround_ns=10)
-            est = estimate_ptp_offset(x)
-            assert est.offset_ns - 500 == asym // 2
+            offset, _ = estimate_ptp_offset(x)
+            assert offset - 500 == asym // 2

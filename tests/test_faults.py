@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import oracle_network, oracle_tensor, run_with_records, zero_jitter_duplex
+from helpers import oracle_network, oracle_tensor, rounds_of, run_with_records, zero_jitter_duplex
 from lockstepsim.config import config_from_dict
 from lockstepsim.experiment import run_experiment
 from lockstepsim.faults import (
@@ -50,8 +50,8 @@ def test_value_faults_act_in_order():
         {"type": "stuck_output"}, {"type": "output_bit_flip", "element_index": 0, "bit": 12},
         {"type": "extra_delay", "ns": 5})]
     _, report, records = run_with_records(zero_jitter_duplex(frames=3, faults=faults))
-    digests = [[r["digest"] for r in records if r["kind"] == "completion" and r["replica_id"] == rid]
-               for rid in (0, 1)]
+    outputs = [c for _, cs in rounds_of(records) for c in cs]
+    digests = [[c["digest"] for c in outputs if c["replica_id"] == rid] for rid in (0, 1)]
     assert digests[0][2] != digests[0][0]
     assert digests[1] == [digests[1][0]] * 3 and digests[1][0] != digests[0][0]
     assert report.verdict_counts["mismatch"] == 3

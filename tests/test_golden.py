@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import check_trace_against_report
 from lockstepsim.config import config_from_dict
 from lockstepsim.experiment import (
     REPORT_FILENAME,
@@ -211,65 +212,69 @@ SLOW_CASES = {"paper-protocol"}
 # name -> (sha256 of trace.jsonl, sha256 of report.json)
 PINS = {
     "tight-baseline": (
-        "d40a319e50045359a5c1b806bdfd6e13d965cb149aac891ac162721cae46928b",
+        "77ac70a439532f99d535b2afd5eccdc24610df1aca8186e65a6eb08f27410b98",
         "376abf23f41357caf279f76d0c200039fda67d157c089334c74e47168616a0a9",
     ),
     "two-profiles": (
-        "432f4161f3e097be2b2f9c699ecd58d5438946236352602d60d1c6e9259089b5",
+        "200f75e4a0ea2f75391781d9b0cd0d757cb3435ce0f1633daf1378371164ac4f",
         "5c4ea6d8a0fef927e5f5f92491e6dbbae2a7c831c8a43df8f4def41cfc455f4e",
     ),
     "tight-2oo3-all-faults": (
-        "83518c72e72d3c56badccce2eac36aef544447e844151826dd4951432e12c9c2",
+        "dff420cedc4923040fd7d9fe72d32f6357fb37a2ef98c6bf56cdf7fd8507f817",
         "557d5c645e0355ee3df47971cecad6ecfa14d451ba9071ce7f3e035bbb2f0951",
     ),
     "loose-duplex-ptp-tolerance": (
-        "5c70611217b77aab49e1c32fa3526462a3cc4aa4aceaa06796da3b113814c169",
+        "d56454848b988f0bd27a347dbf572c44f608cd33856e74527f3ea9981728ee4c",
         "08a3c533706ed77fcf250aa92cae4958967535221f1ce604f85130339a80b226",
     ),
     "loose-3-one-failed": (
-        "7db147fbdb1f0da87fe1bdbcc489cd9bc8f9b44d6d2fdec06ca8e1d1757c62e7",
+        "acf8755f9c0d762c3071514e5b8334143d762ab0485c415702b89b958f691f7f",
         "9f971bdaae0e31072ca22a93389106dc941fc816f0e86f3f2fce4604989ccbe6",
     ),
     "degraded-no-healthy": (
-        "3a64aabd385a8bf718073dcc6d3bac6330637b3e3168a7b2245470b6b4913008",
+        "ae2d94705bcabd2a4c8cbad8c563d4cd19befccf591aef5485b9af3ab58129a8",
         "da533bbda510c7cc00bd7278ce4eb576fd140287d5ccdfd42a18d9fe58404252",
     ),
     "degraded-one-short": (
-        "56ed671ec8649049cee37062d9fc45e366adb1c403b90a9d475b336f7a1168d7",
+        "4e13d23d499f5f443258755cf45c225bdc3cd4b939c982cee8ab8ee9305a7442",
         "78e8b87a62840a3a4b12c1cba2898ac21d82294f3fad87dd17da42c13bd92d1b",
     ),
     "paper-protocol": (
-        "5eeedb61613aaf12a71bf7414f63b482e214b5df4877166fbe7dfa2637ee6bdb",
+        "977eeb4c8ab1f9ad393403ff2560b959ca10ef561cf832ff63cd1a4a75b52a8d",
         "f7d34042d54e9599dd75b4a148091846cad004fac83ae635cfb6b87d118b1e0a",
     ),
     "tight-3oo4-rank2-blocks": (
-        "cb155208d84550fe8e7416cc9473b6c8e91ca37034ad31c08520967d23870f0d",
+        "b651f55cb5b9a6b6e22dc225f4ca7b3acefc9b7b5d1c495b1b82f4bfb3c71594",
         "a0d963bae21ea8c2d4e568e63cdcf0129dd0e0319174e1dfbaac549bd587c45a",
     ),
     "loose-3-chunks-safe-off": (
-        "7fd97ef4c1b2882acc14a02312f15abbe0d8e0a12d79da082e7cba943baab1f4",
+        "078ae521f9ea0921c2b22ddff1834144cc9e15bc632885dcc61c07555be855d5",
         "b2b4591b95fe36e900793781a77c62bbef71d5b07ed4718c978d85c96d9bc663",
     ),
 }
 
-# Every record shape the trace can hold: the kind, refined by the field
-# that selects its body, and the reason of a degraded verdict.
+# Every record shape the trace can hold: the kind, refined by the fields
+# that vary within it. A completion names its output or leaves it clean; a
+# verdict has a rendezvous outcome (none without healthy replicas), may
+# have a bus divergence, and has a variant (a degraded one with its reason)
+# and a safety action.
 RECORD_SHAPES = {
+    ("header",),
     ("ptp",),
-    ("input_release",),
-    ("delivery",),
-    ("completion",),
+    ("completion", "clean"),
+    ("completion", "changed"),
     ("rendezvous", "complete"),
     ("rendezvous", "timeout"),
+    ("rendezvous", None),
     ("bus_divergence",),
-    ("verdict", "pass"),
-    ("verdict", "mismatch"),
-    ("verdict", "timeout"),
-    ("verdict", "degraded", "no healthy replicas"),
-    ("verdict", "degraded", "1 output(s) cannot reach 2-way agreement"),
-    ("safety_action", "deliver_output"),
-    ("safety_action", "suppress_output"),
-    ("safety_action", "enter_safe_off"),
+    ("variant", "pass"),
+    ("variant", "mismatch"),
+    ("variant", "timeout"),
+    ("variant", "degraded", "no healthy replicas"),
+    ("variant", "degraded", "1 output(s) cannot reach 2-way agreement"),
+    ("action", "deliver_output"),
+    ("action", "suppress_output"),
+    ("action", "enter_safe_off"),
 }
 
 
@@ -281,15 +286,15 @@ def _digests(name, out_dir):
     )
 
 
-def _shape(rec):
+def _shapes(rec):
     kind = rec["kind"]
-    if kind == "rendezvous":
-        return (kind, rec["outcome"])
+    if kind == "completion":
+        return [(kind, "changed" if "digest" in rec else "clean")]
     if kind == "verdict":
-        return (kind, rec["variant"], rec["reason"]) if "reason" in rec else (kind, rec["variant"])
-    if kind == "safety_action":
-        return (kind, rec["action"])
-    return (kind,)
+        variant = ("variant", rec["variant"], rec["reason"]) if "reason" in rec else ("variant", rec["variant"])
+        divergence = [("bus_divergence",)] if "bus_divergence" in rec else []
+        return [("rendezvous", rec.get("rendezvous")), *divergence, variant, ("action", rec["action"])]
+    return [(kind,)]
 
 
 @pytest.fixture(scope="module")
@@ -330,11 +335,39 @@ def test_trace_lines_are_canonical_json(name, case_output):
         assert line == json.dumps(json.loads(line), separators=(",", ":"))
 
 
+# The keys of each kind of record, in file order; a record holds those of
+# its shape.
+KEYS = {
+    "header": ["t_ns", "seq", "kind", "schema_version", "package_version", "seed", "config_digest", "replica_ids",
+               "compute_cycles", "required_agreement"],
+    "ptp": ["t_ns", "seq", "kind", "replica_id", "offset_ns", "path_delay_ns"],
+    "completion": ["t_ns", "seq", "kind", "replica_id", "turnaround_ns", "digest", "classification"],
+    "verdict": ["t_ns", "seq", "kind", "frame_id", "repetition", "release_ns", "delivery_ns", "digest",
+                "classification", "rendezvous", "skew_ns", "present_ids", "missing_ids", "bus_divergence",
+                "variant", "agreeing_ids", "agreed_digest", "groups", "reason", "state", "action",
+                "consecutive_faults"],
+}
+
+
+@pytest.mark.parametrize("name", CASE_PARAMS)
+def test_records_keep_the_key_order(name, case_output):
+    for line in case_output(name)[1]:
+        r = json.loads(line)
+        assert list(r) == [key for key in KEYS[r["kind"]] if key in r]
+
+
 def test_cases_cover_every_record_shape(case_output):
     seen = set()
     for name in sorted(set(CASES) - SLOW_CASES):
-        seen.update(_shape(json.loads(line)) for line in case_output(name)[1])
+        for line in case_output(name)[1]:
+            seen.update(_shapes(json.loads(line)))
     assert seen == RECORD_SHAPES
+
+
+@pytest.mark.parametrize("name", CASE_PARAMS)
+def test_trace_agrees_with_the_report(name, case_output):
+    _, lines, report = case_output(name)
+    check_trace_against_report(list(map(json.loads, lines)), json.loads(report))
 
 
 @pytest.mark.parametrize("name", CASE_PARAMS)
