@@ -21,9 +21,9 @@ infers only the distinct frames of the rounds it fired in, a chunk and a
 replica at a time, on weights flipped once per run. The rounds of a block
 run in chunks of at most `ROUND_CHUNK`, so a narrow net with one round per
 frame runs thousands of rounds per chunk, and memory does not grow with the
-frame count: a chunk's arrays hold about 100 bytes per round, and about 400
-with the trace's columns (`trace.rounds` builds its Python ints and text
-from a slice of them at a time).
+frame count: a chunk's arrays hold about 100 bytes per round, and 200 to 400
+with the trace's columns and the completion slots `trace.rounds` lays out
+per chunk (it builds its Python ints and text from a slice at a time).
 
 Every round of a chunk is decided from arrays with one row per round and
 one column per healthy replica. Every random draw is addressed by the run's
@@ -134,8 +134,8 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 class ExperimentReport(Record):
     """The contents of report.json: the fields are its keys after
     `"schema_version": 1`, in file order. Every value is already JSON but
-    the samples, an int64 array in memory and a list in `to_json_dict()`
-    and in the file.
+    the samples and the outliers' indices and scores, NumPy arrays in
+    memory and lists in `to_json_dict()` and in the file.
 
     config          the expanded config, `ExperimentConfig.to_json_dict()`
     replicas        one row per replica, in replica order: replica_id;
@@ -169,11 +169,11 @@ class ExperimentReport(Record):
     ptp: list
 
     def _contents(self) -> dict:
-        """report.json's object, the samples still arrays."""
+        """report.json's object, its arrays still arrays."""
         return {"schema_version": 1, **vars(self)}
 
     def to_json_dict(self) -> dict:
-        return {**self._contents(), "replicas": [{**row, "samples": row["samples"].tolist()} for row in self.replicas]}
+        return _with_arrays(self._contents(), np.ndarray.tolist)
 
 
 class ExperimentRunner:
@@ -232,8 +232,8 @@ class ExperimentRunner:
             self._window_ns = self.coupling.rendezvous_window_ns
 
         self.fault_count = 0                # consecutive non-pass verdicts: the safety switch's state
-        # the report's counters (`tally`), the samples and skews as int64 arrays per chunk
-        self.totals = dict(samples=[[_EMPTY] for _ in range(n)], skews=[_EMPTY], timeline=[],
+        # the report's counters (`tally`): the samples as int64 arrays per chunk, the skews' n, min, sum, max
+        self.totals = dict(samples=[[_EMPTY] for _ in range(n)], skews=[0, TIME_LIMIT_NS, 0, 0], timeline=[],
                            verdict_counts=dict.fromkeys(VERDICTS, 0), bus={"comparisons": 0, "divergences": 0},
                            faults=dict.fromkeys(("injected", "detected", "masked_pass", "corrupted_pass"), 0))
         self.ptp_info = []
@@ -489,9 +489,8 @@ class ExperimentRunner:
                 "outliers": detect_outliers(xs, prof.outlier_threshold) if len(xs) >= 3 else None,
                 "histogram": histogram(xs, prof.bin_count),
             })
-        skews = np.concatenate(t["skews"])  # each within the window: their sum stays below TIME_LIMIT_NS
-        skew = {"n": len(skews), "min": int(skews.min()), "mean": int(skews.sum()) / len(skews),
-                "max": int(skews.max())} if len(skews) else None
+        n, lo, total, hi = t["skews"]
+        skew = {"n": n, "min": lo, "mean": total / n, "max": hi} if n else None
         return ExperimentReport(
             config=self.cfg.to_json_dict(),
             replicas=replicas,
@@ -512,7 +511,8 @@ def tally(t, c, replica_ids):
     comp, emit, verdict, applied = c["comp"], c["emit"], c["verdict"], c["applied"]
     for i, rid in enumerate(replica_ids):
         t["samples"][rid].append(comp[emit[:, i], i])
-    t["skews"].append(c["skew"][c["complete"]])
+    skews, (n, lo, total, hi) = c["skew"][c["complete"]], t["skews"]
+    t["skews"] = [n + len(skews), int(skews.min(initial=lo)), total + int(skews.sum()), int(skews.max(initial=hi))]
     for code, n in enumerate(np.bincount(verdict, minlength=len(VERDICTS)).tolist()):
         t["verdict_counts"][VERDICTS[code]] += n
     t["bus"]["comparisons"] += int(c["compared"].sum())
@@ -531,28 +531,29 @@ def tally(t, c, replica_ids):
 _SLICE_LEN = 4096
 
 
-def _hollow(node, arrays, marker):
-    """`node` with each non-empty NumPy array replaced by `marker` (an empty
-    one becomes []); the arrays are appended to `arrays` in file order."""
+def _with_arrays(node, fn):
+    """`node` with each non-empty NumPy array `xs` replaced by `fn(xs)`, in
+    file order (an empty one becomes [])."""
     if isinstance(node, np.ndarray) and node.size:
-        arrays.append(node)
-        return marker
+        return fn(node)
     if isinstance(node, dict):
-        return {k: _hollow(v, arrays, marker) for k, v in node.items()}
+        return {k: _with_arrays(v, fn) for k, v in node.items()}
     if isinstance(node, (list, np.ndarray)):
-        return [_hollow(v, arrays, marker) for v in node]
+        return [_with_arrays(v, fn) for v in node]
     return node
 
 
 def write_report(report: dict, f):
     """Write to `f` what `json.dump(report, f, indent=2)` and a newline would
-    with each int64 array in `report` as a list. The arrays are spliced into
+    with each int64 or float64 array in `report` as a list (finite floats:
+    `repr` writes them as JSON does). The arrays are spliced into
     the dump, each written from `tolist` and `repr`, `_SLICE_LEN` numbers at a
     time. They stand in the dump as the first string "\\0splice<k>\\0" (k = 0,
     1, ...) whose JSON text occurs once per array, so no report string is cut."""
     for k in naturals():
         marker, arrays = f"\0splice{k}\0", []
-        parts = json.dumps(_hollow(report, arrays, marker), indent=2).split(json.dumps(marker))
+        hollow = _with_arrays(report, lambda xs: arrays.append(xs) or marker)
+        parts = json.dumps(hollow, indent=2).split(json.dumps(marker))
         if len(parts) == len(arrays) + 1:
             break
     for text, xs in zip(parts, arrays):

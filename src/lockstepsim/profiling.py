@@ -1,8 +1,9 @@
 """Turnaround-time statistics.
 
 Every function returns the JSON value that report.json stores, in plain
-Python ints and floats: `stats`, `detect_outliers` and `ks_statistic`
-return dicts with a fixed key order, and `histogram` returns a list of
+Python ints and floats but for `detect_outliers`' int64 indices and
+float64 scores: `stats`, `detect_outliers` and `ks_statistic` return
+dicts with a fixed key order, and `histogram` returns a list of
 `{"lower_edge_ns", "count"}` dicts. `stats`, `detect_outliers` and
 `histogram` take a list of ints or an int64 array and give the same value
 for both. `compare_runs` compares the turnaround samples of two
@@ -113,8 +114,8 @@ def _median(sorted_xs: np.ndarray):
 
 def detect_outliers(samples, threshold: float = 3.5) -> dict:
     """MAD modified z-score outliers: score = 0.6745 |x - median| / MAD.
-    Returns the method name, the threshold, and the indices and scores of
-    the flagged samples in sample order.
+    Returns the method name, the threshold, and the indices (int64) and
+    scores (float64) of the flagged samples, as arrays in sample order.
 
     A zero MAD falls back to the mean absolute deviation; if that is also
     zero (constant data) there are no outliers. Robust by construction:
@@ -135,14 +136,13 @@ def detect_outliers(samples, threshold: float = 3.5) -> dict:
     if denom == 0:
         exact = xs.dtype.kind == "i" and devs.max().item() * n < 2**52
         denom = (devs.sum().item() if exact else sum(devs.tolist())) / n
-    indices, scores = [], []
+    indices, scores = np.zeros(0, dtype=np.int64), np.zeros(0)
     if denom != 0:
         at = np.flatnonzero(devs >= threshold * denom / 0.6745 * (1 - 1e-9))
         score = devs[at] * 0.6745  # the bits of 0.6745 * d / denom
         score /= denom
         flagged = score > threshold
-        indices = at[flagged].tolist()
-        scores = score[flagged].tolist()
+        indices, scores = at[flagged], score[flagged]
     return {"method": "mad_modified_z", "threshold": threshold, "indices": indices, "scores": scores}
 
 

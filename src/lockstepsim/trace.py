@@ -28,13 +28,17 @@ switch after the round: state, action, consecutive_faults.
 The seq rule: a round's completions take the next seqs in (time, replica
 id) order and its verdict the one after them. Rounds never overlap and a
 verdict's time is at or after its round's completions, so (t_ns, seq)
-strictly increases.
+strictly increases. The writer lays a round out in slots, one per healthy
+replica: a stable sort of the completion times, with an unemitted output's
+time taken as the int64 maximum, so a tie keeps replica id order and the
+unemitted come last. Slot j of a round with e outputs takes its verdict's
+seq less e, plus j; an unemitted slot writes no line.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import repeat
+from itertools import chain, compress, pairwise, repeat
 
 import numpy as np
 
@@ -118,12 +122,13 @@ def reason(text):
     return f',"reason":{json.dumps(text)}'
 
 
-def _ids_of(flags, replica_ids) -> list:
-    """Per row of the bool (rounds, replicas) `flags`, the `ids` text of
-    the replica ids it flags, formatted once per distinct row."""
-    codes = (flags << np.arange(len(replica_ids))).sum(axis=1).tolist()
-    text = {code: ids([r for b, r in enumerate(replica_ids) if code >> b & 1]) for code in set(codes)}
-    return list(map(text.__getitem__, codes))
+def _pieces(n, rows, *columns):
+    """Per piece of a chunk of n rounds, the lists of the sorted `rows` in
+    it and of the `columns` aligned with them."""
+    if not len(rows):
+        return repeat([[]] * (1 + len(columns)))
+    cuts = [0, *np.searchsorted(rows, range(WRITE_ROUNDS, n, WRITE_ROUNDS)).tolist(), len(rows)]
+    return ([x[lo:hi].tolist() for x in (rows, *columns)] for lo, hi in zip(cuts, cuts[1:]))
 
 
 def rounds(write, first_seq, c, replica_ids, required) -> int:
@@ -144,83 +149,77 @@ def rounds(write, first_seq, c, replica_ids, required) -> int:
     (the safety switch after the round). digests and outputs hold each
     output, or are None when no value fault can fire.
 
-    Each `WRITE_ROUNDS` rounds, a piece, take a slice of every column (None
-    stays None), which `_piece` writes, so every Python str and list lives
-    for one piece only.
+    Arrays are built once per chunk: the seqs, the slots' columns and the
+    rows of the sparse cases. Each `WRITE_ROUNDS` rounds, a piece, only
+    turns its slice of them into lists and text: a line list per slot and
+    one of verdicts, its sparse rows patched, joined in seq order. So every
+    Python str and list lives for one piece only.
     """
-    verdict_seqs = first_seq - 1 + np.cumsum(c["emit"].sum(axis=1) + 1)
-    c = {**c, "verdict_seqs": verdict_seqs}
-    for a in range(0, len(verdict_seqs), WRITE_ROUNDS):
-        s = slice(a, a + WRITE_ROUNDS)
-        write(_piece({key: v if v is None else v[s] for key, v in c.items()}, replica_ids, required))
-    return int(verdict_seqs[-1]) + 1
+    starts, comp, emit, codes = c["starts"], c["comp"], c["emit"], c["verdict"]
+    action, counts = c["action"], c["counts"]
+    n, k = emit.shape
+    emitted = emit.sum(axis=1)
+    verdict_seqs = first_seq - 1 + np.cumsum(emitted + 1)
+    replicas = np.array(replica_ids, dtype=np.int64)
+    slot = np.argsort(np.where(emit, comp, np.iinfo(np.int64).max), axis=1, kind="stable")
+    turnarounds = np.take_along_axis(comp, slot, axis=1)
+    slots = (starts[:, None] + turnarounds, (verdict_seqs - emitted)[:, None] + np.arange(k), replicas[slot],
+             turnarounds)
+    # the sparse cases: changed and unemitted outputs, timed-out rendezvous,
+    # bus divergences, grouped passes, non-pass verdicts, safety changes
+    changed = (np.zeros(0, dtype=np.int64),)
+    late, split = np.flatnonzero(~c["complete"] & bool(k)), np.flatnonzero(c["diverged"])
+    if c["digests"] is not None:
+        rows, at = np.nonzero(np.take_along_axis(emit & (c["digests"] != c["clean"][:, None]), slot, axis=1))
+        changed = (rows, at, c["digests"][rows, slot[rows, at]], c["outputs"][rows, slot[rows, at]].argmax(axis=1))
+    divergences = (split, replicas[emit[split].argmax(axis=1)], replicas[c["other"][split]],
+                   c["index"][split]) if split.size else (split,)
+    grouped, failed = np.flatnonzero(c["voted"] & (codes == _PASS)), np.flatnonzero(codes != _PASS)
+    steps = np.flatnonzero((action[1:] != action[:-1]) | (counts[1:] != counts[:-1])) + 1
+    sparse = zip(_pieces(n, *changed), _pieces(n, *np.nonzero(~np.take_along_axis(emit, slot, axis=1))),
+                 _pieces(n, late, c["present"][late], ~c["present"][late]), _pieces(n, *divergences),
+                 _pieces(n, grouped, c["labels"][grouped] == c["best"][grouped, None], c["agreed"][grouped]),
+                 _pieces(n, failed, codes[failed], c["labels"][failed]), _pieces(n, steps))
+    del slot
 
-
-def _piece(c, replica_ids, required) -> str:
-    """The text of the rounds of `c`, a slice of `rounds`' columns, in seq
-    order."""
-    starts, comp, emit, codes, verdict_seqs = c["starts"], c["comp"], c["emit"], c["verdict"], c["verdict_seqs"]
-    n, k = len(codes), len(replica_ids)
-
-    # each emitted output's seq: its round's next, in (time, replica) order
-    order = np.argsort(comp, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.cumsum(np.take_along_axis(emit, order, axis=1), axis=1), axis=1)
-    places = (verdict_seqs - emit.sum(axis=1) - 1)[:, None] + ranks
-    seqs, lines = [], []
-    for i, rid in enumerate(replica_ids):
-        at = np.flatnonzero(emit[:, i])
-        changed = [""] * len(at)
-        if c["digests"] is not None:
-            for j in np.flatnonzero(c["digests"][at, i] != c["clean"][at]).tolist():
-                changed[j] = output(int(c["digests"][at[j], i]), int(c["outputs"][at[j], i].argmax()))
-        seqs.append(places[at, i])
-        lines.extend(map(completion, (starts[at] + comp[at, i]).tolist(), places[at, i].tolist(), repeat(rid),
-                         comp[at, i].tolist(), changed))
-
-    # the rendezvous and any bus divergence
-    outcomes = [""] * n
-    if k:
-        present, gone = _ids_of(c["present"], replica_ids), _ids_of(~c["present"], replica_ids)
-        outcomes = [completed(skew) if done else timed_out(p, g)
-                    for done, skew, p, g in zip(c["complete"].tolist(), c["skew"].tolist(), present, gone)]
-    for j in np.flatnonzero(c["diverged"]).tolist():
-        outcomes[j] += diverged(replica_ids[emit[j].argmax()], replica_ids[c["other"][j]], c["index"][j])
-
-    # the variant's fields: a pass agrees on the clean output unless its
-    # round was grouped; each clean output's texts are formatted once
-    clean = c["clean"].tolist()
-    cleans = {d: output(d, cls) for d, cls in dict(zip(clean, c["classes"].tolist())).items()}
     everyone = ids(replica_ids)
-    fields = list(map({d: agreed(everyone, d) for d in cleans}.__getitem__, clean))
-    at = np.flatnonzero(c["voted"] & (codes == _PASS))
-    for j, text in zip(at.tolist(), map(agreed, _ids_of(c["labels"][at] == c["best"][at, None], replica_ids),
-                                        c["agreed"][at].tolist())):
-        fields[j] = text
     degraded = reason(f"{k} output(s) cannot reach {required}-way agreement" if k else "no healthy replicas")
-    for j in np.flatnonzero(codes != _PASS).tolist():
-        if codes[j] == _MISMATCH:
-            labels = c["labels"][j].tolist()
-            fields[j] = groups([[r for r, g in zip(replica_ids, labels) if g == group]
-                                for group in range(max(labels) + 1)])
-        else:
-            fields[j] = "" if codes[j] == _TIMEOUT else degraded
+    fed, deliver = c["feed"].any(), ("[" + ",".join(["{}"] * k) + "]").format
 
-    action, counts, safe = c["action"], c["counts"], c["safe"]
-    if (action == action[0]).all() and (counts == counts[0]).all():
-        tails = repeat(safety_fields(SAFE_OFF if safe[0] else OPERATIONAL, ACTIONS[action[0]], int(counts[0])))
-    else:
-        states = [SAFE_OFF if off else OPERATIONAL for off in safe.tolist()]
-        tails = map(safety_fields, states, map(ACTIONS.__getitem__, action.tolist()), counts.tolist())
-    feed = c["feed"]
-    deliveries = (map(("[" + ",".join(["{}"] * k) + "]").format, *feed.T.tolist()) if feed.any()
-                  else repeat(ids([0] * k)))
-    seqs.append(verdict_seqs)
-    lines.extend(map(verdict, c["ends"].tolist(), verdict_seqs.tolist(), c["frame_ids"].tolist(),
-                     c["reps"].tolist(), starts.tolist(), deliveries, map(cleans.__getitem__, clean), outcomes,
-                     map(VERDICTS.__getitem__, codes.tolist()), fields, tails))
-    # put each line at its seq
-    at = np.concatenate(seqs) - (int(verdict_seqs[0]) - int(emit[0].sum()))
-    order = np.empty_like(at)
-    order[at] = np.arange(len(at))
-    return "".join(map(lines.__getitem__, order.tolist()))
+    def tail(j):
+        return safety_fields(SAFE_OFF if c["safe"][j] else OPERATIONAL, ACTIONS[action[j]], int(counts[j]))
+
+    for a, (news, drops, timeouts, splits, groupings, fails, changes) in zip(range(0, n, WRITE_ROUNDS), sparse):
+        s, m = slice(a, a + WRITE_ROUNDS), min(WRITE_ROUNDS, n - a)
+        cols = list(zip(*(x[s].T.tolist() for x in slots)))
+        lines = [list(map(completion, *col)) for col in cols]
+        for j, i, d, cls in zip(*news):
+            lines[i][j - a] = completion(*(col[j - a] for col in cols[i]), output(d, cls))
+        for j, i in zip(*drops):
+            lines[i][j - a] = ""
+        # the rendezvous and any bus divergence
+        outcomes = list(map(completed, c["skew"][s].tolist())) if k else [""] * m
+        for j, present, missing in zip(*timeouts):
+            outcomes[j - a] = timed_out(ids(compress(replica_ids, present)), ids(compress(replica_ids, missing)))
+        for j, *pair in zip(*splits):
+            outcomes[j - a] += diverged(*pair)
+        # the variant's fields: a pass agrees on the clean output unless its
+        # round was grouped; each clean output's texts are formatted once
+        clean = c["clean"][s].tolist()
+        cleans = {d: output(d, cls) for d, cls in dict(zip(clean, c["classes"][s].tolist())).items()}
+        fields = list(map({d: agreed(everyone, d) for d in cleans}.__getitem__, clean))
+        for j, agreeing, d in zip(*groupings):
+            fields[j - a] = agreed(ids(compress(replica_ids, agreeing)), d)
+        for j, code, labels in zip(*fails):
+            fields[j - a] = (groups([[r for r, g in zip(replica_ids, labels) if g == group]
+                                     for group in range(max(labels) + 1)]) if code == _MISMATCH
+                             else "" if code == _TIMEOUT else degraded)
+        # the safety switch: one tail per run of rounds between its changes
+        edges = [a, *(j for j in changes[0] if j != a), a + m]
+        tails = chain.from_iterable(repeat(tail(x), y - x) for x, y in pairwise(edges))
+        deliveries = map(deliver, *c["feed"][s].T.tolist()) if fed else repeat(ids([0] * k))
+        verdicts = map(verdict, c["ends"][s].tolist(), verdict_seqs[s].tolist(), c["frame_ids"][s].tolist(),
+                       c["reps"][s].tolist(), starts[s].tolist(), deliveries, map(cleans.__getitem__, clean),
+                       outcomes, map(VERDICTS.__getitem__, codes[s].tolist()), fields, tails)
+        write("".join(chain.from_iterable(zip(*lines, verdicts))))
+    return int(verdict_seqs[-1]) + 1

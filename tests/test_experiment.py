@@ -378,8 +378,9 @@ class TestMemoryPerRound:
 
     def test_untraced_round_loop_holds_one_chunk_at_a_time(self):
         # Untraced gpu-duplex-loose, 50k rounds, read at the entry of
-        # `_build_report`: the samples and skews are 24 B per round. The peak
-        # read 36.2 B per round, and 46.8 when `run` still held a chunk's
+        # `_build_report`: the samples are 16 B per round, and the skews four
+        # running scalars. The peak read 28.9 B per round, 36.2 when the
+        # skews were kept as arrays, and 46.8 when `run` still held a chunk's
         # columns while the next chunk ran.
         cfg = config_from_dict({"seed": 1, "topology": "gpu-duplex-loose",
                                 "workload": {"frame_count": 500, "repetitions_per_frame": 100}}, env={})
@@ -402,9 +403,11 @@ class TestMemoryPerRound:
 
     def test_traced_run_builds_trace_objects_a_piece_at_a_time(self, tmp_path):
         # Traced gpu-duplex-loose, 5000 rounds: a chunk of 4096 rounds and
-        # one of 904. The peak read 423 B per round when each 128-round
-        # piece of a chunk becomes Python lists and text, and 1093 B per
-        # round when every column of the whole chunk did.
+        # one of 904. The peak read 253 B per round with the completion
+        # slots laid out once per chunk and each 128-round piece of it made
+        # Python lists and text, 191 B when each piece laid out its own
+        # slots, and 1093 B per round when every column of the whole chunk
+        # became lists.
         cfg = config_from_dict({"seed": 1, "topology": "gpu-duplex-loose",
                                 "workload": {"frame_count": 50, "repetitions_per_frame": 100}}, env={})
         rounds = 50 * 100
@@ -422,9 +425,10 @@ class TestMemoryPerRound:
     def test_tight_run_of_one_chunk_builds_trace_text_a_piece_at_a_time(self, tmp_path):
         # Tight 2oo3 with every fault kind, 1500 frames of one round each:
         # one block and one chunk of 1500 rounds, each a fresh frame. The
-        # peak read 1050 B per round with the trace text built per piece,
-        # and 1809 B per round with the completion, agreement and safety
-        # tails and the sparse kinds' lists built for the whole chunk.
+        # peak read 826 B per round with the slots laid out per chunk and
+        # the trace text built per piece, 657 B when each piece laid out its
+        # own slots, and 1809 B per round with the completion, agreement and
+        # safety tails and the sparse kinds' lists built for the whole chunk.
         cfg = config_from_dict(tight_all_faults(1500), env={})
         run_to_directory(cfg, tmp_path)  # warm-up: imports and caches
         tracemalloc.start()

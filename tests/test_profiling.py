@@ -149,16 +149,17 @@ class TestStats:
 
 class TestOutliers:
     def test_constant_samples_no_outliers(self):
-        assert detect_outliers([7, 7, 7, 7])["indices"] == []
+        assert detect_outliers([7, 7, 7, 7])["indices"].tolist() == []
 
     def test_hand_traced_example(self):
         xs = [8, 9, 10, 11, 12, 13, 14, 100]
         rep = detect_outliers(xs)
-        assert rep["indices"] == [7]
+        assert rep["indices"].dtype == np.int64 and rep["scores"].dtype == np.float64
+        assert rep["indices"].tolist() == [7]
         assert rep["scores"][0] == pytest.approx(29.846625, abs=1e-9)
 
     def test_all_within_threshold_empty(self):
-        assert detect_outliers([10, 11, 12, 13, 14])["indices"] == []
+        assert detect_outliers([10, 11, 12, 13, 14])["indices"].tolist() == []
 
     def test_needs_three_samples(self):
         with pytest.raises(ValueError):
@@ -175,7 +176,7 @@ class TestOutliers:
         # majority at one value: MAD is 0 but the mean deviation is not
         xs = [5] * 20 + [500]
         rep = detect_outliers(xs)
-        assert rep["indices"] == [20]
+        assert rep["indices"].tolist() == [20]
 
 
 class TestKs:
@@ -395,6 +396,11 @@ def scalar_detect_outliers(samples, threshold=3.5):
     return {"method": "mad_modified_z", "threshold": threshold, "indices": indices, "scores": scores}
 
 
+def listed(outliers):
+    """`detect_outliers`' value with its index and score arrays read as lists."""
+    return {**outliers, "indices": outliers["indices"].tolist(), "scores": outliers["scores"].tolist()}
+
+
 def bits(value):
     """`value` with every float replaced by its exact bits and every number
     tagged with its type, so that equal results are equal to the bit."""
@@ -427,17 +433,17 @@ class TestVectorizedMatchesScalar:
     @given(report_samples, st.sampled_from([0.0, 1.0, 3.5, 10.0]))
     @settings(max_examples=300, deadline=None)
     def test_outliers(self, xs, threshold):
-        assert bits(detect_outliers(xs, threshold)) == bits(scalar_detect_outliers(xs, threshold))
+        assert bits(listed(detect_outliers(xs, threshold))) == bits(scalar_detect_outliers(xs, threshold))
 
     def test_zero_mad_takes_the_mean_deviation(self):
         xs = [5] * 20 + [500, 6]
         assert statistics.median([abs(x - 5) for x in xs]) == 0
-        assert bits(detect_outliers(xs)) == bits(scalar_detect_outliers(xs))
-        assert detect_outliers(xs)["indices"] == [20]
+        assert bits(listed(detect_outliers(xs))) == bits(scalar_detect_outliers(xs))
+        assert detect_outliers(xs)["indices"].tolist() == [20]
 
     def test_even_count_medians_are_floats(self):
         xs = [1, 2, 3, 10**9, 7, 8]
-        assert bits(detect_outliers(xs, 0.5)) == bits(scalar_detect_outliers(xs, 0.5))
+        assert bits(listed(detect_outliers(xs, 0.5))) == bits(scalar_detect_outliers(xs, 0.5))
         assert bits(histogram(xs, 7)) == bits(scalar_histogram(xs, 7))
 
     # Zero MAD, so the mean deviation is the denominator. An odd n gives
@@ -464,7 +470,7 @@ class TestVectorizedMatchesScalar:
         med = statistics.median(xs)
         assert statistics.median(abs(x - med) for x in xs) == 0
         for samples in (xs, np.array(xs, dtype=np.int64)):
-            assert bits(detect_outliers(samples, threshold)) == bits(scalar_detect_outliers(xs, threshold))
+            assert bits(listed(detect_outliers(samples, threshold))) == bits(scalar_detect_outliers(xs, threshold))
 
     @pytest.mark.parametrize("xs", [
         [8, 9, 10, 11, 12, 13, 14, 100],
@@ -481,7 +487,7 @@ class TestVectorizedMatchesScalar:
         for threshold in (math.nextafter(top, 0.0), top):
             got = detect_outliers(xs, threshold)
             assert (top in got["scores"]) == (threshold < top)
-            assert bits(got) == bits(scalar_detect_outliers(xs, threshold))
+            assert bits(listed(got)) == bits(scalar_detect_outliers(xs, threshold))
 
 
 def test_report_statistics_of_1m_samples_stay_near_their_size():
@@ -538,7 +544,10 @@ class TestListAndArrayAgree:
     @settings(max_examples=300, deadline=None)
     def test_equal_values_of_plain_types(self, xs, bin_count, threshold):
         array = np.array(xs, dtype=np.int64)
-        for fn, args in ((stats, ()), (detect_outliers, (threshold,)), (histogram, (bin_count,))):
+        def outliers(samples, threshold):
+            return listed(detect_outliers(samples, threshold))
+
+        for fn, args in ((stats, ()), (outliers, (threshold,)), (histogram, (bin_count,))):
             from_list = plain(fn(xs, *args))
             assert bits(fn(array, *args)) == bits(from_list)
             json.dumps(from_list)
@@ -560,7 +569,7 @@ class TestListAndArrayAgree:
         assert bits(got) == bits(stats(xs))
         assert (got["min"], got["p99"], got["skewness"]) == (7_000, 7_000, None)
         assert histogram(np.array(xs), 3)[-1] == {"lower_edge_ns": 7_000.0, "count": 40}
-        assert detect_outliers(np.array(xs))["indices"] == []
+        assert detect_outliers(np.array(xs))["indices"].tolist() == []
 
     def test_empty_array(self):
         assert histogram(np.zeros(0, dtype=np.int64), 4) == []

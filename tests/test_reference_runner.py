@@ -12,6 +12,7 @@ import json
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,12 +139,18 @@ def check_invariants(cfg, trace_text, report):
     check_trace_against_report(records, report)
 
 
+def report_text(report):
+    """report.json's text of a reference report, whose outliers hold the
+    index and score arrays of `profiling.detect_outliers`."""
+    return json.dumps(report, indent=2, default=np.ndarray.tolist) + "\n"
+
+
 def assert_matches_reference(raw, out_dir):
     cfg = config_from_dict(raw, env={})
     run_to_directory(cfg, out_dir)
     trace_text, report = run_reference(cfg)
     assert (out_dir / TRACE_FILENAME).read_text() == trace_text
-    assert (out_dir / REPORT_FILENAME).read_text() == json.dumps(report, indent=2) + "\n"
+    assert (out_dir / REPORT_FILENAME).read_text() == report_text(report)
     check_invariants(cfg, trace_text, report)
 
 
@@ -190,5 +197,5 @@ def test_reference_reproduces_the_pins(name):
     # the frozen runner is the runner the golden pins were taken from
     trace_text, report = run_reference(config_from_dict(CASES[name](), env={}))
     digests = (hashlib.sha256(trace_text.encode()).hexdigest(),
-               hashlib.sha256((json.dumps(report, indent=2) + "\n").encode()).hexdigest())
+               hashlib.sha256(report_text(report).encode()).hexdigest())
     assert digests == PINS[name]

@@ -1,5 +1,5 @@
 """Each trace record function against `json.dumps` of the record it writes,
-and the round writer's pieces."""
+the round writer's slot layout on hand-built columns, and its pieces."""
 
 import json
 from unittest import mock
@@ -14,11 +14,13 @@ from lockstepsim import trace
 from lockstepsim.config import config_from_dict
 from lockstepsim.experiment import ExperimentRunner
 from lockstepsim.voting import (
+    ACTIONS,
     DELIVER_OUTPUT,
     ENTER_SAFE_OFF,
     OPERATIONAL,
     SAFE_OFF,
     SUPPRESS_OUTPUT,
+    VERDICTS,
 )
 from test_golden import CASES
 
@@ -114,3 +116,88 @@ def test_rounds_writes_whole_rounds_a_piece_at_a_time(raw, size):
     rounds = cfg.workload.frame_count * cfg.workload.repetitions_per_frame
     assert verdicts[:-1] == [size] * (len(pieces) - 2) and sum(verdicts) == rounds
     assert all('"kind":"verdict"' in text.splitlines()[-1] for text in pieces[1:])
+
+
+def chunk(**columns):
+    """A chunk's columns for `trace.rounds`, each as an array."""
+    kinds = dict(clean=np.uint64, agreed=np.uint64, digests=np.uint64, outputs=np.int16, emit=bool, present=bool,
+                 complete=bool, voted=bool, diverged=bool, safe=bool)
+    return {key: None if v is None else np.array(v, dtype=kinds.get(key, np.int64)) for key, v in columns.items()}
+
+
+def completion_record(t, seq, rid, turnaround, **changed):
+    return {**head(t, seq, "completion"), "replica_id": rid, "turnaround_ns": turnaround, **changed}
+
+
+def verdict_record(t, seq, frame_id, rep, release, deliveries, digest, cls, fields, state, action, count):
+    """`fields` are those between the classification and the safety switch."""
+    return {**head(t, seq, "verdict"), "frame_id": frame_id, "repetition": rep, "release_ns": release,
+            "delivery_ns": deliveries, "digest": digest, "classification": cls, **fields, "state": state,
+            "action": action, "consecutive_faults": count}
+
+
+D0, D1 = (1 << 64) - 5, 12345
+PASS, MISMATCH, TIMEOUT, DEGRADED = map(VERDICTS.index, ("pass", "mismatch", "timeout", "degraded"))
+DELIVER, SUPPRESS, ENTER = map(ACTIONS.index, (DELIVER_OUTPUT, SUPPRESS_OUTPUT, ENTER_SAFE_OFF))
+
+# Replicas 0, 2 and 3 over four rounds: a completion-time tie (round 0); an
+# output dropped by replica 2, earliest but written nowhere, in a timed-out
+# rendezvous (round 1); an output changed by replica 3, first in time, with a
+# bus divergence (round 2); a three-way mismatch of tied completions that
+# enters SafeOff (round 3).
+HEALTHY = chunk(
+    frame_ids=[10, 10, 11, 11], reps=[0, 1, 0, 1], clean=[D0, D0, D1, D1], classes=[4, 4, 1, 1],
+    starts=[1000, 2000, 3000, 4000], ends=[1900, 2900, 3900, 4900],
+    feed=[[10, 20, 30], [10, 20, 30], [5, 5, 5], [0, 0, 0]],
+    comp=[[500, 300, 300], [400, 100, 450], [200, 250, 150], [300, 300, 300]],
+    emit=[[1, 1, 1], [1, 0, 1], [1, 1, 1], [1, 1, 1]], present=[[1, 1, 1], [1, 0, 1], [1, 1, 1], [1, 1, 1]],
+    complete=[1, 0, 1, 1], skew=[200, 50, 100, 0], verdict=[PASS, TIMEOUT, PASS, MISMATCH],
+    labels=[[0, 0, 0], [0, 0, 0], [0, 0, 1], [0, 1, 2]], best=[0, 0, 0, 0], voted=[0, 0, 1, 1],
+    agreed=[D0, D0, D1, D1], digests=[[D0, D0, D0], [D0, D0, D0], [D1, D1, 777], [D1, 888, 999]],
+    outputs=np.eye(4, dtype=np.int16)[[[0] * 3, [0] * 3, [1, 1, 2], [1, 1, 3]]],  # class: where the 1 is
+    diverged=[0, 0, 1, 0], other=[-1, -1, 2, -1], index=[-1, -1, 5, -1],
+    action=[DELIVER, SUPPRESS, DELIVER, ENTER], counts=[0, 1, 0, 2], safe=[0, 0, 0, 1])
+HEALTHY_RECORDS = [
+    completion_record(1300, 7, 2, 300), completion_record(1300, 8, 3, 300), completion_record(1500, 9, 0, 500),
+    verdict_record(1900, 10, 10, 0, 1000, [10, 20, 30], D0, 4,
+                   {"rendezvous": "complete", "skew_ns": 200, "variant": "pass", "agreeing_ids": [0, 2, 3],
+                    "agreed_digest": D0}, OPERATIONAL, DELIVER_OUTPUT, 0),
+    completion_record(2400, 11, 0, 400), completion_record(2450, 12, 3, 450),
+    verdict_record(2900, 13, 10, 1, 2000, [10, 20, 30], D0, 4,
+                   {"rendezvous": "timeout", "present_ids": [0, 3], "missing_ids": [2], "variant": "timeout"},
+                   OPERATIONAL, SUPPRESS_OUTPUT, 1),
+    completion_record(3150, 14, 3, 150, digest=777, classification=2), completion_record(3200, 15, 0, 200),
+    completion_record(3250, 16, 2, 250),
+    verdict_record(3900, 17, 11, 0, 3000, [5, 5, 5], D1, 1,
+                   {"rendezvous": "complete", "skew_ns": 100,
+                    "bus_divergence": {"replica_a": 0, "replica_b": 3, "event_index": 5}, "variant": "pass",
+                    "agreeing_ids": [0, 2], "agreed_digest": D1}, OPERATIONAL, DELIVER_OUTPUT, 0),
+    completion_record(4300, 18, 0, 300), completion_record(4300, 19, 2, 300, digest=888, classification=1),
+    completion_record(4300, 20, 3, 300, digest=999, classification=3),
+    verdict_record(4900, 21, 11, 1, 4000, [0, 0, 0], D1, 1,
+                   {"rendezvous": "complete", "skew_ns": 0, "variant": "mismatch", "groups": [[0], [2], [3]]},
+                   SAFE_OFF, ENTER_SAFE_OFF, 2),
+]
+# No healthy replica: two degraded rounds, verdicts alone.
+NONE_HEALTHY = chunk(
+    frame_ids=[12, 13], reps=[0, 0], clean=[D1, D0], classes=[1, 4], starts=[5000, 5100], ends=[5100, 5200],
+    feed=np.zeros((2, 0)), comp=np.zeros((2, 0)), emit=np.zeros((2, 0)), present=np.zeros((2, 0)),
+    complete=[0, 0], skew=[0, 0], verdict=[DEGRADED, DEGRADED], labels=np.zeros((2, 0)), best=[0, 0],
+    voted=[0, 0], agreed=[D1, D0], digests=None, outputs=None, diverged=[0, 0], other=None, index=None,
+    action=[SUPPRESS, SUPPRESS], counts=[3, 4], safe=[1, 1])
+NONE_HEALTHY_RECORDS = [
+    verdict_record(t, seq, frame_id, 0, t - 100, [], digest, cls, {"variant": "degraded",
+                                                                  "reason": "no healthy replicas"},
+                   SAFE_OFF, SUPPRESS_OUTPUT, count)
+    for t, seq, frame_id, digest, cls, count in ((5100, 22, 12, D1, 1, 3), (5200, 23, 13, D0, 4, 4))
+]
+
+
+@pytest.mark.parametrize("size", [1, trace.WRITE_ROUNDS])
+def test_rounds_lays_out_slots_and_sparse_cases(size):
+    pieces = []
+    with mock.patch.object(trace, "WRITE_ROUNDS", size):
+        assert trace.rounds(pieces.append, 7, HEALTHY, [0, 2, 3], 2) == 22
+        assert trace.rounds(pieces.append, 22, NONE_HEALTHY, [], 2) == 24
+    assert "".join(pieces).splitlines(keepends=True) == list(map(line, HEALTHY_RECORDS + NONE_HEALTHY_RECORDS))
+    assert len(pieces) == (6 if size == 1 else 2)
