@@ -110,10 +110,6 @@ class Workload(Record):
               "arch": (1, MAX_LAYER_WIDTH)}
 
 
-# The KS significance level accepted from a config or by `compare_runs`.
-ALPHA_BOUNDS = (1e-9, 0.5)
-
-
 # The most histogram bins a config may ask for: every bin is a row of the
 # report and of the CSV, and 10**9 of them would take gigabytes.
 MAX_BIN_COUNT = 10_000
@@ -122,8 +118,7 @@ MAX_BIN_COUNT = 10_000
 class ProfilerSettings(Record):
     bin_count: int = 50
     outlier_threshold: float = 3.5
-    alpha: float = 0.01
-    bounds = {"bin_count": (1, MAX_BIN_COUNT), "outlier_threshold": (0.0, None), "alpha": ALPHA_BOUNDS}
+    bounds = {"bin_count": (1, MAX_BIN_COUNT), "outlier_threshold": (0.0, None)}
 
 
 _COUPLING = ("mode", {"tight": Tight, "loose": Loose})

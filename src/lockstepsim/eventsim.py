@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SimulationError
 from .record import Record
-from .rng import draws_at
+from .rng import below, draws_at
 
 _NS_PER_S = 10**9
 _PPM = 10**6
@@ -74,17 +74,6 @@ def _geometrics(us: np.ndarray, mean_ns: int) -> np.ndarray:
     return np.maximum(np.ceil(logs / math.log1p(-1.0 / mean_ns)), 1.0)
 
 
-def _mantissa_bound(p: float) -> int:
-    """The t with k / 2**53 < p exactly when k < t, for k in [0, 2**53)."""
-    return math.ceil(p * (1 << 53))  # p * 2**53 is exact
-
-
-def _below(seed: int, counters: np.ndarray, p: float) -> np.ndarray:
-    """Whether the uniform of each draw `counters` of the stream `seed` falls
-    below p, compared as the draw's top 53 bits k (the uniform is k / 2**53)."""
-    return draws_at(seed, counters) >> np.uint64(11) < _mantissa_bound(p)
-
-
 def sample_turnaround_overheads(model: JitterModel, seeds, first: int, count: int) -> np.ndarray:
     """The overhead samples of rounds first .. first+count-1 from the
     streams `seeds` = (stream, size stream), as an int64 array.
@@ -101,11 +90,11 @@ def sample_turnaround_overheads(model: JitterModel, seeds, first: int, count: in
     base = np.int64(model.base_overhead_ns)
     evens = np.arange(2 * first, 2 * (first + count), 2, dtype=np.uint64)  # 2r for each round r
     if model.mode2_prob:
-        out = np.where(_below(seed, evens + np.uint64(1), model.mode2_prob), base + model.mode2_offset_ns, base)
+        out = np.where(below(seed, evens + np.uint64(1), model.mode2_prob), base + model.mode2_offset_ns, base)
     else:
         out = np.full(count, base)
     if model.spike_prob:
-        at = np.flatnonzero(_below(seed, evens + np.uint64(2), model.spike_prob))
+        at = np.flatnonzero(below(seed, evens + np.uint64(2), model.spike_prob))
         if model.spike_scale_ns == 1:
             out[at] += 1
         else:

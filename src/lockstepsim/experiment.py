@@ -386,7 +386,7 @@ class ExperimentRunner:
         clean = self._clean[1][rows]
         labels = np.zeros((n, k), dtype=np.int64)
         digests = outputs = other = index = None
-        voted = diverged = compared = np.zeros(n, dtype=bool)
+        diverged = compared = np.zeros(n, dtype=bool)
         if self._bus:
             compared = emit.sum(axis=1) >= 2
         if self._valued:
@@ -410,8 +410,8 @@ class ExperimentRunner:
         c = dict(frame_ids=first + rows, reps=repetitions, clean=clean, starts=ends - durations,
                  ends=ends, feed=feed, comp=comp, emit=emit, applied=fired.any(axis=1), present=present,
                  complete=complete, skew=skew, verdict=verdict, labels=labels, best=best, agreed=agreed,
-                 voted=voted, digests=digests, outputs=outputs, compared=compared, other=other, index=index,
-                 diverged=diverged, action=action, counts=counts)
+                 digests=digests, outputs=outputs, compared=compared, other=other, index=index, diverged=diverged,
+                 action=action, counts=counts)
         if self._write is not None:  # the columns only the trace reads
             c.update(classes=self._clean[0][rows].argmax(axis=1),
                      safe=counts >= self.topology.debounce_threshold)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .record import Record
-from .rng import uniforms
+from .rng import below
 
 
 class Always(Record, frozen=True):
@@ -75,7 +75,7 @@ def trigger_fires(trigger, frame_ids: np.ndarray, seed: int, start: int) -> np.n
     if isinstance(trigger, OnFrame):
         return frame_ids == trigger.frame_id
     if isinstance(trigger, WithProbability):
-        return uniforms(seed, len(frame_ids), start) < trigger.p
+        return below(seed, np.arange(start + 1, start + len(frame_ids) + 1, dtype=np.uint64), trigger.p)
     raise TypeError(f"unknown trigger {trigger!r}")
 
 

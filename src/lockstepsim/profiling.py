@@ -38,8 +38,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from .config import ALPHA_BOUNDS
 from .errors import ConfigError
+
+# The KS significance levels `compare_runs` accepts.
+ALPHA_BOUNDS = (1e-9, 0.5)
 
 
 def stats(samples) -> dict:

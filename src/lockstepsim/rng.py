@@ -10,10 +10,13 @@ SplitMix64 is counter-addressed: draw k (from 1) of the stream with seed s
 is mix64(s + k * gamma), so `draws_at` computes any set of draws of many
 streams at once as uint64 arrays (Steele, Lea & Flood, "Fast Splittable
 Pseudorandom Number Generators", OOPSLA 2014). A uniform in [0, 1) is a
-draw's top 53 bits over 2**53 (`uniforms`).
+draw's top 53 bits k over 2**53; `below` tests it against a probability
+as the integer k.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -66,10 +69,15 @@ def draws(seeds, count: int, start: int = 0) -> np.ndarray:
                     np.arange(start + 1, start + count + 1, dtype=np.uint64))
 
 
-def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """The uniforms of draws start+1 .. start+count of the stream `seed`,
-    as a float64 array."""
-    return (draws([seed & MASK64], count, start)[0] >> np.uint64(11)) * (1.0 / (1 << 53))
+def _mantissa_bound(p: float) -> int:
+    """The t with k / 2**53 < p exactly when k < t, for k in [0, 2**53)."""
+    return math.ceil(p * (1 << 53))  # p * 2**53 is exact
+
+
+def below(seed: int, counters: np.ndarray, p: float) -> np.ndarray:
+    """Whether the uniform of each draw `counters` of the stream `seed` falls
+    below p, compared as the draw's top 53 bits k (the uniform is k / 2**53)."""
+    return draws_at(seed, counters) >> np.uint64(11) < _mantissa_bound(p)
 
 
 def fnv1a64_rows(h: int, rows: np.ndarray) -> np.ndarray:

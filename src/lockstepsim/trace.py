@@ -1,4 +1,4 @@
-"""trace.jsonl: a run's records, one JSON object per line (schema_version 2).
+"""trace.jsonl: a run's records, one JSON object per line (schema_version 3).
 
 Each line is `json.dumps(record, separators=(",", ":"))` and a newline. A
 record starts with "t_ns" (simulated time), "seq" (its line index, from 0)
@@ -21,9 +21,13 @@ release_ns, delivery_ns (each delivery's offset after the release), the
 clean output's digest and classification; the rendezvous, "complete" with
 skew_ns or "timeout" with present_ids and missing_ids, unless no replica
 is healthy; bus_divergence {replica_a, replica_b, event_index} if the
-buses diverged; the variant, with agreeing_ids and agreed_digest, groups
-or reason (a timeout's missing ids are the rendezvous's); and the safety
-switch after the round: state, action, consecutive_faults.
+buses diverged; the variant, with its fields; and the safety switch after
+the round: state, action, consecutive_faults. A pass names agreeing_ids
+and agreed_digest only where they say more than the line and the header:
+where a healthy replica is outside the agreeing group, or the agreed
+digest is not the clean one. So a pass without them agreed on the clean
+output in every header replica_id. A mismatch names its groups and a
+degraded verdict its reason; a timeout's missing ids are the rendezvous's.
 
 The seq rule: a round's completions take the next seqs in (time, replica
 id) order and its verdict the one after them. Rounds never overlap and a
@@ -55,7 +59,7 @@ WRITE_ROUNDS = 128
 
 def header(config, replica_ids, compute_cycles, required_agreement) -> str:
     digest = fnv1a64(json.dumps(config.to_json_dict(), separators=(",", ":")).encode())
-    return (f'{{"t_ns":0,"seq":0,"kind":"header","schema_version":2,"package_version":{json.dumps(__version__)},'
+    return (f'{{"t_ns":0,"seq":0,"kind":"header","schema_version":3,"package_version":{json.dumps(__version__)},'
             f'"seed":{config.seed},"config_digest":{digest},"replica_ids":{ids(replica_ids)},'
             f'"compute_cycles":{compute_cycles},"required_agreement":{required_agreement}}}\n')
 
@@ -142,12 +146,12 @@ def rounds(write, first_seq, c, replica_ids, required) -> int:
     digest and classification); starts and ends (the release and record
     times); feed, comp and emit (each delivery and completion time after
     the release, whether emitted); present, complete and skew (the
-    rendezvous); verdict (an index in `VERDICTS`); labels, best, voted and
-    agreed (the agreement groups, the winning group, whether the round was
-    grouped, the agreed digest); diverged, other and index (the bus
-    divergence, with which column, at which event); action, counts and safe
-    (the safety switch after the round). digests and outputs hold each
-    output, or are None when no value fault can fire.
+    rendezvous); verdict (an index in `VERDICTS`); labels, best and agreed
+    (the agreement groups, the winning group, the agreed digest); diverged,
+    other and index (the bus divergence, with which column, at which
+    event); action, counts and safe (the safety switch after the round).
+    digests and outputs hold each output, or are None when no value fault
+    can fire.
 
     Arrays are built once per chunk: the seqs, the slots' columns and the
     rows of the sparse cases. Each `WRITE_ROUNDS` rounds, a piece, only
@@ -166,7 +170,8 @@ def rounds(write, first_seq, c, replica_ids, required) -> int:
     slots = (starts[:, None] + turnarounds, (verdict_seqs - emitted)[:, None] + np.arange(k), replicas[slot],
              turnarounds)
     # the sparse cases: changed and unemitted outputs, timed-out rendezvous,
-    # bus divergences, grouped passes, non-pass verdicts, safety changes
+    # bus divergences, passes that name their agreement, the other verdicts
+    # and the safety switch's changes
     changed = (np.zeros(0, dtype=np.int64),)
     late, split = np.flatnonzero(~c["complete"] & bool(k)), np.flatnonzero(c["diverged"])
     if c["digests"] is not None:
@@ -174,22 +179,23 @@ def rounds(write, first_seq, c, replica_ids, required) -> int:
         changed = (rows, at, c["digests"][rows, slot[rows, at]], c["outputs"][rows, slot[rows, at]].argmax(axis=1))
     divergences = (split, replicas[emit[split].argmax(axis=1)], replicas[c["other"][split]],
                    c["index"][split]) if split.size else (split,)
-    grouped, failed = np.flatnonzero(c["voted"] & (codes == _PASS)), np.flatnonzero(codes != _PASS)
+    outside = c["labels"] != c["best"][:, None]
+    named = np.flatnonzero((codes == _PASS) & (outside.any(axis=1) | (c["agreed"] != c["clean"])))
+    failed = np.flatnonzero(codes != _PASS)
     steps = np.flatnonzero((action[1:] != action[:-1]) | (counts[1:] != counts[:-1])) + 1
     sparse = zip(_pieces(n, *changed), _pieces(n, *np.nonzero(~np.take_along_axis(emit, slot, axis=1))),
                  _pieces(n, late, c["present"][late], ~c["present"][late]), _pieces(n, *divergences),
-                 _pieces(n, grouped, c["labels"][grouped] == c["best"][grouped, None], c["agreed"][grouped]),
+                 _pieces(n, named, ~outside[named], c["agreed"][named]),
                  _pieces(n, failed, codes[failed], c["labels"][failed]), _pieces(n, steps))
-    del slot
+    del slot, outside
 
-    everyone = ids(replica_ids)
     degraded = reason(f"{k} output(s) cannot reach {required}-way agreement" if k else "no healthy replicas")
     fed, deliver = c["feed"].any(), ("[" + ",".join(["{}"] * k) + "]").format
 
     def tail(j):
         return safety_fields(SAFE_OFF if c["safe"][j] else OPERATIONAL, ACTIONS[action[j]], int(counts[j]))
 
-    for a, (news, drops, timeouts, splits, groupings, fails, changes) in zip(range(0, n, WRITE_ROUNDS), sparse):
+    for a, (news, drops, timeouts, splits, agreements, fails, changes) in zip(range(0, n, WRITE_ROUNDS), sparse):
         s, m = slice(a, a + WRITE_ROUNDS), min(WRITE_ROUNDS, n - a)
         cols = list(zip(*(x[s].T.tolist() for x in slots)))
         lines = [list(map(completion, *col)) for col in cols]
@@ -203,12 +209,11 @@ def rounds(write, first_seq, c, replica_ids, required) -> int:
             outcomes[j - a] = timed_out(ids(compress(replica_ids, present)), ids(compress(replica_ids, missing)))
         for j, *pair in zip(*splits):
             outcomes[j - a] += diverged(*pair)
-        # the variant's fields: a pass agrees on the clean output unless its
-        # round was grouped; each clean output's texts are formatted once
+        # the variant's fields; each clean output's text is formatted once
         clean = c["clean"][s].tolist()
         cleans = {d: output(d, cls) for d, cls in dict(zip(clean, c["classes"][s].tolist())).items()}
-        fields = list(map({d: agreed(everyone, d) for d in cleans}.__getitem__, clean))
-        for j, agreeing, d in zip(*groupings):
+        fields = [""] * m
+        for j, agreeing, d in zip(*agreements):
             fields[j - a] = agreed(ids(compress(replica_ids, agreeing)), d)
         for j, code, labels in zip(*fails):
             fields[j - a] = (groups([[r for r, g in zip(replica_ids, labels) if g == group]

@@ -49,8 +49,9 @@ def check_trace_against_report(records, report):
     fields, the PTP rows, each replica's samples, the verdict counts, the
     complete rendezvous' skews, the bus divergences and the safety
     timeline. Also assert the trace's own layout: seq is the line index,
-    (t_ns, seq) strictly increases, and each round's completions come
-    between its release and its verdict."""
+    (t_ns, seq) strictly increases, each round's completions come between
+    its release and its verdict, and a pass names its agreement only where
+    it is not every header replica agreeing on the clean output."""
     keys = [(r["t_ns"], r["seq"]) for r in records]
     assert [seq for _, seq in keys] == list(range(len(records)))
     assert all(a < b for a, b in zip(keys, keys[1:]))
@@ -61,7 +62,7 @@ def check_trace_against_report(records, report):
     head = records[0]
     healthy = [rid for rid, state in enumerate(topo.health) if state == HEALTHY]
     assert head == {
-        "t_ns": 0, "seq": 0, "kind": "header", "schema_version": 2, "package_version": lockstepsim.__version__,
+        "t_ns": 0, "seq": 0, "kind": "header", "schema_version": 3, "package_version": lockstepsim.__version__,
         "seed": config["seed"], "config_digest": fnv1a64(json.dumps(config, separators=(",", ":")).encode()),
         "replica_ids": healthy,
         "compute_cycles": compute_cycles(gen_weights(derive_seed(cfg.seed, "weights"), wl.arch), topo.engine),
@@ -86,6 +87,9 @@ def check_trace_against_report(records, report):
     assert [samples[row["replica_id"]] for row in report["replicas"]] == [row["samples"] for row in report["replicas"]]
 
     verdicts = [v for v, _ in rounds]
+    for v in verdicts:
+        if v["variant"] == "pass" and ("agreeing_ids" in v or "agreed_digest" in v):
+            assert (v["agreeing_ids"], v["agreed_digest"]) != (healthy, v["digest"])
     assert {name: sum(v["variant"] == name for v in verdicts) for name in VERDICTS} == report["verdict_counts"]
     skews = [v["skew_ns"] for v in verdicts if v.get("rendezvous") == "complete"]
     assert report["skew_ns"] == ({"n": len(skews), "min": min(skews), "mean": sum(skews) / len(skews),

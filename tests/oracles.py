@@ -11,12 +11,18 @@ stream and decides each round with the scalar input barrier, rendezvous,
 vote and safety step, frozen here as verbatim copies of the code the
 library replaced with arrays. It imports only the package version, the
 stream seeds and hashes, simulated time, the PTP estimate, the policy and
-comparator types, profiling and the error types; never the experiment
-runner, the trace writer, the tensors, the replica or the faults.
+comparator types, `profiling.stats` and the error types; never the
+experiment runner, the trace writer, the tensors, the replica or the
+faults. Its report takes the histogram and the outliers from
+`scalar_histogram` and `scalar_detect_outliers` below, but the moments
+from the package's `stats`: the exact-rational `stats_reference` agrees
+with `stats` only up to float rounding, so its report could not be
+byte-equal.
 """
 
 import json
 import math
+import statistics
 import struct
 from collections import namedtuple
 from fractions import Fraction
@@ -97,6 +103,45 @@ def ks_reference(a, b):
     return float(best)
 
 
+def scalar_histogram(samples, bin_count):
+    """`profiling.histogram` as it was before it was vectorized."""
+    if bin_count < 1:
+        raise ValueError("bin_count must be at least 1")
+    if not samples:
+        return []
+    lo = min(samples)
+    hi = max(samples)
+    width = (hi - lo) / bin_count
+    counts = [0] * bin_count
+    for x in samples:
+        if width == 0:
+            idx = bin_count - 1
+        else:
+            idx = min(int((x - lo) / width), bin_count - 1)
+        counts[idx] += 1
+    return [{"lower_edge_ns": lo + i * width, "count": counts[i]} for i in range(bin_count)]
+
+
+def scalar_detect_outliers(samples, threshold=3.5):
+    """`profiling.detect_outliers` as it was before it was vectorized."""
+    n = len(samples)
+    if n < 3:
+        raise ValueError("outlier detection needs at least 3 samples")
+    med = statistics.median(samples)
+    devs = [abs(x - med) for x in samples]
+    denom = statistics.median(devs)
+    if denom == 0:
+        denom = sum(devs) / n
+    indices, scores = [], []
+    if denom != 0:
+        for i, d in enumerate(devs):
+            score = 0.6745 * d / denom
+            if score > threshold:
+                indices.append(i)
+                scores.append(score)
+    return {"method": "mad_modified_z", "threshold": threshold, "indices": indices, "scores": scores}
+
+
 def required_agreement_ref(m, n):
     return m if n == 1 else max(m, 2)
 
@@ -162,7 +207,7 @@ from lockstepsim.errors import (  # noqa: E402
     SimulationError,
 )
 from lockstepsim.eventsim import JitterModel, cycles_to_time  # noqa: E402
-from lockstepsim.profiling import detect_outliers, histogram, stats  # noqa: E402
+from lockstepsim.profiling import stats  # noqa: E402
 from lockstepsim.rng import _GAMMA, MASK64, derive_seed, fnv1a64, mix64  # noqa: E402
 from lockstepsim.voting import (  # noqa: E402
     DEGRADED,
@@ -751,7 +796,8 @@ class _ReferenceRunner:
             rid_a, rid_b, div = divergence
             v += f',"bus_divergence":{{"replica_a":{rid_a},"replica_b":{rid_b},"event_index":{div.event_index}}}'
         v += f',"variant":"{verdict.variant}"'
-        if verdict.variant == PASS:
+        if verdict.variant == PASS and (list(verdict.agreeing_ids) != self.healthy_ids
+                                        or verdict.agreed.digest != clean[3]):
             v += f',"agreeing_ids":{_ids(verdict.agreeing_ids)},"agreed_digest":{verdict.agreed.digest}'
         elif verdict.variant == "mismatch":
             v += ',"groups":[' + ",".join(_ids(g) for g in verdict.groups) + "]"
@@ -787,7 +833,7 @@ class _ReferenceRunner:
         # every frame's inference takes the same cycles
         cycles = _infer(self.weights, _gen_frame(self.cfg.seed, 0, wl.input_shape), self.engine)[1]
         config_digest = fnv1a64(json.dumps(self.cfg.to_json_dict(), separators=(",", ":")).encode("utf-8"))
-        self._write(0, f'"kind":"header","schema_version":2,"package_version":"{__version__}",'
+        self._write(0, f'"kind":"header","schema_version":3,"package_version":"{__version__}",'
                        f'"seed":{self.cfg.seed},"config_digest":{config_digest},'
                        f'"replica_ids":{_ids(self.healthy_ids)},"compute_cycles":{cycles},'
                        f'"required_agreement":{self.topology.policy.required_agreement}')
@@ -808,8 +854,8 @@ class _ReferenceRunner:
                 "replica_id": rid,
                 "samples": xs,
                 "stats": stats(xs) if xs else None,
-                "outliers": detect_outliers(xs, prof.outlier_threshold) if len(xs) >= 3 else None,
-                "histogram": histogram(xs, prof.bin_count),
+                "outliers": scalar_detect_outliers(xs, prof.outlier_threshold) if len(xs) >= 3 else None,
+                "histogram": scalar_histogram(xs, prof.bin_count),
             }
             for rid, xs in enumerate(self.samples)
         ]

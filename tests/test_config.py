@@ -40,7 +40,6 @@ class TestDefaults:
         assert cfg.topology.engine.pipeline_startup_cycles == 64
         assert cfg.profiler.bin_count == 50
         assert cfg.profiler.outlier_threshold == 3.5
-        assert cfg.profiler.alpha == 0.01
         assert cfg.topology.clocks[0].freq_hz == 998_000_000
         assert not cfg.topology.bus_trace_compare
 
@@ -222,7 +221,6 @@ def _with_field(raw, path, value):
 class TestNonFiniteNumbers:
     FIELDS = (
         "config.topology.voter.comparator.eps",
-        "config.profiler.alpha",
         "config.profiler.outlier_threshold",
         "config.topology.feed_jitter.spike_prob",
     )
@@ -313,7 +311,6 @@ BOUNDED_FIELDS = (
     ("config.faults[2].trigger.p", 0.0, 1.0),
     ("config.profiler.bin_count", 1, MAX_BIN_COUNT),
     ("config.profiler.outlier_threshold", 0.0, None),
-    ("config.profiler.alpha", 1e-9, 0.5),
 )
 
 
@@ -436,6 +433,13 @@ def test_bad_tag_names_the_choices(path, value, expected):
     assert errors_of(_bounded_config(path, value), env={}) == [
         f"{path}: expected one of {expected}, got {value!r}"
     ]
+
+
+def test_profiler_alpha_is_refused():
+    # `compare --alpha` sets the KS level; a config carries none
+    raw = zero_jitter_duplex()
+    raw["profiler"] = {"bin_count": 50, "alpha": 0.01}
+    assert errors_of(raw, env={}) == ["config.profiler.alpha: unknown field"]
 
 
 TOPO = "config.topology"

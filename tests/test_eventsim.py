@@ -13,12 +13,11 @@ from lockstepsim.eventsim import (
     ClockDomain,
     JitterModel,
     _geometrics,
-    _mantissa_bound,
     cycles_to_time,
     sample_turnaround_overheads,
 )
 from lockstepsim.profiling import stats
-from lockstepsim.rng import draws_at
+from lockstepsim.rng import _mantissa_bound, draws_at
 from oracles import Rng, sample_turnaround_overhead
 
 MHZ210 = ClockDomain(210_000_000)

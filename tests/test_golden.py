@@ -212,52 +212,52 @@ SLOW_CASES = {"paper-protocol"}
 # name -> (sha256 of trace.jsonl, sha256 of report.json)
 PINS = {
     "tight-baseline": (
-        "77ac70a439532f99d535b2afd5eccdc24610df1aca8186e65a6eb08f27410b98",
-        "376abf23f41357caf279f76d0c200039fda67d157c089334c74e47168616a0a9",
+        "626467f040fb19576bf01bc7b48c1b7c402619719441cd61677995eaf1f17ca9",
+        "b093fc06cd99b706d7a06ef5cc2001ff050ad6a3ba34a07884030989de0101a4",
     ),
     "two-profiles": (
-        "200f75e4a0ea2f75391781d9b0cd0d757cb3435ce0f1633daf1378371164ac4f",
-        "5c4ea6d8a0fef927e5f5f92491e6dbbae2a7c831c8a43df8f4def41cfc455f4e",
+        "d1e18bccc9f899a89598eb6e07481d8434391929cf30c0dc25651d32e56e3fa2",
+        "1b882fa97f05c095a8351d8b9e2f8fe0c6868bd24b57b2c84de3c01c830b09d4",
     ),
     "tight-2oo3-all-faults": (
-        "dff420cedc4923040fd7d9fe72d32f6357fb37a2ef98c6bf56cdf7fd8507f817",
-        "557d5c645e0355ee3df47971cecad6ecfa14d451ba9071ce7f3e035bbb2f0951",
+        "9d2b5db376c11737c6b71150a4a402535f646b3e39c1e4a4b5f26d71c8c4cc9e",
+        "e93dcb38a5479f5df4c0c8dacd134671bc41b41fe8ef4ebc92042bd4a67fbc98",
     ),
     "loose-duplex-ptp-tolerance": (
-        "d56454848b988f0bd27a347dbf572c44f608cd33856e74527f3ea9981728ee4c",
-        "08a3c533706ed77fcf250aa92cae4958967535221f1ce604f85130339a80b226",
+        "4a7517740b4f7af37a2313edf65caa8c7f5f0a0e0a61f6f48acfb5cc42fd0c61",
+        "af33049d5da4e546ede3a3cb28a69f889c6beb32e5abc69a0d6d646e22a84c35",
     ),
     "loose-3-one-failed": (
-        "acf8755f9c0d762c3071514e5b8334143d762ab0485c415702b89b958f691f7f",
-        "9f971bdaae0e31072ca22a93389106dc941fc816f0e86f3f2fce4604989ccbe6",
+        "efee105871300ba112554408e8f59f2949839a69c15310604f1117ce76207ab7",
+        "c63f18864ab777ea606cbf0068db927a64d9289c98cc755e61226b9c7b106ecb",
     ),
     "degraded-no-healthy": (
-        "ae2d94705bcabd2a4c8cbad8c563d4cd19befccf591aef5485b9af3ab58129a8",
-        "da533bbda510c7cc00bd7278ce4eb576fd140287d5ccdfd42a18d9fe58404252",
+        "45c831de4fa36aaceb48f7f9376745729b22bac2a9965b9a9e4e46e80f6ac510",
+        "90df25f1faea469e512a07cfa0e1d56cc0cbd1913e5bc0347957a16ad05a8185",
     ),
     "degraded-one-short": (
-        "4e13d23d499f5f443258755cf45c225bdc3cd4b939c982cee8ab8ee9305a7442",
-        "78e8b87a62840a3a4b12c1cba2898ac21d82294f3fad87dd17da42c13bd92d1b",
+        "ed2c06384f58fe77a23f4f19ffb7793ba36169b1fc3d23168a424aa941d03c07",
+        "8c09d98077dfb8a2c1a057f361ad56cb7dcfdb58fe3403fab4f6f7e54f8c2558",
     ),
     "paper-protocol": (
-        "977eeb4c8ab1f9ad393403ff2560b959ca10ef561cf832ff63cd1a4a75b52a8d",
-        "f7d34042d54e9599dd75b4a148091846cad004fac83ae635cfb6b87d118b1e0a",
+        "148b411b7e3e45d8251ba975c5f45469c945a018b55262871817b90b8daa9014",
+        "4bcd2d8859906dc633a710e83db6e38392cea9c63592cc487c9b69737276e123",
     ),
     "tight-3oo4-rank2-blocks": (
-        "b651f55cb5b9a6b6e22dc225f4ca7b3acefc9b7b5d1c495b1b82f4bfb3c71594",
-        "a0d963bae21ea8c2d4e568e63cdcf0129dd0e0319174e1dfbaac549bd587c45a",
+        "7e69a32c82b6dbf2b1203c7a29d88d3fd1aa681d7af7b414fb1b8078f170fe30",
+        "8f79faa6894883a55b68c8991ed9543b164701ffde1d0c2eecba078c37757741",
     ),
     "loose-3-chunks-safe-off": (
-        "078ae521f9ea0921c2b22ddff1834144cc9e15bc632885dcc61c07555be855d5",
-        "b2b4591b95fe36e900793781a77c62bbef71d5b07ed4718c978d85c96d9bc663",
+        "52413fbdb6a6f3d70a5a0c8e2dd76027097bb2bc22bf315493cfdd302b61200a",
+        "bab6e8fe8366aadcc03d5c05a92361b0a867bae8417b2ba6325bff92400e9d28",
     ),
 }
 
 # Every record shape the trace can hold: the kind, refined by the fields
 # that vary within it. A completion names its output or leaves it clean; a
 # verdict has a rendezvous outcome (none without healthy replicas), may
-# have a bus divergence, and has a variant (a degraded one with its reason)
-# and a safety action.
+# have a bus divergence, and has a variant (a pass that names its agreement
+# or not, a degraded one with its reason) and a safety action.
 RECORD_SHAPES = {
     ("header",),
     ("ptp",),
@@ -268,6 +268,7 @@ RECORD_SHAPES = {
     ("rendezvous", None),
     ("bus_divergence",),
     ("variant", "pass"),
+    ("variant", "pass", "agreeing_ids"),
     ("variant", "mismatch"),
     ("variant", "timeout"),
     ("variant", "degraded", "no healthy replicas"),
@@ -291,7 +292,8 @@ def _shapes(rec):
     if kind == "completion":
         return [(kind, "changed" if "digest" in rec else "clean")]
     if kind == "verdict":
-        variant = ("variant", rec["variant"], rec["reason"]) if "reason" in rec else ("variant", rec["variant"])
+        detail = [rec["reason"]] if "reason" in rec else ["agreeing_ids"] if "agreeing_ids" in rec else []
+        variant = ("variant", rec["variant"], *detail)
         divergence = [("bus_divergence",)] if "bus_divergence" in rec else []
         return [("rendezvous", rec.get("rendezvous")), *divergence, variant, ("action", rec["action"])]
     return [(kind,)]

@@ -19,7 +19,7 @@ from lockstepsim.profiling import (
     stats,
     write_histogram_csv,
 )
-from oracles import Rng, ks_reference, stats_reference
+from oracles import Rng, ks_reference, scalar_detect_outliers, scalar_histogram, stats_reference
 
 samples_strategy = st.lists(st.integers(0, 10**9), min_size=1, max_size=400)
 
@@ -355,45 +355,6 @@ class TestHistogram:
 
 
 # -- the vectorized report functions against frozen copies of the scalar code --
-
-
-def scalar_histogram(samples, bin_count):
-    """`profiling.histogram` as it was before it was vectorized."""
-    if bin_count < 1:
-        raise ValueError("bin_count must be at least 1")
-    if not samples:
-        return []
-    lo = min(samples)
-    hi = max(samples)
-    width = (hi - lo) / bin_count
-    counts = [0] * bin_count
-    for x in samples:
-        if width == 0:
-            idx = bin_count - 1
-        else:
-            idx = min(int((x - lo) / width), bin_count - 1)
-        counts[idx] += 1
-    return [{"lower_edge_ns": lo + i * width, "count": counts[i]} for i in range(bin_count)]
-
-
-def scalar_detect_outliers(samples, threshold=3.5):
-    """`profiling.detect_outliers` as it was before it was vectorized."""
-    n = len(samples)
-    if n < 3:
-        raise ValueError("outlier detection needs at least 3 samples")
-    med = statistics.median(samples)
-    devs = [abs(x - med) for x in samples]
-    denom = statistics.median(devs)
-    if denom == 0:
-        denom = sum(devs) / n
-    indices, scores = [], []
-    if denom != 0:
-        for i, d in enumerate(devs):
-            score = 0.6745 * d / denom
-            if score > threshold:
-                indices.append(i)
-                scores.append(score)
-    return {"method": "mad_modified_z", "threshold": threshold, "indices": indices, "scores": scores}
 
 
 def listed(outliers):

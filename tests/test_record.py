@@ -78,7 +78,6 @@ def test_frozen_records_refuse_assignment_and_mutable_ones_take_it():
     (WeightBitFlip, {"layer": 0, "element_index": 0, "bit": 16}, "bit: must be <= 15, got 16"),
     (Workload, {"frame_count": 0}, "frame_count: must be >= 1, got 0"),
     (Workload, {"arch": (16, 1025)}, "arch[1]: must be <= 1024, got 1025"),
-    (ProfilerSettings, {"alpha": 0.6}, "alpha: must be <= 0.5, got 0.6"),
     (Tolerance, {"eps": float("nan")}, "eps: must be >= 0.0, got nan"),
     (JitterModel, {"spike_prob": float("nan")}, "spike_prob: must be >= 0.0, got nan"),
     (VotingPolicy, {"m": 3, "n": 2}, "voting policy needs m <= n, got 3oo2"),

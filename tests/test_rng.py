@@ -5,7 +5,7 @@ import pytest
 
 from lockstepsim.replica import gen_weights
 from lockstepsim.rng import (
-    MASK64, derive_seed, derive_seeds, draws, draws_at, fnv1a64, fnv1a64_rows, mix64, mix64s, uniforms,
+    MASK64, below, derive_seed, derive_seeds, draws, draws_at, fnv1a64, fnv1a64_rows, mix64, mix64s,
 )
 from oracles import Rng
 
@@ -123,10 +123,17 @@ def test_draws_from_start_continue_a_stepped_stream(start):
         for _ in range(start):
             r.next_u64()
         assert row == [r.next_u64() for _ in range(6)]
+
+
+@pytest.mark.parametrize("p", [0.0, 5e-324, 0.02, 1 / 3, 0.5, 1 - 2**-53, 1.0])
+@pytest.mark.parametrize("start", [0, 1000])
+def test_below_is_the_scalar_uniform_compare(start, p):
+    for seed in (0, 5, MASK64):
         r = Rng(seed)
         for _ in range(start):
             r.next_u64()
-        assert uniforms(seed, 6, start).tolist() == [r.uniform() for _ in range(6)]
+        want = [r.uniform() < p for _ in range(2000)]
+        assert below(seed, np.arange(start + 1, start + 2001, dtype=np.uint64), p).tolist() == want
 
 
 def test_array_mix64_is_mix64():
@@ -142,8 +149,6 @@ def test_derive_seeds_is_derive_seed_per_id(seed):
 
 
 def test_scalar_seeds_are_reduced_mod_2_64():
-    assert uniforms(-1, 5).tolist() == uniforms(MASK64, 5).tolist()
-    assert uniforms(2**64, 5, start=3).tolist() == uniforms(0, 5, start=3).tolist()
     assert [a.tolist() for layer in gen_weights(-1, [3, 2]) for a in layer] == \
         [a.tolist() for layer in gen_weights(MASK64, [3, 2]) for a in layer]
 

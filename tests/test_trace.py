@@ -121,7 +121,7 @@ def test_rounds_writes_whole_rounds_a_piece_at_a_time(raw, size):
 def chunk(**columns):
     """A chunk's columns for `trace.rounds`, each as an array."""
     kinds = dict(clean=np.uint64, agreed=np.uint64, digests=np.uint64, outputs=np.int16, emit=bool, present=bool,
-                 complete=bool, voted=bool, diverged=bool, safe=bool)
+                 complete=bool, diverged=bool, safe=bool)
     return {key: None if v is None else np.array(v, dtype=kinds.get(key, np.int64)) for key, v in columns.items()}
 
 
@@ -140,11 +140,13 @@ D0, D1 = (1 << 64) - 5, 12345
 PASS, MISMATCH, TIMEOUT, DEGRADED = map(VERDICTS.index, ("pass", "mismatch", "timeout", "degraded"))
 DELIVER, SUPPRESS, ENTER = map(ACTIONS.index, (DELIVER_OUTPUT, SUPPRESS_OUTPUT, ENTER_SAFE_OFF))
 
-# Replicas 0, 2 and 3 over four rounds: a completion-time tie (round 0); an
+# Replicas 0, 2 and 3 over four rounds: a completion-time tie in a pass on
+# the clean output, which names no agreement (round 0); an
 # output dropped by replica 2, earliest but written nowhere, in a timed-out
 # rendezvous (round 1); an output changed by replica 3, first in time, with a
-# bus divergence (round 2); a three-way mismatch of tied completions that
-# enters SafeOff (round 3).
+# bus divergence, in a pass that names the agreeing replicas 0 and 2
+# (round 2); a three-way mismatch of tied completions that enters SafeOff
+# (round 3).
 HEALTHY = chunk(
     frame_ids=[10, 10, 11, 11], reps=[0, 1, 0, 1], clean=[D0, D0, D1, D1], classes=[4, 4, 1, 1],
     starts=[1000, 2000, 3000, 4000], ends=[1900, 2900, 3900, 4900],
@@ -152,16 +154,14 @@ HEALTHY = chunk(
     comp=[[500, 300, 300], [400, 100, 450], [200, 250, 150], [300, 300, 300]],
     emit=[[1, 1, 1], [1, 0, 1], [1, 1, 1], [1, 1, 1]], present=[[1, 1, 1], [1, 0, 1], [1, 1, 1], [1, 1, 1]],
     complete=[1, 0, 1, 1], skew=[200, 50, 100, 0], verdict=[PASS, TIMEOUT, PASS, MISMATCH],
-    labels=[[0, 0, 0], [0, 0, 0], [0, 0, 1], [0, 1, 2]], best=[0, 0, 0, 0], voted=[0, 0, 1, 1],
-    agreed=[D0, D0, D1, D1], digests=[[D0, D0, D0], [D0, D0, D0], [D1, D1, 777], [D1, 888, 999]],
+    labels=[[0, 0, 0], [0, 0, 0], [0, 0, 1], [0, 1, 2]], best=[0, 0, 0, 0], agreed=[D0, D0, D1, D1], digests=[[D0, D0, D0], [D0, D0, D0], [D1, D1, 777], [D1, 888, 999]],
     outputs=np.eye(4, dtype=np.int16)[[[0] * 3, [0] * 3, [1, 1, 2], [1, 1, 3]]],  # class: where the 1 is
     diverged=[0, 0, 1, 0], other=[-1, -1, 2, -1], index=[-1, -1, 5, -1],
     action=[DELIVER, SUPPRESS, DELIVER, ENTER], counts=[0, 1, 0, 2], safe=[0, 0, 0, 1])
 HEALTHY_RECORDS = [
     completion_record(1300, 7, 2, 300), completion_record(1300, 8, 3, 300), completion_record(1500, 9, 0, 500),
     verdict_record(1900, 10, 10, 0, 1000, [10, 20, 30], D0, 4,
-                   {"rendezvous": "complete", "skew_ns": 200, "variant": "pass", "agreeing_ids": [0, 2, 3],
-                    "agreed_digest": D0}, OPERATIONAL, DELIVER_OUTPUT, 0),
+                   {"rendezvous": "complete", "skew_ns": 200, "variant": "pass"}, OPERATIONAL, DELIVER_OUTPUT, 0),
     completion_record(2400, 11, 0, 400), completion_record(2450, 12, 3, 450),
     verdict_record(2900, 13, 10, 1, 2000, [10, 20, 30], D0, 4,
                    {"rendezvous": "timeout", "present_ids": [0, 3], "missing_ids": [2], "variant": "timeout"},
@@ -183,13 +183,33 @@ NONE_HEALTHY = chunk(
     frame_ids=[12, 13], reps=[0, 0], clean=[D1, D0], classes=[1, 4], starts=[5000, 5100], ends=[5100, 5200],
     feed=np.zeros((2, 0)), comp=np.zeros((2, 0)), emit=np.zeros((2, 0)), present=np.zeros((2, 0)),
     complete=[0, 0], skew=[0, 0], verdict=[DEGRADED, DEGRADED], labels=np.zeros((2, 0)), best=[0, 0],
-    voted=[0, 0], agreed=[D1, D0], digests=None, outputs=None, diverged=[0, 0], other=None, index=None,
+    agreed=[D1, D0], digests=None, outputs=None, diverged=[0, 0], other=None, index=None,
     action=[SUPPRESS, SUPPRESS], counts=[3, 4], safe=[1, 1])
 NONE_HEALTHY_RECORDS = [
     verdict_record(t, seq, frame_id, 0, t - 100, [], digest, cls, {"variant": "degraded",
                                                                   "reason": "no healthy replicas"},
                    SAFE_OFF, SUPPRESS_OUTPUT, count)
     for t, seq, frame_id, digest, cls, count in ((5100, 22, 12, D1, 1, 3), (5200, 23, 13, D0, 4, 4))
+]
+# Replicas 0 and 1 under 1oo2, two passes in which every replica agrees: a
+# stuck output that repeats the clean one, grouped but agreeing on the clean
+# output, so it names no agreement (round 0); a Tolerance pass whose pivot,
+# replica 0, changed its output within eps, so the agreed digest 555 is not
+# the clean one and the pass names it (round 1).
+AGREEING = chunk(
+    frame_ids=[14, 15], reps=[0, 0], clean=[D0, D1], classes=[4, 1], starts=[6000, 6500], ends=[6500, 7000],
+    feed=np.zeros((2, 2)), comp=[[100, 200], [300, 250]], emit=np.ones((2, 2)), present=np.ones((2, 2)),
+    complete=[1, 1], skew=[100, 50], verdict=[PASS, PASS], labels=np.zeros((2, 2)), best=[0, 0], agreed=[D0, 555],
+    digests=[[D0, D0], [555, D1]], outputs=np.eye(5, dtype=np.int16)[[[4, 4], [2, 1]]], diverged=[0, 0],
+    other=None, index=None, action=[DELIVER, DELIVER], counts=[0, 0], safe=[0, 0])
+AGREEING_RECORDS = [
+    completion_record(6100, 24, 0, 100), completion_record(6200, 25, 1, 200),
+    verdict_record(6500, 26, 14, 0, 6000, [0, 0], D0, 4, {"rendezvous": "complete", "skew_ns": 100,
+                                                          "variant": "pass"}, OPERATIONAL, DELIVER_OUTPUT, 0),
+    completion_record(6750, 27, 1, 250), completion_record(6800, 28, 0, 300, digest=555, classification=2),
+    verdict_record(7000, 29, 15, 0, 6500, [0, 0], D1, 1,
+                   {"rendezvous": "complete", "skew_ns": 50, "variant": "pass", "agreeing_ids": [0, 1],
+                    "agreed_digest": 555}, OPERATIONAL, DELIVER_OUTPUT, 0),
 ]
 
 
@@ -199,5 +219,7 @@ def test_rounds_lays_out_slots_and_sparse_cases(size):
     with mock.patch.object(trace, "WRITE_ROUNDS", size):
         assert trace.rounds(pieces.append, 7, HEALTHY, [0, 2, 3], 2) == 22
         assert trace.rounds(pieces.append, 22, NONE_HEALTHY, [], 2) == 24
-    assert "".join(pieces).splitlines(keepends=True) == list(map(line, HEALTHY_RECORDS + NONE_HEALTHY_RECORDS))
-    assert len(pieces) == (6 if size == 1 else 2)
+        assert trace.rounds(pieces.append, 24, AGREEING, [0, 1], 1) == 30
+    records = HEALTHY_RECORDS + NONE_HEALTHY_RECORDS + AGREEING_RECORDS
+    assert "".join(pieces).splitlines(keepends=True) == list(map(line, records))
+    assert len(pieces) == (8 if size == 1 else 3)
