@@ -62,11 +62,10 @@ def draws_at(seeds, counters: np.ndarray) -> np.ndarray:
     return mix64s(np.asarray(seeds, dtype=np.uint64) + counters * np.uint64(_GAMMA))
 
 
-def draws(seeds, count: int, start: int = 0) -> np.ndarray:
-    """Draws start+1 .. start+count of the stream of each seed in `seeds`
-    (seeds in [0, 2**64)), as a uint64 array of shape (len(seeds), count)."""
-    return draws_at(np.asarray(seeds, dtype=np.uint64)[:, None],
-                    np.arange(start + 1, start + count + 1, dtype=np.uint64))
+def draws(seeds, count: int) -> np.ndarray:
+    """Draws 1 .. count of the stream of each seed in `seeds` (seeds in
+    [0, 2**64)), as a uint64 array of shape (len(seeds), count)."""
+    return draws_at(np.asarray(seeds, dtype=np.uint64)[:, None], np.arange(1, count + 1, dtype=np.uint64))
 
 
 def _mantissa_bound(p: float) -> int:

@@ -37,6 +37,11 @@ replica: a stable sort of the completion times, with an unemitted output's
 time taken as the int64 maximum, so a tie keeps replica id order and the
 unemitted come last. Slot j of a round with e outputs takes its verdict's
 seq less e, plus j; an unemitted slot writes no line.
+
+The writer fills `%` templates, one per emitted count e and rendezvous
+outcome: COMPLETION e times, then `verdict_template`. A piece of
+`WRITE_ROUNDS` rounds makes one value tuple per round, patches only its
+sparse rows, formats each round with one `%` and writes the piece in one call.
 """
 
 from __future__ import annotations
@@ -69,28 +74,23 @@ def ptp(t, seq, replica_id, offset_ns, path_delay_ns):
             f'"offset_ns":{offset_ns},"path_delay_ns":{path_delay_ns}}}\n')
 
 
-def completion(t, seq, replica_id, turnaround_ns, changed=""):
-    """`changed` is "" or a changed output's `output` text."""
-    return (f'{{"t_ns":{t},"seq":{seq},"kind":"completion","replica_id":{replica_id},'
-            f'"turnaround_ns":{turnaround_ns}{changed}}}\n')
+# A completion line's values: t_ns, seq, replica_id, turnaround_ns and "" or a changed `output` text.
+COMPLETION = '{"t_ns":%d,"seq":%d,"kind":"completion","replica_id":%d,"turnaround_ns":%d%s}\n'
+# A complete rendezvous in a verdict template; its value is skew_ns.
+COMPLETE = ',"rendezvous":"complete","skew_ns":%d'
+
+
+def verdict_template(deliveries, rendezvous):
+    """The `%` template of a verdict line; `deliveries` is `ids` text of ints or
+    "%d"s, `rendezvous` COMPLETE or "%s". Its values: t_ns, seq, frame_id,
+    repetition, release_ns, any deliveries, the clean `output` text, the
+    rendezvous's, the rest (any bus divergence, the variant, its fields), the safety switch's."""
+    return ('{"t_ns":%d,"seq":%d,"kind":"verdict","frame_id":%d,"repetition":%d,"release_ns":%d,'
+            f'"delivery_ns":{deliveries}%s{rendezvous}%s%s}}\n')
 
 
 def output(digest, classification):
     return f',"digest":{digest},"classification":{classification}'
-
-
-def verdict(t, seq, frame_id, repetition, release_ns, delivery_ns, clean, outcome, variant, fields, safety):
-    """A round's verdict record. `delivery_ns` is `ids` text, `clean` the
-    clean output's `output` text; `outcome` (the rendezvous and any bus
-    divergence), `fields` (the variant's) and `safety` are texts that
-    begin with a comma or are empty."""
-    return (f'{{"t_ns":{t},"seq":{seq},"kind":"verdict","frame_id":{frame_id},"repetition":{repetition},'
-            f'"release_ns":{release_ns},"delivery_ns":{delivery_ns}{clean}{outcome},"variant":"{variant}"'
-            f'{fields}{safety}}}\n')
-
-
-def completed(skew_ns):
-    return f',"rendezvous":"complete","skew_ns":{skew_ns}'
 
 
 def timed_out(present_ids, missing_ids):
@@ -100,10 +100,6 @@ def timed_out(present_ids, missing_ids):
 
 def diverged(replica_a, replica_b, event_index):
     return f',"bus_divergence":{{"replica_a":{replica_a},"replica_b":{replica_b},"event_index":{event_index}}}'
-
-
-def safety_fields(state, action, consecutive_faults):
-    return f',"state":"{state}","action":"{action}","consecutive_faults":{consecutive_faults}'
 
 
 def ids(values) -> str:
@@ -149,18 +145,19 @@ def rounds(write, first_seq, c, replica_ids, required) -> int:
     rendezvous); verdict (an index in `VERDICTS`); labels, best and agreed
     (the agreement groups, the winning group, the agreed digest); diverged,
     other and index (the bus divergence, with which column, at which
-    event); action, counts and safe (the safety switch after the round).
-    digests and outputs hold each output, or are None when no value fault
-    can fire.
+    event); action, counts and safe (the safety switch after the round;
+    safe changes only where one of the others does). digests and outputs
+    hold each output, or are None when no value fault can fire. A clean
+    digest has one classification.
 
-    Arrays are built once per chunk: the seqs, the slots' columns and the
-    rows of the sparse cases. Each `WRITE_ROUNDS` rounds, a piece, only
-    turns its slice of them into lists and text: a line list per slot and
-    one of verdicts, its sparse rows patched, joined in seq order. So every
-    Python str and list lives for one piece only.
+    Arrays and templates are built once per chunk. Each `WRITE_ROUNDS`
+    rounds, a piece, turns its slice into lists, one value tuple per round,
+    and joins the rounds' `%` texts, so every Python str and list lives for
+    one piece only. (One `%` over a piece grows its buffer by reallocation,
+    which fragments the heap; `str.join` sizes the text once.)
     """
     starts, comp, emit, codes = c["starts"], c["comp"], c["emit"], c["verdict"]
-    action, counts = c["action"], c["counts"]
+    action, counts, complete, present = c["action"], c["counts"], c["complete"], c["present"]
     n, k = emit.shape
     emitted = emit.sum(axis=1)
     verdict_seqs = first_seq - 1 + np.cumsum(emitted + 1)
@@ -169,11 +166,11 @@ def rounds(write, first_seq, c, replica_ids, required) -> int:
     turnarounds = np.take_along_axis(comp, slot, axis=1)
     slots = (starts[:, None] + turnarounds, (verdict_seqs - emitted)[:, None] + np.arange(k), replicas[slot],
              turnarounds)
-    # the sparse cases: changed and unemitted outputs, timed-out rendezvous,
-    # bus divergences, passes that name their agreement, the other verdicts
-    # and the safety switch's changes
+    # the sparse cases: changed outputs, rounds of another shape (unemitted
+    # outputs or a timed-out rendezvous), bus divergences, passes that name
+    # their agreement, the other verdicts and the safety switch's changes
     changed = (np.zeros(0, dtype=np.int64),)
-    late, split = np.flatnonzero(~c["complete"] & bool(k)), np.flatnonzero(c["diverged"])
+    odd, split = np.flatnonzero((emitted < k) | (~complete & bool(k))), np.flatnonzero(c["diverged"])
     if c["digests"] is not None:
         rows, at = np.nonzero(np.take_along_axis(emit & (c["digests"] != c["clean"][:, None]), slot, axis=1))
         changed = (rows, at, c["digests"][rows, slot[rows, at]], c["outputs"][rows, slot[rows, at]].argmax(axis=1))
@@ -183,48 +180,52 @@ def rounds(write, first_seq, c, replica_ids, required) -> int:
     named = np.flatnonzero((codes == _PASS) & (outside.any(axis=1) | (c["agreed"] != c["clean"])))
     failed = np.flatnonzero(codes != _PASS)
     steps = np.flatnonzero((action[1:] != action[:-1]) | (counts[1:] != counts[:-1])) + 1
-    sparse = zip(_pieces(n, *changed), _pieces(n, *np.nonzero(~np.take_along_axis(emit, slot, axis=1))),
-                 _pieces(n, late, c["present"][late], ~c["present"][late]), _pieces(n, *divergences),
-                 _pieces(n, named, ~outside[named], c["agreed"][named]),
+    sparse = zip(_pieces(n, *changed), _pieces(n, odd, emitted[odd], complete[odd], present[odd], ~present[odd]),
+                 _pieces(n, *divergences), _pieces(n, named, ~outside[named], c["agreed"][named]),
                  _pieces(n, failed, codes[failed], c["labels"][failed]), _pieces(n, steps))
     del slot, outside
 
     degraded = reason(f"{k} output(s) cannot reach {required}-way agreement" if k else "no healthy replicas")
-    fed, deliver = c["feed"].any(), ("[" + ",".join(["{}"] * k) + "]").format
+    fed = c["feed"].any()
+    delivery = ids(["%d"] * k if fed else [0] * k)
+    shapes = {(e, done): COMPLETION * e + verdict_template(delivery, COMPLETE if done else "%s")
+              for e in range(k + 1) for done in (False, True)}
 
     def tail(j):
-        return safety_fields(SAFE_OFF if c["safe"][j] else OPERATIONAL, ACTIONS[action[j]], int(counts[j]))
+        state = SAFE_OFF if c["safe"][j] else OPERATIONAL
+        return f',"state":"{state}","action":"{ACTIONS[action[j]]}","consecutive_faults":{counts[j]}'
 
-    for a, (news, drops, timeouts, splits, agreements, fails, changes) in zip(range(0, n, WRITE_ROUNDS), sparse):
+    for a, (news, others, splits, agreements, fails, changes) in zip(range(0, n, WRITE_ROUNDS), sparse):
         s, m = slice(a, a + WRITE_ROUNDS), min(WRITE_ROUNDS, n - a)
-        cols = list(zip(*(x[s].T.tolist() for x in slots)))
-        lines = [list(map(completion, *col)) for col in cols]
+        texts = [[""] * m for _ in range(k)]
         for j, i, d, cls in zip(*news):
-            lines[i][j - a] = completion(*(col[j - a] for col in cols[i]), output(d, cls))
-        for j, i in zip(*drops):
-            lines[i][j - a] = ""
-        # the rendezvous and any bus divergence
-        outcomes = list(map(completed, c["skew"][s].tolist())) if k else [""] * m
-        for j, present, missing in zip(*timeouts):
-            outcomes[j - a] = timed_out(ids(compress(replica_ids, present)), ids(compress(replica_ids, missing)))
+            texts[i][j - a] = output(d, cls)
+        # any bus divergence, then the variant and its fields
+        rest = [',"variant":"pass"'] * m
+        for j, agreeing, d in zip(*agreements):
+            rest[j - a] += agreed(ids(compress(replica_ids, agreeing)), d)
+        for j, code, labels in zip(*fails):
+            rest[j - a] = f',"variant":"{VERDICTS[code]}"' + (
+                groups([[r for r, g in zip(replica_ids, labels) if g == group] for group in range(max(labels) + 1)])
+                if code == _MISMATCH else "" if code == _TIMEOUT else degraded)
         for j, *pair in zip(*splits):
-            outcomes[j - a] += diverged(*pair)
-        # the variant's fields; each clean output's text is formatted once
+            rest[j - a] = diverged(*pair) + rest[j - a]
+        # each clean output's text is formatted once
         clean = c["clean"][s].tolist()
         cleans = {d: output(d, cls) for d, cls in dict(zip(clean, c["classes"][s].tolist())).items()}
-        fields = [""] * m
-        for j, agreeing, d in zip(*agreements):
-            fields[j - a] = agreed(ids(compress(replica_ids, agreeing)), d)
-        for j, code, labels in zip(*fails):
-            fields[j - a] = (groups([[r for r, g in zip(replica_ids, labels) if g == group]
-                                     for group in range(max(labels) + 1)]) if code == _MISMATCH
-                             else "" if code == _TIMEOUT else degraded)
         # the safety switch: one tail per run of rounds between its changes
         edges = [a, *(j for j in changes[0] if j != a), a + m]
         tails = chain.from_iterable(repeat(tail(x), y - x) for x, y in pairwise(edges))
-        deliveries = map(deliver, *c["feed"][s].T.tolist()) if fed else repeat(ids([0] * k))
-        verdicts = map(verdict, c["ends"][s].tolist(), verdict_seqs[s].tolist(), c["frame_ids"][s].tolist(),
-                       c["reps"][s].tolist(), starts[s].tolist(), deliveries, map(cleans.__getitem__, clean),
-                       outcomes, map(VERDICTS.__getitem__, codes[s].tolist()), fields, tails)
-        write("".join(chain.from_iterable(zip(*lines, verdicts))))
+        values = list(zip(*chain.from_iterable(zip(*(x[s].T.tolist() for x in slots), texts)),
+                          c["ends"][s].tolist(), verdict_seqs[s].tolist(), c["frame_ids"][s].tolist(),
+                          c["reps"][s].tolist(), starts[s].tolist(), *(c["feed"][s].T.tolist() if fed else ()),
+                          map(cleans.__getitem__, clean), c["skew"][s].tolist() if k else repeat(""), rest, tails))
+        templates = [shapes[k, bool(k)]] * m
+        # an odd round keeps only its emitted slots' 5 values each; a timeout's rendezvous, 3rd from last, is text
+        for j, e, done, here, gone in zip(*others):
+            row = values[j - a]
+            rendezvous = row[-3] if done else timed_out(ids(compress(replica_ids, here)),
+                                                        ids(compress(replica_ids, gone)))
+            values[j - a], templates[j - a] = (*row[:5 * e], *row[5 * k:-3], rendezvous, *row[-2:]), shapes[e, done]
+        write("".join(map(str.__mod__, templates, values)))
     return int(verdict_seqs[-1]) + 1

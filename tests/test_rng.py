@@ -117,7 +117,7 @@ def test_row_hashes_of_a_strided_view_widen_one_column_at_a_time():
 @pytest.mark.parametrize("start", [0, 1, 7, 1000])
 def test_draws_from_start_continue_a_stepped_stream(start):
     seeds = [0, 5, MASK64]
-    got = draws(seeds, 6, start=start)
+    got = draws_at(np.array(seeds, dtype=np.uint64)[:, None], np.arange(start + 1, start + 7, dtype=np.uint64))
     for row, seed in zip(got.tolist(), seeds):
         r = Rng(seed)
         for _ in range(start):

@@ -1,5 +1,6 @@
-"""Each trace record function against `json.dumps` of the record it writes,
-the round writer's slot layout on hand-built columns, and its pieces."""
+"""Each trace record function and line template against `json.dumps` of the
+record it writes, the round writer on hand-built columns, drawn and fixed,
+and its pieces."""
 
 import json
 from unittest import mock
@@ -23,6 +24,8 @@ from lockstepsim.voting import (
     VERDICTS,
 )
 from test_golden import CASES
+
+GOLDEN = ["tight-2oo3-all-faults", "degraded-no-healthy", "loose-3-one-failed"]
 
 times = st.integers(0, (1 << 62) - 1)
 seqs = st.integers(0, 10**12)
@@ -48,18 +51,18 @@ def head(t, seq, kind):
 @settings(max_examples=100, deadline=None)
 def test_completion(t, seq, rid, turnaround, changed):
     want = {**head(t, seq, "completion"), "replica_id": rid, "turnaround_ns": turnaround}
-    if changed is None:
-        got = trace.completion(t, seq, rid, turnaround)
-    else:
+    text = ""
+    if changed is not None:
         want.update(digest=changed[0], classification=changed[1])
-        got = trace.completion(t, seq, rid, turnaround, trace.output(*changed))
-    assert got == line(want)
+        text = trace.output(*changed)
+    assert trace.COMPLETION % (t, seq, rid, turnaround, text) == line(want)
 
 
+# (the template's rendezvous, its value, the fields it writes)
 outcomes = st.one_of(
-    st.just(("", {})),
-    st.builds(lambda skew: (trace.completed(skew), {"rendezvous": "complete", "skew_ns": skew}), signed),
-    st.builds(lambda present, missing: (trace.timed_out(trace.ids(present), trace.ids(missing)),
+    st.just(("%s", "", {})),
+    st.builds(lambda skew: (trace.COMPLETE, skew, {"rendezvous": "complete", "skew_ns": skew}), signed),
+    st.builds(lambda present, missing: ("%s", trace.timed_out(trace.ids(present), trace.ids(missing)),
                                         {"rendezvous": "timeout", "present_ids": present, "missing_ids": missing}),
               id_lists, id_lists),
 )
@@ -73,22 +76,26 @@ variants = st.one_of(
 )
 
 
-@given(times, seqs, small, small, times, st.lists(signed, max_size=8), digests, small, outcomes, divergences,
-       variants, states, actions, small)
+@given(times, seqs, small, small, times, st.lists(signed, max_size=8), st.booleans(), digests, small, outcomes,
+       divergences, variants, states, actions, small)
 @settings(max_examples=200, deadline=None)
-def test_verdict(t, seq, frame_id, rep, release, deliveries, digest, cls, outcome, divergence, variant,
+def test_verdict(t, seq, frame_id, rep, release, deliveries, fed, digest, cls, outcome, divergence, variant,
                  state, action, count):
-    outcome_text, outcome_fields = outcome
+    rendezvous, value, outcome_fields = outcome
     name, fields, want_fields = variant
     want = {**head(t, seq, "verdict"), "frame_id": frame_id, "repetition": rep, "release_ns": release,
             "delivery_ns": deliveries, "digest": digest, "classification": cls, **outcome_fields}
+    rest = f',"variant":"{name}"{fields}'
     if divergence is not None:
         want["bus_divergence"] = dict(zip(("replica_a", "replica_b", "event_index"), divergence))
-        outcome_text += trace.diverged(*divergence)
+        rest = trace.diverged(*divergence) + rest
     want.update(variant=name, **want_fields, state=state, action=action, consecutive_faults=count)
-    got = trace.verdict(t, seq, frame_id, rep, release, trace.ids(deliveries), trace.output(digest, cls),
-                        outcome_text, name, fields, trace.safety_fields(state, action, count))
-    assert got == line(want)
+    # the deliveries as values, or as constant text in the template
+    template = trace.verdict_template(trace.ids(["%d"] * len(deliveries) if fed else deliveries), rendezvous)
+    safety = f',"state":"{state}","action":"{action}","consecutive_faults":{count}'
+    values = (t, seq, frame_id, rep, release, *(deliveries if fed else ()), trace.output(digest, cls), value, rest,
+              safety)
+    assert template % values == line(want)
 
 
 @given(times, seqs, st.integers(0, 7), signed, signed)
@@ -100,22 +107,27 @@ def test_ptp(t, seq, rid, offset, delay):
 
 # The golden 2oo3 run has dropped and changed outputs, timeouts and bus
 # divergences in some rounds only, so with pieces of 2 or 3 rounds a piece
-# edge falls beside each; with pieces of 1, a piece is one round.
+# edge falls beside each; with pieces of 1, a piece is one round. The run
+# with no healthy replica writes verdicts alone, and the one with a failed
+# replica writes the columns of replicas 0 and 2.
 @pytest.mark.parametrize("size", [1, 2, 3])
-@pytest.mark.parametrize("raw", [zero_jitter_duplex(frames=5, reps=2), CASES["tight-2oo3-all-faults"]()],
-                         ids=["duplex", "tight-2oo3-all-faults"])
+@pytest.mark.parametrize("raw", [zero_jitter_duplex(frames=5, reps=2), *(CASES[name]() for name in GOLDEN)],
+                         ids=["duplex", *GOLDEN])
 def test_rounds_writes_whole_rounds_a_piece_at_a_time(raw, size):
     cfg = config_from_dict(raw)
     whole, pieces = [], []
     ExperimentRunner(cfg, whole.append).run()
     with mock.patch.object(trace, "WRITE_ROUNDS", size):
         ExperimentRunner(cfg, pieces.append).run()
-    # the header, then one piece per write
-    assert "".join(pieces) == "".join(whole) and len(whole) == 2
-    verdicts = [text.count('"kind":"verdict"') for text in pieces[1:]]
+    assert "".join(pieces) == "".join(whole)
+    # the header and each ptp line one write each, then one piece per write
+    lead = 1 + cfg.topology.replica_count * cfg.topology.ptp.enabled
     rounds = cfg.workload.frame_count * cfg.workload.repetitions_per_frame
-    assert verdicts[:-1] == [size] * (len(pieces) - 2) and sum(verdicts) == rounds
-    assert all('"kind":"verdict"' in text.splitlines()[-1] for text in pieces[1:])
+    for writes, per in ((whole, trace.WRITE_ROUNDS), (pieces, size)):
+        assert all(text.count("\n") == 1 for text in writes[:lead])
+        verdicts = [text.count('"kind":"verdict"') for text in writes[lead:]]
+        assert verdicts[:-1] == [per] * (len(verdicts) - 1) and sum(verdicts) == rounds
+        assert all('"kind":"verdict"' in text.splitlines()[-1] for text in writes[lead:])
 
 
 def chunk(**columns):
@@ -223,3 +235,101 @@ def test_rounds_lays_out_slots_and_sparse_cases(size):
     records = HEALTHY_RECORDS + NONE_HEALTHY_RECORDS + AGREEING_RECORDS
     assert "".join(pieces).splitlines(keepends=True) == list(map(line, records))
     assert len(pieces) == (8 if size == 1 else 3)
+
+
+WIDTH = 3  # output elements, so a changed output's classification is its argmax
+
+
+@st.composite
+def chunks(draw):
+    """A chunk of rounds of every shape, as lists: k healthy replicas (none
+    to three), each output emitted or not, a rendezvous complete or timed
+    out, any bus divergence, any verdict, and changed outputs if `digests`
+    is not None. Returns (columns, replica ids, required agreement)."""
+    k, n = draw(st.integers(0, 3)), draw(st.integers(1, 8))
+    replica_ids = sorted(draw(st.sets(st.integers(0, 7), min_size=k, max_size=k)))
+    valued, fed = draw(st.booleans()), draw(st.booleans())
+
+    def per(values):  # one per healthy replica
+        return st.lists(values, min_size=k, max_size=k)
+
+    rows = []
+    for _ in range(n):
+        clean = draw(digests)
+        near = st.sampled_from([clean, clean, draw(digests)])
+        start = draw(st.integers(0, 1 << 40))
+        comp = draw(per(st.integers(0, 3)))  # few values, so completion times tie
+        column = st.integers(0, max(k - 1, 0))  # a group or a replica's column
+        row = dict(frame_ids=draw(small), reps=draw(small), clean=clean, classes=clean % 10,  # one class per output
+                   starts=start, ends=start + draw(st.integers(3, 1000)),
+                   feed=draw(per(st.integers(0, 50))) if fed else [0] * k, comp=comp, emit=draw(per(st.booleans())),
+                   present=draw(per(st.booleans())), complete=draw(st.booleans()) and k > 0, skew=draw(signed),
+                   verdict=draw(st.integers(0, 3)) if k else DEGRADED, labels=draw(per(column)), best=draw(column),
+                   agreed=draw(near), digests=draw(per(near)),
+                   outputs=draw(per(st.lists(st.integers(-3, 3), min_size=WIDTH, max_size=WIDTH))),
+                   diverged=draw(st.booleans()) and k > 0, other=draw(column), index=draw(small),
+                   action=draw(st.integers(0, 2)), counts=draw(st.integers(0, 4)))
+        row["safe"] = row["counts"] >= 3  # the switch's state follows its fault count
+        rows.append(row)
+    c = {key: [row[key] for row in rows] for key in rows[0]}
+    if not valued:
+        c["digests"] = c["outputs"] = None
+    return c, replica_ids, draw(st.integers(1, 3))
+
+
+def chunk_records(c, replica_ids, required, seq):
+    """The records of a chunk, built round by round from the schema."""
+    k = len(replica_ids)
+    for r in range(len(c["starts"])):
+        start, comp, clean = c["starts"][r], c["comp"][r], c["clean"][r]
+        emitted = [j for j in range(k) if c["emit"][r][j]]
+        for j in sorted(emitted, key=lambda j: (comp[j], replica_ids[j])):
+            changed = {}
+            if c["digests"] is not None and c["digests"][r][j] != clean:
+                values = c["outputs"][r][j]
+                changed = {"digest": c["digests"][r][j], "classification": values.index(max(values))}
+            yield completion_record(start + comp[j], seq, replica_ids[j], comp[j], **changed)
+            seq += 1
+        fields = {}
+        if k and c["complete"][r]:
+            fields.update(rendezvous="complete", skew_ns=c["skew"][r])
+        elif k:
+            fields.update(rendezvous="timeout",
+                          present_ids=[rid for rid, p in zip(replica_ids, c["present"][r]) if p],
+                          missing_ids=[rid for rid, p in zip(replica_ids, c["present"][r]) if not p])
+        if c["diverged"][r]:
+            fields["bus_divergence"] = {"replica_a": replica_ids[min(emitted, default=0)],
+                                        "replica_b": replica_ids[c["other"][r]], "event_index": c["index"][r]}
+        code, labels = c["verdict"][r], c["labels"][r]
+        fields["variant"] = VERDICTS[code]
+        agreeing = [rid for rid, g in zip(replica_ids, labels) if g == c["best"][r]]
+        if code == PASS and (agreeing != replica_ids or c["agreed"][r] != clean):
+            fields.update(agreeing_ids=agreeing, agreed_digest=c["agreed"][r])
+        elif code == MISMATCH:
+            fields["groups"] = [[rid for rid, g in zip(replica_ids, labels) if g == group]
+                                for group in range(max(labels) + 1)]
+        elif code == DEGRADED:
+            fields["reason"] = f"{k} output(s) cannot reach {required}-way agreement" if k else "no healthy replicas"
+        yield verdict_record(c["ends"][r], seq, c["frame_ids"][r], c["reps"][r], start, c["feed"][r], clean,
+                             c["classes"][r], fields, SAFE_OFF if c["safe"][r] else OPERATIONAL,
+                             ACTIONS[c["action"][r]], c["counts"][r])
+        seq += 1
+
+
+@given(chunks(), seqs, st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_rounds_writes_each_round_shape_as_its_records(drawn, first_seq, size):
+    c, replica_ids, required = drawn
+    n, k = len(c["starts"]), len(replica_ids)
+    columns = chunk(**c)
+    for key in ("feed", "comp", "emit", "present", "labels", "digests"):
+        if columns[key] is not None:
+            columns[key] = columns[key].reshape(n, k)
+    if columns["outputs"] is not None:
+        columns["outputs"] = columns["outputs"].reshape(n, k, WIDTH)
+    pieces = []
+    with mock.patch.object(trace, "WRITE_ROUNDS", size):
+        end = trace.rounds(pieces.append, first_seq, columns, replica_ids, required)
+    records = list(chunk_records(c, replica_ids, required, first_seq))
+    assert "".join(pieces).splitlines(keepends=True) == list(map(line, records))
+    assert end == first_seq + len(records) and len(pieces) == -(-n // size)
