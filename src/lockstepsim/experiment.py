@@ -22,8 +22,9 @@ replica at a time, on weights flipped once per run. The rounds of a block
 run in chunks of at most `ROUND_CHUNK`, so a narrow net with one round per
 frame runs thousands of rounds per chunk, and memory does not grow with the
 frame count: a chunk's arrays hold about 100 bytes per round, and 200 to 400
-with the trace's columns and the completion slots `trace.rounds` lays out
-per chunk (it builds its Python ints and text from a slice at a time).
+with the trace's columns (the deliveries under feed jitter, a classification
+per frame) and the completion slots `trace.rounds` lays out per chunk (it
+builds its Python ints and text from a slice at a time).
 
 Every round of a chunk is decided from arrays with one row per round and
 one column per healthy replica. Every random draw is addressed by the run's
@@ -81,7 +82,7 @@ from .coupling import (
     simulate_ptp_exchange,
 )
 from .errors import SimulationError
-from .eventsim import cycles_to_time, sample_turnaround_overheads
+from .eventsim import JitterModel, cycles_to_time, sample_turnaround_overheads
 from .faults import (
     VALUE_FAULTS,
     DropOutput,
@@ -206,6 +207,8 @@ class ExperimentRunner:
                                    derive_seed(config.seed, f"{name}.{rid}.size"))) for rid in self.healthy_ids]
         self._host = streams(topo.host_jitter, "host")
         self._feed = [] if isinstance(self.coupling, Tight) else streams(topo.feed_jitter, "feed")
+        # whether a delivery can follow its release: the trace header's feed_jitter
+        self._fed = any(model != JitterModel() for model, _ in self._feed)
         # (column, spec, stream seed) of each fault of a healthy replica; a
         # fault of another replica is never evaluated
         column = {rid: i for i, rid in enumerate(self.healthy_ids)}
@@ -408,13 +411,12 @@ class ExperimentRunner:
         action, counts = safety_scan(verdict != _PASS, self.topology.debounce_threshold, self.fault_count)
         self.fault_count = int(counts[-1])
         c = dict(frame_ids=first + rows, reps=repetitions, clean=clean, starts=ends - durations,
-                 ends=ends, feed=feed, comp=comp, emit=emit, applied=fired.any(axis=1), present=present,
+                 ends=ends, comp=comp, emit=emit, applied=fired.any(axis=1), present=present,
                  complete=complete, skew=skew, verdict=verdict, labels=labels, best=best, agreed=agreed,
                  digests=digests, outputs=outputs, compared=compared, other=other, index=index, diverged=diverged,
                  action=action, counts=counts)
         if self._write is not None:  # the columns only the trace reads
-            c.update(classes=self._clean[0][rows].argmax(axis=1),
-                     safe=counts >= self.topology.debounce_threshold)
+            c.update(classes=self._clean[0][rows[repetitions == 0]].argmax(axis=1), feed=feed if self._fed else None)
         return c
 
     # -- clock sync ------------------------------------------------------
@@ -435,7 +437,7 @@ class ExperimentRunner:
     def run(self) -> ExperimentReport:
         wl, required = self.cfg.workload, self.topology.policy.required_agreement
         if self._write is not None:
-            self._write(trace.header(self.cfg, self.healthy_ids, self._cycles, required))
+            self._write(trace.header(self.cfg, self.healthy_ids, self._cycles, self._fed))
         if self.topology.ptp.enabled:
             self._sync_clocks()
         # what the checker adds to a completion time to get its arrival time
@@ -453,7 +455,8 @@ class ExperimentRunner:
                 c = self._run_chunk(first, lo, min(lo + ROUND_CHUNK, count * reps))
                 tally(self.totals, c, self.healthy_ids)
                 if self._write is not None:
-                    self.seq = trace.rounds(self._write, self.seq, c, self.healthy_ids, required)
+                    self.seq = trace.rounds(self._write, self.seq, c, self.healthy_ids, required,
+                                            self.topology.debounce_threshold)
                 del c  # the next chunk runs without this one's columns
         return self._build_report()
 

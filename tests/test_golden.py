@@ -1,11 +1,13 @@
 """Golden digest pins: SHA-256 of the trace.jsonl and report.json that
-run_to_directory writes, per config.
+run_to_directory writes, per config, and of the trace expanded to schema 3
+(`helpers.expand`), which the frozen reference runner writes.
 
 A refactor or optimisation must keep every pin. A pin changes only when an
 output format changes on purpose, and that change is recorded in
 CHANGES.md. If a pin fails otherwise, the code is wrong, not the pin.
 
-To print the digests of the current code (for a deliberate format change):
+To print both pin tables of the current code (for a deliberate format
+change):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import check_trace_against_report
+from helpers import check_trace_against_report, expand
 from lockstepsim.config import config_from_dict
 from lockstepsim.experiment import (
     REPORT_FILENAME,
@@ -212,57 +214,78 @@ SLOW_CASES = {"paper-protocol"}
 # name -> (sha256 of trace.jsonl, sha256 of report.json)
 PINS = {
     "tight-baseline": (
-        "626467f040fb19576bf01bc7b48c1b7c402619719441cd61677995eaf1f17ca9",
+        "4a661414934b332ac050ec166c9fff59c6be95586e847c891669411a252898a8",
         "b093fc06cd99b706d7a06ef5cc2001ff050ad6a3ba34a07884030989de0101a4",
     ),
     "two-profiles": (
-        "d1e18bccc9f899a89598eb6e07481d8434391929cf30c0dc25651d32e56e3fa2",
+        "9663cda268ff722f004af7bbe54f9e3ee44a72433c36f0f35fe603260bf7c47c",
         "1b882fa97f05c095a8351d8b9e2f8fe0c6868bd24b57b2c84de3c01c830b09d4",
     ),
     "tight-2oo3-all-faults": (
-        "9d2b5db376c11737c6b71150a4a402535f646b3e39c1e4a4b5f26d71c8c4cc9e",
+        "1e0a2dc0670295360c51f72d099583f966c16ea657db138c151b89e9e231ac47",
         "e93dcb38a5479f5df4c0c8dacd134671bc41b41fe8ef4ebc92042bd4a67fbc98",
     ),
     "loose-duplex-ptp-tolerance": (
-        "4a7517740b4f7af37a2313edf65caa8c7f5f0a0e0a61f6f48acfb5cc42fd0c61",
+        "dd8de810590926679a449537876807bd5b2b34edec5e57eb573ced0399e024ce",
         "af33049d5da4e546ede3a3cb28a69f889c6beb32e5abc69a0d6d646e22a84c35",
     ),
     "loose-3-one-failed": (
-        "efee105871300ba112554408e8f59f2949839a69c15310604f1117ce76207ab7",
+        "18c78580e6cbcaaf57e8df2c2d8c7abf6f2951c1aecc72e4bfe83b0717d69da4",
         "c63f18864ab777ea606cbf0068db927a64d9289c98cc755e61226b9c7b106ecb",
     ),
     "degraded-no-healthy": (
-        "45c831de4fa36aaceb48f7f9376745729b22bac2a9965b9a9e4e46e80f6ac510",
+        "2ef426da49689cbf2b5b8ac3eff2e62f278551bcd442eef7a92081a7ed3ed2ee",
         "90df25f1faea469e512a07cfa0e1d56cc0cbd1913e5bc0347957a16ad05a8185",
     ),
     "degraded-one-short": (
-        "ed2c06384f58fe77a23f4f19ffb7793ba36169b1fc3d23168a424aa941d03c07",
+        "df09391551cf6f31d45e0ccc77c7f271300caa031709814dfa9659851792c2f5",
         "8c09d98077dfb8a2c1a057f361ad56cb7dcfdb58fe3403fab4f6f7e54f8c2558",
     ),
     "paper-protocol": (
-        "148b411b7e3e45d8251ba975c5f45469c945a018b55262871817b90b8daa9014",
+        "a34feb8dd59733cc2326898e2daaf5f91164417ad69fdcdf6af9e6b98c6076a1",
         "4bcd2d8859906dc633a710e83db6e38392cea9c63592cc487c9b69737276e123",
     ),
     "tight-3oo4-rank2-blocks": (
-        "7e69a32c82b6dbf2b1203c7a29d88d3fd1aa681d7af7b414fb1b8078f170fe30",
+        "e7f3229260c9cc40fcc9b94039dc8597e6fd361a6e46b7bb7e5b4600f90db0eb",
         "8f79faa6894883a55b68c8991ed9543b164701ffde1d0c2eecba078c37757741",
     ),
     "loose-3-chunks-safe-off": (
-        "52413fbdb6a6f3d70a5a0c8e2dd76027097bb2bc22bf315493cfdd302b61200a",
+        "99cd6a0fbe1d13aecd1d3e2a7561406dc98a16c2dfe3d4b8bae6df4afe1c48a3",
         "bab6e8fe8366aadcc03d5c05a92361b0a867bae8417b2ba6325bff92400e9d28",
     ),
 }
 
+# name -> sha256 of trace.jsonl expanded to schema 3 (`helpers.expand`): the
+# schema-3 trace pins, unchanged, which the frozen reference runner writes
+EXPANDED_PINS = {
+    "tight-baseline": "626467f040fb19576bf01bc7b48c1b7c402619719441cd61677995eaf1f17ca9",
+    "two-profiles": "d1e18bccc9f899a89598eb6e07481d8434391929cf30c0dc25651d32e56e3fa2",
+    "tight-2oo3-all-faults": "9d2b5db376c11737c6b71150a4a402535f646b3e39c1e4a4b5f26d71c8c4cc9e",
+    "loose-duplex-ptp-tolerance": "4a7517740b4f7af37a2313edf65caa8c7f5f0a0e0a61f6f48acfb5cc42fd0c61",
+    "loose-3-one-failed": "efee105871300ba112554408e8f59f2949839a69c15310604f1117ce76207ab7",
+    "degraded-no-healthy": "45c831de4fa36aaceb48f7f9376745729b22bac2a9965b9a9e4e46e80f6ac510",
+    "degraded-one-short": "ed2c06384f58fe77a23f4f19ffb7793ba36169b1fc3d23168a424aa941d03c07",
+    "paper-protocol": "148b411b7e3e45d8251ba975c5f45469c945a018b55262871817b90b8daa9014",
+    "tight-3oo4-rank2-blocks": "7e69a32c82b6dbf2b1203c7a29d88d3fd1aa681d7af7b414fb1b8078f170fe30",
+    "loose-3-chunks-safe-off": "52413fbdb6a6f3d70a5a0c8e2dd76027097bb2bc22bf315493cfdd302b61200a",
+}
+
 # Every record shape the trace can hold: the kind, refined by the fields
 # that vary within it. A completion names its output or leaves it clean; a
-# verdict has a rendezvous outcome (none without healthy replicas), may
-# have a bus divergence, and has a variant (a pass that names its agreement
-# or not, a degraded one with its reason) and a safety action.
+# verdict writes its deliveries or not, the clean output (a frame's first
+# round) or not, has a rendezvous outcome (none without healthy replicas),
+# may have a bus divergence, and has a variant (a pass that names its
+# agreement or not, a degraded one with its reason) and a safety action,
+# none where the switch is at rest.
 RECORD_SHAPES = {
     ("header",),
     ("ptp",),
     ("completion", "clean"),
     ("completion", "changed"),
+    ("delivery_ns", True),
+    ("delivery_ns", False),
+    ("digest", True),
+    ("digest", False),
     ("rendezvous", "complete"),
     ("rendezvous", "timeout"),
     ("rendezvous", None),
@@ -273,18 +296,20 @@ RECORD_SHAPES = {
     ("variant", "timeout"),
     ("variant", "degraded", "no healthy replicas"),
     ("variant", "degraded", "1 output(s) cannot reach 2-way agreement"),
-    ("action", "deliver_output"),
+    ("action", None),
     ("action", "suppress_output"),
     ("action", "enter_safe_off"),
 }
 
 
 def _digests(name, out_dir):
+    """(trace, report, expanded trace) SHA-256 of the case `name` run into `out_dir`."""
     run_to_directory(config_from_dict(CASES[name](), env={}), out_dir)
     out = Path(out_dir)
-    return tuple(
-        hashlib.sha256((out / fn).read_bytes()).hexdigest() for fn in (TRACE_FILENAME, REPORT_FILENAME)
-    )
+    trace_sha, report_sha = (hashlib.sha256((out / fn).read_bytes()).hexdigest()
+                             for fn in (TRACE_FILENAME, REPORT_FILENAME))
+    with open(out / TRACE_FILENAME) as f:
+        return trace_sha, report_sha, hashlib.sha256("".join(expand(f)).encode()).hexdigest()
 
 
 def _shapes(rec):
@@ -295,14 +320,15 @@ def _shapes(rec):
         detail = [rec["reason"]] if "reason" in rec else ["agreeing_ids"] if "agreeing_ids" in rec else []
         variant = ("variant", rec["variant"], *detail)
         divergence = [("bus_divergence",)] if "bus_divergence" in rec else []
-        return [("rendezvous", rec.get("rendezvous")), *divergence, variant, ("action", rec["action"])]
+        return [("delivery_ns", "delivery_ns" in rec), ("digest", "digest" in rec),
+                ("rendezvous", rec.get("rendezvous")), *divergence, variant, ("action", rec.get("action"))]
     return [(kind,)]
 
 
 @pytest.fixture(scope="module")
 def case_output(tmp_path_factory):
-    """name -> (trace/report digests, trace lines, report bytes); each case runs
-    once per module."""
+    """name -> (trace/report/expanded trace digests, trace lines, report
+    bytes); each case runs once per module."""
     cache = {}
 
     def get(name):
@@ -322,12 +348,17 @@ CASE_PARAMS = [
 
 
 def test_every_case_is_pinned():
-    assert set(PINS) == set(CASES)
+    assert set(PINS) == set(EXPANDED_PINS) == set(CASES)
 
 
 @pytest.mark.parametrize("name", CASE_PARAMS)
 def test_outputs_match_pin(name, case_output):
-    assert case_output(name)[0] == PINS[name]
+    assert case_output(name)[0][:2] == PINS[name]
+
+
+@pytest.mark.parametrize("name", CASE_PARAMS)
+def test_expanded_trace_matches_the_schema_3_pin(name, case_output):
+    assert case_output(name)[0][2] == EXPANDED_PINS[name]
 
 
 @pytest.mark.parametrize("name", CASE_PARAMS)
@@ -341,13 +372,12 @@ def test_trace_lines_are_canonical_json(name, case_output):
 # its shape.
 KEYS = {
     "header": ["t_ns", "seq", "kind", "schema_version", "package_version", "seed", "config_digest", "replica_ids",
-               "compute_cycles", "required_agreement"],
+               "compute_cycles", "required_agreement", "repetitions_per_frame", "debounce_threshold", "feed_jitter"],
     "ptp": ["t_ns", "seq", "kind", "replica_id", "offset_ns", "path_delay_ns"],
     "completion": ["t_ns", "seq", "kind", "replica_id", "turnaround_ns", "digest", "classification"],
-    "verdict": ["t_ns", "seq", "kind", "frame_id", "repetition", "release_ns", "delivery_ns", "digest",
-                "classification", "rendezvous", "skew_ns", "present_ids", "missing_ids", "bus_divergence",
-                "variant", "agreeing_ids", "agreed_digest", "groups", "reason", "state", "action",
-                "consecutive_faults"],
+    "verdict": ["t_ns", "seq", "kind", "delivery_ns", "rendezvous", "skew_ns", "present_ids", "missing_ids", "digest",
+                "classification", "bus_divergence", "variant", "agreeing_ids", "agreed_digest", "groups", "reason",
+                "state", "action", "consecutive_faults"],
 }
 
 
@@ -369,7 +399,7 @@ def test_cases_cover_every_record_shape(case_output):
 @pytest.mark.parametrize("name", CASE_PARAMS)
 def test_trace_agrees_with_the_report(name, case_output):
     _, lines, report = case_output(name)
-    check_trace_against_report(list(map(json.loads, lines)), json.loads(report))
+    check_trace_against_report(lines, json.loads(report))
 
 
 @pytest.mark.parametrize("name", CASE_PARAMS)
@@ -386,7 +416,14 @@ def test_in_memory_report_is_the_file(name, case_output):
 if __name__ == "__main__":
     import tempfile
 
+    digests = {}
     for case in CASES:
         with tempfile.TemporaryDirectory() as d:
-            trace_sha, report_sha = _digests(case, d)
+            digests[case] = _digests(case, d)
+    sys.stdout.write("PINS = {\n")
+    for case, (trace_sha, report_sha, _) in digests.items():
         sys.stdout.write(f'    "{case}": (\n        "{trace_sha}",\n        "{report_sha}",\n    ),\n')
+    sys.stdout.write("}\n\nEXPANDED_PINS = {\n")
+    for case, (*_, expanded_sha) in digests.items():
+        sys.stdout.write(f'    "{case}": "{expanded_sha}",\n')
+    sys.stdout.write("}\n")

@@ -1,7 +1,8 @@
 """The runner against the frozen scalar reference runner (`oracles.run_reference`).
 
-Every generated config must give the reference runner's trace.jsonl and
-report.json bytes, and the run must keep four invariants: every delivered
+Every generated config must give the reference runner's report.json bytes
+and, expanded to schema 3 (`helpers.expand`), its trace.jsonl bytes. The
+run must keep four invariants: every delivered
 output is one sample, injected = detected + masked + corrupted, records are
 strictly ordered by (t_ns, seq), and the trace and the report agree
 (`helpers.check_trace_against_report`).
@@ -19,9 +20,9 @@ from hypothesis import strategies as st
 from lockstepsim import experiment, trace
 from lockstepsim.config import config_from_dict
 from lockstepsim.experiment import REPORT_FILENAME, TRACE_FILENAME, run_to_directory
-from helpers import check_trace_against_report
+from helpers import check_trace_against_report, expand
 from oracles import run_reference
-from test_golden import CASES, CONFIG_DIR, PINS, SLOW_CASES
+from test_golden import CASES, CONFIG_DIR, EXPANDED_PINS, PINS, SLOW_CASES
 
 # mostly healthy, so that most rounds reach the vote
 HEALTH = ("healthy",) * 5 + ("failed", "switched_off")
@@ -121,8 +122,8 @@ def configs(draw):
     }
 
 
-def check_invariants(cfg, trace_text, report):
-    records = [json.loads(line) for line in trace_text.splitlines()]
+def check_invariants(cfg, lines, report):
+    """`lines` are the runner's schema-4 trace lines."""
     rounds = cfg.workload.frame_count * cfg.workload.repetitions_per_frame
 
     # sample conservation: a replica has at most one sample per round
@@ -135,7 +136,7 @@ def check_invariants(cfg, trace_text, report):
     assert report["bus"]["divergences"] <= report["bus"]["comparisons"] <= rounds
 
     # strict (t_ns, seq) order, and the trace and the report agree
-    check_trace_against_report(records, report)
+    check_trace_against_report(lines, report)
 
 
 def report_text(report):
@@ -147,9 +148,10 @@ def assert_matches_reference(raw, out_dir):
     cfg = config_from_dict(raw, env={})
     run_to_directory(cfg, out_dir)
     trace_text, report = run_reference(cfg)
-    assert (out_dir / TRACE_FILENAME).read_text() == trace_text
+    lines = (out_dir / TRACE_FILENAME).read_text().splitlines()
+    assert "".join(expand(lines)) == trace_text
     assert (out_dir / REPORT_FILENAME).read_text() == report_text(report)
-    check_invariants(cfg, trace_text, report)
+    check_invariants(cfg, lines, report)
 
 
 @settings(settings.get_profile("oracle-fuzz"))
@@ -192,8 +194,7 @@ def test_fault_campaign_cut_matches_the_reference(tmp_path, chunk):
 
 @pytest.mark.parametrize("name", sorted(set(CASES) - SLOW_CASES - {"two-profiles"}))
 def test_reference_reproduces_the_pins(name):
-    # the frozen runner is the runner the golden pins were taken from
+    # the frozen runner writes schema 3: its trace is the pinned expansion
     trace_text, report = run_reference(config_from_dict(CASES[name](), env={}))
-    digests = (hashlib.sha256(trace_text.encode()).hexdigest(),
-               hashlib.sha256(report_text(report).encode()).hexdigest())
-    assert digests == PINS[name]
+    assert hashlib.sha256(trace_text.encode()).hexdigest() == EXPANDED_PINS[name]
+    assert hashlib.sha256(report_text(report).encode()).hexdigest() == PINS[name][1]

@@ -357,6 +357,8 @@ def test_scan_matches_the_frozen_step_in_any_chunking(threshold, variants, cuts)
         got += [(SAFE_OFF if c >= threshold else OPERATIONAL, action, c) for action, c in zip(actions, counts)]
         count = counts[-1]
     assert got == want
+    # the switch is at rest, delivering, exactly when its count is 0 (the trace leaves that row's fields out)
+    assert all((action == DELIVER_OUTPUT) == (c == 0) for _, action, c in got)
     # SafeOff is absorbing
     states = [s for s, _, _ in got]
     if SAFE_OFF in states:
