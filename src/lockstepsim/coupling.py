@@ -42,11 +42,11 @@ def rendezvous_rounds(arrival, emitted, window_ns: int):
     The window opens at the first arrival; an output arriving within
     [first, first + window] is present, the rest (late or never) are
     missing. A rendezvous is complete when every expected replica is
-    present. Returns (present, complete, skew, deadline): per round, the
-    skew of a complete rendezvous (its last arrival less its first) and the
-    time at which the checker decides, which is the last arrival of a
-    complete rendezvous, else the close of the window; a round with no
-    output at all opens the window at 0.
+    present. Returns (complete, skew, deadline): per round, whether it is
+    complete, the skew of a complete rendezvous (its last arrival less its
+    first) and the time at which the checker decides, which is the last
+    arrival of a complete rendezvous, else the close of the window; a round
+    with no output at all opens the window at 0.
     """
     # Reductions across the few columns run column by column: NumPy's
     # axis-1 reduction of a narrow array costs ten times as much.
@@ -60,7 +60,7 @@ def rendezvous_rounds(arrival, emitted, window_ns: int):
     last = reduce(np.maximum, arrival.T)
     close = first + window_ns
     complete = everyone & (last <= close)
-    return emitted & (arrival <= close[:, None]), complete, last - first, np.where(complete, last, close)
+    return complete, last - first, np.where(complete, last, close)
 
 
 def compare_bus_traces(a, b):

@@ -199,6 +199,9 @@ class ExperimentRunner:
         n = topo.replica_count
         self.healthy_ids = [rid for rid in range(n) if topo.health[rid] == HEALTHY]
         k = len(self.healthy_ids)
+        # the compute time of one inference on each healthy replica's clock
+        self._compute_ns = np.array([cycles_to_time(self._cycles, topo.clocks[rid]) for rid in self.healthy_ids],
+                                    dtype=np.int64)
         # Per healthy replica (a column of the chunk arrays): its jitter
         # models and (stream, size stream) seeds; feed jitter only under
         # loose coupling.
@@ -377,10 +380,10 @@ class ExperimentRunner:
 
         # outcomes
         if k:
-            present, complete, skew, deadline = rendezvous_rounds(comp + self._corr, emit, self._window_ns)
+            complete, skew, deadline = rendezvous_rounds(comp + self._corr, emit, self._window_ns)
             durations = np.maximum(deadline, reduce(np.maximum, comp.T))
         else:
-            present, complete = emit, np.zeros(n, dtype=bool)
+            complete = np.zeros(n, dtype=bool)
             durations = skew = np.zeros(n, dtype=np.int64)
         ends = self.now + np.cumsum(durations)
         self.now = int(ends[-1])
@@ -411,10 +414,9 @@ class ExperimentRunner:
         action, counts = safety_scan(verdict != _PASS, self.topology.debounce_threshold, self.fault_count)
         self.fault_count = int(counts[-1])
         c = dict(frame_ids=first + rows, reps=repetitions, clean=clean, starts=ends - durations,
-                 ends=ends, comp=comp, emit=emit, applied=fired.any(axis=1), present=present,
-                 complete=complete, skew=skew, verdict=verdict, labels=labels, best=best, agreed=agreed,
-                 digests=digests, outputs=outputs, compared=compared, other=other, index=index, diverged=diverged,
-                 action=action, counts=counts)
+                 ends=ends, comp=comp, emit=emit, applied=fired.any(axis=1), complete=complete, skew=skew,
+                 verdict=verdict, labels=labels, best=best, agreed=agreed, digests=digests, outputs=outputs,
+                 compared=compared, other=other, index=index, diverged=diverged, action=action)
         if self._write is not None:  # the columns only the trace reads
             c.update(classes=self._clean[0][rows[repetitions == 0]].argmax(axis=1), feed=feed if self._fed else None)
         return c
@@ -435,9 +437,9 @@ class ExperimentRunner:
     # -- top level --------------------------------------------------------
 
     def run(self) -> ExperimentReport:
-        wl, required = self.cfg.workload, self.topology.policy.required_agreement
+        wl = self.cfg.workload
         if self._write is not None:
-            self._write(trace.header(self.cfg, self.healthy_ids, self._cycles, self._fed))
+            self._write(trace.header(self.cfg, self.healthy_ids, self._cycles, self._fed, self._window_ns))
         if self.topology.ptp.enabled:
             self._sync_clocks()
         # what the checker adds to a completion time to get its arrival time
@@ -455,22 +457,19 @@ class ExperimentRunner:
                 c = self._run_chunk(first, lo, min(lo + ROUND_CHUNK, count * reps))
                 tally(self.totals, c, self.healthy_ids)
                 if self._write is not None:
-                    self.seq = trace.rounds(self._write, self.seq, c, self.healthy_ids, required,
-                                            self.topology.debounce_threshold)
+                    self.seq = trace.rounds(self._write, self.seq, c, self.healthy_ids)
                 del c  # the next chunk runs without this one's columns
         return self._build_report()
 
     def _check_time_limit(self):
-        """Set the compute time of each healthy replica, and refuse a run
-        whose simulated time could reach `TIME_LIMIT_NS`."""
-        compute = [cycles_to_time(self._cycles, self.topology.clocks[rid]) for rid in self.healthy_ids]
-        delays = [0] * len(compute)
+        """Refuse a run whose simulated time could reach `TIME_LIMIT_NS`."""
+        delays = [0] * len(self.healthy_ids)
         for i, spec, _ in self._faults:
             if isinstance(spec.kind, ExtraDelay):
                 delays[i] += abs(spec.kind.ns)
         per_round = self._window_ns + sum(
             host.bound_ns + (self._feed[i][0].bound_ns if self._feed else 0)
-            + compute[i] + delays[i] + abs(self._corr[i])
+            + int(self._compute_ns[i]) + delays[i] + abs(self._corr[i])
             for i, (host, _) in enumerate(self._host)
         )
         wl = self.cfg.workload
@@ -478,7 +477,6 @@ class ExperimentRunner:
         if rounds * per_round >= TIME_LIMIT_NS:
             raise SimulationError(
                 f"simulated time could reach 2**62 ns: up to {per_round} ns per round over {rounds} rounds")
-        self._compute_ns = np.array(compute, dtype=np.int64)
 
     def _build_report(self) -> ExperimentReport:
         prof, t = self.cfg.profiler, self.totals

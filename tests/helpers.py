@@ -5,12 +5,12 @@ import json
 import lockstepsim
 from lockstepsim.config import config_from_dict
 from lockstepsim.coupling import Tight
-from lockstepsim.eventsim import JitterModel
+from lockstepsim.eventsim import JitterModel, cycles_to_time
 from lockstepsim.experiment import ExperimentRunner
 from lockstepsim.replica import HEALTHY, compute_cycles, gen_weights
 from lockstepsim.rng import derive_seed, fnv1a64
-from lockstepsim.voting import DELIVER_OUTPUT, ENTER_SAFE_OFF, OPERATIONAL, SAFE_OFF, VERDICTS
-from oracles import _Layer, _Tensor, _Weights
+from lockstepsim.voting import DEGRADED, ENTER_SAFE_OFF, OPERATIONAL, SAFE_OFF, VERDICTS
+from oracles import Complete, SafetySwitchState, Verdict, _Layer, _Tensor, _Weights, rendezvous, step_safety
 
 
 def run_with_text(raw):
@@ -28,35 +28,56 @@ def run_with_records(raw):
     return cfg, report, [json.loads(line) for line in expand(text.splitlines())]
 
 
-# The verdict fields that schema 4 leaves out where they are at rest.
-AT_REST = {"state": OPERATIONAL, "action": DELIVER_OUTPUT, "consecutive_faults": 0}
+# The header fields that schema 3 lacks.
+NEW_HEADER_FIELDS = ("repetitions_per_frame", "debounce_threshold", "feed_jitter", "window_ns", "clock_offsets_ns")
+# The verdict fields that schema 5 re-derives from the completions and the header.
+DERIVED = ("rendezvous", "skew_ns", "present_ids", "missing_ids", "reason", "state", "action", "consecutive_faults")
 
 
 def expand(lines):
-    """The schema-3 trace lines, each with its newline, of the schema-4
+    """The schema-3 trace lines, each with its newline, of the schema-5
     trace `lines`. The header loses the fields that schema 3 lacks. Each
     verdict gains the fields it leaves out, from the header and the lines
     before it (`lockstepsim.trace`), in schema 3's key order: frame_id,
     repetition, release_ns and delivery_ns, then the clean digest and
-    classification, then the rendezvous, bus divergence and variant fields,
-    then the safety switch. Other lines are the same in both schemas."""
-    out, verdicts, release, clean = [], 0, 0, {}
+    classification, then the rendezvous, bus divergence and variant fields
+    (a degraded verdict's reason last), then the safety switch. The frozen
+    references re-derive the rendezvous (`oracles.rendezvous`) from the
+    round's arrivals and step the switch (`oracles.step_safety`). Other
+    lines are the same in both schemas."""
+    out, verdicts, release, clean, arrivals = [], 0, 0, {}, []
     for line in lines:
         r = json.loads(line)
         if r["kind"] == "header":
             head = r
-            r = {key: v for key, v in r.items()
-                 if key not in ("repetitions_per_frame", "debounce_threshold", "feed_jitter")}
+            r = {key: v for key, v in r.items() if key not in NEW_HEADER_FIELDS}
             r["schema_version"] = 3
+            ids = head["replica_ids"]
+            correction = dict(zip(ids, head["clock_offsets_ns"]))  # what arrival adds to a turnaround
+            switch = SafetySwitchState(debounce_threshold=head["debounce_threshold"])
+        elif r["kind"] == "ptp" and r["replica_id"] in correction:
+            correction[r["replica_id"]] -= r["offset_ns"]
+        elif r["kind"] == "completion":
+            arrivals.append((r["replica_id"], r["turnaround_ns"] + correction[r["replica_id"]]))
         elif r["kind"] == "verdict":
             if "digest" in r:
                 clean = {key: r.pop(key) for key in ("digest", "classification")}
             reps, t = head["repetitions_per_frame"], r["t_ns"]
             lead = {key: r.pop(key) for key in ("t_ns", "seq", "kind")}
-            safety = {key: r.pop(key, v) for key, v in AT_REST.items()}
+            outcome = rendezvous(ids, arrivals, head["window_ns"]) if ids else None
+            if isinstance(outcome, Complete):
+                outcome = {"rendezvous": "complete", "skew_ns": outcome.skew_ns}
+            elif outcome is not None:
+                outcome = {"rendezvous": "timeout", "present_ids": list(outcome.present_ids),
+                           "missing_ids": list(outcome.missing_ids)}
+            if r["variant"] == DEGRADED:
+                r["reason"] = (f"{len(ids)} output(s) cannot reach {head['required_agreement']}-way agreement"
+                               if ids else "no healthy replicas")
+            switch, action = step_safety(switch, Verdict(r["variant"]))
             r = {**lead, "frame_id": verdicts // reps, "repetition": verdicts % reps, "release_ns": release,
-                 "delivery_ns": r.pop("delivery_ns", [0] * len(head["replica_ids"])), **clean, **r, **safety}
-            verdicts, release = verdicts + 1, t
+                 "delivery_ns": r.pop("delivery_ns", [0] * len(ids)), **clean, **(outcome or {}), **r,
+                 "state": switch.state, "action": action, "consecutive_faults": switch.consecutive_fault_count}
+            verdicts, release, arrivals = verdicts + 1, t, []
         out.append(json.dumps(r, separators=(",", ":")) + "\n")
     return out
 
@@ -79,13 +100,14 @@ def rounds_of(records):
 
 
 def check_trace_against_report(lines, report):
-    """Re-derive from the schema-4 trace `lines` alone what the report.json
+    """Re-derive from the schema-5 trace `lines` alone what the report.json
     dict `report` says, and assert that each part agrees: the header's
     fields, the PTP rows, each replica's samples, the verdict counts, the
     complete rendezvous' skews, the bus divergences and the safety
     timeline. Assert first that no verdict writes a field that the header
     and the lines before it give, then check the schema-3 records of
-    `expand`. Also assert the trace's own layout: seq is the line index,
+    `expand`, whose rendezvous and safety switch are re-derived from the
+    completions and the header. Also assert the trace's own layout: seq is the line index,
     (t_ns, seq) strictly increases, each round's completions come between
     its release and its verdict, and a pass names its agreement only where
     it is not every header replica agreeing on the clean output."""
@@ -95,19 +117,23 @@ def check_trace_against_report(lines, report):
     healthy = [rid for rid, state in enumerate(topo.health) if state == HEALTHY]
     raw = [json.loads(line) for line in lines]
     head = raw[0]
+    if isinstance(topo.coupling, Tight):
+        window = max(cycles_to_time(topo.coupling.skew_tolerance_cycles, topo.clocks[0]), 1)
+    else:
+        window = topo.coupling.rendezvous_window_ns
     assert head == {
-        "t_ns": 0, "seq": 0, "kind": "header", "schema_version": 4, "package_version": lockstepsim.__version__,
+        "t_ns": 0, "seq": 0, "kind": "header", "schema_version": 5, "package_version": lockstepsim.__version__,
         "seed": config["seed"], "config_digest": fnv1a64(json.dumps(config, separators=(",", ":")).encode()),
         "replica_ids": healthy,
         "compute_cycles": compute_cycles(gen_weights(derive_seed(cfg.seed, "weights"), wl.arch), topo.engine),
         "required_agreement": topo.policy.required_agreement, "repetitions_per_frame": wl.repetitions_per_frame,
         "debounce_threshold": topo.debounce_threshold,
         "feed_jitter": not isinstance(topo.coupling, Tight) and any(
-            topo.feed_jitter[rid] != JitterModel() for rid in healthy)}
+            topo.feed_jitter[rid] != JitterModel() for rid in healthy),
+        "window_ns": window, "clock_offsets_ns": [topo.clock_offsets_ns[rid] for rid in healthy]}
     for i, v in enumerate(r for r in raw if r["kind"] == "verdict"):
-        assert not {"frame_id", "repetition", "release_ns"} & v.keys()
+        assert not {"frame_id", "repetition", "release_ns", *DERIVED} & v.keys()
         assert ("digest" in v) == ("classification" in v) == (i % wl.repetitions_per_frame == 0)
-        assert {key in v for key in AT_REST} == {v.get("consecutive_faults", 0) != 0}
         assert ("delivery_ns" in v) == head["feed_jitter"]
 
     records = [json.loads(line) for line in expand(lines)]
@@ -135,6 +161,8 @@ def check_trace_against_report(lines, report):
 
     verdicts = [v for v, _ in rounds]
     for v in verdicts:
+        # a timeout verdict exactly where the re-derived rendezvous timed out
+        assert (v["variant"] == "timeout") == (v.get("rendezvous") == "timeout")
         if v["variant"] == "pass" and ("agreeing_ids" in v or "agreed_digest" in v):
             assert (v["agreeing_ids"], v["agreed_digest"]) != (healthy, v["digest"])
     assert {name: sum(v["variant"] == name for v in verdicts) for name in VERDICTS} == report["verdict_counts"]

@@ -196,6 +196,32 @@ def _loose_3_chunks_safe_off():
     }
 
 
+def _loose_quiet_feed_window_edge():
+    # Loose, with every feed model the all-zero default and no PTP, so the
+    # header's feed_jitter is false and arrival is the turnaround plus the
+    # clock offset alone. Without a host spike, replica 1 arrives exactly
+    # one window after replica 0: a complete rendezvous on the inclusive
+    # edge. A spike on replica 1 alone makes it late (a timeout whose late
+    # replica emitted); debounce 2 suppresses one round and the next pass
+    # returns the switch to rest.
+    return {
+        "seed": 4242,
+        "topology": {
+            "replicas": 2,
+            "coupling": {"mode": "loose", "rendezvous_window_ns": 3_000},
+            "voter": {"policy": "1oo2", "comparator": {"kind": "exact"}, "debounce_threshold": 2},
+            "clocks": [{"freq_hz": 1_000_000_000, "drift_ppm": 0}, {"freq_hz": 999_000_000, "drift_ppm": 30}],
+            "clock_offsets_ns": [-1_500, 2_500],
+            "host_jitter": [
+                {"base_overhead_ns": 10_000, "spike_prob": 0.15, "spike_scale_ns": 2_000},
+                {"base_overhead_ns": 9_000, "spike_prob": 0.15, "spike_scale_ns": 2_000},
+            ],
+        },
+        "workload": {"frame_count": 12, "repetitions_per_frame": 3, "input_shape": [8], "arch": [8, 8, 4]},
+        "faults": [],
+    }
+
+
 CASES = {
     "tight-baseline": lambda: _shipped("tight-baseline.json"),
     "two-profiles": lambda: _shipped("two-profiles.json"),
@@ -207,6 +233,7 @@ CASES = {
     "paper-protocol": lambda: _shipped("paper-protocol.json"),
     "tight-3oo4-rank2-blocks": _tight_3oo4_rank2_blocks,
     "loose-3-chunks-safe-off": _loose_3_chunks_safe_off,
+    "loose-quiet-feed-window-edge": _loose_quiet_feed_window_edge,
 }
 
 SLOW_CASES = {"paper-protocol"}
@@ -214,44 +241,48 @@ SLOW_CASES = {"paper-protocol"}
 # name -> (sha256 of trace.jsonl, sha256 of report.json)
 PINS = {
     "tight-baseline": (
-        "4a661414934b332ac050ec166c9fff59c6be95586e847c891669411a252898a8",
+        "7d1a807132f1fea293ed55d89b202d0efcb1ee39deeed2319bb4e6cca10930be",
         "b093fc06cd99b706d7a06ef5cc2001ff050ad6a3ba34a07884030989de0101a4",
     ),
     "two-profiles": (
-        "9663cda268ff722f004af7bbe54f9e3ee44a72433c36f0f35fe603260bf7c47c",
+        "6cad5e5786f582b0ab43fdc18300fe1515f25f3d8098ab445124854f6fc9ddb7",
         "1b882fa97f05c095a8351d8b9e2f8fe0c6868bd24b57b2c84de3c01c830b09d4",
     ),
     "tight-2oo3-all-faults": (
-        "1e0a2dc0670295360c51f72d099583f966c16ea657db138c151b89e9e231ac47",
+        "cafe893358154dae432113b79b43dd686038cf0fd6cd9e0458b091ff0030be6c",
         "e93dcb38a5479f5df4c0c8dacd134671bc41b41fe8ef4ebc92042bd4a67fbc98",
     ),
     "loose-duplex-ptp-tolerance": (
-        "dd8de810590926679a449537876807bd5b2b34edec5e57eb573ced0399e024ce",
+        "2ef3d3119a34a47a2dff4965b6b49f38d4a28ee352c310df2b9c6a9aa49fb102",
         "af33049d5da4e546ede3a3cb28a69f889c6beb32e5abc69a0d6d646e22a84c35",
     ),
     "loose-3-one-failed": (
-        "18c78580e6cbcaaf57e8df2c2d8c7abf6f2951c1aecc72e4bfe83b0717d69da4",
+        "9eb88a84363c52c9b7751df064a618f0dab212233a6023a159a07c8894581d4e",
         "c63f18864ab777ea606cbf0068db927a64d9289c98cc755e61226b9c7b106ecb",
     ),
     "degraded-no-healthy": (
-        "2ef426da49689cbf2b5b8ac3eff2e62f278551bcd442eef7a92081a7ed3ed2ee",
+        "45e8e0f53d0db066337009ef81c4875c4b239fb4c8c66658910c4e0e99a0f856",
         "90df25f1faea469e512a07cfa0e1d56cc0cbd1913e5bc0347957a16ad05a8185",
     ),
     "degraded-one-short": (
-        "df09391551cf6f31d45e0ccc77c7f271300caa031709814dfa9659851792c2f5",
+        "bd993eb76c3c153288e0433221f965f8a30e4895b6a301cba6f9555e83fcf23f",
         "8c09d98077dfb8a2c1a057f361ad56cb7dcfdb58fe3403fab4f6f7e54f8c2558",
     ),
     "paper-protocol": (
-        "a34feb8dd59733cc2326898e2daaf5f91164417ad69fdcdf6af9e6b98c6076a1",
+        "261846575d5ccf2e13cccebbe0bb82571f69d23ad1fee29644dd372d7b5346df",
         "4bcd2d8859906dc633a710e83db6e38392cea9c63592cc487c9b69737276e123",
     ),
     "tight-3oo4-rank2-blocks": (
-        "e7f3229260c9cc40fcc9b94039dc8597e6fd361a6e46b7bb7e5b4600f90db0eb",
+        "f4c51b29e60842de0b93866bf87fff4a782413a3669117e4d9c3a38b0e5e8991",
         "8f79faa6894883a55b68c8991ed9543b164701ffde1d0c2eecba078c37757741",
     ),
     "loose-3-chunks-safe-off": (
-        "99cd6a0fbe1d13aecd1d3e2a7561406dc98a16c2dfe3d4b8bae6df4afe1c48a3",
+        "ad2419f0dace5dbbd919fbf06450b59e323ce5e917773f465b1fdb656fbb11d5",
         "bab6e8fe8366aadcc03d5c05a92361b0a867bae8417b2ba6325bff92400e9d28",
+    ),
+    "loose-quiet-feed-window-edge": (
+        "5000a5627525ded32681741e1d58b82a37e2d9387d87b863e5765bb3e0cb5fd7",
+        "dcfd6e2d21ec566d9c2ebb17dfa5b1abe55feee966782dffc2c13e070912e788",
     ),
 }
 
@@ -268,15 +299,16 @@ EXPANDED_PINS = {
     "paper-protocol": "148b411b7e3e45d8251ba975c5f45469c945a018b55262871817b90b8daa9014",
     "tight-3oo4-rank2-blocks": "7e69a32c82b6dbf2b1203c7a29d88d3fd1aa681d7af7b414fb1b8078f170fe30",
     "loose-3-chunks-safe-off": "52413fbdb6a6f3d70a5a0c8e2dd76027097bb2bc22bf315493cfdd302b61200a",
+    "loose-quiet-feed-window-edge": "17b373f1107990c66012565047beb6c5192f79d8c0683a18c687160d224c2d6f",
 }
 
 # Every record shape the trace can hold: the kind, refined by the fields
 # that vary within it. A completion names its output or leaves it clean; a
 # verdict writes its deliveries or not, the clean output (a frame's first
-# round) or not, has a rendezvous outcome (none without healthy replicas),
-# may have a bus divergence, and has a variant (a pass that names its
-# agreement or not, a degraded one with its reason) and a safety action,
-# none where the switch is at rest.
+# round) or not, may have a bus divergence, and has a variant (a pass that
+# names its agreement or not). What a verdict leaves to the reader varies
+# too (`helpers.expand`): its rendezvous outcome (none without healthy
+# replicas), a degraded one's reason and its safety action.
 RECORD_SHAPES = {
     ("header",),
     ("ptp",),
@@ -286,17 +318,18 @@ RECORD_SHAPES = {
     ("delivery_ns", False),
     ("digest", True),
     ("digest", False),
-    ("rendezvous", "complete"),
-    ("rendezvous", "timeout"),
-    ("rendezvous", None),
     ("bus_divergence",),
     ("variant", "pass"),
     ("variant", "pass", "agreeing_ids"),
     ("variant", "mismatch"),
     ("variant", "timeout"),
-    ("variant", "degraded", "no healthy replicas"),
-    ("variant", "degraded", "1 output(s) cannot reach 2-way agreement"),
-    ("action", None),
+    ("variant", "degraded"),
+    ("rendezvous", "complete"),
+    ("rendezvous", "timeout"),
+    ("rendezvous", None),
+    ("reason", "no healthy replicas"),
+    ("reason", "1 output(s) cannot reach 2-way agreement"),
+    ("action", "deliver_output"),
     ("action", "suppress_output"),
     ("action", "enter_safe_off"),
 }
@@ -317,12 +350,16 @@ def _shapes(rec):
     if kind == "completion":
         return [(kind, "changed" if "digest" in rec else "clean")]
     if kind == "verdict":
-        detail = [rec["reason"]] if "reason" in rec else ["agreeing_ids"] if "agreeing_ids" in rec else []
-        variant = ("variant", rec["variant"], *detail)
+        variant = ("variant", rec["variant"], *(["agreeing_ids"] if "agreeing_ids" in rec else []))
         divergence = [("bus_divergence",)] if "bus_divergence" in rec else []
-        return [("delivery_ns", "delivery_ns" in rec), ("digest", "digest" in rec),
-                ("rendezvous", rec.get("rendezvous")), *divergence, variant, ("action", rec.get("action"))]
+        return [("delivery_ns", "delivery_ns" in rec), ("digest", "digest" in rec), *divergence, variant]
     return [(kind,)]
+
+
+def _derived_shapes(rec):
+    """The shapes of what a schema-3 verdict (`expand`) re-derives."""
+    reason = [("reason", rec["reason"])] if "reason" in rec else []
+    return [("rendezvous", rec.get("rendezvous")), *reason, ("action", rec["action"])]
 
 
 @pytest.fixture(scope="module")
@@ -372,12 +409,12 @@ def test_trace_lines_are_canonical_json(name, case_output):
 # its shape.
 KEYS = {
     "header": ["t_ns", "seq", "kind", "schema_version", "package_version", "seed", "config_digest", "replica_ids",
-               "compute_cycles", "required_agreement", "repetitions_per_frame", "debounce_threshold", "feed_jitter"],
+               "compute_cycles", "required_agreement", "repetitions_per_frame", "debounce_threshold", "feed_jitter",
+               "window_ns", "clock_offsets_ns"],
     "ptp": ["t_ns", "seq", "kind", "replica_id", "offset_ns", "path_delay_ns"],
     "completion": ["t_ns", "seq", "kind", "replica_id", "turnaround_ns", "digest", "classification"],
-    "verdict": ["t_ns", "seq", "kind", "delivery_ns", "rendezvous", "skew_ns", "present_ids", "missing_ids", "digest",
-                "classification", "bus_divergence", "variant", "agreeing_ids", "agreed_digest", "groups", "reason",
-                "state", "action", "consecutive_faults"],
+    "verdict": ["t_ns", "seq", "kind", "delivery_ns", "digest", "classification", "bus_divergence", "variant",
+                "agreeing_ids", "agreed_digest", "groups"],
 }
 
 
@@ -391,8 +428,12 @@ def test_records_keep_the_key_order(name, case_output):
 def test_cases_cover_every_record_shape(case_output):
     seen = set()
     for name in sorted(set(CASES) - SLOW_CASES):
-        for line in case_output(name)[1]:
+        lines = case_output(name)[1]
+        for line in lines:
             seen.update(_shapes(json.loads(line)))
+        for line in expand(lines):
+            if '"kind":"verdict"' in line:
+                seen.update(_derived_shapes(json.loads(line)))
     assert seen == RECORD_SHAPES
 
 

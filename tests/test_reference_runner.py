@@ -123,7 +123,7 @@ def configs(draw):
 
 
 def check_invariants(cfg, lines, report):
-    """`lines` are the runner's schema-4 trace lines."""
+    """`lines` are the runner's schema-5 trace lines."""
     rounds = cfg.workload.frame_count * cfg.workload.repetitions_per_frame
 
     # sample conservation: a replica has at most one sample per round

@@ -14,15 +14,7 @@ from helpers import zero_jitter_duplex
 from lockstepsim import trace
 from lockstepsim.config import config_from_dict
 from lockstepsim.experiment import ExperimentRunner
-from lockstepsim.voting import (
-    ACTIONS,
-    DELIVER_OUTPUT,
-    ENTER_SAFE_OFF,
-    OPERATIONAL,
-    SAFE_OFF,
-    SUPPRESS_OUTPUT,
-    VERDICTS,
-)
+from lockstepsim.voting import VERDICTS
 from test_golden import CASES
 
 GOLDEN = ["tight-2oo3-all-faults", "degraded-no-healthy", "loose-3-one-failed"]
@@ -33,10 +25,6 @@ small = st.integers(0, 10**6)
 signed = st.integers(-(1 << 62), 1 << 62)
 digests = st.integers(0, (1 << 64) - 1)
 id_lists = st.lists(st.integers(0, 7), max_size=8)
-states = st.sampled_from([OPERATIONAL, SAFE_OFF])
-actions = st.sampled_from([DELIVER_OUTPUT, SUPPRESS_OUTPUT, ENTER_SAFE_OFF])
-# quotes, backslashes, control and non-ASCII characters
-reasons = st.text(alphabet=st.sampled_from('ab "\\\n\t\x00é€😀/'), max_size=20) | st.text(max_size=20)
 
 
 def line(record):
@@ -58,38 +46,25 @@ def test_completion(t, seq, rid, turnaround, changed):
     assert trace.COMPLETION % (t, seq, rid, turnaround, text) == line(want)
 
 
-# (the template's rendezvous, its value, the fields it writes)
-outcomes = st.one_of(
-    st.just(("%s", "", {})),
-    st.builds(lambda skew: (trace.COMPLETE, skew, {"rendezvous": "complete", "skew_ns": skew}), signed),
-    st.builds(lambda present, missing: ("%s", trace.TIMED_OUT % (trace.ids(present), trace.ids(missing)),
-                                        {"rendezvous": "timeout", "present_ids": present, "missing_ids": missing}),
-              id_lists, id_lists),
-)
 divergences = st.none() | st.tuples(st.integers(0, 7), st.integers(0, 7), small)
 variants = st.one_of(
     st.builds(lambda ids, d: ("pass", trace.AGREED % (trace.ids(ids), d), {"agreeing_ids": ids, "agreed_digest": d}),
               id_lists, digests),
     st.builds(lambda groups: ("mismatch", trace.groups(groups), {"groups": groups}), st.lists(id_lists, max_size=4)),
     st.just(("timeout", "", {})),
-    st.builds(lambda text: ("degraded", trace.reason(text), {"reason": text}), reasons),
+    st.just(("degraded", "", {})),
 )
 
 
-safeties = st.none() | st.tuples(states, actions, st.integers(1, 10**6))  # at rest, or the switch's fields
-
-
 @given(times, seqs, st.none() | st.lists(signed, min_size=1, max_size=8), st.none() | st.tuples(digests, small),
-       outcomes, divergences, variants, safeties)
+       divergences, variants)
 @settings(max_examples=200, deadline=None)
-def test_verdict(t, seq, deliveries, clean, outcome, divergence, variant, safety):
-    rendezvous, value, outcome_fields = outcome
+def test_verdict(t, seq, deliveries, clean, divergence, variant):
     name, fields, want_fields = variant
     want = head(t, seq, "verdict")
     if deliveries is not None:
         want["delivery_ns"] = deliveries
-    want.update(outcome_fields)
-    # the tail: the fields after the rendezvous
+    # the tail: the fields after the deliveries
     tail = ""
     if clean is not None:
         want.update(digest=clean[0], classification=clean[1])
@@ -99,11 +74,8 @@ def test_verdict(t, seq, deliveries, clean, outcome, divergence, variant, safety
         tail += trace.DIVERGED % divergence
     want.update(variant=name, **want_fields)
     tail += f',"variant":"{name}"{fields}'
-    if safety is not None:
-        want.update(zip(("state", "action", "consecutive_faults"), safety))
-        tail += trace.SWITCH % safety
     deliveries = deliveries or []
-    assert trace.verdict_template(len(deliveries), rendezvous) % (t, seq, *deliveries, value, tail) == line(want)
+    assert trace.verdict_template(len(deliveries)) % (t, seq, *deliveries, tail) == line(want)
 
 
 @given(times, seqs, st.integers(0, 7), signed, signed)
@@ -140,8 +112,7 @@ def test_rounds_writes_whole_rounds_a_piece_at_a_time(raw, size):
 
 def chunk(**columns):
     """A chunk's columns for `trace.rounds`, each as an array."""
-    kinds = dict(clean=np.uint64, agreed=np.uint64, digests=np.uint64, outputs=np.int16, emit=bool, present=bool,
-                 complete=bool, diverged=bool)
+    kinds = dict(clean=np.uint64, agreed=np.uint64, digests=np.uint64, outputs=np.int16, emit=bool, diverged=bool)
     return {key: None if v is None else np.array(v, dtype=kinds.get(key, np.int64)) for key, v in columns.items()}
 
 
@@ -153,63 +124,49 @@ def verdict_record(t, seq, **fields):
     return {**head(t, seq, "verdict"), **fields}
 
 
-def switch(state, action, count):
-    return {"state": state, "action": action, "consecutive_faults": count}
-
-
 D0, D1 = (1 << 64) - 5, 12345
 PASS, MISMATCH, TIMEOUT, DEGRADED = map(VERDICTS.index, ("pass", "mismatch", "timeout", "degraded"))
-DELIVER, SUPPRESS, ENTER = map(ACTIONS.index, (DELIVER_OUTPUT, SUPPRESS_OUTPUT, ENTER_SAFE_OFF))
 
-# Replicas 0, 2 and 3 over two frames of two rounds each, with feed jitter
-# and debounce 2: a completion-time tie in a pass on the clean output, which
-# names no agreement (round 0); an output dropped by replica 2, earliest but
-# written nowhere, in a timed-out rendezvous (round 1); an output changed by
-# replica 3, first in time, with a bus divergence, in a pass that names the
-# agreeing replicas 0 and 2 (round 2); a three-way mismatch of tied
-# completions that enters SafeOff (round 3). Rounds 0 and 2 write the clean
-# output, rounds 1 and 3 the switch away from rest.
+# Replicas 0, 2 and 3 over two frames of two rounds each, with feed jitter:
+# a completion-time tie in a pass on the clean output, which names no
+# agreement (round 0); an output dropped by replica 2, earliest but written
+# nowhere, in a timeout (round 1); an output changed by replica 3, first in
+# time, with a bus divergence, in a pass that names the agreeing replicas 0
+# and 2 (round 2); a three-way mismatch of tied completions (round 3).
+# Rounds 0 and 2 write the clean output.
 HEALTHY = chunk(
     reps=[0, 1, 0, 1], clean=[D0, D0, D1, D1], classes=[4, 1],
     starts=[1000, 2000, 3000, 4000], ends=[1900, 2900, 3900, 4900],
     feed=[[10, 20, 30], [10, 20, 30], [5, 5, 5], [0, 0, 0]],
     comp=[[500, 300, 300], [400, 100, 450], [200, 250, 150], [300, 300, 300]],
-    emit=[[1, 1, 1], [1, 0, 1], [1, 1, 1], [1, 1, 1]], present=[[1, 1, 1], [1, 0, 1], [1, 1, 1], [1, 1, 1]],
-    complete=[1, 0, 1, 1], skew=[200, 50, 100, 0], verdict=[PASS, TIMEOUT, PASS, MISMATCH],
+    emit=[[1, 1, 1], [1, 0, 1], [1, 1, 1], [1, 1, 1]], verdict=[PASS, TIMEOUT, PASS, MISMATCH],
     labels=[[0, 0, 0], [0, 0, 0], [0, 0, 1], [0, 1, 2]], best=[0, 0, 0, 0], agreed=[D0, D0, D1, D1],
     digests=[[D0, D0, D0], [D0, D0, D0], [D1, D1, 777], [D1, 888, 999]],
     outputs=np.eye(4, dtype=np.int16)[[[0] * 3, [0] * 3, [1, 1, 2], [1, 1, 3]]],  # class: where the 1 is
-    diverged=[0, 0, 1, 0], other=[-1, -1, 2, -1], index=[-1, -1, 5, -1],
-    action=[DELIVER, SUPPRESS, DELIVER, ENTER], counts=[0, 1, 0, 2])
+    diverged=[0, 0, 1, 0], other=[-1, -1, 2, -1], index=[-1, -1, 5, -1])
 HEALTHY_RECORDS = [
     completion_record(1300, 7, 2, 300), completion_record(1300, 8, 3, 300), completion_record(1500, 9, 0, 500),
-    verdict_record(1900, 10, delivery_ns=[10, 20, 30], rendezvous="complete", skew_ns=200, digest=D0,
-                   classification=4, variant="pass"),
+    verdict_record(1900, 10, delivery_ns=[10, 20, 30], digest=D0, classification=4, variant="pass"),
     completion_record(2400, 11, 0, 400), completion_record(2450, 12, 3, 450),
-    verdict_record(2900, 13, delivery_ns=[10, 20, 30], rendezvous="timeout", present_ids=[0, 3], missing_ids=[2],
-                   variant="timeout", **switch(OPERATIONAL, SUPPRESS_OUTPUT, 1)),
+    verdict_record(2900, 13, delivery_ns=[10, 20, 30], variant="timeout"),
     completion_record(3150, 14, 3, 150, digest=777, classification=2), completion_record(3200, 15, 0, 200),
     completion_record(3250, 16, 2, 250),
-    verdict_record(3900, 17, delivery_ns=[5, 5, 5], rendezvous="complete", skew_ns=100, digest=D1, classification=1,
+    verdict_record(3900, 17, delivery_ns=[5, 5, 5], digest=D1, classification=1,
                    bus_divergence={"replica_a": 0, "replica_b": 3, "event_index": 5}, variant="pass",
                    agreeing_ids=[0, 2], agreed_digest=D1),
     completion_record(4300, 18, 0, 300), completion_record(4300, 19, 2, 300, digest=888, classification=1),
     completion_record(4300, 20, 3, 300, digest=999, classification=3),
-    verdict_record(4900, 21, delivery_ns=[0, 0, 0], rendezvous="complete", skew_ns=0, variant="mismatch",
-                   groups=[[0], [2], [3]], **switch(SAFE_OFF, ENTER_SAFE_OFF, 2)),
+    verdict_record(4900, 21, delivery_ns=[0, 0, 0], variant="mismatch", groups=[[0], [2], [3]]),
 ]
-# No healthy replica, debounce 3: two degraded rounds of one frame each in
-# SafeOff, verdicts alone.
+# No healthy replica: two degraded rounds of one frame each, verdicts alone.
 NONE_HEALTHY = chunk(
     reps=[0, 0], clean=[D1, D0], classes=[1, 4], starts=[5000, 5100], ends=[5100, 5200],
-    feed=None, comp=np.zeros((2, 0)), emit=np.zeros((2, 0)), present=np.zeros((2, 0)),
-    complete=[0, 0], skew=[0, 0], verdict=[DEGRADED, DEGRADED], labels=np.zeros((2, 0)), best=[0, 0],
-    agreed=[D1, D0], digests=None, outputs=None, diverged=[0, 0], other=None, index=None,
-    action=[SUPPRESS, SUPPRESS], counts=[3, 4])
+    feed=None, comp=np.zeros((2, 0)), emit=np.zeros((2, 0)), verdict=[DEGRADED, DEGRADED],
+    labels=np.zeros((2, 0)), best=[0, 0], agreed=[D1, D0], digests=None, outputs=None, diverged=[0, 0],
+    other=None, index=None)
 NONE_HEALTHY_RECORDS = [
-    verdict_record(t, seq, digest=digest, classification=cls, variant="degraded", reason="no healthy replicas",
-                   **switch(SAFE_OFF, SUPPRESS_OUTPUT, count))
-    for t, seq, digest, cls, count in ((5100, 22, D1, 1, 3), (5200, 23, D0, 4, 4))
+    verdict_record(t, seq, digest=digest, classification=cls, variant="degraded")
+    for t, seq, digest, cls in ((5100, 22, D1, 1), (5200, 23, D0, 4))
 ]
 # Replicas 0 and 1 under 1oo2, no feed jitter, two frames of one round, two
 # passes in which every replica agrees: a stuck output that repeats the
@@ -219,15 +176,14 @@ NONE_HEALTHY_RECORDS = [
 # pass names it (round 1).
 AGREEING = chunk(
     reps=[0, 0], clean=[D0, D1], classes=[4, 1], starts=[6000, 6500], ends=[6500, 7000],
-    feed=None, comp=[[100, 200], [300, 250]], emit=np.ones((2, 2)), present=np.ones((2, 2)),
-    complete=[1, 1], skew=[100, 50], verdict=[PASS, PASS], labels=np.zeros((2, 2)), best=[0, 0], agreed=[D0, 555],
-    digests=[[D0, D0], [555, D1]], outputs=np.eye(5, dtype=np.int16)[[[4, 4], [2, 1]]], diverged=[0, 0],
-    other=None, index=None, action=[DELIVER, DELIVER], counts=[0, 0])
+    feed=None, comp=[[100, 200], [300, 250]], emit=np.ones((2, 2)), verdict=[PASS, PASS], labels=np.zeros((2, 2)),
+    best=[0, 0], agreed=[D0, 555], digests=[[D0, D0], [555, D1]],
+    outputs=np.eye(5, dtype=np.int16)[[[4, 4], [2, 1]]], diverged=[0, 0], other=None, index=None)
 AGREEING_RECORDS = [
     completion_record(6100, 24, 0, 100), completion_record(6200, 25, 1, 200),
-    verdict_record(6500, 26, rendezvous="complete", skew_ns=100, digest=D0, classification=4, variant="pass"),
+    verdict_record(6500, 26, digest=D0, classification=4, variant="pass"),
     completion_record(6750, 27, 1, 250), completion_record(6800, 28, 0, 300, digest=555, classification=2),
-    verdict_record(7000, 29, rendezvous="complete", skew_ns=50, digest=D1, classification=1, variant="pass",
+    verdict_record(7000, 29, digest=D1, classification=1, variant="pass",
                    agreeing_ids=[0, 1], agreed_digest=555),
 ]
 
@@ -236,9 +192,9 @@ AGREEING_RECORDS = [
 def test_rounds_lays_out_slots_and_sparse_cases(size):
     pieces = []
     with mock.patch.object(trace, "WRITE_ROUNDS", size):
-        assert trace.rounds(pieces.append, 7, HEALTHY, [0, 2, 3], 2, 2) == 22
-        assert trace.rounds(pieces.append, 22, NONE_HEALTHY, [], 2, 3) == 24
-        assert trace.rounds(pieces.append, 24, AGREEING, [0, 1], 1, 1) == 30
+        assert trace.rounds(pieces.append, 7, HEALTHY, [0, 2, 3]) == 22
+        assert trace.rounds(pieces.append, 22, NONE_HEALTHY, []) == 24
+        assert trace.rounds(pieces.append, 24, AGREEING, [0, 1]) == 30
     records = HEALTHY_RECORDS + NONE_HEALTHY_RECORDS + AGREEING_RECORDS
     assert "".join(pieces).splitlines(keepends=True) == list(map(line, records))
     assert len(pieces) == (8 if size == 1 else 3)
@@ -250,11 +206,9 @@ WIDTH = 3  # output elements, so a changed output's classification is its argmax
 @st.composite
 def chunks(draw):
     """A chunk of rounds of every shape, as lists: k healthy replicas (none
-    to three), each output emitted or not, a rendezvous complete or timed
-    out, any bus divergence, any verdict, a frame's first round or not, the
-    safety switch at rest or not, and changed outputs if `digests` is not
-    None. The switch delivers exactly where its count is 0. Returns
-    (columns, replica ids, required agreement, debounce threshold)."""
+    to three), each output emitted or not, any bus divergence, any verdict,
+    a frame's first round or not, and changed outputs if `digests` is not
+    None. Returns (columns, replica ids)."""
     k, n = draw(st.integers(0, 3)), draw(st.integers(1, 8))
     replica_ids = sorted(draw(st.sets(st.integers(0, 7), min_size=k, max_size=k)))
     valued, fed = draw(st.booleans()), draw(st.booleans()) and k > 0
@@ -269,16 +223,13 @@ def chunks(draw):
         start = draw(st.integers(0, 1 << 40))
         comp = draw(per(st.integers(0, 3)))  # few values, so completion times tie
         column = st.integers(0, max(k - 1, 0))  # a group or a replica's column
-        count = draw(st.integers(0, 4))
         row = dict(reps=draw(st.integers(0, 2)), clean=clean, classes=draw(small),
                    starts=start, ends=start + draw(st.integers(3, 1000)),
                    feed=draw(per(st.integers(0, 50))), comp=comp, emit=draw(per(st.booleans())),
-                   present=draw(per(st.booleans())), complete=draw(st.booleans()) and k > 0, skew=draw(signed),
                    verdict=draw(st.integers(0, 3)) if k else DEGRADED, labels=draw(per(column)), best=draw(column),
                    agreed=draw(near), digests=draw(per(near)),
                    outputs=draw(per(st.lists(st.integers(-3, 3), min_size=WIDTH, max_size=WIDTH))),
-                   diverged=draw(st.booleans()) and k > 0, other=draw(column), index=draw(small),
-                   action=draw(st.sampled_from([SUPPRESS, ENTER])) if count else DELIVER, counts=count)
+                   diverged=draw(st.booleans()) and k > 0, other=draw(column), index=draw(small))
         rows.append(row)
     c = {key: [row[key] for row in rows] for key in rows[0]}
     c["classes"] = [row["classes"] for row in rows if row["reps"] == 0]
@@ -286,10 +237,10 @@ def chunks(draw):
         c["digests"] = c["outputs"] = None
     if not fed:
         c["feed"] = None
-    return c, replica_ids, draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    return c, replica_ids
 
 
-def chunk_records(c, replica_ids, required, threshold, seq):
+def chunk_records(c, replica_ids, seq):
     """The records of a chunk, built round by round from the schema."""
     k = len(replica_ids)
     classes = iter(c["classes"])
@@ -306,12 +257,6 @@ def chunk_records(c, replica_ids, required, threshold, seq):
         fields = {}
         if c["feed"] is not None:
             fields["delivery_ns"] = c["feed"][r]
-        if k and c["complete"][r]:
-            fields.update(rendezvous="complete", skew_ns=c["skew"][r])
-        elif k:
-            fields.update(rendezvous="timeout",
-                          present_ids=[rid for rid, p in zip(replica_ids, c["present"][r]) if p],
-                          missing_ids=[rid for rid, p in zip(replica_ids, c["present"][r]) if not p])
         if c["reps"][r] == 0:
             fields.update(digest=clean, classification=next(classes))
         if c["diverged"][r]:
@@ -325,11 +270,6 @@ def chunk_records(c, replica_ids, required, threshold, seq):
         elif code == MISMATCH:
             fields["groups"] = [[rid for rid, g in zip(replica_ids, labels) if g == group]
                                 for group in range(max(labels) + 1)]
-        elif code == DEGRADED:
-            fields["reason"] = f"{k} output(s) cannot reach {required}-way agreement" if k else "no healthy replicas"
-        count = c["counts"][r]
-        if count:
-            fields.update(switch(SAFE_OFF if count >= threshold else OPERATIONAL, ACTIONS[c["action"][r]], count))
         yield verdict_record(c["ends"][r], seq, **fields)
         seq += 1
 
@@ -337,17 +277,17 @@ def chunk_records(c, replica_ids, required, threshold, seq):
 @given(chunks(), seqs, st.integers(1, 4))
 @settings(max_examples=300, deadline=None)
 def test_rounds_writes_each_round_shape_as_its_records(drawn, first_seq, size):
-    c, replica_ids, required, threshold = drawn
+    c, replica_ids = drawn
     n, k = len(c["starts"]), len(replica_ids)
     columns = chunk(**c)
-    for key in ("feed", "comp", "emit", "present", "labels", "digests"):
+    for key in ("feed", "comp", "emit", "labels", "digests"):
         if columns[key] is not None:
             columns[key] = columns[key].reshape(n, k)
     if columns["outputs"] is not None:
         columns["outputs"] = columns["outputs"].reshape(n, k, WIDTH)
     pieces = []
     with mock.patch.object(trace, "WRITE_ROUNDS", size):
-        end = trace.rounds(pieces.append, first_seq, columns, replica_ids, required, threshold)
-    records = list(chunk_records(c, replica_ids, required, threshold, first_seq))
+        end = trace.rounds(pieces.append, first_seq, columns, replica_ids)
+    records = list(chunk_records(c, replica_ids, first_seq))
     assert "".join(pieces).splitlines(keepends=True) == list(map(line, records))
     assert end == first_seq + len(records) and len(pieces) == -(-n // size)
