@@ -1,7 +1,7 @@
 """The coupling layer between redundant channels.
 
 Tight and loose coupling, the output rendezvous with its timeout window and
-the bus-trace comparison for tight coupling (by the parameter digests of
+the bus-trace comparison for tight coupling (by the parameter ids of
 each side's network), each over a batch of rounds as arrays, and a
 two-step offset/path-delay estimate for loosely-coupled modules on
 separate clocks. Input distribution has no function of its own:
@@ -65,15 +65,14 @@ def rendezvous_rounds(arrival, emitted, window_ns: int):
 
 def compare_bus_traces(a, b):
     """Compare the bus traces of two batches of rounds, given as the
-    (rounds, layers) uint64 parameter digests of the network each side ran
-    (`replica.params_digests`).
+    (rounds, layers) integer parameter ids of the network each side ran,
+    equal exactly where the parameters are (`replica.layer_ids`).
 
     Returns per round the index of the first diverging event, or -1 on a
     match. Both sides infer the same frame on the same cycle schedule (see
     `replica`), so their event kinds, cycles and lengths agree, and every
     payload before the first layer whose parameters differ is equal: the
-    first divergence is that layer's fetch, event 4L. Like `voting.Exact`,
-    this takes unequal tensors to have unequal digests.
+    first divergence is that layer's fetch, event 4L.
     """
     differ = a != b
     return np.where(differ.any(axis=1), 4 * differ.argmax(axis=1), -1)

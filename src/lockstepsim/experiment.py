@@ -48,8 +48,8 @@ clock and the delays that fired. A drop fault masks the output. Then:
   in which a value fault fired are grouped (`voting.agreement_labels`); in
   the others every output is the clean one. Bus traces follow the weight
   flips alone, so only rounds in which one fired are compared, each
-  output by the parameter digests of the weights it ran on
-  (`coupling.compare_bus_traces`).
+  output by the per-layer parameter ids of the weights it ran on
+  (`replica.layer_ids`, `coupling.compare_bus_traces`).
 - state: the verdicts (`voting.vote_rounds`) and the safety switch
   (`voting.safety_scan`), whose state is the consecutive fault count
   carried across chunks: SafeOff once it reaches the debounce threshold.
@@ -97,7 +97,7 @@ from .faults import (
 from .fixedpoint import tensor_digests
 from .profiling import detect_outliers, histogram, stats, write_histogram_csv
 from .record import Record
-from .replica import HEALTHY, compute_cycles, gen_frames, gen_weights, infer, params_digests
+from .replica import HEALTHY, compute_cycles, gen_frames, gen_weights, infer, layer_ids
 from .rng import derive_seed
 from .voting import (
     ACTIONS,
@@ -223,9 +223,9 @@ class ExperimentRunner:
         self._valued = any(self._value_faults)
 
         self._last = [None] * k             # a stuck column's last emitted (output, digest)
-        # weight-bit flips -> (index, network, parameter digests), indexed in
-        # order of first use from 0 for the clean weights
-        self._flips = {(): (0, self.weights, params_digests(self.weights))}
+        # weight-bit flips -> (index, network), indexed in order of first use from 0 for the clean weights
+        self._flips = {(): (0, self.weights)}
+        self._ids = []                      # each network's `layer_ids` by index, once the bus compare reads them
         self._frames = None                 # the current block of frames
         self._clean = None                  # (outputs, output digests) of the block on the clean weights
         self._bus = topo.bus_trace_compare and isinstance(self.coupling, Tight)
@@ -252,8 +252,8 @@ class ExperimentRunner:
         distinct frame once; `index` numbers the flip set (`_flips`)."""
         if flips not in self._flips:
             weights = flip_weight_bits(self.weights, flips)
-            self._flips[flips] = (len(self._flips), weights, params_digests(weights))
-        index, weights, _ = self._flips[flips]
+            self._flips[flips] = (len(self._flips), weights)
+        index, weights = self._flips[flips]
         frames, inverse = np.unique(rows, return_inverse=True)
         outs, _, digests = infer(weights, self._frames[frames], self.engine)
         return index, outs[inverse], digests[inverse]
@@ -278,10 +278,14 @@ class ExperimentRunner:
             emitted = emit[:, i]
             if flips:
                 patterns = fired[:, [s for s, _ in flips]] & emitted[:, None]
-                for pattern in sorted(set(map(tuple, patterns.tolist())) - {(False,) * len(flips)}):
-                    at = (patterns == pattern).all(axis=1)
+                # a code per round, the first flip its top bit (Python ints past 63 flips): codes sort as patterns do
+                codes = patterns @ np.array([1 << j for j in range(len(flips))][::-1],
+                                            dtype=np.int64 if len(flips) < 64 else object)
+                ordered = np.sort(codes)
+                for code in ordered[np.diff(ordered, prepend=0) != 0]:  # each nonzero code once
+                    at = codes == code
                     keys[at, i], outputs[at, i], digests[at, i] = self._flipped(
-                        tuple(flip for (_, flip), on in zip(flips, pattern) if on), rows[at])
+                        tuple(flip for (_, flip), on in zip(flips, patterns[at.argmax()]) if on), rows[at])
             if out_flips:
                 slots = [s for s, _ in out_flips]
                 at = fired[:, slots].any(axis=1) & emitted
@@ -327,9 +331,10 @@ class ExperimentRunner:
         at = np.flatnonzero(compared & (keys != 0).any(axis=1))
         if not at.size:
             return other, index
-        # each flip set's parameter digests, then each output's
-        params = np.array([p for _, _, p in self._flips.values()], dtype=np.uint64)
-        traces = params[keys[at]]
+        # each flip set's parameter ids, then each output's
+        networks = [weights for _, weights in self._flips.values()]
+        self._ids += [layer_ids(weights, networks) for weights in networks[len(self._ids):]]
+        traces = np.array(self._ids)[keys[at]]
         emitted = emit[at]
         first = emitted.argmax(axis=1)
         base = traces[np.arange(len(at)), first]

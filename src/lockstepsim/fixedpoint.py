@@ -2,8 +2,8 @@
 
 Every value is a 16-bit signed integer with 8 fractional bits
 (real = raw / 256), held in an int16 array. Bit-exactness is the whole
-point: equality of two healthy channels is decided by comparing digests,
-so the digest must change for any single-bit difference in shape or data.
+point: equality of two healthy channels' outputs is decided by comparing
+digests, so the digest must change for any single-bit difference in shape or data.
 
 Digest: FNV-1a 64-bit over the little-endian encoding of the shape
 (rank, then each dimension, as unsigned 32-bit words) followed by the
@@ -40,8 +40,3 @@ def tensor_digests(shape, rows: np.ndarray) -> np.ndarray:
     array `rows` (one array per index of axis 0), as a uint64 array."""
     data = np.ascontiguousarray(rows, dtype="<i2").reshape(len(rows), -1)
     return fnv1a64_rows(fnv1a64(_encode_shape(shape)), data.view(np.uint8))
-
-
-def combine_digests(*digests: int) -> int:
-    """Order-sensitive combination of 64-bit digests."""
-    return fnv1a64(b"".join(struct.pack("<Q", d) for d in digests))

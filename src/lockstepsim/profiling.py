@@ -169,7 +169,8 @@ def ks_statistic(a, b, alpha: float = 0.01) -> dict:
         if (xa != xa).any() or (xb != xb).any():  # NaN equals nothing: it has no rank
             raise ValueError("samples must not be NaN")
     xa, xb = np.sort(xa), np.sort(xb)
-    values = np.union1d(xa, xb)
+    values = np.sort(np.concatenate([xa, xb]), kind="stable")  # merges the two sorted runs
+    values = values[np.concatenate([[True], values[1:] != values[:-1]])]
     gaps = np.searchsorted(xa, values, "right") * nb - np.searchsorted(xb, values, "right") * na
     d = int(np.abs(gaps).max()) / (na * nb)
     c = math.sqrt(-math.log(alpha / 2.0) / 2.0)

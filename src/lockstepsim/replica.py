@@ -30,8 +30,8 @@ schedule, which ends at the compute cycles `infer` returns. Two replicas of
 a round infer the same frame, so up to the first layer whose parameters
 differ, every load, execute and store payload is equal too: the first
 divergence is always that layer's fetch. A network's trace therefore comes
-down to its per-layer parameter digests (`params_digests`), computed once
-per network.
+down to which of its layers hold the same parameters as another network's
+(`layer_ids`).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .fixedpoint import RAW_MAX, RAW_MIN, SCALE, combine_digests, tensor_digest, tensor_digests
+from .fixedpoint import RAW_MAX, RAW_MIN, SCALE, tensor_digests
 from .record import Record
 from .rng import MASK64, derive_seeds, draws
 
@@ -97,9 +97,12 @@ def gen_weights(seed: int, arch) -> tuple:
     return tuple(layers)
 
 
-def params_digests(layers) -> tuple:
-    """Per layer, the digest of the parameters its fetch reads."""
-    return tuple(combine_digests(tensor_digest(w), tensor_digest(b)) for w, b in layers)
+def layer_ids(layers, networks) -> list:
+    """Per layer of `layers` (one of `networks`), the index of the first of `networks` with
+    equal (weights, bias) there: ids are equal exactly where the parameters are."""
+    return [next(j for j, other in enumerate(networks)
+                 if all(a is b or np.array_equal(a, b) for a, b in zip(other[i], params)))
+            for i, params in enumerate(layers)]
 
 
 def gen_frames(seed: int, frame_ids, shape) -> np.ndarray:

@@ -98,13 +98,20 @@ def derive_seed(seed: int, name: str) -> int:
 
 
 def derive_seeds(seed: int, prefix: str, ids) -> np.ndarray:
-    """`derive_seed(seed, f"{prefix}{i}")` of each int `i` of `ids`, as a
+    """`derive_seed(seed, f"{prefix}{i}")` of each int64 `i` of `ids`, as a
     uint64 array: the prefix's hash continued over the text of each id, one
-    `fnv1a64_rows` per text length."""
-    text = np.asarray(ids, dtype=np.int64).astype("S")
-    rows = text.view(np.uint8).reshape(len(text), text.itemsize)
-    width = (rows != 0).sum(axis=1)
-    h = np.empty(len(rows), dtype=np.uint64)
-    for w in set(width.tolist()):
-        h[width == w] = fnv1a64_rows(fnv1a64(prefix.encode("utf-8")), rows[width == w, :w])
+    `fnv1a64_rows` per text length, its digits made by divmod by 10."""
+    ids = np.asarray(ids, dtype=np.int64)
+    magnitude = np.abs(ids).view(np.uint64)  # abs(-2**63) wraps to -2**63: 2**63 as a uint64
+    width = (ids < 0) + 1 + np.searchsorted(10 ** np.arange(1, 20, dtype=np.uint64), magnitude, "right")
+    h = np.empty(len(ids), dtype=np.uint64)
+    for w in np.flatnonzero(np.bincount(width)):
+        at = width == w
+        text = np.empty((at.sum(), w), dtype=np.uint8)
+        rest = magnitude[at]
+        for column in range(w - 1, -1, -1):
+            rest, text[:, column] = np.divmod(rest, np.uint64(10))
+        text += ord("0")
+        text[ids[at] < 0, 0] = ord("-")  # in place of a 0: a negative id has one digit fewer
+        h[at] = fnv1a64_rows(fnv1a64(prefix.encode("utf-8")), text)
     return mix64s(np.uint64(seed & MASK64) ^ h)

@@ -13,7 +13,7 @@ from lockstepsim.coupling import (
 from lockstepsim.errors import ConfigError, ProtocolError
 from lockstepsim.eventsim import JitterModel, sample_turnaround_overheads
 from lockstepsim.faults import flip_weight_bits
-from lockstepsim.replica import EngineConfig, gen_frame, gen_weights, params_digests
+from lockstepsim.replica import EngineConfig, gen_frame, gen_weights, layer_ids
 from helpers import oracle_network, oracle_tensor, run_with_records, zero_jitter_duplex
 from oracles import Complete, Rng, _compare_bus_traces, _infer, rendezvous
 
@@ -113,8 +113,8 @@ class TestRendezvous:
 
 def compare(a, b):
     """`compare_bus_traces` of two batches, each a list of rounds' parameter
-    digests, as a list."""
-    return compare_bus_traces(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64)).tolist()
+    ids, as a list."""
+    return compare_bus_traces(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)).tolist()
 
 
 def _flips(draw, arch):
@@ -147,7 +147,9 @@ class TestCompareBusTraces:
     def test_matches_the_event_by_event_compare_on_real_networks(self, data):
         # Two replicas of one network, each with its own weight-bit flips, on
         # one frame: the frozen runner's event-by-event compare of their full
-        # traces diverges where the parameter digests say, always at a fetch.
+        # traces diverges where the parameter ids say, always at a fetch. The
+        # ids number the clean net and both flipped ones together, as a run's
+        # flip sets are.
         arch = data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=5))
         seed = data.draw(st.integers(0, 2**64 - 1))
         ws = gen_weights(seed, arch)
@@ -158,7 +160,8 @@ class TestCompareBusTraces:
         x = oracle_tensor(gen_frame(seed, 0, (arch[0],))[0])
         ref = _compare_bus_traces(_infer(oracle_network(a), x, ENGINE)[2],
                                   _infer(oracle_network(b), x, ENGINE)[2], 0)
-        [index] = compare([params_digests(a)], [params_digests(b)])
+        networks = [ws, a, b]
+        [index] = compare([layer_ids(a, networks)], [layer_ids(b, networks)])
         if ref is None:
             assert index == -1
         else:

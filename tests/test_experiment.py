@@ -17,7 +17,7 @@ from lockstepsim.eventsim import ClockDomain, cycles_to_time
 from lockstepsim.experiment import run_experiment, run_to_directory, write_report
 from lockstepsim.faults import ExtraDelay, FaultSpec, OnFrame, WithProbability, flip_weight_bits, trigger_fires
 from lockstepsim.profiling import compare_runs, render_comparison_table
-from lockstepsim.replica import gen_frames, gen_weights, params_digests
+from lockstepsim.replica import gen_frames, gen_weights
 from lockstepsim.rng import derive_seed
 from helpers import rounds_of, run_with_records, zero_jitter_duplex
 
@@ -196,8 +196,11 @@ class TestFaultScenarios:
         assert report.verdict_counts["timeout"] == 3
         assert min(report.replicas[1]["samples"]) > 2**60
 
-    def test_weight_fault_diverges_bus_trace(self):
-        raw = {
+    @staticmethod
+    def _flipped_on_frame_1(flips):
+        """A tight duplex of 3 frames whose replica 1 flips one weight bit
+        `flips` times on frame 1."""
+        return {
             "seed": 5,
             "topology": "fpga-duplex-tight",
             "workload": {"frame_count": 3, "repetitions_per_frame": 1,
@@ -205,12 +208,20 @@ class TestFaultScenarios:
             "faults": [{"replica_id": 1,
                         "kind": {"type": "weight_bit_flip", "layer": 0,
                                  "element_index": 2, "bit": 11},
-                        "trigger": {"type": "on_frame", "frame_id": 1}}],
+                        "trigger": {"type": "on_frame", "frame_id": 1}}] * flips,
         }
-        _, report, records = run_with_records(raw)
+
+    def test_weight_fault_diverges_bus_trace(self):
+        _, report, records = run_with_records(self._flipped_on_frame_1(1))
         assert report.bus["divergences"] == 1
         div = [r for r in records if "bus_divergence" in r]
         assert len(div) == 1 and div[0]["frame_id"] == 1
+
+    def test_weight_flips_that_cancel_leave_the_bus_trace_alone(self):
+        # the flip set runs on new arrays that hold the clean parameters
+        _, report, records = run_with_records(self._flipped_on_frame_1(2))
+        assert report.bus == {"comparisons": 3, "divergences": 0}
+        assert report.faults == {"injected": 1, "detected": 0, "masked_pass": 1, "corrupted_pass": 0}
 
     def test_probabilistic_fault_accounting(self):
         raw = zero_jitter_duplex(frames=200, reps=1, faults=[{
@@ -506,15 +517,39 @@ class TestBlocks:
         assert self._calls(raw) == ([4000], [4000])
 
 
+A, B, C = (0, 5, 3), (0, 2000, 15), (0, 7, 1)
+
+
+def wide_net_flips(topology):
+    """A [1024, 4] net, 513 frames of two rounds (blocks of 255 frames) and
+    the weight-bit flips A and B of replica 0 on frame 3, and of replica 1,
+    A on frame 300 and C on frame 301, whose output replica 1 drops."""
+    def flip(rid, at, frame_id):
+        kind = {"type": "weight_bit_flip", "layer": at[0], "element_index": at[1], "bit": at[2]}
+        return {"replica_id": rid, "kind": kind, "trigger": {"type": "on_frame", "frame_id": frame_id}}
+    return {"seed": 3, "topology": topology,
+            "workload": {"frame_count": 513, "repetitions_per_frame": 2, "input_shape": [1024],
+                         "arch": [1024, 4]},
+            "faults": [flip(0, A, 3), flip(0, B, 3), flip(1, A, 300), flip(1, C, 301),
+                       {"replica_id": 1, "kind": {"type": "drop_output"},
+                        "trigger": {"type": "on_frame", "frame_id": 301}}]}
+
+
+def parameters(layers):
+    """The arrays of the network `layers` as lists: equal exactly when
+    every array is."""
+    return [array.tolist() for layer in layers for array in layer]
+
+
 class TestInferenceWork:
     """Per block, the clean weights infer the block once, and each weight-flip
     set infers exactly the distinct frames of the rounds it fired in."""
 
     @staticmethod
     def _infers(raw):
-        """The parameter digests and the frame ids of each `infer` call of a
-        run of `raw`, and a function from weight-bit flips to the parameter
-        digests of the weights they leave."""
+        """The parameters and the frame ids of each `infer` call of a run of
+        `raw`, and a function from weight-bit flips to the parameters of the
+        weights they leave (`parameters`)."""
         cfg = config_from_dict(raw, env={})
         wl = cfg.workload
         frames = gen_frames(cfg.seed, range(wl.frame_count), wl.input_shape)
@@ -523,32 +558,35 @@ class TestInferenceWork:
         infer = experiment.infer
 
         def counted_infer(layers, block, engine):
-            calls.append((params_digests(layers), [ids[row.tobytes()] for row in block]))
+            calls.append((parameters(layers), [ids[row.tobytes()] for row in block]))
             return infer(layers, block, engine)
 
         with mock.patch.object(experiment, "infer", counted_infer):
             run_experiment(cfg)
         weights = gen_weights(derive_seed(cfg.seed, "weights"), wl.arch)
-        return calls, lambda *flips: params_digests(flip_weight_bits(weights, flips))
+        return calls, lambda *flips: parameters(flip_weight_bits(weights, flips))
 
     def test_flip_sets_infer_the_frames_they_fired_on_once_per_block(self):
-        # blocks of 255 frames, two rounds per frame; the flips of frame 301
-        # never emit, so they infer nothing
-        a, b, c = (0, 5, 3), (0, 2000, 15), (0, 7, 1)
-
-        def flip(rid, at, frame_id):
-            kind = {"type": "weight_bit_flip", "layer": at[0], "element_index": at[1], "bit": at[2]}
-            return {"replica_id": rid, "kind": kind, "trigger": {"type": "on_frame", "frame_id": frame_id}}
-        raw = {"seed": 3, "topology": "gpu-duplex-loose",
-               "workload": {"frame_count": 513, "repetitions_per_frame": 2, "input_shape": [1024],
-                            "arch": [1024, 4]},
-               "faults": [flip(0, a, 3), flip(0, b, 3), flip(1, a, 300), flip(1, c, 301),
-                          {"replica_id": 1, "kind": {"type": "drop_output"},
-                           "trigger": {"type": "on_frame", "frame_id": 301}}]}
-        calls, params = self._infers(raw)
-        assert calls == [(params(), list(range(255))), (params(a, b), [3]),
-                         (params(), list(range(255, 510))), (params(a), [300]),
+        # the flips of frame 301 never emit, so they infer nothing
+        calls, params = self._infers(wide_net_flips("gpu-duplex-loose"))
+        assert calls == [(params(), list(range(255))), (params(A, B), [3]),
+                         (params(), list(range(255, 510))), (params(A), [300]),
                          (params(), [510, 511, 512])]
+
+    def test_flip_sets_infer_in_the_order_of_their_fired_patterns(self):
+        # flips a on frame 1, b on frame 2, a and b on frame 3: the patterns
+        # of fired faults (1, 0, 0, 0), (0, 1, 0, 0) and (0, 0, 1, 1) infer
+        # in ascending order, which numbers the flip sets 1, 2 and 3
+        a, b = (0, 5, 3), (1, 2, 9)
+
+        def flip(at, frame_id):
+            kind = {"type": "weight_bit_flip", "layer": at[0], "element_index": at[1], "bit": at[2]}
+            return {"replica_id": 0, "kind": kind, "trigger": {"type": "on_frame", "frame_id": frame_id}}
+        raw = {"seed": 3, "topology": "gpu-duplex-loose",
+               "workload": {"frame_count": 5, "repetitions_per_frame": 1, "input_shape": [4], "arch": [4, 4, 3]},
+               "faults": [flip(a, 1), flip(b, 2), flip(a, 3), flip(b, 3)]}
+        calls, params = self._infers(raw)
+        assert calls == [(params(), list(range(5))), (params(a, b), [3]), (params(b), [2]), (params(a), [1])]
 
     def test_a_probable_flip_infers_the_emitted_frames_it_fired_on(self):
         raw = tight_all_faults(1500)
@@ -560,6 +598,37 @@ class TestInferenceWork:
         assert 40 < len(fired) < 100
         assert calls == [(params(), rounds.tolist()), (params((0, 77, 12)), fired)]
 
+
+
+class TestParameterIds:
+    """The bus compare numbers the layers of each distinct network once, when
+    it first reads them (`replica.layer_ids`)."""
+
+    @staticmethod
+    def _ids(raw):
+        """The network of each `layer_ids` call of a run of `raw`, the
+        networks of the run's flip sets in index order, and the report."""
+        calls = []
+        layer_ids = experiment.layer_ids
+
+        def counted_ids(layers, networks):
+            calls.append(layers)
+            return layer_ids(layers, networks)
+
+        runner = experiment.ExperimentRunner(config_from_dict(raw, env={}))
+        with mock.patch.object(experiment, "layer_ids", counted_ids):
+            report = runner.run()
+        return calls, [weights for _, weights in runner._flips.values()], report
+
+    def test_a_loose_run_computes_none(self):
+        calls, networks, _ = self._ids(wide_net_flips("gpu-duplex-loose"))
+        assert calls == [] and len(networks) == 3
+
+    def test_a_tight_run_computes_them_once_per_distinct_network(self):
+        # the clean net and (A, B) in the first block, (A,) in the second
+        calls, networks, report = self._ids(wide_net_flips("fpga-duplex-tight"))
+        assert len(networks) == 3 and [id(c) for c in calls] == [id(n) for n in networks]
+        assert report.bus["divergences"] == 4
 
 def int64_array(xs):
     return np.array(xs, dtype=np.int64)

@@ -12,7 +12,7 @@ from lockstepsim.faults import (
     flip_weight_bits,
     trigger_fires,
 )
-from lockstepsim.replica import EngineConfig, gen_frame, gen_weights, infer, params_digests
+from lockstepsim.replica import EngineConfig, gen_frame, gen_weights, infer
 from oracles import Rng, _flip_bit, _flip_weight_bits, _Tensor, infer_reference
 
 
@@ -93,7 +93,6 @@ def test_weight_flip_changes_one_bit_and_shares_the_rest():
     ws = gen_weights(5, [6, 5, 4])
     element, bit = 14, 13  # changes output 2 from 32767 to 25018
     flipped = flip_weight_bits(ws, [(1, element, bit)])
-    assert params_digests(flipped)[1] != params_digests(ws)[1]
     old, new = ws[1][0].view(np.uint16).ravel(), flipped[1][0].view(np.uint16).ravel()
     assert np.flatnonzero(old != new).tolist() == [element] and old[element] ^ new[element] == 1 << bit
     # the bias and the unflipped layer are the original arrays

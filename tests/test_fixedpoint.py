@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lockstepsim.fixedpoint import RAW_MAX, RAW_MIN, combine_digests, tensor_digest, tensor_digests
+from lockstepsim.fixedpoint import RAW_MAX, RAW_MIN, tensor_digest, tensor_digests
 from lockstepsim.rng import fnv1a64
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -38,10 +38,6 @@ def test_every_single_bit_flip_changes_the_digest():
 def test_shape_changes_the_digest():
     a = int16([1, 2, 3, 4])
     assert tensor_digest(a) != tensor_digest(a.reshape(2, 2))
-
-
-def test_combine_digests_order_sensitive():
-    assert combine_digests(1, 2) != combine_digests(2, 1)
 
 
 def test_weight_set_golden_serialization():

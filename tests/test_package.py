@@ -110,6 +110,24 @@ def test_a_traced_run_leaves_out_hashlib():
     assert done.stdout.split("\n")[:2] == ["1", "False"]
 
 
+def test_no_call_takes_numpys_hashed_set_path():
+    # NumPy 2.4 finds the distinct values of a plain `np.unique` (no
+    # `return_*`) and of the set functions by hashing, and the first such
+    # call in a process costs 8-14 ms: a `np.unique(width)` made a
+    # tight-2oo3-faults benchmark run 38% slower, and `union1d` made the
+    # first `compare_runs` take 8.65 ms, against 0.15 ms warm. Sort instead.
+    hashed = {"union1d", "intersect1d", "setdiff1d", "isin", "in1d"}
+    calls = []
+    for path in sorted(Path(lockstepsim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name)):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                plain = name == "unique" and not any((k.arg or "").startswith("return_") for k in node.keywords)
+                if name in hashed or plain:
+                    calls.append(f"{path.name}:{node.lineno}: {name}")
+    assert calls == []
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # no linter runs here, and a deletion can leave an import behind
     unused = []

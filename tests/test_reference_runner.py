@@ -192,6 +192,23 @@ def test_fault_campaign_cut_matches_the_reference(tmp_path, chunk):
         assert_matches_reference(_fault_campaign(20), tmp_path)
 
 
+@pytest.mark.parametrize("count", [63, 64, 70])
+def test_more_weight_flips_than_an_int64_code_holds_match_the_reference(tmp_path, count):
+    # `count` weight-bit flips on replica 2, each fired by probability: the
+    # flips of each round make one code, in int64 up to 63 flips and in Python
+    # ints beyond. Replica 1 flips one bit twice, which cancels.
+    def flip(rid, layer, element, bit, p):
+        return {"replica_id": rid, "trigger": {"type": "with_probability", "p": p},
+                "kind": {"type": "weight_bit_flip", "layer": layer, "element_index": element, "bit": bit}}
+    raw = {"seed": 17,
+           "topology": {"replicas": 3, "coupling": {"mode": "tight"}, "bus_trace_compare": True,
+                        "voter": {"policy": "2oo3", "comparator": {"kind": "exact"}}},
+           "workload": {"frame_count": 12, "repetitions_per_frame": 2, "input_shape": [4], "arch": [4, 5, 3]},
+           "faults": [flip(2, j % 2, j % 15, j % 16, 0.03) for j in range(count)]
+           + [flip(1, 1, 4, 9, 0.5), flip(1, 1, 4, 9, 0.5)]}
+    assert_matches_reference(raw, tmp_path)
+
+
 @pytest.mark.parametrize("name", sorted(set(CASES) - SLOW_CASES - {"two-profiles"}))
 def test_reference_reproduces_the_pins(name):
     # the frozen runner writes schema 3: its trace is the pinned expansion

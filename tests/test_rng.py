@@ -143,8 +143,13 @@ def test_array_mix64_is_mix64():
 
 @pytest.mark.parametrize("seed", [0, 7, MASK64])
 def test_derive_seeds_is_derive_seed_per_id(seed):
-    ids = list(range(2001)) + [10**k + d for k in range(1, 8) for d in (-1, 0, 1)] + [-7, 2**63 - 1]
-    assert derive_seeds(seed, "frame.", ids).tolist() == [derive_seed(seed, f"frame.{i}") for i in ids]
+    # every width of text, on both sides of each power of ten, signed, at
+    # both ends of int64, and the widths mixed out of order
+    powers = [10**k + d for k in range(1, 19) for d in (-1, 0, 1)]
+    ends = [-2**63, -(2**63 - 1), 2**63 - 1]
+    mixed = [10**12 + 7, -3, 40, 0, -(10**18), 9, 123456, -10, 2**63 - 1, 5]
+    for ids in (list(range(2001)), powers, [-i for i in powers], ends, mixed, [-7]):
+        assert derive_seeds(seed, "frame.", ids).tolist() == [derive_seed(seed, f"frame.{i}") for i in ids]
     assert derive_seeds(seed, "frame.", []).tolist() == []
 
 
