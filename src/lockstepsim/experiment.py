@@ -95,7 +95,7 @@ from .faults import (
     trigger_fires,
 )
 from .fixedpoint import tensor_digests
-from .profiling import detect_outliers, histogram, stats, write_histogram_csv
+from .profiling import detect_outliers, histogram, stats, value_table, write_histogram_csv
 from .record import Record
 from .replica import HEALTHY, compute_cycles, gen_frames, gen_weights, infer, layer_ids
 from .rng import derive_seed
@@ -254,7 +254,8 @@ class ExperimentRunner:
             weights = flip_weight_bits(self.weights, flips)
             self._flips[flips] = (len(self._flips), weights)
         index, weights = self._flips[flips]
-        frames, inverse = np.unique(rows, return_inverse=True)
+        starts = np.diff(rows, prepend=-1) != 0  # `rows` never falls: a frame starts where it changes
+        frames, inverse = rows[starts], np.cumsum(starts) - 1
         outs, _, digests = infer(weights, self._frames[frames], self.engine)
         return index, outs[inverse], digests[inverse]
 
@@ -488,12 +489,13 @@ class ExperimentRunner:
         replicas = []
         for rid, chunks in enumerate(t["samples"]):
             xs = np.concatenate(chunks)
+            table = value_table(xs) if len(xs) else None  # one sort for the three statistics
             replicas.append({
                 "replica_id": rid,
                 "samples": xs,
-                "stats": stats(xs) if len(xs) else None,
-                "outliers": detect_outliers(xs, prof.outlier_threshold) if len(xs) >= 3 else None,
-                "histogram": histogram(xs, prof.bin_count),
+                "stats": stats(xs, table) if len(xs) else None,
+                "outliers": detect_outliers(xs, prof.outlier_threshold, table) if len(xs) >= 3 else None,
+                "histogram": histogram(xs, prof.bin_count, table),
             })
         n, lo, total, hi = t["skews"]
         skew = {"n": n, "min": lo, "mean": total / n, "max": hi} if n else None

@@ -10,13 +10,13 @@ for both. `compare_runs` compares the turnaround samples of two
 report.json dicts; `ks_statistic` ranks the values of both sets by
 `np.searchsorted` in their sorted union.
 
-Moment statistics come from exact integer power sums, so repeated runs are
-bit-identical and agree with a high-precision reference to float rounding.
-The sums run over the distinct sample values and their counts from
-`np.unique`, in Python ints (the fourth power of a 10^6 ns turnaround does
-not fit in int64). The histogram and the outlier scores are NumPy array
-operations that give the same bits as the scalar formulas below for
-integer samples.
+Every statistic reads a value table (`value_table`, passed as `table` by a
+caller that has it): the distinct sample values, ascending, and their
+counts, from one `np.unique`. Moment statistics are exact integer power sums
+over it, in Python ints (the fourth power of a 10^6 ns turnaround does not
+fit in int64), so repeated runs are bit-identical and agree with a
+high-precision reference to float rounding. The medians, the histogram and
+the outlier scores give the same bits as the scalar formulas below.
 Definitions used throughout:
 
     mean             arithmetic mean
@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -44,34 +45,37 @@ from .errors import ConfigError
 ALPHA_BOUNDS = (1e-9, 0.5)
 
 
-def stats(samples) -> dict:
-    """Aggregate statistics over integer samples: n, mean, sample_std, min,
-    max, p50, p95, p99, skewness, excess_kurtosis and bimodality. Samples
-    that NumPy does not hold as signed integers (floats, bools, an int
-    outside the int64 range) raise ValueError."""
+def value_table(samples) -> tuple:
+    """(values, counts): the distinct values of integer samples, ascending,
+    and the count of each. Refuses (ValueError) no samples and samples NumPy
+    does not hold as signed integers (floats, bools, ints past int64)."""
     xs = np.asarray(samples)
     if not isinstance(samples, np.ndarray) and any(isinstance(x, (bool, np.bool_)) for x in samples):
         xs = xs.astype(bool)  # NumPy holds [True, 5] as int64; refuse it as a bool array
-    n = len(xs)
-    if n == 0:
-        raise ValueError("stats needs at least one sample")
+    if len(xs) == 0:
+        raise ValueError("the statistics need at least one sample")
     if xs.dtype.kind != "i":
-        raise ValueError(f"stats needs integer samples within the int64 range, got {xs.dtype} values")
-    values, counts = (a.tolist() for a in np.unique(xs, return_counts=True))
+        raise ValueError(f"the statistics need integer samples within the int64 range, got {xs.dtype} values")
+    return np.unique(xs, return_counts=True)
+
+
+def stats(samples, table=None) -> dict:
+    """Aggregate statistics over integer samples: n, mean, sample_std, min,
+    max, p50, p95, p99, skewness, excess_kurtosis and bimodality. `table`
+    is `value_table(samples)`, built here when not given."""
+    values, counts = (a.tolist() for a in (value_table(samples) if table is None else table))
     ends = list(accumulate(counts))  # samples up to and including each value
+    n = ends[-1]
 
     def nearest_rank(num: int, den: int):
         # ceil(p*n) with p = num/den, all-integer
         rank = max(-(-num * n // den), 1)
         return values[bisect_left(ends, rank)]
 
-    s1 = s2 = s3 = s4 = 0
-    for x, c in zip(values, counts):
-        x2 = x * x
-        s1 += c * x
-        s2 += c * x2
-        s3 += c * x2 * x
-        s4 += c * x2 * x2
+    cx = list(map(mul, counts, values))  # c x, then c x^2 and c x^3, one pass each
+    cx2 = list(map(mul, cx, values))
+    cx3 = list(map(mul, cx2, values))
+    s1, s2, s3, s4 = sum(cx), sum(cx2), sum(cx3), sum(map(mul, cx3, values))
     # Central power sums scaled to stay in exact integers:
     #   A = n^2 * m2,  B = n^3 * m3,  C = n^4 * m4
     a = n * s2 - s1 * s1
@@ -106,45 +110,52 @@ def stats(samples) -> dict:
     }
 
 
-def _median(sorted_xs: np.ndarray):
-    """`statistics.median` of a sorted array, as a Python number."""
-    n = len(sorted_xs)
+def _median(values: np.ndarray, counts: np.ndarray):
+    """`statistics.median` of the samples of an ascending value table."""
+    ends = np.cumsum(counts)
+    n = ends[-1].item()
+    upper = values[np.searchsorted(ends, n // 2, "right")].item()
     if n % 2:
-        return sorted_xs[n // 2].item()
-    return (sorted_xs[n // 2 - 1].item() + sorted_xs[n // 2].item()) / 2
+        return upper
+    return (values[np.searchsorted(ends, n // 2 - 1, "right")].item() + upper) / 2
 
 
-def detect_outliers(samples, threshold: float = 3.5) -> dict:
+def detect_outliers(samples, threshold: float = 3.5, table=None) -> dict:
     """MAD modified z-score outliers: score = 0.6745 |x - median| / MAD.
     Returns the method name, the threshold, and the indices (int64) and
     scores (float64) of the flagged samples, as arrays in sample order.
+    `table` is `value_table(samples)`, built here when not given.
 
     A zero MAD falls back to the mean absolute deviation; if that is also
     zero (constant data) there are no outliers. Robust by construction:
     the outliers being hunted cannot mask themselves.
 
-    Integer samples deviate by multiples of 1/2: while the largest times n
-    is below 2**52, NumPy sums the mean deviation exactly, to the bits of
-    Python's sum. Only the d at or above threshold * denom / 0.6745, less a
-    relative 1e-9 for rounding, are scored, each as (d * 0.6745) / denom.
+    The MAD is a weighted median of the table's deviations d, which fall to
+    the median and rise after it: two runs to merge. A score (d * 0.6745) /
+    denom grows with d, so the flagged samples lie outside one run of values
+    about the median. Integer samples deviate by multiples of 1/2: while the
+    largest times n is below 2**52, the table's sum of count * d is exact.
     """
     n = len(samples)
     if n < 3:
         raise ValueError("outlier detection needs at least 3 samples")
     xs = np.asarray(samples)
-    devs = xs - _median(np.sort(xs))
-    np.abs(devs, out=devs)
-    denom = _median(np.sort(devs))
+    values, counts = value_table(xs) if table is None else table
+    med = _median(values, counts)
+    devs = np.abs(values - med)
+    merged = np.argsort(devs, kind="stable")  # timsort reverses the falling run and merges it
+    denom = _median(devs[merged], counts[merged])
     if denom == 0:
-        exact = xs.dtype.kind == "i" and devs.max().item() * n < 2**52
-        denom = (devs.sum().item() if exact else sum(devs.tolist())) / n
+        exact = devs.max().item() * n < 2**52
+        denom = (np.dot(counts, devs).item() if exact else sum(np.abs(xs - med).tolist())) / n
     indices, scores = np.zeros(0, dtype=np.int64), np.zeros(0)
     if denom != 0:
-        at = np.flatnonzero(devs >= threshold * denom / 0.6745 * (1 - 1e-9))
-        score = devs[at] * 0.6745  # the bits of 0.6745 * d / denom
-        score /= denom
-        flagged = score > threshold
-        indices, scores = at[flagged], score[flagged]
+        flagged = devs * 0.6745 / denom > threshold  # the bits of 0.6745 * d / denom
+        if flagged.any():
+            kept = values[~flagged]  # one run of values about the median, as d falls, then rises
+            out = (xs < kept[0]) | (xs > kept[-1]) if len(kept) else np.ones(n, dtype=bool)
+            indices = np.flatnonzero(out)
+            scores = np.abs(xs[indices] - med) * 0.6745 / denom
     return {"method": "mad_modified_z", "threshold": threshold, "indices": indices, "scores": scores}
 
 
@@ -179,29 +190,29 @@ def ks_statistic(a, b, alpha: float = 0.01) -> dict:
             "distinguishable": d > critical, "n_a": na, "n_b": nb}
 
 
-def histogram(samples, bin_count: int) -> list:
+def histogram(samples, bin_count: int, table=None) -> list:
     """Equal-width bins over [min, max]; the max value lands in the last
     bin. Counts always sum to n. Empty input yields an empty histogram.
     Sample x lands in bin min(int((x - min) / width), bin_count - 1), and
-    bin i's lower edge is min + i * width."""
+    bin i's lower edge is min + i * width. `table` is `value_table(samples)`,
+    built here when not given."""
     if bin_count < 1:
         raise ValueError("bin_count must be at least 1")
-    xs = np.asarray(samples)
-    if len(xs) == 0:
+    if len(samples) == 0:
         return []
-    lo = xs.min().item()
-    width = (xs.max().item() - lo) / bin_count
-    counts = np.zeros(bin_count, dtype=np.int64)
+    values, counts = value_table(samples) if table is None else table
+    lo = values[0].item()
+    width = (values[-1].item() - lo) / bin_count
+    binned = np.zeros(bin_count, dtype=np.int64)
     if width == 0:
-        counts[-1] = len(xs)
+        binned[-1] = len(samples)
     else:
-        for part in np.split(xs, range(1 << 16, len(xs), 1 << 16)):  # one slice's temporaries at a time
-            index = (np.subtract(part, lo) / width).astype(np.int64)
-            np.minimum(index, bin_count - 1, out=index)
-            counts += np.bincount(index, minlength=bin_count)
-    counts = counts.tolist()
+        # x - min as uint64 is exact across the whole int64 range
+        index = (np.subtract(values, values[0], dtype=np.uint64, casting="unsafe") / width).astype(np.int64)
+        np.minimum(index, bin_count - 1, out=index)
+        np.add.at(binned, index, counts)
     edges = (lo + np.arange(bin_count) * width).tolist()
-    return [{"lower_edge_ns": e, "count": c} for e, c in zip(edges, counts)]
+    return [{"lower_edge_ns": e, "count": c} for e, c in zip(edges, binned.tolist())]
 
 
 def write_histogram_csv(bins, fp) -> None:

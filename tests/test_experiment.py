@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lockstepsim import experiment
+from lockstepsim import experiment, profiling
 from lockstepsim.config import config_from_dict, load_config
 from lockstepsim.errors import ConfigError, SimulationError
 from lockstepsim.eventsim import ClockDomain, cycles_to_time
@@ -629,6 +629,28 @@ class TestParameterIds:
         calls, networks, report = self._ids(wide_net_flips("fpga-duplex-tight"))
         assert len(networks) == 3 and [id(c) for c in calls] == [id(n) for n in networks]
         assert report.bus["divergences"] == 4
+
+
+class TestValueTables:
+    def test_the_report_sorts_each_replica_with_samples_once(self):
+        # replica 1 has failed, so it has no samples and no table; the
+        # statistics of the others read the one table each
+        raw = zero_jitter_duplex(frames=5, reps=2, replicas=3, policy="2oo3",
+                                 extra_topology={"health": ["healthy", "failed", "healthy"]})
+        tables = []
+        value_table = profiling.value_table
+
+        def counted_table(samples):
+            tables.append(np.asarray(samples).tolist())
+            return value_table(samples)
+
+        with mock.patch.object(experiment, "value_table", counted_table), \
+                mock.patch.object(profiling, "value_table", counted_table):
+            report = run_experiment(config_from_dict(raw, env={}))
+        assert tables == [report.replicas[0]["samples"].tolist(), report.replicas[2]["samples"].tolist()]
+        assert [len(row["samples"]) for row in report.replicas] == [10, 0, 10]
+        assert report.to_json_dict() == run_experiment(config_from_dict(raw, env={})).to_json_dict()
+
 
 def int64_array(xs):
     return np.array(xs, dtype=np.int64)

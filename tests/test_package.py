@@ -128,6 +128,18 @@ def test_no_call_takes_numpys_hashed_set_path():
     assert calls == []
 
 
+def test_no_call_asks_numpy_for_an_inverse_map():
+    # `np.unique(..., return_inverse=True)` took 1.34 ms on 20k int64
+    # samples, against 0.061 ms for `return_counts=True`: read a sorted
+    # value table, or take an already sorted array's runs, instead.
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(lockstepsim.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and any(k.arg == "return_inverse" and not (
+                 isinstance(k.value, ast.Constant) and k.value.value is False) for k in node.keywords)]
+    assert calls == []
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # no linter runs here, and a deletion can leave an import behind
     unused = []

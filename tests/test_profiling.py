@@ -17,6 +17,7 @@ from lockstepsim.profiling import (
     histogram,
     ks_statistic,
     stats,
+    value_table,
     write_histogram_csv,
 )
 from oracles import Rng, ks_reference, scalar_detect_outliers, scalar_histogram, stats_reference
@@ -374,14 +375,33 @@ def bits(value):
     return (type(value).__name__, value)
 
 
-# near 10^9 ns, spread wide, constant (zero width), and mostly one value
-# (zero MAD, so the mean deviation is the denominator)
+def repeated(pool, repeats, rnd):
+    """Each value of `pool` `repeats` times over, shuffled."""
+    xs = [v for v, r in zip(pool, repeats) for _ in range(r)]
+    rnd.shuffle(xs)
+    return xs
+
+
+def mad_of(xs):
+    med = statistics.median(xs)
+    return statistics.median(abs(x - med) for x in xs)
+
+
+# 3 to 6 values, each repeated, and a nonzero MAD: the median and the MAD
+# fall inside a run of equal values or between two runs, at odd and even n
+repeated_runs = st.builds(repeated, st.lists(st.integers(0, 10**6), min_size=3, max_size=6, unique=True),
+                          st.lists(st.integers(2, 30), min_size=6, max_size=6), st.randoms()).filter(mad_of)
+
+# near 10^9 ns, spread wide, constant (zero width), mostly one value
+# (zero MAD, so the mean deviation is the denominator), and a few repeated
+# values
 report_samples = st.one_of(
     st.lists(st.integers(10**9 - 2_000, 10**9 + 2_000), min_size=3, max_size=300),
     st.lists(st.integers(0, 2 * 10**9), min_size=3, max_size=300),
     st.builds(lambda v, n: [v] * n, st.integers(0, 10**9), st.integers(3, 50)),
     st.builds(lambda v, n, rest: [v] * n + rest, st.integers(0, 10**6), st.integers(20, 60),
               st.lists(st.integers(0, 10**6), min_size=1, max_size=10)),
+    repeated_runs,
 )
 
 
@@ -395,6 +415,39 @@ class TestVectorizedMatchesScalar:
     @settings(max_examples=300, deadline=None)
     def test_outliers(self, xs, threshold):
         assert bits(listed(detect_outliers(xs, threshold))) == bits(scalar_detect_outliers(xs, threshold))
+
+    @given(repeated_runs, st.integers(1, 64), st.sampled_from([0.0, 1.0, 3.5, 10.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_repeated_values_read_from_their_table(self, xs, bin_count, threshold):
+        table = value_table(xs)
+        got, want = stats(xs, table), stats_reference(xs)
+        # the reference squares m2 by `**`, which may round to one ulp off
+        # m2 * m2; then m4 / m2**2 moves by an ulp or two before the - 3
+        for key in ("excess_kurtosis", "bimodality"):
+            a, b = got.pop(key), want.pop(key)
+            assert (a is None) == (b is None) and (a is None or abs(a - b) <= 4 * sys.float_info.epsilon * (abs(b) + 3))
+        assert bits(got) == bits(want)
+        assert bits(listed(detect_outliers(xs, threshold, table))) == bits(scalar_detect_outliers(xs, threshold))
+        assert bits(histogram(xs, bin_count, table)) == bits(scalar_histogram(xs, bin_count))
+
+    @pytest.mark.parametrize("xs, median, mad", [
+        ([1] * 3 + [5] * 3, 3.0, 2.0),  # the median between two runs
+        ([0] * 2 + [10] * 3 + [12] * 2 + [20] * 3, 11.0, 5.0),  # and the MAD too
+        ([0] * 2 + [10] * 3 + [12] * 2 + [20] * 4, 12, 8),  # odd n: both inside a run
+        ([7] * 4 + [9] * 2 + [30] * 3, 9, 2),  # the median at a run's first sample
+        ([3] * 2 + [7] * 3 + [9] * 2 + [30] * 2, 7, 2),  # both at a run's last sample
+    ])
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0, 3.5])
+    def test_weighted_medians(self, xs, median, mad, threshold):
+        assert (statistics.median(xs), mad_of(xs)) == (median, mad)
+        for samples in (xs, xs[::-1], np.array(xs, dtype=np.int64)):
+            got = detect_outliers(samples, threshold, value_table(samples))
+            assert bits(listed(got)) == bits(scalar_detect_outliers(list(samples), threshold))
+
+    @pytest.mark.parametrize("xs", [[INT64_MIN, 0, 0, INT64_MAX], [INT64_MIN, INT64_MIN + 1, -1, INT64_MAX] * 3])
+    @pytest.mark.parametrize("bin_count", [1, 2, 7, 64])
+    def test_histogram_spans_the_int64_range(self, xs, bin_count):
+        assert bits(histogram(xs, bin_count)) == bits(scalar_histogram(xs, bin_count))
 
     def test_zero_mad_takes_the_mean_deviation(self):
         xs = [5] * 20 + [500, 6]
@@ -460,8 +513,11 @@ def test_report_statistics_of_1m_samples_stay_near_their_size():
     spike = rng.random(len(xs)) < 0.02
     xs[spike] += rng.geometric(1 / 400_000, spike.sum())
     assert np.median(np.abs(xs - np.median(xs))) == 0
-    # one sorted copy beside the deviations; one slice of bin indices
-    for fn, args, bound in ((detect_outliers, (3.5,), 2.5), (histogram, (50,), 0.5)):
+    # the table: one sorted copy (it read 1.25x); the outliers: masks over
+    # the samples (0.30x); the histogram: a bin index per distinct value
+    table = value_table(xs)
+    for fn, args, bound in ((value_table, (), 1.5), (detect_outliers, (3.5, table), 2.5),
+                            (histogram, (50, table), 0.5)):
         fn(xs, *args)  # warm-up
         tracemalloc.start()
         try:
@@ -470,10 +526,10 @@ def test_report_statistics_of_1m_samples_stay_near_their_size():
         finally:
             tracemalloc.stop()
         assert peak <= bound * xs.nbytes, (fn.__name__, peak / xs.nbytes)
-    # the slices count what the whole array does
+    # binning the distinct values counts what binning every sample does
     lo, width = xs.min(), (xs.max() - xs.min()) / 50
     whole = np.bincount(np.minimum(((xs - lo) / width).astype(np.int64), 49), minlength=50)
-    assert [b["count"] for b in histogram(xs, 50)] == whole.tolist()
+    assert [b["count"] for b in histogram(xs, 50, table)] == whole.tolist()
 
 
 # -- a list and its int64 array give the same plain-Python report values --
