@@ -23,8 +23,8 @@ run in chunks of at most `ROUND_CHUNK`, so a narrow net with one round per
 frame runs thousands of rounds per chunk, and memory does not grow with the
 frame count: a chunk's arrays hold about 100 bytes per round, and 200 to 400
 with the trace's columns (the deliveries under feed jitter, a classification
-per frame) and the completion slots `trace.rounds` lays out per chunk (it
-builds its Python ints and text from a slice at a time).
+per frame) and the slots, texts, tails and templates `trace.rounds` lays out
+per chunk (it builds its value tuples and text from a slice at a time).
 
 Every round of a chunk is decided from arrays with one row per round and
 one column per healthy replica. Every random draw is addressed by the run's

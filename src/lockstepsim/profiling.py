@@ -120,6 +120,15 @@ def _median(values: np.ndarray, counts: np.ndarray):
     return (values[np.searchsorted(ends, n // 2 - 1, "right")].item() + upper) / 2
 
 
+def _distances(xs: np.ndarray, med):
+    """|x - med| of int64 samples, exact: float64 about a float median, else
+    uint64 (x - med modulo 2**64, negated below the median)."""
+    if isinstance(med, float):
+        return np.abs(xs - med)
+    d = xs.astype(np.uint64) - np.uint64(med % 2**64)
+    return np.where(xs < med, -d, d)
+
+
 def detect_outliers(samples, threshold: float = 3.5, table=None) -> dict:
     """MAD modified z-score outliers: score = 0.6745 |x - median| / MAD.
     Returns the method name, the threshold, and the indices (int64) and
@@ -142,12 +151,12 @@ def detect_outliers(samples, threshold: float = 3.5, table=None) -> dict:
     xs = np.asarray(samples)
     values, counts = value_table(xs) if table is None else table
     med = _median(values, counts)
-    devs = np.abs(values - med)
+    devs = _distances(values, med)
     merged = np.argsort(devs, kind="stable")  # timsort reverses the falling run and merges it
     denom = _median(devs[merged], counts[merged])
     if denom == 0:
         exact = devs.max().item() * n < 2**52
-        denom = (np.dot(counts, devs).item() if exact else sum(np.abs(xs - med).tolist())) / n
+        denom = (np.dot(counts, devs).item() if exact else sum(_distances(xs, med).tolist())) / n
     indices, scores = np.zeros(0, dtype=np.int64), np.zeros(0)
     if denom != 0:
         flagged = devs * 0.6745 / denom > threshold  # the bits of 0.6745 * d / denom
@@ -155,7 +164,7 @@ def detect_outliers(samples, threshold: float = 3.5, table=None) -> dict:
             kept = values[~flagged]  # one run of values about the median, as d falls, then rises
             out = (xs < kept[0]) | (xs > kept[-1]) if len(kept) else np.ones(n, dtype=bool)
             indices = np.flatnonzero(out)
-            scores = np.abs(xs[indices] - med) * 0.6745 / denom
+            scores = _distances(xs[indices], med) * 0.6745 / denom
     return {"method": "mad_modified_z", "threshold": threshold, "indices": indices, "scores": scores}
 
 

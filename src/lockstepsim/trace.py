@@ -61,14 +61,15 @@ time taken as the int64 maximum, so a tie keeps replica id order and the
 unemitted come last. Slot j of a round with e outputs takes its verdict's
 seq less e, plus j; an unemitted slot writes no line.
 
-The writer (`rounds`) fills `%` templates, one per emitted count e:
-COMPLETION e times, then `verdict_template`.
+The writer (`rounds`) fills one `%` template per round of k slots and e
+outputs: COMPLETION e times, "%.0s" 5 (k - e) times, then `verdict_template`.
+So every value tuple holds all k slots' 5 values, and "%.0s" prints nothing.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 
 import numpy as np
 
@@ -126,15 +127,6 @@ def groups(members) -> str:
     return ',"groups":[' + ",".join(map(ids, members)) + "]"
 
 
-def _pieces(n, rows, *columns):
-    """Per piece of a chunk of n rounds, the lists of the sorted `rows` in
-    it and of the `columns` aligned with them."""
-    if not len(rows):
-        return repeat([[]] * (1 + len(columns)))
-    cuts = [0, *np.searchsorted(rows, range(WRITE_ROUNDS, n, WRITE_ROUNDS)).tolist(), len(rows)]
-    return ([x[lo:hi].tolist() for x in (rows, *columns)] for lo, hi in zip(cuts, cuts[1:]))
-
-
 def rounds(write, first_seq, c, replica_ids) -> int:
     """Write the records of a chunk of rounds, whose first takes seq
     `first_seq`, with `write`; return the seq after its last round.
@@ -152,12 +144,13 @@ def rounds(write, first_seq, c, replica_ids) -> int:
     event). digests and outputs hold each output, or are None when no value
     fault can fire.
 
-    Arrays and templates are built once per chunk. Each `WRITE_ROUNDS`
-    rounds, a piece, turns its slice into lists, one value tuple per round,
-    patches only its sparse rows and joins the rounds' `%` texts in one
-    write, so every Python str and list lives for one piece only. (One `%`
-    over a piece grows its buffer by reallocation, which fragments the heap;
-    `str.join` sizes the text once.)
+    Per chunk it lays out the arrays and, one entry per round, each slot's
+    changed-output text, each verdict's tail and each template: each sparse
+    case patches its rows once. Each `WRITE_ROUNDS` rounds, a piece, turns
+    its slice into value tuples and joins their `%` texts in one write, so
+    Python ints and text live for one piece only. (One `%` over a piece
+    grows its buffer by reallocation, which fragments the heap; `str.join`
+    sizes the text once.)
     """
     starts, comp, emit, codes, feed = c["starts"], c["comp"], c["emit"], c["verdict"], c["feed"]
     n, k = emit.shape
@@ -168,50 +161,44 @@ def rounds(write, first_seq, c, replica_ids) -> int:
     turnarounds = np.take_along_axis(comp, slot, axis=1)
     slots = (starts[:, None] + turnarounds, (verdict_seqs - emitted)[:, None] + np.arange(k), replicas[slot],
              turnarounds)
-    # the sparse cases: changed outputs, rounds with unemitted outputs, bus
-    # divergences, passes that name their agreement, the other verdicts and
-    # frames' first rounds
-    changed = (np.zeros(0, dtype=np.int64),)
-    odd, split = np.flatnonzero(emitted < k), np.flatnonzero(c["diverged"])
+    texts = [[""] * n for _ in range(k)]
     if c["digests"] is not None:
         rows, at = np.nonzero(np.take_along_axis(emit & (c["digests"] != c["clean"][:, None]), slot, axis=1))
-        changed = (rows, at, c["digests"][rows, slot[rows, at]], c["outputs"][rows, slot[rows, at]].argmax(axis=1))
-    divergences = (split, replicas[emit[split].argmax(axis=1)], replicas[c["other"][split]],
-                   c["index"][split]) if split.size else (split,)
+        for j, i, d, cls in zip(rows.tolist(), at.tolist(), c["digests"][rows, slot[rows, at]].tolist(),
+                                c["outputs"][rows, slot[rows, at]].argmax(axis=1).tolist()):
+            texts[i][j] = OUTPUT % (d, cls)
+    del slot
+    # the tail: any clean output, any bus divergence, the variant and its fields
+    tails = [',"variant":"pass"'] * n
     outside = c["labels"] != c["best"][:, None]
     named = np.flatnonzero((codes == _PASS) & (outside.any(axis=1) | (c["agreed"] != c["clean"])))
-    failed, firsts = np.flatnonzero(codes != _PASS), np.flatnonzero(c["reps"] == 0)
-    sparse = zip(_pieces(n, *changed), _pieces(n, odd, emitted[odd]), _pieces(n, *divergences),
-                 _pieces(n, named, ~outside[named], c["agreed"][named]),
-                 _pieces(n, failed, codes[failed], c["labels"][failed]),
-                 _pieces(n, firsts, c["clean"][firsts], c["classes"]))
-    del slot, outside
+    for j, agreeing, d in zip(named.tolist(), (~outside[named]).tolist(), c["agreed"][named].tolist()):
+        tails[j] += AGREED % (ids(compress(replica_ids, agreeing)), d)
+    failed = np.flatnonzero(codes != _PASS)
+    for j, code, labels in zip(failed.tolist(), codes[failed].tolist(), c["labels"][failed].tolist()):
+        tails[j] = f',"variant":"{VERDICTS[code]}"' + (
+            groups([[r for r, g in zip(replica_ids, labels) if g == group] for group in range(max(labels) + 1)])
+            if code == _MISMATCH else "")
+    split = np.flatnonzero(c["diverged"])
+    if split.size:  # argmax refuses a chunk with no healthy replica
+        for j, replica_a, replica_b, event in zip(split.tolist(), replicas[emit[split].argmax(axis=1)].tolist(),
+                                                  replicas[c["other"][split]].tolist(), c["index"][split].tolist()):
+            tails[j] = DIVERGED % (replica_a, replica_b, event) + tails[j]
+    firsts = np.flatnonzero(c["reps"] == 0)
+    for j, d, cls in zip(firsts.tolist(), c["clean"][firsts].tolist(), c["classes"].tolist()):
+        tails[j] = OUTPUT % (d, cls) + tails[j]
+    # a round with e < k outputs prints none of its unemitted slots' 5 values
+    shapes = [COMPLETION * e + "%.0s" * (5 * (k - e)) + verdict_template(0 if feed is None else k)
+              for e in range(k + 1)]
+    templates = [shapes[k]] * n
+    odd = np.flatnonzero(emitted < k)
+    for j, e in zip(odd.tolist(), emitted[odd].tolist()):
+        templates[j] = shapes[e]
 
-    shapes = [COMPLETION * e + verdict_template(0 if feed is None else k) for e in range(k + 1)]
-
-    for a, (news, others, splits, agreements, fails, cleans) in zip(range(0, n, WRITE_ROUNDS), sparse):
-        s, m = slice(a, a + WRITE_ROUNDS), min(WRITE_ROUNDS, n - a)
-        texts = [[""] * m for _ in range(k)]
-        for j, i, d, cls in zip(*news):
-            texts[i][j - a] = OUTPUT % (d, cls)
-        # the tail: any clean output, any bus divergence, the variant and its fields
-        tails = [',"variant":"pass"'] * m
-        for j, agreeing, d in zip(*agreements):
-            tails[j - a] += AGREED % (ids(compress(replica_ids, agreeing)), d)
-        for j, code, labels in zip(*fails):
-            tails[j - a] = f',"variant":"{VERDICTS[code]}"' + (
-                groups([[r for r, g in zip(replica_ids, labels) if g == group] for group in range(max(labels) + 1)])
-                if code == _MISMATCH else "")
-        for j, replica_a, replica_b, event in zip(*splits):
-            tails[j - a] = DIVERGED % (replica_a, replica_b, event) + tails[j - a]
-        for j, d, cls in zip(*cleans):
-            tails[j - a] = OUTPUT % (d, cls) + tails[j - a]
-        values = list(zip(*chain.from_iterable(zip(*(x[s].T.tolist() for x in slots), texts)),
-                          c["ends"][s].tolist(), verdict_seqs[s].tolist(),
-                          *(() if feed is None else feed[s].T.tolist()), tails))
-        templates = [shapes[k]] * m
-        # a round with e < k outputs keeps only its emitted slots' 5 values each
-        for j, e in zip(*others):
-            values[j - a], templates[j - a] = (*values[j - a][:5 * e], *values[j - a][5 * k:]), shapes[e]
-        write("".join(map(str.__mod__, templates, values)))
+    for a in range(0, n, WRITE_ROUNDS):
+        s = slice(a, a + WRITE_ROUNDS)
+        values = zip(*chain.from_iterable(zip(*(x[s].T.tolist() for x in slots), (t[s] for t in texts))),
+                     c["ends"][s].tolist(), verdict_seqs[s].tolist(),
+                     *(() if feed is None else feed[s].T.tolist()), tails[s])
+        write("".join(map(str.__mod__, templates[s], values)))
     return int(verdict_seqs[-1]) + 1

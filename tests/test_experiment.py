@@ -414,11 +414,12 @@ class TestMemoryPerRound:
 
     def test_traced_run_builds_trace_objects_a_piece_at_a_time(self, tmp_path):
         # Traced gpu-duplex-loose, 5000 rounds: a chunk of 4096 rounds and
-        # one of 904. The peak read 253 B per round with the completion
-        # slots laid out once per chunk and each 128-round piece of it made
-        # Python lists and text, 191 B when each piece laid out its own
-        # slots, and 1093 B per round when every column of the whole chunk
-        # became lists.
+        # one of 904. The peak read 241 B per round with the slots, the
+        # changed-output texts, the verdict tails and the templates laid out
+        # once per chunk and each 128-round piece of it making its value
+        # tuples and text (218 B when each piece cut its own sparse rows),
+        # 191 B when each piece laid out its own slots, and 1093 B per round
+        # when every column of the whole chunk became lists.
         cfg = config_from_dict({"seed": 1, "topology": "gpu-duplex-loose",
                                 "workload": {"frame_count": 50, "repetitions_per_frame": 100}}, env={})
         rounds = 50 * 100
@@ -436,10 +437,13 @@ class TestMemoryPerRound:
     def test_tight_run_of_one_chunk_builds_trace_text_a_piece_at_a_time(self, tmp_path):
         # Tight 2oo3 with every fault kind, 1500 frames of one round each:
         # one block and one chunk of 1500 rounds, each a fresh frame. The
-        # peak read 826 B per round with the slots laid out per chunk and
-        # the trace text built per piece, 657 B when each piece laid out its
-        # own slots, and 1809 B per round with the completion, agreement and
-        # safety tails and the sparse kinds' lists built for the whole chunk.
+        # peak read 837 B per round with the slots, texts, tails and
+        # templates laid out per chunk and the trace text built per piece
+        # (703 B when each piece cut its own sparse rows: every round here
+        # is a frame's first, so every tail carries the clean output), 657 B
+        # when each piece laid out its own slots, and 1809 B per round with
+        # the completion, agreement and safety tails and the sparse kinds'
+        # lists built for the whole chunk.
         cfg = config_from_dict(tight_all_faults(1500), env={})
         run_to_directory(cfg, tmp_path)  # warm-up: imports and caches
         tracemalloc.start()

@@ -449,6 +449,22 @@ class TestVectorizedMatchesScalar:
     def test_histogram_spans_the_int64_range(self, xs, bin_count):
         assert bits(histogram(xs, bin_count)) == bits(scalar_histogram(xs, bin_count))
 
+    def test_outlier_deviations_span_the_int64_range(self):
+        # odd n, so the median is the int 0, and |INT64_MIN - 0| = 2**63 is past int64
+        xs = [INT64_MIN, INT64_MIN, 0, 0, 0, INT64_MAX, 1]
+        got = detect_outliers(xs, 3.5)
+        assert bits(listed(got)) == bits(scalar_detect_outliers(xs, 3.5))
+        assert got["indices"].tolist() == [0, 1, 5]
+
+    @given(int64_values.filter(lambda xs: len(xs) >= 4), st.sampled_from([0.0, 1.0, 3.5, 10.0]))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_outliers_of_int64_extremes(self, odd, xs, threshold):
+        xs = xs[:len(xs) - (len(xs) % 2 != odd)]
+        want = bits(scalar_detect_outliers(xs, threshold))
+        assert bits(listed(detect_outliers(xs, threshold))) == want
+        assert bits(listed(detect_outliers(xs, threshold, value_table(xs)))) == want
+
     def test_zero_mad_takes_the_mean_deviation(self):
         xs = [5] * 20 + [500, 6]
         assert statistics.median([abs(x - 5) for x in xs]) == 0

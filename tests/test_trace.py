@@ -206,10 +206,10 @@ WIDTH = 3  # output elements, so a changed output's classification is its argmax
 @st.composite
 def chunks(draw):
     """A chunk of rounds of every shape, as lists: k healthy replicas (none
-    to three), each output emitted or not, any bus divergence, any verdict,
-    a frame's first round or not, and changed outputs if `digests` is not
-    None. Returns (columns, replica ids)."""
-    k, n = draw(st.integers(0, 3)), draw(st.integers(1, 8))
+    to eight, the most a topology allows), each output emitted or not, any
+    bus divergence, any verdict, a frame's first round or not, and changed
+    outputs if `digests` is not None. Returns (columns, replica ids)."""
+    k, n = draw(st.integers(0, 8)), draw(st.integers(1, 8))
     replica_ids = sorted(draw(st.sets(st.integers(0, 7), min_size=k, max_size=k)))
     valued, fed = draw(st.booleans()), draw(st.booleans()) and k > 0
 
