@@ -4,8 +4,8 @@ Per frame, per repetition (a round): release one synthetic input to every
 healthy replica, run each replica with its faults applied, rendezvous on
 the completion times the checker observes, compare bus traces under tight
 coupling, vote, step the safety switch, and record latency samples. With a
-trace writer, the run is also written as JSON text lines (trace.jsonl, see
-`trace`): a header, the PTP estimates, and per round one line per emitted
+trace writer, the run is also written as JSON lines in `bytes` (trace.jsonl,
+see `trace`): a header, the PTP estimates, and per round one line per emitted
 output, at its completion time, and one for the verdict. Everything derives
 from the config seed; two runs of the same config produce byte-identical
 traces and reports.
@@ -23,8 +23,7 @@ run in chunks of at most `ROUND_CHUNK`, so a narrow net with one round per
 frame runs thousands of rounds per chunk, and memory does not grow with the
 frame count: a chunk's arrays hold about 100 bytes per round, and 200 to 400
 with the trace's columns (the deliveries under feed jitter, a classification
-per frame) and the slots, texts, tails and templates `trace.rounds` lays out
-per chunk (it builds its value tuples and text from a slice at a time).
+per frame) and what `trace.rounds` lays out per chunk.
 
 Every round of a chunk is decided from arrays with one row per round and
 one column per healthy replica. Every random draw is addressed by the run's
@@ -60,7 +59,7 @@ Each chunk is decided, counted and written in three steps (`run`):
 `trace.rounds` writes them. The trace format is `trace`'s alone. The
 runner writes the header (`trace.header`, seq 0) and the PTP records
 (`trace.ptp`) before the first round, and keeps only the running seq, the
-index of the next line.
+index of the next line. `run_to_directory` opens trace.jsonl in binary mode.
 """
 
 from __future__ import annotations
@@ -180,8 +179,8 @@ class ExperimentReport(Record):
 class ExperimentRunner:
     """One deterministic run of one experiment config.
 
-    `trace_writer`, if given, is called with the trace text in order, a
-    run of whole lines per call; `run_to_directory` passes a file's `write`.
+    `trace_writer`, if given, gets the trace as `bytes` in order, a run of
+    whole lines per call; `run_to_directory` passes a binary file's `write`.
     """
 
     def __init__(self, config: ExperimentConfig, trace_writer=None):
@@ -443,9 +442,9 @@ class ExperimentRunner:
     # -- top level --------------------------------------------------------
 
     def run(self) -> ExperimentReport:
-        wl = self.cfg.workload
+        wl, expanded = self.cfg.workload, self.cfg.to_json_dict()
         if self._write is not None:
-            self._write(trace.header(self.cfg, self.healthy_ids, self._cycles, self._fed, self._window_ns))
+            self._write(trace.header(self.cfg, expanded, self.healthy_ids, self._cycles, self._fed, self._window_ns))
         if self.topology.ptp.enabled:
             self._sync_clocks()
         # what the checker adds to a completion time to get its arrival time
@@ -465,7 +464,7 @@ class ExperimentRunner:
                 if self._write is not None:
                     self.seq = trace.rounds(self._write, self.seq, c, self.healthy_ids)
                 del c  # the next chunk runs without this one's columns
-        return self._build_report()
+        return self._build_report(expanded)
 
     def _check_time_limit(self):
         """Refuse a run whose simulated time could reach `TIME_LIMIT_NS`."""
@@ -484,7 +483,7 @@ class ExperimentRunner:
             raise SimulationError(
                 f"simulated time could reach 2**62 ns: up to {per_round} ns per round over {rounds} rounds")
 
-    def _build_report(self) -> ExperimentReport:
+    def _build_report(self, expanded) -> ExperimentReport:
         prof, t = self.cfg.profiler, self.totals
         replicas = []
         for rid, chunks in enumerate(t["samples"]):
@@ -500,7 +499,7 @@ class ExperimentRunner:
         n, lo, total, hi = t["skews"]
         skew = {"n": n, "min": lo, "mean": total / n, "max": hi} if n else None
         return ExperimentReport(
-            config=self.cfg.to_json_dict(),
+            config=expanded,
             replicas=replicas,
             verdict_counts=t["verdict_counts"],
             safety={"final_state": SAFE_OFF if self.fault_count >= self.topology.debounce_threshold else OPERATIONAL,
@@ -585,7 +584,7 @@ def run_to_directory(config: ExperimentConfig, out_dir) -> ExperimentReport:
     histogram CSV per replica into `out_dir`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / TRACE_FILENAME, "w") as tf:
+    with open(out / TRACE_FILENAME, "wb") as tf:
         report = ExperimentRunner(config, tf.write).run()
     with open(out / REPORT_FILENAME, "w") as rf:
         write_report(report._contents(), rf)

@@ -61,9 +61,9 @@ time taken as the int64 maximum, so a tie keeps replica id order and the
 unemitted come last. Slot j of a round with e outputs takes its verdict's
 seq less e, plus j; an unemitted slot writes no line.
 
-The writer (`rounds`) fills one `%` template per round of k slots and e
-outputs: COMPLETION e times, "%.0s" 5 (k - e) times, then `verdict_template`.
-So every value tuple holds all k slots' 5 values, and "%.0s" prints nothing.
+The writer (`rounds`) fills one `bytes` `%` template per round of k slots and
+e outputs: COMPLETION e times, "%.0a" 5 (k - e) times, then `verdict_template`.
+So every value tuple holds all k slots' 5 values, and "%.0a" prints nothing.
 """
 
 from __future__ import annotations
@@ -84,47 +84,47 @@ _PASS, _MISMATCH = VERDICTS.index(PASS), VERDICTS.index(MISMATCH)
 WRITE_ROUNDS = 128
 
 
-def header(config, replica_ids, compute_cycles, feed_jitter, window_ns) -> str:
-    digest = fnv1a64(json.dumps(config.to_json_dict(), separators=(",", ":")).encode())
+def header(config, expanded, replica_ids, compute_cycles, feed_jitter, window_ns) -> bytes:
+    digest = fnv1a64(json.dumps(expanded, separators=(",", ":")).encode())
     topo = config.topology
-    offsets = ids(topo.clock_offsets_ns[rid] for rid in replica_ids)
+    offsets = ids(topo.clock_offsets_ns[rid] for rid in replica_ids).decode()
     return (f'{{"t_ns":0,"seq":0,"kind":"header","schema_version":5,"package_version":{json.dumps(__version__)},'
-            f'"seed":{config.seed},"config_digest":{digest},"replica_ids":{ids(replica_ids)},'
+            f'"seed":{config.seed},"config_digest":{digest},"replica_ids":{ids(replica_ids).decode()},'
             f'"compute_cycles":{compute_cycles},"required_agreement":{topo.policy.required_agreement},'
             f'"repetitions_per_frame":{config.workload.repetitions_per_frame},'
             f'"debounce_threshold":{topo.debounce_threshold},"feed_jitter":{json.dumps(feed_jitter)},'
-            f'"window_ns":{window_ns},"clock_offsets_ns":{offsets}}}\n')
+            f'"window_ns":{window_ns},"clock_offsets_ns":{offsets}}}\n').encode()
 
 
-def ptp(t, seq, replica_id, offset_ns, path_delay_ns):
+def ptp(t, seq, replica_id, offset_ns, path_delay_ns) -> bytes:
     return (f'{{"t_ns":{t},"seq":{seq},"kind":"ptp","replica_id":{replica_id},'
-            f'"offset_ns":{offset_ns},"path_delay_ns":{path_delay_ns}}}\n')
+            f'"offset_ns":{offset_ns},"path_delay_ns":{path_delay_ns}}}\n').encode()
 
 
-# A completion line's values: t_ns, seq, replica_id, turnaround_ns and "" or a changed OUTPUT text.
-COMPLETION = '{"t_ns":%d,"seq":%d,"kind":"completion","replica_id":%d,"turnaround_ns":%d%s}\n'
+# A completion line's values: t_ns, seq, replica_id, turnaround_ns and b"" or a changed OUTPUT text.
+COMPLETION = b'{"t_ns":%d,"seq":%d,"kind":"completion","replica_id":%d,"turnaround_ns":%d%s}\n'
 # The texts of a verdict's tail (and of a changed output's fields); `ids` text fills a %s.
-OUTPUT = ',"digest":%d,"classification":%d'
-DIVERGED = ',"bus_divergence":{"replica_a":%d,"replica_b":%d,"event_index":%d}'
-AGREED = ',"agreeing_ids":%s,"agreed_digest":%d'
+OUTPUT = b',"digest":%d,"classification":%d'
+DIVERGED = b',"bus_divergence":{"replica_a":%d,"replica_b":%d,"event_index":%d}'
+AGREED = b',"agreeing_ids":%s,"agreed_digest":%d'
 
 
 def verdict_template(deliveries):
     """The `%` template of a verdict line: `deliveries` is the number of
     delivery_ns values (0: no field). Its values: t_ns, seq, any deliveries
     and the tail."""
-    fields = f',"delivery_ns":{ids(["%d"] * deliveries)}' if deliveries else ""
-    return '{"t_ns":%d,"seq":%d,"kind":"verdict"' + fields + '%s}\n'
+    fields = b',"delivery_ns":' + ids(["%d"] * deliveries) if deliveries else b""
+    return b'{"t_ns":%d,"seq":%d,"kind":"verdict"' + fields + b'%s}\n'
 
 
-def ids(values) -> str:
+def ids(values) -> bytes:
     """JSON text of a list of ints, as json.dumps writes it compactly."""
-    return "[" + ",".join(map(str, values)) + "]"
+    return ("[" + ",".join(map(str, values)) + "]").encode()
 
 
-def groups(members) -> str:
+def groups(members) -> bytes:
     """A mismatch verdict's fields: the replica ids of each group."""
-    return ',"groups":[' + ",".join(map(ids, members)) + "]"
+    return b',"groups":[' + b",".join(map(ids, members)) + b"]"
 
 
 def rounds(write, first_seq, c, replica_ids) -> int:
@@ -149,8 +149,9 @@ def rounds(write, first_seq, c, replica_ids) -> int:
     case patches its rows once. Each `WRITE_ROUNDS` rounds, a piece, turns
     its slice into value tuples and joins their `%` texts in one write, so
     Python ints and text live for one piece only. (One `%` over a piece
-    grows its buffer by reallocation, which fragments the heap; `str.join`
-    sizes the text once.)
+    grows its buffer by reallocation, which fragments the heap; `bytes.join`
+    sizes it once. All text is `bytes`: bytes `%` fills a plain buffer, where
+    str `%` goes through the unicode writer and a text file encodes again.)
     """
     starts, comp, emit, codes, feed = c["starts"], c["comp"], c["emit"], c["verdict"], c["feed"]
     n, k = emit.shape
@@ -161,7 +162,7 @@ def rounds(write, first_seq, c, replica_ids) -> int:
     turnarounds = np.take_along_axis(comp, slot, axis=1)
     slots = (starts[:, None] + turnarounds, (verdict_seqs - emitted)[:, None] + np.arange(k), replicas[slot],
              turnarounds)
-    texts = [[""] * n for _ in range(k)]
+    texts = [[b""] * n for _ in range(k)]
     if c["digests"] is not None:
         rows, at = np.nonzero(np.take_along_axis(emit & (c["digests"] != c["clean"][:, None]), slot, axis=1))
         for j, i, d, cls in zip(rows.tolist(), at.tolist(), c["digests"][rows, slot[rows, at]].tolist(),
@@ -169,16 +170,16 @@ def rounds(write, first_seq, c, replica_ids) -> int:
             texts[i][j] = OUTPUT % (d, cls)
     del slot
     # the tail: any clean output, any bus divergence, the variant and its fields
-    tails = [',"variant":"pass"'] * n
+    tails = [b',"variant":"pass"'] * n
     outside = c["labels"] != c["best"][:, None]
     named = np.flatnonzero((codes == _PASS) & (outside.any(axis=1) | (c["agreed"] != c["clean"])))
     for j, agreeing, d in zip(named.tolist(), (~outside[named]).tolist(), c["agreed"][named].tolist()):
         tails[j] += AGREED % (ids(compress(replica_ids, agreeing)), d)
     failed = np.flatnonzero(codes != _PASS)
     for j, code, labels in zip(failed.tolist(), codes[failed].tolist(), c["labels"][failed].tolist()):
-        tails[j] = f',"variant":"{VERDICTS[code]}"' + (
+        tails[j] = f',"variant":"{VERDICTS[code]}"'.encode() + (
             groups([[r for r, g in zip(replica_ids, labels) if g == group] for group in range(max(labels) + 1)])
-            if code == _MISMATCH else "")
+            if code == _MISMATCH else b"")
     split = np.flatnonzero(c["diverged"])
     if split.size:  # argmax refuses a chunk with no healthy replica
         for j, replica_a, replica_b, event in zip(split.tolist(), replicas[emit[split].argmax(axis=1)].tolist(),
@@ -187,8 +188,8 @@ def rounds(write, first_seq, c, replica_ids) -> int:
     firsts = np.flatnonzero(c["reps"] == 0)
     for j, d, cls in zip(firsts.tolist(), c["clean"][firsts].tolist(), c["classes"].tolist()):
         tails[j] = OUTPUT % (d, cls) + tails[j]
-    # a round with e < k outputs prints none of its unemitted slots' 5 values
-    shapes = [COMPLETION * e + "%.0s" * (5 * (k - e)) + verdict_template(0 if feed is None else k)
+    # a round with e < k outputs prints none of its unemitted slots' 5 values (bytes "%.0s" refuses an int)
+    shapes = [COMPLETION * e + b"%.0a" * (5 * (k - e)) + verdict_template(0 if feed is None else k)
               for e in range(k + 1)]
     templates = [shapes[k]] * n
     odd = np.flatnonzero(emitted < k)
@@ -200,5 +201,5 @@ def rounds(write, first_seq, c, replica_ids) -> int:
         values = zip(*chain.from_iterable(zip(*(x[s].T.tolist() for x in slots), (t[s] for t in texts))),
                      c["ends"][s].tolist(), verdict_seqs[s].tolist(),
                      *(() if feed is None else feed[s].T.tolist()), tails[s])
-        write("".join(map(str.__mod__, templates[s], values)))
+        write(b"".join(map(bytes.__mod__, templates[s], values)))
     return int(verdict_seqs[-1]) + 1

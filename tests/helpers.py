@@ -18,7 +18,7 @@ def run_with_text(raw):
     cfg = config_from_dict(raw)
     chunks = []
     report = ExperimentRunner(cfg, chunks.append).run()
-    return cfg, report, "".join(chunks)
+    return cfg, report, b"".join(chunks).decode()
 
 
 def run_with_records(raw):

@@ -398,9 +398,9 @@ class TestMemoryPerRound:
         rounds = 500 * 100
         build, peaks = experiment.ExperimentRunner._build_report, []
 
-        def build_report(runner):
+        def build_report(runner, expanded):
             peaks.append(tracemalloc.get_traced_memory()[1])
-            return build(runner)
+            return build(runner, expanded)
 
         run_experiment(cfg)  # warm-up: imports and caches
         with mock.patch.object(experiment.ExperimentRunner, "_build_report", build_report):

@@ -234,9 +234,10 @@ CASES = {
     "tight-3oo4-rank2-blocks": _tight_3oo4_rank2_blocks,
     "loose-3-chunks-safe-off": _loose_3_chunks_safe_off,
     "loose-quiet-feed-window-edge": _loose_quiet_feed_window_edge,
+    "fault-campaign": lambda: _shipped("fault-campaign.json"),
 }
 
-SLOW_CASES = {"paper-protocol"}
+SLOW_CASES = {"paper-protocol", "fault-campaign"}
 
 # name -> (sha256 of trace.jsonl, sha256 of report.json)
 PINS = {
@@ -284,6 +285,10 @@ PINS = {
         "5000a5627525ded32681741e1d58b82a37e2d9387d87b863e5765bb3e0cb5fd7",
         "dcfd6e2d21ec566d9c2ebb17dfa5b1abe55feee966782dffc2c13e070912e788",
     ),
+    "fault-campaign": (
+        "73f1019fb36326099eecd98d30c89b93edd486de878d939fe7e417307fcde2b2",
+        "f58d7f7cc1adfe4e22170dbadfe3fdd10f040b35f9ac10e772cfa5160f138d44",
+    ),
 }
 
 # name -> sha256 of trace.jsonl expanded to schema 3 (`helpers.expand`): the
@@ -300,6 +305,7 @@ EXPANDED_PINS = {
     "tight-3oo4-rank2-blocks": "7e69a32c82b6dbf2b1203c7a29d88d3fd1aa681d7af7b414fb1b8078f170fe30",
     "loose-3-chunks-safe-off": "52413fbdb6a6f3d70a5a0c8e2dd76027097bb2bc22bf315493cfdd302b61200a",
     "loose-quiet-feed-window-edge": "17b373f1107990c66012565047beb6c5192f79d8c0683a18c687160d224c2d6f",
+    "fault-campaign": "1c5d2e7b6774cebc9832745ca07a10bf95c8c1d7e74e9a8e49e3192a21731e67",
 }
 
 # Every record shape the trace can hold: the kind, refined by the fields

@@ -1,6 +1,7 @@
 """Each trace line template and field text against `json.dumps` of the
 record it writes, the round writer on hand-built columns, drawn and fixed,
-and its pieces."""
+its pieces, and the writer contract: `bytes`, which the file holds as they
+are."""
 
 import json
 from unittest import mock
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from helpers import zero_jitter_duplex
 from lockstepsim import trace
 from lockstepsim.config import config_from_dict
-from lockstepsim.experiment import ExperimentRunner
+from lockstepsim.experiment import TRACE_FILENAME, ExperimentRunner, run_to_directory
 from lockstepsim.voting import VERDICTS
 from test_golden import CASES
 
@@ -28,7 +29,7 @@ id_lists = st.lists(st.integers(0, 7), max_size=8)
 
 
 def line(record):
-    return json.dumps(record, separators=(",", ":")) + "\n"
+    return (json.dumps(record, separators=(",", ":")) + "\n").encode()
 
 
 def head(t, seq, kind):
@@ -39,7 +40,7 @@ def head(t, seq, kind):
 @settings(max_examples=100, deadline=None)
 def test_completion(t, seq, rid, turnaround, changed):
     want = {**head(t, seq, "completion"), "replica_id": rid, "turnaround_ns": turnaround}
-    text = ""
+    text = b""
     if changed is not None:
         want.update(digest=changed[0], classification=changed[1])
         text = trace.OUTPUT % changed
@@ -51,8 +52,8 @@ variants = st.one_of(
     st.builds(lambda ids, d: ("pass", trace.AGREED % (trace.ids(ids), d), {"agreeing_ids": ids, "agreed_digest": d}),
               id_lists, digests),
     st.builds(lambda groups: ("mismatch", trace.groups(groups), {"groups": groups}), st.lists(id_lists, max_size=4)),
-    st.just(("timeout", "", {})),
-    st.just(("degraded", "", {})),
+    st.just(("timeout", b"", {})),
+    st.just(("degraded", b"", {})),
 )
 
 
@@ -65,7 +66,7 @@ def test_verdict(t, seq, deliveries, clean, divergence, variant):
     if deliveries is not None:
         want["delivery_ns"] = deliveries
     # the tail: the fields after the deliveries
-    tail = ""
+    tail = b""
     if clean is not None:
         want.update(digest=clean[0], classification=clean[1])
         tail += trace.OUTPUT % clean
@@ -73,7 +74,7 @@ def test_verdict(t, seq, deliveries, clean, divergence, variant):
         want["bus_divergence"] = dict(zip(("replica_a", "replica_b", "event_index"), divergence))
         tail += trace.DIVERGED % divergence
     want.update(variant=name, **want_fields)
-    tail += f',"variant":"{name}"{fields}'
+    tail += f',"variant":"{name}"'.encode() + fields
     deliveries = deliveries or []
     assert trace.verdict_template(len(deliveries)) % (t, seq, *deliveries, tail) == line(want)
 
@@ -99,15 +100,25 @@ def test_rounds_writes_whole_rounds_a_piece_at_a_time(raw, size):
     ExperimentRunner(cfg, whole.append).run()
     with mock.patch.object(trace, "WRITE_ROUNDS", size):
         ExperimentRunner(cfg, pieces.append).run()
-    assert "".join(pieces) == "".join(whole)
+    assert b"".join(pieces) == b"".join(whole)
     # the header and each ptp line one write each, then one piece per write
     lead = 1 + cfg.topology.replica_count * cfg.topology.ptp.enabled
     rounds = cfg.workload.frame_count * cfg.workload.repetitions_per_frame
     for writes, per in ((whole, trace.WRITE_ROUNDS), (pieces, size)):
-        assert all(text.count("\n") == 1 for text in writes[:lead])
-        verdicts = [text.count('"kind":"verdict"') for text in writes[lead:]]
+        assert all(text.count(b"\n") == 1 for text in writes[:lead])
+        verdicts = [text.count(b'"kind":"verdict"') for text in writes[lead:]]
         assert verdicts[:-1] == [per] * (len(verdicts) - 1) and sum(verdicts) == rounds
-        assert all('"kind":"verdict"' in text.splitlines()[-1] for text in writes[lead:])
+        assert all(b'"kind":"verdict"' in text.splitlines()[-1] for text in writes[lead:])
+
+
+@pytest.mark.parametrize("name", ["tight-2oo3-all-faults", "loose-3-one-failed"])
+def test_the_writer_gets_bytes_that_the_file_holds_as_they_are(name, tmp_path):
+    cfg = config_from_dict(CASES[name](), env={})
+    calls = []
+    ExperimentRunner(cfg, calls.append).run()
+    assert calls and all(type(text) is bytes for text in calls)
+    run_to_directory(cfg, tmp_path)
+    assert (tmp_path / TRACE_FILENAME).read_bytes() == b"".join(calls)
 
 
 def chunk(**columns):
@@ -196,8 +207,31 @@ def test_rounds_lays_out_slots_and_sparse_cases(size):
         assert trace.rounds(pieces.append, 22, NONE_HEALTHY, []) == 24
         assert trace.rounds(pieces.append, 24, AGREEING, [0, 1]) == 30
     records = HEALTHY_RECORDS + NONE_HEALTHY_RECORDS + AGREEING_RECORDS
-    assert "".join(pieces).splitlines(keepends=True) == list(map(line, records))
+    assert b"".join(pieces).splitlines(keepends=True) == list(map(line, records))
     assert len(pieces) == (8 if size == 1 else 3)
+
+
+INT64_MAX = (1 << 63) - 1
+
+
+def test_rounds_prints_nothing_of_an_unemitted_slot_however_wide_its_values():
+    # Replicas 0 and 1, one round each, one output unemitted per round: its
+    # slot holds the int64-max sentinel time (round 0) or a negative
+    # turnaround (round 1), and a changed 20-digit digest, yet "%.0a" prints
+    # none of its 5 values.
+    c = chunk(
+        reps=[0, 1], clean=[D0, D0], classes=[4], starts=[0, 1000], ends=[900, 1900], feed=None,
+        comp=[[300, INT64_MAX], [-5, 400]], emit=[[1, 0], [0, 1]], verdict=[TIMEOUT, TIMEOUT],
+        labels=np.zeros((2, 2)), best=[0, 0], agreed=[D0, D0], digests=[[D0, (1 << 64) - 1], [10**19, D0]],
+        outputs=np.eye(5, dtype=np.int16)[[[4, 1], [2, 4]]], diverged=[0, 0], other=None, index=None)
+    pieces = []
+    assert trace.rounds(pieces.append, 3, c, [0, 1]) == 7
+    text = b"".join(pieces)
+    assert text.splitlines(keepends=True) == list(map(line, [
+        completion_record(300, 3, 0, 300), verdict_record(900, 4, digest=D0, classification=4, variant="timeout"),
+        completion_record(1400, 5, 1, 400), verdict_record(1900, 6, variant="timeout")]))
+    for value in (INT64_MAX, (1 << 64) - 1, 10**19, -5, 995):
+        assert b"%d" % value not in text
 
 
 WIDTH = 3  # output elements, so a changed output's classification is its argmax
@@ -289,5 +323,5 @@ def test_rounds_writes_each_round_shape_as_its_records(drawn, first_seq, size):
     with mock.patch.object(trace, "WRITE_ROUNDS", size):
         end = trace.rounds(pieces.append, first_seq, columns, replica_ids)
     records = list(chunk_records(c, replica_ids, first_seq))
-    assert "".join(pieces).splitlines(keepends=True) == list(map(line, records))
+    assert b"".join(pieces).splitlines(keepends=True) == list(map(line, records))
     assert end == first_seq + len(records) and len(pieces) == -(-n // size)
