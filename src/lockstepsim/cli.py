@@ -148,33 +148,25 @@ def _cmd_vote_table(args) -> int:
 def _cmd_stats(args) -> int:
     p = Path(args.trace)
     if not p.is_file():
-        print(f"no trace file at {p}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"no trace file at {p}")
     samples = {}
     with open(p, "rb") as fp:
         for lineno, line in enumerate(fp, 1):
             try:
                 rec = json.loads(line.decode())
             except (ValueError, RecursionError) as e:  # also bad UTF-8, too many digits and too deep nesting
-                print(f"{p}:{lineno}: not valid JSON ({e})", file=sys.stderr)
-                return 1
+                raise ConfigError(f"{p}:{lineno}: not valid JSON ({e})") from e
             if not isinstance(rec, dict):
-                print(f"{p}:{lineno}: not a trace record (expected a JSON object)", file=sys.stderr)
-                return 1
+                raise ConfigError(f"{p}:{lineno}: not a trace record (expected a JSON object)")
             if rec.get("kind") == "completion":
                 rid, turnaround = rec.get("replica_id"), rec.get("turnaround_ns")
                 if type(rid) is not int or type(turnaround) is not int:  # a bool is an int subclass
-                    print(f"{p}:{lineno}: completion record needs integer replica_id and turnaround_ns",
-                          file=sys.stderr)
-                    return 1
+                    raise ConfigError(f"{p}:{lineno}: completion record needs integer replica_id and turnaround_ns")
                 if not -(1 << 63) <= turnaround < 1 << 63:  # what profiling.stats takes
-                    print(f"{p}:{lineno}: turnaround_ns {turnaround} is outside the int64 range",
-                          file=sys.stderr)
-                    return 1
+                    raise ConfigError(f"{p}:{lineno}: turnaround_ns {turnaround} is outside the int64 range")
                 samples.setdefault(rid, []).append(turnaround)
     if not samples:
-        print("trace contains no completion records", file=sys.stderr)
-        return 1
+        raise ConfigError("trace contains no completion records")
     out = {str(rid): stats(xs) for rid, xs in sorted(samples.items())}
     print(json.dumps(out, indent=2))
     return 0

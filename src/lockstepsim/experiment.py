@@ -59,7 +59,7 @@ Each chunk is decided, counted and written in three steps (`run`):
 `trace.rounds` writes them. The trace format is `trace`'s alone. The
 runner writes the header (`trace.header`, seq 0) and the PTP records
 (`trace.ptp`) before the first round, and keeps only the running seq, the
-index of the next line. `run_to_directory` opens trace.jsonl in binary mode.
+index of the next line. `run_to_directory` writes every file in binary mode.
 """
 
 from __future__ import annotations
@@ -538,39 +538,57 @@ def tally(t, c, replica_ids):
 _SLICE_LEN = 4096
 
 
-def _with_arrays(node, fn):
+def _number_rows(node) -> bool:
+    """Whether `node` is a non-empty list of dicts with the same `str` keys in the
+    same order, each value an `int` or a finite `float` (not bool or NumPy)."""
+    keys = type(node) is list and node and type(node[0]) is dict and list(node[0])
+    return bool(keys) and all(type(key) is str for key in keys) and all(
+        type(row) is dict and list(row) == keys and all(type(v) in (int, float) and -np.inf < v < np.inf
+                                                        for v in row.values()) for row in node)
+
+
+def _with_arrays(node, fn, rows=False):
     """`node` with each non-empty NumPy array `xs` replaced by `fn(xs)`, in
-    file order (an empty one becomes [])."""
-    if isinstance(node, np.ndarray) and node.size:
+    file order (an empty one becomes []), and with `rows`, each list of
+    number rows (`_number_rows`) too."""
+    if isinstance(node, np.ndarray) and node.size or rows and _number_rows(node):
         return fn(node)
     if isinstance(node, dict):
-        return {k: _with_arrays(v, fn) for k, v in node.items()}
+        return {k: _with_arrays(v, fn, rows) for k, v in node.items()}
     if isinstance(node, (list, np.ndarray)):
-        return [_with_arrays(v, fn) for v in node]
+        return [_with_arrays(v, fn, rows) for v in node]
     return node
 
 
 def write_report(report: dict, f):
-    """Write to `f` what `json.dump(report, f, indent=2)` and a newline would
-    with each int64 or float64 array in `report` as a list (finite floats:
-    `repr` writes them as JSON does). The arrays are spliced into
-    the dump, each written from `tolist` and `repr`, `_SLICE_LEN` numbers at a
-    time. They stand in the dump as the first string "\\0splice<k>\\0" (k = 0,
-    1, ...) whose JSON text occurs once per array, so no report string is cut."""
+    """Write to the binary file `f` what `json.dump(report, f, indent=2)` and
+    a newline would, with each int64 or float64 array in `report` as a list.
+    Each array and each list of number rows is spliced into the dump from a
+    bytes `%` template: an array's `_SLICE_LEN` numbers at a time (`%d`, or
+    `%r` for finite floats, as JSON writes them), a list's rows at once (`%r`).
+    Each stands in the dump as the first string "\\0splice<k>\\0" (k = 0, 1,
+    ...) whose JSON text occurs once per leaf, so no report string is cut."""
     for k in naturals():
-        marker, arrays = f"\0splice{k}\0", []
-        hollow = _with_arrays(report, lambda xs: arrays.append(xs) or marker)
-        parts = json.dumps(hollow, indent=2).split(json.dumps(marker))
-        if len(parts) == len(arrays) + 1:
+        marker, leaves = f"\0splice{k}\0", []
+        hollow = _with_arrays(report, lambda leaf: leaves.append(leaf) or marker, rows=True)
+        parts = json.dumps(hollow, indent=2).encode().split(json.dumps(marker).encode())
+        if len(parts) == len(leaves) + 1:
             break
-    for text, xs in zip(parts, arrays):
-        line = text[text.rfind("\n") + 1:]
-        sep = ",\n" + " " * (len(line) - len(line.lstrip(" ")) + 2)
-        f.write(text + "[" + sep[1:])
-        for i in range(0, len(xs), _SLICE_LEN):
-            f.write((sep if i else "") + sep.join(map(repr, xs[i:i + _SLICE_LEN].tolist())))
-        f.write(sep[1:-2] + "]")
-    f.write(parts[-1] + "\n")
+    for text, leaf in zip(parts, leaves):
+        line = text[text.rfind(b"\n") + 1:]
+        pad = b"\n" + line[:len(line) - len(line.lstrip(b" "))]  # the newline and indent of the leaf's "]"
+        f.write(text + b"[")
+        if isinstance(leaf, np.ndarray):  # an item is "," pad "  " and a number, the first without its ","
+            item = b"," + pad + (b"  %r" if leaf.dtype.kind == "f" else b"  %d")
+            for i in range(0, len(leaf), _SLICE_LEN):
+                xs = leaf[i:i + _SLICE_LEN].tolist()
+                f.write((item * len(xs))[i == 0:] % tuple(xs))
+        else:
+            keys = b",".join(pad + b"    " + json.dumps(key).encode().replace(b"%", b"%%") + b": %r" for key in leaf[0])
+            item = b"," + pad + b"  {" + keys + pad + b"  }"
+            f.write((item * len(leaf))[1:] % tuple(v for row in leaf for v in row.values()))
+        f.write(pad + b"]")
+    f.write(parts[-1] + b"\n")
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -586,9 +604,9 @@ def run_to_directory(config: ExperimentConfig, out_dir) -> ExperimentReport:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / TRACE_FILENAME, "wb") as tf:
         report = ExperimentRunner(config, tf.write).run()
-    with open(out / REPORT_FILENAME, "w") as rf:
+    with open(out / REPORT_FILENAME, "wb") as rf:
         write_report(report._contents(), rf)
     for row in report.replicas:
-        with open(out / f"hist_replica{row['replica_id']}.csv", "w") as hf:
+        with open(out / f"hist_replica{row['replica_id']}.csv", "wb") as hf:
             write_histogram_csv(row["histogram"], hf)
     return report

@@ -225,9 +225,9 @@ def histogram(samples, bin_count: int, table=None) -> list:
 
 
 def write_histogram_csv(bins, fp) -> None:
-    fp.write("lower_edge_ns,count\n")
-    for hb in bins:
-        fp.write(f"{hb['lower_edge_ns']},{hb['count']}\n")
+    """Write `histogram`'s `bins` to the binary file `fp` as CSV, in one bytes `%`."""
+    values = tuple(v for hb in bins for v in (hb["lower_edge_ns"], hb["count"]))
+    fp.write(b"lower_edge_ns,count\n" + b"%r,%d\n" * len(bins) % values)
 
 
 def compare_runs(report_a: dict, report_b: dict, alpha: float = 0.01) -> dict:

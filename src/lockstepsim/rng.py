@@ -25,6 +25,7 @@ MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+MIX_BLOCK = 8192  # the elements `mix64s` mixes at a time: 64 KB, so each temporary stays in cache
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -46,13 +47,16 @@ def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
 
 
 def mix64s(z: np.ndarray) -> np.ndarray:
-    """`mix64` of each element of the uint64 array `z`, in place (one
-    temporary of its size at a time); returns `z`."""
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    """`mix64` of each element of the C-contiguous uint64 array `z`, in
+    place, `MIX_BLOCK` elements at a time; returns `z`."""
+    flat = z.reshape(-1)
+    for a in range(0, flat.size, MIX_BLOCK):
+        b = flat[a:a + MIX_BLOCK]
+        b ^= b >> np.uint64(30)
+        b *= np.uint64(_MIX1)
+        b ^= b >> np.uint64(27)
+        b *= np.uint64(_MIX2)
+        b ^= b >> np.uint64(31)
     return z
 
 

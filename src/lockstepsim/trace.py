@@ -62,8 +62,9 @@ unemitted come last. Slot j of a round with e outputs takes its verdict's
 seq less e, plus j; an unemitted slot writes no line.
 
 The writer (`rounds`) fills one `bytes` `%` template per round of k slots and
-e outputs: COMPLETION e times, "%.0a" 5 (k - e) times, then `verdict_template`.
-So every value tuple holds all k slots' 5 values, and "%.0a" prints nothing.
+e outputs: COMPLETION e times, "%.0a" 5 (k - e) times, then `verdict_template`
+(with OUTPUT if every round of the chunk is its frame's first). So every
+value tuple holds all k slots' 5 values, and "%.0a" prints nothing.
 """
 
 from __future__ import annotations
@@ -109,12 +110,13 @@ DIVERGED = b',"bus_divergence":{"replica_a":%d,"replica_b":%d,"event_index":%d}'
 AGREED = b',"agreeing_ids":%s,"agreed_digest":%d'
 
 
-def verdict_template(deliveries):
+def verdict_template(deliveries, clean=False):
     """The `%` template of a verdict line: `deliveries` is the number of
-    delivery_ns values (0: no field). Its values: t_ns, seq, any deliveries
+    delivery_ns values (0: no field). Its values: t_ns, seq, any deliveries,
+    with `clean` the clean output's digest and classification (`OUTPUT`),
     and the tail."""
     fields = b',"delivery_ns":' + ids(["%d"] * deliveries) if deliveries else b""
-    return b'{"t_ns":%d,"seq":%d,"kind":"verdict"' + fields + b'%s}\n'
+    return b'{"t_ns":%d,"seq":%d,"kind":"verdict"' + fields + (OUTPUT if clean else b"") + b'%s}\n'
 
 
 def ids(values) -> bytes:
@@ -186,10 +188,13 @@ def rounds(write, first_seq, c, replica_ids) -> int:
                                                   replicas[c["other"][split]].tolist(), c["index"][split].tolist()):
             tails[j] = DIVERGED % (replica_a, replica_b, event) + tails[j]
     firsts = np.flatnonzero(c["reps"] == 0)
+    cleans = ()  # the values of OUTPUT in the verdict template, when every round is its frame's first
+    if len(firsts) == n:
+        cleans, firsts = (c["clean"].tolist(), c["classes"].tolist()), firsts[:0]
     for j, d, cls in zip(firsts.tolist(), c["clean"][firsts].tolist(), c["classes"].tolist()):
         tails[j] = OUTPUT % (d, cls) + tails[j]
     # a round with e < k outputs prints none of its unemitted slots' 5 values (bytes "%.0s" refuses an int)
-    shapes = [COMPLETION * e + b"%.0a" * (5 * (k - e)) + verdict_template(0 if feed is None else k)
+    shapes = [COMPLETION * e + b"%.0a" * (5 * (k - e)) + verdict_template(0 if feed is None else k, bool(cleans))
               for e in range(k + 1)]
     templates = [shapes[k]] * n
     odd = np.flatnonzero(emitted < k)
@@ -200,6 +205,6 @@ def rounds(write, first_seq, c, replica_ids) -> int:
         s = slice(a, a + WRITE_ROUNDS)
         values = zip(*chain.from_iterable(zip(*(x[s].T.tolist() for x in slots), (t[s] for t in texts))),
                      c["ends"][s].tolist(), verdict_seqs[s].tolist(),
-                     *(() if feed is None else feed[s].T.tolist()), tails[s])
+                     *(() if feed is None else feed[s].T.tolist()), *(x[s] for x in cleans), tails[s])
         write(b"".join(map(bytes.__mod__, templates[s], values)))
     return int(verdict_seqs[-1]) + 1

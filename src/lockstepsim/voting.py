@@ -4,10 +4,11 @@ Every function here decides a batch of rounds at once: one row per round
 and one column per replica, in replica-id order.
 
 The redundant configurations here are checkers, not choosers: with two or
-more channels a verdict needs at least two agreeing outputs, so a lone
-channel can never pass its own corrupted value through. The named duplex
-policies (1oo2, 2oo2) therefore both behave as comparators on
-disagreement; the m/n pair is kept as the architecture label.
+more channels a verdict needs at least two agreeing outputs, so under
+`Exact` a lone channel can never pass its own corrupted value through;
+under `Tolerance` a pass delivers its pivot's output, corrupted or not.
+The named duplex policies (1oo2, 2oo2) therefore both behave as
+comparators on disagreement; the m/n pair is kept as the architecture label.
 
 A round's verdict: a rendezvous that did not complete is a timeout,
 whatever the values. Too few outputs to ever reach the threshold is

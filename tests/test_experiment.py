@@ -672,18 +672,48 @@ def as_lists(node):
 
 
 def assert_written_as_indent_dump(report):
-    f = io.StringIO()
+    f = io.BytesIO()
     write_report(report, f)
-    assert f.getvalue() == json.dumps(as_lists(report), indent=2) + "\n"
+    assert f.getvalue() == (json.dumps(as_lists(report), indent=2) + "\n").encode()
 
 
 int64s = st.integers(-(1 << 63), (1 << 63) - 1)
 int64_arrays = st.lists(int64s, max_size=20).map(int64_array)
 floats = st.floats() | st.sampled_from([5e-324, 1e16, -0.0, 0.1, 1e-7, math.inf])
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([5e-324, 1e16, -0.0, 0.1, 1e-7])
+float64_arrays = st.lists(finite, max_size=20).map(lambda xs: np.array(xs, dtype=np.float64))
 scalars = st.none() | st.booleans() | int64s | floats | st.text(max_size=6)
 numbers = (st.lists(int64s, max_size=20) | st.lists(floats, max_size=20) | st.lists(int64s | floats, max_size=20)
-           | int64_arrays)
-json_values = st.recursive(scalars | numbers, lambda inner: st.lists(inner, max_size=10)
+           | int64_arrays | float64_arrays)
+
+
+@st.composite
+def row_lists(draw):
+    """A list of one to four rows with the same keys in the same order and
+    int or finite float values, which the report writer splices; or, with
+    one change drawn, rows that the indent encoder writes: a bool, NaN or
+    +-inf, or np.float64 value, one row's keys in another order, or empty
+    dicts."""
+    keys = draw(st.lists(st.sampled_from(["replica_id", "count", "%d", "a%"]) | st.text(max_size=4),
+                         min_size=1, max_size=4, unique=True))
+    rows = [dict(zip(keys, draw(st.lists(int64s | finite, min_size=len(keys), max_size=len(keys)))))
+            for _ in range(draw(st.integers(1, 4)))]
+    row, key = draw(st.sampled_from(rows)), draw(st.sampled_from(keys))
+    change = draw(st.sampled_from([None, None, "bool", "nonfinite", "np.float64", "order", "empty"]))
+    if change == "bool":
+        row[key] = draw(st.booleans())
+    elif change == "nonfinite":
+        row[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif change == "np.float64":
+        row[key] = np.float64(draw(finite))
+    elif change == "order":
+        rows[rows.index(row)] = dict(reversed(row.items()))
+    elif change == "empty":
+        rows = [{}] * len(rows)
+    return rows
+
+
+json_values = st.recursive(scalars | numbers | row_lists(), lambda inner: st.lists(inner, max_size=10)
                            | st.dictionaries(st.text(max_size=4), inner, max_size=4), max_leaves=30)
 replica_rows = st.fixed_dictionaries({
     "replica_id": st.integers(0, 7),
@@ -691,12 +721,15 @@ replica_rows = st.fixed_dictionaries({
     "stats": st.none() | st.dictionaries(st.sampled_from(["n", "min", "mean", "p99"]), int64s | floats | st.none()),
     "outliers": st.none() | st.fixed_dictionaries({
         "method": st.just("mad_modified_z"), "threshold": floats,
-        "indices": st.lists(st.integers(0, 20), max_size=20), "scores": st.lists(floats, max_size=20)}),
+        "indices": st.lists(st.integers(0, 20), max_size=20) | int64_arrays,
+        "scores": st.lists(floats, max_size=20) | float64_arrays}),
     "histogram": st.lists(st.fixed_dictionaries({"lower_edge_ns": int64s | floats, "count": st.integers(0, 9)}),
-                          max_size=12),
+                          max_size=12) | row_lists(),
 })
+ptp_rows = st.fixed_dictionaries({"replica_id": st.integers(0, 7), "offset_ns": int64s, "path_delay_ns": int64s})
 reports = st.fixed_dictionaries({"schema_version": st.just(1), "config": json_values,
-                                 "replicas": st.lists(replica_rows, max_size=3), "skew_ns": json_values})
+                                 "replicas": st.lists(replica_rows, max_size=3), "skew_ns": json_values,
+                                 "ptp": st.lists(ptp_rows, max_size=4)})
 
 
 @given(reports)
@@ -707,6 +740,11 @@ reports = st.fixed_dictionaries({"schema_version": st.just(1), "config": json_va
 @example({"schema_version": 1, "config": {}, "skew_ns": None,  # three slices, the last a short one
           "replicas": [{"replica_id": 0, "samples": int64_array(range(-4096, 4097)), "stats": None,
                         "outliers": None, "histogram": [{"lower_edge_ns": 0.5, "count": 1}] * 9}]})
+@example({"schema_version": 1, "skew_ns": None, "replicas": [],  # rows the indent encoder writes, beside spliced ones
+          "config": {"bool": [{"a": 1, "b": 2}, {"a": 3, "b": True}], "order": [{"a": 1, "b": 2}, {"b": 3, "a": 4}],
+                     "empty": [{}], "np": [{"a": np.float64(0.5)}], "nonfinite": [{"a": 1.0}, {"a": -math.inf}],
+                     "spliced": [{"%d": 1, "b": 0.5}]},
+          "ptp": [{"replica_id": 0, "offset_ns": -(1 << 63), "path_delay_ns": 7}]})
 @settings(max_examples=300, deadline=None, database=None)
 def test_report_bytes_are_the_indent_dump(report):
     assert_written_as_indent_dump(report)

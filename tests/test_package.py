@@ -73,7 +73,9 @@ def test_gen_frame_is_the_one_frame_block_of_gen_frames():
 def test_import_leaves_out_dataclasses_and_copy():
     # Both cost import time in every process; numpy imports neither. A run
     # must not import numpy.ma either: np.unique over an axis or
-    # np.percentile pulls it in, about 13 ms per process.
+    # np.percentile pulls it in, about 13 ms per process. Nor the command
+    # line, `lockstepsim.cli` and its `argparse`: a run through the package
+    # has no use for them.
     config = str(CONFIG_DIR / "fault-campaign.json")
     code = (
         "import json, sys, tempfile, lockstepsim\n"
@@ -83,11 +85,12 @@ def test_import_leaves_out_dataclasses_and_copy():
         "with tempfile.TemporaryDirectory() as out:\n"
         "    lockstepsim.run_to_directory(lockstepsim.config_from_dict(raw), out)\n"
         "print('numpy.ma' in sys.modules)\n"
+        "print(sorted({'lockstepsim.cli', 'argparse'} & set(sys.modules)))\n"
     )
     src = str(Path(lockstepsim.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, cwd=src)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n")[:2] == ["[]", "False"]
+    assert done.stdout.split("\n")[:3] == ["[]", "False", "[]"]
 
 
 def test_a_traced_run_leaves_out_hashlib():

@@ -348,11 +348,12 @@ class TestHistogram:
         assert sum(b["count"] for b in histogram(xs, bins)) == len(xs)
 
     def test_csv_format(self):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_histogram_csv(histogram([0, 1, 2, 3], 2), buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "lower_edge_ns,count"
-        assert lines[1].endswith(",2")
+        assert buf.getvalue() == b"lower_edge_ns,count\n0.0,2\n1.5,2\n"
+        empty = io.BytesIO()
+        write_histogram_csv(histogram([], 2), empty)
+        assert empty.getvalue() == b"lower_edge_ns,count\n"
 
 
 # -- the vectorized report functions against frozen copies of the scalar code --

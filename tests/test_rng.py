@@ -5,7 +5,7 @@ import pytest
 
 from lockstepsim.replica import gen_weights
 from lockstepsim.rng import (
-    MASK64, below, derive_seed, derive_seeds, draws, draws_at, fnv1a64, fnv1a64_rows, mix64, mix64s,
+    MASK64, MIX_BLOCK, below, derive_seed, derive_seeds, draws, draws_at, fnv1a64, fnv1a64_rows, mix64, mix64s,
 )
 from oracles import Rng
 
@@ -136,9 +136,14 @@ def test_below_is_the_scalar_uniform_compare(start, p):
         assert below(seed, np.arange(start + 1, start + 2001, dtype=np.uint64), p).tolist() == want
 
 
-def test_array_mix64_is_mix64():
-    zs = [0, 1, 12345, MASK64, 2**63]
-    assert mix64s(np.array(zs, dtype=np.uint64)).tolist() == [mix64(z) for z in zs]
+@pytest.mark.parametrize("shape", [5, 0, 1, MIX_BLOCK - 1, MIX_BLOCK, MIX_BLOCK + 1, 3 * MIX_BLOCK + 5, (1500, 32)])
+def test_array_mix64_is_mix64(shape):
+    # the ends of the range and its top bit first, then counter-like values
+    size = int(np.prod(shape))
+    zs = ([0, 1, 12345, MASK64, 2**63] + [(i * 0x9E3779B97F4A7C15) & MASK64 for i in range(size)])[:size]
+    z = np.array(zs, dtype=np.uint64).reshape(shape)
+    assert mix64s(z) is z
+    assert z.ravel().tolist() == [mix64(v) for v in zs]
 
 
 @pytest.mark.parametrize("seed", [0, 7, MASK64])

@@ -65,17 +65,19 @@ def test_verdict(t, seq, deliveries, clean, divergence, variant):
     want = head(t, seq, "verdict")
     if deliveries is not None:
         want["delivery_ns"] = deliveries
-    # the tail: the fields after the deliveries
+    # the tail: the fields after the deliveries and any clean output
     tail = b""
     if clean is not None:
         want.update(digest=clean[0], classification=clean[1])
-        tail += trace.OUTPUT % clean
     if divergence is not None:
         want["bus_divergence"] = dict(zip(("replica_a", "replica_b", "event_index"), divergence))
         tail += trace.DIVERGED % divergence
     want.update(variant=name, **want_fields)
     tail += f',"variant":"{name}"'.encode() + fields
     deliveries = deliveries or []
+    if clean is not None:  # the clean output's fields as the template's values, and as the tail's text
+        assert trace.verdict_template(len(deliveries), True) % (t, seq, *deliveries, *clean, tail) == line(want)
+        tail = trace.OUTPUT % clean + tail
     assert trace.verdict_template(len(deliveries)) % (t, seq, *deliveries, tail) == line(want)
 
 
@@ -241,11 +243,13 @@ WIDTH = 3  # output elements, so a changed output's classification is its argmax
 def chunks(draw):
     """A chunk of rounds of every shape, as lists: k healthy replicas (none
     to eight, the most a topology allows), each output emitted or not, any
-    bus divergence, any verdict, a frame's first round or not, and changed
-    outputs if `digests` is not None. Returns (columns, replica ids)."""
+    bus divergence, any verdict, a frame's first round or not (or, with
+    `firsts`, every round a frame's first, as with one repetition per
+    frame), and changed outputs if `digests` is not None. Returns (columns,
+    replica ids)."""
     k, n = draw(st.integers(0, 8)), draw(st.integers(1, 8))
     replica_ids = sorted(draw(st.sets(st.integers(0, 7), min_size=k, max_size=k)))
-    valued, fed = draw(st.booleans()), draw(st.booleans()) and k > 0
+    valued, fed, firsts = draw(st.booleans()), draw(st.booleans()) and k > 0, draw(st.booleans())
 
     def per(values):  # one per healthy replica
         return st.lists(values, min_size=k, max_size=k)
@@ -257,7 +261,7 @@ def chunks(draw):
         start = draw(st.integers(0, 1 << 40))
         comp = draw(per(st.integers(0, 3)))  # few values, so completion times tie
         column = st.integers(0, max(k - 1, 0))  # a group or a replica's column
-        row = dict(reps=draw(st.integers(0, 2)), clean=clean, classes=draw(small),
+        row = dict(reps=0 if firsts else draw(st.integers(0, 2)), clean=clean, classes=draw(small),
                    starts=start, ends=start + draw(st.integers(3, 1000)),
                    feed=draw(per(st.integers(0, 50))), comp=comp, emit=draw(per(st.booleans())),
                    verdict=draw(st.integers(0, 3)) if k else DEGRADED, labels=draw(per(column)), best=draw(column),

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lockstepsim.cli import agreement_patterns
+from lockstepsim.config import config_from_dict
 from lockstepsim.coupling import rendezvous_rounds
 from lockstepsim.errors import ConfigError
+from lockstepsim.experiment import run_experiment
 from lockstepsim.fixedpoint import tensor_digests
 from lockstepsim.voting import (
     ACTIONS,
@@ -286,6 +288,27 @@ def tolerance_rounds(draw):
 def test_tolerance_matches_the_frozen_vote(case):
     rounds, policy, eps = case
     assert_matches_frozen_vote(rounds, policy, Tolerance(eps))
+
+
+# A flip of bit 0 of output element 3 in every round stays within eps of the
+# clean output. A tolerance pass delivers its pivot's output, the lowest
+# replica id's, so the flip passes as corrupted on replica 0, even where
+# replicas 1 and 2 agree exactly, and as masked on replica 1.
+@pytest.mark.parametrize("replicas, policy, flipped, outcome",
+                         [(2, "1oo2", 0, "corrupted_pass"), (2, "1oo2", 1, "masked_pass"),
+                          (3, "2oo3", 0, "corrupted_pass")])
+def test_a_tolerance_pass_delivers_its_pivots_output(replicas, policy, flipped, outcome):
+    raw = {"seed": 5,
+           "topology": {"replicas": replicas, "coupling": {"mode": "tight", "skew_tolerance_cycles": 2},
+                        "voter": {"policy": policy, "comparator": {"kind": "tolerance", "eps": 0.01},
+                                  "debounce_threshold": 3},
+                        "clock": {"freq_hz": 210_000_000, "drift_ppm": 0}, "shared_clock": True},
+           "workload": {"frame_count": 200, "repetitions_per_frame": 1, "input_shape": [16], "arch": [16, 16, 8]},
+           "faults": [{"replica_id": flipped, "kind": {"type": "output_bit_flip", "element_index": 3, "bit": 0},
+                       "trigger": {"type": "always"}}]}
+    report = run_experiment(config_from_dict(raw, env={}))
+    assert report.verdict_counts["pass"] == 200
+    assert report.faults == {"injected": 200, "detected": 0, "masked_pass": 0, "corrupted_pass": 0, outcome: 200}
 
 
 # -- the safety switch ---------------------------------------------------------
