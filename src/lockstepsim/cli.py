@@ -51,18 +51,22 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--fail-on-safeoff", action="store_true",
                        help="exit 2 if the run ends in the safe-off state")
+    p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="compare two run directories")
     p_cmp.add_argument("run_a", help="first run directory or report.json")
     p_cmp.add_argument("run_b", help="second run directory or report.json")
     p_cmp.add_argument("--alpha", type=float, default=0.01)
     p_cmp.add_argument("--out", default=None, help="also write the comparison JSON here")
+    p_cmp.set_defaults(func=_cmd_compare)
 
     p_vt = sub.add_parser("vote-table", help="print the exhaustive verdict table for a policy")
     p_vt.add_argument("--policy", required=True, help="policy name, e.g. 1oo2 or 2oo3")
+    p_vt.set_defaults(func=_cmd_vote_table)
 
     p_st = sub.add_parser("stats", help="turnaround statistics from a trace file")
     p_st.add_argument("--trace", required=True, help="trace.jsonl produced by run")
+    p_st.set_defaults(func=_cmd_stats)
     return parser
 
 
@@ -179,14 +183,7 @@ def cli_main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "vote-table":
-            return _cmd_vote_table(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
+        return args.func(args)
     except ConfigError as e:
         print("\n".join(e.errors), file=sys.stderr)
         return 1
@@ -196,7 +193,6 @@ def cli_main(argv=None) -> int:
     except OSError as e:  # a path that cannot be read, created or written
         print(f"{e.filename}: {e.strerror}", file=sys.stderr)
         return 1
-    return 1
 
 
 def main() -> None:

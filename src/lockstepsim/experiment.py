@@ -52,6 +52,8 @@ clock and the delays that fired. A drop fault masks the output. Then:
 - state: the verdicts (`voting.vote_rounds`) and the safety switch
   (`voting.safety_scan`), whose state is the consecutive fault count
   carried across chunks: SafeOff once it reaches the debounce threshold.
+  Of the switch, a chunk returns only `entered`: the index of the round
+  that enters SafeOff, -1 if none.
 
 Each chunk is decided, counted and written in three steps (`run`):
 `_run_chunk` decides it and returns its columns, one entry per round;
@@ -99,9 +101,7 @@ from .record import Record
 from .replica import HEALTHY, compute_cycles, gen_frames, gen_weights, infer, layer_ids
 from .rng import derive_seed
 from .voting import (
-    ACTIONS,
     DEGRADED,
-    ENTER_SAFE_OFF,
     OPERATIONAL,
     PASS,
     SAFE_OFF,
@@ -127,7 +127,7 @@ ROUND_CHUNK = 4096
 # Simulated time stays below 2**62 ns (146 years), so int64 holds every time.
 TIME_LIMIT_NS = 1 << 62
 
-_PASS, _DEGRADED, _ENTER = VERDICTS.index(PASS), VERDICTS.index(DEGRADED), ACTIONS.index(ENTER_SAFE_OFF)
+_PASS, _DEGRADED = VERDICTS.index(PASS), VERDICTS.index(DEGRADED)
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 
@@ -416,12 +416,11 @@ class ExperimentRunner:
             agreed = digests[np.arange(n), (labels == best[:, None]).argmax(axis=1)]
 
         # state
-        action, counts = safety_scan(verdict != _PASS, self.topology.debounce_threshold, self.fault_count)
-        self.fault_count = int(counts[-1])
+        entered, self.fault_count = safety_scan(verdict != _PASS, self.topology.debounce_threshold, self.fault_count)
         c = dict(frame_ids=first + rows, reps=repetitions, clean=clean, starts=ends - durations,
                  ends=ends, comp=comp, emit=emit, applied=fired.any(axis=1), complete=complete, skew=skew,
                  verdict=verdict, labels=labels, best=best, agreed=agreed, digests=digests, outputs=outputs,
-                 compared=compared, other=other, index=index, diverged=diverged, action=action)
+                 compared=compared, other=other, index=index, diverged=diverged, entered=entered)
         if self._write is not None:  # the columns only the trace reads
             c.update(classes=self._clean[0][rows[repetitions == 0]].argmax(axis=1), feed=feed if self._fed else None)
         return c
@@ -514,7 +513,8 @@ class ExperimentRunner:
 def tally(t, c, replica_ids):
     """Fold a chunk's columns `c` (`ExperimentRunner._run_chunk`), whose
     columns are the healthy `replica_ids`, into the report's counters `t`
-    (`ExperimentRunner.totals`); SafeOff is entered at its `ENTER_SAFE_OFF`."""
+    (`ExperimentRunner.totals`); the timeline gains a row if SafeOff is
+    entered at the chunk's round `entered`."""
     comp, emit, verdict, applied = c["comp"], c["emit"], c["verdict"], c["applied"]
     for i, rid in enumerate(replica_ids):
         t["samples"][rid].append(comp[emit[:, i], i])
@@ -530,7 +530,8 @@ def tally(t, c, replica_ids):
         for key, flags in (("injected", applied), ("detected", applied & ~passed), ("masked_pass", masked),
                            ("corrupted_pass", passed & ~masked)):
             t["faults"][key] += int(flags.sum())
-    for j in np.flatnonzero(c["action"] == _ENTER).tolist():
+    j = c["entered"]
+    if j >= 0:
         t["timeline"].append({"t_ns": int(c["ends"][j]), "frame_id": int(c["frame_ids"][j]),
                               "repetition": int(c["reps"][j]), "from": OPERATIONAL, "to": SAFE_OFF})
 

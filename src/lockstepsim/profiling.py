@@ -7,8 +7,7 @@ dicts with a fixed key order, and `histogram` returns a list of
 `{"lower_edge_ns", "count"}` dicts. `stats`, `detect_outliers` and
 `histogram` take a list of ints or an int64 array and give the same value
 for both. `compare_runs` compares the turnaround samples of two
-report.json dicts; `ks_statistic` ranks the values of both sets by
-`np.searchsorted` in their sorted union.
+report.json dicts; `ks_statistic` reads value tables of both sets.
 
 Every statistic reads a value table (`value_table`, passed as `table` by a
 caller that has it): the distinct sample values, ascending, and their
@@ -170,28 +169,23 @@ def detect_outliers(samples, threshold: float = 3.5, table=None) -> dict:
 
 def ks_statistic(a, b, alpha: float = 0.01) -> dict:
     """Two-sample Kolmogorov-Smirnov comparison: d, critical_value, alpha,
-    distinguishable (d > critical_value), n_a and n_b.
+    distinguishable (d > critical_value), n_a and n_b. Refuses (ValueError)
+    what `value_table` refuses, and n_a n_b of 2**63 or more.
 
-    D is the exact supremum ECDF gap: the largest |i n_b - j n_a| over n_a n_b
-    (below 2**63), with i and j the samples of a and of b up to each value.
+    D is the exact supremum ECDF gap: the largest |i n_b - j n_a| over n_a n_b,
+    with i and j the samples of a and of b up to each value of either set.
     The critical value at `alpha` is c(alpha) * sqrt((n_a + n_b) / (n_a n_b))
     with c(alpha) = sqrt(-ln(alpha / 2) / 2).
     """
     xa, xb = np.asarray(a), np.asarray(b)
     na, nb = len(xa), len(xb)
-    if na == 0 or nb == 0:
-        raise ValueError("both sample sets must be nonempty")
     if na * nb >= 1 << 63:
         raise ValueError(f"n_a * n_b must stay below 2**63, got {na} * {nb}")
-    if xa.dtype.kind != "i" or xb.dtype.kind != "i":
-        # floats, ints beyond int64 or a mix: compare the values as Python objects, exactly
-        xa, xb = np.array(a, dtype=object), np.array(b, dtype=object)
-        if (xa != xa).any() or (xb != xb).any():  # NaN equals nothing: it has no rank
-            raise ValueError("samples must not be NaN")
-    xa, xb = np.sort(xa), np.sort(xb)
-    values = np.sort(np.concatenate([xa, xb]), kind="stable")  # merges the two sorted runs
-    values = values[np.concatenate([[True], values[1:] != values[:-1]])]
-    gaps = np.searchsorted(xa, values, "right") * nb - np.searchsorted(xb, values, "right") * na
+    (va, ca), (vb, cb) = value_table(xa), value_table(xb)
+    # ends[k]: the samples at the k smallest values
+    ends_a, ends_b = (np.concatenate([[0], np.cumsum(counts)]) for counts in (ca, cb))
+    values = np.concatenate([va, vb])
+    gaps = ends_a[np.searchsorted(va, values, "right")] * nb - ends_b[np.searchsorted(vb, values, "right")] * na
     d = int(np.abs(gaps).max()) / (na * nb)
     c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
     critical = c * math.sqrt((na + nb) / (na * nb))

@@ -19,9 +19,11 @@ are different failure modes. Otherwise the outputs are grouped by agreement
 to the group of the lowest replica id (`vote_rounds`); anything else is a
 mismatch.
 
-The safety switch (`safety_scan`) counts consecutive non-pass verdicts;
-reaching the debounce threshold enters SafeOff, which is absorbing;
-recovery is an operator action outside this model.
+The safety switch counts consecutive non-pass verdicts; reaching the
+debounce threshold enters SafeOff, which is absorbing; recovery is an
+operator action outside this model. `safety_scan` steps it over a run of
+rounds and returns only what the report reads: the round that enters
+SafeOff and the count carried into the next run.
 """
 
 from __future__ import annotations
@@ -140,37 +142,31 @@ def vote_rounds(complete, labels, required):
 OPERATIONAL = "operational"
 SAFE_OFF = "safe_off"
 
+# the switch's per-round actions, as the trace's reader rules name them
 DELIVER_OUTPUT = "deliver_output"
 SUPPRESS_OUTPUT = "suppress_output"
 ENTER_SAFE_OFF = "enter_safe_off"
-ACTIONS = (DELIVER_OUTPUT, SUPPRESS_OUTPUT, ENTER_SAFE_OFF)
 
 
 def safety_scan(faulty, threshold, count=0):
     """Step the safety switch over a run of rounds from `count` consecutive
     faults. `faulty` flags each round whose verdict is not a pass. A pass
-    resets the count and delivers; any other verdict counts toward
-    `threshold` and suppresses; reaching it enters SafeOff, which
-    suppresses from then on and keeps its count. The count is the switch's
-    whole state: from a count below `threshold`, the round that enters
-    SafeOff counts exactly `threshold`, so the switch is in SafeOff exactly
-    when its count is at least `threshold`.
+    resets the count; any other verdict counts toward `threshold`; reaching
+    it enters SafeOff, which keeps its count from then on. The count is the
+    switch's whole state: from a count below `threshold`, the round that
+    enters SafeOff counts exactly `threshold`, so the switch is in SafeOff
+    exactly when its count is at least `threshold`.
 
-    Returns (action, counts): per round the index in `ACTIONS` of its
-    action and the consecutive fault count after it."""
-    n = len(faulty)
+    Returns (entered, count): the index of the round that enters SafeOff,
+    -1 if none does, and the count after the last round."""
     if count >= threshold:
-        return np.ones(n, dtype=np.int64), np.full(n, count, dtype=np.int64)
+        return -1, count
     if not faulty.any():
-        return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    at = np.arange(n)
-    last_pass = np.maximum.accumulate(np.where(faulty, -1, at))
-    counts = np.where(last_pass >= 0, at - last_pass, at + 1 + count)
-    action = faulty.astype(np.int64)
+        return -1, 0
+    at = np.arange(len(faulty))
+    # the count after each round, if SafeOff did not absorb: the rounds since the last pass
+    counts = at - np.maximum.accumulate(np.where(faulty, -1 - count, at))
     over = np.flatnonzero(counts >= threshold)
     if over.size:
-        entered = int(over[0])
-        action[entered] = ACTIONS.index(ENTER_SAFE_OFF)
-        action[entered + 1:] = ACTIONS.index(SUPPRESS_OUTPUT)
-        counts[entered + 1:] = counts[entered]
-    return action, counts
+        return int(over[0]), threshold
+    return -1, int(counts[-1])

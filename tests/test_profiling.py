@@ -203,9 +203,15 @@ class TestKs:
         with pytest.raises(ValueError):
             ks_statistic([], [1])
 
-    @pytest.mark.parametrize("a, b", [([math.nan, 1, 2], [1, 2]), ([1, 2], [3, math.nan]), ([math.nan], [math.nan])])
-    def test_nan_rejected(self, a, b):
-        with pytest.raises(ValueError, match="NaN"):
+    @pytest.mark.parametrize("a, b", [
+        ([1.5, 2.0], [1, 2]), ([1, 2], [0.5]), ([0.0], [0.0]),  # floats
+        ([math.nan, 1, 2], [1, 2]), ([1, 2], [3, math.nan]), ([math.nan], [math.nan]),  # NaN
+        ([1 << 63], [1]), ([0], [-(1 << 63) - 1]), ([1 << 64, 5], [5]), ([1 << 63, -1], [0]),  # ints past int64
+        ([math.nan, 1 << 64], [1]), ([1 << 64], [2.0, math.nan]),  # both
+        ([True, False], [True]), ([1, 2], [False, False]),  # all-bool lists
+    ])
+    def test_refuses_samples_outside_int64(self, a, b):
+        with pytest.raises(ValueError, match="int64"):
             ks_statistic(a, b)
 
     @given(
@@ -259,10 +265,6 @@ INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 few_values = st.lists(st.integers(0, 6), min_size=1, max_size=40)  # ties
 int64_values = st.lists(st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX])
                         | st.integers(INT64_MIN, INT64_MAX), min_size=1, max_size=40)
-float_values = st.lists(st.floats(allow_nan=False) | st.sampled_from([-0.0, 0.0, 5e-324, 2.0**63]),
-                        min_size=1, max_size=40)
-wide_values = st.lists(st.integers(-(1 << 70), 1 << 70) | st.sampled_from([INT64_MAX + 1, 1 << 64, 0.5, -0.0]),
-                       min_size=1, max_size=40)
 
 
 class TestKsEqualsTheMergeLoop:
@@ -289,25 +291,6 @@ class TestKsEqualsTheMergeLoop:
         want = ks_merge_d(a, b)
         assert ks_statistic(a, b)["d"] == want
         assert ks_statistic(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))["d"] == want
-
-    @given(float_values, float_values | int64_values)
-    @settings(max_examples=200, deadline=None)
-    def test_floats(self, a, b):
-        assert ks_statistic(a, b)["d"] == ks_merge_d(a, b)
-
-    @given(wide_values, wide_values | int64_values)
-    @settings(max_examples=200, deadline=None)
-    def test_ints_beyond_int64_give_the_loop_d_or_a_value_error(self, a, b):
-        try:
-            d = ks_statistic(a, b)["d"]
-        except ValueError:
-            return
-        assert d == ks_merge_d(a, b)
-
-    @pytest.mark.parametrize("a, b", [([math.nan, 1 << 64], [1]), ([1 << 64], [2.0, math.nan])])
-    def test_nan_beside_ints_beyond_int64_is_a_value_error(self, a, b):
-        with pytest.raises(ValueError, match="NaN"):
-            ks_statistic(a, b)
 
     def test_sample_count_product_past_int64_is_refused(self):
         many = np.broadcast_to(np.int64(0), (1 << 32,))  # no memory behind it

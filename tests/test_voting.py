@@ -16,15 +16,12 @@ from lockstepsim.errors import ConfigError
 from lockstepsim.experiment import run_experiment
 from lockstepsim.fixedpoint import tensor_digests
 from lockstepsim.voting import (
-    ACTIONS,
     DEGRADED,
     DELIVER_OUTPUT,
     ENTER_SAFE_OFF,
     MISMATCH,
-    OPERATIONAL,
     PASS,
     SAFE_OFF,
-    SUPPRESS_OUTPUT,
     TIMEOUT,
     VERDICTS,
     Exact,
@@ -315,35 +312,40 @@ def test_a_tolerance_pass_delivers_its_pivots_output(replicas, policy, flipped, 
 
 
 def scan(faulty, threshold, count=0):
-    action, counts = safety_scan(np.array(faulty, dtype=bool), threshold, count)
-    return [ACTIONS[a] for a in action.tolist()], counts.tolist()
+    return safety_scan(np.array(faulty, dtype=bool), threshold, count)
+
+
+def counts_after_each_round(faulty, threshold, count=0):
+    return [scan(faulty[:k], threshold, count)[1] for k in range(1, len(faulty) + 1)]
 
 
 class TestSafetyScan:
     def test_pass_delivers_and_resets(self):
-        assert scan([False], 3, count=2) == ([DELIVER_OUTPUT], [0])
+        assert scan([False], 3, count=2) == (-1, 0)
 
     def test_immediate_trip_with_default_debounce(self):
-        assert scan([True], 1) == ([ENTER_SAFE_OFF], [1])
+        assert scan([True], 1) == (0, 1)
 
     def test_debounce_three_hand_trace(self):
-        actions, counts = scan([True, False, True, True, True], 3)
-        assert actions == [SUPPRESS_OUTPUT, DELIVER_OUTPUT, SUPPRESS_OUTPUT, SUPPRESS_OUTPUT, ENTER_SAFE_OFF]
-        assert counts == [1, 0, 1, 2, 3]
+        faulty = [True, False, True, True, True]
+        assert scan(faulty, 3) == (4, 3)
+        assert counts_after_each_round(faulty, 3) == [1, 0, 1, 2, 3]
 
     def test_count_carries_into_the_next_run(self):
         # a timeout or degraded verdict counts like any other non-pass
-        assert scan([True], 2, count=1) == ([ENTER_SAFE_OFF], [2])
-        assert scan([True, True], 3, count=1)[0] == [SUPPRESS_OUTPUT, ENTER_SAFE_OFF]
+        assert scan([True], 2, count=1) == (0, 2)
+        assert scan([True, True], 3, count=1) == (1, 3)
+        assert scan([False, True, True], 5, count=2) == (-1, 2)
 
     def test_safe_off_keeps_its_count_after_entry(self):
-        actions, counts = scan([True, True, False, True], 2)
-        assert actions == [SUPPRESS_OUTPUT, ENTER_SAFE_OFF, SUPPRESS_OUTPUT, SUPPRESS_OUTPUT]
-        assert counts == [1, 2, 2, 2]
+        faulty = [True, True, False, True]
+        assert scan(faulty, 2) == (1, 2)
+        assert counts_after_each_round(faulty, 2) == [1, 2, 2, 2]
 
     def test_safe_off_is_absorbing(self):
         # SafeOff is a count at the threshold; a pass does not reset it
-        assert scan([False, True, False], 3, 3) == ([SUPPRESS_OUTPUT] * 3, [3, 3, 3])
+        assert scan([False, True, False], 3, 3) == (-1, 3)
+        assert counts_after_each_round([False, True, False], 3, 3) == [3, 3, 3]
 
 
 VARIANTS = {
@@ -369,21 +371,22 @@ def test_scan_matches_the_frozen_step_in_any_chunking(threshold, variants, cuts)
     # the frozen switch is in SafeOff exactly when its count has reached
     # the threshold, so the count is its whole state
     assert all((s == SAFE_OFF) == (c >= threshold) for s, _, c in want)
-    # the scan, over chunks of any size, carrying only the count across them
-    got, at, count = [], 0, 0
-    for size in cuts + [len(variants)]:
-        chunk = variants[at:at + size]
-        at += len(chunk)
-        if not chunk:
-            continue
-        actions, counts = scan([v != "pass" for v in chunk], threshold, count)
-        got += [(SAFE_OFF if c >= threshold else OPERATIONAL, action, c) for action, c in zip(actions, counts)]
-        count = counts[-1]
-    assert got == want
     # the switch is at rest, delivering, exactly when its count is 0 (the trace leaves that row's fields out)
-    assert all((action == DELIVER_OUTPUT) == (c == 0) for _, action, c in got)
+    assert all((action == DELIVER_OUTPUT) == (c == 0) for _, action, c in want)
     # SafeOff is absorbing
-    states = [s for s, _, _ in got]
+    states = [s for s, _, _ in want]
     if SAFE_OFF in states:
         assert set(states[states.index(SAFE_OFF):]) == {SAFE_OFF}
-
+    # the scan, over chunks of any size, carrying only the count across them:
+    # the same count after each chunk and the same round entering SafeOff
+    entries, at, count = [], 0, 0
+    for size in cuts + [len(variants)]:
+        chunk = variants[at:at + size]
+        if not chunk:
+            continue
+        entered, count = scan([v != "pass" for v in chunk], threshold, count)
+        if entered >= 0:
+            entries.append(at + entered)
+        at += len(chunk)
+        assert count == want[at - 1][2]
+    assert entries == [i for i, (_, action, _) in enumerate(want) if action == ENTER_SAFE_OFF]
